@@ -76,12 +76,8 @@ def hadamard_channel(mask: np.ndarray) -> Channel:
     """
     n = np.asarray(mask).shape[0]
     mask = _check_mask(mask, n)
-    vals, vecs = mc._deterministic_eig(mask)
-    cutoff = 1e-14 * max(float(vals.max(initial=0.0)), 1.0)
-    ops = [np.diag(np.sqrt(lam) * v) for lam, v in zip(vals, vecs) if lam > cutoff]
-    if not ops:
-        ops = [np.zeros((n, n), dtype=complex)]
-    return Channel(tuple(ops))
+    vecs = mc._scaled_eigenvectors(mask, mc.EPS_PSD, MaskNotPSD, "mask minimum")
+    return Channel(tuple([np.diag(v) for v in vecs] or [np.zeros((n, n), dtype=complex)]))
 
 
 def hadamard_bound(mask: np.ndarray, n: int) -> float:

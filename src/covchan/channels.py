@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotCP, NotDensityMatrix
+from .errors import DimensionMismatch, InvalidParameter, NotCP, NotDensityMatrix
 
 # Default validation tolerances.  Doubles give ~1e-12 roundoff at the matrix
 # sizes this package targets (dim <= 64), so 1e-9 leaves headroom.
@@ -72,7 +72,7 @@ class Channel:
     def __post_init__(self):
         ops = tuple(_as_complex(k) for k in self.kraus)
         if not ops:
-            raise ValueError("channel needs at least one Kraus operator")
+            raise InvalidParameter("channel needs at least one Kraus operator")
         shape = ops[0].shape
         if any(k.shape != shape for k in ops):
             raise DimensionMismatch("all Kraus operators must share one shape")
@@ -164,6 +164,20 @@ def _deterministic_eig(mat: np.ndarray, herm_tol: float = 1e-12):
     return vals[order], [cols[i] for i in order]
 
 
+def _scaled_eigenvectors(mat: np.ndarray, tol: float, error: type, label: str):
+    """Vectors sqrt(lam) v of a PSD matrix in _deterministic_eig order.
+
+    An eigenvalue below -tol raises ``error``.  The rank cutoff is relative
+    and much tighter than the PSD tolerance so that the choi -> kraus -> choi
+    round trip stays accurate to ~1e-13.
+    """
+    vals, vecs = _deterministic_eig(mat)
+    if vals.min() < -tol:
+        raise error(f"{label} eigenvalue {vals.min():.3e} below -{tol:.1e}")
+    cutoff = 1e-14 * max(float(vals.max(initial=0.0)), 1.0)
+    return [np.sqrt(lam) * v for lam, v in zip(vals, vecs) if lam > cutoff]
+
+
 def kraus_from_choi(choi: ChoiMatrix, tol: float = EPS_PSD) -> Channel:
     """Recover a Kraus family from a Choi matrix by eigendecomposition.
 
@@ -174,20 +188,10 @@ def kraus_from_choi(choi: ChoiMatrix, tol: float = EPS_PSD) -> Channel:
     herm_defect = float(np.max(np.abs(choi.matrix - choi.matrix.conj().T)))
     if herm_defect > tol:
         raise NotCP(f"Choi matrix is not Hermitian within {tol:.1e}")
-    vals, vecs = _deterministic_eig(choi.matrix)
-    if vals.min() < -tol:
-        raise NotCP(f"Choi minimum eigenvalue {vals.min():.3e} below -{tol:.1e}")
-    # Rank cutoff is relative and much tighter than the CP tolerance so that
-    # the choi -> kraus -> choi round trip stays accurate to ~1e-13.
-    cutoff = 1e-14 * max(float(vals.max(initial=0.0)), 1.0)
-    ops = []
-    for lam, v in zip(vals, vecs):
-        if lam <= cutoff:
-            continue
-        ops.append(np.sqrt(lam) * v.reshape(choi.dim_out, choi.dim_in))
-    if not ops:
-        ops.append(np.zeros((choi.dim_out, choi.dim_in), dtype=complex))
-    return Channel(tuple(ops))
+    shape = (choi.dim_out, choi.dim_in)
+    vecs = _scaled_eigenvectors(choi.matrix, tol, NotCP, "Choi minimum")
+    ops = [v.reshape(shape) for v in vecs]
+    return Channel(tuple(ops or [np.zeros(shape, dtype=complex)]))
 
 
 def is_cptp(channel: Channel, tol: float = EPS_PSD) -> CPTPReport:

@@ -190,7 +190,7 @@ def cmd_mc_gaussian(args) -> int:
     vac[0, 0] = 1.0
     rho = mc.DensityMatrix(vac)
     report = fock.compare_decomposition_to_mc(params, rho)
-    result = fock.monte_carlo_channel(rho, params)
+    result = report.sampled
     if args.format == "csv":
         lines = _matrix_csv_lines("mc_mean", result.mean)
         lines.extend(_matrix_csv_lines("mc_stderr", result.standard_error.astype(complex)))
@@ -263,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-max", dest="sigma_max", type=int, default=0)
     p.add_argument("--quad-points", dest="quad_points", type=int, default=0)
     p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int,
-                   default=int(os.environ.get("COVCHAN_SEED", "0")))
+    # A string default goes through type=int, so a bad value is a usage error.
+    p.add_argument("--seed", type=int, default=os.environ.get("COVCHAN_SEED", "0"))
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_mc_gaussian)

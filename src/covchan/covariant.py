@@ -9,17 +9,19 @@ A channel G commuting with the Hamiltonian conjugation has the form
 where sigma runs over the energy differences of the spectrum, S_sigma is the
 0/1 partial permutation shifting each level by sigma where the target exists,
 M_sigma is a positive mask supported on the shift's domain, and * is the
-entrywise product.  Sector data is read off the Choi matrix, which makes the
-extraction independent of the Kraus gauge.
+entrywise product.  Sector sigma is the set of Choi pairs (omega + sigma,
+omega); a Spectrum decides these sets once, and every function here reads
+that one sector map.  Each mask is a principal block of one Choi matrix,
+which makes the extraction independent of the Kraus gauge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import channels as mc
-from .channels import Channel, ChoiMatrix, DensityMatrix
+from .channels import Channel, DensityMatrix
 from .errors import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -36,10 +38,18 @@ class Spectrum:
 
     match_tol declares when two floating-point energy differences are "the
     same" sigma; spectra with gaps at or below match_tol are rejected.
+
+    The sorted differences omega_{j'} - omega_j are clustered once, a step
+    above match_tol starting a new cluster: sigmas[i] is the mean of cluster
+    i and sector_pairs[i] its flat Choi pairs j' * n + j, by input level j.
+    A cluster holding a level twice is no partial permutation and raises.
     """
 
     energies: np.ndarray
     match_tol: float = 0.0  # 0 -> default relative tolerance
+    sigmas: np.ndarray = field(init=False, repr=False, compare=False)
+    sector_pairs: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _spans: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         en = np.asarray(self.energies, dtype=float)
@@ -54,9 +64,29 @@ class Spectrum:
             raise DegenerateSpectrum(
                 f"energies must be strictly increasing with gaps > {tol:.3e}"
             )
-        en.setflags(write=False)
+        n = en.size
+        diffs = (en[:, None] - en[None, :]).reshape(-1)
+        order = np.argsort(diffs, kind="stable")
+        ranked = diffs[order]
+        cuts = np.flatnonzero(np.diff(ranked) > tol) + 1
+        starts, ends = np.r_[0, cuts], np.r_[cuts, n * n]
+        sector_pairs = [order[lo:hi][np.argsort(order[lo:hi] % n)]
+                        for lo, hi in zip(starts, ends)]
+        sigmas = np.array([np.mean(ranked[lo:hi]) for lo, hi in zip(starts, ends)])
+        for sigma, pairs in zip(sigmas, sector_pairs):
+            if np.unique(pairs % n).size + np.unique(pairs // n).size < 2 * pairs.size:
+                raise DegenerateSpectrum(
+                    f"energy differences near {sigma:.9g} chain within match_tol "
+                    f"{tol:.3e} into one sector that holds a level twice"
+                )
+        spans = np.stack([ranked[starts], ranked[ends - 1]])  # lowest, highest
+        for arr in (en, sigmas, spans, *sector_pairs):
+            arr.setflags(write=False)
         object.__setattr__(self, "energies", en)
         object.__setattr__(self, "match_tol", tol)
+        object.__setattr__(self, "sigmas", sigmas)
+        object.__setattr__(self, "sector_pairs", tuple(sector_pairs))
+        object.__setattr__(self, "_spans", spans)
 
     @property
     def dim(self) -> int:
@@ -66,6 +96,14 @@ class Spectrum:
         """Index of the level with the given energy, or -1 if absent."""
         hits = np.nonzero(np.abs(self.energies - energy) <= self.match_tol)[0]
         return int(hits[0]) if hits.size else -1
+
+    def _pairs_at(self, sigma: float) -> np.ndarray:
+        """Pairs of the sector with a difference within match_tol of sigma, if any."""
+        lowest, highest = self._spans
+        i = int(np.searchsorted(highest, sigma - self.match_tol))
+        if i < len(self.sector_pairs) and lowest[i] - self.match_tol <= sigma:
+            return self.sector_pairs[i]
+        return np.empty(0, dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -162,33 +200,20 @@ class EnergyShiftDistribution:
 
 def energy_differences(spectrum: Spectrum) -> np.ndarray:
     """Sorted distinct values omega_j - omega_k, clustered with match_tol."""
-    en = spectrum.energies
-    diffs = np.sort((en[:, None] - en[None, :]).reshape(-1))
-    reps = []
-    start = 0
-    for i in range(1, diffs.size + 1):
-        if i == diffs.size or diffs[i] - diffs[i - 1] > spectrum.match_tol:
-            reps.append(float(np.mean(diffs[start:i])))
-            start = i
-    return np.array(reps)
+    return spectrum.sigmas
 
 
 def shift_domain(spectrum: Spectrum, sigma: float) -> tuple[int, ...]:
-    return tuple(
-        j
-        for j in range(spectrum.dim)
-        if spectrum.level_of(spectrum.energies[j] + sigma) >= 0
-    )
+    return tuple((spectrum._pairs_at(sigma) % spectrum.dim).tolist())
 
 
 def partial_shift(spectrum: Spectrum, sigma: float) -> PartialShift:
     """The partial isometry S_sigma : |omega> -> |omega + sigma|>, 0 off-domain."""
     n = spectrum.dim
+    pairs = spectrum._pairs_at(sigma)
     mat = np.zeros((n, n), dtype=complex)
-    dom = shift_domain(spectrum, sigma)
-    for j in dom:
-        mat[spectrum.level_of(spectrum.energies[j] + sigma), j] = 1.0
-    return PartialShift(sigma=float(sigma), matrix=mat, domain=dom)
+    mat[pairs // n, pairs % n] = 1.0
+    return PartialShift(sigma=float(sigma), matrix=mat, domain=tuple((pairs % n).tolist()))
 
 
 def evolve_matrix(spectrum: Spectrum, t: float, mat: np.ndarray) -> np.ndarray:
@@ -207,13 +232,41 @@ def evolve(spectrum: Spectrum, t: float, rho: DensityMatrix) -> DensityMatrix:
 # ---------------------------------------------------------------------------
 # Sector extraction
 
-def _pair_sigma_ids(spectrum: Spectrum) -> np.ndarray:
-    """Cluster id of omega_{j'} - omega_j for every flattened pair (j', j)."""
-    sigmas = energy_differences(spectrum)
-    en = spectrum.energies
-    diff = en[:, None] - en[None, :]
-    ids = np.abs(diff.reshape(-1, 1) - sigmas[None, :]).argmin(axis=1)
-    return ids
+
+def _choi_and_defect(channel: Channel, spectrum: Spectrum) -> tuple[np.ndarray, float]:
+    """The Choi matrix and its largest |entry| between two sectors."""
+    if channel.dim_in != spectrum.dim or channel.dim_out != spectrum.dim:
+        raise DimensionMismatch("channel and spectrum dimensions differ")
+    choi = mc.choi_of(channel).matrix
+    cross = np.abs(choi)
+    for pairs in spectrum.sector_pairs:
+        cross[np.ix_(pairs, pairs)] = 0.0
+    return choi, float(cross.max())
+
+
+def _pinch(choi: np.ndarray, spectrum: Spectrum) -> list[np.ndarray]:
+    """Principal Choi block of every sector (a pinching: PSD stays PSD)."""
+    return [choi[np.ix_(pairs, pairs)] for pairs in spectrum.sector_pairs]
+
+
+def _restore_tp(blocks: list[np.ndarray], spectrum: Spectrum) -> list[np.ndarray]:
+    """Congruence by diag(w)^(-1/2), w_j the summed block diagonals at input
+    level j, so that the diagonals sum to one at every level (TP)."""
+    n = spectrum.dim
+    levels = [pairs % n for pairs in spectrum.sector_pairs]
+    weight = np.zeros(n)
+    for j, block in zip(levels, blocks):
+        weight[j] += np.real(np.diag(block))
+    scale = 1.0 / np.sqrt(weight)
+    return [block * np.outer(scale[j], scale[j]) for j, block in zip(levels, blocks)]
+
+
+def _scatter(sectors, n: int) -> np.ndarray:
+    """The Choi matrix holding each (pairs, block) on its pairs, zero elsewhere."""
+    choi = np.zeros((n * n, n * n), dtype=complex)
+    for pairs, block in sectors:
+        choi[np.ix_(pairs, pairs)] = block
+    return choi
 
 
 def covariance_defect(channel: Channel, spectrum: Spectrum) -> float:
@@ -223,14 +276,7 @@ def covariance_defect(channel: Channel, spectrum: Spectrum) -> float:
     alpha_t conjugation the Choi entries pick up relative phases between
     sectors, so any cross-sector mass breaks covariance.
     """
-    if channel.dim_in != spectrum.dim or channel.dim_out != spectrum.dim:
-        raise DimensionMismatch("channel and spectrum dimensions differ")
-    ids = _pair_sigma_ids(spectrum)
-    choi = mc.choi_of(channel).matrix
-    cross = ids[:, None] != ids[None, :]
-    if not cross.any():
-        return 0.0
-    return float(np.max(np.abs(choi[cross])))
+    return _choi_and_defect(channel, spectrum)[1]
 
 
 def decompose(
@@ -245,61 +291,39 @@ def decompose(
         M_sigma(j, k) = <j + d_sigma| G(|j><k|) |k + d_sigma>
 
     read directly from the Choi matrix (a principal submatrix, hence PSD).
-    Inputs covariant only within ``tol`` are sector-projected: cross-sector
-    Choi mass is discarded, and if the input was trace preserving the mask
-    diagonals are renormalized to restore the trace-preservation identity.
-    The distance of that projection is reported, never hidden.
+    The Choi matrix is built once; complete positivity is checked on each
+    sector block, trace preservation on its partial trace.  Inputs covariant
+    only within ``tol`` are sector-projected: cross-sector Choi mass is
+    discarded, and if the input was trace preserving the mask diagonals are
+    renormalized to restore the trace-preservation identity.  The Choi
+    distance of that projection is reported, never hidden.
     """
-    defect = covariance_defect(channel, spectrum)
+    choi, defect = _choi_and_defect(channel, spectrum)
     if defect > tol:
         raise NotCovariant(defect, tol)
-    choi = mc.choi_of(channel)
-    lmin = float(np.linalg.eigvalsh(choi.matrix).min())
+    blocks = [(b + b.conj().T) / 2.0 for b in _pinch(choi, spectrum)]
+    lmin = min(float(np.linalg.eigvalsh(b).min()) for b in blocks)
     if lmin < -mc.EPS_PSD:
         raise NotCP(f"Choi minimum eigenvalue {lmin:.3e}")
 
+    # The partial trace of C over the output is (sum_m A_m^dag A_m)^T, so
+    # this is the tp_defect of is_cptp.
     n = spectrum.dim
-    sigmas = energy_differences(spectrum)
-    shifts = {float(s): partial_shift(spectrum, s) for s in sigmas}
+    gram = np.trace(choi.reshape(n, n, n, n), axis1=0, axis2=2)
+    if np.linalg.norm(gram - np.eye(n)) <= mc.EPS_TP:
+        blocks = _restore_tp(blocks, spectrum)
 
-    raw_masks: dict[float, np.ndarray] = {}
-    for s in sigmas:
-        shift = shifts[float(s)]
-        mask = np.zeros((n, n), dtype=complex)
-        target = {j: spectrum.level_of(spectrum.energies[j] + s) for j in shift.domain}
-        for j in shift.domain:
-            for k in shift.domain:
-                row = target[j] * n + j
-                col = target[k] * n + k
-                mask[j, k] = choi.matrix[row, col]
-        raw_masks[float(s)] = (mask + mask.conj().T) / 2.0
-
-    # Renormalize diagonal sums to 1 when the input channel was TP; this is
-    # the TP-restoring half of the sector projection for near-covariant input.
-    tp_defect = mc.is_cptp(channel).tp_defect
-    if tp_defect <= mc.EPS_TP:
-        diag_sum = np.zeros(n)
-        for s, mask in raw_masks.items():
-            diag_sum += np.real(np.diag(mask))
-        scale = 1.0 / np.sqrt(diag_sum)
-        for s in raw_masks:
-            raw_masks[s] = raw_masks[s] * np.outer(scale, scale)
-
-    scale_max = max(1.0, float(np.max(np.abs(choi.matrix))))
-    sectors = []
-    for s in sigmas:
-        mask = raw_masks[float(s)]
-        shift = shifts[float(s)]
-        if float(np.max(np.abs(mask), initial=0.0)) <= 1e-13 * scale_max:
+    floor = 1e-13 * max(1.0, float(np.max(np.abs(choi))))
+    sectors, kept = [], []
+    for s, pairs, block in zip(spectrum.sigmas, spectrum.sector_pairs, blocks):
+        if float(np.max(np.abs(block))) <= floor:
             continue
-        sectors.append(
-            (shift, SectorMask(sigma=float(s), mask=mask, domain=shift.domain))
-        )
-
-    decomp = SectorDecomposition(
-        spectrum=spectrum, sectors=tuple(sectors), projection_defect=0.0
-    )
-    proj = float(np.linalg.norm(mc.choi_of(reconstruct(decomp)).matrix - choi.matrix))
+        shift = partial_shift(spectrum, s)
+        mask = np.zeros((n, n), dtype=complex)
+        mask[np.ix_(shift.domain, shift.domain)] = block
+        sectors.append((shift, SectorMask(sigma=shift.sigma, mask=mask, domain=shift.domain)))
+        kept.append((pairs, block))
+    proj = float(np.linalg.norm(choi - _scatter(kept, n)))
     return SectorDecomposition(
         spectrum=spectrum, sectors=tuple(sectors), projection_defect=proj
     )
@@ -307,18 +331,8 @@ def decompose(
 
 def sector_kraus(shift: PartialShift, mask: SectorMask, eps_psd: float = mc.EPS_PSD):
     """Kraus operators S_sigma diag(d) from the spectral vectors d of M_sigma."""
-    vals, vecs = mc._deterministic_eig(mask.mask)
-    if vals.min() < -eps_psd:
-        raise MaskNotPSD(f"sector {shift.sigma}: eigenvalue {vals.min():.3e}")
-    cutoff = 1e-14 * max(float(vals.max(initial=0.0)), 1.0)
-    ops = []
-    for lam, v in zip(vals, vecs):
-        if lam <= cutoff:
-            continue
-        ops.append(shift.matrix @ np.diag(np.sqrt(lam) * v))
-    if not ops:
-        ops.append(np.zeros_like(shift.matrix))
-    return ops
+    vecs = mc._scaled_eigenvectors(mask.mask, eps_psd, MaskNotPSD, f"sector {shift.sigma}:")
+    return [shift.matrix @ np.diag(v) for v in vecs] or [np.zeros_like(shift.matrix)]
 
 
 def reconstruct(decomp: SectorDecomposition) -> Channel:

@@ -63,3 +63,7 @@ class QuadratureUnderResolved(CovchanError):
 
 class ParseError(CovchanError):
     pass
+
+
+class InvalidParameter(CovchanError, ValueError):
+    """A parameter lies outside its documented range."""

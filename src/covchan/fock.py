@@ -27,7 +27,7 @@ from scipy.special import gammaln
 from . import channels as mc
 from . import covariant as cov
 from .channels import DensityMatrix
-from .errors import QuadratureUnderResolved, SectorOutOfRange
+from .errors import InvalidParameter, QuadratureUnderResolved, SectorOutOfRange
 
 _MC_CHUNK = 4096  # fixed chunk size keeps the reduction order deterministic
 
@@ -45,13 +45,13 @@ class FockParams:
 
     def __post_init__(self):
         if self.dim < 2:
-            raise ValueError("dim must be at least 2")
+            raise InvalidParameter("dim must be at least 2")
         if self.std_dev <= 0.0:
-            raise ValueError("std_dev must be positive")
+            raise InvalidParameter("std_dev must be positive")
         if self.sigma_max == 0:
             object.__setattr__(self, "sigma_max", self.dim - 1)
         if not 0 < self.sigma_max < self.dim:
-            raise ValueError("sigma_max must lie in [1, dim)")
+            raise InvalidParameter("sigma_max must lie in [1, dim)")
         if self.quad_points == 0:
             object.__setattr__(self, "quad_points", max(2 * self.dim, 64))
         if self.quad_points < 2 * self.dim:
@@ -59,7 +59,7 @@ class FockParams:
                 f"quad_points {self.quad_points} < 2 * dim = {2 * self.dim}"
             )
         if self.mc_samples < 1:
-            raise ValueError("mc_samples must be positive")
+            raise InvalidParameter("mc_samples must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,6 +110,7 @@ class ComparisonReport:
     max_allowed: float
     worst_ratio: float
     ok: bool
+    sampled: MonteCarloResult  # the Monte Carlo estimate compared against
 
 
 def integer_spectrum(dim: int) -> cov.Spectrum:
@@ -220,18 +221,12 @@ def gaussian_mask_matrix(
 
 
 def gaussian_mask(sigma: int, j: int, jp: int, s: float, quad_points: int) -> float:
-    """Single mask entry M_sigma(j, j') by Gauss-Laguerre quadrature."""
+    """Single mask entry M_sigma(j, j'), read off gaussian_mask_matrix."""
     if sigma < 0:
         raise SectorOutOfRange("gaussian_mask takes sigma >= 0; negative sectors "
                                "are index-shifted copies (use gaussian_mask_matrix)")
     dim = max(j, jp) + 1 + sigma
-    if quad_points < dim + (sigma + 1) // 2:
-        raise QuadratureUnderResolved(
-            f"{quad_points} nodes cannot integrate degree {j + jp + sigma}"
-        )
-    x, w = _quad_nodes(s, quad_points)
-    coeff = _sector_poly_coeffs(sigma, x, dim)
-    return float(np.sum(w * coeff[j] * coeff[jp]))
+    return float(gaussian_mask_matrix(sigma, dim, s, quad_points)[j, jp])
 
 
 def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
@@ -323,4 +318,5 @@ def compare_decomposition_to_mc(
         max_allowed=float(allowed[worst]),
         worst_ratio=float(ratio[worst]),
         ok=bool(np.all(dev <= allowed)),
+        sampled=sampled,
     )

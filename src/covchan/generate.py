@@ -5,7 +5,7 @@ import numpy as np
 
 from . import channels as mc
 from .channels import Channel, ChoiMatrix, DensityMatrix
-from .covariant import Spectrum, _pair_sigma_ids
+from .covariant import Spectrum, _pinch, _restore_tp, _scatter
 
 
 def random_state(dim: int, rng: np.random.Generator) -> DensityMatrix:
@@ -44,30 +44,16 @@ def random_cptp(dim: int, rng: np.random.Generator, kraus_count: int | None = No
     return Channel(tuple(q.reshape(k, dim, dim)))
 
 
-def sector_project_choi(choi: ChoiMatrix, spectrum: Spectrum) -> ChoiMatrix:
-    """Pinch the Choi matrix onto the energy-difference sectors and restore TP.
-
-    Zeroing cross-sector entries keeps the matrix PSD (it is a pinching); the
-    diagonal congruence afterwards renormalizes the partial-trace condition.
-    """
-    ids = _pair_sigma_ids(spectrum)
-    mat = np.where(ids[:, None] == ids[None, :], choi.matrix, 0.0)
-    n = spectrum.dim
-    diag = np.real(np.diagonal(mat)).reshape(n, n)
-    col_weight = diag.sum(axis=0)  # sum over output index j' for each input j
-    s = 1.0 / np.sqrt(np.tile(col_weight, n))  # flattened (j', j) -> weight of j
-    mat = mat * np.outer(s, s)
-    return ChoiMatrix(choi.dim_in, choi.dim_out, mat)
-
-
 def random_covariant(
     spectrum: Spectrum, rng: np.random.Generator, kraus_count: int | None = None
 ) -> Channel:
     """Random covariant CPTP channel on the given spectrum.
 
-    Built by sector-projecting the Choi matrix of a random CPTP channel and
-    renormalizing to trace preservation.
+    Built by pinching the Choi matrix of a random CPTP channel onto the
+    energy-difference sectors and renormalizing to trace preservation.
     """
-    base = random_cptp(spectrum.dim, rng, kraus_count)
-    projected = sector_project_choi(mc.choi_of(base), spectrum)
-    return mc.kraus_from_choi(projected)
+    n = spectrum.dim
+    base = random_cptp(n, rng, kraus_count)
+    blocks = _restore_tp(_pinch(mc.choi_of(base).matrix, spectrum), spectrum)
+    choi = _scatter(zip(spectrum.sector_pairs, blocks), n)
+    return mc.kraus_from_choi(ChoiMatrix(n, n, choi))

@@ -36,6 +36,8 @@ def matrix_from_json(obj) -> np.ndarray:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed matrix object: {exc}") from exc
+    if not np.all(np.isfinite(flat)):
+        raise ParseError("matrix contains NaN or Inf entries")
     return flat.reshape(rows, cols)
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from . import channels as mc
 from .channels import Channel
-from .covariant import EnergyShiftDistribution, Spectrum, partial_shift
-from .errors import DimensionMismatch, NotPeriodic, NotReliableTiming
+from .covariant import EnergyShiftDistribution, Spectrum, evolve_matrix, partial_shift
+from .errors import DimensionMismatch, InvalidParameter, NotPeriodic, NotReliableTiming
 
 
 @dataclass(frozen=True)
@@ -63,12 +63,10 @@ def is_reliable_timing(
         raise DimensionMismatch("phi0, channel and spectrum dimensions differ")
     nrm = float(np.linalg.norm(phi0))
     if abs(nrm - 1.0) > mc.EPS_TR:
-        raise ValueError(f"phi0 must be normalized, got norm {nrm}")
+        raise InvalidParameter(f"phi0 must be normalized, got norm {nrm}")
     rho = np.outer(phi0, phi0.conj())
-    ph = np.exp(-1j * spectrum.energies * s)
-    rho_s = rho * np.outer(ph, ph.conj())
     out0 = mc.apply_matrix(channel, rho)
-    out1 = mc.apply_matrix(channel, rho_s)
+    out1 = mc.apply_matrix(channel, evolve_matrix(spectrum, s, rho))
     return float(np.real(np.trace(out0 @ out1)))
 
 
@@ -140,9 +138,9 @@ def timing_channel(
     if phi0.size != n or channel.dim_in != n or channel.dim_out != n:
         raise DimensionMismatch("phi0, channel and spectrum dimensions differ")
     if abs(np.linalg.norm(phi0) - 1.0) > mc.EPS_TR:
-        raise ValueError("phi0 must be normalized")
+        raise InvalidParameter("phi0 must be normalized")
     if N < 1:
-        raise ValueError("N must be positive")
+        raise InvalidParameter("N must be positive")
 
     # Periodicity: all phases omega_j * s * N must agree mod 2 pi.
     phases = np.exp(-1j * spectrum.energies * s * N)
@@ -154,10 +152,7 @@ def timing_channel(
 
     # Orbit states and pairwise output orthogonality.
     rho0 = np.outer(phi0, phi0.conj())
-    outs = []
-    for j in range(N):
-        ph = np.exp(-1j * spectrum.energies * s * j)
-        outs.append(mc.apply_matrix(channel, rho0 * np.outer(ph, ph.conj())))
+    outs = [mc.apply_matrix(channel, evolve_matrix(spectrum, s * j, rho0)) for j in range(N)]
     defect = 0.0
     for a in range(N):
         for b in range(a + 1, N):
@@ -173,10 +168,9 @@ def timing_channel(
 
     v = np.empty(N, dtype=complex)
     for j in range(N):
-        u_sj = np.diag(np.exp(-1j * spectrum.energies * s * j))
-        phi_sj = np.exp(-1j * spectrum.energies * s * j) * phi0
-        g_out = mc.apply_matrix(channel, np.outer(phi0, phi_sj.conj()))
-        v[j] = np.trace(u_sj @ proj @ g_out)
+        ph = np.exp(-1j * spectrum.energies * s * j)  # diagonal of U_{sj}
+        g_out = mc.apply_matrix(channel, np.outer(phi0, (ph * phi0).conj()))
+        v[j] = np.trace((ph[:, None] * proj) @ g_out)
 
     # The circulant built from v is Hermitian for covariant channels, so the
     # DFT spectrum is real up to roundoff.

@@ -37,6 +37,25 @@ class TestCheck:
         assert code == cli.EXIT_USAGE
         assert "not found" in err
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_entry_exit_2(self, capsys, tmp_path, value):
+        chan = json.loads((FIXTURES / "amplitude_damping_0.3.json").read_text())
+        chan["kraus"][0]["data"][0][0] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(chan))
+        code, out, err = run(capsys, "check", str(bad),
+                             str(FIXTURES / "spectrum_2level.json"))
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "parse error" in err
+
+    def test_empty_kraus_list_exit_2(self, capsys, tmp_path):
+        empty = tmp_path / "empty.json"
+        empty.write_text('{"dim_in": 2, "dim_out": 2, "kraus": []}')
+        code, out, err = run(capsys, "check", str(empty),
+                             str(FIXTURES / "spectrum_2level.json"))
+        assert code == cli.EXIT_USAGE
+        assert out == "" and err.startswith("error:")
+
     def test_malformed_json_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{oops")
@@ -114,6 +133,15 @@ class TestTiming:
         np.testing.assert_allclose(payload["q"], [1.0, 0.0], atol=1e-10)
         assert payload["bound_bits"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_non_positive_orbit_length_exit_2(self, capsys):
+        code, out, err = run(capsys, "timing",
+                             str(FIXTURES / "shift_mixture_channel.json"),
+                             str(FIXTURES / "spectrum_4level.json"),
+                             "--phi0", str(FIXTURES / "phi0_4level.json"),
+                             "--s", str(np.pi), "--N", "0")
+        assert code == cli.EXIT_USAGE
+        assert out == "" and err.startswith("error:")
+
     def test_unreliable_exit_1(self, capsys):
         # At s = pi/2 adjacent translates of phi0 overlap, so the N = 4 orbit
         # outputs are not pairwise orthogonal.
@@ -148,6 +176,13 @@ class TestGaussian:
         code, _, _ = run(capsys, "gaussian", "--dim", "4")
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("flags", [("--std-dev", "0.3", "--dim", "1"),
+                                       ("--std-dev", "-1", "--dim", "8")])
+    def test_out_of_range_parameter_exit_2(self, capsys, flags):
+        code, out, err = run(capsys, "gaussian", *flags)
+        assert code == cli.EXIT_USAGE
+        assert out == "" and err.startswith("error:")
+
 
 class TestMcGaussian:
     def test_agreement_and_determinism(self, capsys):
@@ -167,6 +202,13 @@ class TestMcGaussian:
         _, out_flag, _ = run(capsys, "mc-gaussian", "--std-dev", "0.3",
                              "--dim", "6", "--samples", "20000", "--seed", "5")
         assert out_env == out_flag
+
+    def test_bad_seed_env_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("COVCHAN_SEED", "abc")
+        code, out, err = run(capsys, "mc-gaussian", "--std-dev", "0.3", "--dim", "6",
+                             "--samples", "100")
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "--seed" in err
 
     def test_unknown_subcommand_exit_2(self, capsys):
         code, _, _ = run(capsys, "frobnicate")

@@ -31,6 +31,12 @@ class TestSpectrum:
         spec = cc.Spectrum(np.array([0.0, 1e6]))
         assert spec.match_tol == pytest.approx(1e-3)
 
+    def test_rejects_chained_sector_with_repeated_level(self):
+        # Differences 1 - 0.8e-9, 1, 1 + 0.7e-9, 1 + 1.5e-9 chain into one
+        # sector holding pairs (1, 0) and (2, 0): input level 0 twice.
+        with pytest.raises(DegenerateSpectrum):
+            cc.Spectrum(np.array([0.0, 1.0, 1.0 + 1.5e-9, 2.0 + 0.7e-9]), match_tol=1e-9)
+
 
 class TestEnergyDifferences:
     def test_qubit(self, qubit_spectrum):
@@ -160,6 +166,24 @@ class TestDecompose:
         for _, mask in decomp.sectors:
             sub = mask.domain_submatrix
             assert np.linalg.eigvalsh(sub).min() >= -1e-9
+
+    def test_chained_differences_form_one_sector(self):
+        # The four sigma ~ 1 differences 1, 1 + 0.9e-9, 1 + 1.8e-9, 1 + 2.7e-9
+        # chain within match_tol into one sector over input levels 0..3.
+        spec = cc.Spectrum(np.array([0.0, 1.0, 2.0 + 0.9e-9, 3.0 + 2.7e-9, 4.0 + 5.4e-9]),
+                           match_tol=1e-9)
+        up = np.diag(np.ones(4), -1).astype(complex)
+        top = np.zeros((5, 5), dtype=complex)
+        top[4, 4] = 1.0
+        chan = cc.Channel((up, top))
+        assert cov.covariance_defect(chan, spec) == 0.0
+        decomp = cov.decompose(chan, spec)
+        assert decomp.sigmas() == pytest.approx([0.0, 1.0])
+        shift, mask = decomp.sector(decomp.sigmas()[1])
+        assert shift.domain == (0, 1, 2, 3)
+        np.testing.assert_array_equal(shift.matrix, up)
+        np.testing.assert_allclose(mask.domain_submatrix, np.ones((4, 4)), atol=1e-15)
+        assert decomp.projection_defect < 1e-15
 
     def test_kraus_gauge_independence(self, rng):
         # Mixing the Kraus family by an isometry leaves the Choi matrix and

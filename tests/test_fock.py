@@ -218,3 +218,10 @@ class TestMonteCarlo:
         rep = fock.compare_decomposition_to_mc(params, self.vacuum(10))
         assert rep.ok
         assert rep.max_entry_deviation <= rep.max_allowed
+
+    def test_compare_returns_its_sample(self):
+        params = fock.FockParams(dim=6, std_dev=0.3, mc_samples=2000, seed=5)
+        rep = fock.compare_decomposition_to_mc(params, self.vacuum(6))
+        direct = fock.monte_carlo_channel(self.vacuum(6), params)
+        np.testing.assert_array_equal(rep.sampled.mean, direct.mean)
+        np.testing.assert_array_equal(rep.sampled.standard_error, direct.standard_error)
