@@ -132,15 +132,11 @@ def apply(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
 
 def choi_of(channel: Channel) -> ChoiMatrix:
     """Choi matrix C = sum_m vec(A_m) vec(A_m)^dag with row-major vec."""
-    n = channel.dim_in * channel.dim_out
-    mat = np.zeros((n, n), dtype=complex)
-    for k in channel.kraus:
-        v = k.reshape(-1)
-        mat += np.outer(v, v.conj())
-    return ChoiMatrix(channel.dim_in, channel.dim_out, mat)
+    vecs = np.stack(channel.kraus).reshape(len(channel.kraus), -1)  # row m = vec(A_m)
+    return ChoiMatrix(channel.dim_in, channel.dim_out, vecs.T @ vecs.conj())
 
 
-def _deterministic_eig(mat: np.ndarray, herm_tol: float = 1e-12):
+def _deterministic_eig(mat: np.ndarray):
     """Eigendecomposition with a reproducible ordering and phase gauge.
 
     Eigenpairs are sorted by descending eigenvalue; ties are broken by
@@ -156,11 +152,9 @@ def _deterministic_eig(mat: np.ndarray, herm_tol: float = 1e-12):
             v *= np.exp(-1j * np.angle(v[pivot]))
         cols.append(v)
 
-    def sort_key(i):
-        v = cols[i]
-        return (-vals[i],) + tuple(x for c in v for x in (c.real, c.imag))
-
-    order = sorted(range(len(vals)), key=sort_key)
+    # lexsort's last key is the primary one: -vals, then Re/Im of entry 0, 1, ...
+    entries = np.array(cols).view(float)
+    order = np.lexsort(np.vstack([entries.T[::-1], -vals]))
     return vals[order], [cols[i] for i in order]
 
 
@@ -194,7 +188,7 @@ def kraus_from_choi(choi: ChoiMatrix, tol: float = EPS_PSD) -> Channel:
     return Channel(tuple(ops or [np.zeros(shape, dtype=complex)]))
 
 
-def is_cptp(channel: Channel, tol: float = EPS_PSD) -> CPTPReport:
+def is_cptp(channel: Channel) -> CPTPReport:
     """Report the trace-preservation and complete-positivity defects.
 
     tp_defect is the Frobenius norm of sum_j A_j^dag A_j - 1, cp_defect the

@@ -24,7 +24,6 @@ from numpy.polynomial.laguerre import laggauss
 from scipy.linalg import expm
 from scipy.special import gammaln
 
-from . import channels as mc
 from . import covariant as cov
 from .channels import DensityMatrix
 from .errors import InvalidParameter, QuadratureUnderResolved, SectorOutOfRange
@@ -299,13 +298,15 @@ def compare_decomposition_to_mc(
 ) -> ComparisonReport:
     """Entrywise check of the quadrature decomposition against Monte Carlo.
 
-    The allowance at entry (j, k) is max(3 * standard error, truncation
-    defect at level j or k): statistical noise dominates deep in the bulk,
-    the cutoff defect near the truncation edge.
+    The prediction is G(rho) = sum_sigma S_sigma (M_sigma * rho) S_sigma^dag
+    straight from the masks.  The allowance at entry (j, k) is
+    max(3 * standard error, truncation defect at level j or k): statistical
+    noise dominates deep in the bulk, the cutoff defect near the truncation
+    edge.
     """
     decomp = gaussian_decomposition(params)
-    chan = cov.reconstruct(decomp.to_sector_decomposition())
-    predicted = mc.apply_matrix(chan, rho.matrix)
+    predicted = sum(shift.matrix @ (mask.mask * rho.matrix) @ shift.matrix.conj().T
+                    for shift, mask in decomp.to_sector_decomposition().sectors)
     sampled = monte_carlo_channel(rho, params)
     dev = np.abs(predicted - sampled.mean)
     td = decomp.truncation_defect

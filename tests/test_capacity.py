@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import covchan as cc
 from covchan import capacity as cap
 from covchan import generate as gen
 from covchan.errors import DiagonalNotUnit, MaskNotPSD
 
-from conftest import amplitude_damping, dephasing_channel
+from conftest import amplitude_damping, dephasing_channel, purified_coherent_information, purify
+
+# Derandomized with a bounded example count: every run draws the same examples.
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
 
 def mask_c(c, n=2):
@@ -18,12 +23,12 @@ def mask_c(c, n=2):
 class TestPurify:
     def test_pure_state_stays_pure(self):
         rho = cc.DensityMatrix(np.diag([1.0, 0.0]))
-        phi = cap.purify(rho)
+        phi = purify(rho)
         assert abs(np.linalg.norm(phi) - 1.0) < 1e-12
 
     def test_partial_trace_recovers_state(self, rng):
         rho = gen.random_state(3, rng)
-        phi = cap.purify(rho)
+        phi = purify(rho)
         joint = np.outer(phi, phi.conj()).reshape(3, 3, 3, 3)
         reduced = np.einsum("ajak->jk", joint)
         np.testing.assert_allclose(reduced, rho.matrix, atol=1e-12)
@@ -49,11 +54,23 @@ class TestCoherentInformation:
     def test_reference_basis_independent(self, rng):
         chan = gen.random_cptp(3, rng)
         rho = gen.random_state(3, rng)
-        base = cap.coherent_information(chan, rho)
+        ic = cap.coherent_information(chan, rho)
         for _ in range(3):
             u = gen.random_unitary(3, rng)
-            assert cap.coherent_information(chan, rho, reference_unitary=u) \
-                == pytest.approx(base, abs=1e-9)
+            assert purified_coherent_information(chan, rho, u) == pytest.approx(ic, abs=1e-12)
+
+    @PROPERTY
+    @given(n=st.integers(2, 5), kraus=st.sampled_from(["1", "n", "n^2", "n^2+3"]),
+           rank=st.sampled_from(["full", "deficient"]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_purification(self, n, kraus, rank, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        count = {"1": 1, "n": n, "n^2": n * n, "n^2+3": n * n + 3}[kraus]
+        chan = gen.random_cptp(n, rng, kraus_count=count)
+        r = n if rank == "full" else int(rng.integers(1, n))
+        g = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
+        rho = cc.DensityMatrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
+        assert abs(cap.coherent_information(chan, rho)
+                   - purified_coherent_information(chan, rho)) <= 1e-12
 
     def test_bounded_by_log_dim(self, rng):
         for _ in range(5):
@@ -119,6 +136,11 @@ class TestVerifyHQC:
             for _ in range(5):
                 m = gen.random_unit_diagonal_mask(n, rng)
                 assert cap.verify_hqc(m, n) < 1e-9
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_large_masks(self, rng, n):
+        m = gen.random_unit_diagonal_mask(n, rng)
+        assert cap.verify_hqc(m, n) <= 1e-12
 
     def test_report_fields(self, rng):
         m = gen.random_unit_diagonal_mask(3, rng)
