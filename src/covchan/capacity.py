@@ -48,7 +48,7 @@ def coherent_information(channel: Channel, rho: DensityMatrix) -> float:
     return out_entropy - mc.von_neumann_entropy(DensityMatrix(comp))
 
 
-def _check_mask(mask: np.ndarray, n: int, eps_tr: float = mc.EPS_TR) -> np.ndarray:
+def _check_mask(mask: np.ndarray, n: int) -> np.ndarray:
     mask = np.asarray(mask, dtype=complex)
     if mask.shape != (n, n):
         raise DimensionMismatch(f"mask shape {mask.shape} is not ({n}, {n})")
@@ -57,7 +57,7 @@ def _check_mask(mask: np.ndarray, n: int, eps_tr: float = mc.EPS_TR) -> np.ndarr
     lmin = float(np.linalg.eigvalsh(mask).min())
     if lmin < -mc.EPS_PSD:
         raise MaskNotPSD(f"mask minimum eigenvalue {lmin:.3e}")
-    if np.max(np.abs(np.diag(mask) - 1.0)) > eps_tr:
+    if np.max(np.abs(np.diag(mask) - 1.0)) > mc.EPS_TR:
         raise DiagonalNotUnit("mask diagonal is not identically 1")
     return mask
 
@@ -70,7 +70,7 @@ def hadamard_channel(mask: np.ndarray) -> Channel:
     """
     n = np.asarray(mask).shape[0]
     mask = _check_mask(mask, n)
-    vecs = mc._scaled_eigenvectors(mask, mc.EPS_PSD, MaskNotPSD, "mask minimum")
+    vecs = mc._scaled_eigenvectors(mask, MaskNotPSD, "mask minimum")
     return Channel(tuple([np.diag(v) for v in vecs] or [np.zeros((n, n), dtype=complex)]))
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NotCP, NotDensityMatrix
 
-# Default validation tolerances.  Doubles give ~1e-12 roundoff at the matrix
+# Validation tolerances.  Doubles give ~1e-12 roundoff at the matrix
 # sizes this package targets (dim <= 64), so 1e-9 leaves headroom.
 EPS_H = 1e-9
 EPS_TR = 1e-9
@@ -36,21 +36,18 @@ class DensityMatrix:
     """A positive unit-trace operator, validated on construction."""
 
     matrix: np.ndarray
-    eps_h: float = EPS_H
-    eps_psd: float = EPS_PSD
-    eps_tr: float = EPS_TR
 
     def __post_init__(self):
         mat = _as_complex(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise NotDensityMatrix(f"expected a square matrix, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > self.eps_h:
+        if np.max(np.abs(mat - mat.conj().T)) > EPS_H:
             raise NotDensityMatrix("matrix is not Hermitian within tolerance")
-        if abs(np.trace(mat).real - 1.0) > self.eps_tr or abs(np.trace(mat).imag) > self.eps_tr:
+        if abs(np.trace(mat).real - 1.0) > EPS_TR or abs(np.trace(mat).imag) > EPS_TR:
             raise NotDensityMatrix(f"trace {np.trace(mat)} is not 1 within tolerance")
         lmin = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
-        if lmin < -self.eps_psd:
-            raise NotDensityMatrix(f"minimum eigenvalue {lmin:.3e} below -{self.eps_psd:.1e}")
+        if lmin < -EPS_PSD:
+            raise NotDensityMatrix(f"minimum eigenvalue {lmin:.3e} below -{EPS_PSD:.1e}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -158,32 +155,31 @@ def _deterministic_eig(mat: np.ndarray):
     return vals[order], [cols[i] for i in order]
 
 
-def _scaled_eigenvectors(mat: np.ndarray, tol: float, error: type, label: str):
+def _scaled_eigenvectors(mat: np.ndarray, error: type, label: str):
     """Vectors sqrt(lam) v of a PSD matrix in _deterministic_eig order.
 
-    An eigenvalue below -tol raises ``error``.  The rank cutoff is relative
+    An eigenvalue below -EPS_PSD raises ``error``.  The rank cutoff is relative
     and much tighter than the PSD tolerance so that the choi -> kraus -> choi
     round trip stays accurate to ~1e-13.
     """
     vals, vecs = _deterministic_eig(mat)
-    if vals.min() < -tol:
-        raise error(f"{label} eigenvalue {vals.min():.3e} below -{tol:.1e}")
+    if vals.min() < -EPS_PSD:
+        raise error(f"{label} eigenvalue {vals.min():.3e} below -{EPS_PSD:.1e}")
     cutoff = 1e-14 * max(float(vals.max(initial=0.0)), 1.0)
     return [np.sqrt(lam) * v for lam, v in zip(vals, vecs) if lam > cutoff]
 
 
-def kraus_from_choi(choi: ChoiMatrix, tol: float = EPS_PSD) -> Channel:
+def kraus_from_choi(choi: ChoiMatrix) -> Channel:
     """Recover a Kraus family from a Choi matrix by eigendecomposition.
 
-    Eigenvalues in [-tol, 0) are clipped to zero; anything more negative
+    Eigenvalues in [-EPS_PSD, 0) are clipped to zero; anything more negative
     raises NotCP.  The returned operators are ordered by descending Choi
     eigenvalue with a deterministic tie-break.
     """
-    herm_defect = float(np.max(np.abs(choi.matrix - choi.matrix.conj().T)))
-    if herm_defect > tol:
-        raise NotCP(f"Choi matrix is not Hermitian within {tol:.1e}")
+    if np.max(np.abs(choi.matrix - choi.matrix.conj().T)) > EPS_PSD:
+        raise NotCP(f"Choi matrix is not Hermitian within {EPS_PSD:.1e}")
     shape = (choi.dim_out, choi.dim_in)
-    vecs = _scaled_eigenvectors(choi.matrix, tol, NotCP, "Choi minimum")
+    vecs = _scaled_eigenvectors(choi.matrix, NotCP, "Choi minimum")
     ops = [v.reshape(shape) for v in vecs]
     return Channel(tuple(ops or [np.zeros(shape, dtype=complex)]))
 
@@ -204,18 +200,18 @@ def is_cptp(channel: Channel) -> CPTPReport:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy in bits, with 0 log 0 := 0."""
-    return entropy_of_eigenvalues(np.linalg.eigvalsh(rho.matrix), eps_psd=rho.eps_psd)
+    return entropy_of_eigenvalues(np.linalg.eigvalsh(rho.matrix))
 
 
-def entropy_of_eigenvalues(vals: np.ndarray, eps_psd: float = EPS_PSD) -> float:
+def entropy_of_eigenvalues(vals: np.ndarray) -> float:
     """Shannon entropy (base 2) of a spectrum, clipping roundoff negatives.
 
-    Eigenvalues in [-eps_psd, 0) are clipped to zero; anything more negative
+    Eigenvalues in [-EPS_PSD, 0) are clipped to zero; anything more negative
     raises NotDensityMatrix.
     """
     vals = np.asarray(vals, dtype=float)
-    if vals.min() < -eps_psd:
-        raise NotDensityMatrix(f"eigenvalue {vals.min():.3e} below -{eps_psd:.1e}")
+    if vals.min() < -EPS_PSD:
+        raise NotDensityMatrix(f"eigenvalue {vals.min():.3e} below -{EPS_PSD:.1e}")
     vals = np.clip(vals, 0.0, None)
     pos = vals[vals > 0]
     return float(-np.sum(pos * np.log2(pos)))

@@ -22,6 +22,7 @@ from . import timing as tim
 from .errors import (
     CovchanError,
     NotCovariant,
+    NotDensityMatrix,
     NotPeriodic,
     NotReliableTiming,
     ParseError,
@@ -115,7 +116,11 @@ def cmd_capacity(args) -> int:
             vec = mat.reshape(-1)
             mat = np.outer(vec, vec.conj())
         rho = mc.DensityMatrix(mat)
-    coh = cap.coherent_information(channel, rho)
+    try:
+        coh = cap.coherent_information(channel, rho)
+    except NotDensityMatrix as exc:
+        print(f"channel output is not a state: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     payload = {
         "coherent_information_bits": coh,
         "hadamard_bound_bits": None if mask is None else cap.hadamard_bound(mask, n),

@@ -127,19 +127,17 @@ class SectorMask:
     sigma: float
     mask: np.ndarray
     domain: tuple[int, ...]
-    eps_h: float = mc.EPS_H
-    eps_psd: float = mc.EPS_PSD
 
     def __post_init__(self):
         mask = np.asarray(self.mask, dtype=complex)
-        if np.max(np.abs(mask - mask.conj().T)) > self.eps_h:
+        if np.max(np.abs(mask - mask.conj().T)) > mc.EPS_H:
             raise MaskNotPSD(f"sector {self.sigma}: mask is not Hermitian")
         dom = list(self.domain)
         off = mask.copy()
         if dom:
             sub = mask[np.ix_(dom, dom)]
             lmin = float(np.linalg.eigvalsh((sub + sub.conj().T) / 2.0).min())
-            if lmin < -self.eps_psd:
+            if lmin < -mc.EPS_PSD:
                 raise MaskNotPSD(
                     f"sector {self.sigma}: domain submatrix eigenvalue {lmin:.3e}"
                 )
@@ -329,9 +327,9 @@ def decompose(
     )
 
 
-def sector_kraus(shift: PartialShift, mask: SectorMask, eps_psd: float = mc.EPS_PSD):
+def sector_kraus(shift: PartialShift, mask: SectorMask):
     """Kraus operators S_sigma diag(d) from the spectral vectors d of M_sigma."""
-    vecs = mc._scaled_eigenvectors(mask.mask, eps_psd, MaskNotPSD, f"sector {shift.sigma}:")
+    vecs = mc._scaled_eigenvectors(mask.mask, MaskNotPSD, f"sector {shift.sigma}:")
     return [shift.matrix @ np.diag(v) for v in vecs] or [np.zeros_like(shift.matrix)]
 
 

@@ -1,6 +1,7 @@
 """Truncated single-mode Gaussian channel: displacement operators, their
 energy-shift sectors via Laguerre polynomials, dephasing masks by
-Gauss-Laguerre quadrature, and a Monte Carlo oracle.
+Gauss-Laguerre quadrature, and a Monte Carlo oracle that shares the generator
+eigenpairs of displacement_matrix; expm of the generator is the test oracle.
 
 The channel displaces the mode by a random phase-space translation r*z with z
 uniform on the unit circle and r Rayleigh distributed with scale s.  Rotation
@@ -10,19 +11,18 @@ acts as
 
     D_sigma(r) |j> = e^{-r^2/2} r^sigma sqrt(j!/(j+sigma)!) L_j^(sigma)(r^2) |j+sigma>
 
-for sigma >= 0 (an analogous formula with a sign factor holds below the
-diagonal).  The factor e^{-r^2/2} is kept explicitly: it is forced by
-unitarity of D and by the Monte Carlo oracle, and the masks therefore carry
-an extra e^{-u} inside the radial integral (u = r^2).
+for sigma >= 0; below the diagonal, D_{-a} carries the same coefficients
+moved down by a levels with the sign (-1)^a.  The factor e^{-r^2/2} is kept
+explicitly: it is forced by unitarity of D and by the Monte Carlo oracle, and
+the masks therefore carry an extra e^{-u} inside the radial integral (u = r^2).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
-from scipy.linalg import expm
-from scipy.special import gammaln
 
 from . import covariant as cov
 from .channels import DensityMatrix
@@ -116,22 +116,38 @@ def integer_spectrum(dim: int) -> cov.Spectrum:
     return cov.Spectrum(energies=np.arange(dim, dtype=float))
 
 
+def _laguerre_rows(jmax: int, alpha: int, x: np.ndarray) -> np.ndarray:
+    """Rows L_0^(alpha)(x) ... L_jmax^(alpha)(x), stable three-term recurrence."""
+    rows = np.zeros((jmax + 2,) + x.shape)  # rows[k + 1] is L_k, starting from L_-1 = 0
+    rows[1] = 1.0
+    for k in range(jmax):
+        rows[k + 2] = ((2 * k + 1 + alpha - x) * rows[k + 1] - (k + alpha) * rows[k]) / (k + 1)
+    return rows[1:]
+
+
 def laguerre(j: int, alpha: int, x):
     """Generalized Laguerre polynomial L_j^(alpha)(x), stable three-term recurrence."""
     if j < 0 or alpha < 0:
         raise ValueError("laguerre needs j >= 0 and alpha >= 0")
-    x = np.asarray(x, dtype=float)
-    prev = np.ones_like(x)
-    if j == 0:
-        return prev if prev.ndim else float(prev)
-    cur = 1.0 + alpha - x
-    for k in range(1, j):
-        prev, cur = cur, ((2 * k + 1 + alpha - x) * cur - (k + alpha) * prev) / (k + 1)
-    return cur if cur.ndim else float(cur)
+    return _laguerre_rows(j, alpha, np.asarray(x, dtype=float))[j]
 
 
-def _annihilation(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+def _generator_eigenpairs(dim: int):
+    """(lam, Q) of -i (a^dag - a) on dim levels: exp(r (a^dag - a)) = Q e^{i r lam} Q^dag."""
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+    return np.linalg.eigh(-1j * (a.conj().T - a))
+
+
+def _displacement_batch(r: np.ndarray, theta: np.ndarray, lam, Q):
+    """Batch of truncated displacements D(e^{i theta}, r).
+
+    Uses D(z, r) = R_theta exp(r (a^dag - a)) R_theta^dag with R_theta the
+    number-operator phase rotation, and the generator eigenpairs (lam, Q).
+    """
+    E = np.exp(1j * r[:, None] * lam[None, :])
+    base = (Q[None, :, :] * E[:, None, :]) @ Q.conj().T
+    ph = np.exp(-1j * np.outer(theta, np.arange(lam.size)))
+    return ph[:, :, None] * base * ph.conj()[:, None, :]
 
 
 def displacement_matrix(z: complex, r: float, dim: int) -> np.ndarray:
@@ -145,9 +161,8 @@ def displacement_matrix(z: complex, r: float, dim: int) -> np.ndarray:
         raise ValueError("z must lie on the unit circle")
     if r < 0:
         raise ValueError("r must be non-negative")
-    a = _annihilation(dim)
-    gen = r * (np.conj(z) * a.conj().T - z * a)
-    return expm(gen)
+    lam, Q = _generator_eigenpairs(dim)
+    return _displacement_batch(np.array([float(r)]), np.array([np.angle(z)]), lam, Q)[0]
 
 
 def _sector_poly_coeffs(sigma: int, u: np.ndarray, dim: int) -> np.ndarray:
@@ -158,16 +173,15 @@ def _sector_poly_coeffs(sigma: int, u: np.ndarray, dim: int) -> np.ndarray:
     below the vacuum).
     """
     u = np.asarray(u, dtype=float)
+    a = abs(sigma)
+    log_fact = np.array([math.lgamma(k + 1) for k in range(dim)])  # k! overflows past 170
+    ratio = np.exp(0.5 * (log_fact[:dim - a] - log_fact[a:]))  # sqrt(j!/(j+a)!)
+    rows = u ** (a / 2.0) * ratio[:, None] * _laguerre_rows(dim - a - 1, a, u)
     out = np.zeros((dim, u.size))
     if sigma >= 0:
-        for j in range(dim - sigma):
-            ratio = np.exp(0.5 * (gammaln(j + 1) - gammaln(j + sigma + 1)))
-            out[j] = u ** (sigma / 2.0) * ratio * laguerre(j, sigma, u)
+        out[:dim - a] = rows
     else:
-        a = -sigma
-        for j in range(a, dim):
-            ratio = np.exp(0.5 * (gammaln(j - a + 1) - gammaln(j + 1)))
-            out[j] = (-1.0) ** a * u ** (a / 2.0) * ratio * laguerre(j - a, a, u)
+        out[a:] = (-1.0) ** a * rows
     return out
 
 
@@ -181,14 +195,8 @@ def displacement_sector(sigma: int, r: float, dim: int) -> np.ndarray:
         raise SectorOutOfRange(f"|sigma| = {abs(sigma)} must be < dim = {dim}")
     if r < 0:
         raise ValueError("r must be non-negative")
-    u = np.array([r * r])
-    coeff = _sector_poly_coeffs(sigma, u, dim)[:, 0] * np.exp(-r * r / 2.0)
-    out = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        tgt = j + sigma
-        if 0 <= tgt < dim:
-            out[tgt, j] = coeff[j]
-    return out
+    coeff = _sector_poly_coeffs(sigma, [r * r], dim)[:, 0] * np.exp(-r * r / 2.0)
+    return (np.eye(dim, k=-sigma) * coeff).astype(complex)  # column j -> row j + sigma
 
 
 def _quad_nodes(s: float, quad_points: int):
@@ -197,9 +205,22 @@ def _quad_nodes(s: float, quad_points: int):
     After u = r^2 the mask integrand is e^{-u} * poly(u) * e^{-u/(2 s^2)} /
     (2 s^2); the e^{-u} (from the retained e^{-r^2/2} normalization of D) is
     the quadrature weight and the residual exponential is evaluated at nodes.
+    From a node count that depends on the numpy version (187 in numpy 2.4)
+    laggauss returns non-finite weights without raising, so they are checked.
     """
-    x, w = laggauss(quad_points)
+    with np.errstate(all="ignore"):
+        try:
+            x, w = laggauss(quad_points)
+        except np.linalg.LinAlgError:
+            x = w = np.array([np.nan])  # reported as non-finite below
+    if not np.all(np.isfinite(np.r_[x, w])):
+        raise InvalidParameter(f"no finite {quad_points}-node Gauss-Laguerre rule in numpy")
     return x, w * np.exp(-x / (2.0 * s * s)) / (2.0 * s * s)
+
+
+def _mask_at_nodes(sigma: int, dim: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    coeff = _sector_poly_coeffs(sigma, x, dim)
+    return (coeff * w[None, :]) @ coeff.T
 
 
 def gaussian_mask_matrix(
@@ -214,9 +235,7 @@ def gaussian_mask_matrix(
         raise QuadratureUnderResolved(
             f"{quad_points} nodes cannot integrate degree {2 * (dim - 1) + abs(sigma)}"
         )
-    x, w = _quad_nodes(s, quad_points)
-    coeff = _sector_poly_coeffs(sigma, x, dim)
-    return (coeff * w[None, :]) @ coeff.T
+    return _mask_at_nodes(sigma, dim, *_quad_nodes(s, quad_points))
 
 
 def gaussian_mask(sigma: int, j: int, jp: int, s: float, quad_points: int) -> float:
@@ -232,10 +251,11 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     """Masks for sigma in [-sigma_max, sigma_max] plus per-level TP defects."""
     dim, s = params.dim, params.std_dev
     spec = integer_spectrum(dim)
+    x, w = _quad_nodes(s, params.quad_points)
     masks = []
     diag_sum = np.zeros(dim)
     for sigma in range(-params.sigma_max, params.sigma_max + 1):
-        mat = gaussian_mask_matrix(sigma, dim, s, params.quad_points)
+        mat = _mask_at_nodes(sigma, dim, x, w)
         diag_sum += np.diag(mat)
         dom = cov.shift_domain(spec, float(sigma))
         masks.append(cov.SectorMask(sigma=float(sigma), mask=mat.astype(complex), domain=dom))
@@ -244,19 +264,6 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
         masks=tuple(masks),
         truncation_defect=np.abs(1.0 - diag_sum),
     )
-
-
-def _displacement_batch(r: np.ndarray, theta: np.ndarray, lam, Q, levels):
-    """Batch of truncated displacements D(e^{i theta}, r).
-
-    Uses D(z, r) = R_theta exp(r (a^dag - a)) R_theta^dag with R_theta the
-    number-operator phase rotation, and a precomputed eigendecomposition of
-    the anti-Hermitian generator at z = 1.
-    """
-    E = np.exp(1j * r[:, None] * lam[None, :])
-    base = (Q[None, :, :] * E[:, None, :]) @ Q.conj().T
-    ph = np.exp(-1j * np.outer(theta, levels))
-    return ph[:, :, None] * base * ph.conj()[:, None, :]
 
 
 def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloResult:
@@ -275,14 +282,11 @@ def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloRes
     r = params.std_dev * np.sqrt(-2.0 * np.log1p(-u[:, 0]))
     theta = 2.0 * np.pi * u[:, 1]
 
-    a = _annihilation(dim)
-    lam, Q = np.linalg.eigh(-1j * (a.conj().T - a))
-    levels = np.arange(dim)
-
+    lam, Q = _generator_eigenpairs(dim)
     acc = np.zeros((dim, dim), dtype=complex)
     acc_sq = np.zeros((dim, dim))
     for i0 in range(0, n, _MC_CHUNK):
-        D = _displacement_batch(r[i0:i0 + _MC_CHUNK], theta[i0:i0 + _MC_CHUNK], lam, Q, levels)
+        D = _displacement_batch(r[i0:i0 + _MC_CHUNK], theta[i0:i0 + _MC_CHUNK], lam, Q)
         out = D @ rho.matrix @ np.conj(np.swapaxes(D, 1, 2))
         acc += out.sum(axis=0)
         acc_sq += (out.real ** 2 + out.imag ** 2).sum(axis=0)

@@ -48,15 +48,11 @@ class ShiftMixture:
 
 
 def is_reliable_timing(
-    channel: Channel,
-    spectrum: Spectrum,
-    phi0: np.ndarray,
-    s: float,
-    tol: float = 1e-9,
+    channel: Channel, spectrum: Spectrum, phi0: np.ndarray, s: float
 ) -> float:
     """Orthogonality defect tr(G(rho) G(rho_s)) for rho = |phi0><phi0|.
 
-    The reliable timing property holds at step s iff the defect is <= tol.
+    The reliable timing property holds at step s iff the defect vanishes.
     """
     phi0 = np.asarray(phi0, dtype=complex).reshape(-1)
     if phi0.size != spectrum.dim or channel.dim_in != spectrum.dim:
@@ -108,10 +104,10 @@ def circulant(v: np.ndarray) -> np.ndarray:
     return v[idx]
 
 
-def spectrum_to_bound(q: np.ndarray, eps_psd: float = mc.EPS_PSD) -> float:
+def spectrum_to_bound(q: np.ndarray) -> float:
     """log2(N) - S(q) for a DFT probability vector q."""
     q = np.asarray(q, dtype=float)
-    return float(np.log2(q.size)) - mc.entropy_of_eigenvalues(q, eps_psd=eps_psd)
+    return float(np.log2(q.size)) - mc.entropy_of_eigenvalues(q)
 
 
 def timing_channel(

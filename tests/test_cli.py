@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,6 +124,24 @@ class TestCapacity:
         # S(rho) = 0 and joint stays pure, I_c = 0.
         assert json.loads(out)["coherent_information_bits"] == pytest.approx(0.0, abs=1e-9)
 
+    def test_trace_decreasing_channel_exit_1(self, capsys):
+        # The shift mixture loses trace at the edge levels, so its output at
+        # the maximally mixed input is no state: a property violation.
+        code, out, err = run(capsys, "capacity",
+                             str(FIXTURES / "shift_mixture_channel.json"))
+        assert code == cli.EXIT_VIOLATION
+        assert out == "" and "not a state" in err
+
+    def test_bad_input_state_exit_2(self, capsys, tmp_path):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"rows": 2, "cols": 2,
+                                     "data": [[1, 0], [0, 0], [0, 0], [1, 0]]}))
+        code, out, err = run(capsys, "capacity",
+                             str(FIXTURES / "identity_channel.json"),
+                             "--input-state", str(state))
+        assert code == cli.EXIT_USAGE
+        assert out == "" and err.startswith("error:")
+
 
 class TestTiming:
     def test_worked_example(self, capsys):
@@ -177,7 +199,10 @@ class TestGaussian:
         assert code == cli.EXIT_USAGE
 
     @pytest.mark.parametrize("flags", [("--std-dev", "0.3", "--dim", "1"),
-                                       ("--std-dev", "-1", "--dim", "8")])
+                                       ("--std-dev", "-1", "--dim", "8"),
+                                       ("--std-dev", "1", "--dim", "100"),
+                                       ("--std-dev", "1", "--dim", "8",
+                                        "--quad-points", "200")])
     def test_out_of_range_parameter_exit_2(self, capsys, flags):
         code, out, err = run(capsys, "gaussian", *flags)
         assert code == cli.EXIT_USAGE
@@ -213,3 +238,14 @@ class TestMcGaussian:
     def test_unknown_subcommand_exit_2(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == cli.EXIT_USAGE
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test dependency only; the library and CLI run on numpy.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import covchan.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,8 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.linalg import expm
 
 import covchan as cc
 from covchan import fock
@@ -10,11 +12,13 @@ from covchan.errors import QuadratureUnderResolved, SectorOutOfRange
 
 
 def laguerre_sum(j, alpha, x):
-    """Explicit-sum oracle: L_j^(a)(x) = sum_i (-1)^i C(j+a, j-i) x^i / i!."""
-    return sum(
-        (-1.0) ** i * math.comb(j + alpha, j - i) * x ** i / math.factorial(i)
+    """Explicit-sum oracle: L_j^(a)(x) = sum_i (-1)^i C(j+a, j-i) x^i / i!,
+    summed exactly in rationals (in floats the cancelling terms lose ~1e-6 at j = 40)."""
+    x = Fraction(x)
+    return float(sum(
+        (-1) ** i * math.comb(j + alpha, j - i) * x ** i / math.factorial(i)
         for i in range(j + 1)
-    )
+    ))
 
 
 class TestLaguerre:
@@ -23,11 +27,17 @@ class TestLaguerre:
         assert fock.laguerre(2, 1, 2.0) == pytest.approx(-1.0, abs=1e-14)
 
     def test_against_explicit_sum(self):
-        for j in range(0, 9):
+        # Roundoff scales with the size of L, which C(j+a, j) e^{x/2} bounds
+        # on x >= 0, not with its value: near a root at high j (L_32^(3)(0.3)
+        # = -1.69 under a bound of 7.6e3) 1e-12 relative is out of reach.
+        # At every j <= 8 point the floor 1e-15 * bound leaves the tolerance
+        # max(1e-12 |L|, 1e-12) unchanged.
+        for j in range(0, 41):
             for alpha in range(0, 4):
                 for x in (0.0, 0.3, 1.7, 4.2):
+                    bound = math.comb(j + alpha, j) * math.exp(x / 2.0)
                     assert fock.laguerre(j, alpha, x) == pytest.approx(
-                        laguerre_sum(j, alpha, x), rel=1e-12, abs=1e-12)
+                        laguerre_sum(j, alpha, x), rel=1e-12, abs=max(1e-12, 1e-15 * bound))
 
     def test_vectorized(self):
         x = np.linspace(0.0, 5.0, 7)
@@ -47,6 +57,23 @@ def safe_limit(dim, r):
     7 + 10 r levels into the matrix at these sizes (measured, with margin).
     """
     return dim - math.ceil(7.0 + 10.0 * r)
+
+
+class TestDisplacementMatrix:
+    @pytest.mark.parametrize("dim", [2, 8, 24, 64])
+    def test_matches_expm(self, dim):
+        a = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+        for r in (0.0, 0.1, 0.5, 1.0, 2.0):
+            for z in (1.0, 1j, -1.0, np.exp(2.3j)):
+                want = expm(r * (np.conj(z) * a.T - z * a))
+                np.testing.assert_allclose(fock.displacement_matrix(z, r, dim), want,
+                                           rtol=0.0, atol=1e-12)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            fock.displacement_matrix(0.5, 1.0, 4)
+        with pytest.raises(ValueError):
+            fock.displacement_matrix(1.0, -0.1, 4)
 
 
 class TestDisplacementSector:
@@ -154,6 +181,14 @@ class TestGaussianDecomposition:
         td = decomp.truncation_defect
         assert td[0] < 1e-10
         assert td[-1] > td[0]
+
+    def test_masks_equal_mask_matrix(self):
+        params = fock.FockParams(dim=12, std_dev=0.5)
+        decomp = fock.gaussian_decomposition(params)
+        for sigma in range(-params.sigma_max, params.sigma_max + 1):
+            np.testing.assert_array_equal(
+                decomp.mask(sigma).mask,
+                fock.gaussian_mask_matrix(sigma, 12, 0.5, params.quad_points))
 
     def test_mask_lookup(self):
         params = fock.FockParams(dim=6, std_dev=0.5, sigma_max=2)
