@@ -139,20 +139,15 @@ def _deterministic_eig(mat: np.ndarray):
     Eigenpairs are sorted by descending eigenvalue; ties are broken by
     lexicographic comparison of the (phase-fixed) eigenvector entries.  Each
     eigenvector is rotated so its largest-magnitude entry is real positive.
+    The eigenvectors are returned as the rows of one array.
     """
     vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    cols = []
-    for i in range(len(vals)):
-        v = vecs[:, i].copy()
-        pivot = int(np.argmax(np.abs(v)))
-        if abs(v[pivot]) > 0:
-            v *= np.exp(-1j * np.angle(v[pivot]))
-        cols.append(v)
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vals.size)]
+    rows = np.ascontiguousarray((vecs * np.exp(-1j * np.angle(pivots))).T)
 
     # lexsort's last key is the primary one: -vals, then Re/Im of entry 0, 1, ...
-    entries = np.array(cols).view(float)
-    order = np.lexsort(np.vstack([entries.T[::-1], -vals]))
-    return vals[order], [cols[i] for i in order]
+    order = np.lexsort(np.vstack([rows.view(float).T[::-1], -vals]))
+    return vals[order], rows[order]
 
 
 def _scaled_eigenvectors(mat: np.ndarray, error: type, label: str):
@@ -188,13 +183,19 @@ def is_cptp(channel: Channel) -> CPTPReport:
     """Report the trace-preservation and complete-positivity defects.
 
     tp_defect is the Frobenius norm of sum_j A_j^dag A_j - 1, cp_defect the
-    magnitude of the most negative Choi eigenvalue (0 if none).
+    magnitude of the most negative Choi eigenvalue (0 if none).  With V the
+    matrix whose column m is vec(A_m), the Choi matrix is V V^dag, and V^dag V
+    (the K x K Gram matrix of the Kraus family) has the same nonzero
+    spectrum, so the Gram matrix is diagonalised instead: a channel with K
+    Kraus operators costs a K x K eigensolve.  A Kraus family is CP by
+    construction, so cp_defect measures only roundoff in the operators.
     """
-    acc = np.zeros((channel.dim_in, channel.dim_in), dtype=complex)
-    for k in channel.kraus:
-        acc += k.conj().T @ k
-    tp_defect = float(np.linalg.norm(acc - np.eye(channel.dim_in)))
-    lmin = float(np.linalg.eigvalsh(choi_of(channel).matrix).min())
+    ops = np.stack(channel.kraus)
+    stacked = ops.reshape(-1, channel.dim_in)  # rows of A_0, then of A_1, ...
+    gram = stacked.conj().T @ stacked  # sum_m A_m^dag A_m
+    tp_defect = float(np.linalg.norm(gram - np.eye(channel.dim_in)))
+    vecs = ops.reshape(len(ops), -1)  # row m = vec(A_m)
+    lmin = float(np.linalg.eigvalsh(vecs.conj() @ vecs.T).min())  # V^dag V
     return CPTPReport(tp_defect=tp_defect, cp_defect=max(0.0, -lmin))
 
 

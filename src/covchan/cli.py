@@ -3,7 +3,9 @@
 Subcommands: check, decompose, capacity, timing, gaussian, mc-gaussian.
 All reports are emitted as JSON (floats at 17 significant digits) or CSV;
 exit codes are 0 for success, 1 for property violations, 2 for usage or
-parse errors.
+parse errors.  A reader that closes stdout early (``covchan ... | head``)
+ends the output quietly: the rest of the report is dropped, any ``--out``
+file is still written, and the subcommand's own exit code is returned.
 """
 from __future__ import annotations
 
@@ -41,11 +43,24 @@ def _load_spectrum(path):
     return ser.spectrum_from_json(ser.load_json(path))
 
 
+def _print(text: str) -> None:
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader is gone; point stdout at devnull so that the flush at
+        # interpreter shutdown does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _emit(args, payload) -> None:
-    print(ser.dumps(payload))
+    text = ser.dumps(payload)
+    _print(text)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(ser.dumps(payload) + "\n")
+            fh.write(text + "\n")
 
 
 def _matrix_csv_lines(name, mat):
@@ -173,7 +188,7 @@ def cmd_gaussian(args) -> int:
         lines = []
         for m in decomp.masks:
             lines.extend(_matrix_csv_lines(f"mask_sigma_{int(m.sigma)}", m.mask))
-        print("\n".join(lines))
+        _print("\n".join(lines))
         return EXIT_OK
     _emit(args, {
         "dim": decomp.params.dim,
@@ -199,7 +214,7 @@ def cmd_mc_gaussian(args) -> int:
     if args.format == "csv":
         lines = _matrix_csv_lines("mc_mean", result.mean)
         lines.extend(_matrix_csv_lines("mc_stderr", result.standard_error.astype(complex)))
-        print("\n".join(lines))
+        _print("\n".join(lines))
         return EXIT_OK if report.ok else EXIT_VIOLATION
     _emit(args, {
         "dim": params.dim,

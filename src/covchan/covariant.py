@@ -231,15 +231,20 @@ def evolve(spectrum: Spectrum, t: float, rho: DensityMatrix) -> DensityMatrix:
 # Sector extraction
 
 
-def _choi_and_defect(channel: Channel, spectrum: Spectrum) -> tuple[np.ndarray, float]:
-    """The Choi matrix and its largest |entry| between two sectors."""
+def _choi_and_cross(channel: Channel, spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """The Choi matrix and its |entries| between two sectors (zero within one)."""
     if channel.dim_in != spectrum.dim or channel.dim_out != spectrum.dim:
         raise DimensionMismatch("channel and spectrum dimensions differ")
     choi = mc.choi_of(channel).matrix
     cross = np.abs(choi)
     for pairs in spectrum.sector_pairs:
         cross[np.ix_(pairs, pairs)] = 0.0
-    return choi, float(cross.max())
+    return choi, cross
+
+
+def _sq_norm(arr: np.ndarray) -> float:
+    """Squared Frobenius norm."""
+    return float(np.vdot(arr, arr).real)
 
 
 def _pinch(choi: np.ndarray, spectrum: Spectrum) -> list[np.ndarray]:
@@ -274,7 +279,7 @@ def covariance_defect(channel: Channel, spectrum: Spectrum) -> float:
     alpha_t conjugation the Choi entries pick up relative phases between
     sectors, so any cross-sector mass breaks covariance.
     """
-    return _choi_and_defect(channel, spectrum)[1]
+    return float(_choi_and_cross(channel, spectrum)[1].max())
 
 
 def decompose(
@@ -296,10 +301,12 @@ def decompose(
     renormalized to restore the trace-preservation identity.  The Choi
     distance of that projection is reported, never hidden.
     """
-    choi, defect = _choi_and_defect(channel, spectrum)
+    choi, cross = _choi_and_cross(channel, spectrum)
+    defect = float(cross.max())
     if defect > tol:
         raise NotCovariant(defect, tol)
-    blocks = [(b + b.conj().T) / 2.0 for b in _pinch(choi, spectrum)]
+    pinched = _pinch(choi, spectrum)
+    blocks = [(b + b.conj().T) / 2.0 for b in pinched]
     lmin = min(float(np.linalg.eigvalsh(b).min()) for b in blocks)
     if lmin < -mc.EPS_PSD:
         raise NotCP(f"Choi minimum eigenvalue {lmin:.3e}")
@@ -311,19 +318,23 @@ def decompose(
     if np.linalg.norm(gram - np.eye(n)) <= mc.EPS_TP:
         blocks = _restore_tp(blocks, spectrum)
 
-    floor = 1e-13 * max(1.0, float(np.max(np.abs(choi))))
-    sectors, kept = [], []
-    for s, pairs, block in zip(spectrum.sigmas, spectrum.sector_pairs, blocks):
+    # ||C - scatter(kept blocks)||^2 entry by entry: the cross-sector
+    # entries, plus each sector's Choi block minus its kept block (or zero).
+    peak = max(defect, max(float(np.max(np.abs(raw))) for raw in pinched))
+    floor = 1e-13 * max(1.0, peak)  # peak = max |C|
+    sq_defect = _sq_norm(cross)
+    sectors = []
+    for s, raw, block in zip(spectrum.sigmas, pinched, blocks):
         if float(np.max(np.abs(block))) <= floor:
+            sq_defect += _sq_norm(raw)
             continue
+        sq_defect += _sq_norm(raw - block)
         shift = partial_shift(spectrum, s)
         mask = np.zeros((n, n), dtype=complex)
         mask[np.ix_(shift.domain, shift.domain)] = block
         sectors.append((shift, SectorMask(sigma=shift.sigma, mask=mask, domain=shift.domain)))
-        kept.append((pairs, block))
-    proj = float(np.linalg.norm(choi - _scatter(kept, n)))
     return SectorDecomposition(
-        spectrum=spectrum, sectors=tuple(sectors), projection_defect=proj
+        spectrum=spectrum, sectors=tuple(sectors), projection_defect=float(np.sqrt(sq_defect))
     )
 
 

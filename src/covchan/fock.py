@@ -165,23 +165,34 @@ def displacement_matrix(z: complex, r: float, dim: int) -> np.ndarray:
     return _displacement_batch(np.array([float(r)]), np.array([np.angle(z)]), lam, Q)[0]
 
 
-def _sector_poly_coeffs(sigma: int, u: np.ndarray, dim: int) -> np.ndarray:
-    """Per-level coefficients of D_sigma at u = r^2, without the e^{-u/2} factor.
+def _sector_poly_coeffs(a: int, u: np.ndarray, dim: int) -> np.ndarray:
+    """Per-level coefficients of D_a (a >= 0) at u = r^2, without the e^{-u/2} factor.
 
     Returns array (dim, len(u)); row j is the coefficient carried from input
-    level j to output level j + sigma (zero where the target is truncated or
-    below the vacuum).
+    level j to output level j + a (zero where the target is truncated).
+    _signed_sector gives the coefficients of D_{-a}.
     """
     u = np.asarray(u, dtype=float)
-    a = abs(sigma)
     log_fact = np.array([math.lgamma(k + 1) for k in range(dim)])  # k! overflows past 170
     ratio = np.exp(0.5 * (log_fact[:dim - a] - log_fact[a:]))  # sqrt(j!/(j+a)!)
-    rows = u ** (a / 2.0) * ratio[:, None] * _laguerre_rows(dim - a - 1, a, u)
     out = np.zeros((dim, u.size))
+    out[:dim - a] = u ** (a / 2.0) * ratio[:, None] * _laguerre_rows(dim - a - 1, a, u)
+    return out
+
+
+def _signed_sector(arr: np.ndarray, sigma: int) -> np.ndarray:
+    """The sector-sigma array from the sector-|sigma| one.
+
+    arr is indexed by levels on every axis (a coefficient vector or a mask).
+    For sigma < 0 each axis moves down by |sigma| levels and carries the sign
+    (-1)^|sigma|, so on a mask the signs cancel.
+    """
     if sigma >= 0:
-        out[:dim - a] = rows
-    else:
-        out[a:] = (-1.0) ** a * rows
+        return arr
+    a, dim = -sigma, arr.shape[0]
+    moved = arr[(slice(0, dim - a),) * arr.ndim]
+    out = np.zeros_like(arr)
+    out[(slice(a, None),) * arr.ndim] = moved if a * arr.ndim % 2 == 0 else -moved
     return out
 
 
@@ -195,7 +206,8 @@ def displacement_sector(sigma: int, r: float, dim: int) -> np.ndarray:
         raise SectorOutOfRange(f"|sigma| = {abs(sigma)} must be < dim = {dim}")
     if r < 0:
         raise ValueError("r must be non-negative")
-    coeff = _sector_poly_coeffs(sigma, [r * r], dim)[:, 0] * np.exp(-r * r / 2.0)
+    coeff = _signed_sector(_sector_poly_coeffs(abs(sigma), [r * r], dim)[:, 0], sigma)
+    coeff = coeff * np.exp(-r * r / 2.0)
     return (np.eye(dim, k=-sigma) * coeff).astype(complex)  # column j -> row j + sigma
 
 
@@ -219,8 +231,8 @@ def _quad_nodes(s: float, quad_points: int):
 
 
 def _mask_at_nodes(sigma: int, dim: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    coeff = _sector_poly_coeffs(sigma, x, dim)
-    return (coeff * w[None, :]) @ coeff.T
+    coeff = _sector_poly_coeffs(abs(sigma), x, dim)
+    return _signed_sector((coeff * w[None, :]) @ coeff.T, sigma)
 
 
 def gaussian_mask_matrix(
@@ -252,10 +264,11 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     dim, s = params.dim, params.std_dev
     spec = integer_spectrum(dim)
     x, w = _quad_nodes(s, params.quad_points)
+    upper = [_mask_at_nodes(a, dim, x, w) for a in range(params.sigma_max + 1)]
     masks = []
     diag_sum = np.zeros(dim)
     for sigma in range(-params.sigma_max, params.sigma_max + 1):
-        mat = _mask_at_nodes(sigma, dim, x, w)
+        mat = _signed_sector(upper[abs(sigma)], sigma)
         diag_sum += np.diag(mat)
         dom = cov.shift_domain(spec, float(sigma))
         masks.append(cov.SectorMask(sigma=float(sigma), mask=mat.astype(complex), domain=dom))

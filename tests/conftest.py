@@ -46,6 +46,48 @@ def purified_coherent_information(channel: cc.Channel, rho: cc.DensityMatrix,
             - cc.von_neumann_entropy(joint))
 
 
+def deterministic_eig_loop(mat: np.ndarray):
+    """Oracle for channels._deterministic_eig: the phase gauge column by column.
+
+    Each eigenvector is rotated so its largest-magnitude entry is real
+    positive, then the pairs are sorted by descending eigenvalue with ties
+    broken by the interleaved (Re, Im) entries.
+    """
+    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    cols = []
+    for i in range(len(vals)):
+        v = vecs[:, i].copy()
+        pivot = int(np.argmax(np.abs(v)))
+        if abs(v[pivot]) > 0:
+            v *= np.exp(-1j * np.angle(v[pivot]))
+        cols.append(v)
+    entries = np.array(cols).view(float)
+    order = np.lexsort(np.vstack([entries.T[::-1], -vals]))
+    return vals[order], np.array([cols[i] for i in order])
+
+
+def cptp_by_full_choi(channel: cc.Channel) -> tuple[float, float]:
+    """Oracle (tp_defect, cp_defect): a per-Kraus Gram loop and the
+    eigenvalues of the full dim_out*dim_in square Choi matrix."""
+    acc = np.zeros((channel.dim_in, channel.dim_in), dtype=complex)
+    for k in channel.kraus:
+        acc += k.conj().T @ k
+    lmin = float(np.linalg.eigvalsh(cc.choi_of(channel).matrix).min())
+    return float(np.linalg.norm(acc - np.eye(channel.dim_in))), max(0.0, -lmin)
+
+
+def scatter_projection_defect(channel: cc.Channel, decomp) -> float:
+    """Oracle ||C - C_masks||: C_masks holds each mask entry M_sigma(j, k) at
+    the Choi pair ((t(j), j), (t(k), k)), t(j) the level S_sigma sends j to."""
+    n = channel.dim_in
+    recon = np.zeros((n * n, n * n), dtype=complex)
+    for shift, mask in decomp.sectors:
+        dom = list(shift.domain)
+        idx = [int(np.argmax(np.abs(shift.matrix[:, j]))) * n + j for j in dom]
+        recon[np.ix_(idx, idx)] = mask.mask[np.ix_(dom, dom)]
+    return float(np.linalg.norm(cc.choi_of(channel).matrix - recon))
+
+
 # Collected by the acceptance tests; flushed after the run so the one-line
 # verdicts survive pytest's output capture.
 ACCEPTANCE_LINES = []

@@ -1,11 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import covchan as cc
+from covchan import channels as mcore
 from covchan import generate as gen
+from covchan import timing as tim
 from covchan.errors import DimensionMismatch, NotCP, NotDensityMatrix
 
-from conftest import amplitude_damping, dephasing_channel, plus_state
+from conftest import (
+    amplitude_damping,
+    cptp_by_full_choi,
+    dephasing_channel,
+    deterministic_eig_loop,
+    plus_state,
+)
+
+# Derandomized: every run draws the same examples.
+ORACLE = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
 
 class TestApply:
@@ -126,6 +139,71 @@ class TestIsCPTP:
     def test_amplitude_damping(self, gamma):
         rep = cc.is_cptp(amplitude_damping(gamma))
         assert rep.tp_defect <= 1e-12 and rep.cp_defect <= 1e-12
+
+    @pytest.mark.parametrize("count", ["below", "equal", "above"])
+    @ORACLE
+    @given(data=st.data())
+    def test_matches_full_choi(self, count, data):
+        # K Kraus operators below, at or above dim_in * dim_out: is_cptp
+        # diagonalises V^dag V (above, it has K - dim_in * dim_out extra zero
+        # eigenvalues), the oracle the Choi matrix V V^dag; scales 0.5 and
+        # 1.3 take the channels off trace preservation.
+        dim_in, dim_out = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        size = dim_in * dim_out
+        assume(count != "below" or size > 1)
+        k = {"below": data.draw(st.integers(1, max(1, size - 1))),
+             "equal": size,
+             "above": size + data.draw(st.integers(1, 4))}[count]
+        scale = data.draw(st.sampled_from([1.0, 0.5, 1.3]))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        stacked = rng.normal(size=(k * dim_out, dim_in)) + 1j * rng.normal(size=(k * dim_out, dim_in))
+        if stacked.shape[0] >= dim_in:
+            stacked = np.linalg.qr(stacked)[0]  # orthonormal columns: trace preserving
+        else:
+            stacked /= np.linalg.norm(stacked, 2)  # too few rows to preserve the trace
+        ops = scale * stacked.reshape(k, dim_out, dim_in)
+        chan = cc.Channel(tuple(ops))
+        tp, cp = cptp_by_full_choi(chan)
+        rep = cc.is_cptp(chan)
+        assert abs(rep.tp_defect - tp) <= 1e-12
+        choi_norm = float(np.linalg.norm(cc.choi_of(chan).matrix))
+        assert abs(rep.cp_defect - cp) <= 1e-12 * max(1.0, choi_norm)
+
+    def test_few_kraus_needs_no_choi_matrix(self, monkeypatch):
+        # A K = 3 shift mixture at n = 32 is checked through its 3 x 3 Gram
+        # matrix; the 1024 x 1024 Choi matrix is never built.
+        spec = cc.Spectrum(np.arange(32.0))
+        chan = tim.build_shift_mixture(spec, [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)]).channel
+
+        def refuse(channel):
+            raise AssertionError("is_cptp built the Choi matrix")
+
+        monkeypatch.setattr(mcore, "choi_of", refuse)
+        rep = cc.is_cptp(chan)
+        assert rep.cp_defect <= 1e-12
+        assert rep.tp_defect > 0.1  # the shifts lose their edge levels
+
+
+def _eig_cases():
+    rng = np.random.default_rng(5)
+    cases = []
+    for n in (1, 2, 3, 5, 8, 13, 16):
+        g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        low = g[:, : max(1, n // 3)]
+        for name, mat in [("psd", g @ g.conj().T), ("rank-deficient", low @ low.conj().T),
+                          ("eye", np.eye(n)), ("ones", np.ones((n, n))),
+                          ("zeros", np.zeros((n, n)))]:
+            cases.append(pytest.param(mat.astype(complex), id=f"{name}-{n}"))
+    return cases
+
+
+class TestDeterministicEig:
+    @pytest.mark.parametrize("mat", _eig_cases())
+    def test_bit_identical_to_column_loop(self, mat):
+        vals, vecs = mcore._deterministic_eig(mat)
+        want_vals, want_vecs = deterministic_eig_loop(mat)
+        assert vals.tobytes() == want_vals.tobytes()
+        assert vecs.tobytes() == want_vecs.tobytes()
 
 
 class TestEntropy:

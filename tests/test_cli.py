@@ -240,12 +240,34 @@ class TestMcGaussian:
         assert code == cli.EXIT_USAGE
 
 
+def _env_with_src():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; the library and CLI run on numpy.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-c", "import covchan.cli, sys; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
+        capture_output=True, text=True, env=_env_with_src(), check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_reader_closing_pipe_early(tmp_path):
+    # `covchan gaussian ... | head -c 10`: the report (~2 MB) outgrows the
+    # pipe, the reader leaves after 10 bytes; no traceback, exit code 0, and
+    # the --out copy is still complete.
+    out = tmp_path / "masks.json"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "covchan.cli", "gaussian", "--std-dev", "1", "--dim", "40",
+         "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_src())
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_OK
+    assert head == b'{"dim": 40'
+    assert "Traceback" not in err and "BrokenPipe" not in err
+    assert json.loads(out.read_text())["dim"] == 40

@@ -5,9 +5,10 @@ import covchan as cc
 from covchan import channels as mcore
 from covchan import covariant as cov
 from covchan import generate as gen
+from covchan import serialize as ser
 from covchan.errors import DegenerateSpectrum, NotCovariant, UnknownSector
 
-from conftest import amplitude_damping, dephasing_channel
+from conftest import FIXTURES, amplitude_damping, dephasing_channel, scatter_projection_defect
 
 
 def spectrum4():
@@ -200,6 +201,64 @@ class TestDecompose:
         for s in d1.sigmas():
             np.testing.assert_allclose(
                 d1.sector(s)[1].mask, d2.sector(s)[1].mask, atol=1e-10)
+
+
+class TestProjectionDefect:
+    @pytest.mark.parametrize("scale", [1.0, 0.9])
+    @pytest.mark.parametrize("eps", [1e-12, 1e-11])
+    def test_matches_scatter_oracle(self, eps, scale):
+        # Kraus operators perturbed off covariance by eps; scale 1 keeps the
+        # channel trace preserving within EPS_TP (the masks are renormalised),
+        # scale 0.9 does not.
+        rng = np.random.default_rng(11)
+        for n in range(2, 13):
+            spec = cc.Spectrum(np.arange(float(n)))
+            ops = [scale * k + eps * (rng.normal(size=k.shape) + 1j * rng.normal(size=k.shape))
+                   for k in gen.random_covariant(spec, rng).kraus]
+            chan = cc.Channel(tuple(ops))
+            decomp = cov.decompose(chan, spec)
+            want = scatter_projection_defect(chan, decomp)
+            assert want > 0.0
+            assert abs(decomp.projection_defect - want) <= 1e-14 * want
+
+    def test_matches_scatter_oracle_with_dropped_sectors(self):
+        # A second Kraus operator of size 1e-7 puts ~1e-14 in every Choi
+        # entry: every sector but sigma = 0 falls below the 1e-13 floor and is
+        # dropped, and its Choi block counts in full.
+        rng = np.random.default_rng(12)
+        for n in range(2, 9):
+            spec = cc.Spectrum(np.arange(float(n)))
+            noise = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            chan = cc.Channel((np.eye(n, dtype=complex), 1e-7 * noise))
+            decomp = cov.decompose(chan, spec)
+            assert decomp.sigmas().tolist() == [0.0]
+            want = scatter_projection_defect(chan, decomp)
+            assert abs(decomp.projection_defect - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("name,spectrum", [
+        ("amplitude_damping_0.3", "spectrum_2level"),
+        ("amplitude_damping_0.5", "spectrum_2level"),
+        ("dephasing_channel", "spectrum_2level"),
+        ("identity_channel", "spectrum_2level"),
+        ("shift_mixture_channel", "spectrum_4level"),
+    ])
+    def test_zero_on_covariant_fixtures(self, name, spectrum):
+        chan = ser.channel_from_json(ser.load_json(FIXTURES / f"{name}.json"))
+        spec = ser.spectrum_from_json(ser.load_json(FIXTURES / f"{spectrum}.json"))
+        decomp = cov.decompose(chan, spec)
+        assert decomp.projection_defect == 0.0
+        assert scatter_projection_defect(chan, decomp) == 0.0
+
+    def test_decompose_builds_no_scattered_choi_matrix(self, monkeypatch):
+        spec = cc.Spectrum(np.arange(6.0))
+        ops = [k + 1e-12 for k in gen.random_covariant(spec, np.random.default_rng(3)).kraus]
+
+        def refuse(sectors, n):
+            raise AssertionError("decompose scattered the masks into a Choi matrix")
+
+        monkeypatch.setattr(cov, "_scatter", refuse)
+        decomp = cov.decompose(cc.Channel(tuple(ops)), spec)
+        assert 0.0 < decomp.projection_defect < 1e-10
 
 
 class TestShiftDistribution:
