@@ -33,9 +33,14 @@ def _as_complex(mat) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """A positive unit-trace operator, validated on construction."""
+    """A positive unit-trace operator, validated on construction.
+
+    ``eigenvalues`` holds the ascending spectrum of the Hermitian part that
+    the positivity check computes, so entropies need no second eigensolve.
+    """
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = _as_complex(self.matrix)
@@ -45,11 +50,13 @@ class DensityMatrix:
             raise NotDensityMatrix("matrix is not Hermitian within tolerance")
         if abs(np.trace(mat).real - 1.0) > EPS_TR or abs(np.trace(mat).imag) > EPS_TR:
             raise NotDensityMatrix(f"trace {np.trace(mat)} is not 1 within tolerance")
-        lmin = float(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0).min())
-        if lmin < -EPS_PSD:
-            raise NotDensityMatrix(f"minimum eigenvalue {lmin:.3e} below -{EPS_PSD:.1e}")
+        vals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+        if vals[0] < -EPS_PSD:
+            raise NotDensityMatrix(f"minimum eigenvalue {vals[0]:.3e} below -{EPS_PSD:.1e}")
         mat.setflags(write=False)
+        vals.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "eigenvalues", vals)
 
     @property
     def dim(self) -> int:
@@ -200,8 +207,9 @@ def is_cptp(channel: Channel) -> CPTPReport:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """Von Neumann entropy in bits, with 0 log 0 := 0."""
-    return entropy_of_eigenvalues(np.linalg.eigvalsh(rho.matrix))
+    """Von Neumann entropy in bits, with 0 log 0 := 0, from the spectrum the
+    state was validated with."""
+    return entropy_of_eigenvalues(rho.eigenvalues)
 
 
 def entropy_of_eigenvalues(vals: np.ndarray) -> float:

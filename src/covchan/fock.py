@@ -2,6 +2,8 @@
 energy-shift sectors via Laguerre polynomials, dephasing masks by
 Gauss-Laguerre quadrature, and a Monte Carlo oracle that shares the generator
 eigenpairs of displacement_matrix; expm of the generator is the test oracle.
+The Monte Carlo displaces a factor rho = Psi diag(p) Psi^dag of the state
+rather than forming D rho D^dag, so it costs O(samples * dim^2 * rank).
 
 The channel displaces the mode by a random phase-space translation r*z with z
 uniform on the unit circle and r Rayleigh distributed with scale s.  Rotation
@@ -283,28 +285,49 @@ def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloRes
     """Estimate G(rho) by averaging D(z, r) rho D(z, r)^dag over random
     displacements: z uniform on the circle, r Rayleigh with scale std_dev.
 
-    Uses the counter-based Philox stream keyed by the seed, so results are
-    bit-reproducible; the chunked reduction runs in a fixed order.
+    rho = Psi diag(p) Psi^dag is factored once; the weights keep their sign,
+    so the roundoff negatives DensityMatrix admits still count, and only
+    columns with |p| <= 1e-14 max|p| are dropped.  Each sample displaces the
+    factor, D Psi = R_theta Q (e^{i r lam} * (Q^dag R_theta^dag Psi)), as one
+    product of the input phases with the fixed Q^dag Psi array and one with
+    Q, and contributes (D Psi) diag(p) (D Psi)^dag.  No dim x dim
+    displacement is formed: the cost is O(samples * dim^2 * rank).
+
+    The uniforms are drawn chunk by chunk from the counter-based Philox
+    stream keyed by the seed (the same numbers as one draw of all of them),
+    so results are bit-reproducible, memory does not grow with the sample
+    count, and the chunked reduction runs in a fixed order.
     """
     dim = params.dim
     if rho.dim != dim:
         raise ValueError(f"state dim {rho.dim} differs from params.dim {dim}")
     n = params.mc_samples
     rng = np.random.Generator(np.random.Philox(key=params.seed))
-    u = rng.random((n, 2))
-    r = params.std_dev * np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-    theta = 2.0 * np.pi * u[:, 1]
+    p, psi = np.linalg.eigh((rho.matrix + rho.matrix.conj().T) / 2.0)
+    keep = np.abs(p) > 1e-14 * np.abs(p).max()
+    p, psi = p[keep], psi[:, keep]
+    rank = p.size
 
     lam, Q = _generator_eigenpairs(dim)
+    levels = np.arange(dim)
+    qpsi = (psi[:, :, None] * Q.conj()[:, None, :]).reshape(dim, rank * dim)  # [j, (c, l)]
     acc = np.zeros((dim, dim), dtype=complex)
-    acc_sq = np.zeros((dim, dim))
+    acc_sq = np.zeros(2 * dim * dim)  # squared real and imaginary parts, interleaved
     for i0 in range(0, n, _MC_CHUNK):
-        D = _displacement_batch(r[i0:i0 + _MC_CHUNK], theta[i0:i0 + _MC_CHUNK], lam, Q)
-        out = D @ rho.matrix @ np.conj(np.swapaxes(D, 1, 2))
+        m = min(_MC_CHUNK, n - i0)
+        u = rng.random((m, 2))
+        r = params.std_dev * np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+        ph = np.exp(2j * np.pi * np.outer(u[:, 1], levels))  # diagonal of R_theta^dag
+        w = (ph @ qpsi).reshape(m, rank, dim) * np.exp(1j * np.outer(r, lam))[:, None, :]
+        v = (w.reshape(m * rank, dim) @ Q.T).reshape(m, rank, dim) * ph.conj()[:, None, :]
+        out = np.swapaxes(v, 1, 2) @ (v.conj() * p[:, None])  # v[s, c] is column c of D Psi
         acc += out.sum(axis=0)
-        acc_sq += (out.real ** 2 + out.imag ** 2).sum(axis=0)
+        flat = out.view(float).reshape(m, -1)
+        acc_sq += np.einsum("si,si->i", flat, flat)
     mean = acc / n
-    var = np.maximum(acc_sq / n - np.abs(mean) ** 2, 0.0)
+    sq = acc_sq.reshape(dim, dim, 2).sum(axis=2)
+    # |mean|^2 in the form acc_sq sums, so that one sample has variance exactly 0
+    var = np.maximum(sq / n - (mean.real ** 2 + mean.imag ** 2), 0.0)
     return MonteCarloResult(
         mean=mean, standard_error=np.sqrt(var / n), samples=n
     )
@@ -322,8 +345,15 @@ def compare_decomposition_to_mc(
     edge.
     """
     decomp = gaussian_decomposition(params)
-    predicted = sum(shift.matrix @ (mask.mask * rho.matrix) @ shift.matrix.conj().T
-                    for shift, mask in decomp.to_sector_decomposition().sectors)
+    dim = params.dim
+    predicted = np.zeros((dim, dim), dtype=complex)
+    for mask in decomp.masks:  # S_sigma moves the sector block sigma levels along both axes
+        a = int(round(mask.sigma))
+        block = mask.mask * rho.matrix
+        if a >= 0:
+            predicted[a:, a:] += block[:dim - a, :dim - a]
+        else:
+            predicted[:dim + a, :dim + a] += block[-a:, -a:]
     sampled = monte_carlo_channel(rho, params)
     dev = np.abs(predicted - sampled.mean)
     td = decomp.truncation_defect

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import covchan as cc
+from covchan import fock
 
 FIXTURES = __import__("pathlib").Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -86,6 +87,28 @@ def scatter_projection_defect(channel: cc.Channel, decomp) -> float:
         idx = [int(np.argmax(np.abs(shift.matrix[:, j]))) * n + j for j in dom]
         recon[np.ix_(idx, idx)] = mask.mask[np.ix_(dom, dom)]
     return float(np.linalg.norm(cc.choi_of(channel).matrix - recon))
+
+
+def monte_carlo_by_full_displacement(rho: cc.DensityMatrix,
+                                     params: fock.FockParams) -> fock.MonteCarloResult:
+    """Oracle for fock.monte_carlo_channel: the same Philox samples, each
+    applied as a full dim x dim displacement D, summing D rho D^dag with no
+    factoring of the state.  It chunks on its own 1024 boundaries."""
+    dim, n = params.dim, params.mc_samples
+    u = np.random.Generator(np.random.Philox(key=params.seed)).random((n, 2))
+    r = params.std_dev * np.sqrt(-2.0 * np.log1p(-u[:, 0]))
+    theta = 2.0 * np.pi * u[:, 1]
+    lam, Q = fock._generator_eigenpairs(dim)
+    acc = np.zeros((dim, dim), dtype=complex)
+    acc_sq = np.zeros((dim, dim))
+    for i0 in range(0, n, 1024):
+        D = fock._displacement_batch(r[i0:i0 + 1024], theta[i0:i0 + 1024], lam, Q)
+        out = D @ rho.matrix @ np.conj(np.swapaxes(D, 1, 2))
+        acc += out.sum(axis=0)
+        acc_sq += (out.real ** 2 + out.imag ** 2).sum(axis=0)
+    mean = acc / n
+    var = np.maximum(acc_sq / n - (mean.real ** 2 + mean.imag ** 2), 0.0)
+    return fock.MonteCarloResult(mean=mean, standard_error=np.sqrt(var / n), samples=n)
 
 
 # Collected by the acceptance tests; flushed after the run so the one-line

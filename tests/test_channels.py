@@ -226,6 +226,18 @@ class TestEntropy:
             assert abs(cc.von_neumann_entropy(rotated)
                        - cc.von_neumann_entropy(rho)) < 1e-10
 
+    def test_reads_validated_spectrum(self, rng, monkeypatch):
+        rho = gen.random_state(5, rng)
+        np.testing.assert_array_equal(rho.eigenvalues, np.linalg.eigvalsh(
+            (rho.matrix + rho.matrix.conj().T) / 2.0))
+        assert not rho.eigenvalues.flags.writeable
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("the entropy re-diagonalised a validated state")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigensolve)
+        assert cc.von_neumann_entropy(rho) == mcore.entropy_of_eigenvalues(rho.eigenvalues)
+
 
 class TestHadamardProduct:
     def test_all_ones(self):

@@ -3,12 +3,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
 import covchan as cc
 from covchan import fock
+from covchan.channels import EPS_PSD
 from covchan.errors import QuadratureUnderResolved, SectorOutOfRange
+
+from conftest import monte_carlo_by_full_displacement
 
 
 def laguerre_sum(j, alpha, x):
@@ -260,3 +265,75 @@ class TestMonteCarlo:
         direct = fock.monte_carlo_channel(self.vacuum(6), params)
         np.testing.assert_array_equal(rep.sampled.mean, direct.mean)
         np.testing.assert_array_equal(rep.sampled.standard_error, direct.standard_error)
+
+
+@st.composite
+def mc_states(draw, kind):
+    """States for the factored Monte Carlo, rank 1, 2, 3 or full on dims 2-12.
+
+    kind "rotated" is a mixture in a random basis, "diagonal" has exact-zero
+    eigenvalues, and "negative" puts the eigenvalues outside the rank in
+    [-EPS_PSD, 0).
+    """
+    dim = draw(st.integers(2, 12))
+    rank = min(draw(st.sampled_from([1, 2, 3, dim])), dim)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "negative":
+        rank = min(rank, dim - 1)
+    weights = rng.uniform(0.1, 1.0, rank)
+    negative = -EPS_PSD * rng.uniform(0.05, 0.95, dim - rank) if kind == "negative" else []
+    weights = np.concatenate([weights * (1.0 - np.sum(negative)) / weights.sum(), negative])
+    if kind == "diagonal":
+        return cc.DensityMatrix(np.diag(rng.permutation(np.r_[weights, np.zeros(dim - rank)])))
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    basis = np.linalg.qr(z)[0][:, :weights.size]
+    mat = (basis * weights) @ basis.conj().T
+    return cc.DensityMatrix((mat + mat.conj().T) / 2.0)
+
+
+class TestMonteCarloFactored:
+    """The factored route against the D rho D^dag oracle on the same samples."""
+
+    @pytest.mark.parametrize("samples", [1, 4095, 4096, 4097, 10_000])
+    @pytest.mark.parametrize("kind", ["rotated", "diagonal", "negative"])
+    @settings(derandomize=True, max_examples=8, deadline=None, database=None)
+    @given(data=st.data(), std_dev=st.sampled_from([0.3, 0.5, 1.0]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_full_displacement_oracle(self, kind, samples, data, std_dev, seed):
+        rho = data.draw(mc_states(kind))
+        params = fock.FockParams(dim=rho.dim, std_dev=std_dev, mc_samples=samples, seed=seed)
+        got = fock.monte_carlo_channel(rho, params)
+        want = monte_carlo_by_full_displacement(rho, params)
+        assert got.samples == want.samples == samples
+        np.testing.assert_allclose(got.mean, want.mean, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(got.standard_error, want.standard_error, rtol=0.0, atol=1e-13)
+
+    def test_forms_no_dense_displacement(self, monkeypatch):
+        def dense_displacements(*args):
+            raise AssertionError("monte_carlo_channel built dim x dim displacements")
+
+        rho = cc.DensityMatrix(np.diag([0.5, 0.25, 0.25, 0.0, 0.0, 0.0]).astype(complex))
+        params = fock.FockParams(dim=6, std_dev=0.5, mc_samples=5000, seed=9)
+        want = monte_carlo_by_full_displacement(rho, params)
+        monkeypatch.setattr(fock, "_displacement_batch", dense_displacements)
+        got = fock.monte_carlo_channel(rho, params)
+        np.testing.assert_allclose(got.mean, want.mean, rtol=0.0, atol=1e-13)
+
+    def test_prediction_equals_shift_products(self):
+        # The report's deviation and ratio, recomputed from the dense
+        # S_sigma (M_sigma * rho) S_sigma^dag sum, agree to the last bit.
+        params = fock.FockParams(dim=8, std_dev=0.5, mc_samples=3000, seed=4)
+        sup = np.zeros(8, dtype=complex)
+        sup[0] = sup[1] = np.sqrt(0.5)
+        rho = cc.DensityMatrix(np.outer(sup, sup.conj()))
+        rep = fock.compare_decomposition_to_mc(params, rho)
+        decomp = fock.gaussian_decomposition(params)
+        predicted = sum(shift.matrix @ (mask.mask * rho.matrix) @ shift.matrix.conj().T
+                        for shift, mask in decomp.to_sector_decomposition().sectors)
+        dev = np.abs(predicted - rep.sampled.mean)
+        td = decomp.truncation_defect
+        allowed = np.maximum(3.0 * rep.sampled.standard_error,
+                             np.maximum(td[:, None], td[None, :]))
+        ratio = dev / allowed
+        worst = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
+        assert (rep.max_entry_deviation, rep.worst_ratio) == (dev[worst], ratio[worst])
