@@ -3,7 +3,7 @@
 The channel averages displacements D(z, r) over a uniform phase z and a
 Rayleigh-distributed radius r.  Rotation invariance makes it covariant for
 the number operator, so it has integer energy-shift sectors whose masks come
-out of a Gauss-Laguerre quadrature.  Monte Carlo over actual displacement
+out of an exact dim-node Gauss-Laguerre rule.  Monte Carlo over actual displacement
 matrices is the independent check.
 """
 import numpy as np
@@ -13,8 +13,7 @@ from covchan import covariant as cov
 from covchan import fock
 
 params = fock.FockParams(dim=12, std_dev=0.3, mc_samples=50_000, seed=1)
-print(f"dim {params.dim}, std_dev {params.std_dev}, "
-      f"{params.quad_points} quadrature nodes")
+print(f"dim {params.dim}, std_dev {params.std_dev}")
 
 decomp = fock.gaussian_decomposition(params)
 m0 = decomp.mask(0)

@@ -50,7 +50,6 @@ from .fock import (
     displacement_matrix,
     displacement_sector,
     gaussian_decomposition,
-    gaussian_mask,
     laguerre,
     monte_carlo_channel,
 )

@@ -176,7 +176,6 @@ def _fock_params(args, mc_samples=1, seed=0) -> fock.FockParams:
         dim=args.dim,
         std_dev=args.std_dev,
         sigma_max=args.sigma_max,
-        quad_points=args.quad_points,
         mc_samples=mc_samples,
         seed=seed,
     )
@@ -194,7 +193,6 @@ def cmd_gaussian(args) -> int:
         "dim": decomp.params.dim,
         "std_dev": decomp.params.std_dev,
         "sigma_max": decomp.params.sigma_max,
-        "quad_points": decomp.params.quad_points,
         "masks": [
             {"sigma": m.sigma, "mask": ser.matrix_to_json(m.mask)}
             for m in decomp.masks
@@ -272,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--std-dev", dest="std_dev", type=float, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--sigma-max", dest="sigma_max", type=int, default=0)
-    p.add_argument("--quad-points", dest="quad_points", type=int, default=0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(func=cmd_gaussian)
@@ -281,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--std-dev", dest="std_dev", type=float, required=True)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--sigma-max", dest="sigma_max", type=int, default=0)
-    p.add_argument("--quad-points", dest="quad_points", type=int, default=0)
     p.add_argument("--samples", type=int, default=100_000)
     # A string default goes through type=int, so a bad value is a usage error.
     p.add_argument("--seed", type=int, default=os.environ.get("COVCHAN_SEED", "0"))

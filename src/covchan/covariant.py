@@ -92,6 +92,10 @@ class Spectrum:
     def dim(self) -> int:
         return self.energies.size
 
+    def phases(self, t: float) -> np.ndarray:
+        """Diagonal e^{-i omega_j t} of e^{-iHt}."""
+        return np.exp(-1j * self.energies * t)
+
     def level_of(self, energy: float) -> int:
         """Index of the level with the given energy, or -1 if absent."""
         hits = np.nonzero(np.abs(self.energies - energy) <= self.match_tol)[0]
@@ -178,13 +182,18 @@ class SectorDecomposition:
 
 @dataclass(frozen=True)
 class EnergyShiftDistribution:
-    """Probabilities p(sigma) = tr(G_sigma(rho)) of the energy given away."""
+    """Probabilities p(sigma) = tr(G_sigma(rho)) of the energy given away.
+
+    probability(sigma) matches a stored sigma within match_tol, the
+    spectrum's tolerance when built by shift_distribution.
+    """
 
     pairs: tuple[tuple[float, float], ...]
+    match_tol: float = 0.0
 
-    def probability(self, sigma: float, tol: float = 0.0) -> float:
+    def probability(self, sigma: float) -> float:
         for s, p in self.pairs:
-            if abs(s - sigma) <= tol or s == sigma:
+            if abs(s - sigma) <= self.match_tol:
                 return p
         return 0.0
 
@@ -219,7 +228,7 @@ def evolve_matrix(spectrum: Spectrum, t: float, mat: np.ndarray) -> np.ndarray:
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (spectrum.dim, spectrum.dim):
         raise DimensionMismatch(f"operator shape {mat.shape} vs spectrum dim {spectrum.dim}")
-    ph = np.exp(-1j * spectrum.energies * t)
+    ph = spectrum.phases(t)
     return mat * np.outer(ph, ph.conj())
 
 
@@ -372,7 +381,7 @@ def shift_distribution(
         if p < -mc.EPS_PSD:
             raise MaskNotPSD(f"negative probability {p:.3e} at sigma {shift.sigma}")
         pairs.append((shift.sigma, min(max(p, 0.0), 1.0)))
-    return EnergyShiftDistribution(pairs=tuple(pairs))
+    return EnergyShiftDistribution(pairs=tuple(pairs), match_tol=decomp.spectrum.match_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +404,7 @@ def characteristic_function(
     n = spectrum.dim
     if K.shape != (n, n) or rho.dim != n or channel.dim_in != n:
         raise DimensionMismatch("characteristic_function: dimensions do not match")
-    ph = np.exp(-1j * spectrum.energies * t)
+    ph = spectrum.phases(t)
     shifted = rho.matrix * ph[None, :]
     out = mc.apply_matrix(channel, shifted) * ph.conj()[None, :]
     return complex(np.trace(K @ out))
@@ -432,7 +441,7 @@ def domain_extension_check(
     directly; the identity must hold numerically for covariant channels.
     """
     spectrum = decomp.spectrum
-    ph = np.exp(-1j * spectrum.energies * t)
+    ph = spectrum.phases(t)
     shifted = rho.matrix * ph[None, :]
     worst = 0.0
     for shift, mask in decomp.sectors:

@@ -57,10 +57,6 @@ class SectorOutOfRange(CovchanError):
     pass
 
 
-class QuadratureUnderResolved(CovchanError):
-    pass
-
-
 class ParseError(CovchanError):
     pass
 

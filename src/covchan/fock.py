@@ -1,7 +1,8 @@
 """Truncated single-mode Gaussian channel: displacement operators, their
-energy-shift sectors via Laguerre polynomials, dephasing masks by
-Gauss-Laguerre quadrature, and a Monte Carlo oracle that shares the generator
-eigenpairs of displacement_matrix; expm of the generator is the test oracle.
+energy-shift sectors via Laguerre polynomials, dephasing masks from the exact
+Gauss-Laguerre rule for the weight e^{-beta u} with dim nodes (dims up to 186),
+and a Monte Carlo oracle that shares the generator eigenpairs of
+displacement_matrix; expm of the generator is the test oracle.
 The Monte Carlo displaces a factor rho = Psi diag(p) Psi^dag of the state
 rather than forming D rho D^dag, so it costs O(samples * dim^2 * rank).
 
@@ -28,7 +29,7 @@ from numpy.polynomial.laguerre import laggauss
 
 from . import covariant as cov
 from .channels import DensityMatrix
-from .errors import InvalidParameter, QuadratureUnderResolved, SectorOutOfRange
+from .errors import InvalidParameter, SectorOutOfRange
 
 _MC_CHUNK = 4096  # fixed chunk size keeps the reduction order deterministic
 
@@ -40,7 +41,6 @@ class FockParams:
     dim: int
     std_dev: float
     sigma_max: int = 0  # 0 -> dim - 1
-    quad_points: int = 0  # 0 -> max(2 * dim, 64)
     mc_samples: int = 100_000
     seed: int = 0
 
@@ -53,12 +53,6 @@ class FockParams:
             object.__setattr__(self, "sigma_max", self.dim - 1)
         if not 0 < self.sigma_max < self.dim:
             raise InvalidParameter("sigma_max must lie in [1, dim)")
-        if self.quad_points == 0:
-            object.__setattr__(self, "quad_points", max(2 * self.dim, 64))
-        if self.quad_points < 2 * self.dim:
-            raise QuadratureUnderResolved(
-                f"quad_points {self.quad_points} < 2 * dim = {2 * self.dim}"
-            )
         if self.mc_samples < 1:
             raise InvalidParameter("mc_samples must be positive")
 
@@ -213,23 +207,28 @@ def displacement_sector(sigma: int, r: float, dim: int) -> np.ndarray:
     return (np.eye(dim, k=-sigma) * coeff).astype(complex)  # column j -> row j + sigma
 
 
-def _quad_nodes(s: float, quad_points: int):
-    """Gauss-Laguerre nodes plus weights carrying the Rayleigh radial factor.
+def _quad_nodes(s: float, dim: int):
+    """Exact Gauss-Laguerre rule with dim nodes for the mask integrals.
 
     After u = r^2 the mask integrand is e^{-u} * poly(u) * e^{-u/(2 s^2)} /
-    (2 s^2); the e^{-u} (from the retained e^{-r^2/2} normalization of D) is
-    the quadrature weight and the residual exponential is evaluated at nodes.
+    (2 s^2), where the e^{-u} comes from the retained e^{-r^2/2}
+    normalization of D.  With beta = 1 + 1/(2 s^2) the weight is e^{-beta u},
+    so the laggauss(dim) nodes x_i and weights w_i become u_i = x_i / beta and
+    w_i / (2 s^2 beta).  poly(u) = u^|sigma| L_j L_k has degree at most
+    2 dim - 2, below the 2 dim - 1 that dim nodes integrate exactly.
     From a node count that depends on the numpy version (187 in numpy 2.4)
-    laggauss returns non-finite weights without raising, so they are checked.
+    laggauss returns non-finite weights without raising, so they are checked;
+    dims up to 186 therefore work.
     """
     with np.errstate(all="ignore"):
         try:
-            x, w = laggauss(quad_points)
+            x, w = laggauss(dim)
         except np.linalg.LinAlgError:
             x = w = np.array([np.nan])  # reported as non-finite below
     if not np.all(np.isfinite(np.r_[x, w])):
-        raise InvalidParameter(f"no finite {quad_points}-node Gauss-Laguerre rule in numpy")
-    return x, w * np.exp(-x / (2.0 * s * s)) / (2.0 * s * s)
+        raise InvalidParameter(f"no finite {dim}-node Gauss-Laguerre rule in numpy")
+    beta = 1.0 + 1.0 / (2.0 * s * s)
+    return x / beta, w / (2.0 * s * s * beta)
 
 
 def _mask_at_nodes(sigma: int, dim: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -237,35 +236,20 @@ def _mask_at_nodes(sigma: int, dim: int, x: np.ndarray, w: np.ndarray) -> np.nda
     return _signed_sector((coeff * w[None, :]) @ coeff.T, sigma)
 
 
-def gaussian_mask_matrix(
-    sigma: int, dim: int, s: float, quad_points: int
-) -> np.ndarray:
+def gaussian_mask_matrix(sigma: int, dim: int, s: float) -> np.ndarray:
     """Full mask M_sigma on levels 0..dim-1, PSD by construction.
 
     Assembled as C diag(W) C^T from the per-level sector coefficients C at the
     quadrature nodes and the non-negative effective weights W.
     """
-    if quad_points < dim + (abs(sigma) + 1) // 2:
-        raise QuadratureUnderResolved(
-            f"{quad_points} nodes cannot integrate degree {2 * (dim - 1) + abs(sigma)}"
-        )
-    return _mask_at_nodes(sigma, dim, *_quad_nodes(s, quad_points))
-
-
-def gaussian_mask(sigma: int, j: int, jp: int, s: float, quad_points: int) -> float:
-    """Single mask entry M_sigma(j, j'), read off gaussian_mask_matrix."""
-    if sigma < 0:
-        raise SectorOutOfRange("gaussian_mask takes sigma >= 0; negative sectors "
-                               "are index-shifted copies (use gaussian_mask_matrix)")
-    dim = max(j, jp) + 1 + sigma
-    return float(gaussian_mask_matrix(sigma, dim, s, quad_points)[j, jp])
+    return _mask_at_nodes(sigma, dim, *_quad_nodes(s, dim))
 
 
 def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     """Masks for sigma in [-sigma_max, sigma_max] plus per-level TP defects."""
     dim, s = params.dim, params.std_dev
     spec = integer_spectrum(dim)
-    x, w = _quad_nodes(s, params.quad_points)
+    x, w = _quad_nodes(s, dim)
     upper = [_mask_at_nodes(a, dim, x, w) for a in range(params.sigma_max + 1)]
     masks = []
     diag_sum = np.zeros(dim)

@@ -139,7 +139,7 @@ def timing_channel(
         raise InvalidParameter("N must be positive")
 
     # Periodicity: all phases omega_j * s * N must agree mod 2 pi.
-    phases = np.exp(-1j * spectrum.energies * s * N)
+    phases = spectrum.phases(s * N)
     period_defect = float(np.max(np.abs(phases - phases[0])))
     if period_defect > 1e-9:
         raise NotPeriodic(
@@ -164,7 +164,7 @@ def timing_channel(
 
     v = np.empty(N, dtype=complex)
     for j in range(N):
-        ph = np.exp(-1j * spectrum.energies * s * j)  # diagonal of U_{sj}
+        ph = spectrum.phases(s * j)  # diagonal of U_{sj}
         g_out = mc.apply_matrix(channel, np.outer(phi0, (ph * phi0).conj()))
         v[j] = np.trace((ph[:, None] * proj) @ g_out)
 

@@ -200,13 +200,24 @@ class TestGaussian:
 
     @pytest.mark.parametrize("flags", [("--std-dev", "0.3", "--dim", "1"),
                                        ("--std-dev", "-1", "--dim", "8"),
-                                       ("--std-dev", "1", "--dim", "100"),
-                                       ("--std-dev", "1", "--dim", "8",
-                                        "--quad-points", "200")])
+                                       ("--std-dev", "1", "--dim", "187")])
     def test_out_of_range_parameter_exit_2(self, capsys, flags):
         code, out, err = run(capsys, "gaussian", *flags)
         assert code == cli.EXIT_USAGE
         assert out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["gaussian", "mc-gaussian"])
+    def test_quad_points_flag_is_unknown_exit_2(self, capsys, command):
+        code, out, err = run(capsys, command, "--std-dev", "1", "--dim", "8",
+                             "--quad-points", "200")
+        assert code == cli.EXIT_USAGE
+        assert out == "" and "unrecognized arguments: --quad-points" in err
+
+    def test_dim_past_old_cap_exit_0(self, capsys):
+        code, out, _ = run(capsys, "gaussian", "--std-dev", "1", "--dim", "100",
+                           "--sigma-max", "1")
+        assert code == cli.EXIT_OK
+        assert "quad_points" not in json.loads(out)
 
 
 class TestMcGaussian:

@@ -287,6 +287,18 @@ class TestShiftDistribution:
                 mcore.apply_matrix(cov.sector_channel(decomp, s), rho.matrix)))
             assert dist.probability(float(s)) == pytest.approx(direct, abs=1e-10)
 
+    def test_probability_matches_within_spectrum_tolerance(self, rng):
+        # The sector of 0.1 is clustered from 0.1, 0.2 - 0.1 and 0.3 - 0.2, so
+        # its sigma is a float mean that need not equal the literal 0.1.
+        spec = cc.Spectrum(np.array([0.0, 0.1, 0.2, 0.3]))
+        decomp = cov.decompose(gen.random_covariant(spec, rng), spec)
+        dist = cov.shift_distribution(decomp, gen.random_state(4, rng))
+        shift, _ = decomp.sector(0.1)
+        assert shift.sigma != 0.1
+        p = dict(dist.pairs)[shift.sigma]
+        assert p > 0.0
+        assert dist.probability(0.1) == p
+
 
 class TestCharacteristicFunction:
     def test_fourier_series_identity(self, rng):

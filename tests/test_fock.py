@@ -11,7 +11,7 @@ from scipy.linalg import expm
 import covchan as cc
 from covchan import fock
 from covchan.channels import EPS_PSD
-from covchan.errors import QuadratureUnderResolved, SectorOutOfRange
+from covchan.errors import SectorOutOfRange
 
 from conftest import monte_carlo_by_full_displacement
 
@@ -24,6 +24,31 @@ def laguerre_sum(j, alpha, x):
         (-1) ** i * math.comb(j + alpha, j - i) * x ** i / math.factorial(i)
         for i in range(j + 1)
     ))
+
+
+def mask_by_exact_integration(sigma, dim, s2):
+    """Oracle M_sigma on levels 0..dim-1 at s^2 = s2 (a Fraction).
+
+    M(j, k) = sqrt(j! k! / ((j+sigma)! (k+sigma)!)) / (2 s^2) * integral of
+    e^{-beta u} u^sigma L_j^(sigma)(u) L_k^(sigma)(u), beta = 1 + 1/(2 s^2).
+    The polynomial is integrated term by term in rationals with
+    integral e^{-beta u} u^m du = m! / beta^(m+1); only the square-root
+    prefactor is rounded.
+    """
+    beta = 1 + 1 / (2 * s2)
+    size = dim - sigma
+    moments = [Fraction(math.factorial(m)) / beta ** (m + 1) for m in range(2 * dim)]
+    coeffs = [[Fraction((-1) ** i * math.comb(j + sigma, j - i), math.factorial(i))
+               for i in range(j + 1)] for j in range(size)]
+    out = np.zeros((dim, dim))
+    for j in range(size):
+        for k in range(j, size):
+            integral = sum(a * b * moments[sigma + i + m]
+                           for i, a in enumerate(coeffs[j]) for m, b in enumerate(coeffs[k]))
+            ratio = Fraction(math.factorial(j) * math.factorial(k),
+                             math.factorial(j + sigma) * math.factorial(k + sigma))
+            out[j, k] = out[k, j] = math.sqrt(ratio) * float(integral / (2 * s2))
+    return out
 
 
 class TestLaguerre:
@@ -127,6 +152,10 @@ class TestDisplacementSector:
             fock.displacement_sector(6, 0.5, 6)
 
 
+def mask_entry(sigma, j, k, s):
+    return float(fock.gaussian_mask_matrix(sigma, max(j, k) + 1 + sigma, s)[j, k])
+
+
 class TestGaussianMasks:
     def mask_entry_oracle(self, sigma, j, k, s):
         """Direct adaptive-quadrature radial integral, independent of laggauss."""
@@ -142,41 +171,49 @@ class TestGaussianMasks:
 
     def test_vacuum_entry_closed_form(self):
         for s in (0.3, 0.5, 1.0):
-            m = fock.gaussian_mask(0, 0, 0, s, 64)
+            m = mask_entry(0, 0, 0, s)
             assert m == pytest.approx(1.0 / (1.0 + 2.0 * s * s), abs=1e-10)
 
     @pytest.mark.parametrize("sigma", [0, 1, 3])
     def test_entries_against_adaptive_quadrature(self, sigma):
         s = 0.5
         for j, k in [(0, 0), (1, 2), (3, 3), (0, 4)]:
-            got = fock.gaussian_mask(sigma, j, k, s, 64)
+            got = mask_entry(sigma, j, k, s)
             assert got == pytest.approx(self.mask_entry_oracle(sigma, j, k, s),
                                         rel=1e-9, abs=1e-12)
 
     def test_matrix_agrees_with_entries(self):
         s, dim, sigma = 0.4, 6, 2
-        mat = fock.gaussian_mask_matrix(sigma, dim, s, 64)
+        mat = fock.gaussian_mask_matrix(sigma, dim, s)
         for j in range(dim - sigma):
             for k in range(dim - sigma):
                 assert mat[j, k] == pytest.approx(
-                    fock.gaussian_mask(sigma, j, k, s, 64), abs=1e-12)
+                    mask_entry(sigma, j, k, s), abs=1e-12)
 
     def test_masks_psd(self):
         for sigma in (-2, 0, 3):
-            mat = fock.gaussian_mask_matrix(sigma, 10, 0.7, 64)
+            mat = fock.gaussian_mask_matrix(sigma, 10, 0.7)
             assert np.linalg.eigvalsh((mat + mat.T) / 2.0).min() >= -1e-12
 
     def test_negative_sector_is_shifted_copy(self):
         # The sign factors square away, so M_{-a} is M_{+a} moved down-right.
         a, dim, s = 2, 8, 0.6
-        plus = fock.gaussian_mask_matrix(a, dim, s, 64)
-        minus = fock.gaussian_mask_matrix(-a, dim, s, 64)
+        plus = fock.gaussian_mask_matrix(a, dim, s)
+        minus = fock.gaussian_mask_matrix(-a, dim, s)
         np.testing.assert_allclose(minus[a:, a:], plus[:dim - a, :dim - a],
                                    atol=1e-12)
 
-    def test_under_resolved_raises(self):
-        with pytest.raises(QuadratureUnderResolved):
-            fock.gaussian_mask_matrix(0, 20, 0.5, 10)
+    @pytest.mark.parametrize("dim", [4, 8, 12])
+    def test_masks_against_exact_integration(self, dim):
+        # dim nodes integrate every mask polynomial exactly, so only roundoff
+        # separates the masks from the rational oracle.
+        for s2 in (Fraction(9, 100), Fraction(1, 4), Fraction(9)):
+            decomp = fock.gaussian_decomposition(
+                fock.FockParams(dim=dim, std_dev=math.sqrt(s2)))
+            for sigma in range(dim):
+                np.testing.assert_allclose(
+                    decomp.mask(sigma).mask.real, mask_by_exact_integration(sigma, dim, s2),
+                    rtol=0.0, atol=1e-13, err_msg=f"s^2 = {s2}, sigma = {sigma}")
 
 
 class TestGaussianDecomposition:
@@ -193,7 +230,7 @@ class TestGaussianDecomposition:
         for sigma in range(-params.sigma_max, params.sigma_max + 1):
             np.testing.assert_array_equal(
                 decomp.mask(sigma).mask,
-                fock.gaussian_mask_matrix(sigma, 12, 0.5, params.quad_points))
+                fock.gaussian_mask_matrix(sigma, 12, 0.5))
 
     def test_mask_lookup(self):
         params = fock.FockParams(dim=6, std_dev=0.5, sigma_max=2)
@@ -221,8 +258,12 @@ class TestGaussianDecomposition:
             fock.FockParams(dim=4, std_dev=-1.0)
         with pytest.raises(ValueError):
             fock.FockParams(dim=4, std_dev=0.5, sigma_max=4)
-        with pytest.raises(QuadratureUnderResolved):
-            fock.FockParams(dim=8, std_dev=0.5, quad_points=4)
+
+    def test_large_dim_is_finite(self):
+        # Past the old 93-level cap: the dim-node rule exists up to dim 186.
+        decomp = fock.gaussian_decomposition(fock.FockParams(dim=120, std_dev=1.0))
+        assert all(np.all(np.isfinite(m.mask)) for m in decomp.masks)
+        assert decomp.mask(0).mask[0, 0].real == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 class TestMonteCarlo:
