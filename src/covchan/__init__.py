@@ -11,7 +11,6 @@ from .channels import (
     apply_matrix,
     bipartite_apply,
     choi_of,
-    hadamard_product,
     identity_channel,
     is_cptp,
     kraus_from_choi,
@@ -36,7 +35,6 @@ from .covariant import (
     decompose,
     domain_extension_check,
     energy_differences,
-    evolve,
     partial_shift,
     reconstruct,
     sector_channel,

@@ -226,15 +226,6 @@ def entropy_of_eigenvalues(vals: np.ndarray) -> float:
     return float(-np.sum(pos * np.log2(pos)))
 
 
-def hadamard_product(mask: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Entrywise (Schur) product of two equally shaped matrices."""
-    mask = np.asarray(mask, dtype=complex)
-    rho = np.asarray(rho, dtype=complex)
-    if mask.shape != rho.shape:
-        raise DimensionMismatch(f"shapes {mask.shape} and {rho.shape} differ")
-    return mask * rho
-
-
 def bipartite_apply(channel: Channel, state: DensityMatrix) -> DensityMatrix:
     """Apply id (x) G to a state on the doubled space, G acting on the right factor."""
     n = channel.dim_in

@@ -100,8 +100,8 @@ def cmd_decompose(args) -> int:
               file=sys.stderr)
         return EXIT_VIOLATION
     diag_sum = np.zeros(spectrum.dim)
-    for _, mask in decomp.sectors:
-        diag_sum += np.real(np.diag(mask.mask))
+    for shift, mask in decomp.sectors:
+        diag_sum[list(shift.domain)] += np.real(np.diag(mask.domain_submatrix))
     recon = cov.reconstruct(decomp)
     dist = float(np.linalg.norm(
         mc.choi_of(recon).matrix - mc.choi_of(channel).matrix
@@ -228,6 +228,14 @@ def cmd_mc_gaussian(args) -> int:
     return EXIT_OK if report.ok else EXIT_VIOLATION
 
 
+def _tolerance(text: str) -> float:
+    """A --tol value: a finite non-negative number (NaN would switch checks off)."""
+    value = float(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="covchan",
@@ -238,14 +246,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="validate CPTP and covariance of a channel")
     p.add_argument("channel")
     p.add_argument("spectrum")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("decompose", help="canonical sector decomposition")
     p.add_argument("channel")
     p.add_argument("spectrum")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_tolerance, default=1e-10)
     p.add_argument("--out")
     p.set_defaults(func=cmd_decompose)
 
@@ -262,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi0", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--out")
     p.set_defaults(func=cmd_timing)
 

@@ -13,6 +13,10 @@ entrywise product.  Sector sigma is the set of Choi pairs (omega + sigma,
 omega); a Spectrum decides these sets once, and every function here reads
 that one sector map.  Each mask is a principal block of one Choi matrix,
 which makes the extraction independent of the Kraus gauge.
+
+A sector is stored as sigma, the shift's domain and image as index tuples,
+and the d x d mask block on the domain; every routine here reads the blocks.
+PartialShift.matrix and SectorMask.mask are dim x dim views built on demand.
 """
 from __future__ import annotations
 
@@ -96,11 +100,6 @@ class Spectrum:
         """Diagonal e^{-i omega_j t} of e^{-iHt}."""
         return np.exp(-1j * self.energies * t)
 
-    def level_of(self, energy: float) -> int:
-        """Index of the level with the given energy, or -1 if absent."""
-        hits = np.nonzero(np.abs(self.energies - energy) <= self.match_tol)[0]
-        return int(hits[0]) if hits.size else -1
-
     def _pairs_at(self, sigma: float) -> np.ndarray:
         """Pairs of the sector with a difference within match_tol of sigma, if any."""
         lowest, highest = self._spans
@@ -112,49 +111,48 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class PartialShift:
-    """0/1 partial permutation |omega + sigma><omega| over the shift's domain."""
+    """0/1 partial permutation S_sigma = sum_k |image[k]><domain[k]| on dim levels."""
 
     sigma: float
-    matrix: np.ndarray
     domain: tuple[int, ...]
+    image: tuple[int, ...]
+    dim: int
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+    @property
+    def matrix(self) -> np.ndarray:
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        mat[list(self.image), list(self.domain)] = 1.0
+        return mat
 
 
 @dataclass(frozen=True)
 class SectorMask:
-    """Hermitian mask supported on domain x domain, PSD on its domain."""
+    """M_sigma as its block on domain x domain (zero elsewhere), checked once when built."""
 
     sigma: float
-    mask: np.ndarray
+    domain_submatrix: np.ndarray
     domain: tuple[int, ...]
+    dim: int
 
     def __post_init__(self):
-        mask = np.asarray(self.mask, dtype=complex)
-        if np.max(np.abs(mask - mask.conj().T)) > mc.EPS_H:
-            raise MaskNotPSD(f"sector {self.sigma}: mask is not Hermitian")
-        dom = list(self.domain)
-        off = mask.copy()
-        if dom:
-            sub = mask[np.ix_(dom, dom)]
-            lmin = float(np.linalg.eigvalsh((sub + sub.conj().T) / 2.0).min())
+        block = np.asarray(self.domain_submatrix)
+        block = block.astype(np.result_type(block, float), copy=False)  # a real block stays real
+        if block.shape != (len(self.domain),) * 2:
+            raise DimensionMismatch(f"sector {self.sigma}: block {block.shape} vs {self.domain}")
+        if block.size:
+            if np.max(np.abs(block - block.conj().T)) > mc.EPS_H:
+                raise MaskNotPSD(f"sector {self.sigma}: mask is not Hermitian")
+            lmin = float(np.linalg.eigvalsh((block + block.conj().T) / 2.0).min())
             if lmin < -mc.EPS_PSD:
-                raise MaskNotPSD(
-                    f"sector {self.sigma}: domain submatrix eigenvalue {lmin:.3e}"
-                )
-            off[np.ix_(dom, dom)] = 0.0
-        if np.max(np.abs(off), initial=0.0) > 0.0:
-            raise MaskNotPSD(f"sector {self.sigma}: mask has support outside its domain")
-        mask.setflags(write=False)
-        object.__setattr__(self, "mask", mask)
+                raise MaskNotPSD(f"sector {self.sigma}: domain submatrix eigenvalue {lmin:.3e}")
+        block.setflags(write=False)
+        object.__setattr__(self, "domain_submatrix", block)
 
     @property
-    def domain_submatrix(self) -> np.ndarray:
-        dom = list(self.domain)
-        return self.mask[np.ix_(dom, dom)]
+    def mask(self) -> np.ndarray:
+        mat = np.zeros((self.dim, self.dim), dtype=complex)
+        mat[np.ix_(self.domain, self.domain)] = self.domain_submatrix
+        return mat
 
 
 @dataclass(frozen=True)
@@ -218,9 +216,8 @@ def partial_shift(spectrum: Spectrum, sigma: float) -> PartialShift:
     """The partial isometry S_sigma : |omega> -> |omega + sigma|>, 0 off-domain."""
     n = spectrum.dim
     pairs = spectrum._pairs_at(sigma)
-    mat = np.zeros((n, n), dtype=complex)
-    mat[pairs // n, pairs % n] = 1.0
-    return PartialShift(sigma=float(sigma), matrix=mat, domain=tuple((pairs % n).tolist()))
+    return PartialShift(sigma=float(sigma), domain=tuple((pairs % n).tolist()),
+                        image=tuple((pairs // n).tolist()), dim=n)
 
 
 def evolve_matrix(spectrum: Spectrum, t: float, mat: np.ndarray) -> np.ndarray:
@@ -230,10 +227,6 @@ def evolve_matrix(spectrum: Spectrum, t: float, mat: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"operator shape {mat.shape} vs spectrum dim {spectrum.dim}")
     ph = spectrum.phases(t)
     return mat * np.outer(ph, ph.conj())
-
-
-def evolve(spectrum: Spectrum, t: float, rho: DensityMatrix) -> DensityMatrix:
-    return DensityMatrix(evolve_matrix(spectrum, t, rho.matrix))
 
 
 # ---------------------------------------------------------------------------
@@ -303,9 +296,9 @@ def decompose(
         M_sigma(j, k) = <j + d_sigma| G(|j><k|) |k + d_sigma>
 
     read directly from the Choi matrix (a principal submatrix, hence PSD).
-    The Choi matrix is built once; complete positivity is checked on each
-    sector block, trace preservation on its partial trace.  Inputs covariant
-    only within ``tol`` are sector-projected: cross-sector Choi mass is
+    The Choi matrix is built once; complete positivity is the SectorMask
+    check of each kept block, trace preservation is checked on the partial
+    trace.  Inputs covariant only within ``tol`` are sector-projected: cross-sector Choi mass is
     discarded, and if the input was trace preserving the mask diagonals are
     renormalized to restore the trace-preservation identity.  The Choi
     distance of that projection is reported, never hidden.
@@ -316,9 +309,6 @@ def decompose(
         raise NotCovariant(defect, tol)
     pinched = _pinch(choi, spectrum)
     blocks = [(b + b.conj().T) / 2.0 for b in pinched]
-    lmin = min(float(np.linalg.eigvalsh(b).min()) for b in blocks)
-    if lmin < -mc.EPS_PSD:
-        raise NotCP(f"Choi minimum eigenvalue {lmin:.3e}")
 
     # The partial trace of C over the output is (sum_m A_m^dag A_m)^T, so
     # this is the tp_defect of is_cptp.
@@ -339,18 +329,33 @@ def decompose(
             continue
         sq_defect += _sq_norm(raw - block)
         shift = partial_shift(spectrum, s)
-        mask = np.zeros((n, n), dtype=complex)
-        mask[np.ix_(shift.domain, shift.domain)] = block
-        sectors.append((shift, SectorMask(sigma=shift.sigma, mask=mask, domain=shift.domain)))
+        try:
+            mask = SectorMask(sigma=shift.sigma, domain_submatrix=block,
+                              domain=shift.domain, dim=n)
+        except MaskNotPSD as exc:
+            raise NotCP(f"Choi {exc}") from exc
+        sectors.append((shift, mask))
     return SectorDecomposition(
         spectrum=spectrum, sectors=tuple(sectors), projection_defect=float(np.sqrt(sq_defect))
     )
 
 
 def sector_kraus(shift: PartialShift, mask: SectorMask):
-    """Kraus operators S_sigma diag(d) from the spectral vectors d of M_sigma."""
-    vecs = mc._scaled_eigenvectors(mask.mask, MaskNotPSD, f"sector {shift.sigma}:")
-    return [shift.matrix @ np.diag(v) for v in vecs] or [np.zeros_like(shift.matrix)]
+    """Kraus operators S_sigma diag(d), d the spectral vectors of the block on the domain."""
+    vecs = mc._scaled_eigenvectors(mask.domain_submatrix, MaskNotPSD, f"sector {shift.sigma}:")
+    ops = np.zeros((max(len(vecs), 1), shift.dim, shift.dim), dtype=complex)
+    ops[:, shift.image, shift.domain] = vecs or 0.0
+    return list(ops)
+
+
+def apply_sectors(sectors, mat: np.ndarray) -> np.ndarray:
+    """sum_sigma S_sigma (M_sigma * mat) S_sigma^dag over (shift, mask) pairs, for any
+    square mat: each block times mat on its domain lands on the shift's image."""
+    out = np.zeros(np.shape(mat), dtype=complex)
+    for shift, mask in sectors:
+        dom, img = np.ix_(shift.domain, shift.domain), np.ix_(shift.image, shift.image)
+        out[img] += mask.domain_submatrix * mat[dom]
+    return out
 
 
 def reconstruct(decomp: SectorDecomposition) -> Channel:
@@ -374,10 +379,10 @@ def shift_distribution(
     if rho.dim != decomp.spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
     pairs = []
+    diag = np.diag(rho.matrix)
     for shift, mask in decomp.sectors:
-        # tr(S (M * rho) S^dag) = sum_j M(j, j) rho(j, j) since M vanishes
-        # outside the shift's domain.
-        p = float(np.sum(np.real(np.diag(mask.mask) * np.diag(rho.matrix))))
+        # tr(S (M * rho) S^dag) = sum_j M(j, j) rho(j, j) over the domain.
+        p = float(np.sum(np.real(np.diag(mask.domain_submatrix) * diag[list(shift.domain)])))
         if p < -mc.EPS_PSD:
             raise MaskNotPSD(f"negative probability {p:.3e} at sigma {shift.sigma}")
         pairs.append((shift.sigma, min(max(p, 0.0), 1.0)))
@@ -444,9 +449,8 @@ def domain_extension_check(
     ph = spectrum.phases(t)
     shifted = rho.matrix * ph[None, :]
     worst = 0.0
-    for shift, mask in decomp.sectors:
-        chan = Channel(tuple(sector_kraus(shift, mask)))
-        lhs = mc.apply_matrix(chan, shifted)
-        rhs = mc.apply_matrix(chan, rho.matrix) * ph[None, :] * np.exp(1j * shift.sigma * t)
+    for sector in decomp.sectors:
+        lhs = apply_sectors([sector], shifted)
+        rhs = apply_sectors([sector], rho.matrix) * ph[None, :] * np.exp(1j * sector[0].sigma * t)
         worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst

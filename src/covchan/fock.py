@@ -14,10 +14,11 @@ acts as
 
     D_sigma(r) |j> = e^{-r^2/2} r^sigma sqrt(j!/(j+sigma)!) L_j^(sigma)(r^2) |j+sigma>
 
-for sigma >= 0; below the diagonal, D_{-a} carries the same coefficients
-moved down by a levels with the sign (-1)^a.  The factor e^{-r^2/2} is kept
-explicitly: it is forced by unitarity of D and by the Monte Carlo oracle, and
-the masks therefore carry an extra e^{-u} inside the radial integral (u = r^2).
+for sigma >= 0; below the diagonal, D_{-a} = (-1)^a D_a^T, so M_a and M_{-a}
+are one block on the domains 0..dim-1-a and a..dim-1.  The factor e^{-r^2/2}
+is kept explicitly: it is forced by unitarity of D and by the Monte Carlo
+oracle, and the masks therefore carry an extra e^{-u} inside the radial
+integral (u = r^2).
 """
 from __future__ import annotations
 
@@ -47,19 +48,22 @@ class FockParams:
     def __post_init__(self):
         if self.dim < 2:
             raise InvalidParameter("dim must be at least 2")
-        if self.std_dev <= 0.0:
-            raise InvalidParameter("std_dev must be positive")
+        if not 0.0 < self.std_dev < math.inf:
+            raise InvalidParameter("std_dev must be positive and finite")
         if self.sigma_max == 0:
             object.__setattr__(self, "sigma_max", self.dim - 1)
         if not 0 < self.sigma_max < self.dim:
             raise InvalidParameter("sigma_max must lie in [1, dim)")
         if self.mc_samples < 1:
             raise InvalidParameter("mc_samples must be positive")
+        if not 0 <= self.seed < 2**128:  # the Philox key range
+            raise InvalidParameter("seed must lie in [0, 2**128)")
 
 
 @dataclass(frozen=True)
 class GaussianDecomposition:
-    """Sector masks of the truncated Gaussian channel on levels 0..dim-1.
+    """Sectors (S_sigma, M_sigma) of the truncated Gaussian channel on levels
+    0..dim-1, ordered by sigma, on the integer spectrum.
 
     truncation_defect[j] = |1 - sum_sigma M_sigma(j, j)| is the per-level
     deviation from trace preservation caused by the finite cutoff; it is tiny
@@ -67,7 +71,8 @@ class GaussianDecomposition:
     """
 
     params: FockParams
-    masks: tuple[cov.SectorMask, ...]  # ordered by sigma
+    spectrum: cov.Spectrum
+    sectors: tuple[tuple[cov.PartialShift, cov.SectorMask], ...]
     truncation_defect: np.ndarray
 
     def __post_init__(self):
@@ -75,19 +80,19 @@ class GaussianDecomposition:
         td.setflags(write=False)
         object.__setattr__(self, "truncation_defect", td)
 
+    @property
+    def masks(self) -> tuple[cov.SectorMask, ...]:
+        return tuple(m for _, m in self.sectors)
+
     def mask(self, sigma: int) -> cov.SectorMask:
-        for m in self.masks:
+        for _, m in self.sectors:
             if int(round(m.sigma)) == sigma:
                 return m
         raise SectorOutOfRange(f"no mask at sigma = {sigma}")
 
     def to_sector_decomposition(self) -> cov.SectorDecomposition:
         """View as a covariant-module decomposition on the integer spectrum."""
-        spec = integer_spectrum(self.params.dim)
-        sectors = tuple(
-            (cov.partial_shift(spec, m.sigma), m) for m in self.masks
-        )
-        return cov.SectorDecomposition(spectrum=spec, sectors=sectors)
+        return cov.SectorDecomposition(spectrum=self.spectrum, sectors=self.sectors)
 
 
 @dataclass(frozen=True)
@@ -164,32 +169,13 @@ def displacement_matrix(z: complex, r: float, dim: int) -> np.ndarray:
 def _sector_poly_coeffs(a: int, u: np.ndarray, dim: int) -> np.ndarray:
     """Per-level coefficients of D_a (a >= 0) at u = r^2, without the e^{-u/2} factor.
 
-    Returns array (dim, len(u)); row j is the coefficient carried from input
-    level j to output level j + a (zero where the target is truncated).
-    _signed_sector gives the coefficients of D_{-a}.
+    Returns array (dim - a, len(u)); row j is the coefficient carried from
+    input level j to output level j + a.
     """
     u = np.asarray(u, dtype=float)
     log_fact = np.array([math.lgamma(k + 1) for k in range(dim)])  # k! overflows past 170
     ratio = np.exp(0.5 * (log_fact[:dim - a] - log_fact[a:]))  # sqrt(j!/(j+a)!)
-    out = np.zeros((dim, u.size))
-    out[:dim - a] = u ** (a / 2.0) * ratio[:, None] * _laguerre_rows(dim - a - 1, a, u)
-    return out
-
-
-def _signed_sector(arr: np.ndarray, sigma: int) -> np.ndarray:
-    """The sector-sigma array from the sector-|sigma| one.
-
-    arr is indexed by levels on every axis (a coefficient vector or a mask).
-    For sigma < 0 each axis moves down by |sigma| levels and carries the sign
-    (-1)^|sigma|, so on a mask the signs cancel.
-    """
-    if sigma >= 0:
-        return arr
-    a, dim = -sigma, arr.shape[0]
-    moved = arr[(slice(0, dim - a),) * arr.ndim]
-    out = np.zeros_like(arr)
-    out[(slice(a, None),) * arr.ndim] = moved if a * arr.ndim % 2 == 0 else -moved
-    return out
+    return u ** (a / 2.0) * ratio[:, None] * _laguerre_rows(dim - a - 1, a, u)
 
 
 def displacement_sector(sigma: int, r: float, dim: int) -> np.ndarray:
@@ -202,9 +188,10 @@ def displacement_sector(sigma: int, r: float, dim: int) -> np.ndarray:
         raise SectorOutOfRange(f"|sigma| = {abs(sigma)} must be < dim = {dim}")
     if r < 0:
         raise ValueError("r must be non-negative")
-    coeff = _signed_sector(_sector_poly_coeffs(abs(sigma), [r * r], dim)[:, 0], sigma)
-    coeff = coeff * np.exp(-r * r / 2.0)
-    return (np.eye(dim, k=-sigma) * coeff).astype(complex)  # column j -> row j + sigma
+    if sigma < 0:
+        return (-1) ** sigma * displacement_sector(-sigma, r, dim).T
+    coeff = _sector_poly_coeffs(sigma, [r * r], dim)[:, 0] * np.exp(-r * r / 2.0)
+    return np.diag(coeff, -sigma).astype(complex)  # column j -> row j + sigma
 
 
 def _quad_nodes(s: float, dim: int):
@@ -231,36 +218,38 @@ def _quad_nodes(s: float, dim: int):
     return x / beta, w / (2.0 * s * s * beta)
 
 
-def _mask_at_nodes(sigma: int, dim: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    coeff = _sector_poly_coeffs(abs(sigma), x, dim)
-    return _signed_sector((coeff * w[None, :]) @ coeff.T, sigma)
+def _block_at_nodes(a: int, dim: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The (dim - a) x (dim - a) block of M_a and M_{-a}: C diag(W) C^T from
+    the sector coefficients C at the quadrature nodes and the non-negative
+    effective weights W, so PSD by construction."""
+    coeff = _sector_poly_coeffs(a, x, dim)
+    return (coeff * w[None, :]) @ coeff.T
 
 
 def gaussian_mask_matrix(sigma: int, dim: int, s: float) -> np.ndarray:
-    """Full mask M_sigma on levels 0..dim-1, PSD by construction.
-
-    Assembled as C diag(W) C^T from the per-level sector coefficients C at the
-    quadrature nodes and the non-negative effective weights W.
-    """
-    return _mask_at_nodes(sigma, dim, *_quad_nodes(s, dim))
+    """Full mask M_sigma on levels 0..dim-1: its block padded on both axes."""
+    a = abs(sigma)
+    return np.pad(_block_at_nodes(a, dim, *_quad_nodes(s, dim)), (a, 0) if sigma < 0 else (0, a))
 
 
 def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
-    """Masks for sigma in [-sigma_max, sigma_max] plus per-level TP defects."""
+    """Sectors for sigma in [-sigma_max, sigma_max] plus per-level TP defects."""
     dim, s = params.dim, params.std_dev
     spec = integer_spectrum(dim)
     x, w = _quad_nodes(s, dim)
-    upper = [_mask_at_nodes(a, dim, x, w) for a in range(params.sigma_max + 1)]
-    masks = []
+    blocks = [_block_at_nodes(a, dim, x, w) for a in range(params.sigma_max + 1)]
+    sectors = []
     diag_sum = np.zeros(dim)
     for sigma in range(-params.sigma_max, params.sigma_max + 1):
-        mat = _signed_sector(upper[abs(sigma)], sigma)
-        diag_sum += np.diag(mat)
-        dom = cov.shift_domain(spec, float(sigma))
-        masks.append(cov.SectorMask(sigma=float(sigma), mask=mat.astype(complex), domain=dom))
+        shift = cov.partial_shift(spec, float(sigma))
+        block = blocks[abs(sigma)]
+        diag_sum[list(shift.domain)] += np.diag(block)
+        sectors.append((shift, cov.SectorMask(sigma=shift.sigma, domain_submatrix=block,
+                                               domain=shift.domain, dim=dim)))
     return GaussianDecomposition(
         params=params,
-        masks=tuple(masks),
+        spectrum=spec,
+        sectors=tuple(sectors),
         truncation_defect=np.abs(1.0 - diag_sum),
     )
 
@@ -308,6 +297,7 @@ def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloRes
         acc += out.sum(axis=0)
         flat = out.view(float).reshape(m, -1)
         acc_sq += np.einsum("si,si->i", flat, flat)
+        del out, flat  # two chunk products alive at once would double the peak memory
     mean = acc / n
     sq = acc_sq.reshape(dim, dim, 2).sum(axis=2)
     # |mean|^2 in the form acc_sq sums, so that one sample has variance exactly 0
@@ -329,15 +319,7 @@ def compare_decomposition_to_mc(
     edge.
     """
     decomp = gaussian_decomposition(params)
-    dim = params.dim
-    predicted = np.zeros((dim, dim), dtype=complex)
-    for mask in decomp.masks:  # S_sigma moves the sector block sigma levels along both axes
-        a = int(round(mask.sigma))
-        block = mask.mask * rho.matrix
-        if a >= 0:
-            predicted[a:, a:] += block[:dim - a, :dim - a]
-        else:
-            predicted[:dim + a, :dim + a] += block[-a:, -a:]
+    predicted = cov.apply_sectors(decomp.sectors, rho.matrix)
     sampled = monte_carlo_channel(rho, params)
     dev = np.abs(predicted - sampled.mean)
     td = decomp.truncation_defect

@@ -3,7 +3,10 @@
 Complex matrices are objects {"rows": n, "cols": m, "data": [[re, im], ...]}
 with entries in row-major order; all numbers are IEEE doubles.  Channels hold
 their Kraus list, spectra their energy list, and decompositions serialize the
-masks only: partial shifts are rebuilt from sigma and the spectrum.
+masks only: partial shifts are rebuilt from sigma and the spectrum.  A mask is
+written as its dim x dim view and read back into its domain block; a sigma that
+is no energy difference or is listed twice, a mask of the wrong shape and
+support outside the domain are rejected.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ import numpy as np
 
 from .channels import Channel
 from .covariant import SectorDecomposition, SectorMask, Spectrum, partial_shift
-from .errors import ParseError
+from .errors import MaskNotPSD, ParseError
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:
@@ -107,12 +110,22 @@ def decomposition_from_json(obj) -> SectorDecomposition:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed decomposition object: {exc}") from exc
-    sectors = []
+    n = spectrum.dim
+    sectors, seen = [], set()
     for sigma, mask in raw:
         shift = partial_shift(spectrum, sigma)
-        sectors.append(
-            (shift, SectorMask(sigma=sigma, mask=mask, domain=shift.domain))
-        )
+        if not shift.domain:
+            raise ParseError(f"sigma {sigma!r} is not an energy difference of the spectrum")
+        if (shift.domain, shift.image) in seen:
+            raise ParseError(f"sigma {sigma!r} names a sector listed before")
+        seen.add((shift.domain, shift.image))
+        if mask.shape != (n, n):
+            raise ParseError(f"sector {sigma!r}: mask shape {mask.shape} vs spectrum dim {n}")
+        dom = np.ix_(shift.domain, shift.domain)
+        if np.count_nonzero(mask) > np.count_nonzero(mask[dom]):
+            raise MaskNotPSD(f"sector {sigma}: mask has support outside its domain")
+        sectors.append((shift, SectorMask(sigma=sigma, domain_submatrix=mask[dom],
+                                          domain=shift.domain, dim=n)))
     return SectorDecomposition(spectrum=spectrum, sectors=tuple(sectors))
 
 

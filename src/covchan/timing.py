@@ -137,11 +137,13 @@ def timing_channel(
         raise InvalidParameter("phi0 must be normalized")
     if N < 1:
         raise InvalidParameter("N must be positive")
+    if not np.isfinite(s * N):
+        raise InvalidParameter(f"step s = {s} and period s * N must be finite")
 
     # Periodicity: all phases omega_j * s * N must agree mod 2 pi.
     phases = spectrum.phases(s * N)
     period_defect = float(np.max(np.abs(phases - phases[0])))
-    if period_defect > 1e-9:
+    if not period_defect <= 1e-9:  # NaN when omega * s * N overflows
         raise NotPeriodic(
             f"e^(-iHsN) deviates from a global phase by {period_defect:.3e}"
         )

@@ -80,12 +80,11 @@ def test_02_trace_preservation_identity(corpus):
     for dim, (spec, entries) in channels.items():
         _, decomp = entries[0]
         shift, mask = decomp.sectors[0]
-        level = shift.domain[0]
-        bumped = mask.mask.copy()
-        bumped[level, level] += 1e-3
+        bumped = mask.domain_submatrix.copy()
+        bumped[0, 0] += 1e-3  # the first level of the domain
         sectors = list(decomp.sectors)
-        sectors[0] = (shift, cov.SectorMask(sigma=mask.sigma, mask=bumped,
-                                            domain=mask.domain))
+        sectors[0] = (shift, cov.SectorMask(sigma=mask.sigma, domain_submatrix=bumped,
+                                            domain=mask.domain, dim=mask.dim))
         perturbed = cov.SectorDecomposition(spectrum=spec, sectors=tuple(sectors))
         defect = mcore.is_cptp(cov.reconstruct(perturbed)).tp_defect
         worst_defect = min(worst_defect, defect)

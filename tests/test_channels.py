@@ -239,35 +239,6 @@ class TestEntropy:
         assert cc.von_neumann_entropy(rho) == mcore.entropy_of_eigenvalues(rho.eigenvalues)
 
 
-class TestHadamardProduct:
-    def test_all_ones(self):
-        rho = plus_state().matrix
-        np.testing.assert_array_equal(cc.hadamard_product(np.ones((2, 2)), rho), rho)
-
-    def test_identity_mask(self):
-        rho = plus_state().matrix
-        np.testing.assert_allclose(
-            cc.hadamard_product(np.eye(2), rho), np.diag(np.diag(rho)))
-
-    def test_definition(self):
-        c = 0.3 + 0.1j
-        mask = np.array([[1, c], [np.conj(c), 1]])
-        rho = np.array([[0.6, 0.2 + 0.1j], [0.2 - 0.1j, 0.4]])
-        out = cc.hadamard_product(mask, rho)
-        assert out[0, 1] == c * rho[0, 1]
-        assert out[1, 0] == np.conj(c) * rho[1, 0]
-
-    def test_schur_product_psd(self, rng):
-        for _ in range(10):
-            a = gen.random_psd(4, rng)
-            b = gen.random_psd(4, rng)
-            assert np.linalg.eigvalsh(cc.hadamard_product(a, b)).min() >= -1e-10
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            cc.hadamard_product(np.ones((2, 3)), np.ones((2, 2)))
-
-
 class TestBipartiteApply:
     @staticmethod
     def _max_entangled(n):

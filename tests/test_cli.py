@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covchan import cli
 
@@ -251,6 +255,33 @@ class TestMcGaussian:
         assert code == cli.EXIT_USAGE
 
 
+TIMING_FILES = (str(FIXTURES / "shift_mixture_channel.json"),
+                str(FIXTURES / "spectrum_4level.json"),
+                "--phi0", str(FIXTURES / "phi0_4level.json"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", str(FIXTURES / "amplitude_damping_0.3.json"),
+     str(FIXTURES / "spectrum_2level.json"), "--tol", "nan"),
+    ("check", str(FIXTURES / "identity_channel.json"),
+     str(FIXTURES / "spectrum_2level.json"), "--tol", "-1"),
+    ("decompose", str(FIXTURES / "hadamard_gate_channel.json"),
+     str(FIXTURES / "spectrum_2level.json"), "--tol", "nan"),
+    # s = pi/2, N = 4 is the unreliable case; a NaN tolerance passed it
+    ("timing", *TIMING_FILES, "--s", "1.5707963267948966", "--N", "4", "--tol", "nan"),
+    ("timing", *TIMING_FILES, "--s", "nan", "--N", "2"),
+    ("timing", *TIMING_FILES, "--s", "inf", "--N", "2"),
+    ("gaussian", "--std-dev", "nan", "--dim", "4"),
+    ("gaussian", "--std-dev", "inf", "--dim", "4"),
+    ("mc-gaussian", "--std-dev", "nan", "--dim", "4", "--samples", "20"),
+    ("mc-gaussian", "--std-dev", "0.3", "--dim", "4", "--samples", "20", "--seed", "-1"),
+])
+def test_non_finite_or_negative_number_exit_2(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert out == ""
+
+
 def _env_with_src():
     src = str(Path(__file__).resolve().parent.parent / "src")
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -282,3 +313,61 @@ def test_reader_closing_pipe_early(tmp_path):
     assert head == b'{"dim": 40'
     assert "Traceback" not in err and "BrokenPipe" not in err
     assert json.loads(out.read_text())["dim"] == 40
+
+
+# ---------------------------------------------------------------------------
+# Exit codes as a property: every subcommand, numeric flags drawn from bad and
+# extreme values, run in-process.
+
+FLAG_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308", "abc", "1", "0.3", "4")
+EXIT_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# Each subcommand with valid numeric flags; the property replaces one of them.
+VALID_FLAGS = {
+    "check": {"--tol": "1e-9"},
+    "decompose": {"--tol": "1e-10"},
+    "capacity": {},
+    "timing": {"--s": repr(np.pi), "--N": "2", "--tol": "1e-9"},
+    "gaussian": {"--std-dev": "0.3", "--dim": "4", "--sigma-max": "0"},
+    "mc-gaussian": {"--std-dev": "0.3", "--dim": "4", "--sigma-max": "0",
+                    "--samples": "20", "--seed": "0"},
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    command = draw(st.sampled_from(sorted(VALID_FLAGS)))
+    flags = VALID_FLAGS[command]
+    bad = {}
+    if flags:  # one flag at a time, so that an earlier bad flag does not mask it
+        bad[draw(st.sampled_from(sorted(flags)))] = draw(st.sampled_from(FLAG_VALUES))
+    if command in ("gaussian", "mc-gaussian"):
+        argv = [command, "--format", draw(st.sampled_from(["json", "csv"]))]
+    else:
+        chan = draw(st.sampled_from(["amplitude_damping_0.3.json", "hadamard_gate_channel.json",
+                                     "identity_channel.json", "shift_mixture_channel.json"]))
+        four = chan.startswith("shift")
+        argv = [command, str(FIXTURES / chan)]
+        if command != "capacity":
+            argv.append(str(FIXTURES / ("spectrum_4level.json" if four else "spectrum_2level.json")))
+        if command == "timing":
+            argv += ["--phi0", str(FIXTURES / ("phi0_4level.json" if four else "plus_state.json"))]
+    for flag, value in {**flags, **bad}.items():
+        argv += [flag, value]
+    return argv
+
+
+@EXIT_PROPERTY
+@given(argv=cli_argvs())
+def test_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # an exception escaping main fails the test
+    assert code in (cli.EXIT_OK, cli.EXIT_VIOLATION, cli.EXIT_USAGE), argv
+    if code == cli.EXIT_OK and "csv" not in argv:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -4,9 +4,16 @@ import pytest
 import covchan as cc
 from covchan import channels as mcore
 from covchan import covariant as cov
+from covchan import fock
 from covchan import generate as gen
 from covchan import serialize as ser
-from covchan.errors import DegenerateSpectrum, NotCovariant, UnknownSector
+from covchan.errors import (
+    DegenerateSpectrum,
+    DimensionMismatch,
+    MaskNotPSD,
+    NotCovariant,
+    UnknownSector,
+)
 
 from conftest import FIXTURES, amplitude_damping, dephasing_channel, scatter_projection_defect
 
@@ -16,10 +23,6 @@ def spectrum4():
 
 
 class TestSpectrum:
-    def test_level_of(self, qubit_spectrum):
-        assert qubit_spectrum.level_of(1.0) == 1
-        assert qubit_spectrum.level_of(0.5) == -1
-
     def test_rejects_degenerate(self):
         with pytest.raises(DegenerateSpectrum):
             cc.Spectrum(np.array([0.0, 0.0, 1.0]))
@@ -107,7 +110,7 @@ class TestCovarianceDefect:
         chan = gen.random_covariant(spec, rng)
         rho = gen.random_state(4, rng)
         for t in (0.3, 1.7):
-            lhs = cc.apply(chan, cov.evolve(spec, t, rho)).matrix
+            lhs = cc.apply(chan, cc.DensityMatrix(cov.evolve_matrix(spec, t, rho.matrix))).matrix
             rhs = cov.evolve_matrix(spec, t, cc.apply(chan, rho).matrix)
             assert np.linalg.norm(lhs - rhs) < 1e-10
 
@@ -339,3 +342,61 @@ class TestCharacteristicFunction:
         rho = gen.random_state(4, rng)
         for t in (0.1, 1.3, 5.0):
             assert cov.domain_extension_check(decomp, rho, t) < 1e-9
+
+
+def sqrt_prime_spectrum(n):
+    """Gaps sqrt(p) over the first n - 1 primes: n^2 - n + 1 sectors of 1x1 blocks."""
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)[: n - 1]
+    return cc.Spectrum(np.concatenate([[0.0], np.cumsum(np.sqrt(primes))]))
+
+
+class TestBlockStorage:
+    def test_decompose_diagonalises_each_kept_block_once(self, monkeypatch, rng):
+        spec = sqrt_prime_spectrum(6)
+        chan = gen.random_covariant(spec, rng)
+        eigvalsh, shapes = np.linalg.eigvalsh, []
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        decomp = cov.decompose(chan, spec)
+        assert len(decomp.sectors) == 31
+        assert shapes == [mask.domain_submatrix.shape for _, mask in decomp.sectors]
+
+    def test_consumers_read_the_blocks_only(self, monkeypatch, rng):
+        def dense_view(self):
+            raise AssertionError("a dense n x n view was built")
+
+        monkeypatch.setattr(cov.SectorMask, "mask", property(dense_view))
+        monkeypatch.setattr(cov.PartialShift, "matrix", property(dense_view))
+        for spec in (spectrum4(), sqrt_prime_spectrum(4)):
+            decomp = cov.decompose(gen.random_covariant(spec, rng), spec)
+            rho = gen.random_state(spec.dim, rng)
+            cov.reconstruct(decomp)
+            cov.shift_distribution(decomp, rho)
+            cov.domain_extension_check(decomp, rho, 0.7)
+        params = fock.FockParams(dim=6, std_dev=0.5, mc_samples=200)
+        fock.gaussian_decomposition(params)
+        vacuum = np.zeros((6, 6), dtype=complex)
+        vacuum[0, 0] = 1.0
+        fock.compare_decomposition_to_mc(params, cc.DensityMatrix(vacuum))
+
+    def test_views_place_the_block_on_the_domain(self):
+        spec = spectrum4()
+        shift = cov.partial_shift(spec, -2.0)
+        block = np.array([[0.5, 0.25j], [-0.25j, 0.5]])
+        mask = cov.SectorMask(sigma=-2.0, domain_submatrix=block, domain=shift.domain, dim=4)
+        dense = np.zeros((4, 4), dtype=complex)
+        dense[2:, 2:] = block
+        np.testing.assert_array_equal(mask.mask, dense)
+        assert shift.image == (0, 1)
+        np.testing.assert_array_equal(shift.matrix, np.eye(4, k=2))
+
+    @pytest.mark.parametrize("block, error", [(np.eye(3), DimensionMismatch),
+                                              (np.array([[1.0, 1.0], [0.0, 1.0]]), MaskNotPSD),
+                                              (np.array([[1.0, 2.0], [2.0, 1.0]]), MaskNotPSD)])
+    def test_construction_checks_the_block(self, block, error):
+        with pytest.raises(error):
+            cov.SectorMask(sigma=-2.0, domain_submatrix=block, domain=(2, 3), dim=4)

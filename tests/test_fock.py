@@ -11,7 +11,7 @@ from scipy.linalg import expm
 import covchan as cc
 from covchan import fock
 from covchan.channels import EPS_PSD
-from covchan.errors import SectorOutOfRange
+from covchan.errors import InvalidParameter, SectorOutOfRange
 
 from conftest import monte_carlo_by_full_displacement
 
@@ -258,6 +258,13 @@ class TestGaussianDecomposition:
             fock.FockParams(dim=4, std_dev=-1.0)
         with pytest.raises(ValueError):
             fock.FockParams(dim=4, std_dev=0.5, sigma_max=4)
+
+    @pytest.mark.parametrize("kwargs", [{"std_dev": math.nan}, {"std_dev": math.inf},
+                                        {"std_dev": 0.5, "seed": -1},
+                                        {"std_dev": 0.5, "seed": 2**128}])
+    def test_params_reject_non_finite_std_dev_and_bad_seed(self, kwargs):
+        with pytest.raises(InvalidParameter):
+            fock.FockParams(dim=4, **kwargs)
 
     def test_large_dim_is_finite(self):
         # Past the old 93-level cap: the dim-node rule exists up to dim 186.

@@ -114,3 +114,17 @@ def test_shift_domain_is_the_covariance_sector(family, data):
             j for j in range(n) if any(same_sector(spec, anchor, (jp, j)) for jp in range(n))
         )
         assert cov.shift_domain(spec, sigma) == levels
+
+
+@FAMILIES
+@PROPERTY
+@given(data=st.data())
+def test_block_scatter_equals_the_kraus_route(family, data):
+    spec, _, decomp = draw_decomposition(data, family)
+    n = spec.dim
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))  # not Hermitian
+    want = mcore.apply_matrix(cov.reconstruct(decomp), X)
+    got = cov.apply_sectors(decomp.sectors, X)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)

@@ -7,7 +7,7 @@ import covchan as cc
 from covchan import covariant as cov
 from covchan import generate as gen
 from covchan import serialize as ser
-from covchan.errors import ParseError
+from covchan.errors import MaskNotPSD, ParseError
 
 from conftest import FIXTURES, amplitude_damping
 
@@ -72,6 +72,44 @@ class TestSpectrumAndDecomposition:
             # shifts are rebuilt, not stored
             np.testing.assert_array_equal(again.sector(s)[0].matrix,
                                           decomp.sector(s)[0].matrix)
+
+
+class TestDecompositionValidation:
+    """decomposition_from_json reads outside input: every sector must name an
+    energy difference once, with a dim x dim mask supported on its domain."""
+
+    @staticmethod
+    def qubit_decomposition(sectors):
+        return {"spectrum": {"energies": [0.0, 1.0]},
+                "sectors": [{"sigma": s, "mask": ser.matrix_to_json(m)} for s, m in sectors]}
+
+    def test_unknown_sigma(self):
+        obj = self.qubit_decomposition([(0.5, np.zeros((2, 2)))])
+        with pytest.raises(ParseError, match="not an energy difference"):
+            ser.decomposition_from_json(obj)
+
+    def test_duplicate_sigma(self):
+        obj = self.qubit_decomposition([(0.0, np.eye(2)), (1e-12, np.eye(2))])
+        with pytest.raises(ParseError, match="listed before"):
+            ser.decomposition_from_json(obj)
+
+    def test_wrong_mask_shape(self):
+        obj = self.qubit_decomposition([(0.0, np.eye(3))])
+        with pytest.raises(ParseError, match="mask shape"):
+            ser.decomposition_from_json(obj)
+
+    def test_support_outside_domain(self):
+        obj = self.qubit_decomposition([(1.0, np.eye(2))])  # domain of sigma = 1 is (0,)
+        with pytest.raises(MaskNotPSD, match="outside its domain"):
+            ser.decomposition_from_json(obj)
+
+    def test_mask_is_stored_as_its_domain_block(self):
+        mask = np.array([[0.0, 0.0], [0.0, 0.25]])
+        decomp = ser.decomposition_from_json(self.qubit_decomposition([(-1.0, mask)]))
+        shift, sector = decomp.sector(-1.0)
+        assert shift.domain == (1,) and shift.image == (0,)
+        np.testing.assert_array_equal(sector.domain_submatrix, [[0.25]])
+        np.testing.assert_array_equal(sector.mask, mask)
 
 
 class TestFloatsAndFiles:

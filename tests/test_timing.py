@@ -6,7 +6,7 @@ from covchan import capacity as cap
 from covchan import covariant as cov
 from covchan import generate as gen
 from covchan import timing as tim
-from covchan.errors import NotPeriodic, NotReliableTiming
+from covchan.errors import InvalidParameter, NotPeriodic, NotReliableTiming
 
 
 def four_level():
@@ -129,6 +129,12 @@ class TestTimingChannel:
         mix = tim.build_shift_mixture(spec, [(0.0, 1.0)])
         with pytest.raises(NotPeriodic):
             tim.timing_channel(mix.channel, spec, orbit_state(4, 2), np.pi, 2)
+
+    @pytest.mark.parametrize("s, N", [(np.nan, 2), (np.inf, 2), (1e308, 4)])
+    def test_rejects_non_finite_step_or_period(self, s, N):
+        mix = tim.build_shift_mixture(four_level(), [(0.0, 0.5), (2.0, 0.5)])
+        with pytest.raises(InvalidParameter):
+            tim.timing_channel(mix.channel, four_level(), orbit_state(4, 2), s, N)
 
     def test_rejects_non_orthogonal(self):
         # (|0> + |2>)/sqrt(2) returns to itself after time pi, so the two
