@@ -17,7 +17,6 @@ from .channels import (
     von_neumann_entropy,
 )
 from .capacity import (
-    CapacityReport,
     coherent_information,
     hadamard_bound,
     hadamard_channel,
@@ -34,7 +33,6 @@ from .covariant import (
     covariance_defect,
     decompose,
     domain_extension_check,
-    energy_differences,
     partial_shift,
     reconstruct,
     sector_channel,

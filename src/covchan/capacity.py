@@ -14,20 +14,11 @@ branches are orthogonal and the bound holds with equality.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import channels as mc
 from .channels import Channel, DensityMatrix
 from .errors import DiagonalNotUnit, DimensionMismatch, MaskNotPSD
-
-
-@dataclass(frozen=True)
-class CapacityReport:
-    coherent_information: float  # bits
-    hadamard_bound: float | None  # bits; None when no mask was given
-    input_dim: int
 
 
 def coherent_information(channel: Channel, rho: DensityMatrix) -> float:
@@ -48,18 +39,19 @@ def coherent_information(channel: Channel, rho: DensityMatrix) -> float:
     return out_entropy - mc.von_neumann_entropy(DensityMatrix(comp))
 
 
-def _check_mask(mask: np.ndarray, n: int) -> np.ndarray:
+def _check_mask(mask: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mask as a complex array and its ascending eigenvalues, once checked."""
     mask = np.asarray(mask, dtype=complex)
     if mask.shape != (n, n):
         raise DimensionMismatch(f"mask shape {mask.shape} is not ({n}, {n})")
     if np.max(np.abs(mask - mask.conj().T)) > mc.EPS_H:
         raise MaskNotPSD("mask is not Hermitian")
-    lmin = float(np.linalg.eigvalsh(mask).min())
-    if lmin < -mc.EPS_PSD:
-        raise MaskNotPSD(f"mask minimum eigenvalue {lmin:.3e}")
+    vals = np.linalg.eigvalsh(mask)
+    if vals[0] < -mc.EPS_PSD:
+        raise MaskNotPSD(f"mask minimum eigenvalue {vals[0]:.3e}")
     if np.max(np.abs(np.diag(mask) - 1.0)) > mc.EPS_TR:
         raise DiagonalNotUnit("mask diagonal is not identically 1")
-    return mask
+    return mask, vals
 
 
 def hadamard_channel(mask: np.ndarray) -> Channel:
@@ -69,16 +61,15 @@ def hadamard_channel(mask: np.ndarray) -> Channel:
     of M (deterministic eigendecomposition ordering, as everywhere else).
     """
     n = np.asarray(mask).shape[0]
-    mask = _check_mask(mask, n)
+    mask = _check_mask(mask, n)[0]
     vecs = mc._scaled_eigenvectors(mask, MaskNotPSD, "mask minimum")
     return Channel(tuple([np.diag(v) for v in vecs] or [np.zeros((n, n), dtype=complex)]))
 
 
 def hadamard_bound(mask: np.ndarray, n: int) -> float:
     """Capacity lower bound log2(n) - S(M/n) in bits."""
-    mask = _check_mask(mask, n)
-    vals = np.linalg.eigvalsh(mask / n)
-    return float(np.log2(n)) - mc.entropy_of_eigenvalues(vals)
+    vals = _check_mask(mask, n)[1]
+    return float(np.log2(n)) - mc.entropy_of_eigenvalues(vals / n)
 
 
 def verify_hqc(mask: np.ndarray, n: int) -> float:
@@ -88,20 +79,6 @@ def verify_hqc(mask: np.ndarray, n: int) -> float:
     orthonormal, so the complementary output G^c(I/n) = diag(lam/n) has the
     spectrum of M/n, and the returned difference must vanish up to roundoff.
     """
-    mask = _check_mask(mask, n)
-    chan = hadamard_channel(mask)
+    bound = hadamard_bound(mask, n)  # the mask is checked against n first
     mixed = DensityMatrix(np.eye(n) / n)
-    return abs(coherent_information(chan, mixed) - hadamard_bound(mask, n))
-
-
-def capacity_report(
-    channel: Channel,
-    rho: DensityMatrix,
-    mask: np.ndarray | None = None,
-) -> CapacityReport:
-    bound = None if mask is None else hadamard_bound(mask, channel.dim_in)
-    return CapacityReport(
-        coherent_information=coherent_information(channel, rho),
-        hadamard_bound=bound,
-        input_dim=channel.dim_in,
-    )
+    return abs(coherent_information(hadamard_channel(mask), mixed) - bound)

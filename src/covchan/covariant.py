@@ -203,15 +203,6 @@ class EnergyShiftDistribution:
 # Spectra and shifts
 
 
-def energy_differences(spectrum: Spectrum) -> np.ndarray:
-    """Sorted distinct values omega_j - omega_k, clustered with match_tol."""
-    return spectrum.sigmas
-
-
-def shift_domain(spectrum: Spectrum, sigma: float) -> tuple[int, ...]:
-    return tuple((spectrum._pairs_at(sigma) % spectrum.dim).tolist())
-
-
 def partial_shift(spectrum: Spectrum, sigma: float) -> PartialShift:
     """The partial isometry S_sigma : |omega> -> |omega + sigma|>, 0 off-domain."""
     n = spectrum.dim

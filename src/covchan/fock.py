@@ -48,8 +48,11 @@ class FockParams:
     def __post_init__(self):
         if self.dim < 2:
             raise InvalidParameter("dim must be at least 2")
-        if not 0.0 < self.std_dev < math.inf:
-            raise InvalidParameter("std_dev must be positive and finite")
+        # 2 s^2, the quadrature weight's denominator, must be a finite normal float
+        # so that 1 / (2 s^2) is finite too; * overflows to inf where ** raises.
+        two_var = 2.0 * self.std_dev * self.std_dev
+        if not (self.std_dev > 0.0 and np.finfo(float).tiny <= two_var < math.inf):
+            raise InvalidParameter("std_dev must be positive with 2 std_dev^2 a finite normal float")
         if self.sigma_max == 0:
             object.__setattr__(self, "sigma_max", self.dim - 1)
         if not 0 < self.sigma_max < self.dim:

@@ -3,10 +3,11 @@
 A covariant channel has the reliable timing property at step s if some input
 state and its time translate produce perfectly distinguishable outputs.  When
 the dynamics is periodic with period s*N, the channel restricted to the N
-orbit states is a Hadamard channel with a circulant mask V, V_{jk} = v(j - k),
-where v is the Fourier transform of the energy-shift distribution evaluated
-at -s*j.  The DFT of v gives a probability vector q, and the quantum capacity
-is at least log2(N) - S(q).
+orbit states U_{sj} phi0 is a Hadamard channel with a circulant mask V,
+V_{jk} = v(j - k), where v is the Fourier transform of the energy-shift
+distribution evaluated at -s*j.  The DFT of v gives a probability vector q,
+and the quantum capacity is at least log2(N) - S(q).  For a pure phi0 each of
+these is a Gram product of the orbit factor B_j = [A_k U_{sj} phi0]_k (_orbit).
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import channels as mc
 from .channels import Channel
-from .covariant import EnergyShiftDistribution, Spectrum, evolve_matrix, partial_shift
+from .covariant import EnergyShiftDistribution, Spectrum, partial_shift
 from .errors import DimensionMismatch, InvalidParameter, NotPeriodic, NotReliableTiming
 
 
@@ -47,6 +48,23 @@ class ShiftMixture:
     tp_defect: float  # Frobenius defect of sum p_j S^dag S - 1 on the full space
 
 
+def _orbit(channel: Channel, spectrum: Spectrum, phi0: np.ndarray, s: float, N: int):
+    """Check phi0 and the dimensions once; return (ph, B): ph[j] is the diagonal of
+    U_{sj} = e^{-iHsj} and B[j][:, k] = A_k U_{sj} phi0 (N x dim_out x K).  With
+    rho0 = |phi0><phi0| and phi_{sj} = U_{sj} phi0 the Kraus sum gives
+        G(U_{sj} rho0 U_{sj}^dag) = B_j B_j^dag,    G(|phi0><phi_{sj}|) = B_0 B_j^dag.
+    """
+    phi0 = np.asarray(phi0, dtype=complex).reshape(-1)
+    n = spectrum.dim
+    if phi0.size != n or channel.dim_in != n:
+        raise DimensionMismatch("phi0, channel and spectrum dimensions differ")
+    if abs(np.linalg.norm(phi0) - 1.0) > mc.EPS_TR:
+        raise InvalidParameter(f"phi0 must be normalized, got norm {np.linalg.norm(phi0)}")
+    ph = spectrum.phases(s * np.arange(N)[:, None])
+    b = np.stack(channel.kraus).reshape(-1, n) @ (ph * phi0).T  # rows (k, output level)
+    return ph, b.reshape(-1, channel.dim_out, N).transpose(2, 1, 0)
+
+
 def is_reliable_timing(
     channel: Channel, spectrum: Spectrum, phi0: np.ndarray, s: float
 ) -> float:
@@ -54,16 +72,9 @@ def is_reliable_timing(
 
     The reliable timing property holds at step s iff the defect vanishes.
     """
-    phi0 = np.asarray(phi0, dtype=complex).reshape(-1)
-    if phi0.size != spectrum.dim or channel.dim_in != spectrum.dim:
-        raise DimensionMismatch("phi0, channel and spectrum dimensions differ")
-    nrm = float(np.linalg.norm(phi0))
-    if abs(nrm - 1.0) > mc.EPS_TR:
-        raise InvalidParameter(f"phi0 must be normalized, got norm {nrm}")
-    rho = np.outer(phi0, phi0.conj())
-    out0 = mc.apply_matrix(channel, rho)
-    out1 = mc.apply_matrix(channel, evolve_matrix(spectrum, s, rho))
-    return float(np.real(np.trace(out0 @ out1)))
+    b = _orbit(channel, spectrum, phi0, s, 2)[1]
+    out = b @ b.conj().swapaxes(1, 2)
+    return float(np.vdot(out[0], out[1]).real)  # tr(out_0 out_1) for Hermitian outputs
 
 
 def build_shift_mixture(spectrum: Spectrum, shifts) -> ShiftMixture:
@@ -120,41 +131,34 @@ def timing_channel(
 ) -> TimingChannelReport:
     """Restrict a reliable-timing channel to its N orbit states and bound Q.
 
-    Checks, in order: periodicity of the dynamics (e^{-iHsN} proportional to
-    the identity), pairwise orthogonality of the N outputs, then evaluates
+    Checks, in order: N and s*N, the dimensions and phi0, periodicity of the
+    dynamics (e^{-iHsN} proportional to the identity), pairwise orthogonality
+    of the N outputs, then evaluates, with the orbit factor B of _orbit,
 
-        v(j) = tr( U_{sj} P G(|phi_0><phi_{sj}|) )
+        v(j) = tr( U_{sj} P G(|phi_0><phi_{sj}|) ) = tr( U_{sj} P B_0 B_j^dag )
 
     with P the support projector of G(|phi_0><phi_0|) and U_t = e^{-iHt}.
     The DFT q_k = (1/N) sum_j v(j) e^{-2 pi i jk / N} yields the capacity
     lower bound log2(N) - S(q).
     """
-    phi0 = np.asarray(phi0, dtype=complex).reshape(-1)
-    n = spectrum.dim
-    if phi0.size != n or channel.dim_in != n or channel.dim_out != n:
-        raise DimensionMismatch("phi0, channel and spectrum dimensions differ")
-    if abs(np.linalg.norm(phi0) - 1.0) > mc.EPS_TR:
-        raise InvalidParameter("phi0 must be normalized")
     if N < 1:
         raise InvalidParameter("N must be positive")
     if not np.isfinite(s * N):
         raise InvalidParameter(f"step s = {s} and period s * N must be finite")
+    if channel.dim_out != spectrum.dim:
+        raise DimensionMismatch("phi0, channel and spectrum dimensions differ")
+    ph, b = _orbit(channel, spectrum, phi0, s, N)
 
     # Periodicity: all phases omega_j * s * N must agree mod 2 pi.
     phases = spectrum.phases(s * N)
     period_defect = float(np.max(np.abs(phases - phases[0])))
     if not period_defect <= 1e-9:  # NaN when omega * s * N overflows
-        raise NotPeriodic(
-            f"e^(-iHsN) deviates from a global phase by {period_defect:.3e}"
-        )
+        raise NotPeriodic(f"e^(-iHsN) deviates from a global phase by {period_defect:.3e}")
 
-    # Orbit states and pairwise output orthogonality.
-    rho0 = np.outer(phi0, phi0.conj())
-    outs = [mc.apply_matrix(channel, evolve_matrix(spectrum, s * j, rho0)) for j in range(N)]
-    defect = 0.0
-    for a in range(N):
-        for b in range(a + 1, N):
-            defect = max(defect, float(np.real(np.trace(outs[a] @ outs[b]))))
+    # Pairwise orthogonality: tr(out_a out_b) = vdot(out_a, out_b), out_j being Hermitian.
+    outs = b @ b.conj().swapaxes(1, 2)
+    flat = outs.reshape(N, -1)
+    defect = float((flat.conj() @ flat.T).real[np.triu_indices(N, 1)].max(initial=0.0))
     if defect > tol:
         raise NotReliableTiming(defect, tol)
 
@@ -164,16 +168,11 @@ def timing_channel(
     support = vecs[:, vals > cut]
     proj = support @ support.conj().T
 
-    v = np.empty(N, dtype=complex)
-    for j in range(N):
-        ph = spectrum.phases(s * j)  # diagonal of U_{sj}
-        g_out = mc.apply_matrix(channel, np.outer(phi0, (ph * phi0).conj()))
-        v[j] = np.trace((ph[:, None] * proj) @ g_out)
+    v = np.einsum("ja,ak,jak->j", ph, proj @ b[0], b.conj())
 
     # The circulant built from v is Hermitian for covariant channels, so the
     # DFT spectrum is real up to roundoff.
     q = (np.fft.fft(v) / N).real
-    bound = spectrum_to_bound(q)
     return TimingChannelReport(
-        N=N, s=float(s), v=v, q=q, bound=bound, orthogonality_defect=defect
+        N=N, s=float(s), v=v, q=q, bound=spectrum_to_bound(q), orthogonality_defect=defect
     )

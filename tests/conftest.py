@@ -2,7 +2,11 @@ import numpy as np
 import pytest
 
 import covchan as cc
+from covchan import channels as mc
 from covchan import fock
+from covchan import timing as tim
+from covchan.covariant import evolve_matrix
+from covchan.errors import DimensionMismatch, InvalidParameter, NotPeriodic, NotReliableTiming
 
 FIXTURES = __import__("pathlib").Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -109,6 +113,60 @@ def monte_carlo_by_full_displacement(rho: cc.DensityMatrix,
     mean = acc / n
     var = np.maximum(acc_sq / n - (mean.real ** 2 + mean.imag ** 2), 0.0)
     return fock.MonteCarloResult(mean=mean, standard_error=np.sqrt(var / n), samples=n)
+
+
+def dense_pair_defect(channel: cc.Channel, spectrum: cc.Spectrum, rho0: np.ndarray,
+                      s: float, N: int) -> tuple[list, float]:
+    """Oracle orbit outputs G(U_{sj} rho0 U_{sj}^dag), one dense Kraus sum
+    each, and the largest pairwise tr(out_a out_b) (0 when N < 2)."""
+    outs = [mc.apply_matrix(channel, evolve_matrix(spectrum, s * j, rho0)) for j in range(N)]
+    defect = 0.0
+    for a in range(N):
+        for b in range(a + 1, N):
+            defect = max(defect, float(np.real(np.trace(outs[a] @ outs[b]))))
+    return outs, defect
+
+
+def timing_by_dense_applications(channel: cc.Channel, spectrum: cc.Spectrum,
+                                 phi0: np.ndarray, s: float, N: int, tol: float = 1e-9):
+    """Oracle (v, q, bound, defect) for timing.timing_channel: 2N dense
+    channel applications and a loop over the output pairs."""
+    phi0 = np.asarray(phi0, dtype=complex).reshape(-1)
+    n = spectrum.dim
+    if phi0.size != n or channel.dim_in != n or channel.dim_out != n:
+        raise DimensionMismatch("phi0, channel and spectrum dimensions differ")
+    if abs(np.linalg.norm(phi0) - 1.0) > mc.EPS_TR:
+        raise InvalidParameter("phi0 must be normalized")
+    if N < 1:
+        raise InvalidParameter("N must be positive")
+    if not np.isfinite(s * N):
+        raise InvalidParameter(f"step s = {s} and period s * N must be finite")
+
+    phases = spectrum.phases(s * N)
+    period_defect = float(np.max(np.abs(phases - phases[0])))
+    if not period_defect <= 1e-9:
+        raise NotPeriodic(
+            f"e^(-iHsN) deviates from a global phase by {period_defect:.3e}"
+        )
+
+    rho0 = np.outer(phi0, phi0.conj())
+    outs, defect = dense_pair_defect(channel, spectrum, rho0, s, N)
+    if defect > tol:
+        raise NotReliableTiming(defect, tol)
+
+    vals, vecs = np.linalg.eigh(outs[0])
+    cut = mc.EPS_PSD * max(float(vals.max(initial=0.0)), 0.0)
+    support = vecs[:, vals > cut]
+    proj = support @ support.conj().T
+
+    v = np.empty(N, dtype=complex)
+    for j in range(N):
+        ph = spectrum.phases(s * j)
+        g_out = mc.apply_matrix(channel, np.outer(phi0, (ph * phi0).conj()))
+        v[j] = np.trace((ph[:, None] * proj) @ g_out)
+
+    q = (np.fft.fft(v) / N).real
+    return v, q, tim.spectrum_to_bound(q), defect
 
 
 # Collected by the acceptance tests; flushed after the run so the one-line

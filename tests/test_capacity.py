@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import covchan as cc
 from covchan import capacity as cap
 from covchan import generate as gen
-from covchan.errors import DiagonalNotUnit, MaskNotPSD
+from covchan.errors import DiagonalNotUnit, DimensionMismatch, MaskNotPSD
 
 from conftest import amplitude_damping, dephasing_channel, purified_coherent_information, purify
 
@@ -125,8 +125,32 @@ class TestHadamardBound:
         values = [cap.hadamard_bound(mask_c(c), 2) for c in (0.0, 0.3, 0.6, 0.9)]
         assert all(b2 > b1 for b1, b2 in zip(values, values[1:]))
 
+    def test_each_mask_spectrum_solved_once(self, rng, monkeypatch):
+        # The check's spectrum is the bound's; verify_hqc leaves the mask to
+        # its callees and adds the Kraus eigh and the entropies of coherent_information.
+        calls = {"eigvalsh": 0, "eigh": 0}
+        for name, orig in [(name, getattr(np.linalg, name)) for name in calls]:
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        m = gen.random_unit_diagonal_mask(8, rng)
+        cap.hadamard_bound(m, 8)
+        assert calls == {"eigvalsh": 1, "eigh": 0}
+        calls.update(eigvalsh=0)
+        cap.verify_hqc(m, 8)
+        assert calls == {"eigvalsh": 5, "eigh": 1}
+
 
 class TestVerifyHQC:
+    @pytest.mark.parametrize("mask, n, error", [
+        (np.eye(3), 2, DimensionMismatch), (mask_c(1.5), 2, MaskNotPSD),
+        (np.diag([1.0, 0.5]), 2, DiagonalNotUnit), (np.array([[1.0, 1j], [0.0, 1.0]]), 2, MaskNotPSD),
+    ])
+    def test_bad_masks(self, mask, n, error):
+        with pytest.raises(error):
+            cap.verify_hqc(mask, n)
+
     def test_scalar_masks(self):
         for c in (0.0, np.sqrt(0.5), 0.95):
             assert cap.verify_hqc(mask_c(c), 2) < 1e-9
@@ -141,11 +165,3 @@ class TestVerifyHQC:
     def test_large_masks(self, rng, n):
         m = gen.random_unit_diagonal_mask(n, rng)
         assert cap.verify_hqc(m, n) <= 1e-12
-
-    def test_report_fields(self, rng):
-        m = gen.random_unit_diagonal_mask(3, rng)
-        chan = cap.hadamard_channel(m)
-        rho = cc.DensityMatrix(np.eye(3) / 3.0)
-        rep = cap.capacity_report(chan, rho, mask=m)
-        assert rep.input_dim == 3
-        assert rep.hadamard_bound == pytest.approx(rep.coherent_information, abs=1e-9)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covchan import cli
@@ -224,6 +224,23 @@ class TestGaussian:
         assert "quad_points" not in json.loads(out)
 
 
+@pytest.mark.parametrize("command", ["gaussian", "mc-gaussian"])
+@pytest.mark.parametrize("std_dev, code", [
+    ("1e-200", cli.EXIT_USAGE), ("1e-154", cli.EXIT_USAGE), ("1.1e-154", cli.EXIT_OK),
+    ("1e150", cli.EXIT_OK), ("9.4e153", cli.EXIT_OK), ("9.5e153", cli.EXIT_USAGE),
+    ("1e200", cli.EXIT_USAGE), ("1e308", cli.EXIT_USAGE),
+])
+def test_std_dev_needs_finite_normal_two_variance(capsys, command, std_dev, code):
+    # 2 std_dev^2 lies in [2.2e-308, 1.8e308] from 1.1e-154 to 9.4e153 only.
+    samples = ("--samples", "4") if command == "mc-gaussian" else ()
+    got, out, err = run(capsys, command, "--std-dev", std_dev, "--dim", "4", *samples)
+    assert got == code, err
+    if code == cli.EXIT_OK:
+        assert json.loads(out, parse_constant=_reject_constant)["dim"] == 4
+    else:
+        assert out == "" and "std_dev" in err
+
+
 class TestMcGaussian:
     def test_agreement_and_determinism(self, capsys):
         args = ("mc-gaussian", "--std-dev", "0.3", "--dim", "6",
@@ -364,10 +381,12 @@ def cli_argvs(draw):
 
 @EXIT_PROPERTY
 @given(argv=cli_argvs())
+@example(argv=["mc-gaussian", "--format", "json", "--std-dev", "1e308", "--dim", "4",
+               "--sigma-max", "0", "--samples", "20", "--seed", "0"])  # once printed nan
 def test_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)  # an exception escaping main fails the test
     assert code in (cli.EXIT_OK, cli.EXIT_VIOLATION, cli.EXIT_USAGE), argv
-    if code == cli.EXIT_OK and "csv" not in argv:
+    if out.getvalue() and "csv" not in argv:  # strict JSON under every exit code
         json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -45,20 +45,20 @@ class TestSpectrum:
 class TestEnergyDifferences:
     def test_qubit(self, qubit_spectrum):
         np.testing.assert_array_equal(
-            cov.energy_differences(qubit_spectrum), [-1.0, 0.0, 1.0])
+            qubit_spectrum.sigmas, [-1.0, 0.0, 1.0])
 
     def test_linear_spectrum(self):
         np.testing.assert_array_equal(
-            cov.energy_differences(spectrum4()), np.arange(-3.0, 4.0))
+            spectrum4().sigmas, np.arange(-3.0, 4.0))
 
     def test_generic_spectrum_count(self):
         # energies 0, 1, 2.5 give differences {0, +-1, +-1.5, +-2.5}
         spec = cc.Spectrum(np.array([0.0, 1.0, 2.5]))
-        assert cov.energy_differences(spec).size == 7
+        assert spec.sigmas.size == 7
 
     def test_near_equal_diffs_merge(self):
         spec = cc.Spectrum(np.array([0.0, 1.0, 2.0 + 1e-12]))
-        diffs = cov.energy_differences(spec)
+        diffs = spec.sigmas
         # 2.0 - 1.0 and (2 + 1e-12) - 1.0 collapse into one sigma
         assert diffs.size == 5
 

@@ -261,7 +261,10 @@ class TestGaussianDecomposition:
 
     @pytest.mark.parametrize("kwargs", [{"std_dev": math.nan}, {"std_dev": math.inf},
                                         {"std_dev": 0.5, "seed": -1},
-                                        {"std_dev": 0.5, "seed": 2**128}])
+                                        {"std_dev": 0.5, "seed": 2**128},
+                                        # 2 std_dev^2 below the smallest normal float, or inf
+                                        {"std_dev": 1e-154}, {"std_dev": 9.5e153},
+                                        {"std_dev": 1e308}])
     def test_params_reject_non_finite_std_dev_and_bad_seed(self, kwargs):
         with pytest.raises(InvalidParameter):
             fock.FockParams(dim=4, **kwargs)

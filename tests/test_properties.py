@@ -108,12 +108,12 @@ def test_shift_domain_is_the_covariance_sector(family, data):
     spec = data.draw(SPECTRA[family])
     n = spec.dim
     diff = spec.energies[:, None] - spec.energies[None, :]
-    for sigma in cov.energy_differences(spec):
+    for sigma in spec.sigmas:
         anchor = np.unravel_index(np.argmin(np.abs(diff - sigma)), diff.shape)
         levels = tuple(
             j for j in range(n) if any(same_sector(spec, anchor, (jp, j)) for jp in range(n))
         )
-        assert cov.shift_domain(spec, sigma) == levels
+        assert cov.partial_shift(spec, sigma).domain == levels
 
 
 @FAMILIES

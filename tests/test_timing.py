@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import covchan as cc
 from covchan import capacity as cap
+from covchan import channels as mc
 from covchan import covariant as cov
 from covchan import generate as gen
 from covchan import timing as tim
 from covchan.errors import InvalidParameter, NotPeriodic, NotReliableTiming
+from conftest import dense_pair_defect, timing_by_dense_applications
 
 
 def four_level():
@@ -179,3 +183,72 @@ class TestTimingChannel:
         rep = tim.timing_channel(chan, spec, phi0, s, N)
         np.testing.assert_allclose(rep.v, tim.v_from_distribution(dist, s, N),
                                    atol=1e-9)
+
+
+class TestOrbitFactor:
+    def test_no_dense_channel_application(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense channel application")
+
+        monkeypatch.setattr(mc, "apply_matrix", refuse)
+        monkeypatch.setattr(cov, "evolve_matrix", refuse)
+        mix = tim.build_shift_mixture(four_level(), [(0.0, 0.5), (2.0, 0.5)])
+        phi0 = orbit_state(4, 2)
+        assert tim.timing_channel(mix.channel, four_level(), phi0, np.pi, 2).bound > 0.99
+        assert tim.is_reliable_timing(mix.channel, four_level(), phi0, 0.3) >= 0.0
+
+
+ORBIT_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=80)
+
+
+@st.composite
+def timing_inputs(draw):
+    """(channel, spectrum, phi0, s, N, tol) from three families: shift
+    mixtures, random covariant channels on integer spectra (n <= 12) and
+    non-covariant random_cptp channels with K in {1, n, n^2}."""
+    family = draw(st.sampled_from(["mixture", "covariant", "cptp"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N = draw(st.integers(1, 6))
+    tol = draw(st.sampled_from([1e-9, np.inf]))
+    if family == "mixture":
+        chan, spec, phi0, s, _, _ = random_timing_fixture(N, rng)
+    else:
+        if family == "covariant":
+            gaps = draw(st.lists(st.integers(1, 3), min_size=1, max_size=11))
+            spec = cc.Spectrum(np.concatenate([[0.0], np.cumsum(gaps)]).astype(float))
+            chan = gen.random_covariant(spec, rng)
+        else:
+            n = draw(st.integers(2, 8))
+            spec = cc.Spectrum(np.arange(float(n)))
+            chan = gen.random_cptp(n, rng, draw(st.sampled_from([1, n, n * n])))
+        phi0 = rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim)
+        phi0 /= np.linalg.norm(phi0)
+        s = 2.0 * np.pi * draw(st.integers(1, 5)) / N  # e^{-iHsN} = 1 on integer spectra
+    if rng.random() < 0.25:  # a step of no period
+        s = float(rng.uniform(0.01, 10.0))
+    if rng.random() < 0.1:
+        phi0 = 1.5 * phi0
+    return chan, spec, phi0, s, N, tol
+
+
+@ORBIT_PROPERTY
+@given(case=timing_inputs())
+def test_orbit_route_matches_dense_applications(case):
+    chan, spec, phi0, s, N, tol = case
+    try:
+        v, q, bound, defect = timing_by_dense_applications(chan, spec, phi0, s, N, tol)
+    except Exception as exc:  # the orbit route raises the same type
+        with pytest.raises(type(exc)):
+            tim.timing_channel(chan, spec, phi0, s, N, tol)
+    else:
+        rep = tim.timing_channel(chan, spec, phi0, s, N, tol)
+        np.testing.assert_allclose(rep.v, v, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(rep.q, q, rtol=0.0, atol=1e-12)
+        assert rep.bound == pytest.approx(bound, abs=1e-12)
+        assert rep.orthogonality_defect == pytest.approx(defect, abs=1e-12)
+    if abs(np.linalg.norm(phi0) - 1.0) > mc.EPS_TR:
+        with pytest.raises(InvalidParameter):
+            tim.is_reliable_timing(chan, spec, phi0, s)
+    else:
+        _, pair = dense_pair_defect(chan, spec, np.outer(phi0, phi0.conj()), s, 2)
+        assert tim.is_reliable_timing(chan, spec, phi0, s) == pytest.approx(pair, abs=1e-12)
