@@ -44,6 +44,8 @@ def _check_mask(mask: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     mask = np.asarray(mask, dtype=complex)
     if mask.shape != (n, n):
         raise DimensionMismatch(f"mask shape {mask.shape} is not ({n}, {n})")
+    if n == 0:
+        raise DimensionMismatch("mask has no levels")
     if np.max(np.abs(mask - mask.conj().T)) > mc.EPS_H:
         raise MaskNotPSD("mask is not Hermitian")
     vals = np.linalg.eigvalsh(mask)
@@ -60,7 +62,7 @@ def hadamard_channel(mask: np.ndarray) -> Channel:
     Kraus operators are the diagonal matrices built from the spectral vectors
     of M (deterministic eigendecomposition ordering, as everywhere else).
     """
-    n = np.asarray(mask).shape[0]
+    n = np.shape(mask)[0] if np.ndim(mask) else 0  # a 0-d mask fails the shape check
     mask = _check_mask(mask, n)[0]
     vecs = mc._scaled_eigenvectors(mask, MaskNotPSD, "mask minimum")
     return Channel(tuple([np.diag(v) for v in vecs] or [np.zeros((n, n), dtype=complex)]))

@@ -55,24 +55,26 @@ def _print(text: str) -> None:
         os.close(devnull)
 
 
-def _emit(args, payload) -> None:
-    text = ser.dumps(payload)
+def _write(args, text: str) -> None:
+    """Print a report and copy it to the --out file, if one is given."""
     _print(text)
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
 
 
+def _emit(args, payload) -> None:
+    _write(args, ser.dumps(payload))
+
+
 def _matrix_csv_lines(name, mat):
-    mat = np.asarray(mat, dtype=complex)
-    header = "matrix,row," + ",".join(
-        f"re{c},im{c}" for c in range(mat.shape[1])
-    )
-    lines = [header]
-    for rix, row in enumerate(mat):
-        cells = ",".join(f"{x.real:.17g},{x.imag:.17g}" for x in row)
-        lines.append(f"{name},{rix},{cells}")
-    return lines
+    mat = np.ascontiguousarray(mat, dtype=complex)
+    cols = mat.shape[1]
+    header = "matrix,row," + ",".join(f"re{c},im{c}" for c in range(cols))
+    # One %-template per row over the (re, im)-interleaved float view.
+    cells = ",".join(["%.17g"] * (2 * cols))
+    rows = mat.view(float).reshape(mat.shape[0], 2 * cols).tolist()
+    return [header] + [f"{name},{rix}," + cells % tuple(row) for rix, row in enumerate(rows)]
 
 
 def cmd_check(args) -> int:
@@ -187,7 +189,7 @@ def cmd_gaussian(args) -> int:
         lines = []
         for m in decomp.masks:
             lines.extend(_matrix_csv_lines(f"mask_sigma_{int(m.sigma)}", m.mask))
-        _print("\n".join(lines))
+        _write(args, "\n".join(lines))
         return EXIT_OK
     _emit(args, {
         "dim": decomp.params.dim,
@@ -212,7 +214,7 @@ def cmd_mc_gaussian(args) -> int:
     if args.format == "csv":
         lines = _matrix_csv_lines("mc_mean", result.mean)
         lines.extend(_matrix_csv_lines("mc_stderr", result.standard_error.astype(complex)))
-        _print("\n".join(lines))
+        _write(args, "\n".join(lines))
         return EXIT_OK if report.ok else EXIT_VIOLATION
     _emit(args, {
         "dim": params.dim,

@@ -7,10 +7,18 @@ masks only: partial shifts are rebuilt from sigma and the spectrum.  A mask is
 written as its dim x dim view and read back into its domain block; a sigma that
 is no energy difference or is listed twice, a mask of the wrong shape and
 support outside the domain are rejected.
+
+``dumps`` writes every float at 17 significant digits (round-trip safe).  It
+dispatches on the exact type of each value, and formats a list of floats or
+of [float, float] pairs (a matrix's "data") in one pass, with one %-template
+for the whole list; other values go through an isinstance chain (numpy
+scalars, bool before int, None, str, complex, tuples, arrays).  The text is
+that of formatting each float on its own.
 """
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -20,11 +28,12 @@ from .errors import MaskNotPSD, ParseError
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:
-    mat = np.asarray(mat, dtype=complex)
+    mat = np.ascontiguousarray(mat, dtype=complex)
     return {
         "rows": mat.shape[0],
         "cols": mat.shape[1],
-        "data": [[float(x.real), float(x.imag)] for x in mat.reshape(-1)],
+        # the float view interleaves (re, im): one tolist gives the pairs
+        "data": mat.view(float).reshape(-1, 2).tolist(),
     }
 
 
@@ -139,8 +148,27 @@ def load_json(path) -> object:
         raise ParseError(f"{path}: invalid JSON at byte offset {exc.pos}: {exc.msg}") from exc
 
 
-def _format(value):
-    """Recursively format floats with 17 significant digits (round-trip safe)."""
+def _format_list(items) -> str:
+    """A list of floats, or of [float, float] pairs, in one %-template pass."""
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        return ("[" + ", ".join(["%.17g"] * len(items)) + "]") % tuple(items)
+    if kinds == {list} and set(map(len, items)) == {2}:
+        flat = tuple(chain.from_iterable(items))
+        if set(map(type, flat)) == {float}:
+            return ("[" + ", ".join(["[%.17g, %.17g]"] * len(items)) + "]") % flat
+    return "[" + ", ".join(map(_format, items)) + "]"
+
+
+def _format(value) -> str:
+    kind = type(value)
+    if kind is float:
+        return f"{value:.17g}"
+    if kind is list:
+        return _format_list(value)
+    if isinstance(value, dict):
+        items = ", ".join(f"{json.dumps(str(k))}: {_format(v)}" for k, v in value.items())
+        return "{" + items + "}"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -151,11 +179,8 @@ def _format(value):
         return _format([value.real, value.imag])
     if isinstance(value, str):
         return json.dumps(value)
-    if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_format(v)}" for k, v in value.items())
-        return "{" + items + "}"
-    if isinstance(value, (list, tuple)) or isinstance(value, np.ndarray):
-        return "[" + ", ".join(_format(v) for v in value) + "]"
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return "[" + ", ".join(map(_format, value)) + "]"
     if value is None:
         return "null"
     raise TypeError(f"cannot serialize {type(value)}")

@@ -11,6 +11,7 @@ these is a Gram product of the orbit factor B_j = [A_k U_{sj} phi0]_k (_orbit).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,10 +50,13 @@ class ShiftMixture:
 
 
 def _orbit(channel: Channel, spectrum: Spectrum, phi0: np.ndarray, s: float, N: int):
-    """Check phi0 and the dimensions once; return (ph, B): ph[j] is the diagonal of
-    U_{sj} = e^{-iHsj} and B[j][:, k] = A_k U_{sj} phi0 (N x dim_out x K).  With
-    rho0 = |phi0><phi0| and phi_{sj} = U_{sj} phi0 the Kraus sum gives
+    """Check phi0, the dimensions and the step once; return (ph, B): ph[j] is the
+    diagonal of U_{sj} = e^{-iHsj} and B[j][:, k] = A_k U_{sj} phi0 (N x dim_out x K).
+    With rho0 = |phi0><phi0| and phi_{sj} = U_{sj} phi0 the Kraus sum gives
         G(U_{sj} rho0 U_{sj}^dag) = B_j B_j^dag,    G(|phi0><phi_{sj}|) = B_0 B_j^dag.
+    Every phase argument E_k s j, j = 0..N, must be finite: the orbit's and that of
+    its period U_{sN}.  The largest is max|E| * (|s| * N), formed with Python floats,
+    which round as numpy's products do but overflow to inf without a warning.
     """
     phi0 = np.asarray(phi0, dtype=complex).reshape(-1)
     n = spectrum.dim
@@ -60,6 +64,8 @@ def _orbit(channel: Channel, spectrum: Spectrum, phi0: np.ndarray, s: float, N: 
         raise DimensionMismatch("phi0, channel and spectrum dimensions differ")
     if abs(np.linalg.norm(phi0) - 1.0) > mc.EPS_TR:
         raise InvalidParameter(f"phi0 must be normalized, got norm {np.linalg.norm(phi0)}")
+    if not math.isfinite(float(np.max(np.abs(spectrum.energies))) * (abs(float(s)) * N)):
+        raise InvalidParameter(f"step s = {s}: a phase E_k * s * j (j <= {N}) is not finite")
     ph = spectrum.phases(s * np.arange(N)[:, None])
     b = np.stack(channel.kraus).reshape(-1, n) @ (ph * phi0).T  # rows (k, output level)
     return ph, b.reshape(-1, channel.dim_out, N).transpose(2, 1, 0)
@@ -71,6 +77,7 @@ def is_reliable_timing(
     """Orthogonality defect tr(G(rho) G(rho_s)) for rho = |phi0><phi0|.
 
     The reliable timing property holds at step s iff the defect vanishes.
+    A step whose phases E_k s j (j <= 2) are not finite raises InvalidParameter.
     """
     b = _orbit(channel, spectrum, phi0, s, 2)[1]
     out = b @ b.conj().swapaxes(1, 2)
@@ -131,9 +138,10 @@ def timing_channel(
 ) -> TimingChannelReport:
     """Restrict a reliable-timing channel to its N orbit states and bound Q.
 
-    Checks, in order: N and s*N, the dimensions and phi0, periodicity of the
-    dynamics (e^{-iHsN} proportional to the identity), pairwise orthogonality
-    of the N outputs, then evaluates, with the orbit factor B of _orbit,
+    Checks, in order: N and s*N, the dimensions and phi0, the phase arguments
+    E_k s j up to the period (in _orbit), periodicity of the dynamics
+    (e^{-iHsN} proportional to the identity), pairwise orthogonality of the
+    N outputs, then evaluates, with the orbit factor B of _orbit,
 
         v(j) = tr( U_{sj} P G(|phi_0><phi_{sj}|) ) = tr( U_{sj} P B_0 B_j^dag )
 
@@ -152,7 +160,7 @@ def timing_channel(
     # Periodicity: all phases omega_j * s * N must agree mod 2 pi.
     phases = spectrum.phases(s * N)
     period_defect = float(np.max(np.abs(phases - phases[0])))
-    if not period_defect <= 1e-9:  # NaN when omega * s * N overflows
+    if not period_defect <= 1e-9:
         raise NotPeriodic(f"e^(-iHsN) deviates from a global phase by {period_defect:.3e}")
 
     # Pairwise orthogonality: tr(out_a out_b) = vdot(out_a, out_b), out_j being Hermitian.

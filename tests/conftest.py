@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,43 @@ def timing_by_dense_applications(channel: cc.Channel, spectrum: cc.Spectrum,
 
     q = (np.fft.fft(v) / N).real
     return v, q, tim.spectrum_to_bound(q), defect
+
+
+def dumps_by_recursion(value):
+    """Oracle for serialize.dumps: one isinstance chain per value, every float
+    formatted on its own at 17 significant digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.17g}"
+    if isinstance(value, complex):
+        return dumps_by_recursion([value.real, value.imag])
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, dict):
+        items = ", ".join(f"{json.dumps(str(k))}: {dumps_by_recursion(v)}"
+                          for k, v in value.items())
+        return "{" + items + "}"
+    if isinstance(value, (list, tuple)) or isinstance(value, np.ndarray):
+        return "[" + ", ".join(dumps_by_recursion(v) for v in value) + "]"
+    if value is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(value)}")
+
+
+def csv_lines_by_entry(name, mat):
+    """Oracle for the CLI's CSV matrix lines: one numpy complex scalar at a time."""
+    mat = np.asarray(mat, dtype=complex)
+    header = "matrix,row," + ",".join(
+        f"re{c},im{c}" for c in range(mat.shape[1])
+    )
+    lines = [header]
+    for rix, row in enumerate(mat):
+        cells = ",".join(f"{x.real:.17g},{x.imag:.17g}" for x in row)
+        lines.append(f"{name},{rix},{cells}")
+    return lines
 
 
 # Collected by the acceptance tests; flushed after the run so the one-line

@@ -106,6 +106,15 @@ class TestHadamardChannel:
         with pytest.raises(MaskNotPSD):
             cap.hadamard_channel(mask_c(1.5))
 
+    @pytest.mark.parametrize("mask", [np.float64(1.0), np.ones(3), np.ones((1, 3)),
+                                      np.zeros((0, 0))])
+    def test_rejects_masks_that_are_not_square_matrices(self, mask):
+        # hadamard_bound raises the same for these shapes
+        with pytest.raises(DimensionMismatch):
+            cap.hadamard_channel(mask)
+        with pytest.raises(DimensionMismatch):
+            cap.hadamard_bound(mask, np.shape(mask)[0] if np.ndim(mask) else 1)
+
 
 class TestHadamardBound:
     def test_identity_mask_zero_bound(self):

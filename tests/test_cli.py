@@ -11,9 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covchan import channels as mc
 from covchan import cli
+from covchan import fock
 
-from conftest import FIXTURES
+from conftest import FIXTURES, csv_lines_by_entry, dumps_by_recursion
 
 
 def run(capsys, *argv):
@@ -270,6 +272,75 @@ class TestMcGaussian:
     def test_unknown_subcommand_exit_2(self, capsys):
         code, _, _ = run(capsys, "frobnicate")
         assert code == cli.EXIT_USAGE
+
+
+def matrix_json_by_entry(mat):
+    """The {"rows", "cols", "data"} object built one complex entry at a time."""
+    mat = np.asarray(mat, dtype=complex)
+    return {"rows": mat.shape[0], "cols": mat.shape[1],
+            "data": [[float(x.real), float(x.imag)] for x in mat.reshape(-1)]}
+
+
+def assert_same_text(got, want):
+    """Equality of long reports, failing with the first differing offset
+    (pytest's own diff of megabyte strings takes minutes)."""
+    if got != want:
+        i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                 min(len(got), len(want)))
+        pytest.fail(f"lengths {len(got)} vs {len(want)}, first difference at {i}: "
+                    f"{got[i - 40:i + 40]!r} vs {want[i - 40:i + 40]!r}")
+
+
+class TestGoldenReports:
+    """stdout equals the per-value oracles applied to the library's own
+    objects, and --out holds the same bytes (criterion 12 only compares two
+    runs with each other)."""
+
+    GAUSSIAN = fock.FockParams(dim=48, std_dev=0.5, sigma_max=0, mc_samples=1, seed=0)
+    MC = fock.FockParams(dim=8, std_dev=0.3, sigma_max=0, mc_samples=20000, seed=17)
+
+    @staticmethod
+    def run_with_out(capsys, tmp_path, *argv):
+        out_file = tmp_path / "report.out"
+        code, out, err = run(capsys, *argv, "--out", str(out_file))
+        assert_same_text(out_file.read_text(encoding="utf-8"), out)
+        return code, out, err
+
+    def test_gaussian_json(self, capsys, tmp_path):
+        code, out, err = self.run_with_out(capsys, tmp_path, "gaussian", "--std-dev", "0.5",
+                                           "--dim", "48")
+        decomp = fock.gaussian_decomposition(self.GAUSSIAN)
+        golden = dumps_by_recursion({
+            "dim": decomp.params.dim, "std_dev": decomp.params.std_dev,
+            "sigma_max": decomp.params.sigma_max,
+            "masks": [{"sigma": m.sigma, "mask": matrix_json_by_entry(m.mask)}
+                      for m in decomp.masks],
+            "truncation_defect": [float(x) for x in decomp.truncation_defect],
+        })
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert_same_text(out, golden + "\n")
+
+    def test_gaussian_csv(self, capsys, tmp_path):
+        code, out, err = self.run_with_out(capsys, tmp_path, "gaussian", "--std-dev", "0.5",
+                                           "--dim", "48", "--format", "csv")
+        lines = []
+        for m in fock.gaussian_decomposition(self.GAUSSIAN).masks:
+            lines.extend(csv_lines_by_entry(f"mask_sigma_{int(m.sigma)}", m.mask))
+        assert (code, err) == (cli.EXIT_OK, "")
+        assert_same_text(out, "\n".join(lines) + "\n")
+
+    def test_mc_gaussian_csv(self, capsys, tmp_path):
+        code, out, err = self.run_with_out(capsys, tmp_path, "mc-gaussian", "--std-dev", "0.3",
+                                           "--dim", "8", "--samples", "20000", "--seed", "17",
+                                           "--format", "csv")
+        vac = np.zeros((8, 8), dtype=complex)
+        vac[0, 0] = 1.0
+        report = fock.compare_decomposition_to_mc(self.MC, mc.DensityMatrix(vac))
+        sampled = report.sampled
+        lines = (csv_lines_by_entry("mc_mean", sampled.mean)
+                 + csv_lines_by_entry("mc_stderr", sampled.standard_error.astype(complex)))
+        assert report.ok and (code, err) == (cli.EXIT_OK, "")
+        assert_same_text(out, "\n".join(lines) + "\n")
 
 
 TIMING_FILES = (str(FIXTURES / "shift_mixture_channel.json"),

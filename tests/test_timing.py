@@ -82,6 +82,32 @@ class TestIsReliableTiming:
             tim.is_reliable_timing(mix.channel, four_level(),
                                    np.array([1.0, 1.0, 0.0, 0.0]), np.pi)
 
+    @pytest.mark.parametrize("s", [np.inf, np.nan, 1e308])
+    def test_rejects_non_finite_step(self, s):
+        mix = tim.build_shift_mixture(four_level(), [(0.0, 0.5), (2.0, 0.5)])
+        with pytest.raises(InvalidParameter):
+            tim.is_reliable_timing(mix.channel, four_level(), orbit_state(4, 2), s)
+
+
+@pytest.mark.parametrize("check", ["is_reliable_timing", "timing_channel"])
+def test_rejects_phase_overflow_at_finite_period(check):
+    # s * N = 1e308 is finite, but E * s * j reaches 10 * 5e307 = 5e308.
+    spec = cc.Spectrum(np.arange(11.0))
+    phi0 = orbit_state(11, 2)
+    with pytest.raises(InvalidParameter, match="phase"):
+        if check == "is_reliable_timing":
+            tim.is_reliable_timing(cc.identity_channel(11), spec, phi0, 5e307)
+        else:
+            tim.timing_channel(cc.identity_channel(11), spec, phi0, 5e307, 2)
+
+
+def test_period_phase_overflow_is_a_bad_step_not_aperiodic():
+    # Every orbit phase E * s * j (j < 2) is at most 1e308, but the period's
+    # 10 * 2e307 overflows, so e^(-iHsN) cannot be formed: a bad step.
+    spec = cc.Spectrum(np.arange(11.0))
+    with pytest.raises(InvalidParameter, match="phase"):
+        tim.timing_channel(cc.identity_channel(11), spec, orbit_state(11, 2), 1e307, 2)
+
 
 class TestVAndCirculant:
     def test_v_from_distribution_worked(self):
