@@ -20,6 +20,7 @@ PartialShift.matrix and SectorMask.mask are dim x dim views built on demand.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -147,6 +148,16 @@ class SectorMask:
                 raise MaskNotPSD(f"sector {self.sigma}: domain submatrix eigenvalue {lmin:.3e}")
         block.setflags(write=False)
         object.__setattr__(self, "domain_submatrix", block)
+
+    def on_domain(self, sigma: float, domain: tuple[int, ...]) -> SectorMask:
+        """The same checked read-only block as the mask of sector sigma on another
+        domain of equal size, without a second check."""
+        if len(domain) != len(self.domain):
+            raise DimensionMismatch(f"sector {sigma}: block of {len(self.domain)} levels vs {domain}")
+        twin = copy.copy(self)  # copies the fields without running __post_init__
+        object.__setattr__(twin, "sigma", sigma)
+        object.__setattr__(twin, "domain", tuple(domain))
+        return twin
 
     @property
     def mask(self) -> np.ndarray:

@@ -2,9 +2,16 @@
 energy-shift sectors via Laguerre polynomials, dephasing masks from the exact
 Gauss-Laguerre rule for the weight e^{-beta u} with dim nodes (dims up to 186),
 and a Monte Carlo oracle that shares the generator eigenpairs of
-displacement_matrix; expm of the generator is the test oracle.
+displacement_matrix; expm of the generator is the test oracle.  FockParams
+accepts dims up to MAX_DIM, so no bad dim reaches an O(dim^2) allocation.
+
 The Monte Carlo displaces a factor rho = Psi diag(p) Psi^dag of the state
-rather than forming D rho D^dag, so it costs O(samples * dim^2 * rank).
+rather than forming D rho D^dag, and its route follows the rank of Psi.  A
+pure state costs O(samples * dim^2) through two GEMMs per chunk of samples,
+with no per-sample dim x dim product; a mixed state keeps the per-sample
+product, O(samples * dim^2 * rank), because the GEMM form would need rank^2
+rows per sample and is slower for every rank >= 2.  One sample has standard
+error exactly 0.
 
 The channel displaces the mode by a random phase-space translation r*z with z
 uniform on the unit circle and r Rayleigh distributed with scale s.  Rotation
@@ -33,6 +40,10 @@ from .channels import DensityMatrix
 from .errors import InvalidParameter, SectorOutOfRange
 
 _MC_CHUNK = 4096  # fixed chunk size keeps the reduction order deterministic
+# Largest accepted dim.  The spectrum's n^2 sector pairs and laggauss's dim x dim
+# companion matrix are allocated before the rule is known to exist, so an
+# unbounded dim would ask for terabytes; numpy 2.4 has finite rules up to 186.
+MAX_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -46,8 +57,8 @@ class FockParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise InvalidParameter("dim must be at least 2")
+        if not 2 <= self.dim <= MAX_DIM:
+            raise InvalidParameter(f"dim must lie in [2, {MAX_DIM}]")
         # 2 s^2, the quadrature weight's denominator, must be a finite normal float
         # so that 1 / (2 s^2) is finite too; * overflows to inf where ** raises.
         two_var = 2.0 * self.std_dev * self.std_dev
@@ -169,14 +180,20 @@ def displacement_matrix(z: complex, r: float, dim: int) -> np.ndarray:
     return _displacement_batch(np.array([float(r)]), np.array([np.angle(z)]), lam, Q)[0]
 
 
-def _sector_poly_coeffs(a: int, u: np.ndarray, dim: int) -> np.ndarray:
-    """Per-level coefficients of D_a (a >= 0) at u = r^2, without the e^{-u/2} factor.
+def _log_factorials(dim: int) -> np.ndarray:
+    """log k! for k < dim (k! itself overflows past 170)."""
+    return np.array([math.lgamma(k + 1) for k in range(dim)])
+
+
+def _sector_poly_coeffs(a: int, u: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+    """Per-level coefficients of D_a (a >= 0) at u = r^2, without the e^{-u/2} factor,
+    on dim = log_fact.size levels given _log_factorials(dim).
 
     Returns array (dim - a, len(u)); row j is the coefficient carried from
     input level j to output level j + a.
     """
     u = np.asarray(u, dtype=float)
-    log_fact = np.array([math.lgamma(k + 1) for k in range(dim)])  # k! overflows past 170
+    dim = log_fact.size
     ratio = np.exp(0.5 * (log_fact[:dim - a] - log_fact[a:]))  # sqrt(j!/(j+a)!)
     return u ** (a / 2.0) * ratio[:, None] * _laguerre_rows(dim - a - 1, a, u)
 
@@ -193,7 +210,7 @@ def displacement_sector(sigma: int, r: float, dim: int) -> np.ndarray:
         raise ValueError("r must be non-negative")
     if sigma < 0:
         return (-1) ** sigma * displacement_sector(-sigma, r, dim).T
-    coeff = _sector_poly_coeffs(sigma, [r * r], dim)[:, 0] * np.exp(-r * r / 2.0)
+    coeff = _sector_poly_coeffs(sigma, [r * r], _log_factorials(dim))[:, 0] * np.exp(-r * r / 2.0)
     return np.diag(coeff, -sigma).astype(complex)  # column j -> row j + sigma
 
 
@@ -221,40 +238,96 @@ def _quad_nodes(s: float, dim: int):
     return x / beta, w / (2.0 * s * s * beta)
 
 
-def _block_at_nodes(a: int, dim: int, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _block_at_nodes(a: int, log_fact: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """The (dim - a) x (dim - a) block of M_a and M_{-a}: C diag(W) C^T from
     the sector coefficients C at the quadrature nodes and the non-negative
     effective weights W, so PSD by construction."""
-    coeff = _sector_poly_coeffs(a, x, dim)
+    coeff = _sector_poly_coeffs(a, x, log_fact)
     return (coeff * w[None, :]) @ coeff.T
 
 
 def gaussian_mask_matrix(sigma: int, dim: int, s: float) -> np.ndarray:
     """Full mask M_sigma on levels 0..dim-1: its block padded on both axes."""
     a = abs(sigma)
-    return np.pad(_block_at_nodes(a, dim, *_quad_nodes(s, dim)), (a, 0) if sigma < 0 else (0, a))
+    block = _block_at_nodes(a, _log_factorials(dim), *_quad_nodes(s, dim))
+    return np.pad(block, (a, 0) if sigma < 0 else (0, a))
 
 
 def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
-    """Sectors for sigma in [-sigma_max, sigma_max] plus per-level TP defects."""
+    """Sectors for sigma in [-sigma_max, sigma_max] plus per-level TP defects.
+
+    M_a and M_{-a} share one block, so each block is built and checked once
+    (one SectorMask) and its mirror reuses the checked read-only array.
+    """
     dim, s = params.dim, params.std_dev
-    spec = integer_spectrum(dim)
     x, w = _quad_nodes(s, dim)
-    blocks = [_block_at_nodes(a, dim, x, w) for a in range(params.sigma_max + 1)]
+    spec = integer_spectrum(dim)
+    log_fact = _log_factorials(dim)
+    checked: dict[int, cov.SectorMask] = {}
     sectors = []
     diag_sum = np.zeros(dim)
     for sigma in range(-params.sigma_max, params.sigma_max + 1):
         shift = cov.partial_shift(spec, float(sigma))
-        block = blocks[abs(sigma)]
-        diag_sum[list(shift.domain)] += np.diag(block)
-        sectors.append((shift, cov.SectorMask(sigma=shift.sigma, domain_submatrix=block,
-                                               domain=shift.domain, dim=dim)))
+        a = abs(sigma)
+        if a in checked:
+            mask = checked[a].on_domain(shift.sigma, shift.domain)
+        else:
+            mask = checked[a] = cov.SectorMask(
+                sigma=shift.sigma, domain_submatrix=_block_at_nodes(a, log_fact, x, w),
+                domain=shift.domain, dim=dim)
+        diag_sum[list(shift.domain)] += np.diag(mask.domain_submatrix)
+        sectors.append((shift, mask))
     return GaussianDecomposition(
         params=params,
         spectrum=spec,
         sectors=tuple(sectors),
         truncation_defect=np.abs(1.0 - diag_sum),
     )
+
+
+def _unit_powers(z: np.ndarray, count: int) -> np.ndarray:
+    """Columns z^0 ... z^(count-1) of the unit-modulus z, by repeated doubling:
+    log2(count) products, each power at most log2(count) roundings from exact."""
+    out = np.empty((z.size, count), dtype=complex)
+    out[:, 0] = 1.0
+    zk, k = z, 1  # zk = z^k
+    while k < count:
+        step = min(k, count - k)
+        np.multiply(out[:, :step], zk[:, None], out=out[:, k:k + step])
+        zk, k = zk * zk, k + step
+    return out
+
+
+def _generator_phases(r: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """e^{i r lam} as (len(r), dim).  The spectrum of -i (a^dag - a) is symmetric
+    (diag((-1)^j) maps the generator to its negative), so with lam ascending the
+    lower half is the conjugate of the upper half mirrored, and only the upper
+    half needs cos and sin."""
+    half = lam.size // 2
+    rl = np.outer(r, lam[half:])
+    out = np.empty((r.size, lam.size), dtype=complex)
+    np.cos(rl, out=out.real[:, half:])
+    np.sin(rl, out=out.imag[:, half:])
+    np.conj(out[:, ::-1][:, :half], out=out[:, :half])
+    return out
+
+
+def _chunk_moments(v: np.ndarray, p: np.ndarray):
+    """Sums over one chunk of out_s = V_s diag(p) V_s^dag and of |out_s|^2
+    entrywise, where v[s, c] is column c of V_s = D_s Psi, so v is (m, rank, dim).
+
+    At rank 1, with V = v[:, 0] the (m, dim) matrix of displaced columns, the
+    sums are V^T (p conj(V)) and, as |out_s(j, k)|^2 = p^2 |V(s, j)|^2 |V(s, k)|^2,
+    p^2 (|V|^2)^T |V|^2: one complex and one real GEMM, no out_s.
+    """
+    if p.size == 1:
+        vec = v[:, 0, :]
+        mod2 = vec.real ** 2 + vec.imag ** 2
+        return vec.T @ (p[0] * vec.conj()), p[0] ** 2 * (mod2.T @ mod2)
+    out = np.swapaxes(v, 1, 2) @ (v.conj() * p[:, None])
+    flat = out.view(float).reshape(out.shape[0], -1)  # real and imaginary parts interleaved
+    sq = np.einsum("si,si->i", flat, flat).reshape(out.shape[1:] + (2,)).sum(axis=2)
+    return out.sum(axis=0), sq
 
 
 def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloResult:
@@ -266,13 +339,21 @@ def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloRes
     columns with |p| <= 1e-14 max|p| are dropped.  Each sample displaces the
     factor, D Psi = R_theta Q (e^{i r lam} * (Q^dag R_theta^dag Psi)), as one
     product of the input phases with the fixed Q^dag Psi array and one with
-    Q, and contributes (D Psi) diag(p) (D Psi)^dag.  No dim x dim
-    displacement is formed: the cost is O(samples * dim^2 * rank).
+    Q; no dim x dim displacement is formed.  The phases e^{i theta j} are
+    powers of one e^{i theta}, and e^{i r lam} comes from cos and sin.
+
+    The route follows the rank of the factor.  A pure state (every caller in
+    this package samples one) costs O(samples * dim^2) through two GEMMs per
+    chunk and never forms a per-sample dim x dim product.  A mixed state
+    forms (D Psi) diag(p) (D Psi)^dag per sample, O(samples * dim^2 * rank):
+    the GEMM form would need rank^2 rows per sample, and it measured slower
+    than the per-sample product for every rank >= 2.
 
     The uniforms are drawn chunk by chunk from the counter-based Philox
     stream keyed by the seed (the same numbers as one draw of all of them),
     so results are bit-reproducible, memory does not grow with the sample
-    count, and the chunked reduction runs in a fixed order.
+    count, and the chunked reduction runs in a fixed order.  One sample has
+    standard error exactly 0, its population variance.
     """
     dim = params.dim
     if rho.dim != dim:
@@ -285,26 +366,26 @@ def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloRes
     rank = p.size
 
     lam, Q = _generator_eigenpairs(dim)
-    levels = np.arange(dim)
     qpsi = (psi[:, :, None] * Q.conj()[:, None, :]).reshape(dim, rank * dim)  # [j, (c, l)]
     acc = np.zeros((dim, dim), dtype=complex)
-    acc_sq = np.zeros(2 * dim * dim)  # squared real and imaginary parts, interleaved
+    acc_sq = np.zeros((dim, dim))
     for i0 in range(0, n, _MC_CHUNK):
         m = min(_MC_CHUNK, n - i0)
         u = rng.random((m, 2))
         r = params.std_dev * np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        ph = np.exp(2j * np.pi * np.outer(u[:, 1], levels))  # diagonal of R_theta^dag
-        w = (ph @ qpsi).reshape(m, rank, dim) * np.exp(1j * np.outer(r, lam))[:, None, :]
+        ph = _unit_powers(np.exp(2j * np.pi * u[:, 1]), dim)  # diagonal of R_theta^dag
+        w = (ph @ qpsi).reshape(m, rank, dim) * _generator_phases(r, lam)[:, None, :]
         v = (w.reshape(m * rank, dim) @ Q.T).reshape(m, rank, dim) * ph.conj()[:, None, :]
-        out = np.swapaxes(v, 1, 2) @ (v.conj() * p[:, None])  # v[s, c] is column c of D Psi
-        acc += out.sum(axis=0)
-        flat = out.view(float).reshape(m, -1)
-        acc_sq += np.einsum("si,si->i", flat, flat)
-        del out, flat  # two chunk products alive at once would double the peak memory
+        part, part_sq = _chunk_moments(v, p)
+        acc += part
+        acc_sq += part_sq
     mean = acc / n
-    sq = acc_sq.reshape(dim, dim, 2).sum(axis=2)
-    # |mean|^2 in the form acc_sq sums, so that one sample has variance exactly 0
-    var = np.maximum(sq / n - (mean.real ** 2 + mean.imag ** 2), 0.0)
+    if n == 1:
+        # acc and acc_sq round differently on the pure-state route, so
+        # acc_sq - |mean|^2 would leave ~1e-17 where the exact variance is 0.
+        var = np.zeros((dim, dim))
+    else:
+        var = np.maximum(acc_sq / n - (mean.real ** 2 + mean.imag ** 2), 0.0)
     return MonteCarloResult(
         mean=mean, standard_error=np.sqrt(var / n), samples=n
     )

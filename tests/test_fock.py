@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 import covchan as cc
-from covchan import fock
+from covchan import cli, fock
 from covchan.channels import EPS_PSD
 from covchan.errors import InvalidParameter, SectorOutOfRange
 
@@ -174,6 +175,19 @@ class TestGaussianMasks:
             m = mask_entry(0, 0, 0, s)
             assert m == pytest.approx(1.0 / (1.0 + 2.0 * s * s), abs=1e-10)
 
+    @settings(derandomize=True, max_examples=60, deadline=None, database=None)
+    @given(s=st.floats(0.05, 1.0), data=st.data())
+    def test_vacuum_output_is_thermal(self, s, data):
+        # The additive-noise channel sends the vacuum to the thermal state with
+        # mean photon number N = 2 s^2, so M_a(0, 0) = M_{-a}(a, a) = N^a / (1+N)^(a+1).
+        # The rule is exact for these degree-a integrands at every dim.
+        dim = data.draw(st.integers(2, 120), label="dim")
+        a = data.draw(st.integers(0, dim - 1), label="a")
+        n_th = 2.0 * s * s
+        want = n_th ** a / (1.0 + n_th) ** (a + 1)
+        assert abs(fock.gaussian_mask_matrix(a, dim, s)[0, 0] - want) <= 1e-12
+        assert abs(fock.gaussian_mask_matrix(-a, dim, s)[a, a] - want) <= 1e-12
+
     @pytest.mark.parametrize("sigma", [0, 1, 3])
     def test_entries_against_adaptive_quadrature(self, sigma):
         s = 0.5
@@ -268,6 +282,29 @@ class TestGaussianDecomposition:
     def test_params_reject_non_finite_std_dev_and_bad_seed(self, kwargs):
         with pytest.raises(InvalidParameter):
             fock.FockParams(dim=4, **kwargs)
+
+    def test_params_reject_huge_dim_before_allocating(self):
+        with pytest.raises(InvalidParameter):
+            fock.FockParams(dim=fock.MAX_DIM + 1, std_dev=0.5)
+        with pytest.raises(InvalidParameter):
+            fock.FockParams(dim=1_000_000, std_dev=0.5)
+        assert fock.FockParams(dim=fock.MAX_DIM, std_dev=0.5).dim == fock.MAX_DIM
+        assert cli.main(["gaussian", "--std-dev", "0.5", "--dim", "1000000"]) == 2
+        assert cli.main(["mc-gaussian", "--std-dev", "0.5", "--dim", "1000000"]) == 2
+
+    def test_checks_each_distinct_block_once(self, monkeypatch):
+        # M_a and M_{-a} share one block: sigma_max + 1 eigensolves, not 2 sigma_max + 1.
+        params = fock.FockParams(dim=12, std_dev=0.5, sigma_max=7)
+        nodes = fock._quad_nodes(params.std_dev, params.dim)  # laggauss solves its own eigenproblem
+        monkeypatch.setattr(fock, "_quad_nodes", lambda s, dim: nodes)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        decomp = fock.gaussian_decomposition(params)
+        assert sorted(calls) == [(12 - a, 12 - a) for a in range(7, -1, -1)]
+        for a in range(1, 8):
+            assert decomp.mask(-a).domain_submatrix is decomp.mask(a).domain_submatrix
+            assert decomp.mask(-a).domain == tuple(range(a, 12))
 
     def test_large_dim_is_finite(self):
         # Past the old 93-level cap: the dim-node rule exists up to dim 186.
@@ -388,3 +425,43 @@ class TestMonteCarloFactored:
         ratio = dev / allowed
         worst = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
         assert (rep.max_entry_deviation, rep.worst_ratio) == (dev[worst], ratio[worst])
+
+    @pytest.mark.parametrize("dim", [16, 32])
+    @pytest.mark.parametrize("vacuum", [True, False])
+    def test_pure_states_past_the_property_dims(self, dim, vacuum):
+        vec = np.zeros(dim, dtype=complex)
+        if vacuum:
+            vec[0] = 1.0
+        else:
+            rng = np.random.default_rng(dim)
+            vec[:6] = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+            vec /= np.linalg.norm(vec)
+        rho = cc.DensityMatrix(np.outer(vec, vec.conj()))
+        params = fock.FockParams(dim=dim, std_dev=0.7, mc_samples=5000, seed=dim + 1)
+        got = fock.monte_carlo_channel(rho, params)
+        want = monte_carlo_by_full_displacement(rho, params)
+        np.testing.assert_allclose(got.mean, want.mean, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(got.standard_error, want.standard_error, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("weights", [[1.0], [0.5, 0.3, 0.2]])
+    def test_one_sample_has_zero_standard_error(self, weights):
+        rho = cc.DensityMatrix(np.diag(np.r_[weights, np.zeros(6 - len(weights))]).astype(complex))
+        params = fock.FockParams(dim=6, std_dev=0.5, mc_samples=1, seed=3)
+        res = fock.monte_carlo_channel(rho, params)
+        assert np.all(res.standard_error == 0.0)
+        assert np.max(np.abs(res.mean)) > 0.0
+
+    def test_pure_state_forms_no_chunk_product(self):
+        # One (4096, 32, 32) complex chunk product alone is 64 MiB.
+        dim = 32
+        vac = np.zeros((dim, dim), dtype=complex)
+        vac[0, 0] = 1.0
+        rho = cc.DensityMatrix(vac)
+        params = fock.FockParams(dim=dim, std_dev=0.5, mc_samples=4096, seed=1)
+        tracemalloc.start()
+        try:
+            fock.monte_carlo_channel(rho, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * dim * dim * 16
