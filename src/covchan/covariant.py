@@ -48,6 +48,9 @@ class Spectrum:
     above match_tol starting a new cluster: sigmas[i] is the mean of cluster
     i and sector_pairs[i] its flat Choi pairs j' * n + j, by input level j.
     A cluster holding a level twice is no partial permutation and raises.
+    The map is built with no loop over clusters: the pairs are sorted by
+    (cluster, input level) and split at the cluster starts, the means are one
+    reduceat, and a level held twice shows as equal neighbouring sorted keys.
     """
 
     energies: np.ndarray
@@ -75,15 +78,23 @@ class Spectrum:
         ranked = diffs[order]
         cuts = np.flatnonzero(np.diff(ranked) > tol) + 1
         starts, ends = np.r_[0, cuts], np.r_[cuts, n * n]
-        sector_pairs = [order[lo:hi][np.argsort(order[lo:hi] % n)]
-                        for lo, hi in zip(starts, ends)]
-        sigmas = np.array([np.mean(ranked[lo:hi]) for lo, hi in zip(starts, ends)])
-        for sigma, pairs in zip(sigmas, sector_pairs):
-            if np.unique(pairs % n).size + np.unique(pairs // n).size < 2 * pairs.size:
-                raise DegenerateSpectrum(
-                    f"energy differences near {sigma:.9g} chain within match_tol "
-                    f"{tol:.3e} into one sector that holds a level twice"
-                )
+        cluster = np.repeat(np.arange(starts.size), ends - starts)  # per ranked difference
+        in_key = cluster * n + order % n
+        by_input = np.argsort(in_key, kind="stable")
+        sector_pairs = np.split(order[by_input], cuts)
+        # np.mean's reduction is 0 + pairwise(cluster); reduceat would add the first
+        # difference to the pairwise sum of the rest, so each run starts with a 0.
+        padded = np.zeros(n * n + starts.size)
+        padded[np.arange(n * n) + cluster + 1] = ranked
+        sigmas = np.add.reduceat(padded, starts + np.arange(starts.size)) / (ends - starts)
+        in_key = in_key[by_input]
+        out_key = np.sort(cluster * n + order // n)
+        twice = (in_key[1:] == in_key[:-1]) | (out_key[1:] == out_key[:-1])
+        if twice.any():
+            raise DegenerateSpectrum(
+                f"energy differences near {sigmas[cluster[1:][twice][0]]:.9g} chain within "
+                f"match_tol {tol:.3e} into one sector that holds a level twice"
+            )
         spans = np.stack([ranked[starts], ranked[ends - 1]])  # lowest, highest
         for arr in (en, sigmas, spans, *sector_pairs):
             arr.setflags(write=False)

@@ -5,6 +5,13 @@ and a Monte Carlo oracle that shares the generator eigenpairs of
 displacement_matrix; expm of the generator is the test oracle.  FockParams
 accepts dims up to MAX_DIM, so no bad dim reaches an O(dim^2) allocation.
 
+The masks need L_j^(a) at the dim nodes for every order a = |sigma|.  One
+three-term recurrence runs over _LAGUERRE_CHUNK consecutive orders at once,
+so gaussian_decomposition takes about dim^2 / (2 chunk) Python steps rather
+than dim^2 / 2, and each entry gets the same float operations as from a
+recurrence of its own order alone.  The chunk bounds memory: its rows hold
+chunk * dim^2 floats, where one recurrence over all orders would hold dim^3.
+
 The Monte Carlo displaces a factor rho = Psi diag(p) Psi^dag of the state
 rather than forming D rho D^dag, and its route follows the rank of Psi.  A
 pure state costs O(samples * dim^2) through two GEMMs per chunk of samples,
@@ -40,10 +47,19 @@ from .channels import DensityMatrix
 from .errors import InvalidParameter, SectorOutOfRange
 
 _MC_CHUNK = 4096  # fixed chunk size keeps the reduction order deterministic
+_LAGUERRE_CHUNK = 16  # orders per batched Laguerre recurrence (see the module docstring)
 # Largest accepted dim.  The spectrum's n^2 sector pairs and laggauss's dim x dim
 # companion matrix are allocated before the rule is known to exist, so an
 # unbounded dim would ask for terabytes; numpy 2.4 has finite rules up to 186.
 MAX_DIM = 1024
+
+
+def _check_std_dev(s: float) -> None:
+    """2 s^2, the quadrature weight's denominator, must be a finite normal float
+    so that 1 / (2 s^2) is finite too; * overflows to inf where ** raises."""
+    two_var = 2.0 * s * s
+    if not (s > 0.0 and np.finfo(float).tiny <= two_var < math.inf):
+        raise InvalidParameter("std_dev must be positive with 2 std_dev^2 a finite normal float")
 
 
 @dataclass(frozen=True)
@@ -59,11 +75,7 @@ class FockParams:
     def __post_init__(self):
         if not 2 <= self.dim <= MAX_DIM:
             raise InvalidParameter(f"dim must lie in [2, {MAX_DIM}]")
-        # 2 s^2, the quadrature weight's denominator, must be a finite normal float
-        # so that 1 / (2 s^2) is finite too; * overflows to inf where ** raises.
-        two_var = 2.0 * self.std_dev * self.std_dev
-        if not (self.std_dev > 0.0 and np.finfo(float).tiny <= two_var < math.inf):
-            raise InvalidParameter("std_dev must be positive with 2 std_dev^2 a finite normal float")
+        _check_std_dev(self.std_dev)
         if self.sigma_max == 0:
             object.__setattr__(self, "sigma_max", self.dim - 1)
         if not 0 < self.sigma_max < self.dim:
@@ -131,10 +143,17 @@ def integer_spectrum(dim: int) -> cov.Spectrum:
     return cov.Spectrum(energies=np.arange(dim, dtype=float))
 
 
-def _laguerre_rows(jmax: int, alpha: int, x: np.ndarray) -> np.ndarray:
-    """Rows L_0^(alpha)(x) ... L_jmax^(alpha)(x), stable three-term recurrence."""
-    rows = np.zeros((jmax + 2,) + x.shape)  # rows[k + 1] is L_k, starting from L_-1 = 0
-    rows[1] = 1.0
+def _laguerre_rows(jmax: int, alpha, x: np.ndarray) -> np.ndarray:
+    """Rows L_0^(alpha)(x) ... L_jmax^(alpha)(x), stable three-term recurrence.
+
+    alpha may be an array of orders: row k then has shape alpha.shape + x.shape,
+    and each entry gets the same float operations, in the same order, as it
+    would from a scalar alpha, so one recurrence serves a batch of sectors.
+    """
+    alpha = np.asarray(alpha)
+    alpha = alpha.reshape(alpha.shape + (1,) * x.ndim)
+    rows = np.zeros((jmax + 2,) + np.broadcast_shapes(alpha.shape, x.shape))
+    rows[1] = 1.0  # rows[k + 1] is L_k, starting from L_-1 = 0
     for k in range(jmax):
         rows[k + 2] = ((2 * k + 1 + alpha - x) * rows[k + 1] - (k + alpha) * rows[k]) / (k + 1)
     return rows[1:]
@@ -174,8 +193,8 @@ def displacement_matrix(z: complex, r: float, dim: int) -> np.ndarray:
     z = complex(z)
     if abs(abs(z) - 1.0) > 1e-12:
         raise ValueError("z must lie on the unit circle")
-    if r < 0:
-        raise ValueError("r must be non-negative")
+    if not 0.0 <= r < math.inf:  # also false for NaN
+        raise ValueError("r must be finite and non-negative")
     lam, Q = _generator_eigenpairs(dim)
     return _displacement_batch(np.array([float(r)]), np.array([np.angle(z)]), lam, Q)[0]
 
@@ -185,17 +204,20 @@ def _log_factorials(dim: int) -> np.ndarray:
     return np.array([math.lgamma(k + 1) for k in range(dim)])
 
 
-def _sector_poly_coeffs(a: int, u: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
+def _sector_poly_coeffs(a: int, u: np.ndarray, log_fact: np.ndarray, lag=None) -> np.ndarray:
     """Per-level coefficients of D_a (a >= 0) at u = r^2, without the e^{-u/2} factor,
-    on dim = log_fact.size levels given _log_factorials(dim).
+    on dim = log_fact.size levels given _log_factorials(dim).  lag holds the
+    rows L_0^(a)(u) ... L_{dim-a-1}^(a)(u) when a batched recurrence made them.
 
     Returns array (dim - a, len(u)); row j is the coefficient carried from
     input level j to output level j + a.
     """
     u = np.asarray(u, dtype=float)
     dim = log_fact.size
+    if lag is None:
+        lag = _laguerre_rows(dim - a - 1, a, u)
     ratio = np.exp(0.5 * (log_fact[:dim - a] - log_fact[a:]))  # sqrt(j!/(j+a)!)
-    return u ** (a / 2.0) * ratio[:, None] * _laguerre_rows(dim - a - 1, a, u)
+    return u ** (a / 2.0) * ratio[:, None] * lag
 
 
 def displacement_sector(sigma: int, r: float, dim: int) -> np.ndarray:
@@ -206,8 +228,8 @@ def displacement_sector(sigma: int, r: float, dim: int) -> np.ndarray:
     """
     if abs(sigma) >= dim:
         raise SectorOutOfRange(f"|sigma| = {abs(sigma)} must be < dim = {dim}")
-    if r < 0:
-        raise ValueError("r must be non-negative")
+    if not 0.0 <= r < math.inf:
+        raise ValueError("r must be finite and non-negative")
     if sigma < 0:
         return (-1) ** sigma * displacement_sector(-sigma, r, dim).T
     coeff = _sector_poly_coeffs(sigma, [r * r], _log_factorials(dim))[:, 0] * np.exp(-r * r / 2.0)
@@ -238,17 +260,38 @@ def _quad_nodes(s: float, dim: int):
     return x / beta, w / (2.0 * s * s * beta)
 
 
-def _block_at_nodes(a: int, log_fact: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _block_at_nodes(a: int, log_fact: np.ndarray, x: np.ndarray, w: np.ndarray,
+                    lag=None) -> np.ndarray:
     """The (dim - a) x (dim - a) block of M_a and M_{-a}: C diag(W) C^T from
     the sector coefficients C at the quadrature nodes and the non-negative
     effective weights W, so PSD by construction."""
-    coeff = _sector_poly_coeffs(a, x, log_fact)
+    coeff = _sector_poly_coeffs(a, x, log_fact, lag)
     return (coeff * w[None, :]) @ coeff.T
 
 
+def _blocks_at_nodes(sigma_max: int, log_fact: np.ndarray, x: np.ndarray,
+                     w: np.ndarray) -> list[np.ndarray]:
+    """The blocks for |sigma| = 0 .. sigma_max, one batched Laguerre recurrence
+    per _LAGUERRE_CHUNK consecutive orders.  Orders a0 .. a0 + chunk - 1 share
+    the dim - a0 rows the lowest one needs; the rows past dim - a are dropped."""
+    dim = log_fact.size
+    blocks = []
+    for a0 in range(0, sigma_max + 1, _LAGUERRE_CHUNK):
+        orders = range(a0, min(a0 + _LAGUERRE_CHUNK, sigma_max + 1))
+        lag = _laguerre_rows(dim - a0 - 1, np.array(orders), x)  # (dim - a0, chunk, nodes)
+        blocks += [_block_at_nodes(a, log_fact, x, w, lag[:dim - a, a - a0]) for a in orders]
+    return blocks
+
+
 def gaussian_mask_matrix(sigma: int, dim: int, s: float) -> np.ndarray:
-    """Full mask M_sigma on levels 0..dim-1: its block padded on both axes."""
+    """Full mask M_sigma on levels 0..dim-1: its block padded on both axes.
+    s is checked as FockParams checks it; dim may be 1, where M_0 = 1/(1 + 2 s^2)."""
+    if not 1 <= dim <= MAX_DIM:
+        raise InvalidParameter(f"dim must lie in [1, {MAX_DIM}]")
+    _check_std_dev(s)
     a = abs(sigma)
+    if a >= dim:
+        raise SectorOutOfRange(f"|sigma| = {a} must be < dim = {dim}")
     block = _block_at_nodes(a, _log_factorials(dim), *_quad_nodes(s, dim))
     return np.pad(block, (a, 0) if sigma < 0 else (0, a))
 
@@ -262,7 +305,7 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     dim, s = params.dim, params.std_dev
     x, w = _quad_nodes(s, dim)
     spec = integer_spectrum(dim)
-    log_fact = _log_factorials(dim)
+    blocks = _blocks_at_nodes(params.sigma_max, _log_factorials(dim), x, w)
     checked: dict[int, cov.SectorMask] = {}
     sectors = []
     diag_sum = np.zeros(dim)
@@ -273,7 +316,7 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
             mask = checked[a].on_domain(shift.sigma, shift.domain)
         else:
             mask = checked[a] = cov.SectorMask(
-                sigma=shift.sigma, domain_submatrix=_block_at_nodes(a, log_fact, x, w),
+                sigma=shift.sigma, domain_submatrix=blocks[a],
                 domain=shift.domain, dim=dim)
         diag_sum[list(shift.domain)] += np.diag(mask.domain_submatrix)
         sectors.append((shift, mask))

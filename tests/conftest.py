@@ -8,7 +8,13 @@ from covchan import channels as mc
 from covchan import fock
 from covchan import timing as tim
 from covchan.covariant import evolve_matrix
-from covchan.errors import DimensionMismatch, InvalidParameter, NotPeriodic, NotReliableTiming
+from covchan.errors import (
+    DegenerateSpectrum,
+    DimensionMismatch,
+    InvalidParameter,
+    NotPeriodic,
+    NotReliableTiming,
+)
 
 FIXTURES = __import__("pathlib").Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -93,6 +99,39 @@ def scatter_projection_defect(channel: cc.Channel, decomp) -> float:
         idx = [int(np.argmax(np.abs(shift.matrix[:, j]))) * n + j for j in dom]
         recon[np.ix_(idx, idx)] = mask.mask[np.ix_(dom, dom)]
     return float(np.linalg.norm(cc.choi_of(channel).matrix - recon))
+
+
+def laguerre_rows_per_order(jmax: int, alpha: int, x: np.ndarray) -> np.ndarray:
+    """Oracle for fock._laguerre_rows: one scalar order per recurrence.
+    Rows L_0^(alpha)(x) ... L_jmax^(alpha)(x), stable three-term recurrence."""
+    rows = np.zeros((jmax + 2,) + x.shape)  # rows[k + 1] is L_k, starting from L_-1 = 0
+    rows[1] = 1.0
+    for k in range(jmax):
+        rows[k + 2] = ((2 * k + 1 + alpha - x) * rows[k + 1] - (k + alpha) * rows[k]) / (k + 1)
+    return rows[1:]
+
+
+def sector_map_by_cluster_loop(energies: np.ndarray, tol: float):
+    """Oracle (sigmas, sector_pairs) for the Spectrum sector map at the resolved
+    match_tol: an argsort, a mean and two unique calls per cluster, raising
+    DegenerateSpectrum where a cluster holds a level twice."""
+    en = np.asarray(energies, dtype=float)
+    n = en.size
+    diffs = (en[:, None] - en[None, :]).reshape(-1)
+    order = np.argsort(diffs, kind="stable")
+    ranked = diffs[order]
+    cuts = np.flatnonzero(np.diff(ranked) > tol) + 1
+    starts, ends = np.r_[0, cuts], np.r_[cuts, n * n]
+    sector_pairs = [order[lo:hi][np.argsort(order[lo:hi] % n)]
+                    for lo, hi in zip(starts, ends)]
+    sigmas = np.array([np.mean(ranked[lo:hi]) for lo, hi in zip(starts, ends)])
+    for sigma, pairs in zip(sigmas, sector_pairs):
+        if np.unique(pairs % n).size + np.unique(pairs // n).size < 2 * pairs.size:
+            raise DegenerateSpectrum(
+                f"energy differences near {sigma:.9g} chain within match_tol "
+                f"{tol:.3e} into one sector that holds a level twice"
+            )
+    return sigmas, sector_pairs
 
 
 def monte_carlo_by_full_displacement(rho: cc.DensityMatrix,

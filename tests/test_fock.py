@@ -14,7 +14,7 @@ from covchan import cli, fock
 from covchan.channels import EPS_PSD
 from covchan.errors import InvalidParameter, SectorOutOfRange
 
-from conftest import monte_carlo_by_full_displacement
+from conftest import laguerre_rows_per_order, monte_carlo_by_full_displacement
 
 
 def laguerre_sum(j, alpha, x):
@@ -80,6 +80,22 @@ class TestLaguerre:
         with pytest.raises(ValueError):
             fock.laguerre(-1, 0, 1.0)
 
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(jmax=st.integers(0, 60), a0=st.integers(0, 60), count=st.integers(1, 40),
+           nodes=st.lists(st.floats(0.0, 1e3), max_size=6))
+    def test_batched_rows_equal_per_order_oracle(self, jmax, a0, count, nodes):
+        # Runs of up to 40 orders cross the chunks gaussian_decomposition batches;
+        # x = 0, a large node and two nodes that are not short binary fractions
+        # are always present.
+        x = np.array([0.0, 740.0, math.pi, 10.0 * math.e] + nodes)
+        rows = fock._laguerre_rows(jmax, np.arange(a0, a0 + count), x)
+        assert rows.shape == (jmax + 1, count, x.size)
+        for i in range(count):
+            want = laguerre_rows_per_order(jmax, a0 + i, x)
+            assert rows[:, i].tobytes() == want.tobytes()
+        assert fock._laguerre_rows(jmax, a0, x).tobytes() == laguerre_rows_per_order(
+            jmax, a0, x).tobytes()
+
 
 def safe_limit(dim, r):
     """Highest level where the truncated exponential is still trustworthy.
@@ -105,6 +121,11 @@ class TestDisplacementMatrix:
             fock.displacement_matrix(0.5, 1.0, 4)
         with pytest.raises(ValueError):
             fock.displacement_matrix(1.0, -0.1, 4)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_r(self, r):
+        with pytest.raises(ValueError):
+            fock.displacement_matrix(1.0, r, 4)
 
 
 class TestDisplacementSector:
@@ -151,6 +172,12 @@ class TestDisplacementSector:
     def test_sector_out_of_range(self):
         with pytest.raises(SectorOutOfRange):
             fock.displacement_sector(6, 0.5, 6)
+
+    @pytest.mark.parametrize("sigma", [2, -2])
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -0.5])
+    def test_rejects_r_that_is_not_finite_and_non_negative(self, sigma, r):
+        with pytest.raises(ValueError):
+            fock.displacement_sector(sigma, r, 4)
 
 
 def mask_entry(sigma, j, k, s):
@@ -216,6 +243,25 @@ class TestGaussianMasks:
         minus = fock.gaussian_mask_matrix(-a, dim, s)
         np.testing.assert_allclose(minus[a:, a:], plus[:dim - a, :dim - a],
                                    atol=1e-12)
+
+    @pytest.mark.parametrize("sigma, dim, s, error", [
+        (4, 4, 0.5, SectorOutOfRange),  # |sigma| = dim
+        (-4, 4, 0.5, SectorOutOfRange),
+        (6, 4, 0.5, SectorOutOfRange),  # |sigma| > dim
+        (1, 1, 0.5, SectorOutOfRange),  # dim 1 holds sector 0 only
+        (0, 0, 0.5, InvalidParameter),
+        (0, fock.MAX_DIM + 1, 0.5, InvalidParameter),
+        (0, 4, 0.0, InvalidParameter),  # s = 0
+        (0, 4, -0.5, InvalidParameter),  # s < 0
+        (0, 4, math.nan, InvalidParameter),
+    ])
+    def test_rejects_bad_input(self, sigma, dim, s, error):
+        with pytest.raises(error):
+            fock.gaussian_mask_matrix(sigma, dim, s)
+
+    def test_one_level(self):
+        np.testing.assert_allclose(fock.gaussian_mask_matrix(0, 1, 0.5), [[1.0 / 1.5]],
+                                   rtol=0.0, atol=1e-15)
 
     @pytest.mark.parametrize("dim", [4, 8, 12])
     def test_masks_against_exact_integration(self, dim):
@@ -306,11 +352,72 @@ class TestGaussianDecomposition:
             assert decomp.mask(-a).domain_submatrix is decomp.mask(a).domain_submatrix
             assert decomp.mask(-a).domain == tuple(range(a, 12))
 
+    def test_one_recurrence_per_chunk_of_orders(self, monkeypatch):
+        # One recurrence per |sigma| would make 64 calls at dim 64.
+        calls = []
+        rows = fock._laguerre_rows
+        monkeypatch.setattr(fock, "_laguerre_rows",
+                            lambda jmax, alpha, x: calls.append(jmax) or rows(jmax, alpha, x))
+        fock.gaussian_decomposition(fock.FockParams(dim=64, std_dev=0.5))
+        assert 1 <= len(calls) <= math.ceil(64 / fock._LAGUERRE_CHUNK) <= 8
+
+    def test_blocks_equal_per_order_route(self):
+        # dim 40 spans three chunks of orders; each block is the per-order
+        # (C w) @ C^T bit for bit.
+        dim, s = 40, 0.3
+        decomp = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=s))
+        x, w = fock._quad_nodes(s, dim)
+        log_fact = fock._log_factorials(dim)
+        for a in range(dim):
+            coeff = fock._sector_poly_coeffs(
+                a, x, log_fact, laguerre_rows_per_order(dim - a - 1, a, x))
+            want = (coeff * w[None, :]) @ coeff.T
+            assert decomp.mask(a).domain_submatrix.tobytes() == want.tobytes()
+
     def test_large_dim_is_finite(self):
         # Past the old 93-level cap: the dim-node rule exists up to dim 186.
         decomp = fock.gaussian_decomposition(fock.FockParams(dim=120, std_dev=1.0))
         assert all(np.all(np.isfinite(m.mask)) for m in decomp.masks)
         assert decomp.mask(0).mask[0, 0].real == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+def entropy_bits(vals):
+    vals = vals[vals > 0.0]
+    return float(-(vals * np.log2(vals)).sum())
+
+
+def thermal_coherent_information(s, n_bar):
+    """Closed-form I_c of the additive-noise channel (N = 2 s^2) at the thermal
+    input of mean photon number n_bar: g(n_bar + N) - g(nu_+ - 1/2) - g(nu_- - 1/2)
+    with the symplectic eigenvalues nu_+- of the joint output."""
+    def g(v):
+        return (v + 1.0) * math.log2(v + 1.0) - (v * math.log2(v) if v > 0.0 else 0.0)
+
+    n_th = 2.0 * s * s
+    a, b, c = n_bar + 0.5, n_bar + n_th + 0.5, math.sqrt(n_bar * (n_bar + 1.0))
+    root = math.sqrt((a + b) ** 2 - 4.0 * c * c)
+    return g(n_bar + n_th) - g((root + b - a) / 2.0 - 0.5) - g((root - b + a) / 2.0 - 0.5)
+
+
+class TestThermalCoherentInformation:
+    @pytest.mark.parametrize("s, n_bar, dim", [(0.2, 1.0, 80), (0.3, 2.0, 140), (0.1, 5.0, 186)])
+    def test_masks_match_closed_form(self, s, n_bar, dim):
+        # rho = diag(p) is time invariant, so G(rho) is diagonal (level j + sigma
+        # receives M_sigma(j, j) p_j) and the complementary output has the
+        # spectrum of the direct sum of D^(1/2) M_sigma D^(1/2), D = diag(p) on
+        # the sector's domain.  The thermal tail past dim is below 2e-15.
+        decomp = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=s))
+        levels = np.arange(dim)
+        p = n_bar ** levels / (1.0 + n_bar) ** (levels + 1)
+        out = np.zeros(dim)
+        env = []
+        for shift, mask in decomp.sectors:
+            dom = list(shift.domain)
+            out[list(shift.image)] += np.diag(mask.domain_submatrix) * p[dom]
+            root = np.sqrt(p[dom])
+            env.append(np.linalg.eigvalsh(root[:, None] * mask.domain_submatrix * root[None, :]))
+        got = entropy_bits(out) - entropy_bits(np.concatenate(env))
+        assert abs(got - thermal_coherent_information(s, n_bar)) <= 1e-10
 
 
 class TestMonteCarlo:

@@ -10,6 +10,9 @@ import covchan as cc
 from covchan import channels as mcore
 from covchan import covariant as cov
 from covchan import generate as gen
+from covchan.errors import DegenerateSpectrum
+
+from conftest import sector_map_by_cluster_loop
 
 # Derandomized with a bounded example count: every run draws the same
 # examples, and the suite stays fast.
@@ -128,3 +131,85 @@ def test_block_scatter_equals_the_kraus_route(family, data):
     want = mcore.apply_matrix(cov.reconstruct(decomp), X)
     got = cov.apply_sectors(decomp.sectors, X)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@FAMILIES
+@PROPERTY
+@given(data=st.data())
+def test_bochner_gram_matrix_is_psd(family, data):
+    spec = data.draw(SPECTRA[family])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    chan = gen.random_covariant(spec, rng)
+    K = gen.random_psd(spec.dim, rng)
+    rho = gen.random_state(spec.dim, rng)
+    times = rng.uniform(0.0, 2.0 * np.pi, size=data.draw(st.integers(1, 6)))
+    assert cov.bochner_check(chan, spec, K, rho, times) >= -1e-9
+
+
+# Up to 40 levels for the sector map: its clusters reach 40 pairs, past the
+# 8-term blocks of numpy's pairwise summation that the means must reproduce.
+MANY_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+               73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149, 151,
+               157, 163, 167)
+
+
+@st.composite
+def many_level_energies(draw, family):
+    """(energies, match_tol) with 1..40 levels; chained draws may hold a level
+    twice within one sector."""
+    n = draw(st.integers(1, 40))
+    if family == "integer":
+        gaps = draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1))
+        return np.concatenate([[0.0], np.cumsum(gaps)]).astype(float), 0.0
+    if family == "sqrt_prime":
+        primes = draw(st.permutations(MANY_PRIMES))[:n - 1]
+        return np.concatenate([[0.0], np.cumsum(np.sqrt(primes))]), 0.0
+    offsets = draw(st.lists(st.floats(0.0, 2.5), min_size=n - 1, max_size=n - 1))
+    gaps = 1.0 + MATCH_TOL * np.array(offsets)
+    return np.concatenate([[0.0], np.cumsum(gaps)]), MATCH_TOL
+
+
+def resolved_tol(energies, match_tol):
+    return match_tol if match_tol > 0.0 else 1e-9 * max(1.0, float(np.max(np.abs(energies))))
+
+
+@FAMILIES
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_sector_map_equals_cluster_loop(family, data):
+    energies, match_tol = data.draw(many_level_energies(family))
+    try:
+        want = sector_map_by_cluster_loop(energies, resolved_tol(energies, match_tol))
+    except DegenerateSpectrum as exc:
+        with pytest.raises(DegenerateSpectrum) as got:
+            cc.Spectrum(energies, match_tol=match_tol)
+        assert str(got.value) == str(exc)
+        return
+    spec = cc.Spectrum(energies, match_tol=match_tol)
+    assert spec.sigmas.tobytes() == want[0].tobytes()
+    assert len(spec.sector_pairs) == len(want[1])
+    for got_pairs, want_pairs in zip(spec.sector_pairs, want[1]):
+        assert got_pairs.dtype == want_pairs.dtype
+        assert got_pairs.tobytes() == want_pairs.tobytes()
+
+
+@PROPERTY
+@given(width=st.floats(1.05, 1.95), far=st.floats(3.0, 20.0), mirror=st.booleans(),
+       extra=st.lists(st.sampled_from(MANY_PRIMES), max_size=6), shift=st.floats(-10.0, 10.0))
+def test_chained_repeated_level_raises_in_both_routes(width, far, mirror, extra, shift):
+    # Levels 0, d, 1, far and far + 1 - d/2 with match_tol < d < 2 match_tol:
+    # the differences 1 - d, 1 - d/2 and 1 step by d/2 into one sector holding
+    # (1, 0) and (1, d), so output level 1 twice, and its mirror sector holds
+    # an input level twice.  Mirrored energies swap which check finds the
+    # lower sector, whose sigma the message names.
+    d = width * MATCH_TOL
+    energies = np.concatenate([[0.0, d, 1.0, far, far + 1.0 - d / 2.0],
+                               far + 2.0 + np.cumsum(np.sqrt(extra))])
+    if mirror:
+        energies = -energies[::-1]
+    energies = energies + shift
+    with pytest.raises(DegenerateSpectrum) as exc:
+        sector_map_by_cluster_loop(energies, MATCH_TOL)
+    with pytest.raises(DegenerateSpectrum) as got:
+        cc.Spectrum(energies, match_tol=MATCH_TOL)
+    assert str(got.value) == str(exc.value)
