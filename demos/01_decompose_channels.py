@@ -27,8 +27,7 @@ for shift, mask in decomp.sectors:
           .replace("\n", "\n    "))
 
 # Trace preservation shows up as the mask diagonals summing to one per level.
-diag = sum(np.real(np.diag(m.mask)) for _, m in decomp.sectors)
-print(f"  diagonal sums: {diag}")
+print(f"  diagonal sums: {decomp.diagonal_sums()}")
 
 rebuilt = cov.reconstruct(decomp)
 dist = np.linalg.norm(cc.choi_of(rebuilt).matrix - cc.choi_of(damping).matrix)

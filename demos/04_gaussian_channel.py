@@ -23,11 +23,10 @@ print(f"M0(0,0) = {m0.mask[0, 0].real:.10f}  "
 print("per-level truncation defect:")
 print(" ", np.array2string(decomp.truncation_defect, precision=2))
 
-# The sector view plugs straight into the covariant machinery.
-sd = decomp.to_sector_decomposition()
-chan = cov.reconstruct(sd)
+# The decomposition is a SectorDecomposition, so the covariant machinery takes it as is.
+chan = cov.reconstruct(decomp)
 print(f"reconstructed channel: {len(chan.kraus)} Kraus operators, "
-      f"covariance defect {cov.covariance_defect(chan, sd.spectrum):.2e}")
+      f"covariance defect {cov.covariance_defect(chan, decomp.spectrum):.2e}")
 
 # Vacuum input: the diagonal of the output is the photon number distribution
 # after the random kicks.

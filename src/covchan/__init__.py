@@ -9,7 +9,6 @@ from .channels import (
     DensityMatrix,
     apply,
     apply_matrix,
-    bipartite_apply,
     choi_of,
     identity_channel,
     is_cptp,
@@ -35,7 +34,6 @@ from .covariant import (
     domain_extension_check,
     partial_shift,
     reconstruct,
-    sector_channel,
     shift_distribution,
 )
 from .fock import (
@@ -46,7 +44,6 @@ from .fock import (
     displacement_matrix,
     displacement_sector,
     gaussian_decomposition,
-    laguerre,
     monte_carlo_channel,
 )
 from .timing import (

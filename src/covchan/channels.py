@@ -229,20 +229,5 @@ def entropy_of_eigenvalues(vals: np.ndarray) -> float:
     return float(-np.sum(pos * np.log2(pos)))
 
 
-def bipartite_apply(channel: Channel, state: DensityMatrix) -> DensityMatrix:
-    """Apply id (x) G to a state on the doubled space, G acting on the right factor."""
-    n = channel.dim_in
-    if channel.dim_out != n:
-        raise DimensionMismatch("bipartite_apply needs a square channel")
-    if state.dim != n * n:
-        raise DimensionMismatch(f"state dim {state.dim} is not {n}**2")
-    eye = np.eye(n)
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for k in channel.kraus:
-        ext = np.kron(eye, k)
-        out += ext @ state.matrix @ ext.conj().T
-    return DensityMatrix(out)
-
-
 def identity_channel(dim: int) -> Channel:
     return Channel((np.eye(dim, dtype=complex),))

@@ -101,15 +101,12 @@ def cmd_decompose(args) -> int:
         print(f"not covariant: defect {exc.defect:.17g} > tol {exc.tol:.17g}",
               file=sys.stderr)
         return EXIT_VIOLATION
-    diag_sum = np.zeros(spectrum.dim)
-    for shift, mask in decomp.sectors:
-        diag_sum[list(shift.domain)] += np.real(np.diag(mask.domain_submatrix))
     recon = cov.reconstruct(decomp)
     dist = float(np.linalg.norm(
         mc.choi_of(recon).matrix - mc.choi_of(channel).matrix
     ))
     payload = ser.decomposition_to_json(decomp)
-    payload["diagonal_sums"] = [float(x) for x in diag_sum]
+    payload["diagonal_sums"] = [float(x) for x in decomp.diagonal_sums()]
     payload["projection_defect"] = decomp.projection_defect
     payload["reconstruction_choi_distance"] = dist
     _emit(args, payload)

@@ -11,8 +11,10 @@ where sigma runs over the energy differences of the spectrum, S_sigma is the
 M_sigma is a positive mask supported on the shift's domain, and * is the
 entrywise product.  Sector sigma is the set of Choi pairs (omega + sigma,
 omega); a Spectrum decides these sets once, and every function here reads
-that one sector map.  Each mask is a principal block of one Choi matrix,
-which makes the extraction independent of the Kraus gauge.
+that one sector map: a sigma names the cluster of differences within match_tol
+of it, in partial_shift, SectorDecomposition.sector and EnergyShiftDistribution
+alike.  Each mask is a principal block of one Choi matrix, which makes the
+extraction independent of the Kraus gauge.
 
 A sector is stored as sigma, the shift's domain and image as index tuples,
 and the d x d mask block on the domain; every routine here reads the blocks.
@@ -112,13 +114,14 @@ class Spectrum:
         """Diagonal e^{-i omega_j t} of e^{-iHt}."""
         return np.exp(-1j * self.energies * t)
 
-    def _pairs_at(self, sigma: float) -> np.ndarray:
-        """Pairs of the sector with a difference within match_tol of sigma, if any."""
+    def _cluster_at(self, sigma: float) -> int | None:
+        """Index i of the cluster holding a difference within match_tol of sigma
+        (sigmas[i], sector_pairs[i]), or None: the one sigma -> sector rule."""
         lowest, highest = self._spans
         i = int(np.searchsorted(highest, sigma - self.match_tol))
         if i < len(self.sector_pairs) and lowest[i] - self.match_tol <= sigma:
-            return self.sector_pairs[i]
-        return np.empty(0, dtype=np.intp)
+            return i
+        return None
 
 
 @dataclass(frozen=True)
@@ -194,28 +197,38 @@ class SectorDecomposition:
         return np.array([shift.sigma for shift, _ in self.sectors])
 
     def sector(self, sigma: float) -> tuple[PartialShift, SectorMask]:
+        """The sector whose shift is partial_shift(spectrum, sigma)."""
+        want = partial_shift(self.spectrum, sigma)
         for shift, mask in self.sectors:
-            if abs(shift.sigma - sigma) <= self.spectrum.match_tol:
+            if want.domain and (shift.domain, shift.image) == (want.domain, want.image):
                 return shift, mask
         raise UnknownSector(f"no sector at sigma = {sigma}")
+
+    def diagonal_sums(self) -> np.ndarray:
+        """sum_sigma M_sigma(j, j) at every input level j: all ones for a TP channel."""
+        return _diagonal_sums(((shift.domain, mask.domain_submatrix)
+                               for shift, mask in self.sectors), self.spectrum.dim)
 
 
 @dataclass(frozen=True)
 class EnergyShiftDistribution:
     """Probabilities p(sigma) = tr(G_sigma(rho)) of the energy given away.
 
-    probability(sigma) matches a stored sigma within match_tol, the
-    spectrum's tolerance when built by shift_distribution.
+    probability(sigma) is the p of the stored sigma in the same cluster of
+    the spectrum as sigma; without a spectrum it matches sigma exactly.
     """
 
     pairs: tuple[tuple[float, float], ...]
-    match_tol: float = 0.0
+    spectrum: Spectrum | None = field(default=None, repr=False, compare=False)
 
     def probability(self, sigma: float) -> float:
-        for s, p in self.pairs:
-            if abs(s - sigma) <= self.match_tol:
-                return p
-        return 0.0
+        if self.spectrum is None:
+            found = (p for s, p in self.pairs if s == sigma)
+        else:
+            i = self.spectrum._cluster_at(sigma)
+            found = (p for s, p in self.pairs
+                     if i is not None and self.spectrum._cluster_at(s) == i)
+        return next(found, 0.0)
 
     def as_dict(self) -> dict[float, float]:
         return {s: p for s, p in self.pairs}
@@ -228,18 +241,10 @@ class EnergyShiftDistribution:
 def partial_shift(spectrum: Spectrum, sigma: float) -> PartialShift:
     """The partial isometry S_sigma : |omega> -> |omega + sigma|>, 0 off-domain."""
     n = spectrum.dim
-    pairs = spectrum._pairs_at(sigma)
+    i = spectrum._cluster_at(sigma)
+    pairs = np.empty(0, dtype=np.intp) if i is None else spectrum.sector_pairs[i]
     return PartialShift(sigma=float(sigma), domain=tuple((pairs % n).tolist()),
                         image=tuple((pairs // n).tolist()), dim=n)
-
-
-def evolve_matrix(spectrum: Spectrum, t: float, mat: np.ndarray) -> np.ndarray:
-    """Conjugation e^{-iHt} mat e^{iHt} for an arbitrary operator."""
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (spectrum.dim, spectrum.dim):
-        raise DimensionMismatch(f"operator shape {mat.shape} vs spectrum dim {spectrum.dim}")
-    ph = spectrum.phases(t)
-    return mat * np.outer(ph, ph.conj())
 
 
 # ---------------------------------------------------------------------------
@@ -267,15 +272,20 @@ def _pinch(choi: np.ndarray, spectrum: Spectrum) -> list[np.ndarray]:
     return [choi[np.ix_(pairs, pairs)] for pairs in spectrum.sector_pairs]
 
 
+def _diagonal_sums(sectors, n: int) -> np.ndarray:
+    """Per level of n, the block diagonals summed over (levels, block) pairs in order."""
+    total = np.zeros(n)
+    for levels, block in sectors:
+        total[np.asarray(levels, dtype=np.intp)] += np.real(np.diag(block))
+    return total
+
+
 def _restore_tp(blocks: list[np.ndarray], spectrum: Spectrum) -> list[np.ndarray]:
     """Congruence by diag(w)^(-1/2), w_j the summed block diagonals at input
     level j, so that the diagonals sum to one at every level (TP)."""
     n = spectrum.dim
     levels = [pairs % n for pairs in spectrum.sector_pairs]
-    weight = np.zeros(n)
-    for j, block in zip(levels, blocks):
-        weight[j] += np.real(np.diag(block))
-    scale = 1.0 / np.sqrt(weight)
+    scale = 1.0 / np.sqrt(_diagonal_sums(zip(levels, blocks), n))
     return [block * np.outer(scale[j], scale[j]) for j, block in zip(levels, blocks)]
 
 
@@ -379,12 +389,6 @@ def reconstruct(decomp: SectorDecomposition) -> Channel:
     return Channel(tuple(ops))
 
 
-def sector_channel(decomp: SectorDecomposition, sigma: float) -> Channel:
-    """The single CP (possibly trace-decreasing) component G_sigma."""
-    shift, mask = decomp.sector(sigma)
-    return Channel(tuple(sector_kraus(shift, mask)))
-
-
 def shift_distribution(
     decomp: SectorDecomposition, rho: DensityMatrix
 ) -> EnergyShiftDistribution:
@@ -399,7 +403,7 @@ def shift_distribution(
         if p < -mc.EPS_PSD:
             raise MaskNotPSD(f"negative probability {p:.3e} at sigma {shift.sigma}")
         pairs.append((shift.sigma, min(max(p, 0.0), 1.0)))
-    return EnergyShiftDistribution(pairs=tuple(pairs), match_tol=decomp.spectrum.match_tol)
+    return EnergyShiftDistribution(pairs=tuple(pairs), spectrum=decomp.spectrum)
 
 
 # ---------------------------------------------------------------------------

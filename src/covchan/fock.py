@@ -4,6 +4,8 @@ Gauss-Laguerre rule for the weight e^{-beta u} with dim nodes (dims up to 186),
 and a Monte Carlo oracle that shares the generator eigenpairs of
 displacement_matrix; expm of the generator is the test oracle.  FockParams
 accepts dims up to MAX_DIM, so no bad dim reaches an O(dim^2) allocation.
+gaussian_decomposition is the one mask builder, and the GaussianDecomposition
+it returns is a covariant.SectorDecomposition on the integer spectrum.
 
 The masks need L_j^(a) at the dim nodes for every order a = |sigma|.  One
 three-term recurrence runs over _LAGUERRE_CHUNK consecutive orders at once,
@@ -37,14 +39,14 @@ integral (u = r^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
 from . import covariant as cov
 from .channels import DensityMatrix
-from .errors import InvalidParameter, SectorOutOfRange
+from .errors import InvalidParameter, SectorOutOfRange, UnknownSector
 
 _MC_CHUNK = 4096  # fixed chunk size keeps the reduction order deterministic
 _LAGUERRE_CHUNK = 16  # orders per batched Laguerre recurrence (see the module docstring)
@@ -86,8 +88,8 @@ class FockParams:
             raise InvalidParameter("seed must lie in [0, 2**128)")
 
 
-@dataclass(frozen=True)
-class GaussianDecomposition:
+@dataclass(frozen=True, kw_only=True)
+class GaussianDecomposition(cov.SectorDecomposition):
     """Sectors (S_sigma, M_sigma) of the truncated Gaussian channel on levels
     0..dim-1, ordered by sigma, on the integer spectrum.
 
@@ -97,12 +99,10 @@ class GaussianDecomposition:
     """
 
     params: FockParams
-    spectrum: cov.Spectrum
-    sectors: tuple[tuple[cov.PartialShift, cov.SectorMask], ...]
-    truncation_defect: np.ndarray
+    truncation_defect: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        td = np.asarray(self.truncation_defect, dtype=float)
+        td = np.abs(1.0 - self.diagonal_sums())
         td.setflags(write=False)
         object.__setattr__(self, "truncation_defect", td)
 
@@ -111,14 +111,10 @@ class GaussianDecomposition:
         return tuple(m for _, m in self.sectors)
 
     def mask(self, sigma: int) -> cov.SectorMask:
-        for _, m in self.sectors:
-            if int(round(m.sigma)) == sigma:
-                return m
-        raise SectorOutOfRange(f"no mask at sigma = {sigma}")
-
-    def to_sector_decomposition(self) -> cov.SectorDecomposition:
-        """View as a covariant-module decomposition on the integer spectrum."""
-        return cov.SectorDecomposition(spectrum=self.spectrum, sectors=self.sectors)
+        try:
+            return self.sector(sigma)[1]
+        except UnknownSector:
+            raise SectorOutOfRange(f"no mask at sigma = {sigma}") from None
 
 
 @dataclass(frozen=True)
@@ -157,13 +153,6 @@ def _laguerre_rows(jmax: int, alpha, x: np.ndarray) -> np.ndarray:
     for k in range(jmax):
         rows[k + 2] = ((2 * k + 1 + alpha - x) * rows[k + 1] - (k + alpha) * rows[k]) / (k + 1)
     return rows[1:]
-
-
-def laguerre(j: int, alpha: int, x):
-    """Generalized Laguerre polynomial L_j^(alpha)(x), stable three-term recurrence."""
-    if j < 0 or alpha < 0:
-        raise ValueError("laguerre needs j >= 0 and alpha >= 0")
-    return _laguerre_rows(j, alpha, np.asarray(x, dtype=float))[j]
 
 
 def _generator_eigenpairs(dim: int):
@@ -260,40 +249,21 @@ def _quad_nodes(s: float, dim: int):
     return x / beta, w / (2.0 * s * s * beta)
 
 
-def _block_at_nodes(a: int, log_fact: np.ndarray, x: np.ndarray, w: np.ndarray,
-                    lag=None) -> np.ndarray:
-    """The (dim - a) x (dim - a) block of M_a and M_{-a}: C diag(W) C^T from
-    the sector coefficients C at the quadrature nodes and the non-negative
-    effective weights W, so PSD by construction."""
-    coeff = _sector_poly_coeffs(a, x, log_fact, lag)
-    return (coeff * w[None, :]) @ coeff.T
-
-
 def _blocks_at_nodes(sigma_max: int, log_fact: np.ndarray, x: np.ndarray,
                      w: np.ndarray) -> list[np.ndarray]:
-    """The blocks for |sigma| = 0 .. sigma_max, one batched Laguerre recurrence
-    per _LAGUERRE_CHUNK consecutive orders.  Orders a0 .. a0 + chunk - 1 share
-    the dim - a0 rows the lowest one needs; the rows past dim - a are dropped."""
+    """The blocks C diag(W) C^T of M_a and M_{-a}, a = 0 .. sigma_max, from the sector
+    coefficients C at the nodes and the non-negative weights W, so PSD by construction.
+    One batched Laguerre recurrence serves _LAGUERRE_CHUNK consecutive orders a0, ...:
+    they share the dim - a0 rows the lowest one needs; rows past dim - a are dropped."""
     dim = log_fact.size
     blocks = []
     for a0 in range(0, sigma_max + 1, _LAGUERRE_CHUNK):
         orders = range(a0, min(a0 + _LAGUERRE_CHUNK, sigma_max + 1))
         lag = _laguerre_rows(dim - a0 - 1, np.array(orders), x)  # (dim - a0, chunk, nodes)
-        blocks += [_block_at_nodes(a, log_fact, x, w, lag[:dim - a, a - a0]) for a in orders]
+        for a in orders:
+            coeff = _sector_poly_coeffs(a, x, log_fact, lag[:dim - a, a - a0])
+            blocks.append((coeff * w[None, :]) @ coeff.T)
     return blocks
-
-
-def gaussian_mask_matrix(sigma: int, dim: int, s: float) -> np.ndarray:
-    """Full mask M_sigma on levels 0..dim-1: its block padded on both axes.
-    s is checked as FockParams checks it; dim may be 1, where M_0 = 1/(1 + 2 s^2)."""
-    if not 1 <= dim <= MAX_DIM:
-        raise InvalidParameter(f"dim must lie in [1, {MAX_DIM}]")
-    _check_std_dev(s)
-    a = abs(sigma)
-    if a >= dim:
-        raise SectorOutOfRange(f"|sigma| = {a} must be < dim = {dim}")
-    block = _block_at_nodes(a, _log_factorials(dim), *_quad_nodes(s, dim))
-    return np.pad(block, (a, 0) if sigma < 0 else (0, a))
 
 
 def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
@@ -308,7 +278,6 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     blocks = _blocks_at_nodes(params.sigma_max, _log_factorials(dim), x, w)
     checked: dict[int, cov.SectorMask] = {}
     sectors = []
-    diag_sum = np.zeros(dim)
     for sigma in range(-params.sigma_max, params.sigma_max + 1):
         shift = cov.partial_shift(spec, float(sigma))
         a = abs(sigma)
@@ -318,14 +287,8 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
             mask = checked[a] = cov.SectorMask(
                 sigma=shift.sigma, domain_submatrix=blocks[a],
                 domain=shift.domain, dim=dim)
-        diag_sum[list(shift.domain)] += np.diag(mask.domain_submatrix)
         sectors.append((shift, mask))
-    return GaussianDecomposition(
-        params=params,
-        spectrum=spec,
-        sectors=tuple(sectors),
-        truncation_defect=np.abs(1.0 - diag_sum),
-    )
+    return GaussianDecomposition(params=params, spectrum=spec, sectors=tuple(sectors))
 
 
 def _unit_powers(z: np.ndarray, count: int) -> np.ndarray:

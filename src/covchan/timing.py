@@ -21,6 +21,10 @@ from .channels import Channel
 from .covariant import EnergyShiftDistribution, Spectrum, partial_shift
 from .errors import DimensionMismatch, InvalidParameter, NotPeriodic, NotReliableTiming
 
+# Largest accepted orbit length: the orthogonality check holds an N x N complex
+# Gram matrix (256 MiB at 4096), so more is refused before anything is allocated.
+MAX_N = 4096
+
 
 @dataclass(frozen=True)
 class TimingChannelReport:
@@ -149,8 +153,8 @@ def timing_channel(
     The DFT q_k = (1/N) sum_j v(j) e^{-2 pi i jk / N} yields the capacity
     lower bound log2(N) - S(q).
     """
-    if N < 1:
-        raise InvalidParameter("N must be positive")
+    if not 1 <= N <= MAX_N:
+        raise InvalidParameter(f"N must lie in [1, MAX_N = {MAX_N}]")
     if not np.isfinite(s * N):
         raise InvalidParameter(f"step s = {s} and period s * N must be finite")
     if channel.dim_out != spectrum.dim:

@@ -1,13 +1,15 @@
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import covchan as cc
 from covchan import channels as mc
+from covchan import covariant as cov
 from covchan import fock
 from covchan import timing as tim
-from covchan.covariant import evolve_matrix
 from covchan.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -16,7 +18,14 @@ from covchan.errors import (
     NotReliableTiming,
 )
 
-FIXTURES = __import__("pathlib").Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+
+
+def env_with_src() -> dict:
+    """The environment with the repository's src first on PYTHONPATH, for subprocesses."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
 
 
 def amplitude_damping(gamma: float) -> cc.Channel:
@@ -32,6 +41,36 @@ def dephasing_channel() -> cc.Channel:
 
 def plus_state() -> cc.DensityMatrix:
     return cc.DensityMatrix(np.full((2, 2), 0.5, dtype=complex))
+
+
+def bipartite_apply(channel: cc.Channel, state: cc.DensityMatrix) -> cc.DensityMatrix:
+    """Apply id (x) G to a state on the doubled space, G acting on the right factor."""
+    n = channel.dim_in
+    if channel.dim_out != n:
+        raise DimensionMismatch("bipartite_apply needs a square channel")
+    if state.dim != n * n:
+        raise DimensionMismatch(f"state dim {state.dim} is not {n}**2")
+    eye = np.eye(n)
+    out = np.zeros((n * n, n * n), dtype=complex)
+    for k in channel.kraus:
+        ext = np.kron(eye, k)
+        out += ext @ state.matrix @ ext.conj().T
+    return cc.DensityMatrix(out)
+
+
+def evolve_matrix(spectrum: cc.Spectrum, t: float, mat: np.ndarray) -> np.ndarray:
+    """Conjugation e^{-iHt} mat e^{iHt} for an arbitrary operator."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.shape != (spectrum.dim, spectrum.dim):
+        raise DimensionMismatch(f"operator shape {mat.shape} vs spectrum dim {spectrum.dim}")
+    ph = spectrum.phases(t)
+    return mat * np.outer(ph, ph.conj())
+
+
+def sector_channel(decomp: cc.SectorDecomposition, sigma: float) -> cc.Channel:
+    """The single CP (possibly trace-decreasing) component G_sigma."""
+    shift, mask = decomp.sector(sigma)
+    return cc.Channel(tuple(cov.sector_kraus(shift, mask)))
 
 
 def purify(rho: cc.DensityMatrix, unitary: np.ndarray | None = None) -> np.ndarray:
@@ -54,7 +93,7 @@ def purified_coherent_information(channel: cc.Channel, rho: cc.DensityMatrix,
                                   unitary: np.ndarray | None = None) -> float:
     """Oracle I_c = S(G(rho)) - S((id (x) G)(|phi><phi|)) on the doubled space."""
     phi = purify(rho, unitary)
-    joint = cc.bipartite_apply(channel, cc.DensityMatrix(np.outer(phi, phi.conj())))
+    joint = bipartite_apply(channel, cc.DensityMatrix(np.outer(phi, phi.conj())))
     return (cc.von_neumann_entropy(cc.apply(channel, rho))
             - cc.von_neumann_entropy(joint))
 

@@ -224,7 +224,7 @@ def test_10_gaussian_closed_form_and_mc():
     t0 = time.perf_counter()
     worst = 0.0
     for s in (0.3, 0.5, 1.0):
-        got = fock.gaussian_mask_matrix(0, 1, s)[0, 0]
+        got = fock.gaussian_decomposition(fock.FockParams(2, s, sigma_max=1)).mask(0).mask[0, 0]
         worst = max(worst, abs(got - 1.0 / (1.0 + 2.0 * s * s)))
     assert worst < 1e-10
 

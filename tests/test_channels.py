@@ -11,6 +11,7 @@ from covchan.errors import DimensionMismatch, NotCP, NotDensityMatrix
 
 from conftest import (
     amplitude_damping,
+    bipartite_apply,
     cptp_by_full_choi,
     dephasing_channel,
     deterministic_eig_loop,
@@ -249,17 +250,17 @@ class TestBipartiteApply:
 
     def test_identity(self):
         state = self._max_entangled(2)
-        out = cc.bipartite_apply(cc.identity_channel(2), state)
+        out = bipartite_apply(cc.identity_channel(2), state)
         np.testing.assert_allclose(out.matrix, state.matrix, atol=1e-14)
 
     def test_dephasing(self):
-        out = cc.bipartite_apply(dephasing_channel(), self._max_entangled(2))
+        out = bipartite_apply(dephasing_channel(), self._max_entangled(2))
         expected = np.zeros((4, 4))
         expected[0, 0] = expected[3, 3] = 0.5
         np.testing.assert_allclose(out.matrix, expected, atol=1e-14)
 
     def test_amplitude_damping_eigenvalues(self):
-        out = cc.bipartite_apply(amplitude_damping(0.5), self._max_entangled(2))
+        out = bipartite_apply(amplitude_damping(0.5), self._max_entangled(2))
         vals = np.sort(np.linalg.eigvalsh(out.matrix))[::-1]
         np.testing.assert_allclose(vals[:2], [0.75, 0.25], atol=1e-12)
         np.testing.assert_allclose(vals[2:], 0.0, atol=1e-12)

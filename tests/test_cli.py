@@ -1,10 +1,8 @@
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from covchan import channels as mc
 from covchan import cli
 from covchan import fock
 
-from conftest import FIXTURES, csv_lines_by_entry, dumps_by_recursion
+from conftest import FIXTURES, csv_lines_by_entry, dumps_by_recursion, env_with_src
 
 
 def run(capsys, *argv):
@@ -169,6 +167,16 @@ class TestTiming:
                              "--s", str(np.pi), "--N", "0")
         assert code == cli.EXIT_USAGE
         assert out == "" and err.startswith("error:")
+
+    def test_orbit_length_past_max_n_exit_2(self):
+        # N = 1e12 once reached np.arange(N) and died of a MemoryError, exit 1.
+        proc = subprocess.run(
+            [sys.executable, "-m", "covchan.cli", "timing",
+             str(FIXTURES / "shift_mixture_channel.json"), str(FIXTURES / "spectrum_4level.json"),
+             "--phi0", str(FIXTURES / "phi0_4level.json"), "--s", "1e-9", "--N", "1000000000000"],
+            capture_output=True, text=True, env=env_with_src(), timeout=60)
+        assert proc.returncode == cli.EXIT_USAGE
+        assert proc.stdout == "" and "MAX_N" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_unreliable_exit_1(self, capsys):
         # At s = pi/2 adjacent translates of phi0 overlap, so the N = 4 orbit
@@ -370,17 +378,11 @@ def test_non_finite_or_negative_number_exit_2(capsys, argv):
     assert out == ""
 
 
-def _env_with_src():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; the library and CLI run on numpy.
     proc = subprocess.run(
         [sys.executable, "-c", "import covchan.cli, sys; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=_env_with_src(), check=True)
+        capture_output=True, text=True, env=env_with_src(), check=True)
     assert proc.stdout.strip() == "False"
 
 
@@ -392,7 +394,7 @@ def test_reader_closing_pipe_early(tmp_path):
     proc = subprocess.Popen(
         [sys.executable, "-m", "covchan.cli", "gaussian", "--std-dev", "1", "--dim", "40",
          "--out", str(out)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_env_with_src())
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env_with_src())
     head = proc.stdout.read(10)
     proc.stdout.close()
     err = proc.stderr.read().decode()

