@@ -64,7 +64,9 @@ def hadamard_channel(mask: np.ndarray) -> Channel:
     """
     n = np.shape(mask)[0] if np.ndim(mask) else 0  # a 0-d mask fails the shape check
     mask = _check_mask(mask, n)[0]
-    vecs = mc._scaled_eigenvectors(mask, MaskNotPSD, "mask minimum")
+    lmin, _, vecs = mc._scaled_eigenvectors(mask[None])
+    if lmin[0] < -mc.EPS_PSD:
+        raise MaskNotPSD(f"mask minimum eigenvalue {lmin[0]:.3e} below -{mc.EPS_PSD:.1e}")
     return Channel(tuple([np.diag(v) for v in vecs] or [np.zeros((n, n), dtype=complex)]))
 
 

@@ -77,12 +77,13 @@ class Channel:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        ops = tuple(_as_complex(k) for k in self.kraus)
+        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
         if not ops:
             raise InvalidParameter("channel needs at least one Kraus operator")
         shape = ops[0].shape
-        if any(k.shape != shape for k in ops):
-            raise DimensionMismatch("all Kraus operators must share one shape")
+        if len(shape) != 2 or any(k.shape != shape for k in ops):
+            raise DimensionMismatch("all Kraus operators must be matrices of one shape")
+        _as_complex(np.stack(ops))  # one finiteness check for the whole family
         for k in ops:
             k.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
@@ -143,35 +144,44 @@ def choi_of(channel: Channel) -> ChoiMatrix:
     return ChoiMatrix(channel.dim_in, channel.dim_out, vecs.T @ vecs.conj())
 
 
-def _deterministic_eig(mat: np.ndarray):
-    """Eigendecomposition with a reproducible ordering and phase gauge.
+def _deterministic_eig(mats: np.ndarray):
+    """Eigendecomposition of a matrix, or of each matrix of a (m, d, d) stack,
+    with a reproducible ordering and phase gauge.
 
     Eigenpairs are sorted by descending eigenvalue; ties are broken by
     lexicographic comparison of the (phase-fixed) eigenvector entries.  Each
     eigenvector is rotated so its largest-magnitude entry is real positive.
-    The eigenvectors are returned as the rows of one array.
+    The eigenvectors are returned as the rows of one array per matrix.
     """
-    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vals.size)]
-    rows = np.ascontiguousarray((vecs * np.exp(-1j * np.angle(pivots))).T)
+    shape = mats.shape
+    stack = mats.reshape((-1,) + shape[-2:])
+    vals, vecs = np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2.0)
+    m, d = vals.shape
+    pivots = vecs[np.arange(m)[:, None], np.argmax(np.abs(vecs), axis=1), np.arange(d)]
+    rows = (vecs * np.exp(-1j * np.angle(pivots))[:, None, :]).swapaxes(1, 2)
+    rows = np.ascontiguousarray(rows).reshape(m * d, d)
 
-    # lexsort's last key is the primary one: -vals, then Re/Im of entry 0, 1, ...
-    order = np.lexsort(np.vstack([rows.view(float).T[::-1], -vals]))
-    return vals[order], rows[order]
+    # lexsort's last key is the primary one: the matrix, then -vals, then
+    # Re/Im of entry 0, 1, ... of the eigenvector.
+    order = np.lexsort(np.vstack([rows.view(float).T[::-1], -vals.reshape(-1),
+                                  np.arange(m).repeat(d)]))
+    return vals.reshape(-1)[order].reshape(shape[:-1]), rows[order].reshape(shape)
 
 
-def _scaled_eigenvectors(mat: np.ndarray, error: type, label: str):
-    """Vectors sqrt(lam) v of a PSD matrix in _deterministic_eig order.
+def _scaled_eigenvectors(mats: np.ndarray):
+    """Vectors sqrt(lam) v of each matrix of a (m, d, d) stack of PSD matrices,
+    in _deterministic_eig order.
 
-    An eigenvalue below -EPS_PSD raises ``error``.  The rank cutoff is relative
-    and much tighter than the PSD tolerance so that the choi -> kraus -> choi
-    round trip stays accurate to ~1e-13.
+    Returns the smallest eigenvalue of each matrix, the number of vectors
+    each keeps, and the kept vectors as the rows of one array, matrix after
+    matrix; callers raise on a smallest eigenvalue below -EPS_PSD.  The rank
+    cutoff is relative and much tighter than the PSD tolerance so that the
+    choi -> kraus -> choi round trip stays accurate to ~1e-13.
     """
-    vals, vecs = _deterministic_eig(mat)
-    if vals.min() < -EPS_PSD:
-        raise error(f"{label} eigenvalue {vals.min():.3e} below -{EPS_PSD:.1e}")
-    cutoff = 1e-14 * max(float(vals.max(initial=0.0)), 1.0)
-    return [np.sqrt(lam) * v for lam, v in zip(vals, vecs) if lam > cutoff]
+    vals, vecs = _deterministic_eig(mats)
+    cutoff = 1e-14 * np.maximum(vals.max(axis=1, initial=0.0), 1.0)
+    keep = vals > cutoff[:, None]  # a prefix of each matrix's descending eigenvalues
+    return vals.min(axis=1), keep.sum(axis=1), np.sqrt(vals[keep])[:, None] * vecs[keep]
 
 
 def kraus_from_choi(choi: ChoiMatrix) -> Channel:
@@ -184,9 +194,11 @@ def kraus_from_choi(choi: ChoiMatrix) -> Channel:
     if np.max(np.abs(choi.matrix - choi.matrix.conj().T)) > EPS_PSD:
         raise NotCP(f"Choi matrix is not Hermitian within {EPS_PSD:.1e}")
     shape = (choi.dim_out, choi.dim_in)
-    vecs = _scaled_eigenvectors(choi.matrix, NotCP, "Choi minimum")
-    ops = [v.reshape(shape) for v in vecs]
-    return Channel(tuple(ops or [np.zeros(shape, dtype=complex)]))
+    lmin, _, vecs = _scaled_eigenvectors(choi.matrix[None])
+    if lmin[0] < -EPS_PSD:
+        raise NotCP(f"Choi minimum eigenvalue {lmin[0]:.3e} below -{EPS_PSD:.1e}")
+    ops = vecs.reshape((-1,) + shape)
+    return Channel(tuple(ops) if len(ops) else (np.zeros(shape, dtype=complex),))
 
 
 def is_cptp(channel: Channel) -> CPTPReport:

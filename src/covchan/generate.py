@@ -52,8 +52,7 @@ def random_covariant(
     Built by pinching the Choi matrix of a random CPTP channel onto the
     energy-difference sectors and renormalizing to trace preservation.
     """
-    n = spectrum.dim
+    n, groups = spectrum.dim, spectrum._groups
     base = random_cptp(n, rng, kraus_count)
-    blocks = _restore_tp(_pinch(mc.choi_of(base).matrix, spectrum), spectrum)
-    choi = _scatter(zip(spectrum.sector_pairs, blocks), n)
-    return mc.kraus_from_choi(ChoiMatrix(n, n, choi))
+    blocks = _restore_tp(_pinch(mc.choi_of(base).matrix, groups, n), groups, n)
+    return mc.kraus_from_choi(ChoiMatrix(n, n, _scatter(groups, blocks, n)))

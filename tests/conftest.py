@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 import os
 from pathlib import Path
@@ -9,11 +11,15 @@ import covchan as cc
 from covchan import channels as mc
 from covchan import covariant as cov
 from covchan import fock
+from covchan import generate as gen
 from covchan import timing as tim
 from covchan.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
     InvalidParameter,
+    MaskNotPSD,
+    NotCovariant,
+    NotCP,
     NotPeriodic,
     NotReliableTiming,
 )
@@ -116,6 +122,157 @@ def deterministic_eig_loop(mat: np.ndarray):
     entries = np.array(cols).view(float)
     order = np.lexsort(np.vstack([entries.T[::-1], -vals]))
     return vals[order], np.array([cols[i] for i in order])
+
+
+def scaled_eigenvectors_per_matrix(mat: np.ndarray, error: type, label: str) -> list:
+    """Oracle for channels._scaled_eigenvectors on one matrix: the vectors
+    sqrt(lam) v in deterministic order above the relative rank cutoff, raising
+    ``error`` on an eigenvalue below -EPS_PSD."""
+    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    pivots = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vals.size)]
+    rows = np.ascontiguousarray((vecs * np.exp(-1j * np.angle(pivots))).T)
+    order = np.lexsort(np.vstack([rows.view(float).T[::-1], -vals]))
+    vals, vecs = vals[order], rows[order]
+    if vals.min() < -mc.EPS_PSD:
+        raise error(f"{label} eigenvalue {vals.min():.3e} below -{mc.EPS_PSD:.1e}")
+    cutoff = 1e-14 * max(float(vals.max(initial=0.0)), 1.0)
+    return [np.sqrt(lam) * v for lam, v in zip(vals, vecs) if lam > cutoff]
+
+
+def sha256_of(value) -> str:
+    """Digest of a value down to the bytes: arrays by dtype, shape and data,
+    dataclasses by type and fields, floats by repr (so -0.0 differs from 0.0)."""
+    h = hashlib.sha256()
+
+    def feed(v):
+        if isinstance(v, np.ndarray):
+            h.update(f"nd{v.dtype.str}{v.shape}".encode())
+            h.update(np.ascontiguousarray(v).tobytes())
+        elif dataclasses.is_dataclass(v) and not isinstance(v, type):
+            h.update(type(v).__name__.encode())
+            for f in dataclasses.fields(v):
+                feed(getattr(v, f.name))
+        elif isinstance(v, (list, tuple)):
+            h.update(f"seq{len(v)}".encode())
+            for x in v:
+                feed(x)
+        else:
+            h.update(f"{type(v).__name__}:{v!r}".encode())
+
+    feed(value)
+    return h.hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# Per-sector oracles for covariant's work on stacks of equal-size sectors: one
+# Python iteration per sector, each with its own partial_shift and SectorMask.
+
+
+def choi_and_cross_per_sector(channel: cc.Channel, spectrum: cc.Spectrum):
+    """The Choi matrix and its |entries| with each sector's block zeroed in turn."""
+    if channel.dim_in != spectrum.dim or channel.dim_out != spectrum.dim:
+        raise DimensionMismatch("channel and spectrum dimensions differ")
+    choi = mc.choi_of(channel).matrix
+    cross = np.abs(choi)
+    for pairs in spectrum.sector_pairs:
+        cross[np.ix_(pairs, pairs)] = 0.0
+    return choi, cross
+
+
+def covariance_defect_per_sector(channel: cc.Channel, spectrum: cc.Spectrum) -> float:
+    return float(choi_and_cross_per_sector(channel, spectrum)[1].max())
+
+
+def restore_tp_per_sector(blocks: list, spectrum: cc.Spectrum) -> list:
+    """Each sector's block times s s^T, s = (summed block diagonals)^(-1/2) on its
+    input levels, the diagonals summed sector after sector."""
+    n = spectrum.dim
+    levels = [pairs % n for pairs in spectrum.sector_pairs]
+    total = np.zeros(n)
+    for j, block in zip(levels, blocks):
+        total[j] += np.real(np.diag(block))
+    scale = 1.0 / np.sqrt(total)
+    return [block * np.outer(scale[j], scale[j]) for j, block in zip(levels, blocks)]
+
+
+def decompose_per_sector(channel: cc.Channel, spectrum: cc.Spectrum,
+                         tol: float = 1e-10) -> cc.SectorDecomposition:
+    """Oracle for covariant.decompose: every sector's block pinched, kept or
+    dropped, and checked by its own SectorMask, in sector order.  Each shift
+    comes from its own cluster's pairs, not from partial_shift(spectrum, sigma),
+    which picks the lower of two clusters whose edges lie exactly match_tol
+    from sigma."""
+    choi, cross = choi_and_cross_per_sector(channel, spectrum)
+    defect = float(cross.max())
+    if defect > tol:
+        raise NotCovariant(defect, tol)
+    pinched = [choi[np.ix_(pairs, pairs)] for pairs in spectrum.sector_pairs]
+    blocks = [(b + b.conj().T) / 2.0 for b in pinched]
+    n = spectrum.dim
+    gram = np.trace(choi.reshape(n, n, n, n), axis1=0, axis2=2)
+    if np.linalg.norm(gram - np.eye(n)) <= mc.EPS_TP:
+        blocks = restore_tp_per_sector(blocks, spectrum)
+    peak = max(defect, max(float(np.max(np.abs(raw))) for raw in pinched))
+    floor = 1e-13 * max(1.0, peak)
+    sq_defect = float(np.vdot(cross, cross).real)
+    sectors = []
+    for s, pairs, raw, block in zip(spectrum.sigmas, spectrum.sector_pairs, pinched, blocks):
+        if float(np.max(np.abs(block))) <= floor:
+            sq_defect += float(np.vdot(raw, raw).real)
+            continue
+        sq_defect += float(np.vdot(raw - block, raw - block).real)
+        shift = cc.PartialShift(sigma=float(s), domain=tuple((pairs % n).tolist()),
+                                image=tuple((pairs // n).tolist()), dim=n)
+        try:
+            mask = cc.SectorMask(sigma=shift.sigma, domain_submatrix=block,
+                                 domain=shift.domain, dim=n)
+        except MaskNotPSD as exc:
+            raise NotCP(f"Choi {exc}") from exc
+        sectors.append((shift, mask))
+    return cc.SectorDecomposition(spectrum=spectrum, sectors=tuple(sectors),
+                                  projection_defect=float(np.sqrt(sq_defect)))
+
+
+def reconstruct_per_sector(decomp: cc.SectorDecomposition) -> cc.Channel:
+    """Oracle for covariant.reconstruct: S_sigma diag(d) for the spectral vectors
+    d of each block, sector after sector (one zero operator for no sectors)."""
+    n = decomp.spectrum.dim
+    ops = []
+    for shift, mask in decomp.sectors:
+        vecs = scaled_eigenvectors_per_matrix(mask.domain_submatrix, MaskNotPSD,
+                                              f"sector {shift.sigma}:")
+        block_ops = np.zeros((max(len(vecs), 1), n, n), dtype=complex)
+        block_ops[:, shift.image, shift.domain] = vecs or 0.0
+        ops.extend(block_ops)
+    return cc.Channel(tuple(ops or [np.zeros((n, n), dtype=complex)]))
+
+
+def shift_distribution_per_sector(decomp: cc.SectorDecomposition,
+                                  rho: cc.DensityMatrix) -> cc.EnergyShiftDistribution:
+    """Oracle for covariant.shift_distribution: one diagonal product per sector."""
+    pairs = []
+    diag = np.diag(rho.matrix)
+    for shift, mask in decomp.sectors:
+        p = float(np.sum(np.real(np.diag(mask.domain_submatrix) * diag[list(shift.domain)])))
+        if p < -mc.EPS_PSD:
+            raise MaskNotPSD(f"negative probability {p:.3e} at sigma {shift.sigma}")
+        pairs.append((shift.sigma, min(max(p, 0.0), 1.0)))
+    return cc.EnergyShiftDistribution(pairs=tuple(pairs), spectrum=decomp.spectrum)
+
+
+def random_covariant_per_sector(spectrum: cc.Spectrum, rng: np.random.Generator,
+                                kraus_count: int | None = None) -> cc.Channel:
+    """Oracle for generate.random_covariant: the sector blocks of a random CPTP
+    channel pinched, renormalised and scattered back one sector at a time."""
+    n = spectrum.dim
+    base = mc.choi_of(gen.random_cptp(n, rng, kraus_count)).matrix
+    blocks = restore_tp_per_sector(
+        [base[np.ix_(pairs, pairs)] for pairs in spectrum.sector_pairs], spectrum)
+    choi = np.zeros((n * n, n * n), dtype=complex)
+    for pairs, block in zip(spectrum.sector_pairs, blocks):
+        choi[np.ix_(pairs, pairs)] = block
+    vecs = scaled_eigenvectors_per_matrix(choi, NotCP, "Choi minimum")
+    return cc.Channel(tuple(v.reshape(n, n) for v in vecs) or (np.zeros((n, n), dtype=complex),))
 
 
 def cptp_by_full_choi(channel: cc.Channel) -> tuple[float, float]:

@@ -63,6 +63,21 @@ def test_01_decomposition_round_trip(corpus):
               f"corpus built in {elapsed:.1f}s")
 
 
+def test_corpus_equals_per_sector_loops(corpus):
+    # random_covariant, decompose and reconstruct on the sectors stacked by
+    # domain size give the 700 corpus channels bit for bit as one sector at a time.
+    channels, _ = corpus
+    rng = np.random.Generator(np.random.PCG64(CORPUS_SEED))
+    for dim, (spec, entries) in channels.items():
+        for chan, decomp in entries:
+            assert conftest.sha256_of(chan) == conftest.sha256_of(
+                conftest.random_covariant_per_sector(spec, rng))
+            assert conftest.sha256_of(decomp) == conftest.sha256_of(
+                conftest.decompose_per_sector(chan, spec))
+            assert conftest.sha256_of(cov.reconstruct(decomp)) == conftest.sha256_of(
+                conftest.reconstruct_per_sector(decomp))
+
+
 def test_02_trace_preservation_identity(corpus):
     channels, _ = corpus
     worst = 0.0

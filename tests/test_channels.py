@@ -206,6 +206,16 @@ class TestDeterministicEig:
         assert vals.tobytes() == want_vals.tobytes()
         assert vecs.tobytes() == want_vecs.tobytes()
 
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_stack_is_each_matrix_alone(self, n):
+        mats = np.stack([case.values[0] for case in _eig_cases() if case.values[0].shape == (n, n)])
+        vals, vecs = mcore._deterministic_eig(mats)
+        assert vals.shape == (len(mats), n) and vecs.shape == mats.shape
+        for mat, got_vals, got_vecs in zip(mats, vals, vecs):
+            want_vals, want_vecs = deterministic_eig_loop(mat)
+            assert got_vals.tobytes() == want_vals.tobytes()
+            assert got_vecs.tobytes() == want_vecs.tobytes()
+
 
 class TestEntropy:
     def test_pure_state(self):
@@ -278,3 +288,22 @@ class TestDensityMatrixValidation:
     def test_rejects_negative(self):
         with pytest.raises(NotDensityMatrix):
             cc.DensityMatrix(np.diag([1.5, -0.5]))
+
+
+class TestChannelValidation:
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_a_non_finite_entry_in_any_operator(self, value):
+        ops = [np.eye(2, dtype=complex) for _ in range(3)]
+        ops[2][1, 0] = value * 1j
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            cc.Channel(tuple(ops))
+
+    @pytest.mark.parametrize("ops", [(np.eye(2), np.eye(3)), (1.0,), (np.ones(2),)],
+                             ids=["two-shapes", "scalar", "vector"])
+    def test_rejects_operators_that_are_not_matrices_of_one_shape(self, ops):
+        with pytest.raises(DimensionMismatch):
+            cc.Channel(ops)
+
+    def test_operators_are_read_only(self):
+        chan = cc.Channel((np.eye(2), np.zeros((2, 2))))
+        assert not any(k.flags.writeable for k in chan.kraus)

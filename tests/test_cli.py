@@ -85,6 +85,19 @@ class TestDecompose:
         np.testing.assert_allclose(payload["diagonal_sums"], 1.0, atol=1e-10)
         assert payload["reconstruction_choi_distance"] < 1e-10
 
+    def test_zero_map(self, capsys, tmp_path):
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"dim_in": 2, "dim_out": 2,
+                                    "kraus": [{"rows": 2, "cols": 2, "data": [[0, 0]] * 4}]}))
+        code, out, err = run(capsys, "decompose", str(zero),
+                             str(FIXTURES / "spectrum_2level.json"))
+        assert (code, err) == (cli.EXIT_OK, "")
+        payload = json.loads(out)
+        assert payload["sectors"] == []
+        assert payload["diagonal_sums"] == [0.0, 0.0]
+        assert payload["projection_defect"] == 0.0
+        assert payload["reconstruction_choi_distance"] == 0.0
+
     def test_non_covariant_exit_1(self, capsys):
         code, _, err = run(capsys, "decompose",
                            str(FIXTURES / "hadamard_gate_channel.json"),

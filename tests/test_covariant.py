@@ -10,6 +10,7 @@ from covchan import serialize as ser
 from covchan.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
+    InvalidParameter,
     MaskNotPSD,
     NotCovariant,
     UnknownSector,
@@ -145,6 +146,24 @@ class TestDecompose:
         with pytest.raises(NotCovariant):
             cov.decompose(cc.Channel((h,)), qubit_spectrum)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+    def test_rejects_tolerance_outside_finite_nonnegative(self, tol):
+        # NaN or inf would switch the covariance check off, a negative tol
+        # would reject an exactly covariant channel.
+        chan = gen.random_cptp(3, np.random.default_rng(0))
+        with pytest.raises(InvalidParameter):
+            cov.decompose(chan, cc.Spectrum(np.arange(3.0)), tol=tol)
+
+    def test_zero_map(self, qubit_spectrum):
+        decomp = cov.decompose(cc.Channel((np.zeros((2, 2), dtype=complex),)), qubit_spectrum)
+        assert decomp.sectors == ()
+        assert decomp.projection_defect == 0.0
+        np.testing.assert_array_equal(decomp.diagonal_sums(), [0.0, 0.0])
+        recon = cov.reconstruct(decomp)
+        assert len(recon.kraus) == 1
+        np.testing.assert_array_equal(recon.kraus[0], np.zeros((2, 2)))
+        assert cov.shift_distribution(decomp, cc.DensityMatrix(np.eye(2) / 2)).pairs == ()
+
     def test_unknown_sector(self, qubit_spectrum):
         decomp = cov.decompose(dephasing_channel(), qubit_spectrum)
         with pytest.raises(UnknownSector):
@@ -197,6 +216,18 @@ class TestDecompose:
         np.testing.assert_array_equal(shift.matrix, up)
         np.testing.assert_allclose(mask.domain_submatrix, np.ones((4, 4)), atol=1e-15)
         assert decomp.projection_defect < 1e-15
+
+    def test_each_sector_keeps_its_own_shift(self):
+        # The sector of -2 - 1.5e-9 starts exactly match_tol above the top of
+        # the sector {-2 - 3.375e-9, -2 - 2.5e-9}, so its sigma lies within
+        # match_tol of both; a lookup by sigma finds the lower one.
+        spec = cc.Spectrum(np.array([0.0, 1.0000000005, 2.0000000015, 3.0000000030000002,
+                                     4.000000004875]), match_tol=1e-9)
+        decomp = cov.decompose(gen.random_covariant(spec, np.random.default_rng(0)), spec)
+        got = [(shift.domain, shift.image) for shift, _ in decomp.sectors]
+        assert got == [(tuple((p % 5).tolist()), tuple((p // 5).tolist()))
+                       for p in spec.sector_pairs]
+        assert got[4] == ((2,), (0,))
 
     def test_kraus_gauge_independence(self, rng):
         # Mixing the Kraus family by an isometry leaves the Choi matrix and
@@ -382,8 +413,9 @@ def sqrt_prime_spectrum(n):
 
 
 class TestBlockStorage:
-    def test_decompose_diagonalises_each_kept_block_once(self, monkeypatch, rng):
-        spec = sqrt_prime_spectrum(6)
+    @pytest.mark.parametrize("spec", [sqrt_prime_spectrum(6), spectrum4()],
+                             ids=["sqrt_prime", "integer"])
+    def test_decompose_checks_one_stack_per_domain_size(self, monkeypatch, rng, spec):
         chan = gen.random_covariant(spec, rng)
         eigvalsh, shapes = np.linalg.eigvalsh, []
 
@@ -393,8 +425,24 @@ class TestBlockStorage:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         decomp = cov.decompose(chan, spec)
-        assert len(decomp.sectors) == 31
-        assert shapes == [mask.domain_submatrix.shape for _, mask in decomp.sectors]
+        sizes = {len(shift.domain) for shift, _ in decomp.sectors}
+        assert sorted(shape[1] for shape in shapes) == sorted(sizes)
+        assert all(shape[1:] == (shape[1], shape[1]) for shape in shapes)
+        assert sum(shape[0] for shape in shapes) == len(decomp.sectors)
+
+    def test_decompose_reads_shifts_from_the_sector_map(self, monkeypatch, rng):
+        spec = sqrt_prime_spectrum(6)
+        chan = gen.random_covariant(spec, rng)
+        want = [(shift.sigma, shift.domain, shift.image)
+                for shift, _ in cov.decompose(chan, spec).sectors]
+
+        def refuse(spectrum, sigma):
+            raise AssertionError("decompose searched the spectrum for a sigma")
+
+        monkeypatch.setattr(cov, "partial_shift", refuse)
+        decomp = cov.decompose(chan, spec)
+        assert [(s.sigma, s.domain, s.image) for s, _ in decomp.sectors] == want
+        assert len(want) == 31
 
     def test_consumers_read_the_blocks_only(self, monkeypatch, rng):
         def dense_view(self):

@@ -1,18 +1,28 @@
 """Property tests of the sector decomposition on three families of spectra:
 integer gaps, incommensurate sqrt(prime) gaps, and near-unit gaps whose
 energy differences chain within match_tol into one sector."""
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import covchan as cc
 from covchan import channels as mcore
 from covchan import covariant as cov
+from covchan import fock
 from covchan import generate as gen
-from covchan.errors import DegenerateSpectrum
+from covchan.errors import DegenerateSpectrum, NotCP
 
-from conftest import sector_map_by_cluster_loop
+from conftest import (
+    covariance_defect_per_sector,
+    decompose_per_sector,
+    reconstruct_per_sector,
+    sector_map_by_cluster_loop,
+    sha256_of,
+    shift_distribution_per_sector,
+)
 
 # Derandomized with a bounded example count: every run draws the same
 # examples, and the suite stays fast.
@@ -213,3 +223,107 @@ def test_chained_repeated_level_raises_in_both_routes(width, far, mirror, extra,
     with pytest.raises(DegenerateSpectrum) as got:
         cc.Spectrum(energies, match_tol=MATCH_TOL)
     assert str(got.value) == str(exc.value)
+
+
+# ---------------------------------------------------------------------------
+# The work on stacks of equal-size sectors against the per-sector loops
+
+
+@st.composite
+def spectra_to_12_levels(draw, family):
+    """Spectra of up to 12 levels: integer, sqrt(prime) and real gaps, and
+    gaps 1 + a_j * match_tol whose sigma ~ 1 differences chain into one sector."""
+    n = draw(st.integers(3 if family == "chained" else 1, 12))
+    match_tol = 0.0
+    if family == "integer":
+        gaps = np.array(draw(st.lists(st.integers(1, 3), min_size=n - 1, max_size=n - 1)), float)
+    elif family == "sqrt_prime":
+        gaps = np.sqrt(draw(st.permutations(MANY_PRIMES[:11]))[:n - 1])
+    elif family == "real_gap":
+        gaps = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=n - 1, max_size=n - 1)))
+    else:
+        steps = draw(st.lists(st.floats(0.3, 0.95), min_size=n - 1, max_size=n - 1))
+        gaps = 1.0 + MATCH_TOL * np.array(draw(st.permutations(np.cumsum(steps).tolist())))
+        match_tol = MATCH_TOL
+    try:
+        return cc.Spectrum(np.concatenate([[0.0], np.cumsum(gaps)]), match_tol=match_tol)
+    except DegenerateSpectrum:
+        assume(False)
+
+
+STACK_FAMILIES = pytest.mark.parametrize("family", ["chained", "integer", "real_gap", "sqrt_prime"])
+
+
+def draw_channel(data, spec, kind):
+    """A covariant channel from K in [1, n^2] random Kraus operators: trace
+    preserving, scaled below TP, or pushed off covariance within decompose's tol."""
+    n = spec.dim
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    ops = gen.random_covariant(spec, rng, data.draw(st.integers(1, n * n))).kraus
+    if kind == "scaled":
+        ops = [data.draw(st.floats(0.3, 0.95)) * k for k in ops]
+    elif kind == "projected":
+        ops = [k + 1e-12 * (rng.normal(size=k.shape) + 1j * rng.normal(size=k.shape))
+               for k in ops]
+    return cc.Channel(tuple(ops)), gen.random_state(n, rng)
+
+
+@STACK_FAMILIES
+@pytest.mark.parametrize("kind", ["projected", "scaled", "tp"])
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_stacked_sector_work_equals_per_sector_loops(family, kind, data):
+    spec = data.draw(spectra_to_12_levels(family))
+    chan, rho = draw_channel(data, spec, kind)
+    want = decompose_per_sector(chan, spec)
+    got = cov.decompose(chan, spec)
+    assert sha256_of(got) == sha256_of(want)
+    assert (sha256_of(cov.covariance_defect(chan, spec))
+            == sha256_of(covariance_defect_per_sector(chan, spec)))
+    # From decompose's own stacks, and from stacks grouped again from the sectors.
+    for decomp in (got, dataclasses.replace(got)):
+        assert sha256_of(cov.reconstruct(decomp)) == sha256_of(reconstruct_per_sector(want))
+        assert (sha256_of(cov.shift_distribution(decomp, rho))
+                == sha256_of(shift_distribution_per_sector(want, rho)))
+
+
+@STACK_FAMILIES
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_not_cp_names_the_first_failing_sector(family, data):
+    # Blocks of a few sectors pushed negative definite on their diagonal: both
+    # routes name the lowest of them, whatever the sizes of their domains.
+    spec = data.draw(spectra_to_12_levels(family))
+    chan, _ = draw_channel(data, spec, "tp")
+    broken = data.draw(st.lists(st.integers(0, len(spec.sector_pairs) - 1),
+                                min_size=1, max_size=3, unique=True))
+    n = spec.dim
+    choi = mcore.choi_of(chan).matrix.copy()
+    for i in broken:
+        pairs = spec.sector_pairs[i]
+        choi[pairs, pairs] -= 1.0 + 2.0 * np.abs(choi).max()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mcore, "choi_of", lambda channel: mcore.ChoiMatrix(n, n, choi))
+        with pytest.raises(NotCP) as want:
+            decompose_per_sector(chan, spec)
+        with pytest.raises(NotCP) as got:
+            cov.decompose(chan, spec)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith(f"Choi sector {float(spec.sigmas[min(broken)])}:")
+
+
+@pytest.mark.parametrize("dim", [5, 12])
+def test_gaussian_sector_work_equals_per_sector_loops(dim):
+    # Real blocks are diagonalised as real; one mask made complex must not
+    # join the real stack of its size.
+    decomp = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=0.5))
+    shift, mask = decomp.sectors[0]
+    complex_mask = cc.SectorMask(sigma=mask.sigma, domain_submatrix=mask.domain_submatrix + 0j,
+                                 domain=mask.domain, dim=dim)
+    mixed = cc.SectorDecomposition(spectrum=decomp.spectrum,
+                                   sectors=((shift, complex_mask),) + decomp.sectors[1:])
+    rho = gen.random_state(dim, np.random.default_rng(dim))
+    for d in (decomp, mixed):
+        assert sha256_of(cov.reconstruct(d)) == sha256_of(reconstruct_per_sector(d))
+        assert (sha256_of(cov.shift_distribution(d, rho))
+                == sha256_of(shift_distribution_per_sector(d, rho)))
