@@ -25,11 +25,12 @@ Spectrum groups its sectors by domain size on first use and caches the
 groups (sector indices and (m, d) level arrays); for each size, decompose
 gathers the (m, d, d) Choi blocks at once, checks them with one stacked
 eigensolve and takes the shifts from the groups, reconstruct runs one
-stacked eigh and one scatter, and shift_distribution one product.  A
+stacked eigh and one scatter, shift_distribution one product, and
+apply_sectors one product per size and one np.add.at scatter.  A
 decomposition keeps the stacks its masks are views of.  The results are the
-per-sector loops' bit for bit: diagonal sums add in sector order, each
-block's residue is its own dot product, and the first failing sector in
-sector order is the one reported.
+per-sector loops' bit for bit: diagonal sums and scattered products add in
+sector order, each block's residue is its own dot product, and the first
+failing sector in sector order is the one reported.
 """
 from __future__ import annotations
 
@@ -157,13 +158,21 @@ class Spectrum:
         return tuple(groups)
 
     def _cluster_at(self, sigma: float) -> int | None:
-        """Index i of the cluster holding a difference within match_tol of sigma
-        (sigmas[i], sector_pairs[i]), or None: the one sigma -> sector rule."""
+        """Index i of the cluster whose span [lowest, highest] of differences lies
+        nearest to sigma, at distance 0 inside it, when that distance is within
+        match_tol (sigmas[i], sector_pairs[i]), or None: the one sigma -> sector
+        rule.  A cluster may start exactly match_tol above its neighbour's top, so
+        sigma can lie within match_tol of two spans; the spans are disjoint, and
+        the nearest one makes every sigmas[i] resolve to i."""
         lowest, highest = self._spans
-        i = int(np.searchsorted(highest, sigma - self.match_tol))
-        if i < len(self.sector_pairs) and lowest[i] - self.match_tol <= sigma:
-            return i
-        return None
+        i = int(np.searchsorted(highest, sigma))  # highest[i - 1] < sigma <= highest[i]
+        near = []  # (distance, cluster), the lower cluster first on a tie
+        if i > 0:
+            near.append((sigma - highest[i - 1], i - 1))
+        if i < highest.size:
+            near.append((max(lowest[i] - sigma, 0.0), i))
+        distance, i = min(near, key=lambda pair: pair[0])
+        return i if distance <= self.match_tol else None
 
 
 @dataclass(frozen=True)
@@ -212,13 +221,6 @@ class SectorMask:
                             ("domain", domain), ("dim", dim)):
             object.__setattr__(mask, name, value)
         return mask
-
-    def on_domain(self, sigma: float, domain: tuple[int, ...]) -> SectorMask:
-        """The same checked read-only block as the mask of sector sigma on another
-        domain of equal size, without a second check."""
-        if len(domain) != len(self.domain):
-            raise DimensionMismatch(f"sector {sigma}: block of {len(self.domain)} levels vs {domain}")
-        return SectorMask._checked(sigma, self.domain_submatrix, tuple(domain), self.dim)
 
     @property
     def mask(self) -> np.ndarray:
@@ -542,14 +544,33 @@ def sector_kraus(shift: PartialShift, mask: SectorMask):
     return list(_kraus_stack(sectors, _group_sectors(sectors), shift.dim))
 
 
+def _sector_products(groups, mat: np.ndarray) -> list[np.ndarray]:
+    """Per group, the (m, d, d) stack of each block times mat on its domain."""
+    return [g.blocks * mat[g.domains[:, :, None], g.domains[:, None, :]] for g in groups]
+
+
+def _apply_groups(groups, mat: np.ndarray) -> np.ndarray:
+    """apply_sectors on grouped sectors: one product per group and one np.add.at
+    scatter onto the images, the contributions in sector order, so that each
+    entry adds them one after another as a loop over the sectors would."""
+    out = np.zeros(np.shape(mat), dtype=complex)
+    if not groups:
+        return out
+    parts = [(np.repeat(g.index, p[0].size), np.broadcast_to(g.images[:, :, None], p.shape),
+              np.broadcast_to(g.images[:, None, :], p.shape), p)
+             for g, p in zip(groups, _sector_products(groups, mat))]
+    sector, rows, cols, vals = (np.concatenate([a.reshape(-1) for a in arrays])
+                                for arrays in zip(*parts))
+    order = np.argsort(sector, kind="stable")
+    np.add.at(out, (rows[order], cols[order]), vals[order])
+    return out
+
+
 def apply_sectors(sectors, mat: np.ndarray) -> np.ndarray:
     """sum_sigma S_sigma (M_sigma * mat) S_sigma^dag over (shift, mask) pairs, for any
-    square mat: each block times mat on its domain lands on the shift's image."""
-    out = np.zeros(np.shape(mat), dtype=complex)
-    for shift, mask in sectors:
-        dom, img = np.ix_(shift.domain, shift.domain), np.ix_(shift.image, shift.image)
-        out[img] += mask.domain_submatrix * mat[dom]
-    return out
+    square mat: each block times mat on its domain lands on the shift's image.
+    The sectors are grouped by domain size, one product per size."""
+    return _apply_groups(_group_sectors(tuple(sectors)), mat)
 
 
 def reconstruct(decomp: SectorDecomposition) -> Channel:
@@ -635,12 +656,13 @@ def domain_extension_check(
     The left-hand side applies the sector map to the non-Hermitian operator
     directly; the identity must hold numerically for covariant channels.
     """
-    spectrum = decomp.spectrum
-    ph = spectrum.phases(t)
-    shifted = rho.matrix * ph[None, :]
+    ph = decomp.spectrum.phases(t)
+    sigmas = decomp.sigmas()
     worst = 0.0
-    for sector in decomp.sectors:
-        lhs = apply_sectors([sector], shifted)
-        rhs = apply_sectors([sector], rho.matrix) * ph[None, :] * np.exp(1j * sector[0].sigma * t)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    for group, lhs, rhs in zip(decomp._groups,
+                               _sector_products(decomp._groups, rho.matrix * ph[None, :]),
+                               _sector_products(decomp._groups, rho.matrix)):
+        # Per sector the output columns are its image levels.
+        rhs = rhs * ph[group.images][:, None, :] * np.exp(1j * sigmas[group.index] * t)[:, None, None]
+        worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=(1, 2)).max()))
     return worst

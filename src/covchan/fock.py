@@ -13,6 +13,19 @@ so gaussian_decomposition takes about dim^2 / (2 chunk) Python steps rather
 than dim^2 / 2, and each entry gets the same float operations as from a
 recurrence of its own order alone.  The chunk bounds memory: its rows hold
 chunk * dim^2 floats, where one recurrence over all orders would hold dim^3.
+The other per-sector work runs once per chunk or once per dim, too:
+- The laggauss(dim) rule does not depend on std_dev, so _laguerre_rule
+  computes and checks it once per dim and process and keeps it read-only;
+  std_dev only rescales it.  The finite rules (dims 2-186) take under
+  0.3 MB together.
+- A chunk's blocks pass the SectorMask check as one zero-padded stack, one
+  _mask_failure call; padding keeps each Hermiticity residue and only adds
+  zero eigenvalues.  A failing chunk is checked again block by block, so the
+  error names the sector and eigenvalue that one check per sector would.
+- The GEMMs C diag(w) C^T stay one per block, at the block's own shape: a
+  zero-padded batched GEMM would move mask entries by about 1e-17.
+- Shifts are read off the integer spectrum's sector map, and the truncation
+  defect is one np.add.at over the distinct blocks' diagonals.
 
 The Monte Carlo displaces a factor rho = Psi diag(p) Psi^dag of the state
 rather than forming D rho D^dag, and its route follows the rank of Psi.  A
@@ -38,6 +51,7 @@ integral (u = r^2).
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,7 +60,7 @@ from numpy.polynomial.laguerre import laggauss
 
 from . import covariant as cov
 from .channels import DensityMatrix
-from .errors import InvalidParameter, SectorOutOfRange, UnknownSector
+from .errors import InvalidParameter, MaskNotPSD, SectorOutOfRange, UnknownSector
 
 _MC_CHUNK = 4096  # fixed chunk size keeps the reduction order deterministic
 _LAGUERRE_CHUNK = 16  # orders per batched Laguerre recurrence (see the module docstring)
@@ -96,15 +110,11 @@ class GaussianDecomposition(cov.SectorDecomposition):
     truncation_defect[j] = |1 - sum_sigma M_sigma(j, j)| is the per-level
     deviation from trace preservation caused by the finite cutoff; it is tiny
     for j well below dim and grows toward the truncation edge.
+    gaussian_decomposition forms it from the distinct blocks.
     """
 
     params: FockParams
-    truncation_defect: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        td = np.abs(1.0 - self.diagonal_sums())
-        td.setflags(write=False)
-        object.__setattr__(self, "truncation_defect", td)
+    truncation_defect: np.ndarray = field(repr=False, compare=False)
 
     @property
     def masks(self) -> tuple[cov.SectorMask, ...]:
@@ -225,18 +235,16 @@ def displacement_sector(sigma: int, r: float, dim: int) -> np.ndarray:
     return np.diag(coeff, -sigma).astype(complex)  # column j -> row j + sigma
 
 
-def _quad_nodes(s: float, dim: int):
-    """Exact Gauss-Laguerre rule with dim nodes for the mask integrals.
+@functools.lru_cache(maxsize=MAX_DIM)
+def _laguerre_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The laggauss(dim) nodes and weights for the weight e^{-x}, read-only.
 
-    After u = r^2 the mask integrand is e^{-u} * poly(u) * e^{-u/(2 s^2)} /
-    (2 s^2), where the e^{-u} comes from the retained e^{-r^2/2}
-    normalization of D.  With beta = 1 + 1/(2 s^2) the weight is e^{-beta u},
-    so the laggauss(dim) nodes x_i and weights w_i become u_i = x_i / beta and
-    w_i / (2 s^2 beta).  poly(u) = u^|sigma| L_j L_k has degree at most
-    2 dim - 2, below the 2 dim - 1 that dim nodes integrate exactly.
-    From a node count that depends on the numpy version (187 in numpy 2.4)
-    laggauss returns non-finite weights without raising, so they are checked;
-    dims up to 186 therefore work.
+    The rule does not depend on std_dev, so it is computed and checked once
+    per dim and process.  From a node count that depends on the numpy
+    version (187 in numpy 2.4) laggauss returns non-finite weights without
+    raising, so they are checked; dims up to 186 therefore work.  Only finite
+    rules are kept (lru_cache keeps no exception), and those of dims 2-186
+    take under 0.3 MB together.
     """
     with np.errstate(all="ignore"):
         try:
@@ -245,50 +253,106 @@ def _quad_nodes(s: float, dim: int):
             x = w = np.array([np.nan])  # reported as non-finite below
     if not np.all(np.isfinite(np.r_[x, w])):
         raise InvalidParameter(f"no finite {dim}-node Gauss-Laguerre rule in numpy")
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _quad_nodes(s: float, dim: int):
+    """Exact Gauss-Laguerre rule with dim nodes for the mask integrals.
+
+    After u = r^2 the mask integrand is e^{-u} * poly(u) * e^{-u/(2 s^2)} /
+    (2 s^2), where the e^{-u} comes from the retained e^{-r^2/2}
+    normalization of D.  With beta = 1 + 1/(2 s^2) the weight is e^{-beta u},
+    so the _laguerre_rule(dim) nodes x_i and weights w_i become u_i = x_i / beta
+    and w_i / (2 s^2 beta).  poly(u) = u^|sigma| L_j L_k has degree at most
+    2 dim - 2, below the 2 dim - 1 that dim nodes integrate exactly.
+    """
+    x, w = _laguerre_rule(dim)
     beta = 1.0 + 1.0 / (2.0 * s * s)
     return x / beta, w / (2.0 * s * s * beta)
 
 
 def _blocks_at_nodes(sigma_max: int, log_fact: np.ndarray, x: np.ndarray,
                      w: np.ndarray) -> list[np.ndarray]:
-    """The blocks C diag(W) C^T of M_a and M_{-a}, a = 0 .. sigma_max, from the sector
-    coefficients C at the nodes and the non-negative weights W, so PSD by construction.
-    One batched Laguerre recurrence serves _LAGUERRE_CHUNK consecutive orders a0, ...:
-    they share the dim - a0 rows the lowest one needs; rows past dim - a are dropped."""
+    """The checked read-only blocks C diag(W) C^T of M_a and M_{-a}, a = 0 ..
+    sigma_max, from the sector coefficients C at the nodes and the weights W.
+
+    One batched Laguerre recurrence serves _LAGUERRE_CHUNK consecutive orders
+    a0, ...: they share the dim - a0 rows the lowest one needs; rows past
+    dim - a are dropped.  Each block is one GEMM at its own shape, written into
+    its corner of the chunk's zero-padded (chunk, dim - a0, dim - a0) stack, and
+    the blocks returned are views of the read-only stacks.  Each stack passes
+    the SectorMask check at once: padding leaves each Hermiticity residue as it
+    is and only adds zero eigenvalues.  W >= 0 makes the blocks PSD, so a
+    failure is rare; the failing chunks' blocks are then checked again
+    unpadded, from the highest order down, and MaskNotPSD names sigma = -a for
+    the largest failing a, as one check per sector in sector order would.
+    """
     dim = log_fact.size
-    blocks = []
+    blocks, failed = [], []
     for a0 in range(0, sigma_max + 1, _LAGUERRE_CHUNK):
         orders = range(a0, min(a0 + _LAGUERRE_CHUNK, sigma_max + 1))
         lag = _laguerre_rows(dim - a0 - 1, np.array(orders), x)  # (dim - a0, chunk, nodes)
+        padded = np.zeros((len(orders), dim - a0, dim - a0))
         for a in orders:
             coeff = _sector_poly_coeffs(a, x, log_fact, lag[:dim - a, a - a0])
-            blocks.append((coeff * w[None, :]) @ coeff.T)
+            np.matmul(coeff * w[None, :], coeff.T, out=padded[a - a0, :dim - a, :dim - a])
+        if cov._mask_failure(padded, [float(-a) for a in orders]) is not None:
+            failed.append(orders)
+        padded.setflags(write=False)
+        blocks.extend(padded[a - a0, :dim - a, :dim - a] for a in orders)
+    for orders in reversed(failed):
+        for a in reversed(orders):
+            found = cov._mask_failure(blocks[a], [float(-a)])
+            if found is not None:
+                raise MaskNotPSD(found[1])
     return blocks
+
+
+def _truncation_defect(blocks: list[np.ndarray], dim: int) -> np.ndarray:
+    """|1 - sum_sigma M_sigma(j, j)| at each level j for the blocks of M_a and
+    M_{-a}, a = 0 .. len(blocks) - 1: one np.add.at over the distinct blocks'
+    diagonals, laid out in sector order sigma = -a_max .. a_max, so each level
+    adds them up as SectorDecomposition.diagonal_sums does."""
+    top = len(blocks) - 1
+    sigma = np.arange(-top, top + 1)
+    a = np.abs(sigma)
+    size = dim - a  # domain size per sector
+    level = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # within the domain
+    block_size = dim - np.arange(top + 1)
+    start = np.cumsum(block_size) - block_size  # each block's diagonal in the flat array
+    diagonals = np.concatenate([np.diagonal(b) for b in blocks])
+    sums = cov._diagonal_sums(np.repeat(np.where(sigma < 0, a, 0), size) + level,
+                              diagonals[np.repeat(start[a], size) + level], dim)
+    td = np.abs(1.0 - sums)
+    td.setflags(write=False)
+    return td
 
 
 def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     """Sectors for sigma in [-sigma_max, sigma_max] plus per-level TP defects.
 
-    M_a and M_{-a} share one block, so each block is built and checked once
-    (one SectorMask) and its mirror reuses the checked read-only array.
+    M_a and M_{-a} share one block, built and checked once (one check per
+    chunk of orders, _blocks_at_nodes); the shifts are read off the integer
+    spectrum's sector map, where cluster i holds sigma = i - (dim - 1).
     """
-    dim, s = params.dim, params.std_dev
-    x, w = _quad_nodes(s, dim)
+    dim, top = params.dim, params.sigma_max
+    x, w = _quad_nodes(params.std_dev, dim)
     spec = integer_spectrum(dim)
-    blocks = _blocks_at_nodes(params.sigma_max, _log_factorials(dim), x, w)
-    checked: dict[int, cov.SectorMask] = {}
-    sectors = []
-    for sigma in range(-params.sigma_max, params.sigma_max + 1):
-        shift = cov.partial_shift(spec, float(sigma))
-        a = abs(sigma)
-        if a in checked:
-            mask = checked[a].on_domain(shift.sigma, shift.domain)
-        else:
-            mask = checked[a] = cov.SectorMask(
-                sigma=shift.sigma, domain_submatrix=blocks[a],
-                domain=shift.domain, dim=dim)
-        sectors.append((shift, mask))
-    return GaussianDecomposition(params=params, spectrum=spec, sectors=tuple(sectors))
+    blocks = _blocks_at_nodes(top, _log_factorials(dim), x, w)
+    pairs = np.concatenate(spec.sector_pairs[dim - 1 - top:dim + top])
+    domains, images = (pairs % dim).tolist(), (pairs // dim).tolist()
+    sectors, end = [], 0
+    for sigma in range(-top, top + 1):
+        start, end = end, end + dim - abs(sigma)
+        domain = tuple(domains[start:end])
+        shift = cov.PartialShift(sigma=float(sigma), domain=domain,
+                                 image=tuple(images[start:end]), dim=dim)
+        sectors.append((shift, cov.SectorMask._checked(float(sigma), blocks[abs(sigma)],
+                                                       domain, dim)))
+    return GaussianDecomposition(params=params, spectrum=spec, sectors=tuple(sectors),
+                                 truncation_defect=_truncation_defect(blocks, dim))
 
 
 def _unit_powers(z: np.ndarray, count: int) -> np.ndarray:

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial.laguerre import laggauss
 
 import covchan as cc
 from covchan import channels as mc
@@ -199,9 +200,7 @@ def decompose_per_sector(channel: cc.Channel, spectrum: cc.Spectrum,
                          tol: float = 1e-10) -> cc.SectorDecomposition:
     """Oracle for covariant.decompose: every sector's block pinched, kept or
     dropped, and checked by its own SectorMask, in sector order.  Each shift
-    comes from its own cluster's pairs, not from partial_shift(spectrum, sigma),
-    which picks the lower of two clusters whose edges lie exactly match_tol
-    from sigma."""
+    comes from its own cluster's pairs."""
     choi, cross = choi_and_cross_per_sector(channel, spectrum)
     defect = float(cross.max())
     if defect > tol:
@@ -295,6 +294,62 @@ def scatter_projection_defect(channel: cc.Channel, decomp) -> float:
         idx = [int(np.argmax(np.abs(shift.matrix[:, j]))) * n + j for j in dom]
         recon[np.ix_(idx, idx)] = mask.mask[np.ix_(dom, dom)]
     return float(np.linalg.norm(cc.choi_of(channel).matrix - recon))
+
+
+def gaussian_decomposition_per_sector(params: fock.FockParams,
+                                     nodes=None) -> fock.GaussianDecomposition:
+    """Oracle for fock.gaussian_decomposition: a fresh laggauss rule (or the
+    (x, w) nodes given), one Laguerre recurrence and one block per order, and
+    per sigma its own partial_shift; the block of each |sigma| passes its own
+    SectorMask at sigma = -|sigma|, and M_{|sigma|} reuses it.  The truncation
+    defect comes from the decomposition's diagonal sums."""
+    dim, s = params.dim, params.std_dev
+    if nodes is None:
+        x, w = laggauss(dim)
+        beta = 1.0 + 1.0 / (2.0 * s * s)
+        nodes = x / beta, w / (2.0 * s * s * beta)
+    x, w = nodes
+    spec = fock.integer_spectrum(dim)
+    log_fact = fock._log_factorials(dim)
+    checked = {}
+    sectors = []
+    for sigma in range(-params.sigma_max, params.sigma_max + 1):
+        shift = cov.partial_shift(spec, float(sigma))
+        a = abs(sigma)
+        if a not in checked:
+            coeff = fock._sector_poly_coeffs(a, x, log_fact,
+                                             laguerre_rows_per_order(dim - a - 1, a, x))
+            checked[a] = cc.SectorMask(sigma=shift.sigma, domain_submatrix=(coeff * w) @ coeff.T,
+                                       domain=shift.domain, dim=dim)
+        mask = cov.SectorMask._checked(shift.sigma, checked[a].domain_submatrix, shift.domain, dim)
+        sectors.append((shift, mask))
+    sums = cc.SectorDecomposition(spectrum=spec, sectors=tuple(sectors)).diagonal_sums()
+    return fock.GaussianDecomposition(params=params, spectrum=spec, sectors=tuple(sectors),
+                                      truncation_defect=np.abs(1.0 - sums))
+
+
+def apply_sectors_per_sector(sectors, mat: np.ndarray) -> np.ndarray:
+    """Oracle for covariant.apply_sectors: each block times mat on its domain,
+    added onto the shift's image sector after sector."""
+    out = np.zeros(np.shape(mat), dtype=complex)
+    for shift, mask in sectors:
+        dom, img = np.ix_(shift.domain, shift.domain), np.ix_(shift.image, shift.image)
+        out[img] += mask.domain_submatrix * mat[dom]
+    return out
+
+
+def domain_extension_per_sector(decomp: cc.SectorDecomposition, rho: cc.DensityMatrix,
+                                t: float) -> float:
+    """Oracle for covariant.domain_extension_check: both sides of the identity
+    as dense matrices, one sector at a time."""
+    ph = decomp.spectrum.phases(t)
+    worst = 0.0
+    for sector in decomp.sectors:
+        lhs = apply_sectors_per_sector([sector], rho.matrix * ph[None, :])
+        rhs = (apply_sectors_per_sector([sector], rho.matrix) * ph[None, :]
+               * np.exp(1j * sector[0].sigma * t))
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
 
 
 def laguerre_rows_per_order(jmax: int, alpha: int, x: np.ndarray) -> np.ndarray:

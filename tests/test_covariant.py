@@ -23,6 +23,7 @@ from conftest import (
     evolve_matrix,
     scatter_projection_defect,
     sector_channel,
+    sha256_of,
 )
 
 
@@ -357,6 +358,17 @@ class TestSigmaLookup:
             shift, _ = decomp.sector(sigma)
             assert shift.domain == cov.partial_shift(spec, sigma).domain == (0, 2, 4, 6, 8)
             assert dist.probability(sigma) == dict(dist.pairs)[shift.sigma] > 0.0
+
+    def test_sigma_within_match_tol_of_two_spans_names_the_nearer(self):
+        # Cluster 8 (domain (0,)) starts match_tol above the top of cluster 7
+        # (domain (1, 2)), so sigmas[8] lies within match_tol of both spans.
+        spec = cc.Spectrum(np.array([4.125e-09, 1.00000000675, 2.000000008625,
+                                     3.000000010125, 4.000000012125]), match_tol=1e-9)
+        assert [spec._cluster_at(s) for s in spec.sigmas] == list(range(11))
+        assert cov.partial_shift(spec, spec.sigmas[8]).domain == (0,)
+        decomp = cov.decompose(gen.random_covariant(spec, np.random.default_rng(0)), spec)
+        back = ser.decomposition_from_json(ser.decomposition_to_json(decomp))
+        assert sha256_of(back.sectors) == sha256_of(decomp.sectors)
 
     def test_distribution_without_spectrum_matches_exactly(self):
         dist = cov.EnergyShiftDistribution(pairs=((0.1, 0.25), (1.0, 0.75)))

@@ -12,9 +12,14 @@ from scipy.linalg import expm
 import covchan as cc
 from covchan import cli, fock
 from covchan.channels import EPS_PSD
-from covchan.errors import InvalidParameter, SectorOutOfRange
+from covchan.errors import InvalidParameter, MaskNotPSD, SectorOutOfRange
 
-from conftest import laguerre_rows_per_order, monte_carlo_by_full_displacement
+from conftest import (
+    gaussian_decomposition_per_sector,
+    laguerre_rows_per_order,
+    monte_carlo_by_full_displacement,
+    sha256_of,
+)
 
 
 def laguerre_sum(j, alpha, x):
@@ -345,19 +350,87 @@ class TestGaussianDecomposition:
         assert cli.main(["gaussian", "--std-dev", "0.5", "--dim", "1000000"]) == 2
         assert cli.main(["mc-gaussian", "--std-dev", "0.5", "--dim", "1000000"]) == 2
 
-    def test_checks_each_distinct_block_once(self, monkeypatch):
-        # M_a and M_{-a} share one block: sigma_max + 1 eigensolves, not 2 sigma_max + 1.
-        params = fock.FockParams(dim=12, std_dev=0.5, sigma_max=7)
-        nodes = fock._quad_nodes(params.std_dev, params.dim)  # laggauss solves its own eigenproblem
-        monkeypatch.setattr(fock, "_quad_nodes", lambda s, dim: nodes)
+    @pytest.mark.parametrize("dim, sigma_max", [(12, 7), (40, 39)])
+    def test_checks_each_chunk_once(self, monkeypatch, dim, sigma_max):
+        # M_a and M_{-a} share one block, and each chunk of orders is checked as
+        # one zero-padded stack: one eigensolve per chunk, sigma_max + 1 blocks in all.
+        params = fock.FockParams(dim=dim, std_dev=0.5, sigma_max=sigma_max)
+        fock._laguerre_rule(dim)  # laggauss solves its own eigenproblem; now cached
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
         decomp = fock.gaussian_decomposition(params)
-        assert sorted(calls) == [(12 - a, 12 - a) for a in range(7, -1, -1)]
-        for a in range(1, 8):
-            assert decomp.mask(-a).domain_submatrix is decomp.mask(a).domain_submatrix
-            assert decomp.mask(-a).domain == tuple(range(a, 12))
+        chunk = fock._LAGUERRE_CHUNK
+        assert calls == [(min(chunk, sigma_max + 1 - a0), dim - a0, dim - a0)
+                         for a0 in range(0, sigma_max + 1, chunk)]
+        assert sum(shape[0] for shape in calls) == sigma_max + 1
+        for a in range(1, sigma_max + 1):
+            block = decomp.mask(a).domain_submatrix
+            assert decomp.mask(-a).domain_submatrix is block
+            assert not block.flags.writeable
+            assert decomp.mask(-a).domain == tuple(range(a, dim))
+
+    def test_no_per_sector_work(self, monkeypatch):
+        # Timing-free guards at dim 64: no sigma lookup, one check per chunk of
+        # orders, and one laggauss per dim and process, read-only.
+        def refuse(spectrum, sigma):
+            raise AssertionError("gaussian_decomposition searched the spectrum for a sigma")
+
+        checks, rules = [], []
+        mask_failure, laggauss = cc.covariant._mask_failure, fock.laggauss
+        monkeypatch.setattr(cc.covariant, "partial_shift", refuse)
+        monkeypatch.setattr(cc.covariant, "_mask_failure",
+                            lambda blocks, sigmas: checks.append(blocks.shape)
+                            or mask_failure(blocks, sigmas))
+        monkeypatch.setattr(fock, "laggauss", lambda dim: rules.append(dim) or laggauss(dim))
+        fock._laguerre_rule.cache_clear()
+        for s in (0.3, 0.5, 1.0):
+            params = fock.FockParams(dim=64, std_dev=s)
+            checks.clear()
+            fock.gaussian_decomposition(params)
+            assert len(checks) <= math.ceil((params.sigma_max + 1) / fock._LAGUERRE_CHUNK)
+        assert rules == [64]
+        x, w = fock._laguerre_rule(64)
+        assert not (x.flags.writeable or w.flags.writeable)
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(dim=st.integers(2, 186), s=st.sampled_from([0.1, 0.3, 0.5, 1.0]), data=st.data())
+    def test_equals_per_sector_builder(self, dim, s, data):
+        # Masks, shifts and truncation defects bit for bit, at every sigma_max.
+        top = data.draw(st.sampled_from([0, dim - 1]) | st.integers(1, dim - 1), label="sigma_max")
+        params = fock.FockParams(dim=dim, std_dev=s, sigma_max=top)
+        got = fock.gaussian_decomposition(params)
+        want = gaussian_decomposition_per_sector(params)
+        assert sha256_of(got) == sha256_of(want)  # every field, truncation_defect too
+
+    @pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 1.0])
+    @pytest.mark.parametrize("dim", [8, 48, 186])
+    def test_equals_per_sector_builder_at_report_dims(self, dim, s):
+        params = fock.FockParams(dim=dim, std_dev=s)
+        got = fock.gaussian_decomposition(params)
+        want = gaussian_decomposition_per_sector(params)
+        assert sha256_of(got) == sha256_of(want)  # every field, truncation_defect too
+
+    @pytest.mark.parametrize("node", [0, 6, 12, 14, 16])
+    def test_non_psd_block_names_the_sector_of_one_check_per_sector(self, monkeypatch, node):
+        # One weight made negative breaks the blocks of several orders, in one
+        # chunk or two; the message names sigma = -a for the largest of them and
+        # its eigenvalue, as the per-sector check does.
+        params = fock.FockParams(dim=40, std_dev=0.5)
+        x, w = fock._quad_nodes(params.std_dev, params.dim)
+        w = w.copy()
+        w[node] = -w[node]
+        with pytest.raises(MaskNotPSD) as want:
+            gaussian_decomposition_per_sector(params, nodes=(x, w))
+        with pytest.raises(MaskNotPSD) as got:
+            fock._blocks_at_nodes(params.sigma_max, fock._log_factorials(params.dim), x, w)
+        assert str(got.value) == str(want.value)
+        monkeypatch.setattr(fock, "_quad_nodes", lambda s, dim: (x, w))
+        with pytest.raises(MaskNotPSD) as built:
+            fock.gaussian_decomposition(params)
+        assert str(built.value) == str(want.value)
 
     def test_one_recurrence_per_chunk_of_orders(self, monkeypatch):
         # One recurrence per |sigma| would make 64 calls at dim 64.

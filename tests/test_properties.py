@@ -13,11 +13,14 @@ from covchan import channels as mcore
 from covchan import covariant as cov
 from covchan import fock
 from covchan import generate as gen
+from covchan import serialize as ser
 from covchan.errors import DegenerateSpectrum, NotCP
 
 from conftest import (
+    apply_sectors_per_sector,
     covariance_defect_per_sector,
     decompose_per_sector,
+    domain_extension_per_sector,
     reconstruct_per_sector,
     sector_map_by_cluster_loop,
     sha256_of,
@@ -285,6 +288,13 @@ def test_stacked_sector_work_equals_per_sector_loops(family, kind, data):
         assert sha256_of(cov.reconstruct(decomp)) == sha256_of(reconstruct_per_sector(want))
         assert (sha256_of(cov.shift_distribution(decomp, rho))
                 == sha256_of(shift_distribution_per_sector(want, rho)))
+        # Chained sectors hold differences off their mean sigma, so the defect
+        # is of order match_tol * t there, not roundoff.
+        assert cov.domain_extension_check(decomp, rho, 2.5) == pytest.approx(
+            domain_extension_per_sector(want, rho, 2.5), rel=1e-12, abs=1e-15)
+    X = rho.matrix @ rho.matrix.T  # complex and not Hermitian
+    assert sha256_of(cov.apply_sectors(got.sectors, X)) == sha256_of(
+        apply_sectors_per_sector(want.sectors, X))
 
 
 @STACK_FAMILIES
@@ -327,3 +337,25 @@ def test_gaussian_sector_work_equals_per_sector_loops(dim):
         assert sha256_of(cov.reconstruct(d)) == sha256_of(reconstruct_per_sector(d))
         assert (sha256_of(cov.shift_distribution(d, rho))
                 == sha256_of(shift_distribution_per_sector(d, rho)))
+        for mat in (rho.matrix, rho.matrix.real):
+            assert (sha256_of(cov.apply_sectors(d.sectors, mat))
+                    == sha256_of(apply_sectors_per_sector(d.sectors, mat)))
+
+
+@st.composite
+def chained_grid_spectra(draw):
+    """Levels j + k_j match_tol / 8 with integer k_j in [0, 40]: the differences
+    lie on a grid of match_tol / 8, so a cluster often starts about match_tol
+    above its neighbour's top, where a sigma lies within match_tol of two spans."""
+    n = draw(st.integers(3, 8))
+    k = np.array(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)))
+    return cc.Spectrum(np.arange(n) + k * MATCH_TOL / 8, match_tol=MATCH_TOL)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(spec=chained_grid_spectra(), seed=st.integers(0, 2**32 - 1))
+def test_every_sigma_names_its_own_cluster(spec, seed):
+    assert [spec._cluster_at(s) for s in spec.sigmas] == list(range(len(spec.sigmas)))
+    decomp = cov.decompose(gen.random_covariant(spec, np.random.default_rng(seed)), spec)
+    back = ser.decomposition_from_json(ser.decomposition_to_json(decomp))
+    assert sha256_of(back.sectors) == sha256_of(decomp.sectors)
