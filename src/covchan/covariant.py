@@ -25,17 +25,17 @@ Spectrum groups its sectors by domain size on first use and caches the
 groups (sector indices and (m, d) level arrays); for each size, decompose
 gathers the (m, d, d) Choi blocks at once, checks them with one stacked
 eigensolve and takes the shifts from the groups, reconstruct runs one
-stacked eigh and one scatter, shift_distribution one product, and
-apply_sectors one product per size and one np.add.at scatter.  A
+stacked eigh and one scatter, and shift_distribution one product.  A
 decomposition keeps the stacks its masks are views of.  The results are the
-per-sector loops' bit for bit: diagonal sums and scattered products add in
-sector order, each block's residue is its own dot product, and the first
-failing sector in sector order is the one reported.
+per-sector loops' bit for bit: diagonal sums add in sector order, each
+block's residue is its own dot product, and the first failing sector in
+sector order is the one reported.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +51,8 @@ from .errors import (
     NotCP,
     UnknownSector,
 )
+
+_HERMITISE_BYTES = 1 << 18  # slice of a stack Hermitised at once in _mask_failure
 
 
 class _SizeGroup(NamedTuple):
@@ -255,10 +257,11 @@ class SectorDecomposition:
 
     def diagonal_sums(self) -> np.ndarray:
         """sum_sigma M_sigma(j, j) at every input level j: all ones for a TP channel."""
-        levels = [j for shift, _ in self.sectors for j in shift.domain]
-        diags = [np.real(np.diag(mask.domain_submatrix)) for _, mask in self.sectors]
-        return _diagonal_sums(np.array(levels, dtype=np.intp),
-                              np.concatenate([np.zeros(0), *diags]), self.spectrum.dim)
+        levels = np.fromiter(chain.from_iterable(shift.domain for shift, _ in self.sectors),
+                             dtype=np.intp)
+        diags = np.concatenate([np.zeros(0), *(np.diagonal(mask.domain_submatrix)
+                                               for _, mask in self.sectors)])
+        return _diagonal_sums(levels, np.real(diags), self.spectrum.dim)
 
     @cached_property
     def _groups(self) -> tuple[_SizeGroup, ...]:
@@ -328,13 +331,23 @@ def _mask_failure(blocks: np.ndarray, sigmas) -> tuple[int, str] | None:
 
     Returns (i, message) for the first block that is not Hermitian within
     EPS_H or has an eigenvalue below -EPS_PSD, sigmas[i] naming its sector,
-    or None when every block passes.
+    or None when every block passes.  The Hermitian parts are formed a slice
+    of about _HERMITISE_BYTES at a time, so that on large blocks the
+    temporaries stay in cache, and the eigensolve runs on the whole stack.
     """
     if not blocks.shape[-1]:
         return None
-    adjoint = blocks.conj().swapaxes(-1, -2)
-    skew = np.ravel(np.max(np.abs(blocks - adjoint), axis=(-2, -1)) > mc.EPS_H)
-    lmin = np.ravel(np.linalg.eigvalsh((blocks + adjoint) / 2.0).min(axis=-1))
+    stack = blocks.reshape(-1, *blocks.shape[-2:])
+    herm = np.empty_like(stack)
+    skew = np.empty(len(stack), dtype=bool)
+    step = max(1, _HERMITISE_BYTES // (stack.itemsize * stack.shape[-1] ** 2))
+    for i in range(0, len(stack), step):
+        part, half = stack[i:i + step], herm[i:i + step]
+        adjoint = part.conj().swapaxes(-1, -2)
+        skew[i:i + step] = np.max(np.abs(part - adjoint), axis=(-2, -1)) > mc.EPS_H
+        np.add(part, adjoint, out=half)
+        half /= 2.0
+    lmin = np.linalg.eigvalsh(herm).min(axis=-1)
     bad = np.flatnonzero(skew | (lmin < -mc.EPS_PSD))
     if not bad.size:
         return None
@@ -544,33 +557,14 @@ def sector_kraus(shift: PartialShift, mask: SectorMask):
     return list(_kraus_stack(sectors, _group_sectors(sectors), shift.dim))
 
 
-def _sector_products(groups, mat: np.ndarray) -> list[np.ndarray]:
-    """Per group, the (m, d, d) stack of each block times mat on its domain."""
-    return [g.blocks * mat[g.domains[:, :, None], g.domains[:, None, :]] for g in groups]
-
-
-def _apply_groups(groups, mat: np.ndarray) -> np.ndarray:
-    """apply_sectors on grouped sectors: one product per group and one np.add.at
-    scatter onto the images, the contributions in sector order, so that each
-    entry adds them one after another as a loop over the sectors would."""
-    out = np.zeros(np.shape(mat), dtype=complex)
-    if not groups:
-        return out
-    parts = [(np.repeat(g.index, p[0].size), np.broadcast_to(g.images[:, :, None], p.shape),
-              np.broadcast_to(g.images[:, None, :], p.shape), p)
-             for g, p in zip(groups, _sector_products(groups, mat))]
-    sector, rows, cols, vals = (np.concatenate([a.reshape(-1) for a in arrays])
-                                for arrays in zip(*parts))
-    order = np.argsort(sector, kind="stable")
-    np.add.at(out, (rows[order], cols[order]), vals[order])
-    return out
-
-
 def apply_sectors(sectors, mat: np.ndarray) -> np.ndarray:
     """sum_sigma S_sigma (M_sigma * mat) S_sigma^dag over (shift, mask) pairs, for any
-    square mat: each block times mat on its domain lands on the shift's image.
-    The sectors are grouped by domain size, one product per size."""
-    return _apply_groups(_group_sectors(tuple(sectors)), mat)
+    square mat: each block times mat on its domain lands on the shift's image."""
+    out = np.zeros(np.shape(mat), dtype=complex)
+    for shift, mask in sectors:
+        dom, img = np.ix_(shift.domain, shift.domain), np.ix_(shift.image, shift.image)
+        out[img] += mask.domain_submatrix * mat[dom]
+    return out
 
 
 def reconstruct(decomp: SectorDecomposition) -> Channel:
@@ -656,13 +650,12 @@ def domain_extension_check(
     The left-hand side applies the sector map to the non-Hermitian operator
     directly; the identity must hold numerically for covariant channels.
     """
-    ph = decomp.spectrum.phases(t)
-    sigmas = decomp.sigmas()
+    spectrum = decomp.spectrum
+    ph = spectrum.phases(t)
+    shifted = rho.matrix * ph[None, :]
     worst = 0.0
-    for group, lhs, rhs in zip(decomp._groups,
-                               _sector_products(decomp._groups, rho.matrix * ph[None, :]),
-                               _sector_products(decomp._groups, rho.matrix)):
-        # Per sector the output columns are its image levels.
-        rhs = rhs * ph[group.images][:, None, :] * np.exp(1j * sigmas[group.index] * t)[:, None, None]
-        worst = max(worst, float(np.linalg.norm(lhs - rhs, axis=(1, 2)).max()))
+    for sector in decomp.sectors:
+        lhs = apply_sectors([sector], shifted)
+        rhs = apply_sectors([sector], rho.matrix) * ph[None, :] * np.exp(1j * sector[0].sigma * t)
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
     return worst

@@ -24,8 +24,9 @@ The other per-sector work runs once per chunk or once per dim, too:
   error names the sector and eigenvalue that one check per sector would.
 - The GEMMs C diag(w) C^T stay one per block, at the block's own shape: a
   zero-padded batched GEMM would move mask entries by about 1e-17.
-- Shifts are read off the integer spectrum's sector map, and the truncation
-  defect is one np.add.at over the distinct blocks' diagonals.
+- Shifts are read off the integer spectrum's sector map, with no sigma
+  lookup per sector, and that spectrum is built once per dim
+  (_shared_integer_spectrum, at most 16 kept).
 
 The Monte Carlo displaces a factor rho = Psi diag(p) Psi^dag of the state
 rather than forming D rho D^dag, and its route follows the rank of Psi.  A
@@ -110,11 +111,15 @@ class GaussianDecomposition(cov.SectorDecomposition):
     truncation_defect[j] = |1 - sum_sigma M_sigma(j, j)| is the per-level
     deviation from trace preservation caused by the finite cutoff; it is tiny
     for j well below dim and grows toward the truncation edge.
-    gaussian_decomposition forms it from the distinct blocks.
     """
 
     params: FockParams
-    truncation_defect: np.ndarray = field(repr=False, compare=False)
+    truncation_defect: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        td = np.abs(1.0 - self.diagonal_sums())
+        td.setflags(write=False)
+        object.__setattr__(self, "truncation_defect", td)
 
     @property
     def masks(self) -> tuple[cov.SectorMask, ...]:
@@ -147,6 +152,15 @@ class ComparisonReport:
 
 def integer_spectrum(dim: int) -> cov.Spectrum:
     return cov.Spectrum(energies=np.arange(dim, dtype=float))
+
+
+@functools.lru_cache(maxsize=16)
+def _shared_integer_spectrum(dim: int) -> cov.Spectrum:
+    """integer_spectrum(dim), one per dim for all Gaussian decompositions of
+    that dim: a Spectrum is immutable, so they can share it.  gaussian_decomposition
+    asks only after the dim-node rule exists (dim <= 186), and such a spectrum
+    takes 0.33 MB (1 MB once decompose has grouped its sectors)."""
+    return integer_spectrum(dim)
 
 
 def _laguerre_rows(jmax: int, alpha, x: np.ndarray) -> np.ndarray:
@@ -310,26 +324,6 @@ def _blocks_at_nodes(sigma_max: int, log_fact: np.ndarray, x: np.ndarray,
     return blocks
 
 
-def _truncation_defect(blocks: list[np.ndarray], dim: int) -> np.ndarray:
-    """|1 - sum_sigma M_sigma(j, j)| at each level j for the blocks of M_a and
-    M_{-a}, a = 0 .. len(blocks) - 1: one np.add.at over the distinct blocks'
-    diagonals, laid out in sector order sigma = -a_max .. a_max, so each level
-    adds them up as SectorDecomposition.diagonal_sums does."""
-    top = len(blocks) - 1
-    sigma = np.arange(-top, top + 1)
-    a = np.abs(sigma)
-    size = dim - a  # domain size per sector
-    level = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)  # within the domain
-    block_size = dim - np.arange(top + 1)
-    start = np.cumsum(block_size) - block_size  # each block's diagonal in the flat array
-    diagonals = np.concatenate([np.diagonal(b) for b in blocks])
-    sums = cov._diagonal_sums(np.repeat(np.where(sigma < 0, a, 0), size) + level,
-                              diagonals[np.repeat(start[a], size) + level], dim)
-    td = np.abs(1.0 - sums)
-    td.setflags(write=False)
-    return td
-
-
 def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     """Sectors for sigma in [-sigma_max, sigma_max] plus per-level TP defects.
 
@@ -339,7 +333,7 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     """
     dim, top = params.dim, params.sigma_max
     x, w = _quad_nodes(params.std_dev, dim)
-    spec = integer_spectrum(dim)
+    spec = _shared_integer_spectrum(dim)
     blocks = _blocks_at_nodes(top, _log_factorials(dim), x, w)
     pairs = np.concatenate(spec.sector_pairs[dim - 1 - top:dim + top])
     domains, images = (pairs % dim).tolist(), (pairs // dim).tolist()
@@ -351,8 +345,7 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
                                  image=tuple(images[start:end]), dim=dim)
         sectors.append((shift, cov.SectorMask._checked(float(sigma), blocks[abs(sigma)],
                                                        domain, dim)))
-    return GaussianDecomposition(params=params, spectrum=spec, sectors=tuple(sectors),
-                                 truncation_defect=_truncation_defect(blocks, dim))
+    return GaussianDecomposition(params=params, spectrum=spec, sectors=tuple(sectors))
 
 
 def _unit_powers(z: np.ndarray, count: int) -> np.ndarray:

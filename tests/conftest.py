@@ -301,8 +301,7 @@ def gaussian_decomposition_per_sector(params: fock.FockParams,
     """Oracle for fock.gaussian_decomposition: a fresh laggauss rule (or the
     (x, w) nodes given), one Laguerre recurrence and one block per order, and
     per sigma its own partial_shift; the block of each |sigma| passes its own
-    SectorMask at sigma = -|sigma|, and M_{|sigma|} reuses it.  The truncation
-    defect comes from the decomposition's diagonal sums."""
+    SectorMask at sigma = -|sigma|, and M_{|sigma|} reuses it."""
     dim, s = params.dim, params.std_dev
     if nodes is None:
         x, w = laggauss(dim)
@@ -323,33 +322,17 @@ def gaussian_decomposition_per_sector(params: fock.FockParams,
                                        domain=shift.domain, dim=dim)
         mask = cov.SectorMask._checked(shift.sigma, checked[a].domain_submatrix, shift.domain, dim)
         sectors.append((shift, mask))
-    sums = cc.SectorDecomposition(spectrum=spec, sectors=tuple(sectors)).diagonal_sums()
-    return fock.GaussianDecomposition(params=params, spectrum=spec, sectors=tuple(sectors),
-                                      truncation_defect=np.abs(1.0 - sums))
+    return fock.GaussianDecomposition(params=params, spectrum=spec, sectors=tuple(sectors))
 
 
-def apply_sectors_per_sector(sectors, mat: np.ndarray) -> np.ndarray:
-    """Oracle for covariant.apply_sectors: each block times mat on its domain,
-    added onto the shift's image sector after sector."""
-    out = np.zeros(np.shape(mat), dtype=complex)
-    for shift, mask in sectors:
-        dom, img = np.ix_(shift.domain, shift.domain), np.ix_(shift.image, shift.image)
-        out[img] += mask.domain_submatrix * mat[dom]
-    return out
-
-
-def domain_extension_per_sector(decomp: cc.SectorDecomposition, rho: cc.DensityMatrix,
-                                t: float) -> float:
-    """Oracle for covariant.domain_extension_check: both sides of the identity
-    as dense matrices, one sector at a time."""
-    ph = decomp.spectrum.phases(t)
-    worst = 0.0
-    for sector in decomp.sectors:
-        lhs = apply_sectors_per_sector([sector], rho.matrix * ph[None, :])
-        rhs = (apply_sectors_per_sector([sector], rho.matrix) * ph[None, :]
-               * np.exp(1j * sector[0].sigma * t))
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
-    return worst
+def diagonal_sums_per_sector(decomp: cc.SectorDecomposition) -> np.ndarray:
+    """Oracle for SectorDecomposition.diagonal_sums: each sector's block
+    diagonal added onto its input levels, sector after sector."""
+    total = np.zeros(decomp.spectrum.dim)
+    for shift, mask in decomp.sectors:
+        for j, value in zip(shift.domain, np.real(np.diag(mask.domain_submatrix))):
+            total[j] += value
+    return total
 
 
 def laguerre_rows_per_order(jmax: int, alpha: int, x: np.ndarray) -> np.ndarray:

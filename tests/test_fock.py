@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -15,6 +16,7 @@ from covchan.channels import EPS_PSD
 from covchan.errors import InvalidParameter, MaskNotPSD, SectorOutOfRange
 
 from conftest import (
+    diagonal_sums_per_sector,
     gaussian_decomposition_per_sector,
     laguerre_rows_per_order,
     monte_carlo_by_full_displacement,
@@ -372,7 +374,7 @@ class TestGaussianDecomposition:
 
     def test_no_per_sector_work(self, monkeypatch):
         # Timing-free guards at dim 64: no sigma lookup, one check per chunk of
-        # orders, and one laggauss per dim and process, read-only.
+        # orders, one laggauss per dim and process, read-only, and one spectrum.
         def refuse(spectrum, sigma):
             raise AssertionError("gaussian_decomposition searched the spectrum for a sigma")
 
@@ -390,6 +392,8 @@ class TestGaussianDecomposition:
             fock.gaussian_decomposition(params)
             assert len(checks) <= math.ceil((params.sigma_max + 1) / fock._LAGUERRE_CHUNK)
         assert rules == [64]
+        other = fock.gaussian_decomposition(fock.FockParams(dim=64, std_dev=0.2))
+        assert other.spectrum is fock.gaussian_decomposition(params).spectrum
         x, w = fock._laguerre_rule(64)
         assert not (x.flags.writeable or w.flags.writeable)
         with pytest.raises(ValueError):
@@ -404,6 +408,8 @@ class TestGaussianDecomposition:
         got = fock.gaussian_decomposition(params)
         want = gaussian_decomposition_per_sector(params)
         assert sha256_of(got) == sha256_of(want)  # every field, truncation_defect too
+        assert sha256_of(got.truncation_defect) == sha256_of(
+            np.abs(1.0 - diagonal_sums_per_sector(want)))
 
     @pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("dim", [8, 48, 186])
@@ -412,6 +418,20 @@ class TestGaussianDecomposition:
         got = fock.gaussian_decomposition(params)
         want = gaussian_decomposition_per_sector(params)
         assert sha256_of(got) == sha256_of(want)  # every field, truncation_defect too
+        assert sha256_of(got.truncation_defect) == sha256_of(
+            np.abs(1.0 - diagonal_sums_per_sector(want)))
+
+    def test_truncation_defect_follows_the_sectors(self):
+        # Derived, not stored: a copy with other sectors gets their defect.
+        decomp = fock.gaussian_decomposition(fock.FockParams(dim=10, std_dev=0.5))
+        fewer = dataclasses.replace(decomp, sectors=decomp.sectors[1:-1])
+        assert sha256_of(fewer.truncation_defect) == sha256_of(
+            np.abs(1.0 - diagonal_sums_per_sector(fewer)))
+        assert fewer.truncation_defect[0] > decomp.truncation_defect[0]
+        assert not fewer.truncation_defect.flags.writeable
+        with pytest.raises(TypeError):
+            fock.GaussianDecomposition(params=decomp.params, spectrum=decomp.spectrum,
+                                       sectors=decomp.sectors, truncation_defect=np.zeros(10))
 
     @pytest.mark.parametrize("node", [0, 6, 12, 14, 16])
     def test_non_psd_block_names_the_sector_of_one_check_per_sector(self, monkeypatch, node):
