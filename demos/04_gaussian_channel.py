@@ -3,8 +3,8 @@
 The channel averages displacements D(z, r) over a uniform phase z and a
 Rayleigh-distributed radius r.  Rotation invariance makes it covariant for
 the number operator, so it has integer energy-shift sectors whose masks come
-out of an exact dim-node Gauss-Laguerre rule.  Monte Carlo over actual displacement
-matrices is the independent check.
+in closed form from its factorisation into a pure loss and an amplifier.
+Monte Carlo over actual displacement matrices is the independent check.
 """
 import numpy as np
 

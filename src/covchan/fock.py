@@ -1,29 +1,35 @@
 """Truncated single-mode Gaussian channel: displacement operators, their
-energy-shift sectors via Laguerre polynomials, dephasing masks from the exact
-Gauss-Laguerre rule for the weight e^{-beta u} with dim nodes (dims up to 186),
-and a Monte Carlo oracle that shares the generator eigenpairs of
-displacement_matrix; expm of the generator is the test oracle.  FockParams
-accepts dims up to MAX_DIM, so no bad dim reaches an O(dim^2) allocation.
-gaussian_decomposition is the one mask builder, and the GaussianDecomposition
-it returns is a covariant.SectorDecomposition on the integer spectrum.
+energy-shift sectors via Laguerre polynomials, dephasing masks in closed form
+(dims up to _MAX_MASK_DIM = 186), and a Monte Carlo oracle that shares the
+generator eigenpairs of displacement_matrix; expm of the generator is the test
+oracle.  FockParams accepts dims up to MAX_DIM, so no bad dim reaches an
+O(dim^2) allocation.  gaussian_decomposition is the one mask builder, and the
+GaussianDecomposition it returns is a covariant.SectorDecomposition on the
+integer spectrum.
 
-The masks need L_j^(a) at the dim nodes for every order a = |sigma|.  One
-three-term recurrence runs over _LAGUERRE_CHUNK consecutive orders at once,
-so gaussian_decomposition takes about dim^2 / (2 chunk) Python steps rather
-than dim^2 / 2, and each entry gets the same float operations as from a
-recurrence of its own order alone.  The chunk bounds memory: its rows hold
-chunk * dim^2 floats, where one recurrence over all orders would hold dim^3.
-The other per-sector work runs once per chunk or once per dim, too:
-- The laggauss(dim) rule does not depend on std_dev, so _laguerre_rule
-  computes and checks it once per dim and process and keeps it read-only;
-  std_dev only rescales it.  The finite rules (dims 2-186) take under
-  0.3 MB together.
-- A chunk's blocks pass the SectorMask check as one zero-padded stack, one
-  _mask_failure call; padding keeps each Hermiticity residue and only adds
-  zero eigenvalues.  A failing chunk is checked again block by block, so the
+The channel adds classical noise of mean photon number N = 2 s^2, and it
+factors as a pure loss of transmissivity 1 / (1 + N) followed by an amplifier
+of gain 1 + N (Caruso, Giovannetti & Holevo, NJP 8, 310 (2006)).  Both factors
+have Fock-basis Kraus operators in closed form (Ivan, Sabapathy & Simon, PRA
+84, 042311 (2011)): loss takes l of the j input photons, the amplifier adds
+l + a, and the composite moves level j to j + a.  So M_a = C_a C_a^T with
+
+    log C_a[j, l] = 1/2 [lf(j) + lf(j+a) - lf(l) - lf(l+a)] - lf(j-l)
+                    + (l + a/2) log(N / (1 + N)) - (j - l + 1/2) log(1 + N)
+
+for 0 <= l <= j <= dim-1-a (zero elsewhere), lf(k) = log k!.  Loss never
+leaves the cut-off and the output is cut at dim, so this finite sum of
+non-negative terms is the truncated mask exactly: no quadrature, no Laguerre
+recurrence, nothing that cancels, and log(N / (1 + N)) = -log1p(1 / N) keeps
+every accepted std_dev finite.  The per-sector work runs once per chunk of
+_MASK_CHUNK consecutive orders, or once per dim:
+- A chunk's factors are one zero-padded (chunk, dim - a0, dim - a0) stack
+  from one exp, and one batched C @ C^T gives the chunk's blocks in their
+  corners with exact zeros around them.
+- That padded stack passes the SectorMask check at once, one _mask_failure
+  call; padding keeps each Hermiticity residue and only adds zero
+  eigenvalues.  A failing chunk is checked again block by block, so the
   error names the sector and eigenvalue that one check per sector would.
-- The GEMMs C diag(w) C^T stay one per block, at the block's own shape: a
-  zero-padded batched GEMM would move mask entries by about 1e-17.
 - Shifts are read off the integer spectrum's sector map, with no sigma
   lookup per sector, and that spectrum is built once per dim
   (_shared_integer_spectrum, at most 16 kept).
@@ -45,10 +51,7 @@ acts as
     D_sigma(r) |j> = e^{-r^2/2} r^sigma sqrt(j!/(j+sigma)!) L_j^(sigma)(r^2) |j+sigma>
 
 for sigma >= 0; below the diagonal, D_{-a} = (-1)^a D_a^T, so M_a and M_{-a}
-are one block on the domains 0..dim-1-a and a..dim-1.  The factor e^{-r^2/2}
-is kept explicitly: it is forced by unitarity of D and by the Monte Carlo
-oracle, and the masks therefore carry an extra e^{-u} inside the radial
-integral (u = r^2).
+are one block on the domains 0..dim-1-a and a..dim-1.
 """
 from __future__ import annotations
 
@@ -57,23 +60,32 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial.laguerre import laggauss
 
 from . import covariant as cov
 from .channels import DensityMatrix
 from .errors import InvalidParameter, MaskNotPSD, SectorOutOfRange, UnknownSector
 
 _MC_CHUNK = 4096  # fixed chunk size keeps the reduction order deterministic
-_LAGUERRE_CHUNK = 16  # orders per batched Laguerre recurrence (see the module docstring)
-# Largest accepted dim.  The spectrum's n^2 sector pairs and laggauss's dim x dim
-# companion matrix are allocated before the rule is known to exist, so an
-# unbounded dim would ask for terabytes; numpy 2.4 has finite rules up to 186.
+# Least allowance per entry of compare_decomposition_to_mc: the roundoff of the
+# sampled mean, which neither the standard error nor the truncation defect
+# covers where both are 0 (std_dev near 1e-154 makes every sample the identity;
+# entries of density matrices up to dim 64 then deviated by at most 2e-14).
+_MC_ROUNDOFF = 1e-13
+_MASK_CHUNK = 16  # orders per factor stack and per SectorMask check (module docstring)
+# Largest accepted dim: an unbounded dim would ask for terabytes in the
+# spectrum's n^2 sector pairs and the Monte Carlo's dim x dim arrays.
 MAX_DIM = 1024
+# Largest dim gaussian_decomposition builds masks for.  The closed form has no
+# limit of its own, but the CLI reports hold every mask entry in memory at
+# once (about 2 GB of JSON at dim 186, growing as dim^3), so the cap stays
+# until they stream.
+_MAX_MASK_DIM = 186
 
 
 def _check_std_dev(s: float) -> None:
-    """2 s^2, the quadrature weight's denominator, must be a finite normal float
-    so that 1 / (2 s^2) is finite too; * overflows to inf where ** raises."""
+    """N = 2 s^2, the mean photon number the channel adds, must be a finite
+    normal float, so that the log N and 1 / N of the masks are finite too;
+    * overflows to inf where ** raises."""
     two_var = 2.0 * s * s
     if not (s > 0.0 and np.finfo(float).tiny <= two_var < math.inf):
         raise InvalidParameter("std_dev must be positive with 2 std_dev^2 a finite normal float")
@@ -158,21 +170,14 @@ def integer_spectrum(dim: int) -> cov.Spectrum:
 def _shared_integer_spectrum(dim: int) -> cov.Spectrum:
     """integer_spectrum(dim), one per dim for all Gaussian decompositions of
     that dim: a Spectrum is immutable, so they can share it.  gaussian_decomposition
-    asks only after the dim-node rule exists (dim <= 186), and such a spectrum
-    takes 0.33 MB (1 MB once decompose has grouped its sectors)."""
+    asks only for dims up to _MAX_MASK_DIM, and such a spectrum takes 0.33 MB
+    at dim 186 (1 MB once decompose has grouped its sectors)."""
     return integer_spectrum(dim)
 
 
-def _laguerre_rows(jmax: int, alpha, x: np.ndarray) -> np.ndarray:
-    """Rows L_0^(alpha)(x) ... L_jmax^(alpha)(x), stable three-term recurrence.
-
-    alpha may be an array of orders: row k then has shape alpha.shape + x.shape,
-    and each entry gets the same float operations, in the same order, as it
-    would from a scalar alpha, so one recurrence serves a batch of sectors.
-    """
-    alpha = np.asarray(alpha)
-    alpha = alpha.reshape(alpha.shape + (1,) * x.ndim)
-    rows = np.zeros((jmax + 2,) + np.broadcast_shapes(alpha.shape, x.shape))
+def _laguerre_rows(jmax: int, alpha: int, x: np.ndarray) -> np.ndarray:
+    """Rows L_0^(alpha)(x) ... L_jmax^(alpha)(x), stable three-term recurrence."""
+    rows = np.zeros((jmax + 2,) + x.shape)
     rows[1] = 1.0  # rows[k + 1] is L_k, starting from L_-1 = 0
     for k in range(jmax):
         rows[k + 2] = ((2 * k + 1 + alpha - x) * rows[k + 1] - (k + alpha) * rows[k]) / (k + 1)
@@ -217,20 +222,17 @@ def _log_factorials(dim: int) -> np.ndarray:
     return np.array([math.lgamma(k + 1) for k in range(dim)])
 
 
-def _sector_poly_coeffs(a: int, u: np.ndarray, log_fact: np.ndarray, lag=None) -> np.ndarray:
+def _sector_poly_coeffs(a: int, u: np.ndarray, log_fact: np.ndarray) -> np.ndarray:
     """Per-level coefficients of D_a (a >= 0) at u = r^2, without the e^{-u/2} factor,
-    on dim = log_fact.size levels given _log_factorials(dim).  lag holds the
-    rows L_0^(a)(u) ... L_{dim-a-1}^(a)(u) when a batched recurrence made them.
+    on dim = log_fact.size levels given _log_factorials(dim).
 
     Returns array (dim - a, len(u)); row j is the coefficient carried from
     input level j to output level j + a.
     """
     u = np.asarray(u, dtype=float)
     dim = log_fact.size
-    if lag is None:
-        lag = _laguerre_rows(dim - a - 1, a, u)
     ratio = np.exp(0.5 * (log_fact[:dim - a] - log_fact[a:]))  # sqrt(j!/(j+a)!)
-    return u ** (a / 2.0) * ratio[:, None] * lag
+    return u ** (a / 2.0) * ratio[:, None] * _laguerre_rows(dim - a - 1, a, u)
 
 
 def displacement_sector(sigma: int, r: float, dim: int) -> np.ndarray:
@@ -249,69 +251,45 @@ def displacement_sector(sigma: int, r: float, dim: int) -> np.ndarray:
     return np.diag(coeff, -sigma).astype(complex)  # column j -> row j + sigma
 
 
-@functools.lru_cache(maxsize=MAX_DIM)
-def _laguerre_rule(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The laggauss(dim) nodes and weights for the weight e^{-x}, read-only.
+def _mask_chunk(orders: range, log_fact: np.ndarray, n: float) -> np.ndarray:
+    """The blocks M_a = C_a C_a^T, a in orders, of the channel adding N = n
+    photons on dim = log_fact.size levels, as one zero-padded
+    (len(orders), dim - a0, dim - a0) stack, a0 = orders[0].
 
-    The rule does not depend on std_dev, so it is computed and checked once
-    per dim and process.  From a node count that depends on the numpy
-    version (187 in numpy 2.4) laggauss returns non-finite weights without
-    raising, so they are checked; dims up to 186 therefore work.  Only finite
-    rules are kept (lru_cache keeps no exception), and those of dims 2-186
-    take under 0.3 MB together.
+    The factors (module docstring) are one stack with entry [a - a0, j, l]:
+    log C_a[j, l] is a row term in j, a column term in l and a band term in
+    j - l, so it takes no per-sector Python.  It is exp(-inf) = 0 outside
+    l <= j < dim - a, so each block lands in its corner of the product.
     """
-    with np.errstate(all="ignore"):
-        try:
-            x, w = laggauss(dim)
-        except np.linalg.LinAlgError:
-            x = w = np.array([np.nan])  # reported as non-finite below
-    if not np.all(np.isfinite(np.r_[x, w])):
-        raise InvalidParameter(f"no finite {dim}-node Gauss-Laguerre rule in numpy")
-    x.setflags(write=False)
-    w.setflags(write=False)
-    return x, w
+    dim = log_fact.size
+    a = np.array(orders)[:, None]
+    k = np.arange(dim - orders[0])  # j along rows, l along columns
+    pair = log_fact[k] + log_fact[np.minimum(k + a, dim - 1)]  # clipped past the domain
+    row = 0.5 * pair
+    col = (k + a / 2.0) * -math.log1p(1.0 / n) - 0.5 * pair  # log(N / (1+N)) = -log1p(1/N)
+    d = np.abs(k[:, None] - k[None, :])  # j - l wherever C_a is non-zero
+    band = -log_fact[d] - (d + 0.5) * math.log1p(n)
+    inside = (k[None, :] <= k[:, None]) & (k[:, None] < dim - a[:, :, None])
+    c = np.exp(np.where(inside, row[:, :, None] + col[:, None, :] + band, -np.inf))
+    return c @ c.transpose(0, 2, 1)
 
 
-def _quad_nodes(s: float, dim: int):
-    """Exact Gauss-Laguerre rule with dim nodes for the mask integrals.
+def _checked_blocks(sigma_max: int, log_fact: np.ndarray, n: float) -> list[np.ndarray]:
+    """The checked read-only blocks of M_a and M_{-a}, a = 0 .. sigma_max.
 
-    After u = r^2 the mask integrand is e^{-u} * poly(u) * e^{-u/(2 s^2)} /
-    (2 s^2), where the e^{-u} comes from the retained e^{-r^2/2}
-    normalization of D.  With beta = 1 + 1/(2 s^2) the weight is e^{-beta u},
-    so the _laguerre_rule(dim) nodes x_i and weights w_i become u_i = x_i / beta
-    and w_i / (2 s^2 beta).  poly(u) = u^|sigma| L_j L_k has degree at most
-    2 dim - 2, below the 2 dim - 1 that dim nodes integrate exactly.
-    """
-    x, w = _laguerre_rule(dim)
-    beta = 1.0 + 1.0 / (2.0 * s * s)
-    return x / beta, w / (2.0 * s * s * beta)
-
-
-def _blocks_at_nodes(sigma_max: int, log_fact: np.ndarray, x: np.ndarray,
-                     w: np.ndarray) -> list[np.ndarray]:
-    """The checked read-only blocks C diag(W) C^T of M_a and M_{-a}, a = 0 ..
-    sigma_max, from the sector coefficients C at the nodes and the weights W.
-
-    One batched Laguerre recurrence serves _LAGUERRE_CHUNK consecutive orders
-    a0, ...: they share the dim - a0 rows the lowest one needs; rows past
-    dim - a are dropped.  Each block is one GEMM at its own shape, written into
-    its corner of the chunk's zero-padded (chunk, dim - a0, dim - a0) stack, and
-    the blocks returned are views of the read-only stacks.  Each stack passes
-    the SectorMask check at once: padding leaves each Hermiticity residue as it
-    is and only adds zero eigenvalues.  W >= 0 makes the blocks PSD, so a
-    failure is rare; the failing chunks' blocks are then checked again
-    unpadded, from the highest order down, and MaskNotPSD names sigma = -a for
-    the largest failing a, as one check per sector in sector order would.
+    Each chunk of _MASK_CHUNK orders is one _mask_chunk stack, and the blocks
+    returned are views of those read-only stacks.  Each stack passes the
+    SectorMask check at once: padding leaves each Hermiticity residue as it
+    is and only adds zero eigenvalues.  C C^T is PSD, so a failure is rare;
+    the failing chunks' blocks are then checked again unpadded, from the
+    highest order down, and MaskNotPSD names sigma = -a for the largest
+    failing a, as one check per sector in sector order would.
     """
     dim = log_fact.size
     blocks, failed = [], []
-    for a0 in range(0, sigma_max + 1, _LAGUERRE_CHUNK):
-        orders = range(a0, min(a0 + _LAGUERRE_CHUNK, sigma_max + 1))
-        lag = _laguerre_rows(dim - a0 - 1, np.array(orders), x)  # (dim - a0, chunk, nodes)
-        padded = np.zeros((len(orders), dim - a0, dim - a0))
-        for a in orders:
-            coeff = _sector_poly_coeffs(a, x, log_fact, lag[:dim - a, a - a0])
-            np.matmul(coeff * w[None, :], coeff.T, out=padded[a - a0, :dim - a, :dim - a])
+    for a0 in range(0, sigma_max + 1, _MASK_CHUNK):
+        orders = range(a0, min(a0 + _MASK_CHUNK, sigma_max + 1))
+        padded = _mask_chunk(orders, log_fact, n)
         if cov._mask_failure(padded, [float(-a) for a in orders]) is not None:
             failed.append(orders)
         padded.setflags(write=False)
@@ -328,13 +306,14 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     """Sectors for sigma in [-sigma_max, sigma_max] plus per-level TP defects.
 
     M_a and M_{-a} share one block, built and checked once (one check per
-    chunk of orders, _blocks_at_nodes); the shifts are read off the integer
+    chunk of orders, _checked_blocks); the shifts are read off the integer
     spectrum's sector map, where cluster i holds sigma = i - (dim - 1).
     """
     dim, top = params.dim, params.sigma_max
-    x, w = _quad_nodes(params.std_dev, dim)
+    if dim > _MAX_MASK_DIM:
+        raise InvalidParameter(f"Gaussian masks need dim <= {_MAX_MASK_DIM}, got {dim}")
     spec = _shared_integer_spectrum(dim)
-    blocks = _blocks_at_nodes(top, _log_factorials(dim), x, w)
+    blocks = _checked_blocks(top, _log_factorials(dim), 2.0 * params.std_dev * params.std_dev)
     pairs = np.concatenate(spec.sector_pairs[dim - 1 - top:dim + top])
     domains, images = (pairs % dim).tolist(), (pairs // dim).tolist()
     sectors, end = [], 0
@@ -457,13 +436,13 @@ def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloRes
 def compare_decomposition_to_mc(
     params: FockParams, rho: DensityMatrix
 ) -> ComparisonReport:
-    """Entrywise check of the quadrature decomposition against Monte Carlo.
+    """Entrywise check of the closed-form decomposition against Monte Carlo.
 
     The prediction is G(rho) = sum_sigma S_sigma (M_sigma * rho) S_sigma^dag
     straight from the masks.  The allowance at entry (j, k) is
-    max(3 * standard error, truncation defect at level j or k): statistical
-    noise dominates deep in the bulk, the cutoff defect near the truncation
-    edge.
+    max(3 * standard error, truncation defect at level j or k, _MC_ROUNDOFF):
+    statistical noise dominates deep in the bulk, the cutoff defect near the
+    truncation edge, and roundoff where the samples do not vary.
     """
     decomp = gaussian_decomposition(params)
     predicted = cov.apply_sectors(decomp.sectors, rho.matrix)
@@ -471,8 +450,8 @@ def compare_decomposition_to_mc(
     dev = np.abs(predicted - sampled.mean)
     td = decomp.truncation_defect
     level_allow = np.maximum(td[:, None], td[None, :])
-    allowed = np.maximum(3.0 * sampled.standard_error, level_allow)
-    ratio = dev / np.maximum(allowed, 1e-300)
+    allowed = np.maximum(np.maximum(3.0 * sampled.standard_error, level_allow), _MC_ROUNDOFF)
+    ratio = dev / allowed
     worst = np.unravel_index(int(np.argmax(ratio)), ratio.shape)
     return ComparisonReport(
         max_entry_deviation=float(dev[worst]),

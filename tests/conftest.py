@@ -296,18 +296,25 @@ def scatter_projection_defect(channel: cc.Channel, decomp) -> float:
     return float(np.linalg.norm(cc.choi_of(channel).matrix - recon))
 
 
-def gaussian_decomposition_per_sector(params: fock.FockParams,
-                                     nodes=None) -> fock.GaussianDecomposition:
-    """Oracle for fock.gaussian_decomposition: a fresh laggauss rule (or the
-    (x, w) nodes given), one Laguerre recurrence and one block per order, and
-    per sigma its own partial_shift; the block of each |sigma| passes its own
-    SectorMask at sigma = -|sigma|, and M_{|sigma|} reuses it."""
+def gaussian_decomposition_per_sector(params: fock.FockParams) -> fock.GaussianDecomposition:
+    """Quadrature oracle for fock.gaussian_decomposition, independent of its
+    loss-amplifier factorisation: the exact laggauss rule with dim nodes for
+    the radial integral of D_sigma rho D_sigma^dag, one Laguerre recurrence and
+    one block per order, and per sigma its own partial_shift; the block of
+    each |sigma| passes its own SectorMask at sigma = -|sigma|, and
+    M_{|sigma|} reuses it.
+
+    After u = r^2 the mask integrand is e^{-u} poly(u) e^{-u/(2 s^2)} / (2 s^2),
+    where e^{-u} is the e^{-r^2/2} normalisation of D squared.  With
+    beta = 1 + 1/(2 s^2) the weight is e^{-beta u}, so the laggauss nodes x_i
+    and weights w_i become x_i / beta and w_i / (2 s^2 beta); the polynomial
+    u^|sigma| L_j L_k has degree at most 2 dim - 2, which dim nodes integrate
+    exactly.  numpy 2.4 has finite rules up to dim 186.
+    """
     dim, s = params.dim, params.std_dev
-    if nodes is None:
-        x, w = laggauss(dim)
-        beta = 1.0 + 1.0 / (2.0 * s * s)
-        nodes = x / beta, w / (2.0 * s * s * beta)
-    x, w = nodes
+    x, w = laggauss(dim)
+    beta = 1.0 + 1.0 / (2.0 * s * s)
+    x, w = x / beta, w / (2.0 * s * s * beta)
     spec = fock.integer_spectrum(dim)
     log_fact = fock._log_factorials(dim)
     checked = {}
@@ -316,8 +323,8 @@ def gaussian_decomposition_per_sector(params: fock.FockParams,
         shift = cov.partial_shift(spec, float(sigma))
         a = abs(sigma)
         if a not in checked:
-            coeff = fock._sector_poly_coeffs(a, x, log_fact,
-                                             laguerre_rows_per_order(dim - a - 1, a, x))
+            ratio = np.exp(0.5 * (log_fact[:dim - a] - log_fact[a:]))  # sqrt(j!/(j+a)!)
+            coeff = x ** (a / 2.0) * ratio[:, None] * laguerre_rows_per_order(dim - a - 1, a, x)
             checked[a] = cc.SectorMask(sigma=shift.sigma, domain_submatrix=(coeff * w) @ coeff.T,
                                        domain=shift.domain, dim=dim)
         mask = cov.SectorMask._checked(shift.sigma, checked[a].domain_submatrix, shift.domain, dim)

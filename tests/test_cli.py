@@ -225,11 +225,13 @@ class TestGaussian:
         code, _, _ = run(capsys, "gaussian", "--dim", "4")
         assert code == cli.EXIT_USAGE
 
-    @pytest.mark.parametrize("flags", [("--std-dev", "0.3", "--dim", "1"),
-                                       ("--std-dev", "-1", "--dim", "8"),
-                                       ("--std-dev", "1", "--dim", "187")])
+    @pytest.mark.parametrize("flags", [("gaussian", "--std-dev", "0.3", "--dim", "1"),
+                                       ("gaussian", "--std-dev", "-1", "--dim", "8"),
+                                       ("gaussian", "--std-dev", "1", "--dim", "187"),
+                                       ("mc-gaussian", "--std-dev", "1", "--dim", "187")])
     def test_out_of_range_parameter_exit_2(self, capsys, flags):
-        code, out, err = run(capsys, "gaussian", *flags)
+        # dim 187 is past the mask builder's cap, the same for both commands.
+        code, out, err = run(capsys, *flags)
         assert code == cli.EXIT_USAGE
         assert out == "" and err.startswith("error:")
 
@@ -422,7 +424,9 @@ def test_reader_closing_pipe_early(tmp_path):
 # Exit codes as a property: every subcommand, numeric flags drawn from bad and
 # extreme values, run in-process.
 
-FLAG_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308", "abc", "1", "0.3", "4")
+# "1e-150" and "9.48e153" are the ends of the std_dev range FockParams accepts.
+FLAG_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308", "abc", "1", "0.3", "4",
+               "1e-150", "9.48e153")
 EXIT_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
 
 
@@ -444,10 +448,16 @@ VALID_FLAGS = {
 
 @st.composite
 def cli_argvs(draw):
+    """(argv, COVCHAN_SEED or None).  For mc-gaussian the drawn value may go
+    to COVCHAN_SEED instead of a flag; --seed is then left out, so that the
+    variable supplies the seed."""
     command = draw(st.sampled_from(sorted(VALID_FLAGS)))
     flags = VALID_FLAGS[command]
-    bad = {}
-    if flags:  # one flag at a time, so that an earlier bad flag does not mask it
+    bad, seed_env = {}, None
+    if command == "mc-gaussian" and draw(st.booleans()):
+        seed_env = draw(st.sampled_from(FLAG_VALUES))
+        flags = {flag: value for flag, value in flags.items() if flag != "--seed"}
+    elif flags:  # one flag at a time, so that an earlier bad flag does not mask it
         bad[draw(st.sampled_from(sorted(flags)))] = draw(st.sampled_from(FLAG_VALUES))
     if command in ("gaussian", "mc-gaussian"):
         argv = [command, "--format", draw(st.sampled_from(["json", "csv"]))]
@@ -462,17 +472,23 @@ def cli_argvs(draw):
             argv += ["--phi0", str(FIXTURES / ("phi0_4level.json" if four else "plus_state.json"))]
     for flag, value in {**flags, **bad}.items():
         argv += [flag, value]
-    return argv
+    return argv, seed_env
 
 
 @EXIT_PROPERTY
-@given(argv=cli_argvs())
-@example(argv=["mc-gaussian", "--format", "json", "--std-dev", "1e308", "--dim", "4",
-               "--sigma-max", "0", "--samples", "20", "--seed", "0"])  # once printed nan
-def test_exit_code_contract(argv):
+@given(case=cli_argvs())
+@example(case=(["mc-gaussian", "--format", "json", "--std-dev", "1e308", "--dim", "4",
+                "--sigma-max", "0", "--samples", "20", "--seed", "0"], None))  # once printed nan
+def test_exit_code_contract(case):
+    argv, seed_env = case
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)  # an exception escaping main fails the test
-    assert code in (cli.EXIT_OK, cli.EXIT_VIOLATION, cli.EXIT_USAGE), argv
+    with pytest.MonkeyPatch.context() as mp:
+        if seed_env is None:
+            mp.delenv("COVCHAN_SEED", raising=False)
+        else:
+            mp.setenv("COVCHAN_SEED", seed_env)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)  # an exception escaping main fails the test
+    assert code in (cli.EXIT_OK, cli.EXIT_VIOLATION, cli.EXIT_USAGE), case
     if out.getvalue() and "csv" not in argv:  # strict JSON under every exit code
         json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -1,11 +1,13 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
@@ -37,6 +39,39 @@ def laguerre_sum(j, alpha, x):
 def laguerre(j, alpha, x):
     """L_j^(alpha)(x) as the last row of the library's recurrence."""
     return fock._laguerre_rows(j, alpha, np.asarray(x, dtype=float))[j]
+
+
+def mask_by_decimal_sum(sigma, dim, s):
+    """Oracle M_sigma (sigma >= 0) on levels 0..dim-1 at std_dev s, as the
+    loss-amplifier sum of the module docstring in 50-digit decimal arithmetic.
+
+    C[j, l]^2 = j! (j+sigma)! / (l! (l+sigma)! (j-l)!^2) q^(2l+sigma)
+    / (1+N)^(2(j-l)+1), N = 2 s^2 and q = N / (1+N), for l <= j, and
+    M(j, k) = sum_l C[j, l] C[k, l]: integer powers and one square root per
+    term, every term non-negative.
+    """
+    out = np.zeros((dim, dim))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n = 2 * Decimal(s) ** 2
+        q = n / (1 + n)
+        fact = [Decimal(math.factorial(k)) for k in range(2 * dim)]
+        size = dim - sigma
+        c = [[(fact[j] * fact[j + sigma] / (fact[l] * fact[l + sigma] * fact[j - l] ** 2)
+               * q ** (2 * l + sigma) / (1 + n) ** (2 * (j - l) + 1)).sqrt()
+              for l in range(j + 1)] for j in range(size)]
+        for j in range(size):
+            for k in range(size):
+                out[j, k] = float(sum(c[j][l] * c[k][l] for l in range(min(j, k) + 1)))
+    return out
+
+
+def thermal_vacuum_row(s, a):
+    """N^a / (1+N)^(a+1), N = 2 s^2, in 50-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        n = 2 * Decimal(s) ** 2
+        return float(n ** a / (1 + n) ** (a + 1))
 
 
 def mask_by_exact_integration(sigma, dim, s2):
@@ -89,20 +124,15 @@ class TestLaguerre:
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     @settings(derandomize=True, max_examples=80, deadline=None, database=None)
-    @given(jmax=st.integers(0, 60), a0=st.integers(0, 60), count=st.integers(1, 40),
+    @given(jmax=st.integers(0, 60), alpha=st.integers(0, 60),
            nodes=st.lists(st.floats(0.0, 1e3), max_size=6))
-    def test_batched_rows_equal_per_order_oracle(self, jmax, a0, count, nodes):
-        # Runs of up to 40 orders cross the chunks gaussian_decomposition batches;
+    def test_rows_equal_per_order_oracle(self, jmax, alpha, nodes):
         # x = 0, a large node and two nodes that are not short binary fractions
         # are always present.
         x = np.array([0.0, 740.0, math.pi, 10.0 * math.e] + nodes)
-        rows = fock._laguerre_rows(jmax, np.arange(a0, a0 + count), x)
-        assert rows.shape == (jmax + 1, count, x.size)
-        for i in range(count):
-            want = laguerre_rows_per_order(jmax, a0 + i, x)
-            assert rows[:, i].tobytes() == want.tobytes()
-        assert fock._laguerre_rows(jmax, a0, x).tobytes() == laguerre_rows_per_order(
-            jmax, a0, x).tobytes()
+        rows = fock._laguerre_rows(jmax, alpha, x)
+        assert rows.shape == (jmax + 1, x.size)
+        assert rows.tobytes() == laguerre_rows_per_order(jmax, alpha, x).tobytes()
 
 
 def safe_limit(dim, r):
@@ -218,18 +248,25 @@ class TestGaussianMasks:
             assert m == pytest.approx(1.0 / (1.0 + 2.0 * s * s), abs=1e-10)
 
     @settings(derandomize=True, max_examples=60, deadline=None, database=None)
-    @given(s=st.floats(0.05, 1.0), data=st.data())
-    def test_vacuum_output_is_thermal(self, s, data):
+    @given(log_s=st.floats(math.log(1e-150), math.log(9.48e153)), dim=st.integers(2, 186),
+           frac=st.floats(0.0, 1.0))
+    # Where the weights of a Gauss-Laguerre rule go subnormal, it got the
+    # high orders wrong by a relative 0.136 and 1.0.
+    @example(log_s=math.log(1e150), dim=48, frac=1.0)
+    @example(log_s=math.log(1e140), dim=186, frac=1.0)
+    def test_vacuum_output_is_thermal(self, log_s, dim, frac):
         # The additive-noise channel sends the vacuum to the thermal state with
         # mean photon number N = 2 s^2, so M_a(0, 0) = M_{-a}(a, a) = N^a / (1+N)^(a+1).
-        # The rule is exact for these degree-a integrands at every dim.
-        dim = data.draw(st.integers(2, 120), label="dim")
-        a = data.draw(st.integers(0, dim - 1), label="a")
-        n_th = 2.0 * s * s
-        want = n_th ** a / (1.0 + n_th) ** (a + 1)
+        # s is log-uniform over the whole range FockParams accepts; entries
+        # whose reference is a normal float also meet a relative bound.
+        s = min(math.exp(log_s), 9.48e153)
+        a = round(frac * (dim - 1))
+        want = thermal_vacuum_row(s, a)
         decomp = fock.gaussian_decomposition(fock.FockParams(dim, s, sigma_max=max(a, 1)))
-        assert abs(decomp.mask(a).mask[0, 0] - want) <= 1e-12
-        assert abs(decomp.mask(-a).mask[a, a] - want) <= 1e-12
+        for got in (decomp.mask(a).mask[0, 0].real, decomp.mask(-a).mask[a, a].real):
+            assert abs(got - want) <= 1e-12
+            if want >= np.finfo(float).tiny:
+                assert abs(got - want) <= 1e-12 * want, (s, a, got, want)
 
     @pytest.mark.parametrize("sigma", [0, 1, 3])
     def test_entries_against_adaptive_quadrature(self, sigma):
@@ -276,8 +313,8 @@ class TestGaussianMasks:
 
     @pytest.mark.parametrize("dim", [4, 8, 12])
     def test_masks_against_exact_integration(self, dim):
-        # dim nodes integrate every mask polynomial exactly, so only roundoff
-        # separates the masks from the rational oracle.
+        # The rational radial integral of D_sigma rho D_sigma^dag, independent
+        # of the loss-amplifier factorisation; only roundoff separates them.
         for s2 in (Fraction(9, 100), Fraction(1, 4), Fraction(9)):
             decomp = fock.gaussian_decomposition(
                 fock.FockParams(dim=dim, std_dev=math.sqrt(s2)))
@@ -285,6 +322,43 @@ class TestGaussianMasks:
                 np.testing.assert_allclose(
                     decomp.mask(sigma).mask.real, mask_by_exact_integration(sigma, dim, s2),
                     rtol=0.0, atol=1e-13, err_msg=f"s^2 = {s2}, sigma = {sigma}")
+
+    @pytest.mark.parametrize("s", [0.1, 0.5, 1.0, 1e100])
+    def test_masks_against_decimal_sum(self, s):
+        # Every entry that is a normal float in the 50-digit sum is within
+        # 1e-13 relative (measured: 2.4e-14); the rest underflow to zero or
+        # subnormals on both sides.
+        tiny = np.finfo(float).tiny
+        for dim in range(2, 13):
+            decomp = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=s))
+            for sigma in range(dim):
+                want = mask_by_decimal_sum(sigma, dim, s)
+                got = decomp.mask(sigma).mask.real
+                normal = want >= tiny
+                assert np.all(np.abs(got - want)[normal] <= 1e-13 * want[normal]), (dim, sigma)
+                assert np.all(np.abs(got - want)[~normal] <= tiny), (dim, sigma)
+
+    @pytest.mark.parametrize("s", [0.1, 1.0, 1e100])
+    def test_first_columns_against_decimal_at_the_dim_cap(self, s):
+        # M_a(j, 0) = C_a[j, 0] C_a[0, 0] is one term of the sum, so the
+        # 50-digit reference is cheap at dim 186 too.  Within 1e-12 relative
+        # on every normal entry (measured: 3.0e-13, from the log k! terms of
+        # up to 1.8e3 that cancel in log C).
+        dim, tiny = 186, np.finfo(float).tiny
+        decomp = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=s))
+        with localcontext() as ctx:
+            ctx.prec = 50
+            n = 2 * Decimal(s) ** 2
+            q = n / (1 + n)
+            for sigma in range(dim):
+                c00 = (q ** sigma / (1 + n)).sqrt()
+                want = np.array([float(c00 * (math.comb(j + sigma, j) * q ** sigma
+                                              / (1 + n) ** (2 * j + 1)).sqrt())
+                                 for j in range(dim - sigma)])
+                got = decomp.mask(sigma).domain_submatrix[:, 0]
+                normal = want >= tiny
+                assert np.all(np.abs(got - want)[normal] <= 1e-12 * want[normal]), sigma
+                assert np.all(np.abs(got - want)[~normal] <= tiny), sigma
 
 
 class TestGaussianDecomposition:
@@ -357,12 +431,11 @@ class TestGaussianDecomposition:
         # M_a and M_{-a} share one block, and each chunk of orders is checked as
         # one zero-padded stack: one eigensolve per chunk, sigma_max + 1 blocks in all.
         params = fock.FockParams(dim=dim, std_dev=0.5, sigma_max=sigma_max)
-        fock._laguerre_rule(dim)  # laggauss solves its own eigenproblem; now cached
         calls = []
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
         decomp = fock.gaussian_decomposition(params)
-        chunk = fock._LAGUERRE_CHUNK
+        chunk = fock._MASK_CHUNK
         assert calls == [(min(chunk, sigma_max + 1 - a0), dim - a0, dim - a0)
                          for a0 in range(0, sigma_max + 1, chunk)]
         assert sum(shape[0] for shape in calls) == sigma_max + 1
@@ -374,52 +447,51 @@ class TestGaussianDecomposition:
 
     def test_no_per_sector_work(self, monkeypatch):
         # Timing-free guards at dim 64: no sigma lookup, one check per chunk of
-        # orders, one laggauss per dim and process, read-only, and one spectrum.
+        # orders, and one spectrum.
         def refuse(spectrum, sigma):
             raise AssertionError("gaussian_decomposition searched the spectrum for a sigma")
 
-        checks, rules = [], []
-        mask_failure, laggauss = cc.covariant._mask_failure, fock.laggauss
+        checks = []
+        mask_failure = cc.covariant._mask_failure
         monkeypatch.setattr(cc.covariant, "partial_shift", refuse)
         monkeypatch.setattr(cc.covariant, "_mask_failure",
                             lambda blocks, sigmas: checks.append(blocks.shape)
                             or mask_failure(blocks, sigmas))
-        monkeypatch.setattr(fock, "laggauss", lambda dim: rules.append(dim) or laggauss(dim))
-        fock._laguerre_rule.cache_clear()
         for s in (0.3, 0.5, 1.0):
             params = fock.FockParams(dim=64, std_dev=s)
             checks.clear()
             fock.gaussian_decomposition(params)
-            assert len(checks) <= math.ceil((params.sigma_max + 1) / fock._LAGUERRE_CHUNK)
-        assert rules == [64]
+            assert len(checks) <= math.ceil((params.sigma_max + 1) / fock._MASK_CHUNK)
         other = fock.gaussian_decomposition(fock.FockParams(dim=64, std_dev=0.2))
         assert other.spectrum is fock.gaussian_decomposition(params).spectrum
-        x, w = fock._laguerre_rule(64)
-        assert not (x.flags.writeable or w.flags.writeable)
-        with pytest.raises(ValueError):
-            w[0] = 0.0
+
+    def assert_near_quadrature_oracle(self, params):
+        # Shifts, domains and sector order exactly; masks and truncation
+        # defects within 5e-12 absolute of the quadrature.  Measured over
+        # every dim 2-186 at these four std_devs: 2.35e-12 and 1.9e-12, the
+        # quadrature's own error (at dim 163, s = 0.1, M_0(162, 0) is 2.35e-12
+        # off the 50-digit sum, the closed form 7e-18).
+        got = fock.gaussian_decomposition(params)
+        want = gaussian_decomposition_per_sector(params)
+        assert sha256_of(got.spectrum) == sha256_of(want.spectrum)
+        assert sha256_of([shift for shift, _ in got.sectors]) == sha256_of(
+            [shift for shift, _ in want.sectors])
+        for (_, mask), (_, oracle) in zip(got.sectors, want.sectors, strict=True):
+            assert (mask.sigma, mask.domain, mask.dim) == (oracle.sigma, oracle.domain, oracle.dim)
+            assert np.abs(mask.domain_submatrix - oracle.domain_submatrix).max() <= 5e-12
+        assert np.abs(got.truncation_defect - want.truncation_defect).max() <= 5e-12
 
     @settings(derandomize=True, max_examples=25, deadline=None, database=None)
     @given(dim=st.integers(2, 186), s=st.sampled_from([0.1, 0.3, 0.5, 1.0]), data=st.data())
     def test_equals_per_sector_builder(self, dim, s, data):
-        # Masks, shifts and truncation defects bit for bit, at every sigma_max.
+        # At every sigma_max.
         top = data.draw(st.sampled_from([0, dim - 1]) | st.integers(1, dim - 1), label="sigma_max")
-        params = fock.FockParams(dim=dim, std_dev=s, sigma_max=top)
-        got = fock.gaussian_decomposition(params)
-        want = gaussian_decomposition_per_sector(params)
-        assert sha256_of(got) == sha256_of(want)  # every field, truncation_defect too
-        assert sha256_of(got.truncation_defect) == sha256_of(
-            np.abs(1.0 - diagonal_sums_per_sector(want)))
+        self.assert_near_quadrature_oracle(fock.FockParams(dim=dim, std_dev=s, sigma_max=top))
 
     @pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 1.0])
     @pytest.mark.parametrize("dim", [8, 48, 186])
     def test_equals_per_sector_builder_at_report_dims(self, dim, s):
-        params = fock.FockParams(dim=dim, std_dev=s)
-        got = fock.gaussian_decomposition(params)
-        want = gaussian_decomposition_per_sector(params)
-        assert sha256_of(got) == sha256_of(want)  # every field, truncation_defect too
-        assert sha256_of(got.truncation_defect) == sha256_of(
-            np.abs(1.0 - diagonal_sums_per_sector(want)))
+        self.assert_near_quadrature_oracle(fock.FockParams(dim=dim, std_dev=s))
 
     def test_truncation_defect_follows_the_sectors(self):
         # Derived, not stored: a copy with other sectors gets their defect.
@@ -433,52 +505,68 @@ class TestGaussianDecomposition:
             fock.GaussianDecomposition(params=decomp.params, spectrum=decomp.spectrum,
                                        sectors=decomp.sectors, truncation_defect=np.zeros(10))
 
-    @pytest.mark.parametrize("node", [0, 6, 12, 14, 16])
-    def test_non_psd_block_names_the_sector_of_one_check_per_sector(self, monkeypatch, node):
-        # One weight made negative breaks the blocks of several orders, in one
-        # chunk or two; the message names sigma = -a for the largest of them and
-        # its eigenvalue, as the per-sector check does.
-        params = fock.FockParams(dim=40, std_dev=0.5)
-        x, w = fock._quad_nodes(params.std_dev, params.dim)
-        w = w.copy()
-        w[node] = -w[node]
-        with pytest.raises(MaskNotPSD) as want:
-            gaussian_decomposition_per_sector(params, nodes=(x, w))
+    @pytest.mark.parametrize("broken", [(0,), (5, 7), (15, 16), (3, 20, 39)],
+                             ids=lambda orders: "-".join(map(str, orders)))
+    def test_non_psd_block_names_the_sector_of_one_check_per_sector(self, monkeypatch, broken):
+        # Blocks of several orders, in one chunk or two, pushed below zero: the
+        # message names sigma = -a for the largest of them and its eigenvalue,
+        # byte for byte as the per-sector SectorMask check does.
+        dim, top = 40, max(broken)
+        stacks = {}
+        mask_chunk = fock._mask_chunk
+
+        def broken_chunk(orders, log_fact, n):
+            stack = mask_chunk(orders, log_fact, n)
+            for a in set(broken) & set(orders):
+                stack[a - orders[0], 0, 0] -= 1.0 + a / 100.0
+            stacks[orders[0]] = stack
+            return stack
+
+        monkeypatch.setattr(fock, "_mask_chunk", broken_chunk)
         with pytest.raises(MaskNotPSD) as got:
-            fock._blocks_at_nodes(params.sigma_max, fock._log_factorials(params.dim), x, w)
+            fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=0.5))
+        a0 = top - top % fock._MASK_CHUNK
+        block = stacks[a0][top - a0, :dim - top, :dim - top].copy()
+        with pytest.raises(MaskNotPSD) as want:
+            cc.SectorMask(sigma=float(-top), domain_submatrix=block,
+                          domain=tuple(range(top, dim)), dim=dim)
         assert str(got.value) == str(want.value)
-        monkeypatch.setattr(fock, "_quad_nodes", lambda s, dim: (x, w))
-        with pytest.raises(MaskNotPSD) as built:
-            fock.gaussian_decomposition(params)
-        assert str(built.value) == str(want.value)
+        assert str(got.value).startswith(f"sector {float(-top)}: domain submatrix eigenvalue")
 
-    def test_one_recurrence_per_chunk_of_orders(self, monkeypatch):
-        # One recurrence per |sigma| would make 64 calls at dim 64.
-        calls = []
-        rows = fock._laguerre_rows
-        monkeypatch.setattr(fock, "_laguerre_rows",
-                            lambda jmax, alpha, x: calls.append(jmax) or rows(jmax, alpha, x))
+    def test_builder_never_calls_laguerre_rows(self, monkeypatch):
+        # The masks come from the closed-form factors; the Laguerre recurrence
+        # serves displacement_sector alone.
+        def refuse(*args):
+            raise AssertionError("gaussian_decomposition ran the Laguerre recurrence")
+
+        monkeypatch.setattr(fock, "_laguerre_rows", refuse)
         fock.gaussian_decomposition(fock.FockParams(dim=64, std_dev=0.5))
-        assert 1 <= len(calls) <= math.ceil(64 / fock._LAGUERRE_CHUNK) <= 8
-
-    def test_blocks_equal_per_order_route(self):
-        # dim 40 spans three chunks of orders; each block is the per-order
-        # (C w) @ C^T bit for bit.
-        dim, s = 40, 0.3
-        decomp = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=s))
-        x, w = fock._quad_nodes(s, dim)
-        log_fact = fock._log_factorials(dim)
-        for a in range(dim):
-            coeff = fock._sector_poly_coeffs(
-                a, x, log_fact, laguerre_rows_per_order(dim - a - 1, a, x))
-            want = (coeff * w[None, :]) @ coeff.T
-            assert decomp.mask(a).domain_submatrix.tobytes() == want.tobytes()
 
     def test_large_dim_is_finite(self):
-        # Past the old 93-level cap: the dim-node rule exists up to dim 186.
         decomp = fock.gaussian_decomposition(fock.FockParams(dim=120, std_dev=1.0))
         assert all(np.all(np.isfinite(m.mask)) for m in decomp.masks)
         assert decomp.mask(0).mask[0, 0].real == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    # The ends of the accepted std_dev range (2 s^2 a normal float) and values between.
+    @pytest.mark.parametrize("s", [1.06e-154, 1e-150, 1e-8, 0.1, 1.0, 1e150, 9.48e153])
+    def test_every_accepted_std_dev_is_finite_at_the_dim_cap(self, s):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decomp = fock.gaussian_decomposition(fock.FockParams(dim=186, std_dev=s))
+        assert all(np.all(np.isfinite(m.domain_submatrix)) for m in decomp.masks)
+        assert np.all(np.isfinite(decomp.truncation_defect))
+
+    def test_dim_cap_is_explicit(self, monkeypatch):
+        # A named constant checked before any block is built, whatever the
+        # numpy version; FockParams itself accepts dims up to MAX_DIM.
+        def refuse(*args):
+            raise AssertionError("gaussian_decomposition built blocks past its dim cap")
+
+        monkeypatch.setattr(fock, "_mask_chunk", refuse)
+        params = fock.FockParams(dim=fock._MAX_MASK_DIM + 1, std_dev=1.0)
+        assert params.dim == 187
+        with pytest.raises(InvalidParameter, match="dim <= 186"):
+            fock.gaussian_decomposition(params)
 
 
 def entropy_bits(vals):
@@ -523,8 +611,8 @@ def masks_coherent_information(s, n_bar, dim):
 class TestThermalCoherentInformation:
     @pytest.mark.parametrize("s, n_bar, dim", [(0.2, 1.0, 80), (0.3, 2.0, 140), (0.1, 5.0, 186)])
     def test_masks_match_closed_form(self, s, n_bar, dim):
-        # The thermal tail past dim is below 2e-15; (0.1, 5.0, 186) is the
-        # largest rule, which the property below does not reach.
+        # The thermal tail past dim is below 2e-15; (0.1, 5.0, 186) is at the
+        # dim cap, which the property below does not reach.
         got = masks_coherent_information(s, n_bar, dim)
         assert abs(got - thermal_coherent_information(s, n_bar)) <= 1e-10
 
@@ -573,6 +661,21 @@ class TestMonteCarlo:
         rep = fock.compare_decomposition_to_mc(params, self.vacuum(10))
         assert rep.ok
         assert rep.max_entry_deviation <= rep.max_allowed
+
+    @pytest.mark.parametrize("dim", [2, 4, 32])
+    @pytest.mark.parametrize("rank", [1, 2, None])
+    def test_compare_where_the_samples_do_not_vary(self, dim, rank):
+        # At the smallest std_dev every displacement is the identity, so the
+        # standard error and the truncation defect are 0 and only roundoff
+        # separates the sampled mean from the prediction.
+        rng = np.random.default_rng(dim)
+        z = rng.standard_normal((dim, rank or dim)) + 1j * rng.standard_normal((dim, rank or dim))
+        mat = z @ z.conj().T
+        rho = cc.DensityMatrix((mat + mat.conj().T) / (2.0 * np.trace(mat).real))
+        for state in (self.vacuum(dim), rho):
+            params = fock.FockParams(dim=dim, std_dev=1.06e-154, mc_samples=100, seed=dim)
+            rep = fock.compare_decomposition_to_mc(params, state)
+            assert rep.ok, rep.max_entry_deviation
 
     def test_compare_returns_its_sample(self):
         params = fock.FockParams(dim=6, std_dev=0.3, mc_samples=2000, seed=5)
