@@ -20,7 +20,10 @@ from .errors import DimensionMismatch, InvalidParameter, NotCP, NotDensityMatrix
 # sizes this package targets (dim <= 64), so 1e-9 leaves headroom.  The
 # Gaussian mask blocks C C^T reach dim 186; over dims 8-186 and std_dev 0.1-1
 # (step 0.1) they were exactly symmetric and their most negative eigenvalue
-# was -1.6e-14 (at dim 173, std_dev 0.1, sigma 0).
+# was -1.6e-14 (at dim 173, std_dev 0.1, sigma 0).  The mask check's Cholesky
+# certificate (covariant._certified_psd) shifts by EPS_PSD / 2 = 5e-10 and
+# spends at most 4.5e-12 of the other half on rounding at dim 186 (std_dev
+# 0.1-1), so every Gaussian mask is certified without an eigensolve.
 EPS_H = 1e-9
 EPS_TR = 1e-9
 EPS_PSD = 1e-9

@@ -24,7 +24,8 @@ Sector work runs on stacks of equal-size sectors, not sector by sector.  A
 Spectrum groups its sectors by domain size on first use and caches the
 groups (sector indices and (m, d) level arrays); for each size, decompose
 gathers the (m, d, d) Choi blocks at once, checks them with one stacked
-eigensolve and takes the shifts from the groups, reconstruct runs one
+Cholesky certificate (eigvalsh only on failure, to name the failing sector)
+and takes the shifts from the groups, reconstruct runs one
 stacked eigh and one scatter, and shift_distribution one product.  A
 decomposition keeps the stacks its masks are views of.  The results are the
 per-sector loops' bit for bit: diagonal sums add in sector order, each
@@ -53,6 +54,8 @@ from .errors import (
 )
 
 _HERMITISE_BYTES = 1 << 18  # slice of a stack Hermitised at once in _mask_failure
+_U = float(np.finfo(float).eps) / 2.0  # unit roundoff, 2^-53
+_ETA = float(np.finfo(float).smallest_subnormal)  # 2^-1074
 
 
 class _SizeGroup(NamedTuple):
@@ -327,18 +330,25 @@ def _group_sectors(sectors) -> tuple[_SizeGroup, ...]:
 
 def _mask_failure(blocks: np.ndarray, sigmas) -> tuple[int, str] | None:
     """The check of every SectorMask, on one d x d block or a (m, d, d) stack
-    of blocks at once.
+    of blocks at once: a Cholesky certificate, eigvalsh on failure.
 
-    Returns (i, message) for the first block that is not Hermitian within
-    EPS_H or has an eigenvalue below -EPS_PSD, sigmas[i] naming its sector,
-    or None when every block passes.  The Hermitian parts are formed a slice
-    of about _HERMITISE_BYTES at a time, so that on large blocks the
-    temporaries stay in cache, and the eigensolve runs on the whole stack.
+    Returns (i, message) for the first block that has a non-finite entry, is
+    not Hermitian within EPS_H or has an eigenvalue below -EPS_PSD, sigmas[i]
+    naming its sector, or None when every block passes.  The Hermitian parts
+    are formed a slice of about _HERMITISE_BYTES at a time, so that on large
+    blocks the temporaries stay in cache.  A stack with no skew block that
+    _certified_psd proves PSD within EPS_PSD passes with no eigensolve;
+    otherwise eigvalsh runs on the whole stack, so the failing sector and its
+    message are those of the eigenvalues alone.
     """
-    if not blocks.shape[-1]:
+    if not blocks.size:
         return None
     stack = blocks.reshape(-1, *blocks.shape[-2:])
-    herm = np.empty_like(stack)
+    if not np.isfinite(stack).all():  # the blocks before the first non-finite one as usual
+        i = int(np.argmin(np.isfinite(stack).all(axis=(-2, -1))))
+        return (_mask_failure(stack[:i], sigmas[:i])
+                or (i, f"sector {sigmas[i]}: mask has non-finite entries"))
+    herm = np.empty(stack.shape, stack.dtype)  # C order: _certified_psd reshapes it
     skew = np.empty(len(stack), dtype=bool)
     step = max(1, _HERMITISE_BYTES // (stack.itemsize * stack.shape[-1] ** 2))
     for i in range(0, len(stack), step):
@@ -347,6 +357,8 @@ def _mask_failure(blocks: np.ndarray, sigmas) -> tuple[int, str] | None:
         skew[i:i + step] = np.max(np.abs(part - adjoint), axis=(-2, -1)) > mc.EPS_H
         np.add(part, adjoint, out=half)
         half /= 2.0
+    if not skew.any() and _certified_psd(herm):
+        return None
     lmin = np.linalg.eigvalsh(herm).min(axis=-1)
     bad = np.flatnonzero(skew | (lmin < -mc.EPS_PSD))
     if not bad.size:
@@ -355,6 +367,52 @@ def _mask_failure(blocks: np.ndarray, sigmas) -> tuple[int, str] | None:
     if skew[i]:
         return i, f"sector {sigmas[i]}: mask is not Hermitian"
     return i, f"sector {sigmas[i]}: domain submatrix eigenvalue {lmin[i]:.3e}"
+
+
+def _certified_psd(herm: np.ndarray) -> bool:
+    """Whether every block of the finite, Hermitian, C-ordered (m, d, d) stack
+    is proved to have no eigenvalue below -EPS_PSD; herm is left as it was.
+
+    S = fl(H + tau I), tau = EPS_PSD / 2, is factored by one stacked Cholesky
+    L L^dag = S + dS, whose backward error (Demmel 1989; Higham, Accuracy and
+    Stability of Numerical Algorithms, Thm 10.3; Rump, BIT 46, 2006) is
+    |dS| <= gamma |L| |L^dag| plus underflow.  With || |L| |L^dag| ||_2 <=
+    ||L||_F^2 = F that gives, per block,
+
+        lambda_min(H) >= -tau - gamma F - u (max_j |H_jj| + tau) - 4 d^2 eta,
+
+    u = 2^-53 bounding the rounding of the shifted diagonal and eta = 2^-1074
+    the subnormal spacing.  gamma = 4 (d + 2) u is about twice gamma_(d+4),
+    which holds for complex arithmetic; the factor two absorbs the bound's
+    own few roundings.  The same backward error gives 0 <= S_jj <= (1 +
+    gamma) F, so H_jj >= -tau and u (|H_jj| + tau) <= 2 u F + 2 u tau: the
+    bound needs F alone, taken as the computed sum of the 2 d^2 (complex)
+    or d^2 squares inflated for its rounding.  The stack passes when every
+    bound is >= -EPS_PSD; a factorisation that fails or overflows proves
+    nothing.  The shift also makes a zero-padded block positive definite.
+    Beyond the factor L, the size of herm, this allocates only the (m, d)
+    diagonal kept to undo the shift.
+    """
+    m, d = herm.shape[0], herm.shape[-1]
+    diag = herm.reshape(m, d * d)[:, ::d + 1]  # a view: S is formed in place
+    h_diag = diag.copy()
+    tau = mc.EPS_PSD / 2.0
+    diag += tau
+    try:
+        chol = np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        diag[...] = h_diag
+    terms = chol.reshape(m, -1)
+    if np.iscomplexobj(terms):
+        terms = terms.view(float)
+    n, coef = terms.shape[1], (4 * d + 10) * _U  # gamma + 2u
+    # (gamma + 2u) F + 2u tau + 4 d^2 eta <= tau, F <= (1 + 2nu) sum + n eta, as a
+    # bound on the sum; an L with Inf or NaN entries gives a sum that fails it.
+    limit = ((tau * (1.0 - 2.0 * _U) - 4 * d * d * _ETA - coef * n * _ETA)
+             / (coef * (1.0 + 2 * n * _U)))
+    return bool((np.einsum("ij,ij->i", terms, terms) <= limit).all())
 
 
 # ---------------------------------------------------------------------------

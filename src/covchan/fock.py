@@ -27,9 +27,12 @@ _MASK_CHUNK consecutive orders, or once per dim:
   from one exp, and one batched C @ C^T gives the chunk's blocks in their
   corners with exact zeros around them.
 - That padded stack passes the SectorMask check at once, one _mask_failure
-  call; padding keeps each Hermiticity residue and only adds zero
-  eigenvalues.  A failing chunk is checked again block by block, so the
-  error names the sector and eigenvalue that one check per sector would.
+  call: a stacked Cholesky certificate, eigvalsh only on failure.  Padding
+  keeps each Hermiticity residue, and the certificate's shift tau =
+  EPS_PSD / 2 makes the padded rows positive definite, so a padded stack is
+  certified as its blocks would be.  A failing chunk is checked again block
+  by block, so the error names the sector and eigenvalue that one check per
+  sector would.
 - Shifts are read off the integer spectrum's sector map, with no sigma
   lookup per sector, and that spectrum is built once per dim
   (_shared_integer_spectrum, at most 16 kept).
@@ -280,10 +283,11 @@ def _checked_blocks(sigma_max: int, log_fact: np.ndarray, n: float) -> list[np.n
     Each chunk of _MASK_CHUNK orders is one _mask_chunk stack, and the blocks
     returned are views of those read-only stacks.  Each stack passes the
     SectorMask check at once: padding leaves each Hermiticity residue as it
-    is and only adds zero eigenvalues.  C C^T is PSD, so a failure is rare;
-    the failing chunks' blocks are then checked again unpadded, from the
-    highest order down, and MaskNotPSD names sigma = -a for the largest
-    failing a, as one check per sector in sector order would.
+    is, and the check's Cholesky shift makes the padded rows positive
+    definite.  C C^T is PSD, so a failure is rare; the failing chunks' blocks
+    are then checked again unpadded, from the highest order down, and
+    MaskNotPSD names sigma = -a for the largest failing a, as one check per
+    sector in sector order would.
     """
     dim = log_fact.size
     blocks, failed = [], []

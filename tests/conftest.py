@@ -140,6 +140,36 @@ def scaled_eigenvectors_per_matrix(mat: np.ndarray, error: type, label: str) -> 
     return [np.sqrt(lam) * v for lam, v in zip(vals, vecs) if lam > cutoff]
 
 
+def mask_failure_by_eigvalsh(blocks: np.ndarray, sigmas) -> tuple[int, str] | None:
+    """Oracle for covariant._mask_failure on finite stacks: the check as it was
+    before the Cholesky certificate, one eigvalsh over every Hermitised block.
+
+    Returns (i, message) for the first block that is not Hermitian within
+    EPS_H or has an eigenvalue below -EPS_PSD, sigmas[i] naming its sector,
+    or None when every block passes.
+    """
+    if not blocks.shape[-1]:
+        return None
+    stack = blocks.reshape(-1, *blocks.shape[-2:])
+    herm = np.empty_like(stack)
+    skew = np.empty(len(stack), dtype=bool)
+    step = max(1, cov._HERMITISE_BYTES // (stack.itemsize * stack.shape[-1] ** 2))
+    for i in range(0, len(stack), step):
+        part, half = stack[i:i + step], herm[i:i + step]
+        adjoint = part.conj().swapaxes(-1, -2)
+        skew[i:i + step] = np.max(np.abs(part - adjoint), axis=(-2, -1)) > mc.EPS_H
+        np.add(part, adjoint, out=half)
+        half /= 2.0
+    lmin = np.linalg.eigvalsh(herm).min(axis=-1)
+    bad = np.flatnonzero(skew | (lmin < -mc.EPS_PSD))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    if skew[i]:
+        return i, f"sector {sigmas[i]}: mask is not Hermitian"
+    return i, f"sector {sigmas[i]}: domain submatrix eigenvalue {lmin[i]:.3e}"
+
+
 def sha256_of(value) -> str:
     """Digest of a value down to the bytes: arrays by dtype, shape and data,
     dataclasses by type and fields, floats by repr (so -0.0 differs from 0.0)."""

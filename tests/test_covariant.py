@@ -21,6 +21,7 @@ from conftest import (
     amplitude_damping,
     dephasing_channel,
     evolve_matrix,
+    mask_failure_by_eigvalsh,
     scatter_projection_defect,
     sector_channel,
     sha256_of,
@@ -429,13 +430,13 @@ class TestBlockStorage:
                              ids=["sqrt_prime", "integer"])
     def test_decompose_checks_one_stack_per_domain_size(self, monkeypatch, rng, spec):
         chan = gen.random_covariant(spec, rng)
-        eigvalsh, shapes = np.linalg.eigvalsh, []
+        mask_failure, shapes = cov._mask_failure, []
 
-        def counting(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
+        def counting(blocks, sigmas):
+            shapes.append(np.shape(blocks))
+            return mask_failure(blocks, sigmas)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(cov, "_mask_failure", counting)
         decomp = cov.decompose(chan, spec)
         sizes = {len(shift.domain) for shift, _ in decomp.sectors}
         assert sorted(shape[1] for shape in shapes) == sorted(sizes)
@@ -491,3 +492,59 @@ class TestBlockStorage:
     def test_construction_checks_the_block(self, block, error):
         with pytest.raises(error):
             cov.SectorMask(sigma=-2.0, domain_submatrix=block, domain=(2, 3), dim=4)
+
+
+class TestMaskCheck:
+    @pytest.mark.parametrize("block", [
+        np.array([[np.nan, 0.0], [0.0, 1.0]]),
+        np.array([[np.inf, 0.0], [0.0, 1.0]]),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.array([[1.0, complex(0.0, np.inf)], [complex(0.0, -np.inf), 1.0]]),
+    ], ids=["nan", "inf", "nan_off_diagonal", "complex_inf"])
+    def test_rejects_a_non_finite_block(self, block):
+        # Every comparison with NaN is False, so without its own test such a
+        # block would pass both the Hermiticity and the eigenvalue bound.
+        with pytest.raises(MaskNotPSD) as err:
+            cov.SectorMask(sigma=-2.0, domain_submatrix=block, domain=(2, 3), dim=4)
+        assert str(err.value) == "sector -2.0: mask has non-finite entries"
+
+    def test_reports_the_first_failing_block_of_a_stack(self):
+        stack = np.stack([np.eye(3)] * 5).astype(complex)
+        stack[3, 0, 2] = complex(np.nan, 1.0)
+        sigmas = [-2.0, -1.0, 0.0, 1.0, 2.0]
+        assert cov._mask_failure(stack, sigmas) == (3, "sector 1.0: mask has non-finite entries")
+        stack[1, 0, 1] = stack[1, 1, 0] = 2.0  # eigenvalue -1, before the non-finite block
+        want = (1, "sector -1.0: domain submatrix eigenvalue -1.000e+00")
+        assert mask_failure_by_eigvalsh(stack[:3], sigmas) == want
+        assert cov._mask_failure(stack, sigmas) == want
+
+    def test_the_rounding_bound_rejects_what_cholesky_lets_through(self):
+        # Eigenvalues 2.4e8 and -8.8e-9: at this norm the shifted Cholesky
+        # completes in double precision, so only the bound's rounding term
+        # keeps the block from passing.
+        block = np.array([[119739425.23898056, 119739424.66762057],
+                          [119739424.66762057, 119739424.09626056]])
+        want = mask_failure_by_eigvalsh(block, [0.0])
+        assert want == (0, "sector 0.0: domain submatrix eigenvalue -7.451e-09")
+        assert cov._mask_failure(block, [0.0]) == want
+
+    def test_an_overflowing_certificate_falls_back_to_eigvalsh(self, monkeypatch):
+        # The factor's squares sum past the largest double, so the bound is
+        # infinite: eigvalsh decides, with no overflow warning on the way.
+        calls, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+        assert cov._mask_failure(np.diag([8e307] * 3), [0.0]) is None
+        assert calls == [(1, 3, 3)]
+
+    def test_certified_masks_need_no_eigensolve(self, monkeypatch, rng):
+        chans = [(spec, gen.random_covariant(spec, rng))
+                 for spec in (cc.Spectrum(np.arange(8.0)), sqrt_prime_spectrum(8))]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a mask check ran eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        for s in (0.3, 1.0):
+            fock.gaussian_decomposition(fock.FockParams(dim=64, std_dev=s))
+        for spec, chan in chans:
+            cov.decompose(chan, spec)

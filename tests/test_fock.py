@@ -429,11 +429,13 @@ class TestGaussianDecomposition:
     @pytest.mark.parametrize("dim, sigma_max", [(12, 7), (40, 39)])
     def test_checks_each_chunk_once(self, monkeypatch, dim, sigma_max):
         # M_a and M_{-a} share one block, and each chunk of orders is checked as
-        # one zero-padded stack: one eigensolve per chunk, sigma_max + 1 blocks in all.
+        # one zero-padded stack: one check per chunk, sigma_max + 1 blocks in all.
         params = fock.FockParams(dim=dim, std_dev=0.5, sigma_max=sigma_max)
         calls = []
-        eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        mask_failure = cc.covariant._mask_failure
+        monkeypatch.setattr(cc.covariant, "_mask_failure",
+                            lambda blocks, sigmas: calls.append(blocks.shape)
+                            or mask_failure(blocks, sigmas))
         decomp = fock.gaussian_decomposition(params)
         chunk = fock._MASK_CHUNK
         assert calls == [(min(chunk, sigma_max + 1 - a0), dim - a0, dim - a0)

@@ -20,6 +20,7 @@ from conftest import (
     covariance_defect_per_sector,
     decompose_per_sector,
     diagonal_sums_per_sector,
+    mask_failure_by_eigvalsh,
     reconstruct_per_sector,
     sector_map_by_cluster_loop,
     sha256_of,
@@ -351,3 +352,51 @@ def test_every_sigma_names_its_own_cluster(spec, seed):
     decomp = cov.decompose(gen.random_covariant(spec, np.random.default_rng(seed)), spec)
     back = ser.decomposition_from_json(ser.decomposition_to_json(decomp))
     assert sha256_of(back.sectors) == sha256_of(decomp.sectors)
+
+
+@st.composite
+def boundary_stacks(draw):
+    """(stack, sigmas): m exactly Hermitian d x d blocks, real or complex, with
+    eigenvalues in [0, scale] except one of one block in [-2, +1] * EPS_PSD;
+    one block may be made skew, its residue max |A - A^dag| just below or
+    just above EPS_H.  At scale 1e5 the certificate's rounding term outgrows
+    its margin, so eigvalsh decides."""
+    m, d = draw(st.integers(1, 16)), draw(st.integers(1, 48))
+    is_complex = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gauss = rng.standard_normal((m, d, d))
+    if is_complex:
+        gauss = gauss + 1j * rng.standard_normal((m, d, d))
+    q = np.linalg.qr(gauss)[0]
+    vals = rng.uniform(0.0, draw(st.sampled_from([1.0, 1.0, 1e3, 1e5])), (m, d))
+    vals[draw(st.integers(0, m - 1)), rng.integers(d)] = rng.uniform(-2.0, 1.0) * mcore.EPS_PSD
+    stack = (q * vals[:, None, :]) @ q.conj().swapaxes(1, 2)
+    stack = (stack + stack.conj().swapaxes(1, 2)) / 2.0
+    residue = draw(st.sampled_from([None, "below", "above"]))
+    if residue is not None and (is_complex or d > 1):
+        half = 0.5 * mcore.EPS_H * (rng.uniform(0.5, 0.99) if residue == "below"
+                                    else rng.uniform(1.01, 2.0))
+        i, j, k = draw(st.integers(0, m - 1)), rng.integers(d), rng.integers(d)
+        if j == k and not is_complex:
+            k = (j + 1) % d
+        if j == k:  # A - A^dag = 2i * half on a complex diagonal
+            stack[i, j, j] += 1j * half
+        else:  # A - A^dag = 2 * half at (j, k)
+            stack[i, j, k] += half
+            stack[i, k, j] -= half
+    sigmas = (np.arange(m) - m // 2).astype(float).tolist()
+    return stack, sigmas
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(drawn=boundary_stacks())
+def test_mask_check_matches_eigvalsh_at_the_boundary(drawn):
+    # The certificate only decides when eigvalsh may be skipped: every result,
+    # failing sector and message is the eigensolve's own.
+    stack, sigmas = drawn
+    assert cov._mask_failure(stack, sigmas) == mask_failure_by_eigvalsh(stack, sigmas)
+    herm = (stack + stack.conj().swapaxes(1, 2)) / 2.0
+    before = herm.copy()
+    if cov._certified_psd(herm):
+        assert np.linalg.eigvalsh(before).min() >= -mcore.EPS_PSD
+    np.testing.assert_array_equal(herm, before)  # the shift is undone

@@ -1,0 +1,145 @@
+"""Layer timings of the SectorMask check, written as one BENCH_*.json file.
+
+    python3 tools/bench_mask_check.py --out BENCH_17.json \
+        [--parent-src DIR --parent-label SHA] [--rounds 9]
+
+Rows, each timed in a fresh process with OPENBLAS_NUM_THREADS=1:
+- covariant._mask_failure and its eigvalsh oracle (tests/conftest.py,
+  mask_failure_by_eigvalsh) on the checked chunks of one Gaussian
+  decomposition at dims 16, 32, 64, 120 and 186, std_dev 0.3 and 1;
+- fock.gaussian_decomposition at the same dims and std_devs;
+- covariant.decompose of one random_covariant channel at n = 8 and 16, on
+  the integer and the sqrt(prime) spectrum.
+With --parent-src (the src directory of another checkout, e.g. one made by
+git archive) the last two kinds are also timed on that code, labelled with
+--parent-label, in passes that alternate with this checkout's ("change").
+A row's time is one call: the median and the interquartile range over its
+rounds, each round timing enough calls to last about 0.1 s.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import timeit
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+DIMS = (16, 32, 64, 120, 186)
+STD_DEVS = (0.3, 1.0)
+PASSES = 3
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def _row(name, variant, n, fn, rounds):
+    for _ in range(3):  # warm caches and lazy imports
+        fn()
+    number = max(1, round(0.1 / max(timeit.timeit(fn, number=1), 1e-6)))
+    ms = [t / number * 1e3 for t in timeit.repeat(fn, number=number, repeat=rounds)]
+    return {"name": name, "variant": variant, "n": n, "ms": ms}
+
+
+def _worker(src: str, with_check: bool, rounds: int) -> list[dict]:
+    sys.path.insert(0, src)
+    import numpy as np
+    from covchan import covariant as cov
+    from covchan import fock
+    from covchan import generate as gen
+
+    if with_check:
+        sys.path.insert(0, str(ROOT / "tests"))
+        from conftest import mask_failure_by_eigvalsh
+    rows = []
+    for dim in DIMS:
+        for s in STD_DEVS:
+            params = fock.FockParams(dim=dim, std_dev=s)
+            variant = f"std_dev={s}"
+            if with_check:
+                top, lf = params.sigma_max, fock._log_factorials(dim)
+                chunks = [fock._mask_chunk(range(a0, min(a0 + fock._MASK_CHUNK, top + 1)),
+                                           lf, 2.0 * s * s)
+                          for a0 in range(0, top + 1, fock._MASK_CHUNK)]
+                sigmas = [[0.0] * len(c) for c in chunks]
+                for name, check in (("covariant._mask_failure", cov._mask_failure),
+                                    ("mask_failure_by_eigvalsh", mask_failure_by_eigvalsh)):
+                    rows.append(_row(name, variant + ", all chunks", dim,
+                                     lambda: [check(c, g) for c, g in zip(chunks, sigmas)],
+                                     rounds))
+            rows.append(_row("fock.gaussian_decomposition", variant, dim,
+                             lambda: fock.gaussian_decomposition(params), rounds))
+    for n in (8, 16):
+        for kind, energies in (("integer", np.arange(float(n))),
+                               ("sqrt_prime", np.r_[0.0, np.cumsum(np.sqrt(PRIMES[:n - 1]))])):
+            spec = cov.Spectrum(energies)
+            chan = gen.random_covariant(spec, np.random.default_rng(n))
+            rows.append(_row("covariant.decompose", kind, n,
+                             lambda: cov.decompose(chan, spec), rounds))
+    return rows
+
+
+def _run(src: Path, with_check: bool, rounds: int) -> list[dict]:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    argv = [sys.executable, __file__, "--worker", str(src), "--rounds", str(rounds)]
+    if with_check:
+        argv.append("--with-check")
+    out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path)
+    ap.add_argument("--parent-src", type=Path)
+    ap.add_argument("--parent-label", default="parent", help="the code field of its rows")
+    ap.add_argument("--rounds", type=int, default=9)
+    ap.add_argument("--worker")
+    ap.add_argument("--with-check", action="store_true")
+    args = ap.parse_args()
+    if args.worker:
+        json.dump(_worker(args.worker, args.with_check, args.rounds), sys.stdout)
+        return
+    if args.out is None:
+        ap.error("--out is required")
+    import numpy as np
+
+    # The rounds are split over passes that alternate between the codes, so
+    # that a drift in host load falls on both alike.
+    codes = [("change", ROOT / "src", True)]
+    if args.parent_src:
+        codes.append((args.parent_label, args.parent_src, False))
+    times = {}
+    for _ in range(PASSES):
+        for code, src, with_check in codes:
+            for r in _run(src, with_check, -(-args.rounds // PASSES)):
+                times.setdefault((code, r["name"], r["variant"], r["n"]), []).extend(r["ms"])
+    rows = []
+    for (code, name, variant, n), ms in times.items():
+        q1, _, q3 = statistics.quantiles(ms, n=4)
+        rows.append({"name": name, "code": code, "variant": variant, "n": n,
+                     "median_ms": round(statistics.median(ms), 4),
+                     "iqr_ms": round(q3 - q1, 4), "rounds": len(ms)})
+
+    def git(*cmd):
+        done = subprocess.run(["git", *cmd], cwd=ROOT, capture_output=True, text=True)
+        return done.stdout.strip()
+
+    report = {
+        "git_sha": git("rev-parse", "HEAD"),
+        "tree_dirty": bool(git("status", "--porcelain", "--", "src")),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "blas_threads": 1,
+        "unit": "ms per call",
+        "rows": rows,
+    }
+    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()
