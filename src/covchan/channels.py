@@ -142,9 +142,33 @@ def apply(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
 
 
 def choi_of(channel: Channel) -> ChoiMatrix:
-    """Choi matrix C = sum_m vec(A_m) vec(A_m)^dag with row-major vec."""
-    vecs = np.stack(channel.kraus).reshape(len(channel.kraus), -1)  # row m = vec(A_m)
-    return ChoiMatrix(channel.dim_in, channel.dim_out, vecs.T @ vecs.conj())
+    """Choi matrix C = sum_m vec(A_m) vec(A_m)^dag with row-major vec.
+
+    The product is formed on the pairs some Kraus operator touches
+    (_choi_on_support) and the rest of C is zero, so this matrix and the
+    blocks covariant reads from the same product agree bit for bit.
+    """
+    support, (block,) = _choi_on_support(np.stack(channel.kraus))
+    size = channel.dim_in * channel.dim_out
+    mat = np.zeros((size, size), dtype=complex)
+    mat[np.ix_(support, support)] = block
+    return ChoiMatrix(channel.dim_in, channel.dim_out, mat)
+
+
+def _choi_on_support(*stacks: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The Choi pairs S at which an operator of some (K, dim_out, dim_in)
+    stack of Kraus operators is nonzero, ascending, and each stack's Choi
+    matrix on S x S.
+
+    That matrix is V_S^T conj(V_S), V_S the rows vec(A_m) restricted to S;
+    every Choi entry in a row or column off S is exactly zero.  With S all
+    pairs the product runs on the rows themselves, as choi_of always did.
+    """
+    vecs = [ops.reshape(len(ops), -1) for ops in stacks]
+    support = np.flatnonzero(np.logical_or.reduce([v.any(axis=0) for v in vecs]))
+    if support.size < vecs[0].shape[1]:
+        vecs = [v[:, support] for v in vecs]
+    return support, [v.T @ v.conj() for v in vecs]
 
 
 def _deterministic_eig(mats: np.ndarray):
@@ -216,12 +240,16 @@ def is_cptp(channel: Channel) -> CPTPReport:
     construction, so cp_defect measures only roundoff in the operators.
     """
     ops = np.stack(channel.kraus)
-    stacked = ops.reshape(-1, channel.dim_in)  # rows of A_0, then of A_1, ...
-    gram = stacked.conj().T @ stacked  # sum_m A_m^dag A_m
-    tp_defect = float(np.linalg.norm(gram - np.eye(channel.dim_in)))
     vecs = ops.reshape(len(ops), -1)  # row m = vec(A_m)
     lmin = float(np.linalg.eigvalsh(vecs.conj() @ vecs.T).min())  # V^dag V
-    return CPTPReport(tp_defect=tp_defect, cp_defect=max(0.0, -lmin))
+    return CPTPReport(tp_defect=_tp_defect(ops), cp_defect=max(0.0, -lmin))
+
+
+def _tp_defect(ops: np.ndarray) -> float:
+    """||sum_m A_m^dag A_m - 1||_F of a (K, dim_out, dim_in) stack of Kraus operators."""
+    stacked = ops.reshape(-1, ops.shape[-1])  # rows of A_0, then of A_1, ...
+    gram = stacked.conj().T @ stacked
+    return float(np.linalg.norm(gram - np.eye(ops.shape[-1])))
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

@@ -13,8 +13,11 @@ entrywise product.  Sector sigma is the set of Choi pairs (omega + sigma,
 omega); a Spectrum decides these sets once, and every function here reads
 that one sector map: a sigma names the cluster of differences within match_tol
 of it, in partial_shift, SectorDecomposition.sector and EnergyShiftDistribution
-alike.  Each mask is a principal block of one Choi matrix, which makes the
-extraction independent of the Kraus gauge.
+alike.  Each mask is a principal block of the Choi matrix, which makes the
+extraction independent of the Kraus gauge.  The Choi matrix is formed only
+on the pairs some Kraus operator touches: every other row and column is
+zero, so a shift mixture or a dephasing channel, whose operators S_sigma
+diag(d) touch O(n) of the n^2 pairs, never builds the n^2 x n^2 matrix.
 
 A sector is stored as sigma, the shift's domain and image as index tuples,
 and the d x d mask block on the domain; every routine here reads the blocks.
@@ -23,7 +26,8 @@ PartialShift.matrix and SectorMask.mask are dim x dim views built on demand.
 Sector work runs on stacks of equal-size sectors, not sector by sector.  A
 Spectrum groups its sectors by domain size on first use and caches the
 groups (sector indices and (m, d) level arrays); for each size, decompose
-gathers the (m, d, d) Choi blocks at once, checks them with one stacked
+gathers the (m, d, d) Choi blocks at once (a size none of whose pairs is
+touched has zero blocks and is dropped unread), checks them with one stacked
 Cholesky certificate (eigvalsh only on failure, to name the failing sector)
 and takes the shifts from the groups, reconstruct runs one
 stacked eigh and one scatter, and shift_distribution one product.  A
@@ -161,6 +165,15 @@ class Spectrum:
                 arr.setflags(write=False)
             groups.append(group)
         return tuple(groups)
+
+    @cached_property
+    def _pair_sectors(self) -> np.ndarray:
+        """The sector of every flat Choi pair j' * n + j, built on first use."""
+        sizes = [pairs.size for pairs in self.sector_pairs]
+        sector = np.empty(self.dim ** 2, dtype=np.intp)
+        sector[np.concatenate(self.sector_pairs)] = np.repeat(np.arange(len(sizes)), sizes)
+        sector.setflags(write=False)
+        return sector
 
     def _cluster_at(self, sigma: float) -> int | None:
         """Index i of the cluster whose span [lowest, highest] of differences lies
@@ -419,32 +432,45 @@ def _certified_psd(herm: np.ndarray) -> bool:
 # Sector extraction
 
 
-def _block_index(group: _SizeGroup, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Fancy index of the group's (m, d, d) stack of principal Choi blocks."""
-    pairs = group.images * n + group.domains
-    return pairs[:, :, None], pairs[:, None, :]
-
-
-def _choi_and_cross(channel: Channel, spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray]:
-    """The Choi matrix and its |entries| between two sectors (zero within one)."""
-    if channel.dim_in != spectrum.dim or channel.dim_out != spectrum.dim:
+def _support_choi(ops: np.ndarray,
+                  spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Choi matrix of the (K, n, n) stack of Kraus operators ops on their
+    support S: S (the pairs where some operator is nonzero), C on S x S and
+    its |entries| between two sectors (zero within one).  Every Choi row and
+    column off S is zero, so the cross-sector entries off S x S are too."""
+    if ops.shape[1:] != (spectrum.dim, spectrum.dim):
         raise DimensionMismatch("channel and spectrum dimensions differ")
-    groups = spectrum._groups  # built before the n^4 arrays, so never in the heap above them
-    choi = mc.choi_of(channel).matrix
+    sector = spectrum._pair_sectors  # built before the Choi arrays, so never above them
+    support, (choi,) = mc._choi_on_support(ops)
+    sector = sector[support]
     cross = np.abs(choi)
-    for group in groups:
-        cross[_block_index(group, spectrum.dim)] = 0.0
-    return choi, cross
+    cross[sector[:, None] == sector[None, :]] = 0.0
+    return support, choi, cross
+
+
+def _sector_blocks(choi: np.ndarray, support: np.ndarray,
+                   spectrum: Spectrum) -> tuple[_SizeGroup, ...]:
+    """The spectrum's size groups with their (m, d, d) stacks of principal
+    blocks of the Choi matrix choi on support x support, +0.0 at the pairs
+    off the support (a pinching: PSD stays PSD).  A group whose sectors hold
+    no pair of the support has only zero blocks and is left out."""
+    n = spectrum.dim
+    row = np.full(n * n, -1)  # of each pair in choi, -1 off the support
+    row[support] = np.arange(support.size)
+    groups = []
+    for group in spectrum._groups:
+        rows = row[group.images * n + group.domains]
+        held = rows >= 0
+        if held.any():
+            blocks = choi[rows[:, :, None], rows[:, None, :]]
+            groups.append(group._replace(blocks=np.where(
+                held[:, :, None] & held[:, None, :], blocks, 0.0)))
+    return tuple(groups)
 
 
 def _sq_norm(arr: np.ndarray) -> float:
     """Squared Frobenius norm."""
     return float(np.vdot(arr, arr).real)
-
-
-def _pinch(choi: np.ndarray, groups, n: int) -> list[np.ndarray]:
-    """Stacked principal Choi blocks of each group's sectors (a pinching: PSD stays PSD)."""
-    return [choi[_block_index(group, n)] for group in groups]
 
 
 def _diagonal_sums(levels: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
@@ -473,7 +499,8 @@ def _scatter(groups, blocks: list[np.ndarray], n: int) -> np.ndarray:
     """The Choi matrix holding each group's blocks on their pairs, zero elsewhere."""
     choi = np.zeros((n * n, n * n), dtype=complex)
     for group, block in zip(groups, blocks):
-        choi[_block_index(group, n)] = block
+        pairs = group.images * n + group.domains
+        choi[pairs[:, :, None], pairs[:, None, :]] = block
     return choi
 
 
@@ -508,7 +535,7 @@ def covariance_defect(channel: Channel, spectrum: Spectrum) -> float:
     alpha_t conjugation the Choi entries pick up relative phases between
     sectors, so any cross-sector mass breaks covariance.
     """
-    return float(_choi_and_cross(channel, spectrum)[1].max())
+    return float(_support_choi(np.stack(channel.kraus), spectrum)[2].max(initial=0.0))
 
 
 def decompose(
@@ -523,9 +550,11 @@ def decompose(
         M_sigma(j, k) = <j + d_sigma| G(|j><k|) |k + d_sigma>
 
     read directly from the Choi matrix (a principal submatrix, hence PSD).
-    The Choi matrix is built once; complete positivity is the SectorMask
-    check of each kept block, trace preservation is checked on the partial
-    trace.  Inputs covariant only within ``tol`` (finite, >= 0) are
+    The Choi matrix is built once, on the pairs where some Kraus operator
+    is nonzero; a sector with none of them has a zero mask and is dropped.
+    Complete positivity is the SectorMask check of each kept
+    block, trace preservation is is_cptp's check on the Kraus operators.
+    Inputs covariant only within ``tol`` (finite, >= 0) are
     sector-projected: cross-sector Choi mass is discarded, and if the input
     was trace preserving the mask diagonals are renormalized to restore the
     trace-preservation identity.  The Choi distance of that projection is
@@ -533,28 +562,27 @@ def decompose(
     """
     if not 0.0 <= tol < np.inf:
         raise InvalidParameter(f"tolerance must be finite and >= 0, got {tol!r}")
-    choi, cross = _choi_and_cross(channel, spectrum)
-    defect = float(cross.max())
+    ops = np.stack(channel.kraus)
+    support, choi, cross = _support_choi(ops, spectrum)
+    defect = float(cross.max(initial=0.0))
     if defect > tol:
         raise NotCovariant(defect, tol)
-    n, groups = spectrum.dim, spectrum._groups
-    raw = _pinch(choi, groups, n)
+    n = spectrum.dim
+    groups = _sector_blocks(choi, support, spectrum)
     sq_cross = _sq_norm(cross)
-    # The partial trace of C over the output is (sum_m A_m^dag A_m)^T, so
-    # this is the tp_defect of is_cptp.
-    gram = np.trace(choi.reshape(n, n, n, n), axis1=0, axis2=2)
     # Freed before any output is allocated, so that the outputs take no
-    # fresh pages above the n^4 arrays that a later Choi matrix could reuse.
+    # fresh pages above the Choi arrays that a later Choi matrix could reuse.
     del choi, cross
+    raw = [group.blocks for group in groups]
     blocks = [(r + r.conj().swapaxes(1, 2)) / 2.0 for r in raw]
-    if np.linalg.norm(gram - np.eye(n)) <= mc.EPS_TP:
+    if mc._tp_defect(ops) <= mc.EPS_TP:
         blocks = _restore_tp(blocks, groups, n)
 
     # ||C - scatter(kept blocks)||^2 entry by entry: the cross-sector
     # entries, plus each sector's Choi block minus its kept block (or zero).
-    peak = max(defect, max(float(np.max(np.abs(r))) for r in raw))
+    peak = max([defect, *(float(np.max(np.abs(r))) for r in raw)])
     floor = 1e-13 * max(1.0, peak)  # peak = max |C|
-    sq_terms = np.empty(len(spectrum.sigmas))
+    sq_terms = np.zeros(len(spectrum.sigmas))  # a group left out adds 0.0
     kept = np.zeros(len(spectrum.sigmas), dtype=bool)
     kept_groups = []
     for group, r, block in zip(groups, raw, blocks):

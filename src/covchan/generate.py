@@ -5,7 +5,7 @@ import numpy as np
 
 from . import channels as mc
 from .channels import Channel, ChoiMatrix, DensityMatrix
-from .covariant import Spectrum, _pinch, _restore_tp, _scatter
+from .covariant import Spectrum, _restore_tp, _scatter, _sector_blocks, _support_choi
 
 
 def random_state(dim: int, rng: np.random.Generator) -> DensityMatrix:
@@ -52,7 +52,9 @@ def random_covariant(
     Built by pinching the Choi matrix of a random CPTP channel onto the
     energy-difference sectors and renormalizing to trace preservation.
     """
-    n, groups = spectrum.dim, spectrum._groups
+    n = spectrum.dim
     base = random_cptp(n, rng, kraus_count)
-    blocks = _restore_tp(_pinch(mc.choi_of(base).matrix, groups, n), groups, n)
+    support, choi, _ = _support_choi(np.stack(base.kraus), spectrum)
+    groups = _sector_blocks(choi, support, spectrum)
+    blocks = _restore_tp([group.blocks for group in groups], groups, n)
     return mc.kraus_from_choi(ChoiMatrix(n, n, _scatter(groups, blocks, n)))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from covchan import covariant as cov
 from covchan import fock
 from covchan import generate as gen
 from covchan import serialize as ser
+from covchan import timing as tim
 from covchan.errors import (
     DegenerateSpectrum,
     DimensionMismatch,
@@ -165,6 +168,27 @@ class TestDecompose:
         assert len(recon.kraus) == 1
         np.testing.assert_array_equal(recon.kraus[0], np.zeros((2, 2)))
         assert cov.shift_distribution(decomp, cc.DensityMatrix(np.eye(2) / 2)).pairs == ()
+
+    def test_shift_mixture_needs_no_full_choi_matrix(self, monkeypatch):
+        # A K = 3 shift mixture at n = 64 touches 189 of the 4096 Choi pairs;
+        # the 4096 x 4096 Choi matrix (256 MiB) is never built.
+        spec = cc.Spectrum(np.arange(64.0))
+        chan = tim.build_shift_mixture(spec, [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)]).channel
+
+        def refuse(channel):
+            raise AssertionError("built the full Choi matrix")
+
+        monkeypatch.setattr(mcore, "choi_of", refuse)
+        tracemalloc.start()
+        try:
+            defect = cov.covariance_defect(chan, spec)
+            decomp = cov.decompose(chan, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert defect == 0.0
+        assert [len(shift.domain) for shift, _ in decomp.sectors] == [63, 64, 62]
+        assert peak < 16 * 2**20
 
     def test_unknown_sector(self, qubit_spectrum):
         decomp = cov.decompose(dephasing_channel(), qubit_spectrum)

@@ -14,7 +14,8 @@ from covchan import covariant as cov
 from covchan import fock
 from covchan import generate as gen
 from covchan import serialize as ser
-from covchan.errors import DegenerateSpectrum, NotCP
+from covchan import timing as tim
+from covchan.errors import DegenerateSpectrum, NotCovariant, NotCP
 
 from conftest import (
     covariance_defect_per_sector,
@@ -278,7 +279,72 @@ def draw_channel(data, spec, kind):
 @given(data=st.data())
 def test_stacked_sector_work_equals_per_sector_loops(family, kind, data):
     spec = data.draw(spectra_to_12_levels(family))
-    chan, rho = draw_channel(data, spec, kind)
+    assert_stacks_equal_loops(*draw_channel(data, spec, kind), spec)
+
+
+def draw_sparse_channel(data, spec, kind):
+    """A channel whose Kraus operators leave Choi pairs untouched, so that
+    decompose reads the Choi matrix on part of the pairs: a mixture of K = 1-3
+    partial shifts, a Hadamard channel, 1-3 operators S_sigma diag(d) with
+    some d_j zero (-0.0 where the zero came from a product), random_covariant
+    with some operators zeroed, or the zero channel."""
+    n = spec.dim
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sigmas = st.lists(st.sampled_from(spec.sigmas.tolist()), min_size=1, max_size=3)
+    if kind == "shift_mixture":
+        picked = data.draw(sigmas)
+        probs = rng.random(len(picked)) + 0.1
+        chan = tim.build_shift_mixture(spec, list(zip(picked, probs / probs.sum()))).channel
+    elif kind == "hadamard":
+        chan = cc.hadamard_channel(gen.random_unit_diagonal_mask(n, rng))
+    elif kind == "shifted_diagonals":
+        chan = cc.Channel(tuple(
+            cc.partial_shift(spec, sigma).matrix
+            * ((rng.normal(size=n) + 1j * rng.normal(size=n)) * (rng.random(n) < 0.6))
+            for sigma in data.draw(sigmas)))
+    elif kind == "zeroed":
+        ops = list(gen.random_covariant(spec, rng, data.draw(st.integers(1, n * n))).kraus)
+        for i in data.draw(st.lists(st.integers(0, len(ops) - 1), max_size=len(ops) - 1)):
+            ops[i] = np.zeros((n, n), dtype=complex)
+        chan = cc.Channel(tuple(ops))
+    else:
+        chan = cc.Channel((np.zeros((n, n), dtype=complex),))
+    return chan, gen.random_state(n, rng)
+
+
+@STACK_FAMILIES
+@pytest.mark.parametrize("kind", ["hadamard", "shift_mixture", "shifted_diagonals", "zero",
+                                  "zeroed"])
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_sparse_kraus_families_equal_per_sector_loops(family, kind, data):
+    # The oracles build the full Choi matrix; decompose reads it on the pairs
+    # some Kraus operator touches and leaves out the sectors with none.
+    spec = data.draw(spectra_to_12_levels(family))
+    chan, rho = draw_sparse_channel(data, spec, kind)
+    defect = covariance_defect_per_sector(chan, spec)
+    assert sha256_of(cov.covariance_defect(chan, spec)) == sha256_of(defect)
+    if defect > 1e-10:  # random_covariant's operators may mix sectors of equal eigenvalue
+        with pytest.raises(NotCovariant) as got:
+            cov.decompose(chan, spec)
+        assert got.value.defect == defect
+        return
+    support = mcore._choi_on_support(np.stack(chan.kraus))[0].size
+    if defect == 0.0 or support == spec.dim ** 2:
+        assert_stacks_equal_loops(chan, rho, spec)
+    else:
+        # Cross-sector roundoff on part of the pairs: the projection defect
+        # sums the same squares over fewer zeros, so BLAS groups them otherwise.
+        got, want = cov.decompose(chan, spec), decompose_per_sector(chan, spec)
+        assert sha256_of(got.sectors) == sha256_of(want.sectors)
+        bound = support**2 * np.finfo(float).eps * want.projection_defect
+        assert abs(got.projection_defect - want.projection_defect) <= bound
+    if kind == "zero":
+        assert defect == 0.0
+        assert cov.decompose(chan, spec).sectors == ()
+
+
+def assert_stacks_equal_loops(chan, rho, spec):
     want = decompose_per_sector(chan, spec)
     got = cov.decompose(chan, spec)
     assert sha256_of(got) == sha256_of(want)
@@ -304,13 +370,34 @@ def test_not_cp_names_the_first_failing_sector(family, data):
                                 min_size=1, max_size=3, unique=True))
     n = spec.dim
     choi = mcore.choi_of(chan).matrix.copy()
+    depth = {}
     for i in broken:
         pairs = spec.sector_pairs[i]
-        choi[pairs, pairs] -= 1.0 + 2.0 * np.abs(choi).max()
+        depth[i] = 1.0 + 2.0 * np.abs(choi).max()
+        choi[pairs, pairs] -= depth[i]
+    # The oracle reads the broken Choi matrix and its partial trace; decompose
+    # gets the same blocks from its one read of the Choi matrix and the same
+    # trace-preservation defect in place of the Kraus operators' own.
+    tp_defect = float(np.linalg.norm(np.trace(choi.reshape(n, n, n, n), axis1=0, axis2=2)
+                                     - np.eye(n)))
+    sector_blocks = cov._sector_blocks
+
+    def broken_sector_blocks(choi, support, spectrum):
+        groups = sector_blocks(choi, support, spectrum)
+        for group in groups:
+            diag = np.arange(group.blocks.shape[1])
+            for row, i in enumerate(group.index.tolist()):
+                if i in depth:
+                    group.blocks[row, diag, diag] -= depth[i]
+        assert set(depth) <= set(np.concatenate([g.index for g in groups]).tolist())
+        return groups
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mcore, "choi_of", lambda channel: mcore.ChoiMatrix(n, n, choi))
         with pytest.raises(NotCP) as want:
             decompose_per_sector(chan, spec)
+        mp.setattr(cov, "_sector_blocks", broken_sector_blocks)
+        mp.setattr(mcore, "_tp_defect", lambda ops: tp_defect)
         with pytest.raises(NotCP) as got:
             cov.decompose(chan, spec)
     assert str(got.value) == str(want.value)

@@ -14,33 +14,20 @@ With --parent-src (the src directory of another checkout, e.g. one made by
 git archive) the last two kinds are also timed on that code, labelled with
 --parent-label, in passes that alternate with this checkout's ("change").
 A row's time is one call: the median and the interquartile range over its
-rounds, each round timing enough calls to last about 0.1 s.
+rounds, each round timing enough calls to last about 0.1 s (tools/benchlib.py).
 """
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
-import timeit
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from benchlib import ROOT, collect, run_worker, time_row, write_report
+
 DIMS = (16, 32, 64, 120, 186)
 STD_DEVS = (0.3, 1.0)
-PASSES = 3
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-def _row(name, variant, n, fn, rounds):
-    for _ in range(3):  # warm caches and lazy imports
-        fn()
-    number = max(1, round(0.1 / max(timeit.timeit(fn, number=1), 1e-6)))
-    ms = [t / number * 1e3 for t in timeit.repeat(fn, number=number, repeat=rounds)]
-    return {"name": name, "variant": variant, "n": n, "ms": ms}
 
 
 def _worker(src: str, with_check: bool, rounds: int) -> list[dict]:
@@ -66,28 +53,19 @@ def _worker(src: str, with_check: bool, rounds: int) -> list[dict]:
                 sigmas = [[0.0] * len(c) for c in chunks]
                 for name, check in (("covariant._mask_failure", cov._mask_failure),
                                     ("mask_failure_by_eigvalsh", mask_failure_by_eigvalsh)):
-                    rows.append(_row(name, variant + ", all chunks", dim,
-                                     lambda: [check(c, g) for c, g in zip(chunks, sigmas)],
-                                     rounds))
-            rows.append(_row("fock.gaussian_decomposition", variant, dim,
-                             lambda: fock.gaussian_decomposition(params), rounds))
+                    rows.append(time_row(name, variant + ", all chunks", dim,
+                                         lambda: [check(c, g) for c, g in zip(chunks, sigmas)],
+                                         rounds))
+            rows.append(time_row("fock.gaussian_decomposition", variant, dim,
+                                 lambda: fock.gaussian_decomposition(params), rounds))
     for n in (8, 16):
         for kind, energies in (("integer", np.arange(float(n))),
                                ("sqrt_prime", np.r_[0.0, np.cumsum(np.sqrt(PRIMES[:n - 1]))])):
             spec = cov.Spectrum(energies)
             chan = gen.random_covariant(spec, np.random.default_rng(n))
-            rows.append(_row("covariant.decompose", kind, n,
-                             lambda: cov.decompose(chan, spec), rounds))
+            rows.append(time_row("covariant.decompose", kind, n,
+                                 lambda: cov.decompose(chan, spec), rounds))
     return rows
-
-
-def _run(src: Path, with_check: bool, rounds: int) -> list[dict]:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    argv = [sys.executable, __file__, "--worker", str(src), "--rounds", str(rounds)]
-    if with_check:
-        argv.append("--with-check")
-    out = subprocess.run(argv, env=env, check=True, capture_output=True, text=True).stdout
-    return json.loads(out)
 
 
 def main() -> None:
@@ -104,41 +82,16 @@ def main() -> None:
         return
     if args.out is None:
         ap.error("--out is required")
-    import numpy as np
 
-    # The rounds are split over passes that alternate between the codes, so
-    # that a drift in host load falls on both alike.
-    codes = [("change", ROOT / "src", True)]
+    def run(src: Path, with_check: bool):
+        extra = ["--with-check"] if with_check else []
+        return lambda rounds: run_worker(__file__, ["--worker", str(src), "--rounds",
+                                                    str(rounds), *extra])
+
+    codes = [("change", run(ROOT / "src", True))]
     if args.parent_src:
-        codes.append((args.parent_label, args.parent_src, False))
-    times = {}
-    for _ in range(PASSES):
-        for code, src, with_check in codes:
-            for r in _run(src, with_check, -(-args.rounds // PASSES)):
-                times.setdefault((code, r["name"], r["variant"], r["n"]), []).extend(r["ms"])
-    rows = []
-    for (code, name, variant, n), ms in times.items():
-        q1, _, q3 = statistics.quantiles(ms, n=4)
-        rows.append({"name": name, "code": code, "variant": variant, "n": n,
-                     "median_ms": round(statistics.median(ms), 4),
-                     "iqr_ms": round(q3 - q1, 4), "rounds": len(ms)})
-
-    def git(*cmd):
-        done = subprocess.run(["git", *cmd], cwd=ROOT, capture_output=True, text=True)
-        return done.stdout.strip()
-
-    report = {
-        "git_sha": git("rev-parse", "HEAD"),
-        "tree_dirty": bool(git("status", "--porcelain", "--", "src")),
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "blas_threads": 1,
-        "unit": "ms per call",
-        "rows": rows,
-    }
-    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+        codes.append((args.parent_label, run(args.parent_src, False)))
+    write_report(args.out, collect(codes, args.rounds))
 
 
 if __name__ == "__main__":

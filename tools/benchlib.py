@@ -1,0 +1,80 @@
+"""What the tools/bench_*.py layer timings share: a row timed in a worker
+process with one BLAS thread, rounds split over passes that alternate
+between codes, and the BENCH_*.json report."""
+from __future__ import annotations
+
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import timeit
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PASSES = 3
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def time_row(name: str, variant: str, n: int, fn, rounds: int) -> dict:
+    """One call of fn in ms, rounds times: each round times enough calls to
+    last about 0.1 s, after warm-up calls that take about as long."""
+    first = timeit.timeit(fn, number=1)  # also warms caches and lazy imports
+    for _ in range(min(2, int(0.1 / max(first, 1e-6)))):
+        fn()
+    number = max(1, round(0.1 / max(timeit.timeit(fn, number=1), 1e-6)))
+    ms = [t / number * 1e3 for t in timeit.repeat(fn, number=number, repeat=rounds)]
+    return {"name": name, "variant": variant, "n": n, "ms": ms}
+
+
+def run_worker(script: str, argv: list[str]) -> list[dict]:
+    """The rows a worker run of script prints as JSON, with one BLAS thread."""
+    env = dict(os.environ, **ONE_THREAD)
+    out = subprocess.run([sys.executable, script, *argv], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    return json.loads(out)
+
+
+def collect(codes, rounds: int) -> list[dict]:
+    """Rows of median and interquartile range per (code, name, variant, n).
+
+    codes is a list of (label, run), run(rounds) returning the worker's rows.
+    The rounds are split over passes that alternate between the codes, so
+    that a drift in host load falls on all of them alike.
+    """
+    times = {}
+    for _ in range(PASSES):
+        for code, run in codes:
+            for r in run(-(-rounds // PASSES)):
+                times.setdefault((code, r["name"], r["variant"], r["n"]), []).extend(r["ms"])
+    rows = []
+    for (code, name, variant, n), ms in times.items():
+        q1, _, q3 = statistics.quantiles(ms, n=4)
+        rows.append({"name": name, "code": code, "variant": variant, "n": n,
+                     "median_ms": round(statistics.median(ms), 4),
+                     "iqr_ms": round(q3 - q1, 4), "rounds": len(ms)})
+    return rows
+
+
+def write_report(out: Path, rows: list[dict], **extra) -> None:
+    """The BENCH_*.json file: the checkout, the host, one BLAS thread, the rows."""
+    import numpy as np
+
+    def git(*cmd):
+        done = subprocess.run(["git", *cmd], cwd=ROOT, capture_output=True, text=True)
+        return done.stdout.strip()
+
+    report = {
+        "git_sha": git("rev-parse", "HEAD"),
+        "tree_dirty": bool(git("status", "--porcelain", "--", "src")),
+        "numpy": np.__version__,
+        "python": platform.python_version(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "blas_threads": 1,
+        "unit": "ms per call",
+        **extra,
+        "rows": rows,
+    }
+    out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
