@@ -33,7 +33,7 @@ def coherent_information(channel: Channel, rho: DensityMatrix) -> float:
     if rho.dim != channel.dim_in:
         raise DimensionMismatch("state and channel dimensions differ")
     out_entropy = mc.von_neumann_entropy(mc.apply(channel, rho))
-    kraus = np.stack(channel.kraus)
+    kraus = channel._ops
     k = len(kraus)
     comp = (kraus @ rho.matrix).reshape(k, -1) @ kraus.reshape(k, -1).conj().T
     return out_entropy - mc.von_neumann_entropy(DensityMatrix(comp))

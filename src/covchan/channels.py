@@ -6,11 +6,23 @@ dual Choi representation follows the index convention
     C[(j', j), (k', k)] = <j'| G(|j><k|) |k'>
 
 with the pair (j', j) flattened row-major as j' * dim_in + j.  Everything in
-this module is a pure function over immutable inputs.
+this module is a pure function over immutable inputs.  A DensityMatrix, a
+Channel and a ChoiMatrix each own a read-only copy of the arrays they are
+built from, so a caller's later writes never reach them.
+
+A Channel keeps its Kraus operators as one (K, dim_out, dim_in) stack (the
+kraus tuple holds its rows), and derives from it, each once: its support S,
+the Choi pairs at which some operator is nonzero, and the Choi matrix on S x
+S.  That matrix is kept only when |S| <= K: its 16 |S|^2 bytes are then at
+most the stack's own 16 K dim_out dim_in, so a channel never holds more than
+twice its Kraus operators.  is_cptp, choi_of and the sector work of
+covariant read these instead of stacking the operators again, and a family
+with K < |S| forms the matrix afresh in each call that needs it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,17 +33,21 @@ from .errors import DimensionMismatch, InvalidParameter, NotCP, NotDensityMatrix
 # Gaussian mask blocks C C^T reach dim 186; over dims 8-186 and std_dev 0.1-1
 # (step 0.1) they were exactly symmetric and their most negative eigenvalue
 # was -1.6e-14 (at dim 173, std_dev 0.1, sigma 0).  The mask check's Cholesky
-# certificate (covariant._certified_psd) shifts by EPS_PSD / 2 = 5e-10 and
-# spends at most 4.5e-12 of the other half on rounding at dim 186 (std_dev
-# 0.1-1), so every Gaussian mask is certified without an eigensolve.
+# certificate (_certified_psd at floor -EPS_PSD) shifts by EPS_PSD / 2 = 5e-10
+# and spends at most 4.5e-12 of the other half on rounding at dim 186
+# (std_dev 0.1-1), so every Gaussian mask is certified without an eigensolve.
 EPS_H = 1e-9
 EPS_TR = 1e-9
 EPS_PSD = 1e-9
 EPS_TP = 1e-9
 
+_U = float(np.finfo(float).eps) / 2.0  # unit roundoff, 2^-53
+_ETA = float(np.finfo(float).smallest_subnormal)  # 2^-1074
+
 
 def _as_complex(mat) -> np.ndarray:
-    arr = np.asarray(mat, dtype=complex)
+    """A complex copy of mat that owns its memory, checked finite."""
+    arr = np.array(mat, dtype=complex)
     if not np.all(np.isfinite(arr.view(float))):
         raise ValueError("matrix contains NaN or Inf entries")
     return arr
@@ -74,30 +90,50 @@ class Channel:
     """A completely positive map stored as a list of Kraus operators.
 
     Trace preservation and complete positivity are not enforced here; use
-    :func:`is_cptp` to check either.  Kraus operators are dim_out x dim_in.
+    :func:`is_cptp` to check either.  Kraus operators are dim_out x dim_in,
+    the rows of the channel's own read-only (K, dim_out, dim_in) stack.
     """
 
     kraus: tuple[np.ndarray, ...]
+    _ops: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
+        ops = [np.asarray(k, dtype=complex) for k in self.kraus]
         if not ops:
             raise InvalidParameter("channel needs at least one Kraus operator")
         shape = ops[0].shape
         if len(shape) != 2 or any(k.shape != shape for k in ops):
             raise DimensionMismatch("all Kraus operators must be matrices of one shape")
-        _as_complex(np.stack(ops))  # one finiteness check for the whole family
-        for k in ops:
-            k.setflags(write=False)
-        object.__setattr__(self, "kraus", ops)
+        stack = _as_complex(ops)  # one copy and one finiteness check for the family
+        stack.setflags(write=False)
+        object.__setattr__(self, "_ops", stack)
+        object.__setattr__(self, "kraus", tuple(stack))
 
     @property
     def dim_in(self) -> int:
-        return self.kraus[0].shape[1]
+        return self._ops.shape[2]
 
     @property
     def dim_out(self) -> int:
-        return self.kraus[0].shape[0]
+        return self._ops.shape[1]
+
+    @cached_property
+    def _support(self) -> np.ndarray:
+        """S, the Choi pairs at which some Kraus operator is nonzero, ascending."""
+        support = _support_of(self._ops)
+        support.setflags(write=False)
+        return support
+
+    def _choi(self) -> np.ndarray:
+        """The read-only Choi matrix on S x S, kept after the first call when
+        |S| <= K and formed afresh in every call otherwise."""
+        choi = self.__dict__.get("_kept_choi")
+        if choi is None:
+            (choi,) = _choi_on_support(self._support, self._ops)
+            choi.setflags(write=False)
+            if self._support.size <= len(self._ops):
+                object.__setattr__(self, "_kept_choi", choi)
+        return choi
 
 
 @dataclass(frozen=True)
@@ -144,31 +180,36 @@ def apply(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
 def choi_of(channel: Channel) -> ChoiMatrix:
     """Choi matrix C = sum_m vec(A_m) vec(A_m)^dag with row-major vec.
 
-    The product is formed on the pairs some Kraus operator touches
-    (_choi_on_support) and the rest of C is zero, so this matrix and the
+    The product is the channel's Choi matrix on its support (the pairs some
+    Kraus operator touches) and the rest of C is zero, so this matrix and the
     blocks covariant reads from the same product agree bit for bit.
     """
-    support, (block,) = _choi_on_support(np.stack(channel.kraus))
+    support = channel._support
     size = channel.dim_in * channel.dim_out
     mat = np.zeros((size, size), dtype=complex)
-    mat[np.ix_(support, support)] = block
+    mat[np.ix_(support, support)] = channel._choi()
     return ChoiMatrix(channel.dim_in, channel.dim_out, mat)
 
 
-def _choi_on_support(*stacks: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The Choi pairs S at which an operator of some (K, dim_out, dim_in)
-    stack of Kraus operators is nonzero, ascending, and each stack's Choi
-    matrix on S x S.
+def _support_of(*stacks: np.ndarray) -> np.ndarray:
+    """The Choi pairs at which an operator of some (K, dim_out, dim_in) stack
+    of Kraus operators is nonzero, ascending."""
+    return np.flatnonzero(np.logical_or.reduce(
+        [ops.reshape(len(ops), -1).any(axis=0) for ops in stacks]))
+
+
+def _choi_on_support(support: np.ndarray, *stacks: np.ndarray) -> list[np.ndarray]:
+    """Each (K, dim_out, dim_in) stack's Choi matrix on S x S, S the ascending
+    pairs support, which holds every pair where some operator is nonzero.
 
     That matrix is V_S^T conj(V_S), V_S the rows vec(A_m) restricted to S;
     every Choi entry in a row or column off S is exactly zero.  With S all
     pairs the product runs on the rows themselves, as choi_of always did.
     """
     vecs = [ops.reshape(len(ops), -1) for ops in stacks]
-    support = np.flatnonzero(np.logical_or.reduce([v.any(axis=0) for v in vecs]))
     if support.size < vecs[0].shape[1]:
         vecs = [v[:, support] for v in vecs]
-    return support, [v.T @ v.conj() for v in vecs]
+    return [v.T @ v.conj() for v in vecs]
 
 
 def _deterministic_eig(mats: np.ndarray):
@@ -235,14 +276,82 @@ def is_cptp(channel: Channel) -> CPTPReport:
     magnitude of the most negative Choi eigenvalue (0 if none).  With V the
     matrix whose column m is vec(A_m), the Choi matrix is V V^dag, and V^dag V
     (the K x K Gram matrix of the Kraus family) has the same nonzero
-    spectrum, so the Gram matrix is diagonalised instead: a channel with K
-    Kraus operators costs a K x K eigensolve.  A Kraus family is CP by
-    construction, so cp_defect measures only roundoff in the operators.
+    spectrum.  A Kraus family is CP by construction, so cp_defect measures
+    only roundoff in the operators.  It is 0.0, with no eigensolve, when one
+    Cholesky factorisation (_certified_psd) proves the smaller of the two
+    positive definite, with no eigenvalue below EPS_PSD: the Choi matrix on
+    the support S, which the channel keeps (|S| <= K), or the Gram matrix
+    (|S| > K).  Only when that proof fails is the Gram matrix diagonalised,
+    a K x K eigensolve, whose result is reported as before.  A passed proof
+    also bounds u ||C|| by EPS_PSD / (8 d + 20), d the size factored, so the
+    eigensolve would have found no eigenvalue below zero either, except the
+    K - |S| zero eigenvalues the Gram matrix has when K > |S|, which it
+    reports as roundoff of either sign.
     """
-    ops = np.stack(channel.kraus)
+    ops = channel._ops
     vecs = ops.reshape(len(ops), -1)  # row m = vec(A_m)
-    lmin = float(np.linalg.eigvalsh(vecs.conj() @ vecs.T).min())  # V^dag V
-    return CPTPReport(tp_defect=_tp_defect(ops), cp_defect=max(0.0, -lmin))
+    kept = channel._support.size <= len(ops)
+    smaller = channel._choi() if kept else vecs.conj() @ vecs.T  # C_S or V^dag V
+    cp_defect = 0.0
+    if not _certified_psd(smaller[None], EPS_PSD):
+        gram = vecs.conj() @ vecs.T if kept else smaller
+        cp_defect = max(0.0, -float(np.linalg.eigvalsh(gram).min()))
+    return CPTPReport(tp_defect=_tp_defect(ops), cp_defect=cp_defect)
+
+
+def _certified_psd(herm: np.ndarray, floor: float) -> bool:
+    """Whether every block of the finite, C-ordered (m, d, d) stack herm,
+    read as Hermitian from its lower triangle, is proved to have no
+    eigenvalue below floor.  herm is left as it was; a read-only stack is
+    shifted in a copy, a writeable one in place and restored.
+
+    S = fl(H - c I), c = floor + tau and tau = |floor| / 2 the margin kept
+    for rounding, is factored by one stacked Cholesky L L^dag = S + dS, whose
+    backward error (Demmel 1989; Higham, Accuracy and Stability of Numerical
+    Algorithms, Thm 10.3; Rump, BIT 46, 2006) is |dS| <= gamma |L| |L^dag|
+    plus underflow.  With || |L| |L^dag| ||_2 <= ||L||_F^2 = F that gives,
+    per block,
+
+        lambda_min(H) >= c - gamma F - u (max_j |H_jj| + |c|) - 4 d^2 eta,
+
+    u = 2^-53 bounding the rounding of the shifted diagonal and eta = 2^-1074
+    the subnormal spacing.  gamma = 4 (d + 2) u is about twice gamma_(d+4),
+    which holds for complex arithmetic; the factor two absorbs the bound's
+    own few roundings.  The same backward error gives 0 <= S_jj <= (1 +
+    gamma) F, so H_jj >= c and u (|H_jj| + |c|) <= 2 u F + 2 u |c|: the
+    bound needs F alone, taken as the computed sum of the 2 d^2 (complex)
+    or d^2 squares inflated for its rounding.  The stack passes when every
+    bound is >= floor, that is when the rounding terms fit in tau; a
+    factorisation that fails or overflows proves nothing.  A negative floor
+    (the mask check's -EPS_PSD) shifts up, which also makes a zero-padded
+    block positive definite; a positive one (is_cptp's EPS_PSD) proves
+    positive definiteness.  Beyond the factor L, the size of herm, this
+    allocates only the (m, d) diagonal kept to undo the shift, and the copy
+    of a read-only stack.
+    """
+    if not herm.flags.writeable:
+        herm = herm.copy()
+    m, d = herm.shape[0], herm.shape[-1]
+    tau = abs(floor) / 2.0
+    shift = floor + tau
+    diag = herm.reshape(m, d * d)[:, ::d + 1]  # a view: S is formed in place
+    h_diag = diag.copy()
+    diag -= shift
+    try:
+        chol = np.linalg.cholesky(herm)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        diag[...] = h_diag
+    terms = chol.reshape(m, -1)
+    if np.iscomplexobj(terms):
+        terms = terms.view(float)
+    n, coef = terms.shape[1], (4 * d + 10) * _U  # gamma + 2u
+    # (gamma + 2u) F + 2u |c| + 4 d^2 eta <= tau, F <= (1 + 2nu) sum + n eta, as a
+    # bound on the sum; an L with Inf or NaN entries gives a sum that fails it.
+    limit = ((tau - 2.0 * _U * abs(shift) - 4 * d * d * _ETA - coef * n * _ETA)
+             / (coef * (1.0 + 2 * n * _U)))
+    return bool((np.einsum("ij,ij->i", terms, terms) <= limit).all())
 
 
 def _tp_defect(ops: np.ndarray) -> float:

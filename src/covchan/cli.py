@@ -102,8 +102,9 @@ def cmd_decompose(args) -> int:
               file=sys.stderr)
         return EXIT_VIOLATION
     # The Choi matrices agree, both zero, off the pairs that neither family touches.
-    recon_choi, choi = mc._choi_on_support(np.stack(cov.reconstruct(decomp).kraus),
-                                           np.stack(channel.kraus))[1]
+    recon = cov.reconstruct(decomp)._ops
+    recon_choi, choi = mc._choi_on_support(mc._support_of(recon, channel._ops),
+                                           recon, channel._ops)
     dist = float(np.linalg.norm(recon_choi - choi))
     payload = ser.decomposition_to_json(decomp)
     payload["diagonal_sums"] = [float(x) for x in decomp.diagonal_sums()]

@@ -17,7 +17,11 @@ alike.  Each mask is a principal block of the Choi matrix, which makes the
 extraction independent of the Kraus gauge.  The Choi matrix is formed only
 on the pairs some Kraus operator touches: every other row and column is
 zero, so a shift mixture or a dephasing channel, whose operators S_sigma
-diag(d) touch O(n) of the n^2 pairs, never builds the n^2 x n^2 matrix.
+diag(d) touch O(n) of the n^2 pairs, never builds the n^2 x n^2 matrix.  It
+is the channel's own (Channel._choi): formed once and shared by is_cptp,
+covariance_defect and decompose when the channel keeps it (|S| <= K), and
+formed again by covariance_defect and by decompose when there are fewer
+Kraus operators than pairs (is_cptp then reads the K x K Gram matrix).
 
 A sector is stored as sigma, the shift's domain and image as index tuples,
 and the d x d mask block on the domain; every routine here reads the blocks.
@@ -58,8 +62,6 @@ from .errors import (
 )
 
 _HERMITISE_BYTES = 1 << 18  # slice of a stack Hermitised at once in _mask_failure
-_U = float(np.finfo(float).eps) / 2.0  # unit roundoff, 2^-53
-_ETA = float(np.finfo(float).smallest_subnormal)  # 2^-1074
 
 
 class _SizeGroup(NamedTuple):
@@ -350,7 +352,7 @@ def _mask_failure(blocks: np.ndarray, sigmas) -> tuple[int, str] | None:
     naming its sector, or None when every block passes.  The Hermitian parts
     are formed a slice of about _HERMITISE_BYTES at a time, so that on large
     blocks the temporaries stay in cache.  A stack with no skew block that
-    _certified_psd proves PSD within EPS_PSD passes with no eigensolve;
+    mc._certified_psd proves PSD within EPS_PSD passes with no eigensolve;
     otherwise eigvalsh runs on the whole stack, so the failing sector and its
     message are those of the eigenvalues alone.
     """
@@ -370,7 +372,7 @@ def _mask_failure(blocks: np.ndarray, sigmas) -> tuple[int, str] | None:
         skew[i:i + step] = np.max(np.abs(part - adjoint), axis=(-2, -1)) > mc.EPS_H
         np.add(part, adjoint, out=half)
         half /= 2.0
-    if not skew.any() and _certified_psd(herm):
+    if not skew.any() and mc._certified_psd(herm, -mc.EPS_PSD):
         return None
     lmin = np.linalg.eigvalsh(herm).min(axis=-1)
     bad = np.flatnonzero(skew | (lmin < -mc.EPS_PSD))
@@ -382,66 +384,20 @@ def _mask_failure(blocks: np.ndarray, sigmas) -> tuple[int, str] | None:
     return i, f"sector {sigmas[i]}: domain submatrix eigenvalue {lmin[i]:.3e}"
 
 
-def _certified_psd(herm: np.ndarray) -> bool:
-    """Whether every block of the finite, Hermitian, C-ordered (m, d, d) stack
-    is proved to have no eigenvalue below -EPS_PSD; herm is left as it was.
-
-    S = fl(H + tau I), tau = EPS_PSD / 2, is factored by one stacked Cholesky
-    L L^dag = S + dS, whose backward error (Demmel 1989; Higham, Accuracy and
-    Stability of Numerical Algorithms, Thm 10.3; Rump, BIT 46, 2006) is
-    |dS| <= gamma |L| |L^dag| plus underflow.  With || |L| |L^dag| ||_2 <=
-    ||L||_F^2 = F that gives, per block,
-
-        lambda_min(H) >= -tau - gamma F - u (max_j |H_jj| + tau) - 4 d^2 eta,
-
-    u = 2^-53 bounding the rounding of the shifted diagonal and eta = 2^-1074
-    the subnormal spacing.  gamma = 4 (d + 2) u is about twice gamma_(d+4),
-    which holds for complex arithmetic; the factor two absorbs the bound's
-    own few roundings.  The same backward error gives 0 <= S_jj <= (1 +
-    gamma) F, so H_jj >= -tau and u (|H_jj| + tau) <= 2 u F + 2 u tau: the
-    bound needs F alone, taken as the computed sum of the 2 d^2 (complex)
-    or d^2 squares inflated for its rounding.  The stack passes when every
-    bound is >= -EPS_PSD; a factorisation that fails or overflows proves
-    nothing.  The shift also makes a zero-padded block positive definite.
-    Beyond the factor L, the size of herm, this allocates only the (m, d)
-    diagonal kept to undo the shift.
-    """
-    m, d = herm.shape[0], herm.shape[-1]
-    diag = herm.reshape(m, d * d)[:, ::d + 1]  # a view: S is formed in place
-    h_diag = diag.copy()
-    tau = mc.EPS_PSD / 2.0
-    diag += tau
-    try:
-        chol = np.linalg.cholesky(herm)
-    except np.linalg.LinAlgError:
-        return False
-    finally:
-        diag[...] = h_diag
-    terms = chol.reshape(m, -1)
-    if np.iscomplexobj(terms):
-        terms = terms.view(float)
-    n, coef = terms.shape[1], (4 * d + 10) * _U  # gamma + 2u
-    # (gamma + 2u) F + 2u tau + 4 d^2 eta <= tau, F <= (1 + 2nu) sum + n eta, as a
-    # bound on the sum; an L with Inf or NaN entries gives a sum that fails it.
-    limit = ((tau * (1.0 - 2.0 * _U) - 4 * d * d * _ETA - coef * n * _ETA)
-             / (coef * (1.0 + 2 * n * _U)))
-    return bool((np.einsum("ij,ij->i", terms, terms) <= limit).all())
-
-
 # ---------------------------------------------------------------------------
 # Sector extraction
 
 
-def _support_choi(ops: np.ndarray,
+def _support_choi(channel: Channel,
                   spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The Choi matrix of the (K, n, n) stack of Kraus operators ops on their
-    support S: S (the pairs where some operator is nonzero), C on S x S and
+    """The channel's Choi matrix on its support S: S (the pairs where some
+    Kraus operator is nonzero), C on S x S (read-only, the channel's own) and
     its |entries| between two sectors (zero within one).  Every Choi row and
     column off S is zero, so the cross-sector entries off S x S are too."""
-    if ops.shape[1:] != (spectrum.dim, spectrum.dim):
+    if channel._ops.shape[1:] != (spectrum.dim, spectrum.dim):
         raise DimensionMismatch("channel and spectrum dimensions differ")
     sector = spectrum._pair_sectors  # built before the Choi arrays, so never above them
-    support, (choi,) = mc._choi_on_support(ops)
+    support, choi = channel._support, channel._choi()
     sector = sector[support]
     cross = np.abs(choi)
     cross[sector[:, None] == sector[None, :]] = 0.0
@@ -535,7 +491,7 @@ def covariance_defect(channel: Channel, spectrum: Spectrum) -> float:
     alpha_t conjugation the Choi entries pick up relative phases between
     sectors, so any cross-sector mass breaks covariance.
     """
-    return float(_support_choi(np.stack(channel.kraus), spectrum)[2].max(initial=0.0))
+    return float(_support_choi(channel, spectrum)[2].max(initial=0.0))
 
 
 def decompose(
@@ -550,7 +506,7 @@ def decompose(
         M_sigma(j, k) = <j + d_sigma| G(|j><k|) |k + d_sigma>
 
     read directly from the Choi matrix (a principal submatrix, hence PSD).
-    The Choi matrix is built once, on the pairs where some Kraus operator
+    The Choi matrix is the channel's, on the pairs where some Kraus operator
     is nonzero; a sector with none of them has a zero mask and is dropped.
     Complete positivity is the SectorMask check of each kept
     block, trace preservation is is_cptp's check on the Kraus operators.
@@ -562,20 +518,20 @@ def decompose(
     """
     if not 0.0 <= tol < np.inf:
         raise InvalidParameter(f"tolerance must be finite and >= 0, got {tol!r}")
-    ops = np.stack(channel.kraus)
-    support, choi, cross = _support_choi(ops, spectrum)
+    support, choi, cross = _support_choi(channel, spectrum)
     defect = float(cross.max(initial=0.0))
     if defect > tol:
         raise NotCovariant(defect, tol)
     n = spectrum.dim
     groups = _sector_blocks(choi, support, spectrum)
     sq_cross = _sq_norm(cross)
-    # Freed before any output is allocated, so that the outputs take no
-    # fresh pages above the Choi arrays that a later Choi matrix could reuse.
+    # Freed before any output is allocated, so that the outputs take no fresh
+    # pages above the Choi arrays that a later Choi matrix could reuse (the
+    # channel keeps its Choi matrix when |S| <= K, and then none is formed).
     del choi, cross
     raw = [group.blocks for group in groups]
     blocks = [(r + r.conj().swapaxes(1, 2)) / 2.0 for r in raw]
-    if mc._tp_defect(ops) <= mc.EPS_TP:
+    if mc._tp_defect(channel._ops) <= mc.EPS_TP:
         blocks = _restore_tp(blocks, groups, n)
 
     # ||C - scatter(kept blocks)||^2 entry by entry: the cross-sector

@@ -54,7 +54,7 @@ def random_covariant(
     """
     n = spectrum.dim
     base = random_cptp(n, rng, kraus_count)
-    support, choi, _ = _support_choi(np.stack(base.kraus), spectrum)
+    support, choi, _ = _support_choi(base, spectrum)
     groups = _sector_blocks(choi, support, spectrum)
     blocks = _restore_tp([group.blocks for group in groups], groups, n)
     return mc.kraus_from_choi(ChoiMatrix(n, n, _scatter(groups, blocks, n)))

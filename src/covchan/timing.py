@@ -71,7 +71,7 @@ def _orbit(channel: Channel, spectrum: Spectrum, phi0: np.ndarray, s: float, N: 
     if not math.isfinite(float(np.max(np.abs(spectrum.energies))) * (abs(float(s)) * N)):
         raise InvalidParameter(f"step s = {s}: a phase E_k * s * j (j <= {N}) is not finite")
     ph = spectrum.phases(s * np.arange(N)[:, None])
-    b = np.stack(channel.kraus).reshape(-1, n) @ (ph * phi0).T  # rows (k, output level)
+    b = channel._ops.reshape(-1, n) @ (ph * phi0).T  # rows (k, output level)
     return ph, b.reshape(-1, channel.dim_out, N).transpose(2, 1, 0)
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -172,17 +174,101 @@ class TestIsCPTP:
 
     def test_few_kraus_needs_no_choi_matrix(self, monkeypatch):
         # A K = 3 shift mixture at n = 32 is checked through its 3 x 3 Gram
-        # matrix; the 1024 x 1024 Choi matrix is never built.
+        # matrix; neither the 1024 x 1024 Choi matrix nor the one on the
+        # support (K = 3 < |S| = 93) is built.
         spec = cc.Spectrum(np.arange(32.0))
         chan = tim.build_shift_mixture(spec, [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)]).channel
+        assert len(chan.kraus) < chan._support.size
 
-        def refuse(channel):
+        def refuse(*args):
             raise AssertionError("is_cptp built the Choi matrix")
 
         monkeypatch.setattr(mcore, "choi_of", refuse)
+        monkeypatch.setattr(mcore, "_choi_on_support", refuse)
         rep = cc.is_cptp(chan)
         assert rep.cp_defect <= 1e-12
         assert rep.tp_defect > 0.1  # the shifts lose their edge levels
+        monkeypatch.undo()
+        choi = chan._choi()  # formed on request, and not kept: 16 |S|^2 > 16 K n^2 bytes
+        assert choi.shape == (93, 93) and chan._choi() is not choi
+
+    @pytest.mark.parametrize("count", ["below", "equal", "above"])
+    @ORACLE
+    @given(data=st.data())
+    def test_matches_full_choi_on_any_support(self, count, data):
+        # K below, at or above |S|, the Choi pairs where some operator is
+        # nonzero: is_cptp proves the Choi matrix on S (|S| <= K) or the Gram
+        # matrix (|S| > K) positive definite by a Cholesky factorisation, and
+        # diagonalises the Gram matrix only when the proof fails, so a nonzero
+        # cp_defect is that eigensolve's own.  One operator may be a duplicate,
+        # 1e-8 from another or zero.  The operators are scaled by 1e-50 to
+        # 1e50, so the Choi and Gram matrices by 1e-100 to 1e100: far from 1
+        # the proof fails (its shift and margin are absolute), near 1 it passes.
+        dim_in, dim_out = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        support = np.sort(rng.permutation(dim_in * dim_out)[:data.draw(
+            st.integers(1, dim_in * dim_out))])
+        size = support.size
+        assume(count != "below" or size > 1)
+        k = {"below": data.draw(st.integers(1, max(1, size - 1))),
+             "equal": size,
+             "above": size + data.draw(st.integers(1, 4))}[count]
+        vecs = np.zeros((k, dim_in * dim_out), dtype=complex)
+        vecs[:, support] = rng.normal(size=(k, size)) + 1j * rng.normal(size=(k, size))
+        edit = data.draw(st.sampled_from(["none", "duplicate", "near", "zero"]))
+        if k > 1 and edit != "none":
+            i, j = rng.choice(k, size=2, replace=False)
+            vecs[j] = 0.0 if edit == "zero" else vecs[i]
+            if edit == "near":
+                vecs[j, support] += 1e-8 * (rng.normal(size=size) + 1j * rng.normal(size=size))
+        scale = data.draw(st.sampled_from([1e-50, 1e-4, 0.3, 1.0, 1.0, 3.0, 1e4, 1e50]))
+        chan = cc.Channel(tuple(scale * vecs.reshape(k, dim_out, dim_in)))
+        np.testing.assert_array_equal(chan._support, support)
+        tp, cp = cptp_by_full_choi(chan)
+        rep = cc.is_cptp(chan)
+        bound = 1e-12 * max(1.0, float(np.linalg.norm(cc.choi_of(chan).matrix)))
+        assert abs(rep.tp_defect - tp) <= bound
+        assert abs(rep.cp_defect - cp) <= bound
+        flat = chan._ops.reshape(k, -1)
+        gram_lmin = float(np.linalg.eigvalsh(flat.conj() @ flat.T).min())
+        assert rep.cp_defect in (0.0, max(0.0, -gram_lmin))
+        if count == "above" and 0.3 <= scale <= 3.0:
+            # The Gram matrix is singular, but the Choi matrix on S is proved
+            # positive definite: no roundoff from K - |S| zero eigenvalues.
+            assert rep.cp_defect == 0.0
+
+    def test_a_completed_cholesky_that_fails_the_rounding_bound_proves_nothing(self):
+        # H has an eigenvalue below -EPS_PSD, yet the Cholesky factorisation of
+        # H shifted for either floor completes: its rounding, about u ||H|| =
+        # 1e-7, hides that eigenvalue, and only the bound on it says so.
+        a, b, c = 291359152.1113035, 435871717.6377191, 652061735.0090268
+        eps = Fraction(mcore.EPS_PSD)
+        assert (Fraction(a) + eps) * (Fraction(c) + eps) - Fraction(b) ** 2 < 0
+        herm = np.array([[[a, b], [b, c]]])
+        for floor in (mcore.EPS_PSD, -mcore.EPS_PSD):
+            np.linalg.cholesky(herm - (floor + abs(floor) / 2) * np.eye(2))  # completes
+            assert not mcore._certified_psd(herm, floor)
+        # A one-pair channel at scale 1e5: its 1 x 1 Choi matrix factors, but
+        # the bound fails, so cp_defect is the Gram eigensolve's roundoff.
+        chan = cc.Channel((np.array([[10000 + 120000j]]), np.array([[36007 - 3000j]])))
+        np.linalg.cholesky(chan._choi() - 1.5 * mcore.EPS_PSD)
+        flat = chan._ops.reshape(2, -1)
+        gram_lmin = float(np.linalg.eigvalsh(flat.conj() @ flat.T).min())
+        assert gram_lmin < 0.0
+        assert cc.is_cptp(chan).cp_defect == -gram_lmin
+
+    def test_certificate_never_writes_its_input(self):
+        # A writeable stack is shifted in place and restored, a read-only one
+        # (the Choi matrix a channel keeps) is shifted in a copy.
+        chan = gen.random_cptp(3, np.random.default_rng(2), kraus_count=9)
+        kept = chan._choi()  # |S| = K = 9: kept
+        assert not kept.flags.writeable and chan._choi() is kept
+        before = kept.copy()
+        assert mcore._certified_psd(kept[None], mcore.EPS_PSD)
+        np.testing.assert_array_equal(kept, before)
+        writeable = before[None].copy()
+        assert mcore._certified_psd(writeable, mcore.EPS_PSD)
+        np.testing.assert_array_equal(writeable[0], before)
 
 
 def _eig_cases():
@@ -277,6 +363,16 @@ class TestBipartiteApply:
 
 
 class TestDensityMatrixValidation:
+    def test_owns_a_copy_of_its_matrix(self):
+        # A later write to the caller's array reaches neither the matrix nor
+        # the eigenvalues cached with it.
+        base = np.array([np.diag([0.5, 0.5]), np.eye(2)], dtype=complex)
+        rho = cc.DensityMatrix(base[0])
+        base[0] = np.diag([1.0, 0.0])
+        np.testing.assert_array_equal(rho.matrix, np.diag([0.5, 0.5]))
+        assert cc.von_neumann_entropy(rho) == 1.0
+        assert base.flags.writeable
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotDensityMatrix):
             cc.DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
@@ -307,3 +403,24 @@ class TestChannelValidation:
     def test_operators_are_read_only(self):
         chan = cc.Channel((np.eye(2), np.zeros((2, 2))))
         assert not any(k.flags.writeable for k in chan.kraus)
+
+    def test_owns_a_copy_of_its_operators(self):
+        # The caller's complex arrays stay writeable, and writing them later
+        # changes neither the operators nor what is derived from them.
+        a = np.eye(2, dtype=complex)
+        cc.Channel((a,))
+        assert a.flags.writeable
+        base = np.array([np.eye(2), np.zeros((2, 2))], dtype=complex)
+        chan = cc.Channel(tuple(base))
+        base[0, 0, 0] = 2.0
+        assert cc.is_cptp(chan).tp_defect == 0.0
+        np.testing.assert_array_equal(chan.kraus[0], np.eye(2))
+
+
+class TestChoiMatrixValidation:
+    def test_owns_a_copy_of_its_matrix(self):
+        mat = cc.choi_of(cc.identity_channel(2)).matrix.copy()
+        choi = cc.ChoiMatrix(2, 2, mat)
+        mat[0, 0] = 5.0
+        assert choi.matrix[0, 0] == 1.0 and not choi.matrix.flags.writeable
+        assert mat.flags.writeable

@@ -446,11 +446,49 @@ VALID_FLAGS = {
 }
 
 
+# Files the property may put in place of an input file, as "bad:<name>":
+# malformed JSON for any input, and for a channel also Kraus entries that are
+# NaN or Inf (1e999 parses to inf).  Either is a parse error, exit code 2.
+MALFORMED_FILES = {
+    "empty": "",
+    "truncated": '{"dim_in": 2, "dim_out": 2, "kraus": [{"rows": 2',
+    "not-json": "kraus",
+    "trailing-comma": '{"energies": [0, 1],}',
+    "null": "null",
+    "list": "[1, 2]",
+    # well-formed, but each reader finds its fields short or of the wrong size
+    "short-data": '{"dim_in": 1, "dim_out": 1, "kraus": [{"rows": 1, "cols": 1, "data": []}],'
+                  ' "energies": [0], "rows": 2, "cols": 1, "data": [[1, 0]]}',
+}
+NON_FINITE_ENTRIES = ("NaN", "Infinity", "-Infinity", "1e999")
+
+
+def _channel_text(entry: str) -> str:
+    return ('{"dim_in": 2, "dim_out": 2, "kraus": [{"rows": 2, "cols": 2, '
+            f'"data": [[1, 0], [0, 0], [0, {entry}], [1, 0]]}}]}}')
+
+
+BAD_FILES = {**MALFORMED_FILES,
+             **{f"entry-{entry}": _channel_text(entry) for entry in NON_FINITE_ENTRIES}}
+
+
+@pytest.fixture(scope="module")
+def bad_files(tmp_path_factory):
+    """The path of each BAD_FILES entry, written once for the module."""
+    folder = tmp_path_factory.mktemp("bad-inputs")
+    paths = {}
+    for name, text in BAD_FILES.items():
+        paths[f"bad:{name}"] = folder / f"{name}.json"
+        paths[f"bad:{name}"].write_text(text, encoding="utf-8")
+    return paths
+
+
 @st.composite
 def cli_argvs(draw):
     """(argv, COVCHAN_SEED or None).  For mc-gaussian the drawn value may go
     to COVCHAN_SEED instead of a flag; --seed is then left out, so that the
-    variable supplies the seed."""
+    variable supplies the seed.  A command that reads files may have one of
+    them replaced by a bad file, named "bad:<name>" (BAD_FILES)."""
     command = draw(st.sampled_from(sorted(VALID_FLAGS)))
     flags = VALID_FLAGS[command]
     bad, seed_env = {}, None
@@ -470,6 +508,10 @@ def cli_argvs(draw):
             argv.append(str(FIXTURES / ("spectrum_4level.json" if four else "spectrum_2level.json")))
         if command == "timing":
             argv += ["--phi0", str(FIXTURES / ("phi0_4level.json" if four else "plus_state.json"))]
+        if draw(st.booleans()):
+            slot = draw(st.sampled_from([i for i, arg in enumerate(argv) if arg.endswith(".json")]))
+            names = sorted(MALFORMED_FILES) if slot > 1 else sorted(BAD_FILES)  # argv[1]: the channel
+            argv[slot] = "bad:" + draw(st.sampled_from(names))
     for flag, value in {**flags, **bad}.items():
         argv += [flag, value]
     return argv, seed_env
@@ -479,8 +521,9 @@ def cli_argvs(draw):
 @given(case=cli_argvs())
 @example(case=(["mc-gaussian", "--format", "json", "--std-dev", "1e308", "--dim", "4",
                 "--sigma-max", "0", "--samples", "20", "--seed", "0"], None))  # once printed nan
-def test_exit_code_contract(case):
+def test_exit_code_contract(case, bad_files):
     argv, seed_env = case
+    argv = [str(bad_files.get(arg, arg)) for arg in argv]
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         if seed_env is None:
@@ -490,5 +533,7 @@ def test_exit_code_contract(case):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)  # an exception escaping main fails the test
     assert code in (cli.EXIT_OK, cli.EXIT_VIOLATION, cli.EXIT_USAGE), case
+    if any(arg.startswith("bad:") for arg in case[0]):
+        assert code == cli.EXIT_USAGE and not out.getvalue(), case
     if out.getvalue() and "csv" not in argv:  # strict JSON under every exit code
         json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -190,6 +190,33 @@ class TestDecompose:
         assert [len(shift.domain) for shift, _ in decomp.sectors] == [63, 64, 62]
         assert peak < 16 * 2**20
 
+    def test_pipeline_forms_the_choi_matrix_once_with_no_eigensolve(self, monkeypatch):
+        # is_cptp, covariance_defect and decompose on a dense n = 16 channel
+        # (K = |S| = 256) share the Choi matrix the channel keeps: is_cptp's
+        # Cholesky certificate replaces its K x K eigensolve, and the masks
+        # are certified too.
+        spec = cc.Spectrum(np.arange(16.0))
+        chan = gen.random_covariant(spec, np.random.default_rng(16))
+        assert chan._support.size == len(chan.kraus) == 256
+        calls = []
+        choi_on_support = mcore._choi_on_support
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return choi_on_support(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the pipeline ran eigvalsh")
+
+        monkeypatch.setattr(mcore, "_choi_on_support", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        report = cc.is_cptp(chan)
+        defect = cov.covariance_defect(chan, spec)
+        decomp = cov.decompose(chan, spec)
+        assert calls == [256]
+        assert report.cp_defect == 0.0 and defect <= 1e-10
+        assert len(decomp.sectors) == 31
+
     def test_unknown_sector(self, qubit_spectrum):
         decomp = cov.decompose(dephasing_channel(), qubit_spectrum)
         with pytest.raises(UnknownSector):

@@ -22,31 +22,15 @@ rounds, each round timing enough calls to last about 0.1 s (tools/benchlib.py).
 """
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import subprocess
 import sys
-import time
-from pathlib import Path
 
-from benchlib import ONE_THREAD, ROOT, collect, run_worker, time_row, write_report
+from benchlib import ROOT, main, spectrum_energies, time_row
 
 SIZES = (4, 8, 16, 32, 64)
 DENSE_MAX = 16  # random_covariant diagonalises an n^2 x n^2 matrix to build its channel
 
 
-def _primes(count: int) -> list[int]:
-    found = []
-    k = 2
-    while len(found) < count:
-        if all(k % p for p in found):
-            found.append(k)
-        k += 1
-    return found
-
-
-def _worker(src: str, with_oracles: bool, rounds: int) -> list[dict]:
+def _worker(src: str, rounds: int, with_oracles: bool) -> list[dict]:
     sys.path.insert(0, src)
     import numpy as np
     from covchan import capacity as cap
@@ -63,9 +47,7 @@ def _worker(src: str, with_oracles: bool, rounds: int) -> list[dict]:
                   ("decompose_per_sector", decompose_per_sector)]
     rows = []
     for n in SIZES:
-        for kind, energies in (("integer", np.arange(float(n))),
-                               ("sqrt_prime",
-                                np.r_[0.0, np.cumsum(np.sqrt(_primes(n - 1)))])):
+        for kind, energies in spectrum_energies(n):
             spec = cov.Spectrum(energies)
             rng = np.random.default_rng(n)
             shifts = [(0.0, 0.5), (energies[1] - energies[0], 0.3),
@@ -81,42 +63,5 @@ def _worker(src: str, with_oracles: bool, rounds: int) -> list[dict]:
     return rows
 
 
-def _tier1_seconds() -> float:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **ONE_THREAD)
-    start = time.perf_counter()
-    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
-                   cwd=ROOT, env=env, check=True, capture_output=True)
-    return round(time.perf_counter() - start, 1)
-
-
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", type=Path)
-    ap.add_argument("--parent-src", type=Path)
-    ap.add_argument("--parent-label", default="parent", help="the code field of its rows")
-    ap.add_argument("--rounds", type=int, default=9)
-    ap.add_argument("--tier1", action="store_true")
-    ap.add_argument("--worker")
-    ap.add_argument("--with-oracles", action="store_true")
-    args = ap.parse_args()
-    if args.worker:
-        json.dump(_worker(args.worker, args.with_oracles, args.rounds), sys.stdout)
-        return
-    if args.out is None:
-        ap.error("--out is required")
-
-    def run(src: Path, with_oracles: bool):
-        extra = ["--with-oracles"] if with_oracles else []
-        return lambda rounds: run_worker(__file__, ["--worker", str(src), "--rounds",
-                                                    str(rounds), *extra])
-
-    codes = [("change", run(ROOT / "src", True))]
-    if args.parent_src:
-        codes.append((args.parent_label, run(args.parent_src, False)))
-    rows = collect(codes, args.rounds)
-    extra = {"tier1_wall_s": _tier1_seconds()} if args.tier1 else {}
-    write_report(args.out, rows, **extra)
-
-
 if __name__ == "__main__":
-    main()
+    main(__file__, __doc__, _worker, "--with-oracles")

@@ -1,7 +1,7 @@
 """Layer timings of the SectorMask check, written as one BENCH_*.json file.
 
     python3 tools/bench_mask_check.py --out BENCH_17.json \
-        [--parent-src DIR --parent-label SHA] [--rounds 9]
+        [--parent-src DIR --parent-label SHA] [--rounds 9] [--tier1]
 
 Rows, each timed in a fresh process with OPENBLAS_NUM_THREADS=1:
 - covariant._mask_failure and its eigvalsh oracle (tests/conftest.py,
@@ -18,19 +18,15 @@ rounds, each round timing enough calls to last about 0.1 s (tools/benchlib.py).
 """
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-from pathlib import Path
 
-from benchlib import ROOT, collect, run_worker, time_row, write_report
+from benchlib import ROOT, main, spectrum_energies, time_row
 
 DIMS = (16, 32, 64, 120, 186)
 STD_DEVS = (0.3, 1.0)
-PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _worker(src: str, with_check: bool, rounds: int) -> list[dict]:
+def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
     sys.path.insert(0, src)
     import numpy as np
     from covchan import covariant as cov
@@ -59,8 +55,7 @@ def _worker(src: str, with_check: bool, rounds: int) -> list[dict]:
             rows.append(time_row("fock.gaussian_decomposition", variant, dim,
                                  lambda: fock.gaussian_decomposition(params), rounds))
     for n in (8, 16):
-        for kind, energies in (("integer", np.arange(float(n))),
-                               ("sqrt_prime", np.r_[0.0, np.cumsum(np.sqrt(PRIMES[:n - 1]))])):
+        for kind, energies in spectrum_energies(n):
             spec = cov.Spectrum(energies)
             chan = gen.random_covariant(spec, np.random.default_rng(n))
             rows.append(time_row("covariant.decompose", kind, n,
@@ -68,31 +63,5 @@ def _worker(src: str, with_check: bool, rounds: int) -> list[dict]:
     return rows
 
 
-def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--out", type=Path)
-    ap.add_argument("--parent-src", type=Path)
-    ap.add_argument("--parent-label", default="parent", help="the code field of its rows")
-    ap.add_argument("--rounds", type=int, default=9)
-    ap.add_argument("--worker")
-    ap.add_argument("--with-check", action="store_true")
-    args = ap.parse_args()
-    if args.worker:
-        json.dump(_worker(args.worker, args.with_check, args.rounds), sys.stdout)
-        return
-    if args.out is None:
-        ap.error("--out is required")
-
-    def run(src: Path, with_check: bool):
-        extra = ["--with-check"] if with_check else []
-        return lambda rounds: run_worker(__file__, ["--worker", str(src), "--rounds",
-                                                    str(rounds), *extra])
-
-    codes = [("change", run(ROOT / "src", True))]
-    if args.parent_src:
-        codes.append((args.parent_label, run(args.parent_src, False)))
-    write_report(args.out, collect(codes, args.rounds))
-
-
 if __name__ == "__main__":
-    main()
+    main(__file__, __doc__, _worker, "--with-check")

@@ -1,20 +1,40 @@
-"""What the tools/bench_*.py layer timings share: a row timed in a worker
-process with one BLAS thread, rounds split over passes that alternate
-between codes, and the BENCH_*.json report."""
+"""What the tools/bench_*.py layer timings share: the command line, a row
+timed in a worker process with one BLAS thread, rounds split over passes
+that alternate between codes, and the BENCH_*.json report."""
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import time
 import timeit
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PASSES = 3
 ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def primes(count: int) -> list[int]:
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+def spectrum_energies(n: int):
+    """The ladder's two spectrum families at n levels: (name, energies)."""
+    import numpy as np
+
+    return (("integer", np.arange(float(n))),
+            ("sqrt_prime", np.r_[0.0, np.cumsum(np.sqrt(primes(n - 1)))]))
 
 
 def time_row(name: str, variant: str, n: int, fn, rounds: int) -> dict:
@@ -57,6 +77,15 @@ def collect(codes, rounds: int) -> list[dict]:
     return rows
 
 
+def tier1_seconds() -> float:
+    """Wall time of one tier-1 run (python -m pytest -q, PYTHONPATH=src) with one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **ONE_THREAD)
+    start = time.perf_counter()
+    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                   cwd=ROOT, env=env, check=True, capture_output=True)
+    return round(time.perf_counter() - start, 1)
+
+
 def write_report(out: Path, rows: list[dict], **extra) -> None:
     """The BENCH_*.json file: the checkout, the host, one BLAS thread, the rows."""
     import numpy as np
@@ -78,3 +107,42 @@ def write_report(out: Path, rows: list[dict], **extra) -> None:
         "rows": rows,
     }
     out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+
+
+def main(script: str, doc: str, worker, change_only: str | None = None) -> None:
+    """The command line of a tools/bench_*.py script, doc its docstring.
+
+    With --worker SRC it prints worker(SRC, rounds) as JSON, or worker(SRC,
+    rounds, flag) when the script has a change_only flag (e.g.
+    "--with-oracles", rows timed on this checkout alone).  Otherwise it
+    runs workers on this checkout's src ("change", with that flag) and, with
+    --parent-src, on another src labelled --parent-label, and writes the
+    rows to --out; --tier1 adds the tier-1 wall time.
+    """
+    ap = argparse.ArgumentParser(description=doc.splitlines()[0])
+    ap.add_argument("--out", type=Path)
+    ap.add_argument("--parent-src", type=Path)
+    ap.add_argument("--parent-label", default="parent", help="the code field of its rows")
+    ap.add_argument("--rounds", type=int, default=9)
+    ap.add_argument("--tier1", action="store_true")
+    ap.add_argument("--worker")
+    if change_only:
+        ap.add_argument(change_only, action="store_true", dest="change_only")
+    args = ap.parse_args()
+    if args.worker:
+        flag = (args.change_only,) if change_only else ()
+        json.dump(worker(args.worker, args.rounds, *flag), sys.stdout)
+        return
+    if args.out is None:
+        ap.error("--out is required")
+
+    def run(src: Path, flags: list[str]):
+        argv = ["--worker", str(src), *flags]
+        return lambda rounds: run_worker(script, [*argv, "--rounds", str(rounds)])
+
+    codes = [("change", run(ROOT / "src", [change_only] if change_only else []))]
+    if args.parent_src:
+        codes.append((args.parent_label, run(args.parent_src, [])))
+    rows = collect(codes, args.rounds)
+    extra = {"tier1_wall_s": tier1_seconds()} if args.tier1 else {}
+    write_report(args.out, rows, **extra)
