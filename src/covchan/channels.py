@@ -21,6 +21,7 @@ with K < |S| forms the matrix afresh in each call that needs it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -355,10 +356,19 @@ def _certified_psd(herm: np.ndarray, floor: float) -> bool:
 
 
 def _tp_defect(ops: np.ndarray) -> float:
-    """||sum_m A_m^dag A_m - 1||_F of a (K, dim_out, dim_in) stack of Kraus operators."""
+    """||sum_m A_m^dag A_m - 1||_F of a (K, dim_out, dim_in) stack of Kraus operators.
+
+    The norm squares the entries, so the difference is first scaled by the
+    power of two that brings its largest entry into [1/2, 1): the scaling is
+    exact, and so is undoing it after the square root, so the value is the
+    unscaled norm's to the bit wherever that one does not overflow."""
     stacked = ops.reshape(-1, ops.shape[-1])  # rows of A_0, then of A_1, ...
-    gram = stacked.conj().T @ stacked
-    return float(np.linalg.norm(gram - np.eye(ops.shape[-1])))
+    diff = stacked.conj().T @ stacked - np.eye(ops.shape[-1])
+    peak = float(np.max(np.abs(diff)))
+    if not 0.0 < peak < math.inf:
+        return float(np.linalg.norm(diff))
+    scale = math.ldexp(1.0, -math.frexp(peak)[1])
+    return float(np.linalg.norm(diff * scale)) / scale
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:

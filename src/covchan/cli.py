@@ -3,15 +3,30 @@
 Subcommands: check, decompose, capacity, timing, gaussian, mc-gaussian.
 All reports are emitted as JSON (floats at 17 significant digits) or CSV;
 exit codes are 0 for success, 1 for property violations, 2 for usage or
-parse errors.  A reader that closes stdout early (``covchan ... | head``)
-ends the output quietly: the rest of the report is dropped, any ``--out``
-file is still written, and the subcommand's own exit code is returned.
+parse errors.
+
+Every report goes through one writer (``_write``) that streams it in pieces
+to stdout and to the ``--out`` file: a JSON report comes from
+``serialize.iter_dumps``, a CSV report one matrix at a time, and the masks of
+``gaussian`` and ``decompose`` are made dense one at a time as they are
+written, so a report holds one mask and its text, never all of them.  The
+bytes are those of formatting the whole report at once.
+
+``--out`` is opened before the first byte is written: if it cannot be opened
+(a directory, a missing folder, no permission) the subcommand prints one line
+on stderr and exits 2 with nothing on stdout; an error while writing it (a
+full disk) prints one line and exits 2 too, after part of the report; a
+subcommand that ends without a report does not create it.  A reader that closes stdout early
+(``covchan ... | head``) ends the output quietly: the rest of the report is
+dropped, any ``--out`` file is still written in full, and the subcommand's
+own exit code is returned.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -43,28 +58,56 @@ def _load_spectrum(path):
     return ser.spectrum_from_json(ser.load_json(path))
 
 
-def _print(text: str) -> None:
+def _silence_stdout() -> None:
+    """The reader is gone: point stdout at devnull, so that the flush at
+    interpreter shutdown does not raise again."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
+def _write(args, pieces) -> None:
+    """Write a report, piece by piece and then a newline, to stdout and to the
+    --out file if one is given.  The file is opened before the first byte is
+    written, so a file that cannot be opened leaves stdout empty; once the
+    reader has closed stdout the pieces go on to the file alone.  An OSError
+    on the file is a usage error."""
+    path = getattr(args, "out", None)
     try:
-        print(text)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader is gone; point stdout at devnull so that the flush at
-        # interpreter shutdown does not raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-
-
-def _write(args, text: str) -> None:
-    """Print a report and copy it to the --out file, if one is given."""
-    _print(text)
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        copy = open(path, "w", encoding="utf-8") if path else None
+    except OSError as exc:
+        raise CovchanError(f"cannot open --out file {path!r}: {exc.strerror}") from exc
+    stdout = sys.stdout
+    try:
+        for piece in chain(pieces, ["\n"]):
+            if stdout is not None:
+                try:
+                    stdout.write(piece)
+                except BrokenPipeError:
+                    _silence_stdout()
+                    stdout = None
+            if copy is None and stdout is None:
+                return
+            if copy is not None:
+                try:
+                    copy.write(piece)
+                except OSError as exc:
+                    raise CovchanError(f"cannot write --out file {path!r}: {exc.strerror}") from exc
+    finally:
+        if copy is not None:
+            try:
+                copy.close()  # flushes: a full disk shows here at the latest
+            except OSError as exc:
+                raise CovchanError(f"cannot write --out file {path!r}: {exc.strerror}") from exc
+    if stdout is not None:
+        try:
+            stdout.flush()
+        except BrokenPipeError:
+            _silence_stdout()
 
 
 def _emit(args, payload) -> None:
-    _write(args, ser.dumps(payload))
+    _write(args, ser.iter_dumps(payload))
 
 
 def _matrix_csv_lines(name, mat):
@@ -75,6 +118,14 @@ def _matrix_csv_lines(name, mat):
     cells = ",".join(["%.17g"] * (2 * cols))
     rows = mat.view(float).reshape(mat.shape[0], 2 * cols).tolist()
     return [header] + [f"{name},{rix}," + cells % tuple(row) for rix, row in enumerate(rows)]
+
+
+def _csv_pieces(named_matrices):
+    """The CSV lines of each (name, matrix), one piece per matrix."""
+    sep = ""
+    for name, mat in named_matrices:
+        yield sep + "\n".join(_matrix_csv_lines(name, mat))
+        sep = "\n"
 
 
 def cmd_check(args) -> int:
@@ -106,7 +157,7 @@ def cmd_decompose(args) -> int:
     recon_choi, choi = mc._choi_on_support(mc._support_of(recon, channel._ops),
                                            recon, channel._ops)
     dist = float(np.linalg.norm(recon_choi - choi))
-    payload = ser.decomposition_to_json(decomp)
+    payload = ser._decomposition_object(decomp)
     payload["diagonal_sums"] = [float(x) for x in decomp.diagonal_sums()]
     payload["projection_defect"] = decomp.projection_defect
     payload["reconstruction_choi_distance"] = dist
@@ -183,20 +234,15 @@ def _fock_params(args, mc_samples=1, seed=0) -> fock.FockParams:
 
 def cmd_gaussian(args) -> int:
     decomp = fock.gaussian_decomposition(_fock_params(args))
+    # Each dense mask is built as its piece is written, and dropped after it.
     if args.format == "csv":
-        lines = []
-        for m in decomp.masks:
-            lines.extend(_matrix_csv_lines(f"mask_sigma_{int(m.sigma)}", m.mask))
-        _write(args, "\n".join(lines))
+        _write(args, _csv_pieces((f"mask_sigma_{int(m.sigma)}", m.mask) for m in decomp.masks))
         return EXIT_OK
     _emit(args, {
         "dim": decomp.params.dim,
         "std_dev": decomp.params.std_dev,
         "sigma_max": decomp.params.sigma_max,
-        "masks": [
-            {"sigma": m.sigma, "mask": ser.matrix_to_json(m.mask)}
-            for m in decomp.masks
-        ],
+        "masks": ({"sigma": m.sigma, "mask": ser._matrix_object(m.mask)} for m in decomp.masks),
         "truncation_defect": [float(x) for x in decomp.truncation_defect],
     })
     return EXIT_OK
@@ -210,9 +256,8 @@ def cmd_mc_gaussian(args) -> int:
     report = fock.compare_decomposition_to_mc(params, rho)
     result = report.sampled
     if args.format == "csv":
-        lines = _matrix_csv_lines("mc_mean", result.mean)
-        lines.extend(_matrix_csv_lines("mc_stderr", result.standard_error.astype(complex)))
-        _write(args, "\n".join(lines))
+        _write(args, _csv_pieces([("mc_mean", result.mean),
+                                  ("mc_stderr", result.standard_error.astype(complex))]))
         return EXIT_OK if report.ok else EXIT_VIOLATION
     _emit(args, {
         "dim": params.dim,
@@ -223,7 +268,7 @@ def cmd_mc_gaussian(args) -> int:
         "max_allowed": report.max_allowed,
         "worst_ratio": report.worst_ratio,
         "ok": report.ok,
-        "mc_mean": ser.matrix_to_json(result.mean),
+        "mc_mean": ser._matrix_object(result.mean),
     })
     return EXIT_OK if report.ok else EXIT_VIOLATION
 

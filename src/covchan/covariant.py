@@ -79,8 +79,9 @@ class _SizeGroup(NamedTuple):
 class Spectrum:
     """Strictly increasing energies of a non-degenerate diagonal Hamiltonian.
 
-    match_tol declares when two floating-point energy differences are "the
-    same" sigma; spectra with gaps at or below match_tol are rejected.
+    match_tol (finite; at or below 0 it picks a relative default) declares
+    when two floating-point energy differences are "the same" sigma; spectra
+    with gaps at or below match_tol are rejected.
 
     The sorted differences omega_{j'} - omega_j are clustered once, a step
     above match_tol starting a new cluster: sigmas[i] is the mean of cluster
@@ -103,7 +104,9 @@ class Spectrum:
             raise DegenerateSpectrum("spectrum must be a non-empty 1-d list of energies")
         if not np.all(np.isfinite(en)):
             raise DegenerateSpectrum("spectrum contains non-finite energies")
-        tol = self.match_tol
+        tol = float(self.match_tol)
+        if not np.isfinite(tol):  # NaN would pass every comparison below
+            raise InvalidParameter(f"match_tol must be finite, got {tol!r}")
         if tol <= 0.0:
             tol = 1e-9 * max(1.0, float(np.max(np.abs(en))))
         if en.size > 1 and float(np.min(np.diff(en))) <= tol:

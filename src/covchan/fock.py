@@ -79,9 +79,10 @@ _MASK_CHUNK = 16  # orders per factor stack and per SectorMask check (module doc
 # spectrum's n^2 sector pairs and the Monte Carlo's dim x dim arrays.
 MAX_DIM = 1024
 # Largest dim gaussian_decomposition builds masks for.  The closed form has no
-# limit of its own, but the CLI reports hold every mask entry in memory at
-# once (about 2 GB of JSON at dim 186, growing as dim^3), so the cap stays
-# until they stream.
+# limit of its own and the CLI reports stream one mask at a time, but past
+# dim 186 the log-factorial factor loses accuracy (about 3e-13 relative at
+# 186, growing with log (2 dim)!), and the quadrature oracle stops there; the
+# cap stays until that accuracy is measured and bounded at larger dims.
 _MAX_MASK_DIM = 186
 
 

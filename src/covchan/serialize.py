@@ -8,16 +8,21 @@ written as its dim x dim view and read back into its domain block; a sigma that
 is no energy difference or is listed twice, a mask of the wrong shape and
 support outside the domain are rejected.
 
-``dumps`` writes every float at 17 significant digits (round-trip safe).  It
-dispatches on the exact type of each value, and formats a list of floats or
-of [float, float] pairs (a matrix's "data") in one pass, with one %-template
-for the whole list; other values go through an isinstance chain (numpy
-scalars, bool before int, None, str, complex, tuples, arrays).  The text is
-that of formatting each float on its own.
+``iter_dumps`` writes JSON in pieces, with every float at 17 significant
+digits (round-trip safe), and ``dumps`` is the pieces joined.  A dict yields
+a piece per key and the pieces of its value; any other iterator (a generator
+of masks, say) is written as a list, one piece per item, so that a report
+never holds more than one item's text and the item itself.  A value is
+formatted by dispatch on its exact type: a list of floats or of [float, float]
+pairs, and a 1-d or 2-d float64 array (a matrix's "data" as its (rows * cols,
+2) float view), in one pass with one %-template; other values go through an
+isinstance chain (numpy scalars, bool before int, None, str, complex, tuples,
+other arrays).  The text is that of formatting each float on its own.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from itertools import chain
 
 import numpy as np
@@ -27,14 +32,17 @@ from .covariant import SectorDecomposition, SectorMask, Spectrum, partial_shift
 from .errors import MaskNotPSD, ParseError
 
 
-def matrix_to_json(mat: np.ndarray) -> dict:
+def _matrix_object(mat: np.ndarray) -> dict:
+    """The matrix object with "data" as the (rows * cols, 2) float view that
+    interleaves (re, im); iter_dumps writes it without building the pairs."""
     mat = np.ascontiguousarray(mat, dtype=complex)
-    return {
-        "rows": mat.shape[0],
-        "cols": mat.shape[1],
-        # the float view interleaves (re, im): one tolist gives the pairs
-        "data": mat.view(float).reshape(-1, 2).tolist(),
-    }
+    return {"rows": mat.shape[0], "cols": mat.shape[1], "data": mat.view(float).reshape(-1, 2)}
+
+
+def matrix_to_json(mat: np.ndarray) -> dict:
+    obj = _matrix_object(mat)
+    obj["data"] = obj["data"].tolist()  # the [re, im] pairs
+    return obj
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -101,14 +109,20 @@ def spectrum_from_json(obj) -> Spectrum:
     return Spectrum(energies=np.array(energies), match_tol=match_tol)
 
 
-def decomposition_to_json(decomp: SectorDecomposition) -> dict:
+def _decomposition_object(decomp: SectorDecomposition, matrix=_matrix_object) -> dict:
+    """The decomposition object with "sectors" as a generator: each dense mask
+    is built as iter_dumps reaches it."""
     return {
         "spectrum": spectrum_to_json(decomp.spectrum),
-        "sectors": [
-            {"sigma": float(shift.sigma), "mask": matrix_to_json(mask.mask)}
-            for shift, mask in decomp.sectors
-        ],
+        "sectors": ({"sigma": float(shift.sigma), "mask": matrix(mask.mask)}
+                    for shift, mask in decomp.sectors),
     }
+
+
+def decomposition_to_json(decomp: SectorDecomposition) -> dict:
+    obj = _decomposition_object(decomp, matrix_to_json)
+    obj["sectors"] = list(obj["sectors"])
+    return obj
 
 
 def decomposition_from_json(obj) -> SectorDecomposition:
@@ -160,15 +174,24 @@ def _format_list(items) -> str:
     return "[" + ", ".join(map(_format, items)) + "]"
 
 
+def _format_floats(arr: np.ndarray) -> str:
+    """A 1-d or 2-d float64 array in one %-template pass."""
+    text = "[" + ", ".join(["%.17g"] * arr.shape[-1]) + "]"
+    if arr.ndim == 2:
+        text = "[" + ", ".join([text] * arr.shape[0]) + "]"
+    return text % tuple(arr.ravel().tolist())
+
+
 def _format(value) -> str:
     kind = type(value)
     if kind is float:
         return f"{value:.17g}"
     if kind is list:
         return _format_list(value)
-    if isinstance(value, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_format(v)}" for k, v in value.items())
-        return "{" + items + "}"
+    if kind is np.ndarray and value.dtype == np.float64 and value.ndim in (1, 2):
+        return _format_floats(value)
+    if isinstance(value, (dict, Iterator)):
+        return "".join(iter_dumps(value))
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -186,6 +209,27 @@ def _format(value) -> str:
     raise TypeError(f"cannot serialize {type(value)}")
 
 
+def iter_dumps(value):
+    """The JSON text of value in pieces: a dict a piece per key, each followed
+    by the pieces of its value; another iterator a list of one piece per item;
+    anything else one piece."""
+    if isinstance(value, dict):
+        sep = "{"
+        for key, item in value.items():
+            yield f"{sep}{json.dumps(str(key))}: "
+            yield from iter_dumps(item)
+            sep = ", "
+        yield "}" if sep == ", " else "{}"
+    elif isinstance(value, Iterator):
+        sep = "["
+        for item in value:
+            yield sep + _format(item)
+            sep = ", "
+        yield "]" if sep == ", " else "[]"
+    else:
+        yield _format(value)
+
+
 def dumps(value) -> str:
     """Serialize to JSON with every float at 17 significant digits."""
-    return _format(value)
+    return "".join(iter_dumps(value))

@@ -78,6 +78,19 @@ def test_corpus_equals_per_sector_loops(corpus):
                 conftest.reconstruct_per_sector(decomp))
 
 
+def test_tp_defect_is_the_unscaled_norm_on_the_corpus(corpus):
+    # _tp_defect scales Sum A^dag A - 1 by a power of two before its norm, so
+    # that its squares cannot overflow; on unit-scale channels the value is
+    # the unscaled norm's to the bit, for the channels and their reconstructions.
+    channels, _ = corpus
+    for dim, (spec, entries) in channels.items():
+        for chan, decomp in entries:
+            for ops in (chan._ops, cov.reconstruct(decomp)._ops):
+                stacked = ops.reshape(-1, dim)
+                unscaled = float(np.linalg.norm(stacked.conj().T @ stacked - np.eye(dim)))
+                assert mcore._tp_defect(ops) == unscaled
+
+
 def test_02_trace_preservation_identity(corpus):
     channels, _ = corpus
     worst = 0.0

@@ -138,6 +138,17 @@ class TestIsCPTP:
         rep = cc.is_cptp(cc.Channel((2.0 * np.eye(2, dtype=complex),)))
         assert abs(rep.tp_defect - 3.0 * np.sqrt(2.0)) < 1e-12
 
+    def test_tp_defect_far_from_unit_scale(self):
+        # The squares of the Frobenius norm overflowed from Kraus entries of
+        # about 1e77 on (tier-1 turns the RuntimeWarning into an error).  At
+        # a power of two the value is exact: ||2^600 I_2||_F = sqrt(2) 2^600.
+        assert cc.is_cptp(cc.Channel((np.eye(2) * 2.0**300,))).tp_defect == \
+            np.sqrt(2.0) * 2.0**600
+        big = cc.is_cptp(cc.Channel((np.eye(2) * 1e80,))).tp_defect
+        assert big == pytest.approx(np.sqrt(2.0) * 1e160, rel=1e-15)
+        tiny = cc.is_cptp(cc.Channel((np.eye(2) * 1e-200,))).tp_defect
+        assert tiny == np.sqrt(2.0)
+
     @pytest.mark.parametrize("gamma", [0.0, 0.25, 0.5, 0.9, 1.0])
     def test_amplitude_damping(self, gamma):
         rep = cc.is_cptp(amplitude_damping(gamma))

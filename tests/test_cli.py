@@ -1,8 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,10 +319,11 @@ def assert_same_text(got, want):
 class TestGoldenReports:
     """stdout equals the per-value oracles applied to the library's own
     objects, and --out holds the same bytes (criterion 12 only compares two
-    runs with each other)."""
+    runs with each other).  At dim 186 three orders a side keep the report at
+    7 masks of the largest size (all 371 would be 191 MB of JSON)."""
 
-    GAUSSIAN = fock.FockParams(dim=48, std_dev=0.5, sigma_max=0, mc_samples=1, seed=0)
     MC = fock.FockParams(dim=8, std_dev=0.3, sigma_max=0, mc_samples=20000, seed=17)
+    OTHER_DIMS = [(8, 0), (186, 3)]  # (dim, sigma_max); 0 -> every sector
 
     @staticmethod
     def run_with_out(capsys, tmp_path, *argv):
@@ -329,10 +332,15 @@ class TestGoldenReports:
         assert_same_text(out_file.read_text(encoding="utf-8"), out)
         return code, out, err
 
-    def test_gaussian_json(self, capsys, tmp_path):
-        code, out, err = self.run_with_out(capsys, tmp_path, "gaussian", "--std-dev", "0.5",
-                                           "--dim", "48")
-        decomp = fock.gaussian_decomposition(self.GAUSSIAN)
+    @staticmethod
+    def gaussian(dim, sigma_max):
+        params = fock.FockParams(dim=dim, std_dev=0.5, sigma_max=sigma_max, mc_samples=1, seed=0)
+        flags = ("gaussian", "--std-dev", "0.5", "--dim", str(dim), "--sigma-max", str(sigma_max))
+        return fock.gaussian_decomposition(params), flags
+
+    def check_gaussian_json(self, capsys, tmp_path, dim, sigma_max):
+        decomp, flags = self.gaussian(dim, sigma_max)
+        code, out, err = self.run_with_out(capsys, tmp_path, *flags)
         golden = dumps_by_recursion({
             "dim": decomp.params.dim, "std_dev": decomp.params.std_dev,
             "sigma_max": decomp.params.sigma_max,
@@ -343,14 +351,52 @@ class TestGoldenReports:
         assert (code, err) == (cli.EXIT_OK, "")
         assert_same_text(out, golden + "\n")
 
-    def test_gaussian_csv(self, capsys, tmp_path):
-        code, out, err = self.run_with_out(capsys, tmp_path, "gaussian", "--std-dev", "0.5",
-                                           "--dim", "48", "--format", "csv")
+    def check_gaussian_csv(self, capsys, tmp_path, dim, sigma_max):
+        decomp, flags = self.gaussian(dim, sigma_max)
+        code, out, err = self.run_with_out(capsys, tmp_path, *flags, "--format", "csv")
         lines = []
-        for m in fock.gaussian_decomposition(self.GAUSSIAN).masks:
+        for m in decomp.masks:
             lines.extend(csv_lines_by_entry(f"mask_sigma_{int(m.sigma)}", m.mask))
         assert (code, err) == (cli.EXIT_OK, "")
         assert_same_text(out, "\n".join(lines) + "\n")
+
+    def test_gaussian_json(self, capsys, tmp_path):
+        self.check_gaussian_json(capsys, tmp_path, 48, 0)
+
+    def test_gaussian_csv(self, capsys, tmp_path):
+        self.check_gaussian_csv(capsys, tmp_path, 48, 0)
+
+    @pytest.mark.parametrize("dim, sigma_max", OTHER_DIMS)
+    def test_gaussian_json_other_dims(self, capsys, tmp_path, dim, sigma_max):
+        self.check_gaussian_json(capsys, tmp_path, dim, sigma_max)
+
+    @pytest.mark.parametrize("dim, sigma_max", OTHER_DIMS)
+    def test_gaussian_csv_other_dims(self, capsys, tmp_path, dim, sigma_max):
+        self.check_gaussian_csv(capsys, tmp_path, dim, sigma_max)
+
+    def test_json_report_holds_one_mask_at_a_time(self):
+        # Holding every entry at once takes at least the report's own 3.2 MB
+        # (95 masks of 48 x 48).  The streamed report holds the decomposition's
+        # blocks (0.6 MB) and one dense mask with its text: 1.3 MB in all.
+        class Sink:
+            size = 0
+
+            def write(self, piece):
+                self.size += len(piece)
+
+            def flush(self):
+                pass
+
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = cli.main(["gaussian", "--std-dev", "0.5", "--dim", "48"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_OK and sink.size > 3_000_000
+        assert peak < sink.size / 2, (peak, sink.size)
 
     def test_mc_gaussian_csv(self, capsys, tmp_path):
         code, out, err = self.run_with_out(capsys, tmp_path, "mc-gaussian", "--std-dev", "0.3",
@@ -401,23 +447,66 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "False"
 
 
+def read_ten_bytes_and_close(argv):
+    """Run the CLI, read 10 bytes of stdout, close the pipe: (exit code, head, stderr)."""
+    proc = subprocess.Popen([sys.executable, "-m", "covchan.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env_with_src())
+    head = proc.stdout.read(10)
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    return proc.wait(timeout=120), head, err
+
+
 def test_reader_closing_pipe_early(tmp_path):
     # `covchan gaussian ... | head -c 10`: the report (~2 MB) outgrows the
     # pipe, the reader leaves after 10 bytes; no traceback, exit code 0, and
     # the --out copy is still complete.
     out = tmp_path / "masks.json"
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "covchan.cli", "gaussian", "--std-dev", "1", "--dim", "40",
-         "--out", str(out)],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env_with_src())
-    head = proc.stdout.read(10)
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    proc.stderr.close()
-    assert proc.wait(timeout=120) == cli.EXIT_OK
+    code, head, err = read_ten_bytes_and_close(
+        ["gaussian", "--std-dev", "1", "--dim", "40", "--out", str(out)])
+    assert code == cli.EXIT_OK
     assert head == b'{"dim": 40'
     assert "Traceback" not in err and "BrokenPipe" not in err
     assert json.loads(out.read_text())["dim"] == 40
+
+
+def test_reader_closing_pipe_early_csv(tmp_path):
+    # The same for the CSV report (~1.5 MB), with and without an --out copy.
+    out = tmp_path / "masks.csv"
+    for extra in (["--out", str(out)], []):
+        code, head, err = read_ten_bytes_and_close(
+            ["gaussian", "--std-dev", "1", "--dim", "40", "--format", "csv", *extra])
+        assert code == cli.EXIT_OK
+        assert head == b"matrix,row"
+        assert "Traceback" not in err and "BrokenPipe" not in err
+    lines = out.read_text().split("\n")
+    assert len(lines) == 79 * 41 + 1 and lines[-2].startswith("mask_sigma_39,39,")
+    assert lines[-1] == ""
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-folder"])
+def test_out_file_that_cannot_be_opened_exit_2(capsys, tmp_path, where):
+    # Opened before the first byte is written: no report on stdout, one line
+    # on stderr, no traceback (a directory once raised IsADirectoryError, and
+    # a missing folder printed the whole report before exiting 2).
+    dest = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "check", str(FIXTURES / "amplitude_damping_0.3.json"),
+                         str(FIXTURES / "spectrum_2level.json"), "--out", str(dest))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.startswith("error: cannot open --out file") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("check", str(FIXTURES / "amplitude_damping_0.3.json"), str(FIXTURES / "spectrum_2level.json")),
+    ("gaussian", "--std-dev", "1", "--dim", "40", "--format", "csv"),
+])
+def test_out_file_write_error_exit_2(capsys, argv):
+    # A full disk once ended in an OSError traceback at the file's close.
+    code, _, err = run(capsys, *argv, "--out", "/dev/full")
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: cannot write --out file") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +516,7 @@ def test_reader_closing_pipe_early(tmp_path):
 # "1e-150" and "9.48e153" are the ends of the std_dev range FockParams accepts.
 FLAG_VALUES = ("nan", "inf", "-inf", "-1", "0", "1e308", "abc", "1", "0.3", "4",
                "1e-150", "9.48e153")
-EXIT_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+EXIT_PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 
 
 def _reject_constant(name):
@@ -447,8 +536,10 @@ VALID_FLAGS = {
 
 
 # Files the property may put in place of an input file, as "bad:<name>":
-# malformed JSON for any input, and for a channel also Kraus entries that are
-# NaN or Inf (1e999 parses to inf).  Either is a parse error, exit code 2.
+# malformed JSON for any input, and non-finite numbers (1e999 parses to inf)
+# where each kind of file holds them: Kraus entries of a channel, energies or
+# match_tol of a spectrum, entries of a state or --phi0 vector.  Each is a
+# parse or parameter error, exit code 2.
 MALFORMED_FILES = {
     "empty": "",
     "truncated": '{"dim_in": 2, "dim_out": 2, "kraus": [{"rows": 2',
@@ -468,15 +559,29 @@ def _channel_text(entry: str) -> str:
             f'"data": [[1, 0], [0, 0], [0, {entry}], [1, 0]]}}]}}')
 
 
-BAD_FILES = {**MALFORMED_FILES,
-             **{f"entry-{entry}": _channel_text(entry) for entry in NON_FINITE_ENTRIES}}
+NON_FINITE_FILES = {
+    "channel": {f"entry-{x}": _channel_text(x) for x in NON_FINITE_ENTRIES},
+    "spectrum": {
+        **{f"energy-{x}": f'{{"energies": [0, {x}], "match_tol": 0}}' for x in NON_FINITE_ENTRIES},
+        **{f"match-tol-{x}": f'{{"energies": [0, 1], "match_tol": {x}}}'
+           for x in NON_FINITE_ENTRIES},
+    },
+    "state": {f"state-{x}": f'{{"rows": 2, "cols": 1, "data": [[1, 0], [0, {x}]]}}'
+              for x in NON_FINITE_ENTRIES},
+}
+BAD_FILES = {**MALFORMED_FILES, **{name: text for files in NON_FINITE_FILES.values()
+                                   for name, text in files.items()}}
+# --out targets: "out:file" can be written, the other two cannot be opened.
+OUT_TARGETS = ("out:file", "out:directory", "out:missing-folder")
 
 
 @pytest.fixture(scope="module")
 def bad_files(tmp_path_factory):
-    """The path of each BAD_FILES entry, written once for the module."""
+    """The path of each BAD_FILES entry, written once for the module, and of
+    each OUT_TARGETS entry."""
     folder = tmp_path_factory.mktemp("bad-inputs")
-    paths = {}
+    paths = {"out:file": folder / "report.out", "out:directory": folder,
+             "out:missing-folder": folder / "missing" / "report.out"}
     for name, text in BAD_FILES.items():
         paths[f"bad:{name}"] = folder / f"{name}.json"
         paths[f"bad:{name}"].write_text(text, encoding="utf-8")
@@ -488,14 +593,17 @@ def cli_argvs(draw):
     """(argv, COVCHAN_SEED or None).  For mc-gaussian the drawn value may go
     to COVCHAN_SEED instead of a flag; --seed is then left out, so that the
     variable supplies the seed.  A command that reads files may have one of
-    them replaced by a bad file, named "bad:<name>" (BAD_FILES)."""
+    them replaced by a bad file, named "bad:<name>" (BAD_FILES), and any
+    command may get an --out target (OUT_TARGETS)."""
     command = draw(st.sampled_from(sorted(VALID_FLAGS)))
     flags = VALID_FLAGS[command]
     bad, seed_env = {}, None
-    if command == "mc-gaussian" and draw(st.booleans()):
+    # An --out target comes with valid flags, so that most of those runs write a report.
+    out = draw(st.sampled_from((None,) * 3 + OUT_TARGETS))
+    if out is None and command == "mc-gaussian" and draw(st.booleans()):
         seed_env = draw(st.sampled_from(FLAG_VALUES))
         flags = {flag: value for flag, value in flags.items() if flag != "--seed"}
-    elif flags:  # one flag at a time, so that an earlier bad flag does not mask it
+    elif out is None and flags:  # one flag at a time, so that an earlier bad flag does not mask it
         bad[draw(st.sampled_from(sorted(flags)))] = draw(st.sampled_from(FLAG_VALUES))
     if command in ("gaussian", "mc-gaussian"):
         argv = [command, "--format", draw(st.sampled_from(["json", "csv"]))]
@@ -503,27 +611,27 @@ def cli_argvs(draw):
         chan = draw(st.sampled_from(["amplitude_damping_0.3.json", "hadamard_gate_channel.json",
                                      "identity_channel.json", "shift_mixture_channel.json"]))
         four = chan.startswith("shift")
-        argv = [command, str(FIXTURES / chan)]
+        state = "phi0_4level.json" if four else "plus_state.json"
+        argv, kinds = [command, str(FIXTURES / chan)], {1: "channel"}
         if command != "capacity":
+            kinds[len(argv)] = "spectrum"
             argv.append(str(FIXTURES / ("spectrum_4level.json" if four else "spectrum_2level.json")))
-        if command == "timing":
-            argv += ["--phi0", str(FIXTURES / ("phi0_4level.json" if four else "plus_state.json"))]
+        if command == "timing" or (command == "capacity" and draw(st.booleans())):
+            kinds[len(argv) + 1] = "state"
+            argv += ["--phi0" if command == "timing" else "--input-state", str(FIXTURES / state)]
         if draw(st.booleans()):
-            slot = draw(st.sampled_from([i for i, arg in enumerate(argv) if arg.endswith(".json")]))
-            names = sorted(MALFORMED_FILES) if slot > 1 else sorted(BAD_FILES)  # argv[1]: the channel
+            slot = draw(st.sampled_from(sorted(kinds)))
+            names = sorted(MALFORMED_FILES) + sorted(NON_FINITE_FILES[kinds[slot]])
             argv[slot] = "bad:" + draw(st.sampled_from(names))
+    if out:
+        argv += ["--out", out]
     for flag, value in {**flags, **bad}.items():
         argv += [flag, value]
     return argv, seed_env
 
 
-@EXIT_PROPERTY
-@given(case=cli_argvs())
-@example(case=(["mc-gaussian", "--format", "json", "--std-dev", "1e308", "--dim", "4",
-                "--sigma-max", "0", "--samples", "20", "--seed", "0"], None))  # once printed nan
-def test_exit_code_contract(case, bad_files):
-    argv, seed_env = case
-    argv = [str(bad_files.get(arg, arg)) for arg in argv]
+def run_main(argv, seed_env):
+    """cli.main in-process: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
     with pytest.MonkeyPatch.context() as mp:
         if seed_env is None:
@@ -532,8 +640,34 @@ def test_exit_code_contract(case, bad_files):
             mp.setenv("COVCHAN_SEED", seed_env)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)  # an exception escaping main fails the test
+    return code, out.getvalue(), err.getvalue()
+
+
+@EXIT_PROPERTY
+@given(case=cli_argvs())
+@example(case=(["mc-gaussian", "--format", "json", "--std-dev", "1e308", "--dim", "4",
+                "--sigma-max", "0", "--samples", "20", "--seed", "0"], None))  # once printed nan
+def test_exit_code_contract(case, bad_files):
+    """Every exit code is documented; a bad file is exit 2 with no report; an
+    --out file holds exactly the report, and one that cannot be opened turns
+    a report into exit 2 with nothing on stdout."""
+    argv, seed_env = case
+    argv = [str(bad_files.get(arg, arg)) for arg in argv]
+    bad_files["out:file"].unlink(missing_ok=True)
+    code, out, err = run_main(argv, seed_env)
     assert code in (cli.EXIT_OK, cli.EXIT_VIOLATION, cli.EXIT_USAGE), case
     if any(arg.startswith("bad:") for arg in case[0]):
-        assert code == cli.EXIT_USAGE and not out.getvalue(), case
-    if out.getvalue() and "csv" not in argv:  # strict JSON under every exit code
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+        assert code == cli.EXIT_USAGE and not out, case
+    if "out:file" in case[0]:
+        copy = bad_files["out:file"]
+        assert (copy.read_text(encoding="utf-8") if out else copy.exists()) == (out or False)
+    elif "--out" in argv:
+        i = argv.index("--out")
+        ref_code, ref_out, _ = run_main(argv[:i] + argv[i + 2:], seed_env)
+        if ref_out:
+            assert (code, out) == (cli.EXIT_USAGE, ""), case
+            assert err.startswith("error: cannot open --out file") and err.count("\n") == 1
+        else:
+            assert (code, out) == (ref_code, ""), case
+    if out and "csv" not in argv:  # strict JSON under every exit code
+        json.loads(out, parse_constant=_reject_constant)

@@ -48,6 +48,13 @@ class TestSpectrum:
         spec = cc.Spectrum(np.array([0.0, 1e6]))
         assert spec.match_tol == pytest.approx(1e-3)
 
+    @pytest.mark.parametrize("match_tol", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_match_tol(self, match_tol):
+        # NaN once passed every comparison and failed later as a level held
+        # twice "within match_tol nan"; inf reported "gaps > inf".
+        with pytest.raises(InvalidParameter, match="match_tol must be finite"):
+            cc.Spectrum(np.array([0.0, 1.0]), match_tol=match_tol)
+
     def test_rejects_chained_sector_with_repeated_level(self):
         # Differences 1 - 0.8e-9, 1, 1 + 0.7e-9, 1 + 1.5e-9 chain into one
         # sector holding pairs (1, 0) and (2, 0): input level 0 twice.

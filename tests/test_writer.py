@@ -1,10 +1,11 @@
 """The report writers against their per-value oracles in conftest.
 
-serialize.dumps formats a list of floats or of [float, float] pairs in one
-pass and the CLI formats one CSV row at a time; both must give exactly the
-text of the recursive, one-float-at-a-time oracles, on every float (signed
-zero, subnormals, the largest doubles, NaN and infinities) and every other
-payload type.
+serialize.iter_dumps writes JSON in pieces and dumps joins them; a list of
+floats or of [float, float] pairs and a float array are formatted in one pass,
+and the CLI formats one CSV row at a time.  All must give exactly the text of
+the recursive, one-float-at-a-time oracles, on every float (signed zero,
+subnormals, the largest doubles, NaN and infinities) and every other payload
+type, also when the lists reach the writer as iterators.
 """
 import numpy as np
 from hypothesis import given, settings
@@ -40,6 +41,8 @@ leaves = st.one_of(
     st.complex_numbers(allow_subnormal=True),
     float_pairs,
     matrices.map(ser.matrix_to_json),
+    matrices.map(ser._matrix_object),  # "data" as the (rows * cols, 2) float view
+    hnp.arrays(np.float64, st.tuples(st.integers(0, 6), st.just(2)), elements=floats),
 )
 
 payloads = st.recursive(leaves, lambda kids: st.one_of(
@@ -60,10 +63,34 @@ def text_or_error(fn, value):
         return TypeError
 
 
+def pieces_joined(value):
+    return "".join(ser.iter_dumps(value))
+
+
+def as_iterators(value):
+    """value with every list and tuple, at any depth, replaced by an iterator."""
+    if isinstance(value, (list, tuple)):
+        return iter([as_iterators(item) for item in value])
+    if isinstance(value, dict):
+        return {key: as_iterators(item) for key, item in value.items()}
+    return value
+
+
 @WRITER_PROPERTY
 @given(payloads)
 def test_dumps_equals_recursive_oracle(payload):
-    assert text_or_error(ser.dumps, payload) == text_or_error(dumps_by_recursion, payload)
+    want = text_or_error(dumps_by_recursion, payload)
+    assert text_or_error(pieces_joined, payload) == text_or_error(ser.dumps, payload) == want
+    assert text_or_error(ser.dumps, as_iterators(payload)) == want
+
+
+def test_an_iterator_is_written_one_piece_per_item():
+    mats = [np.full((2, 2), a + 0.5j) for a in range(3)]
+    pieces = list(ser.iter_dumps({"masks": (ser._matrix_object(m) for m in mats), "n": 2}))
+    items = [ser.dumps(ser.matrix_to_json(m)) for m in mats]
+    assert pieces == ['{"masks": ', "[" + items[0], ", " + items[1], ", " + items[2], "]",
+                      ', "n": ', "2", "}"]
+    assert list(ser.iter_dumps(iter([]))) == ["[]"] and list(ser.iter_dumps({})) == ["{}"]
 
 
 @WRITER_PROPERTY

@@ -56,6 +56,12 @@ def run_worker(script: str, argv: list[str]) -> list[dict]:
     return json.loads(out)
 
 
+# Per-round lists a worker row may hold: "ms" always, "rss_mb" for rows run
+# as subprocesses.  Any other field (e.g. "stdout_sha256") is the same in
+# every round and is copied to the row.
+SAMPLED = ("ms", "rss_mb")
+
+
 def collect(codes, rounds: int) -> list[dict]:
     """Rows of median and interquartile range per (code, name, variant, n).
 
@@ -63,17 +69,26 @@ def collect(codes, rounds: int) -> list[dict]:
     The rounds are split over passes that alternate between the codes, so
     that a drift in host load falls on all of them alike.
     """
-    times = {}
+    samples, fixed = {}, {}
     for _ in range(PASSES):
         for code, run in codes:
             for r in run(-(-rounds // PASSES)):
-                times.setdefault((code, r["name"], r["variant"], r["n"]), []).extend(r["ms"])
+                key = (code, r["name"], r["variant"], r["n"])
+                for field in SAMPLED:
+                    samples.setdefault(key, {}).setdefault(field, []).extend(r.get(field, []))
+                extra = {k: v for k, v in r.items()
+                         if k not in ("name", "variant", "n", *SAMPLED)}
+                if fixed.setdefault(key, extra) != extra:
+                    raise ValueError(f"{key}: {fixed[key]} in one round, {extra} in another")
     rows = []
-    for (code, name, variant, n), ms in times.items():
-        q1, _, q3 = statistics.quantiles(ms, n=4)
-        rows.append({"name": name, "code": code, "variant": variant, "n": n,
-                     "median_ms": round(statistics.median(ms), 4),
-                     "iqr_ms": round(q3 - q1, 4), "rounds": len(ms)})
+    for (code, name, variant, n), lists in samples.items():
+        row = {"name": name, "code": code, "variant": variant, "n": n}
+        for field, values in lists.items():
+            if values:
+                q1, _, q3 = statistics.quantiles(values, n=4)
+                row[f"median_{field}"] = round(statistics.median(values), 4)
+                row[f"iqr_{field}"] = round(q3 - q1, 4)
+        rows.append({**row, "rounds": len(lists["ms"]), **fixed[(code, name, variant, n)]})
     return rows
 
 
