@@ -33,10 +33,13 @@ from .errors import DimensionMismatch, InvalidParameter, NotCP, NotDensityMatrix
 # sizes this package targets (dim <= 64), so 1e-9 leaves headroom.  The
 # Gaussian mask blocks C C^T reach dim 186; over dims 8-186 and std_dev 0.1-1
 # (step 0.1) they were exactly symmetric and their most negative eigenvalue
-# was -1.6e-14 (at dim 173, std_dev 0.1, sigma 0).  The mask check's Cholesky
-# certificate (_certified_psd at floor -EPS_PSD) shifts by EPS_PSD / 2 = 5e-10
-# and spends at most 4.5e-12 of the other half on rounding at dim 186
-# (std_dev 0.1-1), so every Gaussian mask is certified without an eigensolve.
+# was -1.6e-14 (at dim 173, std_dev 0.1, sigma 0).  Each is a Gram product of
+# its factor, whose rounding bound (_gram_bound) is at most 1.6e-11 at dim 186
+# for any accepted std_dev, within EPS_PSD / 2 = 5e-10: every Gaussian mask,
+# like every block decompose keeps, is proved without a factorisation.  A
+# block given bare (SectorMask(...)) takes the Cholesky certificate
+# (_certified_psd at floor -EPS_PSD), which shifts by EPS_PSD / 2 and spent at
+# most 4.5e-12 of the other half on rounding on those Gaussian blocks.
 EPS_H = 1e-9
 EPS_TR = 1e-9
 EPS_PSD = 1e-9
@@ -353,6 +356,64 @@ def _certified_psd(herm: np.ndarray, floor: float) -> bool:
     limit = ((tau - 2.0 * _U * abs(shift) - 4 * d * d * _ETA - coef * n * _ETA)
              / (coef * (1.0 + 2 * n * _U)))
     return bool((np.einsum("ij,ij->i", terms, terms) <= limit).all())
+
+
+def _gram_bound(factors: np.ndarray, k: int, scale: float = 1.0) -> float:
+    """A bound beta, over each factor X of the stack factors (entry i holds
+    the entries of X_i, d rows of inner dimension k, in any shape), on how
+    far any block the SectorMask check can be handed from the Gram product
+    P = fl(X X^H) lies from an exact PSD matrix: the principal submatrices
+    of P, its pinchings (zero rows and columns where a row of X is zero),
+    their Hermitian parts, and these scaled by diag(s) on both sides with
+    scale >= max s^2.  The bound is a priori, one sum of squares per factor
+    and no factorisation; it holds only for a P formed from X in the
+    caller's own code path.
+
+    Each real and imaginary part of P_ij is a sum of the 2 k (k for a real
+    X) real products of X's entries, in whatever order, blocking or fusing
+    the GEMM chooses.  The inner-product bound (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sections 3.1 and 3.6), with
+    gradual underflow adding at most eta = 2^-1074 per product, gives
+    entrywise
+
+        |P - X X^H| <= sqrt2 gamma_2k |X| |X|^H + 2 sqrt2 k eta,
+
+    and || |X| |X|^H ||_F <= ||X||_F^2 = F.  A principal submatrix or a
+    pinching keeps each entry's bound.  A Hermitian part fl((B + B^H) / 2)
+    adds u |B| + eta per entry, u = 2^-53, and the congruence fl(B * fl(s
+    s^T)) scales what came before by at most scale and adds 2 u (1 + u)
+    scale |B| + eta.  With D = diag(s), every such block B', Hermitised by
+    the caller and once more by the check, satisfies
+
+        ||B' - D X X^H D||_F <= beta = scale gamma F + 4 (k + 2) d eta max(scale, 1),
+
+    gamma = 4 (k + 2) u, _certified_psd's constant: it exceeds sqrt2
+    gamma_2k + 4 u by at least 5 u for any k below 1e13, which absorbs the
+    second-order terms, eta F, and the roundings of this bound and of the
+    check's comparisons.  D X X^H D is PSD, so the check's Hermitian part
+    has lambda_min >= -beta (Weyl) and its skew is at most 2 beta per
+    entry, and entries within beta of it are finite.  The blocks pass when
+    beta <= tau = min(EPS_H, EPS_PSD) / 2, the margin split of
+    _certified_psd: the other half of EPS_PSD is left to the eigensolver's
+    reading of lambda_min, whose backward error is a modest multiple of d u
+    ||B'||.  F is the computed sum of the n real squares, inflated to (1 + 2
+    n u) F + n eta for its own rounding.  At k = 186 and F = 186 beta is
+    1.6e-11; at k = 4096 and F = 64, 1.2e-10.
+    """
+    terms = factors.reshape(len(factors), -1)
+    d = terms.shape[1] // k
+    if np.iscomplexobj(terms):
+        terms = terms.view(float)
+    n = terms.shape[1]
+    sq = float(np.einsum("ij,ij->i", terms, terms).max(initial=0.0))
+    return (scale * 4 * (k + 2) * _U * ((1.0 + 2 * n * _U) * sq + n * _ETA)
+            + 4 * (k + 2) * d * _ETA * max(scale, 1.0))
+
+
+def _gram_certified(factors: np.ndarray, k: int, scale: float = 1.0) -> bool:
+    """Whether _gram_bound proves every block of the Gram products of
+    factors, as described there, to pass the SectorMask check."""
+    return _gram_bound(factors, k, scale) <= min(EPS_H, EPS_PSD) / 2.0
 
 
 def _tp_defect(ops: np.ndarray) -> float:

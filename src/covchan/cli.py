@@ -19,7 +19,9 @@ full disk) prints one line and exits 2 too, after part of the report; a
 subcommand that ends without a report does not create it.  A reader that closes stdout early
 (``covchan ... | head``) ends the output quietly: the rest of the report is
 dropped, any ``--out`` file is still written in full, and the subcommand's
-own exit code is returned.
+own exit code is returned.  Any other error on stdout (a full device) drops
+the rest of the report there as well and writes ``--out`` in full, then
+prints one line on stderr and exits 2.
 """
 from __future__ import annotations
 
@@ -69,25 +71,26 @@ def _silence_stdout() -> None:
 def _write(args, pieces) -> None:
     """Write a report, piece by piece and then a newline, to stdout and to the
     --out file if one is given.  The file is opened before the first byte is
-    written, so a file that cannot be opened leaves stdout empty; once the
-    reader has closed stdout the pieces go on to the file alone.  An OSError
-    on the file is a usage error."""
+    written, so a file that cannot be opened leaves stdout empty; once stdout
+    fails (the reader closed it, or the device is full) the pieces go on to
+    the file alone.  An OSError on the file, or one on stdout other than a
+    closed pipe, is a usage error."""
     path = getattr(args, "out", None)
     try:
         copy = open(path, "w", encoding="utf-8") if path else None
     except OSError as exc:
         raise CovchanError(f"cannot open --out file {path!r}: {exc.strerror}") from exc
-    stdout = sys.stdout
+    stdout, lost = sys.stdout, None
     try:
         for piece in chain(pieces, ["\n"]):
             if stdout is not None:
                 try:
                     stdout.write(piece)
-                except BrokenPipeError:
+                except OSError as exc:
                     _silence_stdout()
-                    stdout = None
+                    stdout, lost = None, exc
             if copy is None and stdout is None:
-                return
+                break
             if copy is not None:
                 try:
                     copy.write(piece)
@@ -102,8 +105,11 @@ def _write(args, pieces) -> None:
     if stdout is not None:
         try:
             stdout.flush()
-        except BrokenPipeError:
+        except OSError as exc:
             _silence_stdout()
+            lost = exc
+    if lost is not None and not isinstance(lost, BrokenPipeError):
+        raise CovchanError(f"cannot write to stdout: {lost.strerror}") from lost
 
 
 def _emit(args, payload) -> None:

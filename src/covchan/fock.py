@@ -26,13 +26,14 @@ _MASK_CHUNK consecutive orders, or once per dim:
 - A chunk's factors are one zero-padded (chunk, dim - a0, dim - a0) stack
   from one exp, and one batched C @ C^T gives the chunk's blocks in their
   corners with exact zeros around them.
-- That padded stack passes the SectorMask check at once, one _mask_failure
-  call: a stacked Cholesky certificate, eigvalsh only on failure.  Padding
-  keeps each Hermiticity residue, and the certificate's shift tau =
-  EPS_PSD / 2 makes the padded rows positive definite, so a padded stack is
-  certified as its blocks would be.  A failing chunk is checked again block
-  by block, so the error names the sector and eigenvalue that one check per
-  sector would.
+- Each block is a Gram product of its factor, so the rounding bound of the
+  product (channels._gram_bound, about 1.6e-11 at dim 186 against the
+  check's 5e-10) proves the whole chunk passes the SectorMask check from one
+  sum of squares of the factors: no factorisation and no eigensolve.  A
+  chunk the bound does not prove is checked block by block, so the error
+  names the sector and eigenvalue that one check per sector would.
+- The truncation defect sums the diagonals gathered from the chunk stacks,
+  in sector order, so it needs no per-sector diagonal.
 - Shifts are read off the integer spectrum's sector map, with no sigma
   lookup per sector, and that spectrum is built once per dim
   (_shared_integer_spectrum, at most 16 kept).
@@ -60,10 +61,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+from . import channels as mc
 from . import covariant as cov
 from .channels import DensityMatrix
 from .errors import InvalidParameter, MaskNotPSD, SectorOutOfRange, UnknownSector
@@ -131,9 +133,13 @@ class GaussianDecomposition(cov.SectorDecomposition):
 
     params: FockParams
     truncation_defect: np.ndarray = field(init=False, repr=False, compare=False)
+    # diagonal_sums() when the builder has it at hand (gaussian_decomposition
+    # gathers it from its chunk stacks); None derives it from the sectors.
+    _diagonal_sums: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
-        td = np.abs(1.0 - self.diagonal_sums())
+    def __post_init__(self, _diagonal_sums):
+        sums = self.diagonal_sums() if _diagonal_sums is None else _diagonal_sums
+        td = np.abs(1.0 - sums)
         td.setflags(write=False)
         object.__setattr__(self, "truncation_defect", td)
 
@@ -255,10 +261,11 @@ def displacement_sector(sigma: int, r: float, dim: int) -> np.ndarray:
     return np.diag(coeff, -sigma).astype(complex)  # column j -> row j + sigma
 
 
-def _mask_chunk(orders: range, log_fact: np.ndarray, n: float) -> np.ndarray:
-    """The blocks M_a = C_a C_a^T, a in orders, of the channel adding N = n
-    photons on dim = log_fact.size levels, as one zero-padded
-    (len(orders), dim - a0, dim - a0) stack, a0 = orders[0].
+def _mask_chunk(orders: range, log_fact: np.ndarray,
+                n: float) -> tuple[np.ndarray, np.ndarray]:
+    """The factors C_a and blocks M_a = C_a C_a^T, a in orders, of the channel
+    adding N = n photons on dim = log_fact.size levels, as two zero-padded
+    (len(orders), dim - a0, dim - a0) stacks, a0 = orders[0].
 
     The factors (module docstring) are one stack with entry [a - a0, j, l]:
     log C_a[j, l] is a row term in j, a column term in l and a band term in
@@ -275,52 +282,58 @@ def _mask_chunk(orders: range, log_fact: np.ndarray, n: float) -> np.ndarray:
     band = -log_fact[d] - (d + 0.5) * math.log1p(n)
     inside = (k[None, :] <= k[:, None]) & (k[:, None] < dim - a[:, :, None])
     c = np.exp(np.where(inside, row[:, :, None] + col[:, None, :] + band, -np.inf))
-    return c @ c.transpose(0, 2, 1)
+    return c, c @ c.transpose(0, 2, 1)
 
 
-def _checked_blocks(sigma_max: int, log_fact: np.ndarray, n: float) -> list[np.ndarray]:
-    """The checked read-only blocks of M_a and M_{-a}, a = 0 .. sigma_max.
+def _checked_blocks(sigma_max: int, log_fact: np.ndarray,
+                    n: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """The checked read-only blocks of M_a and M_{-a}, a = 0 .. sigma_max, and
+    the (sigma_max + 1, dim) diagonals of the zero-padded blocks.
 
     Each chunk of _MASK_CHUNK orders is one _mask_chunk stack, and the blocks
-    returned are views of those read-only stacks.  Each stack passes the
-    SectorMask check at once: padding leaves each Hermiticity residue as it
-    is, and the check's Cholesky shift makes the padded rows positive
-    definite.  C C^T is PSD, so a failure is rare; the failing chunks' blocks
-    are then checked again unpadded, from the highest order down, and
-    MaskNotPSD names sigma = -a for the largest failing a, as one check per
-    sector in sector order would.
+    returned are views of those read-only stacks.  A chunk whose factors
+    channels._gram_certified proves is checked no further.  C C^T is PSD, so
+    an unproved chunk is rare; its blocks are then checked one by one with
+    the SectorMask check, from the highest order down, and MaskNotPSD names
+    sigma = -a for the largest failing a, as one check per sector in sector
+    order would.
     """
     dim = log_fact.size
-    blocks, failed = [], []
+    blocks, unproved = [], []
+    diagonals = np.zeros((sigma_max + 1, dim))
     for a0 in range(0, sigma_max + 1, _MASK_CHUNK):
         orders = range(a0, min(a0 + _MASK_CHUNK, sigma_max + 1))
-        padded = _mask_chunk(orders, log_fact, n)
-        if cov._mask_failure(padded, [float(-a) for a in orders]) is not None:
-            failed.append(orders)
+        factors, padded = _mask_chunk(orders, log_fact, n)
+        if not mc._gram_certified(factors, dim - a0):
+            unproved.append(orders)
         padded.setflags(write=False)
         blocks.extend(padded[a - a0, :dim - a, :dim - a] for a in orders)
-    for orders in reversed(failed):
+        diagonals[a0:a0 + len(orders), :dim - a0] = np.diagonal(padded, axis1=1, axis2=2)
+    for orders in reversed(unproved):
         for a in reversed(orders):
             found = cov._mask_failure(blocks[a], [float(-a)])
             if found is not None:
                 raise MaskNotPSD(found[1])
-    return blocks
+    return blocks, diagonals
 
 
 def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     """Sectors for sigma in [-sigma_max, sigma_max] plus per-level TP defects.
 
-    M_a and M_{-a} share one block, built and checked once (one check per
+    M_a and M_{-a} share one block, built and proved once (one Gram bound per
     chunk of orders, _checked_blocks); the shifts are read off the integer
-    spectrum's sector map, where cluster i holds sigma = i - (dim - 1).
+    spectrum's sector map, where cluster i holds sigma = i - (dim - 1), and
+    the per-level sums come from the chunks' diagonals.
     """
     dim, top = params.dim, params.sigma_max
     if dim > _MAX_MASK_DIM:
         raise InvalidParameter(f"Gaussian masks need dim <= {_MAX_MASK_DIM}, got {dim}")
     spec = _shared_integer_spectrum(dim)
-    blocks = _checked_blocks(top, _log_factorials(dim), 2.0 * params.std_dev * params.std_dev)
+    blocks, diagonals = _checked_blocks(top, _log_factorials(dim),
+                                        2.0 * params.std_dev * params.std_dev)
     pairs = np.concatenate(spec.sector_pairs[dim - 1 - top:dim + top])
-    domains, images = (pairs % dim).tolist(), (pairs // dim).tolist()
+    levels = pairs % dim
+    domains, images = levels.tolist(), (pairs // dim).tolist()
     sectors, end = [], 0
     for sigma in range(-top, top + 1):
         start, end = end, end + dim - abs(sigma)
@@ -329,7 +342,12 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
                                  image=tuple(images[start:end]), dim=dim)
         sectors.append((shift, cov.SectorMask._checked(float(sigma), blocks[abs(sigma)],
                                                        domain, dim)))
-    return GaussianDecomposition(params=params, spectrum=spec, sectors=tuple(sectors))
+    # The diagonal of M_{+-a} on its domain, sector after sector, as
+    # diagonal_sums reads them from the blocks.
+    orders = np.abs(np.arange(-top, top + 1))
+    diags = diagonals[orders][np.arange(dim) < dim - orders[:, None]]
+    return GaussianDecomposition(params=params, spectrum=spec, sectors=tuple(sectors),
+                                 _diagonal_sums=cov._diagonal_sums(levels, diags, dim))
 
 
 def _unit_powers(z: np.ndarray, count: int) -> np.ndarray:

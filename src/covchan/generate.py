@@ -56,5 +56,5 @@ def random_covariant(
     base = random_cptp(n, rng, kraus_count)
     support, choi, _ = _support_choi(base, spectrum)
     groups = _sector_blocks(choi, support, spectrum)
-    blocks = _restore_tp([group.blocks for group in groups], groups, n)
+    blocks, _ = _restore_tp([group.blocks for group in groups], groups, n)
     return mc.kraus_from_choi(ChoiMatrix(n, n, _scatter(groups, blocks, n)))

@@ -170,6 +170,12 @@ def mask_failure_by_eigvalsh(blocks: np.ndarray, sigmas) -> tuple[int, str] | No
     return i, f"sector {sigmas[i]}: domain submatrix eigenvalue {lmin[i]:.3e}"
 
 
+def refuse_mask_check(blocks, sigmas):
+    """A stand-in for covariant._mask_failure where a Gram certificate must
+    have proved the blocks."""
+    raise AssertionError("the SectorMask check ran on blocks a Gram bound should prove")
+
+
 def sha256_of(value) -> str:
     """Digest of a value down to the bytes: arrays by dtype, shape and data,
     dataclasses by type and fields, floats by repr (so -0.0 differs from 0.0)."""

@@ -78,6 +78,22 @@ def test_corpus_equals_per_sector_loops(corpus):
                 conftest.reconstruct_per_sector(decomp))
 
 
+def test_gram_bound_proves_every_corpus_decomposition(corpus, monkeypatch):
+    # One Gram certificate per channel proves all its masks, so decompose runs
+    # no SectorMask check (test_corpus_equals_per_sector_loops pins the
+    # decompositions to those of one check per sector).
+    channels, _ = corpus
+    verdicts = []
+    gram_certified = mcore._gram_certified
+    monkeypatch.setattr(mcore, "_gram_certified",
+                        lambda *args: verdicts.append(gram_certified(*args)) or verdicts[-1])
+    monkeypatch.setattr(cov, "_mask_failure", conftest.refuse_mask_check)
+    for dim, (spec, entries) in channels.items():
+        for chan, _ in entries:
+            cov.decompose(chan, spec)
+    assert len(verdicts) == 700 and all(verdicts)
+
+
 def test_tp_defect_is_the_unscaled_norm_on_the_corpus(corpus):
     # _tp_defect scales Sum A^dag A - 1 by a power of two before its norm, so
     # that its squares cannot overflow; on unit-scale channels the value is

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import covchan as cc
@@ -280,6 +280,97 @@ class TestIsCPTP:
         writeable = before[None].copy()
         assert mcore._certified_psd(writeable, mcore.EPS_PSD)
         np.testing.assert_array_equal(writeable[0], before)
+
+
+def gram_blocks(x, rows, hermitised, s):
+    """The blocks the mask check is handed from fl(X X^H), formed as the
+    library forms them, and the Hermitian part the check takes of them.
+
+    A real X is multiplied as fock's C C^T, a complex one as decompose's
+    V^T conj(V) with V = X^T; the block on rows is Hermitised first when
+    hermitised is set, and scaled by diag(s) on both sides as _restore_tp
+    scales, when s is given."""
+    if np.iscomplexobj(x):
+        v = np.ascontiguousarray(x.T)
+        product = v.T @ v.conj()
+    else:
+        product = (x[None] @ x[None].transpose(0, 2, 1))[0]
+    block = product[np.ix_(rows, rows)]
+    if hermitised:
+        block = (block + block.conj().T) / 2.0
+    if s is not None:
+        t = s[rows]
+        block = block * (t[:, None] * t[None, :])
+    return block, (block + block.conj().T) / 2.0
+
+
+def exact_sq_distance(herm, x, rows, s):
+    """||herm - D X X^H D||_F^2 on rows x rows in rationals, D = diag(s) (or 1)."""
+    parts = [[(Fraction(float(z.real)), Fraction(float(z.imag))) for z in row]
+             for row in np.asarray(x, dtype=complex)[rows]]
+    scale = [Fraction(1) if s is None else Fraction(float(s[i])) for i in rows]
+    total = Fraction(0)
+    for i, (xi, si) in enumerate(zip(parts, scale)):
+        for j, (xj, sj) in enumerate(zip(parts, scale)):
+            re = sum(a * c + b * d for (a, b), (c, d) in zip(xi, xj)) * si * sj
+            im = sum(b * c - a * d for (a, b), (c, d) in zip(xi, xj)) * si * sj
+            got = complex(herm[i, j])
+            total += (Fraction(got.real) - re) ** 2 + (Fraction(got.imag) - im) ** 2
+    return total
+
+
+@st.composite
+def gram_factors(draw):
+    """A d x k factor (d, k <= 8), real non-negative or complex, at a common
+    scale from subnormal to 1e4, a principal set of its rows, whether the
+    block is Hermitised before the check, and an optional diagonal scaling."""
+    d, k = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.integers(-320, 3))
+    mantissas = st.lists(st.floats(0.0, 10.0, allow_subnormal=True), min_size=d * k,
+                         max_size=d * k)
+    x = np.array(draw(mantissas)).reshape(d, k) * scale
+    if draw(st.booleans()):
+        signs = st.lists(st.sampled_from([-1.0, 1.0]), min_size=d * k, max_size=d * k)
+        im = np.array(draw(mantissas)).reshape(d, k) * scale
+        x = (x * np.array(draw(signs)).reshape(d, k)) + 1j * (im * np.array(draw(signs)).reshape(d, k))
+    rows = sorted(draw(st.lists(st.integers(0, d - 1), min_size=1, max_size=d, unique=True)))
+    s = draw(st.none() | st.lists(st.floats(0.5, 1024.0), min_size=d, max_size=d).map(np.array))
+    return x, rows, draw(st.booleans()), s
+
+
+# k = 8 real products summed one after another, each rounding up by almost
+# half an ulp, then a scaling whose two roundings go the same way: about 8.8 u
+# of F, more than a gamma without its k could cover.
+_ROUNDING_UP = np.array([[1.0] + [float(np.sqrt(2.0 ** -53 * (1 + 2.0 ** -20)))] * 7])
+
+
+class TestGramBound:
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @example(drawn=(_ROUNDING_UP, [0], False, np.array([1.0357351429103054])))
+    @given(drawn=gram_factors())
+    def test_bound_dominates_the_exact_rounding_error(self, drawn):
+        x, rows, hermitised, s = drawn
+        block, herm = gram_blocks(x, rows, hermitised, s)
+        top = 1.0 if s is None else float(s.max())
+        bound = mcore._gram_bound(x[None], x.shape[1], top * top)
+        assert exact_sq_distance(herm, x, rows, s) <= Fraction(bound) ** 2
+        assert np.abs(block - block.conj().T).max() <= 2.0 * bound
+        assert np.linalg.eigvalsh(herm).min() >= -bound
+
+    def test_certifies_within_half_the_check_tolerance(self):
+        # The pass line is min(EPS_H, EPS_PSD) / 2, as for _certified_psd, and a
+        # non-finite factor proves nothing.
+        tau = min(mcore.EPS_H, mcore.EPS_PSD) / 2.0
+        for k in (1, 186, 4096):
+            x = np.ones((1, 1, k))
+            gamma_f = mcore._gram_bound(x, k) / k  # per unit of ||X||_F^2
+            below = np.full((1, 1, k), np.sqrt(0.99 * tau / gamma_f / k))
+            above = np.full((1, 1, k), np.sqrt(1.01 * tau / gamma_f / k))
+            assert mcore._gram_certified(below, k) and not mcore._gram_certified(above, k)
+            assert not mcore._gram_certified(below, k, scale=1.03)
+        assert not mcore._gram_certified(np.array([[[1.0, np.inf]]]), 2)
+        assert not mcore._gram_certified(np.array([[[1.0]]]), 1, scale=np.inf)
+        assert not mcore._gram_certified(np.array([[[1.0]]]), 1, scale=np.nan)
 
 
 def _eig_cases():

@@ -509,6 +509,28 @@ def test_out_file_write_error_exit_2(capsys, argv):
     assert err.startswith("error: cannot write --out file") and err.count("\n") == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("check", str(FIXTURES / "amplitude_damping_0.3.json"), str(FIXTURES / "spectrum_2level.json")),
+    ("gaussian", "--std-dev", "0.5", "--dim", "48"),
+])
+def test_stdout_write_error_exit_2(tmp_path, argv):
+    # stdout on a full device once ended in an OSError traceback with exit 1,
+    # and left --out empty: now one line on stderr, exit 2, no traceback at
+    # the interpreter's exit flush, and the --out copy written in full.
+    out = tmp_path / "report.json"
+    for extra in ([], ["--out", str(out)]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "covchan.cli", *argv, *extra],
+                                  stdout=full, stderr=subprocess.PIPE, text=True,
+                                  env=env_with_src())
+        assert proc.returncode == cli.EXIT_USAGE
+        assert proc.stderr == "error: cannot write to stdout: No space left on device\n"
+    whole = subprocess.run([sys.executable, "-m", "covchan.cli", *argv], capture_output=True,
+                           env=env_with_src()).stdout
+    assert out.read_bytes() == whole and whole.endswith(b"}\n")
+
+
 # ---------------------------------------------------------------------------
 # Exit codes as a property: every subcommand, numeric flags drawn from bad and
 # extreme values, run in-process.

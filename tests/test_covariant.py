@@ -25,6 +25,7 @@ from conftest import (
     dephasing_channel,
     evolve_matrix,
     mask_failure_by_eigvalsh,
+    refuse_mask_check,
     scatter_projection_defect,
     sector_channel,
     sha256_of,
@@ -487,19 +488,32 @@ class TestBlockStorage:
     @pytest.mark.parametrize("spec", [sqrt_prime_spectrum(6), spectrum4()],
                              ids=["sqrt_prime", "integer"])
     def test_decompose_checks_one_stack_per_domain_size(self, monkeypatch, rng, spec):
+        # One Gram certificate per call proves every block; only where it
+        # fails does the SectorMask check run, one stack per domain size.
         chan = gen.random_covariant(spec, rng)
+        gram_certified, certificates = mcore._gram_certified, []
         mask_failure, shapes = cov._mask_failure, []
+        monkeypatch.setattr(mcore, "_gram_certified",
+                            lambda *args: certificates.append(args) or gram_certified(*args))
+        monkeypatch.setattr(cov, "_mask_failure", refuse_mask_check)
+        want = cov.decompose(chan, spec)
+        assert len(certificates) == 1
+        factors, k, scale = certificates[0]
+        assert factors.base is chan._ops and k == len(chan._ops)
+        assert scale == pytest.approx(1.0, abs=1e-9)  # random_covariant is TP
 
         def counting(blocks, sigmas):
             shapes.append(np.shape(blocks))
             return mask_failure(blocks, sigmas)
 
+        monkeypatch.setattr(mcore, "_gram_certified", lambda *args: False)
         monkeypatch.setattr(cov, "_mask_failure", counting)
         decomp = cov.decompose(chan, spec)
         sizes = {len(shift.domain) for shift, _ in decomp.sectors}
         assert sorted(shape[1] for shape in shapes) == sorted(sizes)
         assert all(shape[1:] == (shape[1], shape[1]) for shape in shapes)
         assert sum(shape[0] for shape in shapes) == len(decomp.sectors)
+        assert sha256_of(decomp) == sha256_of(want)
 
     def test_decompose_reads_shifts_from_the_sector_map(self, monkeypatch, rng):
         spec = sqrt_prime_spectrum(6)

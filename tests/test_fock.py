@@ -13,6 +13,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 import covchan as cc
+from covchan import channels as mcore
 from covchan import cli, fock
 from covchan.channels import EPS_PSD
 from covchan.errors import InvalidParameter, MaskNotPSD, SectorOutOfRange
@@ -22,6 +23,7 @@ from conftest import (
     gaussian_decomposition_per_sector,
     laguerre_rows_per_order,
     monte_carlo_by_full_displacement,
+    refuse_mask_check,
     sha256_of,
 )
 
@@ -428,37 +430,71 @@ class TestGaussianDecomposition:
 
     @pytest.mark.parametrize("dim, sigma_max", [(12, 7), (40, 39)])
     def test_checks_each_chunk_once(self, monkeypatch, dim, sigma_max):
-        # M_a and M_{-a} share one block, and each chunk of orders is checked as
-        # one zero-padded stack: one check per chunk, sigma_max + 1 blocks in all.
+        # M_a and M_{-a} share one block, and each chunk of orders is proved
+        # from its zero-padded factor stack: one Gram certificate per chunk,
+        # sigma_max + 1 factors in all, and no SectorMask check.
         params = fock.FockParams(dim=dim, std_dev=0.5, sigma_max=sigma_max)
         calls = []
-        mask_failure = cc.covariant._mask_failure
-        monkeypatch.setattr(cc.covariant, "_mask_failure",
-                            lambda blocks, sigmas: calls.append(blocks.shape)
-                            or mask_failure(blocks, sigmas))
+        gram_certified = mcore._gram_certified
+        monkeypatch.setattr(mcore, "_gram_certified",
+                            lambda factors, k: calls.append((factors.shape, k))
+                            or gram_certified(factors, k))
+        monkeypatch.setattr(cc.covariant, "_mask_failure", refuse_mask_check)
         decomp = fock.gaussian_decomposition(params)
         chunk = fock._MASK_CHUNK
-        assert calls == [(min(chunk, sigma_max + 1 - a0), dim - a0, dim - a0)
+        assert calls == [((min(chunk, sigma_max + 1 - a0), dim - a0, dim - a0), dim - a0)
                          for a0 in range(0, sigma_max + 1, chunk)]
-        assert sum(shape[0] for shape in calls) == sigma_max + 1
+        assert sum(shape[0] for shape, _ in calls) == sigma_max + 1
         for a in range(1, sigma_max + 1):
             block = decomp.mask(a).domain_submatrix
             assert decomp.mask(-a).domain_submatrix is block
             assert not block.flags.writeable
             assert decomp.mask(-a).domain == tuple(range(a, dim))
 
+    def test_unproved_chunks_are_checked_block_by_block(self, monkeypatch):
+        # Where the Gram bound proves nothing, each block takes the SectorMask
+        # check on its own, from the highest order down, and the decomposition
+        # is the same.
+        params = fock.FockParams(dim=40, std_dev=0.5)
+        want = fock.gaussian_decomposition(params)
+        shapes = []
+        mask_failure = cc.covariant._mask_failure
+        monkeypatch.setattr(mcore, "_gram_certified", lambda factors, k: False)
+        monkeypatch.setattr(cc.covariant, "_mask_failure",
+                            lambda blocks, sigmas: shapes.append(blocks.shape)
+                            or mask_failure(blocks, sigmas))
+        got = fock.gaussian_decomposition(params)
+        assert shapes == [(40 - a, 40 - a) for a in range(39, -1, -1)]
+        assert sha256_of(got) == sha256_of(want)
+
+    def test_gram_bound_proves_every_chunk_of_the_sweep(self, monkeypatch):
+        # Dims 2-184 in steps of 7 at 11 std_devs from 1e-150 to 1e150, 1,870
+        # chunks: each is proved from its factors, and the SectorMask check
+        # never runs.
+        verdicts = []
+        gram_certified = mcore._gram_certified
+        monkeypatch.setattr(mcore, "_gram_certified",
+                            lambda factors, k: verdicts.append(gram_certified(factors, k))
+                            or verdicts[-1])
+        monkeypatch.setattr(cc.covariant, "_mask_failure", refuse_mask_check)
+        for dim in range(2, 185, 7):
+            for s in np.logspace(-150.0, 150.0, 11).tolist():
+                fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=s))
+        assert len(verdicts) == 1870 and all(verdicts)
+
     def test_no_per_sector_work(self, monkeypatch):
-        # Timing-free guards at dim 64: no sigma lookup, one check per chunk of
-        # orders, and one spectrum.
-        def refuse(spectrum, sigma):
-            raise AssertionError("gaussian_decomposition searched the spectrum for a sigma")
+        # Timing-free guards at dim 64: no sigma lookup, one certificate per
+        # chunk of orders, no per-sector diagonal, and one spectrum.
+        def refuse(*args, **kwargs):
+            raise AssertionError("gaussian_decomposition did per-sector work")
 
         checks = []
-        mask_failure = cc.covariant._mask_failure
+        gram_certified = mcore._gram_certified
         monkeypatch.setattr(cc.covariant, "partial_shift", refuse)
-        monkeypatch.setattr(cc.covariant, "_mask_failure",
-                            lambda blocks, sigmas: checks.append(blocks.shape)
-                            or mask_failure(blocks, sigmas))
+        monkeypatch.setattr(cc.covariant.SectorDecomposition, "diagonal_sums", refuse)
+        monkeypatch.setattr(mcore, "_gram_certified",
+                            lambda factors, k: checks.append(factors.shape)
+                            or gram_certified(factors, k))
         for s in (0.3, 0.5, 1.0):
             params = fock.FockParams(dim=64, std_dev=s)
             checks.clear()
@@ -513,18 +549,21 @@ class TestGaussianDecomposition:
         # Blocks of several orders, in one chunk or two, pushed below zero: the
         # message names sigma = -a for the largest of them and its eigenvalue,
         # byte for byte as the per-sector SectorMask check does.
+        # The product is broken behind its factors' back, which the Gram
+        # certificate cannot see, so it is made to fail too.
         dim, top = 40, max(broken)
         stacks = {}
         mask_chunk = fock._mask_chunk
 
         def broken_chunk(orders, log_fact, n):
-            stack = mask_chunk(orders, log_fact, n)
+            factors, stack = mask_chunk(orders, log_fact, n)
             for a in set(broken) & set(orders):
                 stack[a - orders[0], 0, 0] -= 1.0 + a / 100.0
             stacks[orders[0]] = stack
-            return stack
+            return factors, stack
 
         monkeypatch.setattr(fock, "_mask_chunk", broken_chunk)
+        monkeypatch.setattr(mcore, "_gram_certified", lambda factors, k: False)
         with pytest.raises(MaskNotPSD) as got:
             fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=0.5))
         a0 = top - top % fock._MASK_CHUNK

@@ -398,6 +398,9 @@ def test_not_cp_names_the_first_failing_sector(family, data):
             decompose_per_sector(chan, spec)
         mp.setattr(cov, "_sector_blocks", broken_sector_blocks)
         mp.setattr(mcore, "_tp_defect", lambda ops: tp_defect)
+        # The blocks are broken behind the Kraus operators' back, which the
+        # Gram certificate cannot see, so it is made to fail too.
+        mp.setattr(mcore, "_gram_certified", lambda factors, k, scale: False)
         with pytest.raises(NotCP) as got:
             cov.decompose(chan, spec)
     assert str(got.value) == str(want.value)

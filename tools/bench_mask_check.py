@@ -4,9 +4,10 @@
         [--parent-src DIR --parent-label SHA] [--rounds 9] [--tier1]
 
 Rows, each timed in a fresh process with OPENBLAS_NUM_THREADS=1:
-- covariant._mask_failure and its eigvalsh oracle (tests/conftest.py,
-  mask_failure_by_eigvalsh) on the checked chunks of one Gaussian
-  decomposition at dims 16, 32, 64, 120 and 186, std_dev 0.3 and 1;
+- channels._gram_certified on the factors of the chunks of one Gaussian
+  decomposition at dims 16, 32, 64, 120 and 186, std_dev 0.3 and 1, and
+  covariant._mask_failure and its eigvalsh oracle (tests/conftest.py,
+  mask_failure_by_eigvalsh) on the same chunks' products;
 - fock.gaussian_decomposition at the same dims and std_devs;
 - covariant.decompose of one random_covariant channel at n = 8 and 16, on
   the integer and the sqrt(prime) spectrum.
@@ -29,6 +30,7 @@ STD_DEVS = (0.3, 1.0)
 def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
     sys.path.insert(0, src)
     import numpy as np
+    from covchan import channels as mc
     from covchan import covariant as cov
     from covchan import fock
     from covchan import generate as gen
@@ -43,10 +45,14 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
             variant = f"std_dev={s}"
             if with_check:
                 top, lf = params.sigma_max, fock._log_factorials(dim)
-                chunks = [fock._mask_chunk(range(a0, min(a0 + fock._MASK_CHUNK, top + 1)),
-                                           lf, 2.0 * s * s)
-                          for a0 in range(0, top + 1, fock._MASK_CHUNK)]
+                factors, chunks = zip(*(
+                    fock._mask_chunk(range(a0, min(a0 + fock._MASK_CHUNK, top + 1)),
+                                     lf, 2.0 * s * s)
+                    for a0 in range(0, top + 1, fock._MASK_CHUNK)))
                 sigmas = [[0.0] * len(c) for c in chunks]
+                rows.append(time_row("channels._gram_certified", variant + ", all chunks", dim,
+                                     lambda: [mc._gram_certified(f, f.shape[-1])
+                                              for f in factors], rounds))
                 for name, check in (("covariant._mask_failure", cov._mask_failure),
                                     ("mask_failure_by_eigvalsh", mask_failure_by_eigvalsh)):
                     rows.append(time_row(name, variant + ", all chunks", dim,
