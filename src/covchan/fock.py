@@ -1,8 +1,8 @@
 """Truncated single-mode Gaussian channel: displacement operators, their
 energy-shift sectors via Laguerre polynomials, dephasing masks in closed form
 (dims up to _MAX_MASK_DIM = 186), and a Monte Carlo oracle that shares the
-generator eigenpairs of displacement_matrix; expm of the generator is the test
-oracle.  FockParams accepts dims up to MAX_DIM, so no bad dim reaches an
+real eigenbasis of the generator with displacement_matrix; expm of the
+generator is the test oracle.  FockParams accepts dims up to MAX_DIM, so no bad dim reaches an
 O(dim^2) allocation.  gaussian_decomposition is the one mask builder, and the
 GaussianDecomposition it returns is a covariant.SectorDecomposition on the
 integer spectrum.
@@ -39,12 +39,18 @@ _MASK_CHUNK consecutive orders, or once per dim:
   (_shared_integer_spectrum, at most 16 kept).
 
 The Monte Carlo displaces a factor rho = Psi diag(p) Psi^dag of the state
-rather than forming D rho D^dag, and its route follows the rank of Psi.  A
-pure state costs O(samples * dim^2) through two GEMMs per chunk of samples,
-with no per-sample dim x dim product; a mixed state keeps the per-sample
-product, O(samples * dim^2 * rank), because the GEMM form would need rank^2
-rows per sample and is slower for every rank >= 2.  One sample has standard
-error exactly 0.
+rather than forming D rho D^dag.  It works in the real eigenbasis O of the
+generator, -i (a^dag - a) = T X T^dag with X the real Jacobi matrix and
+T = diag((-i)^j), with the samples along the last axis: each product with O or
+O^T is one real GEMM per chunk of samples, and O^T acts only on the levels
+where Psi is non-zero (one for the vacuum).  The phases e^{i theta} and
+e^{i r lam} come from one vectorised tan each, not from cos and sin.  The
+route follows the rank of Psi.  A pure state costs O(samples * dim^2), its
+moments two real symmetric products (syrk) per chunk, with no per-sample
+dim x dim product; a mixed state keeps the per-sample product,
+O(samples * dim^2 * rank), because the GEMM form would need rank^2 rows per
+sample and is slower for every rank >= 2.  One sample has standard error
+exactly 0.
 
 The channel displaces the mode by a random phase-space translation r*z with z
 uniform on the unit circle and r Rayleigh distributed with scale s.  Rotation
@@ -74,7 +80,8 @@ _MC_CHUNK = 4096  # fixed chunk size keeps the reduction order deterministic
 # Least allowance per entry of compare_decomposition_to_mc: the roundoff of the
 # sampled mean, which neither the standard error nor the truncation defect
 # covers where both are 0 (std_dev near 1e-154 makes every sample the identity;
-# entries of density matrices up to dim 64 then deviated by at most 2e-14).
+# entries of the vacuum and of random states of rank 1, 2 and full at dims
+# 2-16, 24, 32, 48 and 64 then deviated by at most 1.4e-15).
 _MC_ROUNDOFF = 1e-13
 _MASK_CHUNK = 16  # orders per factor stack and per SectorMask check (module docstring)
 # Largest accepted dim: an unbounded dim would ask for terabytes in the
@@ -194,22 +201,71 @@ def _laguerre_rows(jmax: int, alpha: int, x: np.ndarray) -> np.ndarray:
     return rows[1:]
 
 
-def _generator_eigenpairs(dim: int):
-    """(lam, Q) of -i (a^dag - a) on dim levels: exp(r (a^dag - a)) = Q e^{i r lam} Q^dag."""
-    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
-    return np.linalg.eigh(-1j * (a.conj().T - a))
+def _jacobi_eigenpairs(dim: int):
+    """(lam, O) of the real Jacobi matrix X with off-diagonal sqrt(1) ...
+    sqrt(dim - 1), lam ascending.
 
-
-def _displacement_batch(r: np.ndarray, theta: np.ndarray, lam, Q):
-    """Batch of truncated displacements D(e^{i theta}, r).
-
-    Uses D(z, r) = R_theta exp(r (a^dag - a)) R_theta^dag with R_theta the
-    number-operator phase rotation, and the generator eigenpairs (lam, Q).
+    The displacement generator is -i (a^dag - a) = T X T^dag with
+    T = diag((-i)^j) (Golub & Welsch, Math. Comp. 23 (1969)), so
+    exp(r (a^dag - a)) = T O e^{i r lam} O^T T^dag with O real.  The
+    spectrum is symmetric about 0 (diag((-1)^j) maps X to -X), and lam is
+    made exactly so, as (lam - lam[::-1]) / 2 of the eigensolver's: the
+    phases of the lower half are then exactly the conjugates of the upper
+    half mirrored, and an odd dim's middle eigenvalue is exactly 0.  The
+    eigensolver leaves an asymmetry of roundoff size (5e-15 at dim 20, 1e-12
+    near dim 1000), which a phase r lam past 1e100 turns into an unrelated
+    angle.
     """
-    E = np.exp(1j * r[:, None] * lam[None, :])
-    base = (Q[None, :, :] * E[:, None, :]) @ Q.conj().T
-    ph = np.exp(-1j * np.outer(theta, np.arange(lam.size)))
-    return ph[:, :, None] * base * ph.conj()[:, None, :]
+    off = np.sqrt(np.arange(1.0, dim))
+    lam, vecs = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    return (lam - lam[::-1]) / 2.0, vecs
+
+
+def _unit_phases(x: np.ndarray) -> np.ndarray:
+    """e^{i x} from one tan per entry: with t = tan(x / 2),
+    e^{i x} = ((1 - t^2) + 2 i t) / (1 + t^2).
+
+    numpy's tan is vectorised where its cos, sin and complex exp are scalar
+    libm calls, so this is several times faster than cos + i sin, and it
+    stays within 4.5e-16 of it (tests/test_fock.py::TestUnitPhases).  No
+    finite double, x / 2 included, lies closer than about 4.7e-19 to an odd
+    multiple of pi / 2 (the closest is near 6381956970095103 * 2^797), so
+    |t| < 1e19 and t^2 is finite.
+    """
+    t = np.multiply(x, 0.5)
+    np.tan(t, out=t)
+    den = np.square(t)
+    out = np.empty(t.shape, dtype=complex)
+    np.subtract(1.0, den, out=out.real)
+    den += 1.0
+    out.real /= den
+    t += t
+    np.divide(t, den, out=out.imag)
+    return out
+
+
+def _rotation_powers(e_theta: np.ndarray, dim: int) -> np.ndarray:
+    """Rows w^0 ... w^(dim-1), w = -i e^{-i theta}, for each e^{i theta}.
+
+    D(e^{i theta}, r) = R_theta exp(r (a^dag - a)) R_theta^dag with the
+    number-operator rotation R_theta = diag(e^{-i theta j}), so with
+    _jacobi_eigenpairs D = diag(w^j) O e^{i r lam} O^T diag(conj(w)^j), as
+    R_theta T = diag(w^j).  Multiplying by -i only moves and negates the
+    parts of e^{-i theta}, so it is exact.  The powers come by repeated
+    doubling: log2(dim) products, each power at most log2(dim) roundings
+    from exact.
+    """
+    w = np.empty(e_theta.shape, dtype=complex)
+    w.real = -e_theta.imag
+    w.imag = -e_theta.real
+    out = np.empty((dim, w.size), dtype=complex)
+    out[0] = 1.0
+    wk, k = w, 1  # wk = w^k
+    while k < dim:
+        step = min(k, dim - k)
+        np.multiply(out[:step], wk, out=out[k:k + step])
+        wk, k = wk * wk, k + step
+    return out
 
 
 def displacement_matrix(z: complex, r: float, dim: int) -> np.ndarray:
@@ -223,8 +279,9 @@ def displacement_matrix(z: complex, r: float, dim: int) -> np.ndarray:
         raise ValueError("z must lie on the unit circle")
     if not 0.0 <= r < math.inf:  # also false for NaN
         raise ValueError("r must be finite and non-negative")
-    lam, Q = _generator_eigenpairs(dim)
-    return _displacement_batch(np.array([float(r)]), np.array([np.angle(z)]), lam, Q)[0]
+    lam, O = _jacobi_eigenpairs(dim)
+    w = _rotation_powers(_unit_phases(np.array([np.angle(z)])), dim)[:, 0]
+    return w[:, None] * ((O * _unit_phases(float(r) * lam)) @ O.T) * w.conj()
 
 
 def _log_factorials(dim: int) -> np.ndarray:
@@ -350,46 +407,43 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
                                  _diagonal_sums=cov._diagonal_sums(levels, diags, dim))
 
 
-def _unit_powers(z: np.ndarray, count: int) -> np.ndarray:
-    """Columns z^0 ... z^(count-1) of the unit-modulus z, by repeated doubling:
-    log2(count) products, each power at most log2(count) roundings from exact."""
-    out = np.empty((z.size, count), dtype=complex)
-    out[:, 0] = 1.0
-    zk, k = z, 1  # zk = z^k
-    while k < count:
-        step = min(k, count - k)
-        np.multiply(out[:, :step], zk[:, None], out=out[:, k:k + step])
-        zk, k = zk * zk, k + step
-    return out
-
-
-def _generator_phases(r: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """e^{i r lam} as (len(r), dim).  The spectrum of -i (a^dag - a) is symmetric
-    (diag((-1)^j) maps the generator to its negative), so with lam ascending the
-    lower half is the conjugate of the upper half mirrored, and only the upper
-    half needs cos and sin."""
-    half = lam.size // 2
-    rl = np.outer(r, lam[half:])
-    out = np.empty((r.size, lam.size), dtype=complex)
-    np.cos(rl, out=out.real[:, half:])
-    np.sin(rl, out=out.imag[:, half:])
-    np.conj(out[:, ::-1][:, :half], out=out[:, :half])
-    return out
+def _real_product(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """a @ z for a real (d, k) and a C-contiguous complex (k, ...) as one real
+    GEMM: each row of z read as floats is its real and imaginary parts
+    interleaved, so the product costs half the flops of a complex one.  At
+    k = 1 it is the same outer product by broadcasting, which BLAS runs
+    several times slower."""
+    if a.shape[1] == 1:
+        return a.astype(complex).reshape(a.shape + (1,) * (z.ndim - 2)) * z
+    out = a @ z.reshape(z.shape[0], -1).view(float)
+    return out.view(complex).reshape(a.shape[0], *z.shape[1:])
 
 
 def _chunk_moments(v: np.ndarray, p: np.ndarray):
     """Sums over one chunk of out_s = V_s diag(p) V_s^dag and of |out_s|^2
-    entrywise, where v[s, c] is column c of V_s = D_s Psi, so v is (m, rank, dim).
+    entrywise, where v[:, c, s] is column c of V_s = D_s Psi, so v is
+    (dim, rank, m).
 
-    At rank 1, with V = v[:, 0] the (m, dim) matrix of displaced columns, the
-    sums are V^T (p conj(V)) and, as |out_s(j, k)|^2 = p^2 |V(s, j)|^2 |V(s, k)|^2,
-    p^2 (|V|^2)^T |V|^2: one complex and one real GEMM, no out_s.
+    At rank 1, with a + i b = v[:, 0] the (dim, m) matrix of displaced
+    columns, the sums are p ((a a^T + b b^T) + i (b a^T - a b^T)) and, as
+    |out_s(j, k)|^2 = p^2 |V(j, s)|^2 |V(k, s)|^2, p^2 |V|^2 (|V|^2)^T: two
+    real symmetric products (S S^T, which numpy hands to syrk), the first on
+    S = [a; b], and no out_s.
     """
+    dim = v.shape[0]
     if p.size == 1:
-        vec = v[:, 0, :]
-        mod2 = vec.real ** 2 + vec.imag ** 2
-        return vec.T @ (p[0] * vec.conj()), p[0] ** 2 * (mod2.T @ mod2)
-    out = np.swapaxes(v, 1, 2) @ (v.conj() * p[:, None])
+        planes = np.empty((2, dim, v.shape[2]))
+        planes[0], planes[1] = v.real[:, 0], v.imag[:, 0]
+        s = planes.reshape(2 * dim, -1)
+        gram = s @ s.T
+        part = np.empty((dim, dim), dtype=complex)
+        part.real = gram[:dim, :dim] + gram[dim:, dim:]
+        part.imag = gram[dim:, :dim] - gram[:dim, dim:]
+        np.square(planes, out=planes)
+        mod2 = np.add(planes[0], planes[1], out=planes[0])  # |V|^2
+        return p[0] * part, p[0] ** 2 * (mod2 @ mod2.T)
+    vt = np.ascontiguousarray(v.transpose(2, 0, 1))  # (m, dim, rank)
+    out = vt @ (vt.conj().swapaxes(1, 2) * p[:, None])
     flat = out.view(float).reshape(out.shape[0], -1)  # real and imaginary parts interleaved
     sq = np.einsum("si,si->i", flat, flat).reshape(out.shape[1:] + (2,)).sum(axis=2)
     return out.sum(axis=0), sq
@@ -402,17 +456,23 @@ def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloRes
     rho = Psi diag(p) Psi^dag is factored once; the weights keep their sign,
     so the roundoff negatives DensityMatrix admits still count, and only
     columns with |p| <= 1e-14 max|p| are dropped.  Each sample displaces the
-    factor, D Psi = R_theta Q (e^{i r lam} * (Q^dag R_theta^dag Psi)), as one
-    product of the input phases with the fixed Q^dag Psi array and one with
-    Q; no dim x dim displacement is formed.  The phases e^{i theta j} are
-    powers of one e^{i theta}, and e^{i r lam} comes from cos and sin.
+    factor in the real basis of the generator (_jacobi_eigenpairs,
+    _rotation_powers), D Psi = diag(w^j) O (e^{i r lam} * (O^T diag(conj(w)^j) Psi)),
+    with the samples along the last axis, so each product with O or O^T is
+    one real GEMM per chunk (_real_product); O^T is applied only on the rows
+    where Psi is non-zero (one for the vacuum), and no dim x dim
+    displacement is formed.  The powers w^j come from one e^{i theta}, and
+    e^{i theta} and e^{i r lam} each from one tan (_unit_phases).  The
+    spectrum lam is symmetric, so only its upper half needs a tan; the lower
+    half is the conjugate of the upper half mirrored.
 
     The route follows the rank of the factor.  A pure state (every caller in
-    this package samples one) costs O(samples * dim^2) through two GEMMs per
-    chunk and never forms a per-sample dim x dim product.  A mixed state
-    forms (D Psi) diag(p) (D Psi)^dag per sample, O(samples * dim^2 * rank):
-    the GEMM form would need rank^2 rows per sample, and it measured slower
-    than the per-sample product for every rank >= 2.
+    this package samples one) costs O(samples * dim^2) through two real
+    symmetric products per chunk and never forms a per-sample dim x dim
+    product.  A mixed state forms (D Psi) diag(p) (D Psi)^dag per sample,
+    O(samples * dim^2 * rank): the GEMM form would need rank^2 rows per
+    sample, and it measured slower than the per-sample product for every
+    rank >= 2.
 
     The uniforms are drawn chunk by chunk from the counter-based Philox
     stream keyed by the seed (the same numbers as one draw of all of them),
@@ -428,19 +488,26 @@ def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloRes
     p, psi = np.linalg.eigh((rho.matrix + rho.matrix.conj().T) / 2.0)
     keep = np.abs(p) > 1e-14 * np.abs(p).max()
     p, psi = p[keep], psi[:, keep]
-    rank = p.size
+    rows = np.flatnonzero(np.any(psi != 0.0, axis=1))  # the occupied levels
 
-    lam, Q = _generator_eigenpairs(dim)
-    qpsi = (psi[:, :, None] * Q.conj()[:, None, :]).reshape(dim, rank * dim)  # [j, (c, l)]
+    lam, O = _jacobi_eigenpairs(dim)
+    half = dim // 2
+    o_rows = np.ascontiguousarray(O[rows].T)  # O^T on the occupied columns
+    psi_rows = psi[rows][:, :, None]
     acc = np.zeros((dim, dim), dtype=complex)
     acc_sq = np.zeros((dim, dim))
     for i0 in range(0, n, _MC_CHUNK):
         m = min(_MC_CHUNK, n - i0)
         u = rng.random((m, 2))
         r = params.std_dev * np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        ph = _unit_powers(np.exp(2j * np.pi * u[:, 1]), dim)  # diagonal of R_theta^dag
-        w = (ph @ qpsi).reshape(m, rank, dim) * _generator_phases(r, lam)[:, None, :]
-        v = (w.reshape(m * rank, dim) @ Q.T).reshape(m, rank, dim) * ph.conj()[:, None, :]
+        w = _rotation_powers(_unit_phases(2.0 * np.pi * u[:, 1]), dim)  # (dim, m)
+        phases = np.empty((dim, m), dtype=complex)  # e^{i r lam}
+        phases[half:] = _unit_phases(np.outer(lam[half:], r))
+        np.conj(phases[::-1][:half], out=phases[:half])
+        f = _real_product(o_rows, w[rows].conj()[:, None, :] * psi_rows)  # (dim, rank, m)
+        f *= phases[:, None, :]
+        v = _real_product(O, f)
+        v *= w[:, None, :]
         part, part_sq = _chunk_moments(v, p)
         acc += part
         acc_sq += part_sq

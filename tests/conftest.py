@@ -415,16 +415,28 @@ def monte_carlo_by_full_displacement(rho: cc.DensityMatrix,
                                      params: fock.FockParams) -> fock.MonteCarloResult:
     """Oracle for fock.monte_carlo_channel: the same Philox samples, each
     applied as a full dim x dim displacement D, summing D rho D^dag with no
-    factoring of the state.  It chunks on its own 1024 boundaries."""
+    factoring of the state.  It chunks on its own 1024 boundaries and shares
+    no code with fock: each D is R_theta Q e^{i r lam} Q^dag R_theta^dag from
+    its own eigh of the complex generator -i (a^dag - a), with
+    R_theta = diag(e^{-i theta j}) and numpy's complex exp for every phase."""
     dim, n = params.dim, params.mc_samples
     u = np.random.Generator(np.random.Philox(key=params.seed)).random((n, 2))
     r = params.std_dev * np.sqrt(-2.0 * np.log1p(-u[:, 0]))
     theta = 2.0 * np.pi * u[:, 1]
-    lam, Q = fock._generator_eigenpairs(dim)
+    a = np.diag(np.sqrt(np.arange(1.0, dim)), 1).astype(complex)
+    lam, Q = np.linalg.eigh(-1j * (a.conj().T - a))
+    # The spectrum is symmetric about 0 (diag((-1)^j) maps the generator to
+    # its negative); taken exactly so, as the eigensolver's lam leaves an
+    # asymmetry of roundoff size, which phases r lam past 1e100 turn into
+    # unrelated angles.
+    lam = (lam - lam[::-1]) / 2.0
     acc = np.zeros((dim, dim), dtype=complex)
     acc_sq = np.zeros((dim, dim))
     for i0 in range(0, n, 1024):
-        D = fock._displacement_batch(r[i0:i0 + 1024], theta[i0:i0 + 1024], lam, Q)
+        rr, th = r[i0:i0 + 1024], theta[i0:i0 + 1024]
+        base = (Q * np.exp(1j * rr[:, None, None] * lam)) @ Q.conj().T
+        ph = np.exp(-1j * np.outer(th, np.arange(dim)))
+        D = ph[:, :, None] * base * ph.conj()[:, None, :]
         out = D @ rho.matrix @ np.conj(np.swapaxes(D, 1, 2))
         acc += out.sum(axis=0)
         acc_sq += (out.real ** 2 + out.imag ** 2).sum(axis=0)

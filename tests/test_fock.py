@@ -167,6 +167,69 @@ class TestDisplacementMatrix:
         with pytest.raises(ValueError):
             fock.displacement_matrix(1.0, r, 4)
 
+    def test_generator_spectrum_is_exactly_symmetric(self):
+        # The Monte Carlo mirrors the upper half of e^{i r lam} onto the lower
+        # half, which holds for every r only if lam = -lam[::-1] to the bit.
+        for dim in range(2, 130):
+            lam, vecs = fock._jacobi_eigenpairs(dim)
+            assert np.array_equal(lam, -lam[::-1])
+            assert np.all(np.diff(lam) > 0.0)
+            np.testing.assert_allclose(vecs.T @ vecs, np.eye(dim), rtol=0.0, atol=1e-13)
+
+
+# pi to 50 digits: the double nearest k pi / 2 (k <= 1e6) is the correctly
+# rounded float of this rational times k / 2.
+PI = Fraction("3.14159265358979323846264338327950288419716939937510")
+
+
+@st.composite
+def phase_arguments(draw):
+    """0, magnitudes log-uniform in [1e-300, 1e300], and the doubles nearest
+    k pi and k pi / 2 for k <= 1e6 or their neighbours, of either sign."""
+    kind = draw(st.sampled_from(["zero", "log-uniform", "near k pi / 2"]))
+    if kind == "zero":
+        return 0.0
+    if kind == "log-uniform":
+        x = 10.0 ** draw(st.floats(-300.0, 300.0))
+    else:
+        x = float(draw(st.integers(0, 10**6)) * PI / draw(st.sampled_from([1, 2])))
+        for _ in range(draw(st.integers(0, 2))):
+            x = math.nextafter(x, draw(st.sampled_from([-math.inf, math.inf])))
+    return -x if draw(st.booleans()) else x
+
+
+def cos_plus_i_sin(x):
+    return np.cos(x) + 1j * np.sin(x)
+
+
+class TestUnitPhases:
+    """fock._unit_phases, e^{ix} from one tan of x / 2, against numpy's cos and sin."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None, database=None)
+    @given(x=phase_arguments())
+    @example(x=math.pi)
+    @example(x=math.pi / 2)
+    @example(x=6381956970095103 * 2.0 ** 797)  # the double nearest a multiple of pi / 2
+    @example(x=1e300)
+    def test_within_two_ulps_of_cos_and_sin(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = fock._unit_phases(np.array([x]))[0]
+        assert abs(got - cos_plus_i_sin(x)) <= 4.5e-16
+
+    def test_sweep_near_multiples_of_half_pi(self):
+        # One vectorised call on 6.4e6 arguments of either sign: k pi / 2 in
+        # double arithmetic and both its neighbours for k <= 1e6, and 2e5
+        # log-uniform magnitudes in [1e-300, 1e300].
+        near = np.arange(10**6 + 1) * (np.pi / 2)
+        x = np.concatenate([near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf),
+                            10.0 ** np.random.default_rng(22).uniform(-300, 300, 200_000)])
+        x = np.concatenate([x, -x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = fock._unit_phases(x)
+        assert np.max(np.abs(got - cos_plus_i_sin(x))) <= 4.5e-16
+
 
 class TestDisplacementSector:
     @pytest.mark.parametrize("r", [0.1, 0.5, 1.0])
@@ -703,7 +766,7 @@ class TestMonteCarlo:
         assert rep.ok
         assert rep.max_entry_deviation <= rep.max_allowed
 
-    @pytest.mark.parametrize("dim", [2, 4, 32])
+    @pytest.mark.parametrize("dim", [2, 4, 16, 32, 64])
     @pytest.mark.parametrize("rank", [1, 2, None])
     def test_compare_where_the_samples_do_not_vary(self, dim, rank):
         # At the smallest std_dev every displacement is the identity, so the
@@ -768,15 +831,60 @@ class TestMonteCarloFactored:
         np.testing.assert_allclose(got.standard_error, want.standard_error, rtol=0.0, atol=1e-13)
 
     def test_forms_no_dense_displacement(self, monkeypatch):
-        def dense_displacements(*args):
-            raise AssertionError("monte_carlo_channel built dim x dim displacements")
+        # Every product with the generator's eigenbasis goes through
+        # _real_product, and each carries the rank-3 factor (3 columns per
+        # sample), never a dim x dim displacement; displacement_matrix, the
+        # library's one builder of a dense D, is not called.
+        def dense_displacement(*args):
+            raise AssertionError("monte_carlo_channel built a dim x dim displacement")
+
+        real_product = fock._real_product
+        operands = []
+
+        def record(a, z):
+            operands.append(z.shape)
+            return real_product(a, z)
 
         rho = cc.DensityMatrix(np.diag([0.5, 0.25, 0.25, 0.0, 0.0, 0.0]).astype(complex))
         params = fock.FockParams(dim=6, std_dev=0.5, mc_samples=5000, seed=9)
         want = monte_carlo_by_full_displacement(rho, params)
-        monkeypatch.setattr(fock, "_displacement_batch", dense_displacements)
+        monkeypatch.setattr(fock, "displacement_matrix", dense_displacement)
+        monkeypatch.setattr(fock, "_real_product", record)
         got = fock.monte_carlo_channel(rho, params)
         np.testing.assert_allclose(got.mean, want.mean, rtol=0.0, atol=1e-13)
+        # O^T on the three occupied levels, then O, per chunk of 4096 and 904.
+        assert operands == [(3, 3, 4096), (6, 3, 4096), (3, 3, 904), (6, 3, 904)]
+
+    @pytest.mark.parametrize("dim", [3, 5, 7])
+    @pytest.mark.parametrize("std_dev", [0.5, 1e100])
+    @pytest.mark.parametrize("rank", [1, 2, None])
+    def test_odd_dims_and_phases_past_1e100(self, dim, std_dev, rank):
+        # An odd dim puts an exact 0 in the middle of the symmetric spectrum,
+        # and the mirrored lower half of e^{i r lam} must still match the
+        # oracle's own phases; at std_dev 1e100 the arguments r lam pass 1e100.
+        rng = np.random.default_rng(dim)
+        z = rng.standard_normal((dim, rank or dim)) + 1j * rng.standard_normal((dim, rank or dim))
+        mat = z @ z.conj().T
+        rho = cc.DensityMatrix((mat + mat.conj().T) / (2.0 * np.trace(mat).real))
+        params = fock.FockParams(dim=dim, std_dev=std_dev, mc_samples=4097, seed=dim)
+        got = fock.monte_carlo_channel(rho, params)
+        want = monte_carlo_by_full_displacement(rho, params)
+        np.testing.assert_allclose(got.mean, want.mean, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(got.standard_error, want.standard_error, rtol=0.0, atol=1e-13)
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    @pytest.mark.parametrize("superposed", [False, True])
+    def test_workload_shapes(self, dim, superposed):
+        # The shapes of the benchmark's Monte Carlo items and of criterion 10:
+        # the vacuum or (|0> + |1>) / sqrt(2), 1e5 samples, seed 424242.
+        vec = np.zeros(dim, dtype=complex)
+        vec[:2 if superposed else 1] = np.sqrt(0.5) if superposed else 1.0
+        rho = cc.DensityMatrix(np.outer(vec, vec.conj()))
+        params = fock.FockParams(dim=dim, std_dev=0.3, mc_samples=100_000, seed=424242)
+        got = fock.monte_carlo_channel(rho, params)
+        want = monte_carlo_by_full_displacement(rho, params)
+        np.testing.assert_allclose(got.mean, want.mean, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(got.standard_error, want.standard_error, rtol=0.0, atol=1e-13)
 
     def test_prediction_equals_shift_products(self):
         # The report's deviation and ratio, recomputed from the dense

@@ -10,9 +10,12 @@ Rows, each timed in a fresh process with OPENBLAS_NUM_THREADS=1:
   mask_failure_by_eigvalsh) on the same chunks' products;
 - fock.gaussian_decomposition at the same dims and std_devs;
 - covariant.decompose of one random_covariant channel at n = 8 and 16, on
-  the integer and the sqrt(prime) spectrum.
+  the integer and the sqrt(prime) spectrum;
+- fock.monte_carlo_channel with 1e5 samples at std_dev 0.5 on the pure
+  states |0> and (|0> + |1>) / sqrt(2) at dims 8, 16, 32 and 64 and on the
+  rank-2 state diag(0.6, 0.4, 0, ...) at dims 8 and 16.
 With --parent-src (the src directory of another checkout, e.g. one made by
-git archive) the last two kinds are also timed on that code, labelled with
+git archive) the last three kinds are also timed on that code, labelled with
 --parent-label, in passes that alternate with this checkout's ("change").
 A row's time is one call: the median and the interquartile range over its
 rounds, each round timing enough calls to last about 0.1 s (tools/benchlib.py).
@@ -25,6 +28,8 @@ from benchlib import ROOT, main, spectrum_energies, time_row
 
 DIMS = (16, 32, 64, 120, 186)
 STD_DEVS = (0.3, 1.0)
+MC_DIMS = (8, 16, 32, 64)
+MC_MIXED_DIMS = (8, 16)
 
 
 def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
@@ -66,6 +71,16 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
             chan = gen.random_covariant(spec, np.random.default_rng(n))
             rows.append(time_row("covariant.decompose", kind, n,
                                  lambda: cov.decompose(chan, spec), rounds))
+    for dim in MC_DIMS:
+        vac, sup = np.eye(dim)[0], np.sqrt(0.5) * np.eye(dim)[:2].sum(axis=0)
+        states = {"|0>": np.outer(vac, vac), "|0> + |1>": np.outer(sup, sup)}
+        if dim in MC_MIXED_DIMS:
+            states["rank 2"] = np.diag(np.r_[0.6, 0.4, np.zeros(dim - 2)])
+        params = fock.FockParams(dim=dim, std_dev=0.5, mc_samples=100_000, seed=1)
+        for kind, mat in states.items():
+            rho = mc.DensityMatrix(mat.astype(complex))
+            rows.append(time_row("fock.monte_carlo_channel", kind + ", 1e5 samples", dim,
+                                 lambda: fock.monte_carlo_channel(rho, params), rounds))
     return rows
 
 
