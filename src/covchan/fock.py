@@ -221,9 +221,10 @@ def _jacobi_eigenpairs(dim: int):
     return (lam - lam[::-1]) / 2.0, vecs
 
 
-def _unit_phases(x: np.ndarray) -> np.ndarray:
+def _unit_phases(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """e^{i x} from one tan per entry: with t = tan(x / 2),
-    e^{i x} = ((1 - t^2) + 2 i t) / (1 + t^2).
+    e^{i x} = ((1 - t^2) + 2 i t) / (1 + t^2).  Written into the complex
+    ``out`` of x's shape when one is given.
 
     numpy's tan is vectorised where its cos, sin and complex exp are scalar
     libm calls, so this is several times faster than cos + i sin, and it
@@ -235,7 +236,8 @@ def _unit_phases(x: np.ndarray) -> np.ndarray:
     t = np.multiply(x, 0.5)
     np.tan(t, out=t)
     den = np.square(t)
-    out = np.empty(t.shape, dtype=complex)
+    if out is None:
+        out = np.empty(t.shape, dtype=complex)
     np.subtract(1.0, den, out=out.real)
     den += 1.0
     out.real /= den
@@ -244,8 +246,10 @@ def _unit_phases(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotation_powers(e_theta: np.ndarray, dim: int) -> np.ndarray:
-    """Rows w^0 ... w^(dim-1), w = -i e^{-i theta}, for each e^{i theta}.
+def _rotation_powers(e_theta: np.ndarray, dim: int,
+                     out: np.ndarray | None = None) -> np.ndarray:
+    """Rows w^0 ... w^(dim-1), w = -i e^{-i theta}, for each e^{i theta};
+    written into the complex (dim, len(e_theta)) ``out`` when one is given.
 
     D(e^{i theta}, r) = R_theta exp(r (a^dag - a)) R_theta^dag with the
     number-operator rotation R_theta = diag(e^{-i theta j}), so with
@@ -258,7 +262,8 @@ def _rotation_powers(e_theta: np.ndarray, dim: int) -> np.ndarray:
     w = np.empty(e_theta.shape, dtype=complex)
     w.real = -e_theta.imag
     w.imag = -e_theta.real
-    out = np.empty((dim, w.size), dtype=complex)
+    if out is None:
+        out = np.empty((dim, w.size), dtype=complex)
     out[0] = 1.0
     wk, k = w, 1  # wk = w^k
     while k < dim:
@@ -407,22 +412,24 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
                                  _diagonal_sums=cov._diagonal_sums(levels, diags, dim))
 
 
-def _real_product(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """a @ z for a real (d, k) and a C-contiguous complex (k, ...) as one real
-    GEMM: each row of z read as floats is its real and imaginary parts
-    interleaved, so the product costs half the flops of a complex one.  At
-    k = 1 it is the same outer product by broadcasting, which BLAS runs
-    several times slower."""
+def _real_product(a: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a @ z for a real (d, k) and a C-contiguous complex (k, ...) into the
+    C-contiguous complex (d, ...) ``out``, as one real GEMM: each row of z
+    read as floats is its real and imaginary parts interleaved, so the
+    product costs half the flops of a complex one.  At k = 1 it is the same
+    outer product by broadcasting, which BLAS runs several times slower."""
     if a.shape[1] == 1:
-        return a.astype(complex).reshape(a.shape + (1,) * (z.ndim - 2)) * z
-    out = a @ z.reshape(z.shape[0], -1).view(float)
-    return out.view(complex).reshape(a.shape[0], *z.shape[1:])
+        return np.multiply(a.astype(complex).reshape(a.shape + (1,) * (z.ndim - 2)), z,
+                           out=out)
+    np.matmul(a, z.reshape(z.shape[0], -1).view(float),
+              out=out.reshape(a.shape[0], -1).view(float))
+    return out
 
 
-def _chunk_moments(v: np.ndarray, p: np.ndarray):
+def _chunk_moments(v: np.ndarray, p: np.ndarray, planes: np.ndarray):
     """Sums over one chunk of out_s = V_s diag(p) V_s^dag and of |out_s|^2
     entrywise, where v[:, c, s] is column c of V_s = D_s Psi, so v is
-    (dim, rank, m).
+    (dim, rank, m).  At rank 1 the real (2, dim, m) planes is the work array.
 
     At rank 1, with a + i b = v[:, 0] the (dim, m) matrix of displaced
     columns, the sums are p ((a a^T + b b^T) + i (b a^T - a b^T)) and, as
@@ -432,7 +439,6 @@ def _chunk_moments(v: np.ndarray, p: np.ndarray):
     """
     dim = v.shape[0]
     if p.size == 1:
-        planes = np.empty((2, dim, v.shape[2]))
         planes[0], planes[1] = v.real[:, 0], v.imag[:, 0]
         s = planes.reshape(2 * dim, -1)
         gram = s @ s.T
@@ -477,8 +483,10 @@ def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloRes
     The uniforms are drawn chunk by chunk from the counter-based Philox
     stream keyed by the seed (the same numbers as one draw of all of them),
     so results are bit-reproducible, memory does not grow with the sample
-    count, and the chunked reduction runs in a fixed order.  One sample has
-    standard error exactly 0, its population variance.
+    count, and the chunked reduction runs in a fixed order.  The chunk's
+    dim x m arrays are views of one work array per call, so no chunk
+    allocates or frees any of them.  One sample has standard error exactly
+    0, its population variance.
     """
     dim = params.dim
     if rho.dim != dim:
@@ -494,21 +502,30 @@ def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloRes
     half = dim // 2
     o_rows = np.ascontiguousarray(O[rows].T)  # O^T on the occupied columns
     psi_rows = psi[rows][:, :, None]
+    rank = p.size
     acc = np.zeros((dim, dim), dtype=complex)
     acc_sq = np.zeros((dim, dim))
+    # One work array holds the chunk's dim x m arrays.  Allocated and freed
+    # per chunk (5 MB per chunk at dim 16), they leave so much free memory at
+    # the top of the heap that glibc's malloc returns it to the OS after
+    # every call, and the caller's next allocations fault it back in: 100 to
+    # 260 page faults per gaussian_decomposition at dims 48 and 64.
+    work = np.empty((2 + 2 * rank) * dim * min(n, _MC_CHUNK), dtype=complex)
     for i0 in range(0, n, _MC_CHUNK):
         m = min(_MC_CHUNK, n - i0)
+        w, phases = work[:2 * dim * m].reshape(2, dim, m)  # w^j and e^{i r lam}
+        f, v = work[2 * dim * m:(2 + 2 * rank) * dim * m].reshape(2, dim, rank, m)
         u = rng.random((m, 2))
         r = params.std_dev * np.sqrt(-2.0 * np.log1p(-u[:, 0]))
-        w = _rotation_powers(_unit_phases(2.0 * np.pi * u[:, 1]), dim)  # (dim, m)
-        phases = np.empty((dim, m), dtype=complex)  # e^{i r lam}
-        phases[half:] = _unit_phases(np.outer(lam[half:], r))
+        _rotation_powers(_unit_phases(2.0 * np.pi * u[:, 1]), dim, out=w)
+        _unit_phases(np.outer(lam[half:], r), out=phases[half:])
         np.conj(phases[::-1][:half], out=phases[:half])
-        f = _real_product(o_rows, w[rows].conj()[:, None, :] * psi_rows)  # (dim, rank, m)
+        _real_product(o_rows, w[rows].conj()[:, None, :] * psi_rows, f)
         f *= phases[:, None, :]
-        v = _real_product(O, f)
+        _real_product(O, f, v)
         v *= w[:, None, :]
-        part, part_sq = _chunk_moments(v, p)
+        # phases is spent, so its memory holds the planes of the moments.
+        part, part_sq = _chunk_moments(v, p, phases.view(float).reshape(2, dim, m))
         acc += part
         acc_sq += part_sq
     mean = acc / n

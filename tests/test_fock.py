@@ -841,9 +841,9 @@ class TestMonteCarloFactored:
         real_product = fock._real_product
         operands = []
 
-        def record(a, z):
+        def record(a, z, out):
             operands.append(z.shape)
-            return real_product(a, z)
+            return real_product(a, z, out)
 
         rho = cc.DensityMatrix(np.diag([0.5, 0.25, 0.25, 0.0, 0.0, 0.0]).astype(complex))
         params = fock.FockParams(dim=6, std_dev=0.5, mc_samples=5000, seed=9)
