@@ -46,6 +46,8 @@ def _check_mask(mask: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"mask shape {mask.shape} is not ({n}, {n})")
     if n == 0:
         raise DimensionMismatch("mask has no levels")
+    if not np.isfinite(mask).all():  # NaN fails no comparison below
+        raise MaskNotPSD("mask has non-finite entries")
     if np.max(np.abs(mask - mask.conj().T)) > mc.EPS_H:
         raise MaskNotPSD("mask is not Hermitian")
     vals = np.linalg.eigvalsh(mask)

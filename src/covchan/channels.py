@@ -15,9 +15,10 @@ kraus tuple holds its rows), and derives from it, each once: its support S,
 the Choi pairs at which some operator is nonzero, and the Choi matrix on S x
 S.  That matrix is kept only when |S| <= K: its 16 |S|^2 bytes are then at
 most the stack's own 16 K dim_out dim_in, so a channel never holds more than
-twice its Kraus operators.  is_cptp, choi_of and the sector work of
-covariant read these instead of stacking the operators again, and a family
-with K < |S| forms the matrix afresh in each call that needs it.
+twice its Kraus operators.  is_cptp reads the stack, choi_of and the
+sector work of covariant read all three, so none stacks the operators
+again, and a family with K < |S| forms the matrix afresh in each call that
+needs it.
 """
 from __future__ import annotations
 
@@ -36,10 +37,9 @@ from .errors import DimensionMismatch, InvalidParameter, NotCP, NotDensityMatrix
 # was -1.6e-14 (at dim 173, std_dev 0.1, sigma 0).  Each is a Gram product of
 # its factor, whose rounding bound (_gram_bound) is at most 1.6e-11 at dim 186
 # for any accepted std_dev, within EPS_PSD / 2 = 5e-10: every Gaussian mask,
-# like every block decompose keeps, is proved without a factorisation.  A
-# block given bare (SectorMask(...)) takes the Cholesky certificate
-# (_certified_psd at floor -EPS_PSD), which shifts by EPS_PSD / 2 and spent at
-# most 4.5e-12 of the other half on rounding on those Gaussian blocks.
+# like every block decompose keeps and every Choi matrix is_cptp passes, is
+# proved with no factorisation and no eigensolve.  A block given bare
+# (SectorMask(...)) is checked by eigvalsh.
 EPS_H = 1e-9
 EPS_TR = 1e-9
 EPS_PSD = 1e-9
@@ -278,96 +278,35 @@ def is_cptp(channel: Channel) -> CPTPReport:
 
     tp_defect is the Frobenius norm of sum_j A_j^dag A_j - 1, cp_defect the
     magnitude of the most negative Choi eigenvalue (0 if none).  With V the
-    matrix whose column m is vec(A_m), the Choi matrix is V V^dag, and V^dag V
-    (the K x K Gram matrix of the Kraus family) has the same nonzero
-    spectrum.  A Kraus family is CP by construction, so cp_defect measures
-    only roundoff in the operators.  It is 0.0, with no eigensolve, when one
-    Cholesky factorisation (_certified_psd) proves the smaller of the two
-    positive definite, with no eigenvalue below EPS_PSD: the Choi matrix on
-    the support S, which the channel keeps (|S| <= K), or the Gram matrix
-    (|S| > K).  Only when that proof fails is the Gram matrix diagonalised,
-    a K x K eigensolve, whose result is reported as before.  A passed proof
-    also bounds u ||C|| by EPS_PSD / (8 d + 20), d the size factored, so the
-    eigensolve would have found no eigenvalue below zero either, except the
-    K - |S| zero eigenvalues the Gram matrix has when K > |S|, which it
-    reports as roundoff of either sign.
+    matrix whose column m is vec(A_m), the Choi matrix is the Gram product
+    V V^dag, and V^dag V (the K x K Gram matrix of the Kraus family) has the
+    same nonzero spectrum.  A Kraus family is CP by construction, so
+    cp_defect measures only roundoff in the operators.  It is 0.0, with no
+    product and no eigensolve, when the rounding bound on V (_gram_bound,
+    inner dimension K) proves the computed Choi matrix within EPS_PSD / 2
+    of PSD.  Only when that bound fails is the Gram matrix diagonalised, a
+    K x K eigensolve, whose most negative eigenvalue is reported: roundoff
+    of either sign on its K - rank zero eigenvalues.
     """
     ops = channel._ops
     vecs = ops.reshape(len(ops), -1)  # row m = vec(A_m)
-    kept = channel._support.size <= len(ops)
-    smaller = channel._choi() if kept else vecs.conj() @ vecs.T  # C_S or V^dag V
     cp_defect = 0.0
-    if not _certified_psd(smaller[None], EPS_PSD):
-        gram = vecs.conj() @ vecs.T if kept else smaller
-        cp_defect = max(0.0, -float(np.linalg.eigvalsh(gram).min()))
+    if not _gram_certified(vecs[None], len(ops)):
+        cp_defect = max(0.0, -float(np.linalg.eigvalsh(vecs.conj() @ vecs.T).min()))
     return CPTPReport(tp_defect=_tp_defect(ops), cp_defect=cp_defect)
-
-
-def _certified_psd(herm: np.ndarray, floor: float) -> bool:
-    """Whether every block of the finite, C-ordered (m, d, d) stack herm,
-    read as Hermitian from its lower triangle, is proved to have no
-    eigenvalue below floor.  herm is left as it was; a read-only stack is
-    shifted in a copy, a writeable one in place and restored.
-
-    S = fl(H - c I), c = floor + tau and tau = |floor| / 2 the margin kept
-    for rounding, is factored by one stacked Cholesky L L^dag = S + dS, whose
-    backward error (Demmel 1989; Higham, Accuracy and Stability of Numerical
-    Algorithms, Thm 10.3; Rump, BIT 46, 2006) is |dS| <= gamma |L| |L^dag|
-    plus underflow.  With || |L| |L^dag| ||_2 <= ||L||_F^2 = F that gives,
-    per block,
-
-        lambda_min(H) >= c - gamma F - u (max_j |H_jj| + |c|) - 4 d^2 eta,
-
-    u = 2^-53 bounding the rounding of the shifted diagonal and eta = 2^-1074
-    the subnormal spacing.  gamma = 4 (d + 2) u is about twice gamma_(d+4),
-    which holds for complex arithmetic; the factor two absorbs the bound's
-    own few roundings.  The same backward error gives 0 <= S_jj <= (1 +
-    gamma) F, so H_jj >= c and u (|H_jj| + |c|) <= 2 u F + 2 u |c|: the
-    bound needs F alone, taken as the computed sum of the 2 d^2 (complex)
-    or d^2 squares inflated for its rounding.  The stack passes when every
-    bound is >= floor, that is when the rounding terms fit in tau; a
-    factorisation that fails or overflows proves nothing.  A negative floor
-    (the mask check's -EPS_PSD) shifts up, which also makes a zero-padded
-    block positive definite; a positive one (is_cptp's EPS_PSD) proves
-    positive definiteness.  Beyond the factor L, the size of herm, this
-    allocates only the (m, d) diagonal kept to undo the shift, and the copy
-    of a read-only stack.
-    """
-    if not herm.flags.writeable:
-        herm = herm.copy()
-    m, d = herm.shape[0], herm.shape[-1]
-    tau = abs(floor) / 2.0
-    shift = floor + tau
-    diag = herm.reshape(m, d * d)[:, ::d + 1]  # a view: S is formed in place
-    h_diag = diag.copy()
-    diag -= shift
-    try:
-        chol = np.linalg.cholesky(herm)
-    except np.linalg.LinAlgError:
-        return False
-    finally:
-        diag[...] = h_diag
-    terms = chol.reshape(m, -1)
-    if np.iscomplexobj(terms):
-        terms = terms.view(float)
-    n, coef = terms.shape[1], (4 * d + 10) * _U  # gamma + 2u
-    # (gamma + 2u) F + 2u |c| + 4 d^2 eta <= tau, F <= (1 + 2nu) sum + n eta, as a
-    # bound on the sum; an L with Inf or NaN entries gives a sum that fails it.
-    limit = ((tau - 2.0 * _U * abs(shift) - 4 * d * d * _ETA - coef * n * _ETA)
-             / (coef * (1.0 + 2 * n * _U)))
-    return bool((np.einsum("ij,ij->i", terms, terms) <= limit).all())
 
 
 def _gram_bound(factors: np.ndarray, k: int, scale: float = 1.0) -> float:
     """A bound beta, over each factor X of the stack factors (entry i holds
     the entries of X_i, d rows of inner dimension k, in any shape), on how
-    far any block the SectorMask check can be handed from the Gram product
-    P = fl(X X^H) lies from an exact PSD matrix: the principal submatrices
-    of P, its pinchings (zero rows and columns where a row of X is zero),
-    their Hermitian parts, and these scaled by diag(s) on both sides with
-    scale >= max s^2.  The bound is a priori, one sum of squares per factor
-    and no factorisation; it holds only for a P formed from X in the
-    caller's own code path.
+    far the Gram product P = fl(X X^H) and any block the SectorMask check
+    can be handed from it lie from an exact PSD matrix: P itself (the Choi
+    matrix is_cptp vouches for, X = V), its principal submatrices, its
+    pinchings (zero rows and columns where a row of X is zero), their
+    Hermitian parts, and these scaled by diag(s) on both sides with scale >=
+    max s^2.  The bound is a priori, one sum of squares per factor and no
+    factorisation; it holds only for a P formed from X in the caller's own
+    code path.
 
     Each real and imaginary part of P_ij is a sum of the 2 k (k for a real
     X) real products of X's entries, in whatever order, blocking or fusing
@@ -387,17 +326,16 @@ def _gram_bound(factors: np.ndarray, k: int, scale: float = 1.0) -> float:
 
         ||B' - D X X^H D||_F <= beta = scale gamma F + 4 (k + 2) d eta max(scale, 1),
 
-    gamma = 4 (k + 2) u, _certified_psd's constant: it exceeds sqrt2
-    gamma_2k + 4 u by at least 5 u for any k below 1e13, which absorbs the
-    second-order terms, eta F, and the roundings of this bound and of the
-    check's comparisons.  D X X^H D is PSD, so the check's Hermitian part
-    has lambda_min >= -beta (Weyl) and its skew is at most 2 beta per
-    entry, and entries within beta of it are finite.  The blocks pass when
-    beta <= tau = min(EPS_H, EPS_PSD) / 2, the margin split of
-    _certified_psd: the other half of EPS_PSD is left to the eigensolver's
-    reading of lambda_min, whose backward error is a modest multiple of d u
-    ||B'||.  F is the computed sum of the n real squares, inflated to (1 + 2
-    n u) F + n eta for its own rounding.  At k = 186 and F = 186 beta is
+    gamma = 4 (k + 2) u: it exceeds sqrt2 gamma_2k + 4 u by at least 5 u
+    for any k below 1e13, which absorbs the second-order terms, eta F, and
+    the roundings of this bound and of the check's comparisons.  D X X^H D
+    is PSD, so the check's Hermitian part has lambda_min >= -beta (Weyl) and
+    its skew is at most 2 beta per entry, and entries within beta of it are
+    finite.  The blocks pass when beta <= tau = min(EPS_H, EPS_PSD) / 2: the
+    other half of EPS_PSD is left to the eigensolver's reading of
+    lambda_min, whose backward error is a modest multiple of d u ||B'||.  F
+    is the computed sum of the n real squares, inflated to (1 + 2 n u) F +
+    n eta for its own rounding.  At k = 186 and F = 186 beta is
     1.6e-11; at k = 4096 and F = 64, 1.2e-10.
     """
     terms = factors.reshape(len(factors), -1)

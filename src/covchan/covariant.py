@@ -18,10 +18,9 @@ extraction independent of the Kraus gauge.  The Choi matrix is formed only
 on the pairs some Kraus operator touches: every other row and column is
 zero, so a shift mixture or a dephasing channel, whose operators S_sigma
 diag(d) touch O(n) of the n^2 pairs, never builds the n^2 x n^2 matrix.  It
-is the channel's own (Channel._choi): formed once and shared by is_cptp,
+is the channel's own (Channel._choi): formed once and shared by
 covariance_defect and decompose when the channel keeps it (|S| <= K), and
-formed again by covariance_defect and by decompose when there are fewer
-Kraus operators than pairs (is_cptp then reads the K x K Gram matrix).
+formed by each of them when there are fewer Kraus operators than pairs.
 
 A sector is stored as sigma, the shift's domain and image as index tuples,
 and the d x d mask block on the domain; every routine here reads the blocks.
@@ -37,12 +36,10 @@ shift_distribution one product.  Every block decompose keeps is a pinched
 principal block of the Gram product C_S = V_S^T conj(V_S), so one rounding
 bound on the Kraus operators' norm (channels._gram_bound) proves all of them
 pass the mask check; only when it does not is the check run, one stacked
-Cholesky certificate per size (eigvalsh only on failure, to name the
-failing sector).  A
-decomposition keeps the stacks its masks are views of.  The results are the
-per-sector loops' bit for bit: diagonal sums add in sector order, each
-block's residue is its own dot product, and the first failing sector in
-sector order is the one reported.
+eigvalsh per size.  A decomposition keeps the stacks its masks are views
+of.  The results are the per-sector loops' bit for bit: diagonal sums add
+in sector order, each block's residue is its own dot product, and the
+first failing sector in sector order is the one reported.
 """
 from __future__ import annotations
 
@@ -64,9 +61,6 @@ from .errors import (
     NotCP,
     UnknownSector,
 )
-
-_HERMITISE_BYTES = 1 << 18  # slice of a stack Hermitised at once in _mask_failure
-
 
 class _SizeGroup(NamedTuple):
     """The sectors of one domain size d: their positions (m,), ascending, the
@@ -354,16 +348,14 @@ def _group_sectors(sectors) -> tuple[_SizeGroup, ...]:
 
 def _mask_failure(blocks: np.ndarray, sigmas) -> tuple[int, str] | None:
     """The check of every SectorMask, on one d x d block or a (m, d, d) stack
-    of blocks at once: a Cholesky certificate, eigvalsh on failure.
+    of blocks at once: eigvalsh of their Hermitian parts.
 
     Returns (i, message) for the first block that has a non-finite entry, is
     not Hermitian within EPS_H or has an eigenvalue below -EPS_PSD, sigmas[i]
-    naming its sector, or None when every block passes.  The Hermitian parts
-    are formed a slice of about _HERMITISE_BYTES at a time, so that on large
-    blocks the temporaries stay in cache.  A stack with no skew block that
-    mc._certified_psd proves PSD within EPS_PSD passes with no eigensolve;
-    otherwise eigvalsh runs on the whole stack, so the failing sector and its
-    message are those of the eigenvalues alone.
+    naming its sector, or None when every block passes.  Blocks formed as a
+    Gram product reach it only when the rounding bound on their factor
+    (channels._gram_bound) fails; the others are blocks given bare, to
+    SectorMask(...) or in a decomposition read from JSON.
     """
     if not blocks.size:
         return None
@@ -372,18 +364,9 @@ def _mask_failure(blocks: np.ndarray, sigmas) -> tuple[int, str] | None:
         i = int(np.argmin(np.isfinite(stack).all(axis=(-2, -1))))
         return (_mask_failure(stack[:i], sigmas[:i])
                 or (i, f"sector {sigmas[i]}: mask has non-finite entries"))
-    herm = np.empty(stack.shape, stack.dtype)  # C order: _certified_psd reshapes it
-    skew = np.empty(len(stack), dtype=bool)
-    step = max(1, _HERMITISE_BYTES // (stack.itemsize * stack.shape[-1] ** 2))
-    for i in range(0, len(stack), step):
-        part, half = stack[i:i + step], herm[i:i + step]
-        adjoint = part.conj().swapaxes(-1, -2)
-        skew[i:i + step] = np.max(np.abs(part - adjoint), axis=(-2, -1)) > mc.EPS_H
-        np.add(part, adjoint, out=half)
-        half /= 2.0
-    if not skew.any() and mc._certified_psd(herm, -mc.EPS_PSD):
-        return None
-    lmin = np.linalg.eigvalsh(herm).min(axis=-1)
+    adjoint = stack.conj().swapaxes(-1, -2)
+    skew = np.max(np.abs(stack - adjoint), axis=(-2, -1)) > mc.EPS_H
+    lmin = np.linalg.eigvalsh((stack + adjoint) / 2.0).min(axis=-1)
     bad = np.flatnonzero(skew | (lmin < -mc.EPS_PSD))
     if not bad.size:
         return None

@@ -96,9 +96,11 @@ def build_shift_mixture(spectrum: Spectrum, shifts) -> ShiftMixture:
     every partial shift acts isometrically; that subspace is reported.
     """
     shifts = [(float(s), float(p)) for s, p in shifts]
+    if not all(0.0 <= p < math.inf for _, p in shifts):  # NaN fails this too
+        raise InvalidParameter("shift probabilities must be finite and non-negative")
     total = sum(p for _, p in shifts)
     if abs(total - 1.0) > mc.EPS_TR:
-        raise ValueError(f"shift probabilities sum to {total}, not 1")
+        raise InvalidParameter(f"shift probabilities sum to {total}, not 1")
     ops = []
     weight = np.zeros(spectrum.dim)
     for sigma, p in shifts:

@@ -141,8 +141,8 @@ def scaled_eigenvectors_per_matrix(mat: np.ndarray, error: type, label: str) -> 
 
 
 def mask_failure_by_eigvalsh(blocks: np.ndarray, sigmas) -> tuple[int, str] | None:
-    """Oracle for covariant._mask_failure on finite stacks: the check as it was
-    before the Cholesky certificate, one eigvalsh over every Hermitised block.
+    """Oracle for covariant._mask_failure on finite stacks: one eigvalsh over
+    every Hermitised block.
 
     Returns (i, message) for the first block that is not Hermitian within
     EPS_H or has an eigenvalue below -EPS_PSD, sigmas[i] naming its sector,
@@ -151,16 +151,9 @@ def mask_failure_by_eigvalsh(blocks: np.ndarray, sigmas) -> tuple[int, str] | No
     if not blocks.shape[-1]:
         return None
     stack = blocks.reshape(-1, *blocks.shape[-2:])
-    herm = np.empty_like(stack)
-    skew = np.empty(len(stack), dtype=bool)
-    step = max(1, cov._HERMITISE_BYTES // (stack.itemsize * stack.shape[-1] ** 2))
-    for i in range(0, len(stack), step):
-        part, half = stack[i:i + step], herm[i:i + step]
-        adjoint = part.conj().swapaxes(-1, -2)
-        skew[i:i + step] = np.max(np.abs(part - adjoint), axis=(-2, -1)) > mc.EPS_H
-        np.add(part, adjoint, out=half)
-        half /= 2.0
-    lmin = np.linalg.eigvalsh(herm).min(axis=-1)
+    adjoint = stack.conj().swapaxes(-1, -2)
+    skew = np.max(np.abs(stack - adjoint), axis=(-2, -1)) > mc.EPS_H
+    lmin = np.linalg.eigvalsh((stack + adjoint) / 2.0).min(axis=-1)
     bad = np.flatnonzero(skew | (lmin < -mc.EPS_PSD))
     if not bad.size:
         return None

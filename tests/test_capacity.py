@@ -151,6 +151,18 @@ class TestHadamardBound:
         assert calls == {"eigvalsh": 5, "eigh": 1}
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_masks_are_refused(entry):
+    # NaN fails every comparison, so without its own test [[1, nan], [nan, 1]]
+    # passed the Hermitian and eigenvalue checks: a bound of 1.0, and the
+    # zero channel from hadamard_channel.
+    mask = np.array([[1.0, entry], [entry, 1.0]])
+    for call in (cap.hadamard_channel, lambda m: cap.hadamard_bound(m, 2),
+                 lambda m: cap.verify_hqc(m, 2)):
+        with pytest.raises(MaskNotPSD, match="^mask has non-finite entries$"):
+            call(mask)
+
+
 class TestVerifyHQC:
     @pytest.mark.parametrize("mask, n, error", [
         (np.eye(3), 2, DimensionMismatch), (mask_c(1.5), 2, MaskNotPSD),

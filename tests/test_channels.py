@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import covchan as cc
+from covchan import capacity as cap
 from covchan import channels as mcore
 from covchan import generate as gen
 from covchan import timing as tim
@@ -203,18 +204,41 @@ class TestIsCPTP:
         choi = chan._choi()  # formed on request, and not kept: 16 |S|^2 > 16 K n^2 bytes
         assert choi.shape == (93, 93) and chan._choi() is not choi
 
+    def test_workload_shapes_need_no_factorisation_and_no_eigensolve(self, monkeypatch):
+        # The benchmark's channel shapes: random_covariant at n = 16 on the
+        # integer spectrum and at n = 12 on the sqrt(prime) one (K = |S|), a
+        # Hadamard channel at n = 24 and a K = 3 shift mixture at n = 32
+        # (K < |S|).  The Gram rounding bound on the operators proves each.
+        rng = np.random.default_rng(1)
+        primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+        sqrt_prime = cc.Spectrum(np.r_[0.0, np.cumsum(np.sqrt(primes))])
+        chans = [gen.random_covariant(cc.Spectrum(np.arange(16.0)), rng),
+                 gen.random_covariant(sqrt_prime, rng),
+                 cap.hadamard_channel(gen.random_unit_diagonal_mask(24, rng)),
+                 tim.build_shift_mixture(cc.Spectrum(np.arange(32.0)),
+                                         [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)]).channel]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("is_cptp ran more than the Gram bound")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(mcore, "_choi_on_support", refuse)
+        for chan in chans:
+            assert cc.is_cptp(chan).cp_defect == 0.0
+
     @pytest.mark.parametrize("count", ["below", "equal", "above"])
     @ORACLE
     @given(data=st.data())
     def test_matches_full_choi_on_any_support(self, count, data):
         # K below, at or above |S|, the Choi pairs where some operator is
-        # nonzero: is_cptp proves the Choi matrix on S (|S| <= K) or the Gram
-        # matrix (|S| > K) positive definite by a Cholesky factorisation, and
-        # diagonalises the Gram matrix only when the proof fails, so a nonzero
-        # cp_defect is that eigensolve's own.  One operator may be a duplicate,
-        # 1e-8 from another or zero.  The operators are scaled by 1e-50 to
-        # 1e50, so the Choi and Gram matrices by 1e-100 to 1e100: far from 1
-        # the proof fails (its shift and margin are absolute), near 1 it passes.
+        # nonzero: is_cptp proves the Choi matrix within EPS_PSD / 2 of PSD by
+        # the Gram rounding bound on the operators, and diagonalises the Gram
+        # matrix only when the proof fails, so a nonzero cp_defect is that
+        # eigensolve's own.  One operator may be a duplicate, 1e-8 from
+        # another or zero.  The operators are scaled by 1e-50 to 1e50, so the
+        # Choi and Gram matrices by 1e-100 to 1e100: above about 1e4 the proof
+        # fails (its margin is absolute), at and below 3 it passes.
         dim_in, dim_out = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         support = np.sort(rng.permutation(dim_in * dim_out)[:data.draw(
@@ -249,37 +273,16 @@ class TestIsCPTP:
             assert rep.cp_defect == 0.0
 
     def test_a_completed_cholesky_that_fails_the_rounding_bound_proves_nothing(self):
-        # H has an eigenvalue below -EPS_PSD, yet the Cholesky factorisation of
-        # H shifted for either floor completes: its rounding, about u ||H|| =
-        # 1e-7, hides that eigenvalue, and only the bound on it says so.
-        a, b, c = 291359152.1113035, 435871717.6377191, 652061735.0090268
-        eps = Fraction(mcore.EPS_PSD)
-        assert (Fraction(a) + eps) * (Fraction(c) + eps) - Fraction(b) ** 2 < 0
-        herm = np.array([[[a, b], [b, c]]])
-        for floor in (mcore.EPS_PSD, -mcore.EPS_PSD):
-            np.linalg.cholesky(herm - (floor + abs(floor) / 2) * np.eye(2))  # completes
-            assert not mcore._certified_psd(herm, floor)
-        # A one-pair channel at scale 1e5: its 1 x 1 Choi matrix factors, but
-        # the bound fails, so cp_defect is the Gram eigensolve's roundoff.
+        # A one-pair channel at scale 1e5: its 1 x 1 Choi matrix factors even
+        # shifted down by 1.5 EPS_PSD, but the Gram rounding bound on its
+        # operators fails, so cp_defect is the Gram eigensolve's roundoff.
         chan = cc.Channel((np.array([[10000 + 120000j]]), np.array([[36007 - 3000j]])))
         np.linalg.cholesky(chan._choi() - 1.5 * mcore.EPS_PSD)
         flat = chan._ops.reshape(2, -1)
+        assert not mcore._gram_certified(flat[None], 2)
         gram_lmin = float(np.linalg.eigvalsh(flat.conj() @ flat.T).min())
         assert gram_lmin < 0.0
         assert cc.is_cptp(chan).cp_defect == -gram_lmin
-
-    def test_certificate_never_writes_its_input(self):
-        # A writeable stack is shifted in place and restored, a read-only one
-        # (the Choi matrix a channel keeps) is shifted in a copy.
-        chan = gen.random_cptp(3, np.random.default_rng(2), kraus_count=9)
-        kept = chan._choi()  # |S| = K = 9: kept
-        assert not kept.flags.writeable and chan._choi() is kept
-        before = kept.copy()
-        assert mcore._certified_psd(kept[None], mcore.EPS_PSD)
-        np.testing.assert_array_equal(kept, before)
-        writeable = before[None].copy()
-        assert mcore._certified_psd(writeable, mcore.EPS_PSD)
-        np.testing.assert_array_equal(writeable[0], before)
 
 
 def gram_blocks(x, rows, hermitised, s):
@@ -358,8 +361,8 @@ class TestGramBound:
         assert np.linalg.eigvalsh(herm).min() >= -bound
 
     def test_certifies_within_half_the_check_tolerance(self):
-        # The pass line is min(EPS_H, EPS_PSD) / 2, as for _certified_psd, and a
-        # non-finite factor proves nothing.
+        # The pass line is min(EPS_H, EPS_PSD) / 2, and a non-finite factor
+        # proves nothing.
         tau = min(mcore.EPS_H, mcore.EPS_PSD) / 2.0
         for k in (1, 186, 4096):
             x = np.ones((1, 1, k))

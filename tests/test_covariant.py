@@ -200,9 +200,9 @@ class TestDecompose:
 
     def test_pipeline_forms_the_choi_matrix_once_with_no_eigensolve(self, monkeypatch):
         # is_cptp, covariance_defect and decompose on a dense n = 16 channel
-        # (K = |S| = 256) share the Choi matrix the channel keeps: is_cptp's
-        # Cholesky certificate replaces its K x K eigensolve, and the masks
-        # are certified too.
+        # (K = |S| = 256) share the Choi matrix the channel keeps, which
+        # is_cptp does not read: the Gram rounding bound on the operators
+        # proves both the Choi matrix and the masks.
         spec = cc.Spectrum(np.arange(16.0))
         chan = gen.random_covariant(spec, np.random.default_rng(16))
         assert chan._support.size == len(chan.kraus) == 256

@@ -33,6 +33,8 @@ REMOVED = [
     ("fock", "gaussian_mask_matrix"),
     ("fock", "laguerre"),
     ("fock", "_block_at_nodes"),
+    ("channels", "_certified_psd"),
+    ("covariant", "_HERMITISE_BYTES"),
 ]
 
 

@@ -48,6 +48,18 @@ class TestShiftMixture:
         with pytest.raises(ValueError):
             tim.build_shift_mixture(four_level(), [(0.0, 0.5), (2.0, 0.3)])
 
+    @pytest.mark.parametrize("shifts", [[(0.0, 1.5), (2.0, -0.5)], [(0.0, 1.0), (2.0, np.nan)],
+                                        [(0.0, np.inf), (2.0, -np.inf)]],
+                             ids=["negative", "nan", "inf"])
+    def test_probabilities_must_be_finite_and_non_negative(self, shifts):
+        # Each list sums to 1 or to NaN, which the sum check alone let through.
+        with pytest.raises(InvalidParameter, match="finite and non-negative"):
+            tim.build_shift_mixture(four_level(), shifts)
+
+    def test_a_wrong_sum_is_an_invalid_parameter(self):
+        with pytest.raises(InvalidParameter, match="sum to 0.8"):
+            tim.build_shift_mixture(four_level(), [(0.0, 0.5), (2.0, 0.3)])
+
     def test_tp_support(self):
         mix = tim.build_shift_mixture(four_level(), [(0.0, 0.5), (2.0, 0.5)])
         # sigma = 2 only shifts levels 0 and 1 inside the spectrum.

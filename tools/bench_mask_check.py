@@ -5,9 +5,7 @@
 
 Rows, each timed in a fresh process with OPENBLAS_NUM_THREADS=1:
 - channels._gram_certified on the factors of the chunks of one Gaussian
-  decomposition at dims 16, 32, 64, 120 and 186, std_dev 0.3 and 1, and
-  covariant._mask_failure and its eigvalsh oracle (tests/conftest.py,
-  mask_failure_by_eigvalsh) on the same chunks' products;
+  decomposition at dims 16, 32, 64, 120 and 186, std_dev 0.3 and 1;
 - fock.gaussian_decomposition at the same dims and std_devs;
 - covariant.decompose of one random_covariant channel at n = 8 and 16, on
   the integer and the sqrt(prime) spectrum;
@@ -24,7 +22,7 @@ from __future__ import annotations
 
 import sys
 
-from benchlib import ROOT, main, spectrum_energies, time_row
+from benchlib import main, spectrum_energies, time_row
 
 DIMS = (16, 32, 64, 120, 186)
 STD_DEVS = (0.3, 1.0)
@@ -40,9 +38,6 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
     from covchan import fock
     from covchan import generate as gen
 
-    if with_check:
-        sys.path.insert(0, str(ROOT / "tests"))
-        from conftest import mask_failure_by_eigvalsh
     rows = []
     for dim in DIMS:
         for s in STD_DEVS:
@@ -50,19 +45,12 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
             variant = f"std_dev={s}"
             if with_check:
                 top, lf = params.sigma_max, fock._log_factorials(dim)
-                factors, chunks = zip(*(
-                    fock._mask_chunk(range(a0, min(a0 + fock._MASK_CHUNK, top + 1)),
-                                     lf, 2.0 * s * s)
-                    for a0 in range(0, top + 1, fock._MASK_CHUNK)))
-                sigmas = [[0.0] * len(c) for c in chunks]
+                factors = [fock._mask_chunk(range(a0, min(a0 + fock._MASK_CHUNK, top + 1)),
+                                            lf, 2.0 * s * s)[0]
+                           for a0 in range(0, top + 1, fock._MASK_CHUNK)]
                 rows.append(time_row("channels._gram_certified", variant + ", all chunks", dim,
                                      lambda: [mc._gram_certified(f, f.shape[-1])
                                               for f in factors], rounds))
-                for name, check in (("covariant._mask_failure", cov._mask_failure),
-                                    ("mask_failure_by_eigvalsh", mask_failure_by_eigvalsh)):
-                    rows.append(time_row(name, variant + ", all chunks", dim,
-                                         lambda: [check(c, g) for c, g in zip(chunks, sigmas)],
-                                         rounds))
             rows.append(time_row("fock.gaussian_decomposition", variant, dim,
                                  lambda: fock.gaussian_decomposition(params), rounds))
     for n in (8, 16):
