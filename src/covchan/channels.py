@@ -70,8 +70,8 @@ class DensityMatrix:
 
     def __post_init__(self):
         mat = _as_complex(self.matrix)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise NotDensityMatrix(f"expected a square matrix, got shape {mat.shape}")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+            raise NotDensityMatrix(f"expected a non-empty square matrix, got shape {mat.shape}")
         if np.max(np.abs(mat - mat.conj().T)) > EPS_H:
             raise NotDensityMatrix("matrix is not Hermitian within tolerance")
         if abs(np.trace(mat).real - 1.0) > EPS_TR or abs(np.trace(mat).imag) > EPS_TR:
@@ -106,8 +106,8 @@ class Channel:
         if not ops:
             raise InvalidParameter("channel needs at least one Kraus operator")
         shape = ops[0].shape
-        if len(shape) != 2 or any(k.shape != shape for k in ops):
-            raise DimensionMismatch("all Kraus operators must be matrices of one shape")
+        if len(shape) != 2 or 0 in shape or any(k.shape != shape for k in ops):
+            raise DimensionMismatch("all Kraus operators must be non-empty matrices of one shape")
         stack = _as_complex(ops)  # one copy and one finiteness check for the family
         stack.setflags(write=False)
         object.__setattr__(self, "_ops", stack)

@@ -22,30 +22,33 @@ is the channel's own (Channel._choi): formed once and shared by
 covariance_defect and decompose when the channel keeps it (|S| <= K), and
 formed by each of them when there are fewer Kraus operators than pairs.
 
-A sector is stored as sigma, the shift's domain and image as index tuples,
-and the d x d mask block on the domain; every routine here reads the blocks.
-PartialShift.matrix and SectorMask.mask are dim x dim views built on demand.
+A decomposition is one store: per position, the spectrum cluster c it sits
+on (sigma, domain and image from spectrum.sigmas[c] and sector_pairs[c]) and
+its read-only d x d block.  Its (PartialShift, SectorMask) pairs are made
+from the store when ``sectors`` is first read, so decompose and
+fock.gaussian_decomposition build no per-sector object.  PartialShift.matrix
+and SectorMask.mask are dim x dim views built on demand.
 
 Sector work runs on stacks of equal-size sectors, not sector by sector.  A
 Spectrum groups its sectors by domain size on first use and caches the
 groups (sector indices and (m, d) level arrays); for each size, decompose
 gathers the (m, d, d) Choi blocks at once (a size none of whose pairs is
-touched has zero blocks and is dropped unread) and takes the shifts from the
-groups, reconstruct runs one stacked eigh and one scatter, and
-shift_distribution one product.  Every block decompose keeps is a pinched
-principal block of the Gram product C_S = V_S^T conj(V_S), so one rounding
-bound on the Kraus operators' norm (channels._gram_bound) proves all of them
-pass the mask check; only when it does not is the check run, one stacked
-eigvalsh per size.  A decomposition keeps the stacks its masks are views
-of.  The results are the per-sector loops' bit for bit: diagonal sums add
-in sector order, each block's residue is its own dot product, and the
-first failing sector in sector order is the one reported.
+touched has zero blocks and is dropped unread), reconstruct runs one stacked
+eigh and one scatter, and shift_distribution one product.  Every block
+decompose keeps is a pinched principal block of the Gram product
+C_S = V_S^T conj(V_S), so one rounding bound on the Kraus operators' norm
+(channels._gram_bound) proves all of them pass the mask check; only when it
+does not is the check run, one stacked eigvalsh per size.  A decomposition
+from decompose keeps these stacks as its size groups, of which its blocks
+are views.  The results are the per-sector loops' bit for bit: one level sum
+adds the diagonals in sector order (_level_sums), each block's residue is
+its own dot product, and the first failing sector in sector order is the one
+reported.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -153,8 +156,8 @@ class Spectrum:
 
     @cached_property
     def _groups(self) -> tuple[_SizeGroup, ...]:
-        """The sectors grouped by domain size, built on first use (fock builds a
-        Spectrum per Gaussian decomposition and never reads them)."""
+        """The sectors grouped by domain size, built on first use (decompose reads
+        them; the Gaussian decompositions of fock never do)."""
         n = self.dim
         sizes = np.array([pairs.size for pairs in self.sector_pairs])
         flat = np.concatenate(self.sector_pairs)
@@ -254,7 +257,10 @@ class SectorMask:
 
 @dataclass(frozen=True)
 class SectorDecomposition:
-    """The canonical family sigma -> (S_sigma, M_sigma) of one channel.
+    """The canonical family sigma -> (S_sigma, M_sigma) of one channel: its store
+    (module docstring), from which ``sectors`` is made when first read.  Pairs
+    given to the constructor are read into the store, each shift the
+    spectrum's sector at its sigma; sigmas() are the clusters'.
 
     projection_defect is the Choi Frobenius distance between the input channel
     and the decomposition; it is zero (up to roundoff) for exactly covariant
@@ -265,30 +271,81 @@ class SectorDecomposition:
     sectors: tuple[tuple[PartialShift, SectorMask], ...]
     projection_defect: float = 0.0
 
+    def __post_init__(self):
+        spec, clusters = self.spectrum, []
+        for shift, _ in self.sectors:
+            c = spec._cluster_at(shift.sigma)
+            pairs = np.multiply(shift.image, spec.dim) + shift.domain
+            if c is None or not np.array_equal(pairs, spec.sector_pairs[c]):
+                raise UnknownSector(f"sector {shift.sigma}: not the spectrum's shift at that sigma")
+            clusters.append(c)
+        self.__dict__.update(_clusters=np.array(clusters, dtype=np.intp),
+                             _blocks=tuple(mask.domain_submatrix for _, mask in self.sectors))
+
+    @classmethod
+    def _of_store(cls, spectrum: Spectrum, clusters: np.ndarray, blocks: tuple, **fields):
+        """The decomposition of a store, no pair made; fields are its other fields
+        and _groups, the store's size groups, when the caller has them."""
+        decomp = object.__new__(cls)
+        decomp.__dict__.update({"projection_defect": 0.0, **fields, "spectrum": spectrum,
+                                "_clusters": clusters, "_blocks": blocks})
+        return decomp
+
+    def __getattr__(self, name):
+        # Reached only for an attribute that is not set: a field derived from
+        # the store when first read, by _derived_<name>.
+        derive = getattr(type(self), f"_derived_{name}", None)
+        if derive is None:
+            raise AttributeError(name)
+        self.__dict__[name] = value = derive(self)
+        return value
+
+    def _derived_sectors(self) -> tuple[tuple[PartialShift, SectorMask], ...]:
+        """The (shift, mask) pair at every position, each mask its block, checked
+        before it was stored: the pairs of a decomposition made by _of_store."""
+        spec, held = self.spectrum, [self.spectrum.sector_pairs[c] for c in self._clusters.tolist()]
+        flat = np.concatenate([np.zeros(0, dtype=np.intp), *held])
+        domains, images = (flat % spec.dim).tolist(), (flat // spec.dim).tolist()
+        sectors, end = [], 0
+        for sigma, pairs, block in zip(self.sigmas().tolist(), held, self._blocks):
+            start, end = end, end + pairs.size
+            domain = tuple(domains[start:end])
+            shift = PartialShift(sigma=sigma, domain=domain, image=tuple(images[start:end]),
+                                 dim=spec.dim)
+            sectors.append((shift, SectorMask._checked(sigma, block, domain, spec.dim)))
+        return tuple(sectors)
+
     def sigmas(self) -> np.ndarray:
-        return np.array([shift.sigma for shift, _ in self.sectors])
+        return self.spectrum.sigmas[self._clusters]
 
     def sector(self, sigma: float) -> tuple[PartialShift, SectorMask]:
-        """The sector whose shift is partial_shift(spectrum, sigma)."""
-        want = partial_shift(self.spectrum, sigma)
-        for shift, mask in self.sectors:
-            if want.domain and (shift.domain, shift.image) == (want.domain, want.image):
-                return shift, mask
-        raise UnknownSector(f"no sector at sigma = {sigma}")
+        """The sector on the cluster of sigma, whose shift is partial_shift(spectrum, sigma)."""
+        try:
+            return self.sectors[self._clusters.tolist().index(self.spectrum._cluster_at(sigma))]
+        except ValueError:
+            raise UnknownSector(f"no sector at sigma = {sigma}") from None
 
     def diagonal_sums(self) -> np.ndarray:
         """sum_sigma M_sigma(j, j) at every input level j: all ones for a TP channel."""
-        levels = np.fromiter(chain.from_iterable(shift.domain for shift, _ in self.sectors),
-                             dtype=np.intp)
-        diags = np.concatenate([np.zeros(0), *(np.diagonal(mask.domain_submatrix)
-                                               for _, mask in self.sectors)])
-        return _diagonal_sums(levels, np.real(diags), self.spectrum.dim)
+        held = [self.spectrum.sector_pairs[c] for c in self._clusters.tolist()]
+        diags = [np.real(np.diagonal(block)) for block in self._blocks]
+        return _level_sums(np.concatenate([np.zeros(0, dtype=np.intp), *held]) % self.spectrum.dim,
+                           np.concatenate([np.zeros(0), *diags]), self.spectrum.dim)
 
     @cached_property
     def _groups(self) -> tuple[_SizeGroup, ...]:
-        """The sectors grouped by domain size with their blocks stacked, built on
-        first use; decompose stores the stacks its masks are views of."""
-        return _group_sectors(self.sectors)
+        """The store grouped by domain size and block dtype (a real block is
+        diagonalised as real), each group in position order, built on first use."""
+        members: dict[tuple, list[int]] = {}
+        for i, block in enumerate(self._blocks):
+            members.setdefault((len(block), block.dtype), []).append(i)
+        n, held = self.spectrum.dim, self.spectrum.sector_pairs
+        groups = []
+        for index in members.values():
+            pairs = np.stack([held[c] for c in self._clusters[index].tolist()])
+            groups.append(_SizeGroup(np.array(index), pairs % n, pairs // n,
+                                     np.stack([self._blocks[i] for i in index])))
+        return tuple(groups)
 
 
 @dataclass(frozen=True)
@@ -326,24 +383,6 @@ def partial_shift(spectrum: Spectrum, sigma: float) -> PartialShift:
     pairs = np.empty(0, dtype=np.intp) if i is None else spectrum.sector_pairs[i]
     return PartialShift(sigma=float(sigma), domain=tuple((pairs % n).tolist()),
                         image=tuple((pairs // n).tolist()), dim=n)
-
-
-def _group_sectors(sectors) -> tuple[_SizeGroup, ...]:
-    """(shift, mask) pairs grouped by domain size and block dtype (a real block is
-    diagonalised as real), each group in sector order."""
-    members: dict[tuple, list[int]] = {}
-    for i, (shift, mask) in enumerate(sectors):
-        members.setdefault((len(shift.domain), mask.domain_submatrix.dtype), []).append(i)
-    groups = []
-    for (d, _), index in members.items():
-        picked = [sectors[i] for i in index]
-        groups.append(_SizeGroup(
-            np.array(index),
-            np.array([shift.domain for shift, _ in picked], dtype=np.intp).reshape(len(index), d),
-            np.array([shift.image for shift, _ in picked], dtype=np.intp).reshape(len(index), d),
-            np.stack([mask.domain_submatrix for _, mask in picked]),
-        ))
-    return tuple(groups)
 
 
 def _mask_failure(blocks: np.ndarray, sigmas) -> tuple[int, str] | None:
@@ -421,64 +460,39 @@ def _sq_norm(arr: np.ndarray) -> float:
     return float(np.vdot(arr, arr).real)
 
 
-def _diagonal_sums(levels: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Per level of n, the values at that level added one after another in the order given."""
+def _level_sums(levels: np.ndarray, diagonals: np.ndarray, n: int) -> np.ndarray:
+    """sum_sigma M_sigma(j, j) at every input level j of n: the block diagonals at
+    their levels added one after another in the order given, the sector order."""
     total = np.zeros(n)
-    np.add.at(total, levels, values)
+    np.add.at(total, levels, diagonals)
     return total
 
 
-def _restore_tp(blocks: list[np.ndarray], groups, n: int) -> tuple[list[np.ndarray], float]:
-    """Congruence by diag(s), s = w^(-1/2) and w_j the block diagonals at input
-    level j summed in sector order, so that the diagonals sum to one at every
-    level (TP); and max s^2, by which the congruence can scale rounding."""
+def _restore_tp(groups, n: int) -> tuple[tuple[_SizeGroup, ...], float]:
+    """The groups' blocks under the congruence by diag(s), s = w^(-1/2) and w
+    their level sums, so that the diagonals sum to one at every level (TP);
+    and max s^2, by which the congruence can scale rounding."""
     order = np.argsort(np.concatenate(
         [np.repeat(g.index, g.domains.shape[1]) for g in groups]), kind="stable")
     levels = np.concatenate([g.domains.reshape(-1) for g in groups])
-    diags = np.concatenate([np.real(np.diagonal(b, axis1=1, axis2=2)).reshape(-1) for b in blocks])
-    scale = 1.0 / np.sqrt(_diagonal_sums(levels[order], diags[order], n))
+    diags = np.concatenate([np.real(np.diagonal(g.blocks, axis1=1, axis2=2)).reshape(-1)
+                            for g in groups])
+    scale = 1.0 / np.sqrt(_level_sums(levels[order], diags[order], n))
     out = []
-    for group, block in zip(groups, blocks):
+    for group in groups:
         s = scale[group.domains]
-        out.append(block * (s[:, :, None] * s[:, None, :]))  # np.outer(s, s) per block
+        out.append(group._replace(blocks=group.blocks * (s[:, :, None] * s[:, None, :])))
     top = float(scale.max(initial=0.0))
-    return out, top * top
+    return tuple(out), top * top
 
 
-def _scatter(groups, blocks: list[np.ndarray], n: int) -> np.ndarray:
+def _scatter(groups, n: int) -> np.ndarray:
     """The Choi matrix holding each group's blocks on their pairs, zero elsewhere."""
     choi = np.zeros((n * n, n * n), dtype=complex)
-    for group, block in zip(groups, blocks):
-        pairs = group.images * n + group.domains
-        choi[pairs[:, :, None], pairs[:, None, :]] = block
-    return choi
-
-
-def _sectors(groups, sigmas: list[float], n: int,
-             proved: bool) -> tuple[tuple[PartialShift, SectorMask], ...]:
-    """The (shift, mask) pair at every position of the groups, in position order.
-
-    The masks pass SectorMask's one check: proved by the caller (decompose's
-    Gram bound), or run on each group's stack at once, where the failing
-    block at the lowest position raises MaskNotPSD.
-    """
-    if not proved:
-        failures = []
-        for group in groups:
-            found = _mask_failure(group.blocks, [sigmas[i] for i in group.index.tolist()])
-            if found is not None:
-                failures.append((int(group.index[found[0]]), found[1]))
-        if failures:
-            raise MaskNotPSD(min(failures)[1])
-    sectors = [None] * len(sigmas)
     for group in groups:
-        group.blocks.setflags(write=False)
-        for i, block, domain, image in zip(group.index.tolist(), group.blocks,
-                                           group.domains.tolist(), group.images.tolist()):
-            domain = tuple(domain)
-            shift = PartialShift(sigma=sigmas[i], domain=domain, image=tuple(image), dim=n)
-            sectors[i] = (shift, SectorMask._checked(sigmas[i], block, domain, n))
-    return tuple(sectors)
+        pairs = group.images * n + group.domains
+        choi[pairs[:, :, None], pairs[:, None, :]] = group.blocks
+    return choi
 
 
 def covariance_defect(channel: Channel, spectrum: Spectrum) -> float:
@@ -524,26 +538,27 @@ def decompose(
     if defect > tol:
         raise NotCovariant(defect, tol)
     n = spectrum.dim
-    groups = _sector_blocks(choi, support, spectrum)
+    raw = _sector_blocks(choi, support, spectrum)
     sq_cross = _sq_norm(cross)
     # Freed before any output is allocated, so that the outputs take no fresh
     # pages above the Choi arrays that a later Choi matrix could reuse (the
     # channel keeps its Choi matrix when |S| <= K, and then none is formed).
     del choi, cross
-    raw = [group.blocks for group in groups]
-    blocks = [(r + r.conj().swapaxes(1, 2)) / 2.0 for r in raw]
+    groups = tuple(g._replace(blocks=(g.blocks + g.blocks.conj().swapaxes(1, 2)) / 2.0)
+                   for g in raw)
     scale = 1.0
     if mc._tp_defect(channel._ops) <= mc.EPS_TP:
-        blocks, scale = _restore_tp(blocks, groups, n)
+        groups, scale = _restore_tp(groups, n)
 
     # ||C - scatter(kept blocks)||^2 entry by entry: the cross-sector
     # entries, plus each sector's Choi block minus its kept block (or zero).
-    peak = max([defect, *(float(np.max(np.abs(r))) for r in raw)])
+    peak = max([defect, *(float(np.max(np.abs(r.blocks))) for r in raw)])
     floor = 1e-13 * max(1.0, peak)  # peak = max |C|
     sq_terms = np.zeros(len(spectrum.sigmas))  # a group left out adds 0.0
     kept = np.zeros(len(spectrum.sigmas), dtype=bool)
     kept_groups = []
-    for group, r, block in zip(groups, raw, blocks):
+    for group, r in zip(groups, (g.blocks for g in raw)):
+        block = group.blocks
         drop = np.max(np.abs(block), axis=(1, 2)) <= floor
         resid = np.where(drop[:, None, None], r, r - block).reshape(len(r), -1)
         sq_terms[group.index] = np.vecdot(resid, resid).real  # per block the dot of _sq_norm
@@ -554,29 +569,36 @@ def decompose(
                                           group.images[keep], block[keep]))
     # A running sum adds the terms in sector order, as one float after another.
     sq_defect = np.add.accumulate(np.r_[sq_cross, sq_terms])[-1]
+    clusters = np.flatnonzero(kept)
     position = np.cumsum(kept) - 1  # of each sector among the kept ones
     kept_groups = tuple(g._replace(index=position[g.index]) for g in kept_groups)
     # Every block is a pinched principal block of C_S = V_S^T conj(V_S), V_S the
     # vec(A_m) rows on the support, Hermitised and maybe scaled by _restore_tp.
     ops = channel._ops
-    proved = mc._gram_certified(ops.reshape(1, -1), len(ops), scale)
-    try:
-        sectors = _sectors(kept_groups, spectrum.sigmas[kept].tolist(), n, proved)
-    except MaskNotPSD as exc:
-        raise NotCP(f"Choi {exc}") from exc
-    decomp = SectorDecomposition(
-        spectrum=spectrum, sectors=sectors, projection_defect=float(np.sqrt(sq_defect))
-    )
-    object.__setattr__(decomp, "_groups", kept_groups)  # the masks are views of these stacks
-    return decomp
+    if not mc._gram_certified(ops.reshape(1, -1), len(ops), scale):
+        sigmas = spectrum.sigmas[clusters].tolist()
+        failures = []
+        for group in kept_groups:
+            found = _mask_failure(group.blocks, [sigmas[i] for i in group.index.tolist()])
+            if found is not None:
+                failures.append((int(group.index[found[0]]), found[1]))
+        if failures:
+            raise NotCP(f"Choi {min(failures)[1]}")
+    blocks = [None] * clusters.size
+    for group in kept_groups:
+        group.blocks.setflags(write=False)
+        for i, block in zip(group.index.tolist(), group.blocks):
+            blocks[i] = block
+    return SectorDecomposition._of_store(spectrum, clusters, tuple(blocks), _groups=kept_groups,
+                                         projection_defect=float(np.sqrt(sq_defect)))
 
 
-def _kraus_stack(sectors, groups, n: int) -> np.ndarray:
+def _kraus_stack(sigmas, groups, n: int) -> np.ndarray:
     """The (K, n, n) Kraus operators S_sigma diag(d) of the sectors, sector after
     sector, d the spectral vectors of each block on its domain; a sector with
     none keeps one zero operator, and no sectors give one zero operator."""
-    lmin = np.empty(len(sectors))
-    count = np.empty(len(sectors), dtype=np.intp)
+    lmin = np.empty(len(sigmas))
+    count = np.empty(len(sigmas), dtype=np.intp)
     spectral = []
     for group in groups:
         low, kept, vecs = mc._scaled_eigenvectors(group.blocks)
@@ -585,7 +607,7 @@ def _kraus_stack(sectors, groups, n: int) -> np.ndarray:
     bad = np.flatnonzero(lmin < -mc.EPS_PSD)
     if bad.size:
         i = bad[0]
-        raise MaskNotPSD(f"sector {sectors[i][0].sigma}: eigenvalue {lmin[i]:.3e} "
+        raise MaskNotPSD(f"sector {sigmas[i]}: eigenvalue {lmin[i]:.3e} "
                          f"below -{mc.EPS_PSD:.1e}")
     slots = np.maximum(count, 1)
     first = np.cumsum(slots) - slots  # each sector's first operator
@@ -601,8 +623,9 @@ def _kraus_stack(sectors, groups, n: int) -> np.ndarray:
 
 def sector_kraus(shift: PartialShift, mask: SectorMask):
     """Kraus operators S_sigma diag(d), d the spectral vectors of the block on the domain."""
-    sectors = ((shift, mask),)
-    return list(_kraus_stack(sectors, _group_sectors(sectors), shift.dim))
+    levels = np.array([shift.domain, shift.image], dtype=np.intp).reshape(2, 1, -1)
+    group = _SizeGroup(np.zeros(1, dtype=np.intp), *levels, mask.domain_submatrix[None])
+    return list(_kraus_stack([shift.sigma], (group,), shift.dim))
 
 
 def apply_sectors(sectors, mat: np.ndarray) -> np.ndarray:
@@ -618,7 +641,7 @@ def apply_sectors(sectors, mat: np.ndarray) -> np.ndarray:
 def reconstruct(decomp: SectorDecomposition) -> Channel:
     """Rebuild the channel sum_sigma S_sigma (M_sigma * rho) S_sigma^dag; a
     decomposition with no sectors is the zero map, one zero Kraus operator."""
-    return Channel(tuple(_kraus_stack(decomp.sectors, decomp._groups, decomp.spectrum.dim)))
+    return Channel(tuple(_kraus_stack(decomp.sigmas(), decomp._groups, decomp.spectrum.dim)))
 
 
 def shift_distribution(
@@ -628,7 +651,8 @@ def shift_distribution(
     if rho.dim != decomp.spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
     diag = np.diag(rho.matrix)
-    p = np.empty(len(decomp.sectors))
+    sigmas = decomp.sigmas().tolist()
+    p = np.empty(len(sigmas))
     for group in decomp._groups:
         # tr(S (M * rho) S^dag) = sum_j M(j, j) rho(j, j) over the domain.
         terms = np.diagonal(group.blocks, axis1=1, axis2=2) * diag[group.domains]
@@ -636,9 +660,8 @@ def shift_distribution(
     bad = np.flatnonzero(p < -mc.EPS_PSD)
     if bad.size:
         i = bad[0]
-        raise MaskNotPSD(f"negative probability {p[i]:.3e} at sigma {decomp.sectors[i][0].sigma}")
-    pairs = tuple((shift.sigma, min(max(q, 0.0), 1.0))
-                  for (shift, _), q in zip(decomp.sectors, p.tolist()))
+        raise MaskNotPSD(f"negative probability {p[i]:.3e} at sigma {sigmas[i]}")
+    pairs = tuple((sigma, min(max(q, 0.0), 1.0)) for sigma, q in zip(sigmas, p.tolist()))
     return EnergyShiftDistribution(pairs=pairs, spectrum=decomp.spectrum)
 
 

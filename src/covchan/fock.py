@@ -32,11 +32,10 @@ _MASK_CHUNK consecutive orders, or once per dim:
   sum of squares of the factors: no factorisation and no eigensolve.  A
   chunk the bound does not prove is checked block by block, so the error
   names the sector and eigenvalue that one check per sector would.
-- The truncation defect sums the diagonals gathered from the chunk stacks,
-  in sector order, so it needs no per-sector diagonal.
-- Shifts are read off the integer spectrum's sector map, with no sigma
-  lookup per sector, and that spectrum is built once per dim
-  (_shared_integer_spectrum, at most 16 kept).
+- The decomposition is its store (see covariant): the integer spectrum's
+  clusters and the blocks, so no shift, mask or diagonal is made per sector;
+  the pairs and the truncation defect come from the blocks when first read.
+  That spectrum is built once per dim (_shared_integer_spectrum, at most 16).
 
 The Monte Carlo displaces a factor rho = Psi diag(p) Psi^dag of the state
 rather than forming D rho D^dag.  It works in the real eigenbasis O of the
@@ -67,7 +66,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -133,22 +132,18 @@ class GaussianDecomposition(cov.SectorDecomposition):
     """Sectors (S_sigma, M_sigma) of the truncated Gaussian channel on levels
     0..dim-1, ordered by sigma, on the integer spectrum.
 
-    truncation_defect[j] = |1 - sum_sigma M_sigma(j, j)| is the per-level
-    deviation from trace preservation caused by the finite cutoff; it is tiny
-    for j well below dim and grows toward the truncation edge.
+    truncation_defect[j] = |1 - sum_sigma M_sigma(j, j)|, summed from the blocks
+    when first read, is the per-level deviation from trace preservation that
+    the finite cutoff causes: tiny for j well below dim, growing toward the edge.
     """
 
     params: FockParams
     truncation_defect: np.ndarray = field(init=False, repr=False, compare=False)
-    # diagonal_sums() when the builder has it at hand (gaussian_decomposition
-    # gathers it from its chunk stacks); None derives it from the sectors.
-    _diagonal_sums: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self, _diagonal_sums):
-        sums = self.diagonal_sums() if _diagonal_sums is None else _diagonal_sums
-        td = np.abs(1.0 - sums)
+    def _derived_truncation_defect(self) -> np.ndarray:
+        td = np.abs(1.0 - self.diagonal_sums())
         td.setflags(write=False)
-        object.__setattr__(self, "truncation_defect", td)
+        return td
 
     @property
     def masks(self) -> tuple[cov.SectorMask, ...]:
@@ -347,10 +342,8 @@ def _mask_chunk(orders: range, log_fact: np.ndarray,
     return c, c @ c.transpose(0, 2, 1)
 
 
-def _checked_blocks(sigma_max: int, log_fact: np.ndarray,
-                    n: float) -> tuple[list[np.ndarray], np.ndarray]:
-    """The checked read-only blocks of M_a and M_{-a}, a = 0 .. sigma_max, and
-    the (sigma_max + 1, dim) diagonals of the zero-padded blocks.
+def _checked_blocks(sigma_max: int, log_fact: np.ndarray, n: float) -> list[np.ndarray]:
+    """The checked read-only blocks of M_a and M_{-a}, a = 0 .. sigma_max.
 
     Each chunk of _MASK_CHUNK orders is one _mask_chunk stack, and the blocks
     returned are views of those read-only stacks.  A chunk whose factors
@@ -362,7 +355,6 @@ def _checked_blocks(sigma_max: int, log_fact: np.ndarray,
     """
     dim = log_fact.size
     blocks, unproved = [], []
-    diagonals = np.zeros((sigma_max + 1, dim))
     for a0 in range(0, sigma_max + 1, _MASK_CHUNK):
         orders = range(a0, min(a0 + _MASK_CHUNK, sigma_max + 1))
         factors, padded = _mask_chunk(orders, log_fact, n)
@@ -370,46 +362,29 @@ def _checked_blocks(sigma_max: int, log_fact: np.ndarray,
             unproved.append(orders)
         padded.setflags(write=False)
         blocks.extend(padded[a - a0, :dim - a, :dim - a] for a in orders)
-        diagonals[a0:a0 + len(orders), :dim - a0] = np.diagonal(padded, axis1=1, axis2=2)
     for orders in reversed(unproved):
         for a in reversed(orders):
             found = cov._mask_failure(blocks[a], [float(-a)])
             if found is not None:
                 raise MaskNotPSD(found[1])
-    return blocks, diagonals
+    return blocks
 
 
 def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     """Sectors for sigma in [-sigma_max, sigma_max] plus per-level TP defects.
 
     M_a and M_{-a} share one block, built and proved once (one Gram bound per
-    chunk of orders, _checked_blocks); the shifts are read off the integer
-    spectrum's sector map, where cluster i holds sigma = i - (dim - 1), and
-    the per-level sums come from the chunks' diagonals.
+    chunk of orders, _checked_blocks).  The decomposition is its store: the
+    integer spectrum's clusters, where cluster i holds sigma = i - (dim - 1),
+    and the blocks, so no per-sector object is built here.
     """
     dim, top = params.dim, params.sigma_max
     if dim > _MAX_MASK_DIM:
         raise InvalidParameter(f"Gaussian masks need dim <= {_MAX_MASK_DIM}, got {dim}")
-    spec = _shared_integer_spectrum(dim)
-    blocks, diagonals = _checked_blocks(top, _log_factorials(dim),
-                                        2.0 * params.std_dev * params.std_dev)
-    pairs = np.concatenate(spec.sector_pairs[dim - 1 - top:dim + top])
-    levels = pairs % dim
-    domains, images = levels.tolist(), (pairs // dim).tolist()
-    sectors, end = [], 0
-    for sigma in range(-top, top + 1):
-        start, end = end, end + dim - abs(sigma)
-        domain = tuple(domains[start:end])
-        shift = cov.PartialShift(sigma=float(sigma), domain=domain,
-                                 image=tuple(images[start:end]), dim=dim)
-        sectors.append((shift, cov.SectorMask._checked(float(sigma), blocks[abs(sigma)],
-                                                       domain, dim)))
-    # The diagonal of M_{+-a} on its domain, sector after sector, as
-    # diagonal_sums reads them from the blocks.
-    orders = np.abs(np.arange(-top, top + 1))
-    diags = diagonals[orders][np.arange(dim) < dim - orders[:, None]]
-    return GaussianDecomposition(params=params, spectrum=spec, sectors=tuple(sectors),
-                                 _diagonal_sums=cov._diagonal_sums(levels, diags, dim))
+    blocks = _checked_blocks(top, _log_factorials(dim), 2.0 * params.std_dev * params.std_dev)
+    return GaussianDecomposition._of_store(
+        _shared_integer_spectrum(dim), np.arange(dim - 1 - top, dim + top),
+        tuple(blocks[abs(a)] for a in range(-top, top + 1)), params=params)
 
 
 def _real_product(a: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:

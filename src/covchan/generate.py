@@ -55,6 +55,5 @@ def random_covariant(
     n = spectrum.dim
     base = random_cptp(n, rng, kraus_count)
     support, choi, _ = _support_choi(base, spectrum)
-    groups = _sector_blocks(choi, support, spectrum)
-    blocks, _ = _restore_tp([group.blocks for group in groups], groups, n)
-    return mc.kraus_from_choi(ChoiMatrix(n, n, _scatter(groups, blocks, n)))
+    groups, _ = _restore_tp(_sector_blocks(choi, support, spectrum), n)
+    return mc.kraus_from_choi(ChoiMatrix(n, n, _scatter(groups, n)))

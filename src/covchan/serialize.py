@@ -47,7 +47,9 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 
 def matrix_from_json(obj) -> np.ndarray:
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = obj["rows"], obj["cols"]
+        if not all(type(d) is int and d >= 1 for d in (rows, cols)):  # no bool, no 1.5
+            raise ParseError(f"matrix rows and cols must be integers >= 1, got {rows!r}, {cols!r}")
         data = obj["data"]
         if len(data) != rows * cols:
             raise ParseError(f"matrix data has {len(data)} entries, expected {rows * cols}")

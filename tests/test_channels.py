@@ -160,9 +160,10 @@ class TestIsCPTP:
     @given(data=st.data())
     def test_matches_full_choi(self, count, data):
         # K Kraus operators below, at or above dim_in * dim_out: is_cptp
-        # diagonalises V^dag V (above, it has K - dim_in * dim_out extra zero
-        # eigenvalues), the oracle the Choi matrix V V^dag; scales 0.5 and
-        # 1.3 take the channels off trace preservation.
+        # proves CP by the Gram bound on its operators, or else diagonalises
+        # their K x K Gram matrix (above, it has K - dim_in * dim_out extra
+        # zero eigenvalues), the oracle the Choi matrix; scales 0.5 and 1.3
+        # take the channels off trace preservation.
         dim_in, dim_out = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
         size = dim_in * dim_out
         assume(count != "below" or size > 1)
@@ -185,9 +186,9 @@ class TestIsCPTP:
         assert abs(rep.cp_defect - cp) <= 1e-12 * max(1.0, choi_norm)
 
     def test_few_kraus_needs_no_choi_matrix(self, monkeypatch):
-        # A K = 3 shift mixture at n = 32 is checked through its 3 x 3 Gram
-        # matrix; neither the 1024 x 1024 Choi matrix nor the one on the
-        # support (K = 3 < |S| = 93) is built.
+        # A K = 3 shift mixture at n = 32 is proved CP by the Gram bound on
+        # its 3 operators; neither the 1024 x 1024 Choi matrix nor the one on
+        # the support (K = 3 < |S| = 93) is built.
         spec = cc.Spectrum(np.arange(32.0))
         chan = tim.build_shift_mixture(spec, [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)]).channel
         assert len(chan.kraus) < chan._support.size
@@ -490,6 +491,11 @@ class TestDensityMatrixValidation:
         with pytest.raises(NotDensityMatrix):
             cc.DensityMatrix(np.diag([1.5, -0.5]))
 
+    def test_rejects_an_empty_matrix(self):
+        # A bare ValueError from the empty Hermiticity maximum before.
+        with pytest.raises(NotDensityMatrix, match="non-empty square"):
+            cc.DensityMatrix(np.zeros((0, 0)))
+
 
 class TestChannelValidation:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -504,6 +510,12 @@ class TestChannelValidation:
     def test_rejects_operators_that_are_not_matrices_of_one_shape(self, ops):
         with pytest.raises(DimensionMismatch):
             cc.Channel(ops)
+
+    @pytest.mark.parametrize("shape", [(2, 0), (0, 2), (0, 0)])
+    def test_rejects_operators_with_a_zero_dimension(self, shape):
+        # is_cptp and the capacity path raised a bare ValueError on them.
+        with pytest.raises(DimensionMismatch, match="non-empty matrices"):
+            cc.Channel((np.zeros(shape),))
 
     def test_operators_are_read_only(self):
         chan = cc.Channel((np.eye(2), np.zeros((2, 2))))

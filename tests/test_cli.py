@@ -439,6 +439,25 @@ def test_non_finite_or_negative_number_exit_2(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("name", ["negative-dims", "zero-dim-kraus", "fractional-dim",
+                                  "boolean-dim"])
+@pytest.mark.parametrize("slot", ["capacity", "capacity --input-state", "check", "timing --phi0"])
+def test_misshapen_matrix_exit_2(capsys, tmp_path, name, slot):
+    # Each file in each slot that reads a matrix or a channel: one line on
+    # stderr, nothing on stdout, never a traceback.
+    bad = tmp_path / f"{name}.json"
+    bad.write_text(MALFORMED_FILES[name], encoding="utf-8")
+    argv = {"capacity": ["capacity", bad],
+            "capacity --input-state": ["capacity", FIXTURES / "amplitude_damping_0.3.json",
+                                       "--input-state", bad],
+            "check": ["check", bad, FIXTURES / "spectrum_2level.json"],
+            "timing --phi0": ["timing", *TIMING_FILES, "--phi0", bad,
+                              "--s", "1.5707963267948966", "--N", "4"]}[slot]
+    code, out, err = run(capsys, *map(str, argv))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_import_loads_no_scipy():
     # scipy is a test dependency only; the library and CLI run on numpy.
     proc = subprocess.run(
@@ -572,6 +591,12 @@ MALFORMED_FILES = {
     # well-formed, but each reader finds its fields short or of the wrong size
     "short-data": '{"dim_in": 1, "dim_out": 1, "kraus": [{"rows": 1, "cols": 1, "data": []}],'
                   ' "energies": [0], "rows": 2, "cols": 1, "data": [[1, 0]]}',
+    # misshapen matrices: the product of two negative dims matches the data,
+    # an empty Kraus operator, a fractional and a boolean dim
+    "negative-dims": '{"rows": -1, "cols": -1, "data": [[1, 0]]}',
+    "zero-dim-kraus": '{"dim_in": 0, "dim_out": 2, "kraus": [{"rows": 2, "cols": 0, "data": []}]}',
+    "fractional-dim": '{"rows": 1.5, "cols": 1, "data": [[1, 0]]}',
+    "boolean-dim": '{"rows": true, "cols": 1, "data": [[1, 0]]}',
 }
 NON_FINITE_ENTRIES = ("NaN", "Infinity", "-Infinity", "1e999")
 

@@ -22,6 +22,7 @@ from covchan.errors import (
 from conftest import (
     FIXTURES,
     amplitude_damping,
+    decompose_per_sector,
     dephasing_channel,
     evolve_matrix,
     mask_failure_by_eigvalsh,
@@ -529,6 +530,36 @@ class TestBlockStorage:
         assert [(s.sigma, s.domain, s.image) for s, _ in decomp.sectors] == want
         assert len(want) == 31
 
+    def test_the_pipeline_makes_no_pair_until_sectors_are_read(self, rng):
+        # The decompose workload's shapes: the check + decompose pipeline
+        # builds no PartialShift and no SectorMask, and the pairs made when
+        # sectors is first read are the per-sector oracle's bit for bit.
+        cases = [(spec, gen.random_covariant(spec, rng))
+                 for spec in (cc.Spectrum(np.arange(8.0)), cc.Spectrum(np.arange(16.0)),
+                              sqrt_prime_spectrum(8), sqrt_prime_spectrum(12))]
+        cases.append((cc.Spectrum(np.arange(24.0)),
+                      cc.hadamard_channel(gen.random_unit_diagonal_mask(24, rng))))
+        for n in (28, 32):
+            spec = cc.Spectrum(np.arange(float(n)))
+            mix = tim.build_shift_mixture(spec, [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)])
+            cases.append((spec, mix.channel))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a (shift, mask) pair was made")
+
+        decomps = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cov, "PartialShift", refuse)
+            mp.setattr(cov.SectorMask, "_checked", refuse)
+            for spec, chan in cases:
+                cc.is_cptp(chan)
+                assert cov.covariance_defect(chan, spec) <= 1e-10
+                decomps.append(cov.decompose(chan, spec))
+                cov.reconstruct(decomps[-1])
+                cov.shift_distribution(decomps[-1], gen.random_state(spec.dim, rng))
+        for (spec, chan), decomp in zip(cases, decomps):
+            assert sha256_of(decomp.sectors) == sha256_of(decompose_per_sector(chan, spec).sectors)
+
     def test_consumers_read_the_blocks_only(self, monkeypatch, rng):
         def dense_view(self):
             raise AssertionError("a dense n x n view was built")
@@ -590,19 +621,19 @@ class TestMaskCheck:
         assert mask_failure_by_eigvalsh(stack[:3], sigmas) == want
         assert cov._mask_failure(stack, sigmas) == want
 
-    def test_the_rounding_bound_rejects_what_cholesky_lets_through(self):
-        # Eigenvalues 2.4e8 and -8.8e-9: at this norm the shifted Cholesky
-        # completes in double precision, so only the bound's rounding term
-        # keeps the block from passing.
+    def test_a_tiny_negative_eigenvalue_at_a_large_norm_fails(self):
+        # Eigenvalues 2.4e8 and -8.8e-9: eigvalsh resolves the negative one
+        # at this norm, and the check names the eigenvalue the oracle finds.
         block = np.array([[119739425.23898056, 119739424.66762057],
                           [119739424.66762057, 119739424.09626056]])
         want = mask_failure_by_eigvalsh(block, [0.0])
         assert want == (0, "sector 0.0: domain submatrix eigenvalue -7.451e-09")
         assert cov._mask_failure(block, [0.0]) == want
 
-    def test_an_overflowing_certificate_falls_back_to_eigvalsh(self, monkeypatch):
-        # The factor's squares sum past the largest double, so the bound is
-        # infinite: eigvalsh decides, with no overflow warning on the way.
+    def test_entries_near_the_largest_double_take_one_eigvalsh(self, monkeypatch):
+        # Entries of 8e307, whose squares overflow: the Hermitian part stays
+        # finite, and one eigvalsh of the stack decides, with no overflow
+        # warning on the way.
         calls, eigvalsh = [], np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
         assert cov._mask_failure(np.diag([8e307] * 3), [0.0]) is None

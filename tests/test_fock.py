@@ -546,25 +546,38 @@ class TestGaussianDecomposition:
         assert len(verdicts) == 1870 and all(verdicts)
 
     def test_no_per_sector_work(self, monkeypatch):
-        # Timing-free guards at dim 64: no sigma lookup, one certificate per
-        # chunk of orders, no per-sector diagonal, and one spectrum.
+        # Timing-free guards at dims 16-186: no sigma lookup, no (shift, mask)
+        # pair, one certificate per chunk of orders, no per-sector diagonal
+        # while building, and one spectrum per dim.  The truncation defect is
+        # read from the blocks; the pairs, made on the first read of sectors,
+        # hold the quadrature oracle's shifts.
         def refuse(*args, **kwargs):
             raise AssertionError("gaussian_decomposition did per-sector work")
 
-        checks = []
+        checks, built = [], []
         gram_certified = mcore._gram_certified
         monkeypatch.setattr(cc.covariant, "partial_shift", refuse)
-        monkeypatch.setattr(cc.covariant.SectorDecomposition, "diagonal_sums", refuse)
+        monkeypatch.setattr(cc.covariant, "PartialShift", refuse)
+        monkeypatch.setattr(cc.covariant.SectorMask, "_checked", refuse)
         monkeypatch.setattr(mcore, "_gram_certified",
                             lambda factors, k: checks.append(factors.shape)
                             or gram_certified(factors, k))
-        for s in (0.3, 0.5, 1.0):
-            params = fock.FockParams(dim=64, std_dev=s)
+        for dim, s in [(16, 0.5), (64, 0.3), (64, 0.5), (64, 1.0), (120, 0.5), (186, 1.0)]:
+            params = fock.FockParams(dim=dim, std_dev=s)
             checks.clear()
-            fock.gaussian_decomposition(params)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(cc.covariant.SectorDecomposition, "diagonal_sums", refuse)
+                decomp = fock.gaussian_decomposition(params)
             assert len(checks) <= math.ceil((params.sigma_max + 1) / fock._MASK_CHUNK)
+            assert decomp.truncation_defect.shape == (dim,)
+            built.append(decomp)
         other = fock.gaussian_decomposition(fock.FockParams(dim=64, std_dev=0.2))
-        assert other.spectrum is fock.gaussian_decomposition(params).spectrum
+        assert other.spectrum is built[1].spectrum
+        monkeypatch.undo()
+        for decomp in built:
+            want = gaussian_decomposition_per_sector(decomp.params)
+            assert sha256_of([shift for shift, _ in decomp.sectors]) == sha256_of(
+                [shift for shift, _ in want.sectors])
 
     def assert_near_quadrature_oracle(self, params):
         # Shifts, domains and sector order exactly; masks and truncation

@@ -35,6 +35,9 @@ REMOVED = [
     ("fock", "_block_at_nodes"),
     ("channels", "_certified_psd"),
     ("covariant", "_HERMITISE_BYTES"),
+    ("covariant", "_group_sectors"),
+    ("covariant", "_sectors"),
+    ("covariant", "_diagonal_sums"),
 ]
 
 

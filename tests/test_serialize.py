@@ -30,6 +30,13 @@ class TestMatrixFormat:
         with pytest.raises(ParseError):
             ser.matrix_from_json({"rows": 2, "data": []})
 
+    @pytest.mark.parametrize("rows, cols", [(-1, -1), (2, 0), (0, 0), (1.5, 1), (1.0, 1),
+                                            (True, 1), ("1", 1), (None, 1)])
+    def test_dims_are_json_integers_of_at_least_one(self, rows, cols):
+        # -1 x -1 matches one entry, and int() read 1.5 and true as 1.
+        with pytest.raises(ParseError, match="integers >= 1"):
+            ser.matrix_from_json({"rows": rows, "cols": cols, "data": [[1.0, 0.0]]})
+
     def test_vector_rejects_matrix(self):
         obj = ser.matrix_to_json(np.eye(2))
         with pytest.raises(ParseError):

@@ -6,9 +6,12 @@
 Rows, each timed in a fresh process with OPENBLAS_NUM_THREADS=1:
 - channels._gram_certified on the factors of the chunks of one Gaussian
   decomposition at dims 16, 32, 64, 120 and 186, std_dev 0.3 and 1;
-- fock.gaussian_decomposition at the same dims and std_devs;
+- fock.gaussian_decomposition at the same dims and std_devs, alone and
+  followed by the first read of its .sectors (the (shift, mask) pairs are
+  made on that read, so the second row shows what the first leaves out);
 - covariant.decompose of one random_covariant channel at n = 8 and 16, on
-  the integer and the sqrt(prime) spectrum;
+  the integer and the sqrt(prime) spectrum, alone and followed by the first
+  read of .sectors;
 - fock.monte_carlo_channel with 1e5 samples at std_dev 0.5 on the pure
   states |0> and (|0> + |1>) / sqrt(2) at dims 8, 16, 32 and 64 and on the
   rank-2 state diag(0.6, 0.4, 0, ...) at dims 8 and 16.
@@ -53,12 +56,16 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
                                               for f in factors], rounds))
             rows.append(time_row("fock.gaussian_decomposition", variant, dim,
                                  lambda: fock.gaussian_decomposition(params), rounds))
+            rows.append(time_row("fock.gaussian_decomposition", variant + ", then .sectors", dim,
+                                 lambda: fock.gaussian_decomposition(params).sectors, rounds))
     for n in (8, 16):
         for kind, energies in spectrum_energies(n):
             spec = cov.Spectrum(energies)
             chan = gen.random_covariant(spec, np.random.default_rng(n))
             rows.append(time_row("covariant.decompose", kind, n,
                                  lambda: cov.decompose(chan, spec), rounds))
+            rows.append(time_row("covariant.decompose", kind + ", then .sectors", n,
+                                 lambda: cov.decompose(chan, spec).sectors, rounds))
     for dim in MC_DIMS:
         vac, sup = np.eye(dim)[0], np.sqrt(0.5) * np.eye(dim)[:2].sum(axis=0)
         states = {"|0>": np.outer(vac, vac), "|0> + |1>": np.outer(sup, sup)}
