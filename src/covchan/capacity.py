@@ -40,7 +40,7 @@ def coherent_information(channel: Channel, rho: DensityMatrix) -> float:
 
 
 def _check_mask(mask: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The mask as a complex array and its ascending eigenvalues, once checked."""
+    """The mask's Hermitian part as a complex array and its ascending eigenvalues, once checked."""
     mask = np.asarray(mask, dtype=complex)
     if mask.shape != (n, n):
         raise DimensionMismatch(f"mask shape {mask.shape} is not ({n}, {n})")
@@ -48,8 +48,10 @@ def _check_mask(mask: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch("mask has no levels")
     if not np.isfinite(mask).all():  # NaN fails no comparison below
         raise MaskNotPSD("mask has non-finite entries")
-    if np.max(np.abs(mask - mask.conj().T)) > mc.EPS_H:
+    adjoint = mask.conj().T
+    if np.max(np.abs(mask - adjoint)) > mc.EPS_H:
         raise MaskNotPSD("mask is not Hermitian")
+    mask = (mask + adjoint) / 2.0
     vals = np.linalg.eigvalsh(mask)
     if vals[0] < -mc.EPS_PSD:
         raise MaskNotPSD(f"mask minimum eigenvalue {vals[0]:.3e}")
@@ -65,10 +67,7 @@ def hadamard_channel(mask: np.ndarray) -> Channel:
     of M (deterministic eigendecomposition ordering, as everywhere else).
     """
     n = np.shape(mask)[0] if np.ndim(mask) else 0  # a 0-d mask fails the shape check
-    mask = _check_mask(mask, n)[0]
-    lmin, _, vecs = mc._scaled_eigenvectors(mask[None])
-    if lmin[0] < -mc.EPS_PSD:
-        raise MaskNotPSD(f"mask minimum eigenvalue {lmin[0]:.3e} below -{mc.EPS_PSD:.1e}")
+    vecs = mc._scaled_eigenvectors(_check_mask(mask, n)[0][None])[2]
     return Channel(tuple([np.diag(v) for v in vecs] or [np.zeros((n, n), dtype=complex)]))
 
 

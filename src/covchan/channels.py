@@ -57,7 +57,7 @@ def _as_complex(mat) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A positive unit-trace operator, validated on construction.
 
@@ -66,7 +66,7 @@ class DensityMatrix:
     """
 
     matrix: np.ndarray
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         mat = _as_complex(self.matrix)
@@ -89,7 +89,7 @@ class DensityMatrix:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Channel:
     """A completely positive map stored as a list of Kraus operators.
 
@@ -99,7 +99,7 @@ class Channel:
     """
 
     kraus: tuple[np.ndarray, ...]
-    _ops: np.ndarray = field(init=False, repr=False, compare=False)
+    _ops: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         ops = [np.asarray(k, dtype=complex) for k in self.kraus]
@@ -140,7 +140,7 @@ class Channel:
         return choi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Choi matrix of a channel under the module's index convention."""
 
@@ -246,7 +246,7 @@ def _scaled_eigenvectors(mats: np.ndarray):
 
     Returns the smallest eigenvalue of each matrix, the number of vectors
     each keeps, and the kept vectors as the rows of one array, matrix after
-    matrix; callers raise on a smallest eigenvalue below -EPS_PSD.  The rank
+    matrix; kraus_from_choi raises on a smallest eigenvalue below -EPS_PSD.  The rank
     cutoff is relative and much tighter than the PSD tolerance so that the
     choi -> kraus -> choi round trip stays accurate to ~1e-13.
     """

@@ -43,7 +43,8 @@ from decompose keeps these stacks as its size groups, of which its blocks
 are views.  The results are the per-sector loops' bit for bit: one level sum
 adds the diagonals in sector order (_level_sums), each block's residue is
 its own dot product, and the first failing sector in sector order is the one
-reported.
+reported.  characteristic_function and bochner_check apply no channel: they read
+one n x n weight matrix W per call, whose sum over a sector's pairs is tr(K G_sigma(rho)).
 """
 from __future__ import annotations
 
@@ -76,7 +77,7 @@ class _SizeGroup(NamedTuple):
     blocks: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Strictly increasing energies of a non-degenerate diagonal Hamiltonian.
 
@@ -95,9 +96,9 @@ class Spectrum:
 
     energies: np.ndarray
     match_tol: float = 0.0  # 0 -> default relative tolerance
-    sigmas: np.ndarray = field(init=False, repr=False, compare=False)
-    sector_pairs: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-    _spans: np.ndarray = field(init=False, repr=False, compare=False)
+    sigmas: np.ndarray = field(init=False, repr=False)
+    sector_pairs: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    _spans: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         en = np.asarray(self.energies, dtype=float)
@@ -215,7 +216,7 @@ class PartialShift:
         return mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorMask:
     """M_sigma as its block on domain x domain (zero elsewhere), checked once when built."""
 
@@ -255,7 +256,7 @@ class SectorMask:
         return mat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SectorDecomposition:
     """The canonical family sigma -> (S_sigma, M_sigma) of one channel: its store
     (module docstring), from which ``sectors`` is made when first read.  Pairs
@@ -593,22 +594,16 @@ def decompose(
                                          projection_defect=float(np.sqrt(sq_defect)))
 
 
-def _kraus_stack(sigmas, groups, n: int) -> np.ndarray:
+def _kraus_stack(groups, n: int) -> np.ndarray:
     """The (K, n, n) Kraus operators S_sigma diag(d) of the sectors, sector after
     sector, d the spectral vectors of each block on its domain; a sector with
-    none keeps one zero operator, and no sectors give one zero operator."""
-    lmin = np.empty(len(sigmas))
-    count = np.empty(len(sigmas), dtype=np.intp)
+    none keeps one zero operator, and no sectors give one zero operator.  The
+    blocks passed the mask check (or its Gram bound) before they were stored."""
+    count = np.empty(sum(len(group.index) for group in groups), dtype=np.intp)
     spectral = []
     for group in groups:
-        low, kept, vecs = mc._scaled_eigenvectors(group.blocks)
-        lmin[group.index], count[group.index] = low, kept
+        _, count[group.index], vecs = mc._scaled_eigenvectors(group.blocks)
         spectral.append(vecs)
-    bad = np.flatnonzero(lmin < -mc.EPS_PSD)
-    if bad.size:
-        i = bad[0]
-        raise MaskNotPSD(f"sector {sigmas[i]}: eigenvalue {lmin[i]:.3e} "
-                         f"below -{mc.EPS_PSD:.1e}")
     slots = np.maximum(count, 1)
     first = np.cumsum(slots) - slots  # each sector's first operator
     ops = np.zeros((max(int(slots.sum()), 1), n, n), dtype=complex)
@@ -625,7 +620,7 @@ def sector_kraus(shift: PartialShift, mask: SectorMask):
     """Kraus operators S_sigma diag(d), d the spectral vectors of the block on the domain."""
     levels = np.array([shift.domain, shift.image], dtype=np.intp).reshape(2, 1, -1)
     group = _SizeGroup(np.zeros(1, dtype=np.intp), *levels, mask.domain_submatrix[None])
-    return list(_kraus_stack([shift.sigma], (group,), shift.dim))
+    return list(_kraus_stack((group,), shift.dim))
 
 
 def apply_sectors(sectors, mat: np.ndarray) -> np.ndarray:
@@ -641,7 +636,7 @@ def apply_sectors(sectors, mat: np.ndarray) -> np.ndarray:
 def reconstruct(decomp: SectorDecomposition) -> Channel:
     """Rebuild the channel sum_sigma S_sigma (M_sigma * rho) S_sigma^dag; a
     decomposition with no sectors is the zero map, one zero Kraus operator."""
-    return Channel(tuple(_kraus_stack(decomp.sigmas(), decomp._groups, decomp.spectrum.dim)))
+    return Channel(tuple(_kraus_stack(decomp._groups, decomp.spectrum.dim)))
 
 
 def shift_distribution(
@@ -669,6 +664,26 @@ def shift_distribution(
 # Characteristic function and its consistency checks
 
 
+def _check_phase(values, t: float, name: str) -> None:
+    """Refuse a non-finite phase x * t, x in values, in Python floats (no overflow warning)."""
+    if not np.isfinite(float(np.max(np.abs(values), initial=0.0)) * abs(float(t))):
+        raise InvalidParameter(f"{name} = {t}: a phase argument is not finite")
+
+
+def _characteristic(channel: Channel, spectrum: Spectrum, K: np.ndarray,
+                    rho: DensityMatrix, lags: np.ndarray) -> np.ndarray:
+    """f at every lag, phi^H W phi: tr(K A rho diag(phi) A^dag diag(conj(phi))) is
+    sum_jk conj(phi_j) (K A rho)_jk conj(A)_jk phi_k for each Kraus operator A."""
+    K = np.asarray(K, dtype=complex)
+    ops, n = channel._ops, spectrum.dim
+    if K.shape != (n, n) or rho.dim != n or ops.shape[1:] != (n, n):
+        raise DimensionMismatch("characteristic_function: dimensions do not match")
+    _check_phase(spectrum.energies, np.max(np.abs(lags)), "largest |t|")
+    w = np.vecdot(ops, K @ ops @ rho.matrix, axis=0)  # vecdot conjugates ops
+    ph = spectrum.phases(lags[:, None])
+    return np.vecdot(ph, ph @ w.T)
+
+
 def characteristic_function(
     channel: Channel,
     spectrum: Spectrum,
@@ -676,19 +691,11 @@ def characteristic_function(
     rho: DensityMatrix,
     t: float,
 ) -> complex:
-    """f(t) = tr(K G(rho e^{-iHt}) e^{iHt}).
-
-    For a covariant channel this is the Fourier series
-    sum_sigma tr(K G_sigma(rho)) e^{i sigma t} of the sector components.
-    """
-    K = np.asarray(K, dtype=complex)
-    n = spectrum.dim
-    if K.shape != (n, n) or rho.dim != n or channel.dim_in != n:
-        raise DimensionMismatch("characteristic_function: dimensions do not match")
-    ph = spectrum.phases(t)
-    shifted = rho.matrix * ph[None, :]
-    out = mc.apply_matrix(channel, shifted) * ph.conj()[None, :]
-    return complex(np.trace(K @ out))
+    """f(t) = tr(K G(rho e^{-iHt}) e^{iHt}) = phi^H W phi, phi the diagonal of e^{-iHt}
+    and W = sum_m (K A_m rho) * conj(A_m).  W summed over a sector's pairs is
+    tr(K G_sigma(rho)): f is the Fourier series sum_sigma tr(K G_sigma(rho)) e^{i sigma t}
+    of a covariant channel.  Non-finite phases E_k t raise InvalidParameter."""
+    return complex(_characteristic(channel, spectrum, K, rho, np.array([float(t)]))[0])
 
 
 def bochner_check(
@@ -701,14 +708,14 @@ def bochner_check(
     """Minimum eigenvalue of the Gram matrix F[k, l] = f(t_k - t_l).
 
     Positive semidefiniteness of f makes this >= 0 (up to roundoff) for every
-    covariant CPTP channel and PSD observable K.
+    covariant CPTP channel and PSD observable K.  One W (characteristic_function)
+    serves all m^2 differences; no times or non-finite phases raise InvalidParameter.
     """
-    times = np.asarray(times, dtype=float)
+    times = np.asarray(times, dtype=float).reshape(-1)
+    if not times.size or not np.isfinite(float(np.max(times)) - float(np.min(times))):
+        raise InvalidParameter("bochner_check needs one or more times, all t_k - t_l finite")
     m = times.size
-    F = np.empty((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            F[a, b] = characteristic_function(channel, spectrum, K, rho, times[a] - times[b])
+    F = _characteristic(channel, spectrum, K, rho, (times[:, None] - times).ravel()).reshape(m, m)
     F = (F + F.conj().T) / 2.0
     return float(np.linalg.eigvalsh(F).min())
 
@@ -720,8 +727,10 @@ def domain_extension_check(
 
     The left-hand side applies the sector map to the non-Hermitian operator
     directly; the identity must hold numerically for covariant channels.
+    Non-finite phases E_k t or sigma t raise InvalidParameter.
     """
     spectrum = decomp.spectrum
+    _check_phase(np.r_[spectrum.energies, spectrum.sigmas], t, "t")
     ph = spectrum.phases(t)
     shifted = rho.matrix * ph[None, :]
     worst = 0.0

@@ -127,7 +127,7 @@ class FockParams:
             raise InvalidParameter("seed must lie in [0, 2**128)")
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class GaussianDecomposition(cov.SectorDecomposition):
     """Sectors (S_sigma, M_sigma) of the truncated Gaussian channel on levels
     0..dim-1, ordered by sigma, on the integer spectrum.
@@ -138,7 +138,7 @@ class GaussianDecomposition(cov.SectorDecomposition):
     """
 
     params: FockParams
-    truncation_defect: np.ndarray = field(init=False, repr=False, compare=False)
+    truncation_defect: np.ndarray = field(init=False, repr=False)
 
     def _derived_truncation_defect(self) -> np.ndarray:
         td = np.abs(1.0 - self.diagonal_sums())
@@ -156,7 +156,7 @@ class GaussianDecomposition(cov.SectorDecomposition):
             raise SectorOutOfRange(f"no mask at sigma = {sigma}") from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MonteCarloResult:
     """Sample mean of D rho D^dag and the per-entry standard error."""
 
@@ -165,7 +165,7 @@ class MonteCarloResult:
     samples: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
     max_entry_deviation: float
     max_allowed: float

@@ -7,7 +7,8 @@ orbit states U_{sj} phi0 is a Hadamard channel with a circulant mask V,
 V_{jk} = v(j - k), where v is the Fourier transform of the energy-shift
 distribution evaluated at -s*j.  The DFT of v gives a probability vector q,
 and the quantum capacity is at least log2(N) - S(q).  For a pure phi0 each of
-these is a Gram product of the orbit factor B_j = [A_k U_{sj} phi0]_k (_orbit).
+these is a Gram product of the orbit factor B_j = [A_k U_{sj} phi0]_k (_orbit),
+v with no support projector, as G(|phi0><phi0|) = B_0 B_0^dag has the range of B_0.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import channels as mc
 from .channels import Channel
-from .covariant import EnergyShiftDistribution, Spectrum, partial_shift
+from .covariant import EnergyShiftDistribution, Spectrum, _check_phase, partial_shift
 from .errors import DimensionMismatch, InvalidParameter, NotPeriodic, NotReliableTiming
 
 # Largest accepted orbit length: the orthogonality check holds an N x N complex
@@ -26,7 +27,7 @@ from .errors import DimensionMismatch, InvalidParameter, NotPeriodic, NotReliabl
 MAX_N = 4096
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimingChannelReport:
     N: int
     s: float
@@ -44,7 +45,7 @@ class TimingChannelReport:
         object.__setattr__(self, "q", q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftMixture:
     """A mixture of partial shifts; trace preserving only on tp_support."""
 
@@ -58,9 +59,7 @@ def _orbit(channel: Channel, spectrum: Spectrum, phi0: np.ndarray, s: float, N: 
     diagonal of U_{sj} = e^{-iHsj} and B[j][:, k] = A_k U_{sj} phi0 (N x dim_out x K).
     With rho0 = |phi0><phi0| and phi_{sj} = U_{sj} phi0 the Kraus sum gives
         G(U_{sj} rho0 U_{sj}^dag) = B_j B_j^dag,    G(|phi0><phi_{sj}|) = B_0 B_j^dag.
-    Every phase argument E_k s j, j = 0..N, must be finite: the orbit's and that of
-    its period U_{sN}.  The largest is max|E| * (|s| * N), formed with Python floats,
-    which round as numpy's products do but overflow to inf without a warning.
+    Every phase argument E_k s j, j = 0..N (the orbit's and its period's), must be finite.
     """
     phi0 = np.asarray(phi0, dtype=complex).reshape(-1)
     n = spectrum.dim
@@ -68,8 +67,7 @@ def _orbit(channel: Channel, spectrum: Spectrum, phi0: np.ndarray, s: float, N: 
         raise DimensionMismatch("phi0, channel and spectrum dimensions differ")
     if abs(np.linalg.norm(phi0) - 1.0) > mc.EPS_TR:
         raise InvalidParameter(f"phi0 must be normalized, got norm {np.linalg.norm(phi0)}")
-    if not math.isfinite(float(np.max(np.abs(spectrum.energies))) * (abs(float(s)) * N)):
-        raise InvalidParameter(f"step s = {s}: a phase E_k * s * j (j <= {N}) is not finite")
+    _check_phase(spectrum.energies, float(s) * N, f"s * N, s = {s}")
     ph = spectrum.phases(s * np.arange(N)[:, None])
     b = channel._ops.reshape(-1, n) @ (ph * phi0).T  # rows (k, output level)
     return ph, b.reshape(-1, channel.dim_out, N).transpose(2, 1, 0)
@@ -113,8 +111,9 @@ def build_shift_mixture(spectrum: Spectrum, shifts) -> ShiftMixture:
 
 
 def v_from_distribution(dist: EnergyShiftDistribution, s: float, N: int) -> np.ndarray:
-    """Coherence vector v(j) = sum_sigma p(sigma) e^{-i sigma s j}."""
+    """Coherence vector v(j) = sum_sigma p(sigma) e^{-i sigma s j}, j < N (finite phases)."""
     sig = np.array([x for x, _ in dist.pairs])
+    _check_phase(sig, float(s) * max(N - 1, 0), f"s * (N - 1), s = {s}")
     p = np.array([y for _, y in dist.pairs])
     j = np.arange(N)
     return (p[None, :] * np.exp(-1j * np.outer(j * s, sig))).sum(axis=1)
@@ -144,21 +143,20 @@ def timing_channel(
 ) -> TimingChannelReport:
     """Restrict a reliable-timing channel to its N orbit states and bound Q.
 
-    Checks, in order: N and s*N, the dimensions and phi0, the phase arguments
+    Checks, in order: N, the dimensions and phi0, the phase arguments
     E_k s j up to the period (in _orbit), periodicity of the dynamics
     (e^{-iHsN} proportional to the identity), pairwise orthogonality of the
     N outputs, then evaluates, with the orbit factor B of _orbit,
 
-        v(j) = tr( U_{sj} P G(|phi_0><phi_{sj}|) ) = tr( U_{sj} P B_0 B_j^dag )
+        v(j) = tr( U_{sj} P G(|phi_0><phi_{sj}|) ) = tr( U_{sj} B_0 B_j^dag )
 
-    with P the support projector of G(|phi_0><phi_0|) and U_t = e^{-iHt}.
+    with P the support projector of G(|phi_0><phi_0|) = B_0 B_0^dag and
+    U_t = e^{-iHt}; P B_0 = B_0, so P is never formed.
     The DFT q_k = (1/N) sum_j v(j) e^{-2 pi i jk / N} yields the capacity
     lower bound log2(N) - S(q).
     """
     if not 1 <= N <= MAX_N:
         raise InvalidParameter(f"N must lie in [1, MAX_N = {MAX_N}]")
-    if not np.isfinite(s * N):
-        raise InvalidParameter(f"step s = {s} and period s * N must be finite")
     if channel.dim_out != spectrum.dim:
         raise DimensionMismatch("phi0, channel and spectrum dimensions differ")
     ph, b = _orbit(channel, spectrum, phi0, s, N)
@@ -170,19 +168,12 @@ def timing_channel(
         raise NotPeriodic(f"e^(-iHsN) deviates from a global phase by {period_defect:.3e}")
 
     # Pairwise orthogonality: tr(out_a out_b) = vdot(out_a, out_b), out_j being Hermitian.
-    outs = b @ b.conj().swapaxes(1, 2)
-    flat = outs.reshape(N, -1)
+    flat = (b @ b.conj().swapaxes(1, 2)).reshape(N, -1)
     defect = float((flat.conj() @ flat.T).real[np.triu_indices(N, 1)].max(initial=0.0))
     if defect > tol:
         raise NotReliableTiming(defect, tol)
 
-    # Support projector of G(rho0), relative eigenvalue cutoff.
-    vals, vecs = np.linalg.eigh(outs[0])
-    cut = mc.EPS_PSD * max(float(vals.max(initial=0.0)), 0.0)
-    support = vecs[:, vals > cut]
-    proj = support @ support.conj().T
-
-    v = np.einsum("ja,ak,jak->j", ph, proj @ b[0], b.conj())
+    v = np.einsum("ja,ak,jak->j", ph, b[0], b.conj())
 
     # The circulant built from v is Hermitian for covariant channels, so the
     # DFT spectrum is real up to roundoff.

@@ -74,6 +74,36 @@ def evolve_matrix(spectrum: cc.Spectrum, t: float, mat: np.ndarray) -> np.ndarra
     return mat * np.outer(ph, ph.conj())
 
 
+def characteristic_by_dense_application(channel: cc.Channel, spectrum: cc.Spectrum,
+                                        K: np.ndarray, rho: cc.DensityMatrix,
+                                        t: float) -> complex:
+    """Oracle for covariant.characteristic_function: f(t) = tr(K G(rho e^{-iHt})
+    e^{iHt}) by one dense Kraus application of the channel."""
+    K = np.asarray(K, dtype=complex)
+    n = spectrum.dim
+    if K.shape != (n, n) or rho.dim != n or channel.dim_in != n:
+        raise DimensionMismatch("characteristic_function: dimensions do not match")
+    ph = spectrum.phases(t)
+    shifted = rho.matrix * ph[None, :]
+    out = mc.apply_matrix(channel, shifted) * ph.conj()[None, :]
+    return complex(np.trace(K @ out))
+
+
+def bochner_by_dense_applications(channel: cc.Channel, spectrum: cc.Spectrum,
+                                  K: np.ndarray, rho: cc.DensityMatrix, times) -> float:
+    """Oracle for covariant.bochner_check: the minimum eigenvalue of the Gram
+    matrix F[k, l] = f(t_k - t_l), one dense application per time pair."""
+    times = np.asarray(times, dtype=float)
+    m = times.size
+    F = np.empty((m, m), dtype=complex)
+    for a in range(m):
+        for b in range(m):
+            F[a, b] = characteristic_by_dense_application(channel, spectrum, K, rho,
+                                                          times[a] - times[b])
+    F = (F + F.conj().T) / 2.0
+    return float(np.linalg.eigvalsh(F).min())
+
+
 def sector_channel(decomp: cc.SectorDecomposition, sigma: float) -> cc.Channel:
     """The single CP (possibly trace-decreasing) component G_sigma."""
     shift, mask = decomp.sector(sigma)

@@ -163,6 +163,16 @@ def test_non_finite_masks_are_refused(entry):
             call(mask)
 
 
+def test_a_skewed_mask_is_read_by_its_hermitian_part():
+    # The skew 8e-10 is below EPS_H.  The bound read the lower triangle and the
+    # channel the Hermitian part, so verify_hqc reported 5.1e-10 and the bound
+    # depended on which triangle carried the skew.
+    c = np.sqrt(0.5)
+    upper = np.array([[1.0, c + 8e-10], [c, 1.0]])
+    assert cap.verify_hqc(upper, 2) < 1e-14
+    assert cap.hadamard_bound(upper, 2) == cap.hadamard_bound(upper.T, 2)
+
+
 class TestVerifyHQC:
     @pytest.mark.parametrize("mask, n, error", [
         (np.eye(3), 2, DimensionMismatch), (mask_c(1.5), 2, MaskNotPSD),

@@ -22,6 +22,8 @@ from covchan.errors import (
 from conftest import (
     FIXTURES,
     amplitude_damping,
+    bochner_by_dense_applications,
+    characteristic_by_dense_application,
     decompose_per_sector,
     dephasing_channel,
     evolve_matrix,
@@ -477,6 +479,54 @@ class TestCharacteristicFunction:
         rho = gen.random_state(4, rng)
         for t in (0.1, 1.3, 5.0):
             assert cov.domain_extension_check(decomp, rho, t) < 1e-9
+
+    def test_no_channel_application(self, rng, monkeypatch):
+        # One weight matrix per call: the dense route's apply_matrix never runs.
+        spec = spectrum4()
+        chan = gen.random_covariant(spec, rng)
+        rho = gen.random_state(4, rng)
+        K = gen.random_psd(4, rng)
+        times = rng.uniform(0.0, 2.0 * np.pi, size=8)
+        f = characteristic_by_dense_application(chan, spec, K, rho, 0.7)
+        low = bochner_by_dense_applications(chan, spec, K, rho, times)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense channel application")
+
+        monkeypatch.setattr(mcore, "apply_matrix", refuse)
+        assert abs(cov.characteristic_function(chan, spec, K, rho, 0.7) - f) <= 1e-12
+        assert cov.bochner_check(chan, spec, K, rho, times) == pytest.approx(low, abs=1e-12)
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, np.nan, 1e308])
+    def test_characteristic_function_refuses_a_non_finite_phase(self, rng, t):
+        # E_k t overflows at 1e308 (E_3 = 3); before, inf returned NaN with a RuntimeWarning.
+        chan = gen.random_covariant(spectrum4(), rng)
+        with pytest.raises(InvalidParameter, match="phase"):
+            cov.characteristic_function(chan, spectrum4(), gen.random_psd(4, rng),
+                                        gen.random_state(4, rng), t)
+
+    @pytest.mark.parametrize("times", [[0.0, np.nan], [np.inf, 1.0], [-1e308, 1e308], [0.0, 1e308]],
+                             ids=["nan", "inf", "difference-overflows", "phase-overflows"])
+    def test_bochner_check_refuses_a_non_finite_phase(self, rng, times):
+        # A NaN time returned nan before.
+        chan = gen.random_covariant(spectrum4(), rng)
+        with pytest.raises(InvalidParameter):
+            cov.bochner_check(chan, spectrum4(), gen.random_psd(4, rng),
+                              gen.random_state(4, rng), times)
+
+    def test_bochner_check_needs_a_time(self, rng):
+        # numpy's eigvalsh raised a bare ValueError on the empty Gram matrix.
+        chan = gen.random_covariant(spectrum4(), rng)
+        with pytest.raises(InvalidParameter):
+            cov.bochner_check(chan, spectrum4(), gen.random_psd(4, rng),
+                              gen.random_state(4, rng), [])
+
+    @pytest.mark.parametrize("t", [np.inf, np.nan, 1e308])
+    def test_domain_extension_refuses_a_non_finite_phase(self, rng, t):
+        # Every sector defect was NaN at t = inf, and max(0.0, nan) kept the 0.0.
+        decomp = cov.decompose(gen.random_covariant(spectrum4(), rng), spectrum4())
+        with pytest.raises(InvalidParameter, match="phase"):
+            cov.domain_extension_check(decomp, gen.random_state(4, rng), t)
 
 
 def sqrt_prime_spectrum(n):

@@ -3,6 +3,7 @@ import importlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import covchan
@@ -54,6 +55,30 @@ def test_gaussian_decomposition_is_a_sector_decomposition():
     decomp = fock.gaussian_decomposition(fock.FockParams(dim=4, std_dev=0.5))
     assert isinstance(decomp, covchan.SectorDecomposition)
     assert not hasattr(decomp, "to_sector_decomposition")
+
+
+def array_holders():
+    """One instance of every public dataclass that holds an array, built afresh."""
+    spec = covchan.Spectrum(np.arange(3.0))
+    mix = covchan.build_shift_mixture(spec, [(0.0, 0.5), (1.0, 0.5)])
+    sampled = covchan.MonteCarloResult(mean=np.eye(2), standard_error=np.zeros((2, 2)), samples=1)
+    return [
+        covchan.DensityMatrix(np.eye(2) / 2.0), mix.channel, covchan.choi_of(mix.channel),
+        spec, covchan.SectorMask(sigma=0.0, domain_submatrix=np.eye(2), domain=(0, 1), dim=3),
+        covchan.decompose(mix.channel, spec), sampled, mix,
+        covchan.gaussian_decomposition(covchan.FockParams(dim=4, std_dev=0.5)),
+        fock.ComparisonReport(max_entry_deviation=0.0, max_allowed=1.0, worst_ratio=0.0,
+                              ok=True, sampled=sampled),
+        covchan.timing_channel(mix.channel, spec, np.array([1.0, 0.0, 0.0]), 2.0 * np.pi, 1),
+    ]
+
+
+def test_array_holders_compare_by_identity():
+    # The generated __eq__ compared the arrays with ==, which raised ValueError,
+    # and hash() raised TypeError.
+    for one, other in zip(array_holders(), array_holders()):
+        assert one == one and one != other
+        assert len({one, other}) == 2
 
 
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)

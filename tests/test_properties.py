@@ -18,6 +18,8 @@ from covchan import timing as tim
 from covchan.errors import DegenerateSpectrum, NotCovariant, NotCP
 
 from conftest import (
+    bochner_by_dense_applications,
+    characteristic_by_dense_application,
     covariance_defect_per_sector,
     decompose_per_sector,
     diagonal_sums_per_sector,
@@ -483,3 +485,37 @@ def test_mask_check_matches_eigvalsh_at_the_boundary(drawn):
     # Every result, failing sector and message is the eigensolve's own.
     stack, sigmas = drawn
     assert cov._mask_failure(stack, sigmas) == mask_failure_by_eigvalsh(stack, sigmas)
+
+
+@st.composite
+def fourier_inputs(draw):
+    """(channel, spectrum, K, rho, times): random_covariant channels on integer
+    and sqrt(prime) spectra, and random_cptp channels with 1, n or n^2 Kraus
+    operators; n <= 8 levels and m <= 6 times."""
+    family = draw(st.sampled_from(["integer", "sqrt_prime", "cptp"]))
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "sqrt_prime":
+        spec = cc.Spectrum(np.sqrt(np.array(MANY_PRIMES[:n], dtype=float)))
+    else:
+        spec = cc.Spectrum(np.arange(float(n)))
+    if family == "cptp":
+        chan = gen.random_cptp(n, rng, draw(st.sampled_from([1, n, n * n])))
+    else:
+        chan = gen.random_covariant(spec, rng)
+    times = rng.uniform(-10.0, 10.0, size=draw(st.integers(1, 6)))
+    return chan, spec, gen.random_psd(n, rng), gen.random_state(n, rng), times
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(case=fourier_inputs())
+def test_one_weight_matrix_matches_dense_applications(case):
+    # f(t) = phi^H W phi against one dense channel application per t, and the
+    # Bochner Gram minimum against m^2 of them, for covariant and other channels.
+    chan, spec, K, rho, times = case
+    for t in times:
+        want = characteristic_by_dense_application(chan, spec, K, rho, t)
+        got = cov.characteristic_function(chan, spec, K, rho, t)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+    want = bochner_by_dense_applications(chan, spec, K, rho, times)
+    assert abs(cov.bochner_check(chan, spec, K, rho, times) - want) <= 1e-12 * max(1.0, abs(want))

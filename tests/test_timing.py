@@ -122,6 +122,13 @@ def test_period_phase_overflow_is_a_bad_step_not_aperiodic():
 
 
 class TestVAndCirculant:
+    @pytest.mark.parametrize("s, N", [(np.inf, 2), (np.nan, 1), (1e308, 3)])
+    def test_v_from_distribution_refuses_a_non_finite_phase(self, s, N):
+        # sigma s j was inf or NaN: v was NaN, with a RuntimeWarning.
+        dist = cov.EnergyShiftDistribution(pairs=((0.0, 0.5), (2.0, 0.5)))
+        with pytest.raises(InvalidParameter, match="phase"):
+            tim.v_from_distribution(dist, s, N)
+
     def test_v_from_distribution_worked(self):
         dist = cov.EnergyShiftDistribution(pairs=((0.0, 0.5), (2.0, 0.5)))
         v = tim.v_from_distribution(dist, np.pi, 2)
@@ -234,9 +241,10 @@ class TestOrbitFactor:
         def refuse(*args, **kwargs):
             raise AssertionError("dense channel application")
 
-        monkeypatch.setattr(mc, "apply_matrix", refuse)
         mix = tim.build_shift_mixture(four_level(), [(0.0, 0.5), (2.0, 0.5)])
         phi0 = orbit_state(4, 2)
+        monkeypatch.setattr(mc, "apply_matrix", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)  # no support projector either
         assert tim.timing_channel(mix.channel, four_level(), phi0, np.pi, 2).bound > 0.99
         assert tim.is_reliable_timing(mix.channel, four_level(), phi0, 0.3) >= 0.0
 
