@@ -8,9 +8,21 @@ module can verify numerically.
 The coherent information is S(G(rho)) - S(G^c(rho)), with the complementary
 channel G^c(rho)_ab = tr(A_a rho A_b^dag) over the Kraus operators A_a
 (Devetak-Shor, CMP 256 (2005); King-Matsumoto-Nathanson-Ruskai,
-quant-ph/0509126).  For the Hadamard channel with Kraus operators
-diag(sqrt(lam_a) v_a) from the eigenpairs of M, G^c(I/n) = diag(lam/n): the
-branches are orthogonal and the bound holds with equality.
+quant-ph/0509126).  A Hadamard channel has the Kraus operators diag(v_a), v_a
+= sqrt(lam_a) u_a from the eigenpairs of M; with V the n x n matrix whose
+columns are the v_a, its complementary output depends on the diagonal of rho
+alone,
+
+    G^c(rho) = V^T diag(rho) conj(V),
+
+so a mask is never turned into Kraus operators here: I_c(rho) = S(M * rho) -
+S(V^T diag(rho) conj(V)) is O(n^3).  At rho = I/n the vectors are
+orthonormal, G^c(I/n) = diag(lam/n) has the spectrum of M/n and the bound
+holds with equality.  verify_hqc tests that equality from the vectors: it
+reads G(I/n) = diag(V V^dag)/n and the spectrum of V^T conj(V)/n, and
+compares their entropies with the bound's log2(n) - S(lam/n), lam from the
+mask check's own eigvalsh.  Vectors that do not decompose M move the first
+entropy, and a spectrum that is not M's moves the second.
 """
 from __future__ import annotations
 
@@ -26,17 +38,20 @@ def coherent_information(channel: Channel, rho: DensityMatrix) -> float:
 
     G^c(rho)_ab = tr(A_a rho A_b^dag) is the complementary channel on the
     K Kraus indices; its output has the entropy of (id (x) G)(|phi><phi|) for
-    any purification |phi> of rho, so no n^2 x n^2 state is formed.
+    any purification |phi> of rho, so no n^2 x n^2 state is formed.  Both
+    outputs are read from the one stack X_m = A_m rho.
     """
     if channel.dim_in != channel.dim_out:
         raise DimensionMismatch("coherent information needs a square channel")
     if rho.dim != channel.dim_in:
         raise DimensionMismatch("state and channel dimensions differ")
-    out_entropy = mc.von_neumann_entropy(mc.apply(channel, rho))
     kraus = channel._ops
     k = len(kraus)
-    comp = (kraus @ rho.matrix).reshape(k, -1) @ kraus.reshape(k, -1).conj().T
-    return out_entropy - mc.von_neumann_entropy(DensityMatrix(comp))
+    prods = kraus @ rho.matrix
+    comp = prods.reshape(k, -1) @ kraus.reshape(k, -1).conj().T
+    out = mc._kraus_sum(mc._side_by_side(prods), kraus)
+    del prods  # freed before the outputs are validated
+    return mc.von_neumann_entropy(DensityMatrix(out)) - mc.von_neumann_entropy(DensityMatrix(comp))
 
 
 def _check_mask(mask: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -60,6 +75,33 @@ def _check_mask(mask: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return mask, vals
 
 
+def _bound(vals: np.ndarray, n: int) -> float:
+    """log2(n) - S(lam/n) from the checked mask's eigenvalues lam."""
+    return float(np.log2(n)) - mc.entropy_of_eigenvalues(vals / n)
+
+
+def _mask_coherent_information(mask: np.ndarray, rho: DensityMatrix | None) -> float:
+    """I_c(rho) = S(M * rho) - S(V^T diag(rho) conj(V)) of the Hadamard channel
+    of a checked mask M, rho None for I/n.
+
+    V comes from one eigh of M.  At I/n the output diag(V V^dag)/n is read
+    from the vectors, as the Kraus operators diag(v_a) would give it.
+    """
+    n = mask.shape[0]
+    if rho is not None and rho.dim != n:
+        raise DimensionMismatch("state and channel dimensions differ")
+    vals, vecs = np.linalg.eigh(mask)
+    vecs = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    if rho is None:
+        weights = np.full(n, 1.0 / n)
+        out = mc.entropy_of_eigenvalues(np.vecdot(vecs, vecs).real / n)
+    else:
+        weights = np.diag(rho.matrix).real
+        out = mc.von_neumann_entropy(DensityMatrix(mask * rho.matrix))
+    comp = vecs.T @ (weights[:, None] * vecs.conj())
+    return out - mc.von_neumann_entropy(DensityMatrix(comp))
+
+
 def hadamard_channel(mask: np.ndarray) -> Channel:
     """The dephasing channel rho -> M * rho as a Kraus family.
 
@@ -73,17 +115,17 @@ def hadamard_channel(mask: np.ndarray) -> Channel:
 
 def hadamard_bound(mask: np.ndarray, n: int) -> float:
     """Capacity lower bound log2(n) - S(M/n) in bits."""
-    vals = _check_mask(mask, n)[1]
-    return float(np.log2(n)) - mc.entropy_of_eigenvalues(vals / n)
+    return _bound(_check_mask(mask, n)[1], n)
 
 
 def verify_hqc(mask: np.ndarray, n: int) -> float:
     """|coherent information at the maximally mixed input - hadamard_bound|.
 
     The bound is an equality at this input: the mask's spectral vectors are
-    orthonormal, so the complementary output G^c(I/n) = diag(lam/n) has the
+    orthonormal, so the complementary output G^c(I/n) = V^T conj(V)/n has the
     spectrum of M/n, and the returned difference must vanish up to roundoff.
+    The coherent information comes from the vectors of one eigh, the bound
+    from the eigenvalues of the mask check.
     """
-    bound = hadamard_bound(mask, n)  # the mask is checked against n first
-    mixed = DensityMatrix(np.eye(n) / n)
-    return abs(coherent_information(hadamard_channel(mask), mixed) - bound)
+    mask, vals = _check_mask(mask, n)
+    return abs(_mask_coherent_information(mask, None) - _bound(vals, n))

@@ -11,14 +11,15 @@ Channel and a ChoiMatrix each own a read-only copy of the arrays they are
 built from, so a caller's later writes never reach them.
 
 A Channel keeps its Kraus operators as one (K, dim_out, dim_in) stack (the
-kraus tuple holds its rows), and derives from it, each once: its support S,
-the Choi pairs at which some operator is nonzero, and the Choi matrix on S x
-S.  That matrix is kept only when |S| <= K: its 16 |S|^2 bytes are then at
-most the stack's own 16 K dim_out dim_in, so a channel never holds more than
-twice its Kraus operators.  is_cptp reads the stack, choi_of and the
-sector work of covariant read all three, so none stacks the operators
-again, and a family with K < |S| forms the matrix afresh in each call that
-needs it.
+kraus tuple holds its rows), and derives from it, each once: its
+trace-preservation defect, which is_cptp and decompose both read, its
+support S, the Choi pairs at which some operator is nonzero, and the Choi
+matrix on S x S.  That matrix is kept only when |S| <= K: its 16 |S|^2
+bytes are then at most the stack's own 16 K dim_out dim_in, so a channel
+never holds more than twice its Kraus operators.  is_cptp reads the stack,
+choi_of and the sector work of covariant read the support and the Choi
+matrix too, so none stacks the operators again, and a family with K < |S|
+forms the matrix afresh in each call that needs it.
 """
 from __future__ import annotations
 
@@ -50,8 +51,8 @@ _ETA = float(np.finfo(float).smallest_subnormal)  # 2^-1074
 
 
 def _as_complex(mat) -> np.ndarray:
-    """A complex copy of mat that owns its memory, checked finite."""
-    arr = np.array(mat, dtype=complex)
+    """A C-ordered complex copy of mat that owns its memory, checked finite."""
+    arr = np.array(mat, dtype=complex, order="C")  # view(float) needs the last axis contiguous
     if not np.all(np.isfinite(arr.view(float))):
         raise ValueError("matrix contains NaN or Inf entries")
     return arr
@@ -139,6 +140,11 @@ class Channel:
                 object.__setattr__(self, "_kept_choi", choi)
         return choi
 
+    @cached_property
+    def _tp_defect(self) -> float:
+        """_tp_defect of the stack, computed once for is_cptp and decompose."""
+        return _tp_defect(self._ops)
+
 
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
@@ -164,16 +170,32 @@ class CPTPReport:
 
 
 def apply_matrix(channel: Channel, mat: np.ndarray) -> np.ndarray:
-    """Apply the Kraus sum to an arbitrary (not necessarily Hermitian) matrix."""
+    """Apply the Kraus sum to an arbitrary (not necessarily Hermitian) matrix,
+    one product of the stacked A_m mat with the stacked A_m (_kraus_sum),
+    which holds two copies of the Kraus stack while it runs."""
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (channel.dim_in, channel.dim_in):
         raise DimensionMismatch(
             f"operator shape {mat.shape} does not match channel input dim {channel.dim_in}"
         )
-    out = np.zeros((channel.dim_out, channel.dim_out), dtype=complex)
-    for k in channel.kraus:
-        out += k @ mat @ k.conj().T
-    return out
+    ops = channel._ops
+    return _kraus_sum(_side_by_side(ops @ mat), ops)
+
+
+def _side_by_side(stack: np.ndarray) -> np.ndarray:
+    """The (K, rows, cols) stack's matrices side by side, [S_0 ... S_{K-1}]: a copy
+    (a view when K = 1)."""
+    return stack.swapaxes(0, 1).reshape(stack.shape[1], -1)
+
+
+def _kraus_sum(prods: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """sum_m X_m A_m^dag as one product [X_0 ... X_{K-1}] [A_0 ... A_{K-1}]^dag,
+    prods the left factor (_side_by_side of the X_m) and ops the (K, dim_out,
+    dim_in) stack of the A_m.  The right factor is laid out in one copy and
+    conjugated in place, so the product holds two stacks, prods included."""
+    right = np.empty((ops.shape[1], len(ops), ops.shape[2]), dtype=complex)
+    np.conjugate(ops.swapaxes(0, 1), out=right)
+    return prods @ right.reshape(ops.shape[1], -1).T
 
 
 def apply(channel: Channel, rho: DensityMatrix) -> DensityMatrix:
@@ -293,7 +315,7 @@ def is_cptp(channel: Channel) -> CPTPReport:
     cp_defect = 0.0
     if not _gram_certified(vecs[None], len(ops)):
         cp_defect = max(0.0, -float(np.linalg.eigvalsh(vecs.conj() @ vecs.T).min()))
-    return CPTPReport(tp_defect=_tp_defect(ops), cp_defect=cp_defect)
+    return CPTPReport(tp_defect=channel._tp_defect, cp_defect=cp_defect)
 
 
 def _gram_bound(factors: np.ndarray, k: int, scale: float = 1.0) -> float:

@@ -548,7 +548,7 @@ def decompose(
     groups = tuple(g._replace(blocks=(g.blocks + g.blocks.conj().swapaxes(1, 2)) / 2.0)
                    for g in raw)
     scale = 1.0
-    if mc._tp_defect(channel._ops) <= mc.EPS_TP:
+    if channel._tp_defect <= mc.EPS_TP:
         groups, scale = _restore_tp(groups, n)
 
     # ||C - scatter(kept blocks)||^2 entry by entry: the cross-sector

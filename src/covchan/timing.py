@@ -110,10 +110,17 @@ def build_shift_mixture(spectrum: Spectrum, shifts) -> ShiftMixture:
     return ShiftMixture(channel=Channel(tuple(ops)), tp_support=support, tp_defect=defect)
 
 
+def _check_n(N: int) -> None:
+    if not 1 <= N <= MAX_N:
+        raise InvalidParameter(f"N must lie in [1, MAX_N = {MAX_N}]")
+
+
 def v_from_distribution(dist: EnergyShiftDistribution, s: float, N: int) -> np.ndarray:
-    """Coherence vector v(j) = sum_sigma p(sigma) e^{-i sigma s j}, j < N (finite phases)."""
+    """Coherence vector v(j) = sum_sigma p(sigma) e^{-i sigma s j}, j < N (finite
+    phases), for N in [1, MAX_N]."""
+    _check_n(N)
     sig = np.array([x for x, _ in dist.pairs])
-    _check_phase(sig, float(s) * max(N - 1, 0), f"s * (N - 1), s = {s}")
+    _check_phase(sig, float(s) * (N - 1), f"s * (N - 1), s = {s}")
     p = np.array([y for _, y in dist.pairs])
     j = np.arange(N)
     return (p[None, :] * np.exp(-1j * np.outer(j * s, sig))).sum(axis=1)
@@ -155,8 +162,7 @@ def timing_channel(
     The DFT q_k = (1/N) sum_j v(j) e^{-2 pi i jk / N} yields the capacity
     lower bound log2(N) - S(q).
     """
-    if not 1 <= N <= MAX_N:
-        raise InvalidParameter(f"N must lie in [1, MAX_N = {MAX_N}]")
+    _check_n(N)
     if channel.dim_out != spectrum.dim:
         raise DimensionMismatch("phi0, channel and spectrum dimensions differ")
     ph, b = _orbit(channel, spectrum, phi0, s, N)

@@ -135,6 +135,18 @@ def purified_coherent_information(channel: cc.Channel, rho: cc.DensityMatrix,
             - cc.von_neumann_entropy(joint))
 
 
+def hadamard_coherent_information_by_kraus(mask: np.ndarray, rho: cc.DensityMatrix) -> float:
+    """Oracle for the mask route of capacity: I_c of rho -> M * rho through the
+    n diagonal Kraus operators of hadamard_channel, the channel applied
+    operator by operator and the complement formed over the Kraus indices."""
+    kraus = np.stack(cc.hadamard_channel(mask).kraus)
+    k = len(kraus)
+    out = sum(a @ rho.matrix @ a.conj().T for a in kraus)
+    comp = (kraus @ rho.matrix).reshape(k, -1) @ kraus.reshape(k, -1).conj().T
+    return (cc.von_neumann_entropy(cc.DensityMatrix(out))
+            - cc.von_neumann_entropy(cc.DensityMatrix(comp)))
+
+
 def deterministic_eig_loop(mat: np.ndarray):
     """Oracle for channels._deterministic_eig: the phase gauge column by column.
 

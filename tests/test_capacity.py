@@ -8,7 +8,13 @@ from covchan import capacity as cap
 from covchan import generate as gen
 from covchan.errors import DiagonalNotUnit, DimensionMismatch, MaskNotPSD
 
-from conftest import amplitude_damping, dephasing_channel, purified_coherent_information, purify
+from conftest import (
+    amplitude_damping,
+    dephasing_channel,
+    hadamard_coherent_information_by_kraus,
+    purified_coherent_information,
+    purify,
+)
 
 # Derandomized with a bounded example count: every run draws the same examples.
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -18,6 +24,13 @@ def mask_c(c, n=2):
     m = np.full((n, n), c, dtype=complex)
     np.fill_diagonal(m, 1.0)
     return m
+
+
+def rank_deficient_mask(n, rank, rng):
+    """A unit-diagonal Gram matrix of n unit vectors in C^rank."""
+    g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    g /= np.linalg.norm(g, axis=1, keepdims=True)
+    return g @ g.conj().T
 
 
 class TestPurify:
@@ -135,8 +148,8 @@ class TestHadamardBound:
         assert all(b2 > b1 for b1, b2 in zip(values, values[1:]))
 
     def test_each_mask_spectrum_solved_once(self, rng, monkeypatch):
-        # The check's spectrum is the bound's; verify_hqc leaves the mask to
-        # its callees and adds the Kraus eigh and the entropies of coherent_information.
+        # The check's spectrum is the bound's; verify_hqc checks the mask once
+        # and adds one eigh for the vectors and the eigvalsh of G^c(I/n).
         calls = {"eigvalsh": 0, "eigh": 0}
         for name, orig in [(name, getattr(np.linalg, name)) for name in calls]:
             def counted(*args, _orig=orig, _name=name, **kwargs):
@@ -148,7 +161,7 @@ class TestHadamardBound:
         assert calls == {"eigvalsh": 1, "eigh": 0}
         calls.update(eigvalsh=0)
         cap.verify_hqc(m, 8)
-        assert calls == {"eigvalsh": 5, "eigh": 1}
+        assert calls == {"eigvalsh": 2, "eigh": 1}
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
@@ -196,3 +209,52 @@ class TestVerifyHQC:
     def test_large_masks(self, rng, n):
         m = gen.random_unit_diagonal_mask(n, rng)
         assert cap.verify_hqc(m, n) <= 1e-12
+
+
+class TestMaskRoute:
+    @PROPERTY
+    @given(n=st.integers(1, 12), mask=st.sampled_from(["random", "rank-deficient"]),
+           state=st.sampled_from(["pure", "diagonal", "full-rank", "maximally-mixed"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_kraus_oracle(self, n, mask, state, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        if mask == "random":
+            m = gen.random_unit_diagonal_mask(n, rng)
+        else:
+            m = rank_deficient_mask(n, int(rng.integers(1, max(n - 1, 1) + 1)), rng)
+        if state == "pure":
+            v = rng.normal(size=n) + 1j * rng.normal(size=n)
+            rho = cc.DensityMatrix(np.outer(v, v.conj()) / np.vdot(v, v).real)
+        elif state == "diagonal":
+            p = rng.random(n)
+            rho = cc.DensityMatrix(np.diag(p / p.sum()))
+        elif state == "full-rank":
+            rho = gen.random_state(n, rng)
+        else:
+            rho = cc.DensityMatrix(np.eye(n) / n)
+        checked, _ = cap._check_mask(m, n)
+        got = cap._mask_coherent_information(checked, None if state == "maximally-mixed" else rho)
+        assert abs(got - hadamard_coherent_information_by_kraus(m, rho)) <= 1e-12
+
+    def test_refuses_a_state_of_another_dimension(self):
+        checked, _ = cap._check_mask(mask_c(0.5), 2)
+        with pytest.raises(DimensionMismatch):
+            cap._mask_coherent_information(checked, cc.DensityMatrix(np.eye(3) / 3))
+
+    @pytest.mark.parametrize("fault", ["rotated vectors", "reversed eigenvalues"])
+    def test_verify_hqc_sees_vectors_that_do_not_decompose_the_mask(self, rng, monkeypatch,
+                                                                   fault):
+        # The complement's spectrum is that of any unitary's columns scaled by
+        # the eigenvalues, so the rotation shows only in G(I/n) = diag(V V^dag)/n.
+        n = 6
+        m = gen.random_unit_diagonal_mask(n, rng)
+        assert cap.verify_hqc(m, n) < 1e-14
+        u = gen.random_unitary(n, rng)
+        eigh = np.linalg.eigh
+
+        def broken(a):
+            vals, vecs = eigh(a)
+            return (vals, vecs @ u) if fault == "rotated vectors" else (vals[::-1], vecs)
+
+        monkeypatch.setattr(np.linalg, "eigh", broken)
+        assert cap.verify_hqc(m, n) > 1e-4

@@ -53,6 +53,14 @@ class TestApply:
             out = cc.apply(chan, rho)
             assert abs(np.trace(out.matrix) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("k, dim_out, dim_in", [(1, 3, 3), (4, 2, 3), (9, 3, 3), (5, 4, 2)])
+    def test_one_product_matches_the_operator_loop(self, rng, k, dim_out, dim_in):
+        ops = rng.normal(size=(k, dim_out, dim_in)) + 1j * rng.normal(size=(k, dim_out, dim_in))
+        mat = rng.normal(size=(dim_in, dim_in)) + 1j * rng.normal(size=(dim_in, dim_in))
+        want = sum(a @ mat @ a.conj().T for a in ops)
+        np.testing.assert_allclose(cc.apply_matrix(cc.Channel(tuple(ops)), mat), want,
+                                   rtol=0, atol=1e-13 * np.abs(want).max())
+
     def test_linearity_on_random_operators(self, rng):
         chan = gen.random_cptp(3, rng)
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
@@ -138,6 +146,17 @@ class TestIsCPTP:
     def test_scaled_identity(self):
         rep = cc.is_cptp(cc.Channel((2.0 * np.eye(2, dtype=complex),)))
         assert abs(rep.tp_defect - 3.0 * np.sqrt(2.0)) < 1e-12
+
+    def test_tp_defect_computed_once_per_channel(self, monkeypatch):
+        # is_cptp and decompose both read it; the K n^3 product runs once.
+        calls = []
+        tp_defect = mcore._tp_defect
+        monkeypatch.setattr(mcore, "_tp_defect", lambda ops: calls.append(1) or tp_defect(ops))
+        chan = amplitude_damping(0.3)
+        spec = cc.Spectrum(energies=np.array([0.0, 1.0]))
+        rep = cc.is_cptp(chan)
+        cc.decompose(chan, spec)
+        assert len(calls) == 1 and rep.tp_defect == tp_defect(chan._ops)
 
     def test_tp_defect_far_from_unit_scale(self):
         # The squares of the Frobenius norm overflowed from Kraus entries of
@@ -495,6 +514,24 @@ class TestDensityMatrixValidation:
         # A bare ValueError from the empty Hermiticity maximum before.
         with pytest.raises(NotDensityMatrix, match="non-empty square"):
             cc.DensityMatrix(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize("layout", ["transposed", "fortran"])
+def test_inputs_in_any_memory_order(rng, layout):
+    # The finiteness check viewed a copy in the input's own order as floats,
+    # which a Fortran-ordered array cannot be: a bare ValueError.
+    def arrange(mat):
+        return np.ascontiguousarray(mat.T).T if layout == "transposed" else np.asfortranarray(mat)
+
+    rho = gen.random_state(3, rng).matrix
+    state = cc.DensityMatrix(arrange(rho))
+    np.testing.assert_array_equal(state.matrix, rho)
+    assert state.matrix.flags.c_contiguous
+    choi = cc.choi_of(amplitude_damping(0.3)).matrix
+    np.testing.assert_array_equal(cc.ChoiMatrix(2, 2, arrange(choi)).matrix, choi)
+    ops = [np.array([[1.0, 0.5j], [0.0, 2.0]]), np.eye(2)]
+    chan = cc.Channel(tuple(arrange(a) for a in ops))
+    np.testing.assert_array_equal(chan._ops, ops)
 
 
 class TestChannelValidation:

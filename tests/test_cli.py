@@ -11,9 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covchan import capacity as cap
 from covchan import channels as mc
 from covchan import cli
 from covchan import fock
+from covchan import generate as gen
+from covchan import serialize as ser
 
 from conftest import FIXTURES, csv_lines_by_entry, dumps_by_recursion, env_with_src
 
@@ -150,6 +153,41 @@ class TestCapacity:
                              str(FIXTURES / "shift_mixture_channel.json"))
         assert code == cli.EXIT_VIOLATION
         assert out == "" and "not a state" in err
+
+    @pytest.mark.parametrize("state", [None, "plus_state.json"])
+    def test_a_mask_is_checked_once(self, capsys, monkeypatch, state):
+        calls = []
+        check = cap._check_mask
+        monkeypatch.setattr(cap, "_check_mask", lambda *a: calls.append(a) or check(*a))
+        argv = ["capacity", str(FIXTURES / "mask_c_sqrt_half.json")]
+        if state:
+            argv += ["--input-state", str(FIXTURES / state)]
+        code, out, _ = run(capsys, *argv)
+        assert code == cli.EXIT_OK and len(calls) == 1
+        payload = json.loads(out)
+        assert payload["verify_hqc_difference"] == cap.verify_hqc(
+            ser.matrix_from_json(ser.load_json(FIXTURES / "mask_c_sqrt_half.json")), 2)
+
+    def test_a_256_level_mask_holds_no_kraus_stack(self, monkeypatch, tmp_path):
+        # The n diagonal Kraus operators of hadamard_channel alone were 16 n^3
+        # = 268 MB at n = 256.  The mask route holds a few n x n arrays; the
+        # file is read before tracing starts.
+        n = 256
+        mask = gen.random_unit_diagonal_mask(n, np.random.Generator(np.random.PCG64(256)))
+        path = tmp_path / "mask.json"
+        path.write_text(ser.dumps(ser.matrix_to_json(mask)))
+        obj = ser.load_json(path)
+        monkeypatch.setattr(ser, "load_json", lambda _: obj)
+        out = io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["capacity", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == cli.EXIT_OK and json.loads(out.getvalue())["verify_hqc_difference"] < 1e-12
+        assert peak <= 32 * 2**20, peak
 
     def test_bad_input_state_exit_2(self, capsys, tmp_path):
         state = tmp_path / "state.json"

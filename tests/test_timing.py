@@ -129,6 +129,13 @@ class TestVAndCirculant:
         with pytest.raises(InvalidParameter, match="phase"):
             tim.v_from_distribution(dist, s, N)
 
+    @pytest.mark.parametrize("N", [0, -3, tim.MAX_N + 1])
+    def test_v_from_distribution_refuses_n_outside_its_range(self, N):
+        # N <= 0 gave an empty vector, and nothing bounded the N x #sigma phases.
+        dist = cov.EnergyShiftDistribution(pairs=((0.0, 0.5), (2.0, 0.5)))
+        with pytest.raises(InvalidParameter, match="MAX_N"):
+            tim.v_from_distribution(dist, np.pi, N)
+
     def test_v_from_distribution_worked(self):
         dist = cov.EnergyShiftDistribution(pairs=((0.0, 0.5), (2.0, 0.5)))
         v = tim.v_from_distribution(dist, np.pi, 2)
