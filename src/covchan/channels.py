@@ -54,7 +54,7 @@ def _as_complex(mat) -> np.ndarray:
     """A C-ordered complex copy of mat that owns its memory, checked finite."""
     arr = np.array(mat, dtype=complex, order="C")  # view(float) needs the last axis contiguous
     if not np.all(np.isfinite(arr.view(float))):
-        raise ValueError("matrix contains NaN or Inf entries")
+        raise InvalidParameter("matrix contains NaN or Inf entries")
     return arr
 
 

@@ -243,15 +243,15 @@ def _fock_params(args, mc_samples=1, seed=0) -> fock.FockParams:
 
 def cmd_gaussian(args) -> int:
     decomp = fock.gaussian_decomposition(_fock_params(args))
-    # Each dense mask is built as its piece is written, and dropped after it.
+    masks = (m for _, m in decomp._pairs())  # each made as its piece is written
     if args.format == "csv":
-        _write(args, _csv_pieces((f"mask_sigma_{int(m.sigma)}", m.mask) for m in decomp.masks))
+        _write(args, _csv_pieces((f"mask_sigma_{int(m.sigma)}", m.mask) for m in masks))
         return EXIT_OK
     _emit(args, {
         "dim": decomp.params.dim,
         "std_dev": decomp.params.std_dev,
         "sigma_max": decomp.params.sigma_max,
-        "masks": ({"sigma": m.sigma, "mask": ser._matrix_object(m.mask)} for m in decomp.masks),
+        "masks": ({"sigma": m.sigma, "mask": ser._matrix_object(m.mask)} for m in masks),
         "truncation_defect": [float(x) for x in decomp.truncation_defect],
     })
     return EXIT_OK

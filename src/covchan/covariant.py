@@ -24,10 +24,10 @@ formed by each of them when there are fewer Kraus operators than pairs.
 
 A decomposition is one store: per position, the spectrum cluster c it sits
 on (sigma, domain and image from spectrum.sigmas[c] and sector_pairs[c]) and
-its read-only d x d block.  Its (PartialShift, SectorMask) pairs are made
-from the store when ``sectors`` is first read, so decompose and
-fock.gaussian_decomposition build no per-sector object.  PartialShift.matrix
-and SectorMask.mask are dim x dim views built on demand.
+its read-only d x d block, which every library reader reads.  The public
+view, (PartialShift, SectorMask) pairs, is made from it one pair at a time by
+SectorDecomposition._pairs; PartialShift.matrix and SectorMask.mask are dim x
+dim views built on demand.
 
 Sector work runs on stacks of equal-size sectors, not sector by sector.  A
 Spectrum groups its sectors by domain size on first use and caches the
@@ -209,6 +209,11 @@ class PartialShift:
     image: tuple[int, ...]
     dim: int
 
+    @classmethod
+    def _of_pairs(cls, sigma: float, pairs: np.ndarray, dim: int) -> PartialShift:
+        """The shift holding one sector's flat Choi pairs j' * dim + j."""
+        return cls(sigma, tuple((pairs % dim).tolist()), tuple((pairs // dim).tolist()), dim)
+
     @property
     def matrix(self) -> np.ndarray:
         mat = np.zeros((self.dim, self.dim), dtype=complex)
@@ -261,7 +266,7 @@ class SectorDecomposition:
     """The canonical family sigma -> (S_sigma, M_sigma) of one channel: its store
     (module docstring), from which ``sectors`` is made when first read.  Pairs
     given to the constructor are read into the store, each shift the
-    spectrum's sector at its sigma; sigmas() are the clusters'.
+    spectrum's sector at its sigma; sigmas(), like sector(sigma)'s pairs, are the clusters'.
 
     projection_defect is the Choi Frobenius distance between the input channel
     and the decomposition; it is zero (up to roundoff) for exactly covariant
@@ -302,19 +307,16 @@ class SectorDecomposition:
         return value
 
     def _derived_sectors(self) -> tuple[tuple[PartialShift, SectorMask], ...]:
-        """The (shift, mask) pair at every position, each mask its block, checked
-        before it was stored: the pairs of a decomposition made by _of_store."""
-        spec, held = self.spectrum, [self.spectrum.sector_pairs[c] for c in self._clusters.tolist()]
-        flat = np.concatenate([np.zeros(0, dtype=np.intp), *held])
-        domains, images = (flat % spec.dim).tolist(), (flat // spec.dim).tolist()
-        sectors, end = [], 0
-        for sigma, pairs, block in zip(self.sigmas().tolist(), held, self._blocks):
-            start, end = end, end + pairs.size
-            domain = tuple(domains[start:end])
-            shift = PartialShift(sigma=sigma, domain=domain, image=tuple(images[start:end]),
-                                 dim=spec.dim)
-            sectors.append((shift, SectorMask._checked(sigma, block, domain, spec.dim)))
-        return tuple(sectors)
+        return tuple(self._pairs())
+
+    def _pairs(self, positions=None):
+        """The (shift, mask) pair at each position (all, in sector order, by default), made
+        from its cluster's sector pairs and its block, checked before it was stored."""
+        spec = self.spectrum
+        for i in range(len(self._blocks)) if positions is None else positions:
+            c = int(self._clusters[i])
+            shift = PartialShift._of_pairs(float(spec.sigmas[c]), spec.sector_pairs[c], spec.dim)
+            yield shift, SectorMask._checked(shift.sigma, self._blocks[i], shift.domain, spec.dim)
 
     def sigmas(self) -> np.ndarray:
         return self.spectrum.sigmas[self._clusters]
@@ -322,9 +324,10 @@ class SectorDecomposition:
     def sector(self, sigma: float) -> tuple[PartialShift, SectorMask]:
         """The sector on the cluster of sigma, whose shift is partial_shift(spectrum, sigma)."""
         try:
-            return self.sectors[self._clusters.tolist().index(self.spectrum._cluster_at(sigma))]
+            i = self._clusters.tolist().index(self.spectrum._cluster_at(sigma))
         except ValueError:
             raise UnknownSector(f"no sector at sigma = {sigma}") from None
+        return next(self._pairs([i]))
 
     def diagonal_sums(self) -> np.ndarray:
         """sum_sigma M_sigma(j, j) at every input level j: all ones for a TP channel."""
@@ -379,11 +382,9 @@ class EnergyShiftDistribution:
 
 def partial_shift(spectrum: Spectrum, sigma: float) -> PartialShift:
     """The partial isometry S_sigma : |omega> -> |omega + sigma|>, 0 off-domain."""
-    n = spectrum.dim
     i = spectrum._cluster_at(sigma)
     pairs = np.empty(0, dtype=np.intp) if i is None else spectrum.sector_pairs[i]
-    return PartialShift(sigma=float(sigma), domain=tuple((pairs % n).tolist()),
-                        image=tuple((pairs // n).tolist()), dim=n)
+    return PartialShift._of_pairs(float(sigma), pairs, spectrum.dim)
 
 
 def _mask_failure(blocks: np.ndarray, sigmas) -> tuple[int, str] | None:
@@ -623,13 +624,13 @@ def sector_kraus(shift: PartialShift, mask: SectorMask):
     return list(_kraus_stack((group,), shift.dim))
 
 
-def apply_sectors(sectors, mat: np.ndarray) -> np.ndarray:
-    """sum_sigma S_sigma (M_sigma * mat) S_sigma^dag over (shift, mask) pairs, for any
-    square mat: each block times mat on its domain lands on the shift's image."""
+def apply_sectors(decomp: SectorDecomposition, mat: np.ndarray) -> np.ndarray:
+    """sum_sigma S_sigma (M_sigma * mat) S_sigma^dag over decomp's sectors in order, for
+    any square mat: each block times mat on its domain lands on the shift's image."""
     out = np.zeros(np.shape(mat), dtype=complex)
-    for shift, mask in sectors:
-        dom, img = np.ix_(shift.domain, shift.domain), np.ix_(shift.image, shift.image)
-        out[img] += mask.domain_submatrix * mat[dom]
+    for c, block in zip(decomp._clusters.tolist(), decomp._blocks):
+        img, dom = np.divmod(decomp.spectrum.sector_pairs[c], decomp.spectrum.dim)
+        out[np.ix_(img, img)] += block * mat[np.ix_(dom, dom)]
     return out
 
 
@@ -725,17 +726,18 @@ def domain_extension_check(
 ) -> float:
     """Largest defect of G_sigma(rho e^{-iHt}) = G_sigma(rho) e^{-iHt} e^{i sigma t}.
 
-    The left-hand side applies the sector map to the non-Hermitian operator
-    directly; the identity must hold numerically for covariant channels.
-    Non-finite phases E_k t or sigma t raise InvalidParameter.
+    Both sides lie on the shift's image: sector sigma's defect is ||M_sigma * rho_dom * (phi_dom -
+    phi_img e^{i sigma t})||_F, phi = diag e^{-iHt} on the columns, one product per size group.  A
+    state of another dimension raises DimensionMismatch, a non-finite phase InvalidParameter.
     """
     spectrum = decomp.spectrum
+    if rho.dim != spectrum.dim:
+        raise DimensionMismatch("state and spectrum dimensions differ")
     _check_phase(np.r_[spectrum.energies, spectrum.sigmas], t, "t")
-    ph = spectrum.phases(t)
-    shifted = rho.matrix * ph[None, :]
+    ph, sigmas = spectrum.phases(t), decomp.sigmas()
     worst = 0.0
-    for sector in decomp.sectors:
-        lhs = apply_sectors([sector], shifted)
-        rhs = apply_sectors([sector], rho.matrix) * ph[None, :] * np.exp(1j * sector[0].sigma * t)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    for index, dom, img, blocks in decomp._groups:
+        factor = ph[dom] - ph[img] * np.exp(1j * sigmas[index] * t)[:, None]
+        defect = blocks * rho.matrix[dom[:, :, None], dom[:, None, :]] * factor[:, None, :]
+        worst = max(worst, float(np.linalg.norm(defect, axis=(1, 2)).max()))
     return worst

@@ -73,7 +73,7 @@ import numpy as np
 from . import channels as mc
 from . import covariant as cov
 from .channels import DensityMatrix
-from .errors import InvalidParameter, MaskNotPSD, SectorOutOfRange, UnknownSector
+from .errors import DimensionMismatch, InvalidParameter, MaskNotPSD, SectorOutOfRange, UnknownSector
 
 _MC_CHUNK = 4096  # fixed chunk size keeps the reduction order deterministic
 # Least allowance per entry of compare_decomposition_to_mc: the roundoff of the
@@ -276,9 +276,9 @@ def displacement_matrix(z: complex, r: float, dim: int) -> np.ndarray:
     """
     z = complex(z)
     if abs(abs(z) - 1.0) > 1e-12:
-        raise ValueError("z must lie on the unit circle")
+        raise InvalidParameter("z must lie on the unit circle")
     if not 0.0 <= r < math.inf:  # also false for NaN
-        raise ValueError("r must be finite and non-negative")
+        raise InvalidParameter("r must be finite and non-negative")
     lam, O = _jacobi_eigenpairs(dim)
     w = _rotation_powers(_unit_phases(np.array([np.angle(z)])), dim)[:, 0]
     return w[:, None] * ((O * _unit_phases(float(r) * lam)) @ O.T) * w.conj()
@@ -311,7 +311,7 @@ def displacement_sector(sigma: int, r: float, dim: int) -> np.ndarray:
     if abs(sigma) >= dim:
         raise SectorOutOfRange(f"|sigma| = {abs(sigma)} must be < dim = {dim}")
     if not 0.0 <= r < math.inf:
-        raise ValueError("r must be finite and non-negative")
+        raise InvalidParameter("r must be finite and non-negative")
     if sigma < 0:
         return (-1) ** sigma * displacement_sector(-sigma, r, dim).T
     coeff = _sector_poly_coeffs(sigma, [r * r], _log_factorials(dim))[:, 0] * np.exp(-r * r / 2.0)
@@ -465,7 +465,7 @@ def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloRes
     """
     dim = params.dim
     if rho.dim != dim:
-        raise ValueError(f"state dim {rho.dim} differs from params.dim {dim}")
+        raise DimensionMismatch(f"state dim {rho.dim} differs from params.dim {dim}")
     n = params.mc_samples
     rng = np.random.Generator(np.random.Philox(key=params.seed))
     p, psi = np.linalg.eigh((rho.matrix + rho.matrix.conj().T) / 2.0)
@@ -521,13 +521,15 @@ def compare_decomposition_to_mc(
     """Entrywise check of the closed-form decomposition against Monte Carlo.
 
     The prediction is G(rho) = sum_sigma S_sigma (M_sigma * rho) S_sigma^dag
-    straight from the masks.  The allowance at entry (j, k) is
+    straight from the blocks (covariant.apply_sectors).  The allowance at entry (j, k) is
     max(3 * standard error, truncation defect at level j or k, _MC_ROUNDOFF):
     statistical noise dominates deep in the bulk, the cutoff defect near the
     truncation edge, and roundoff where the samples do not vary.
     """
+    if rho.dim != params.dim:
+        raise DimensionMismatch(f"state dim {rho.dim} differs from params.dim {params.dim}")
     decomp = gaussian_decomposition(params)
-    predicted = cov.apply_sectors(decomp.sectors, rho.matrix)
+    predicted = cov.apply_sectors(decomp, rho.matrix)
     sampled = monte_carlo_channel(rho, params)
     dev = np.abs(predicted - sampled.mean)
     td = decomp.truncation_defect

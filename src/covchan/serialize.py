@@ -112,12 +112,12 @@ def spectrum_from_json(obj) -> Spectrum:
 
 
 def _decomposition_object(decomp: SectorDecomposition, matrix=_matrix_object) -> dict:
-    """The decomposition object with "sectors" as a generator: each dense mask
-    is built as iter_dumps reaches it."""
+    """The decomposition object with "sectors" as a generator: each pair and
+    its dense mask are made from the store as iter_dumps reaches them."""
     return {
         "spectrum": spectrum_to_json(decomp.spectrum),
         "sectors": ({"sigma": float(shift.sigma), "mask": matrix(mask.mask)}
-                    for shift, mask in decomp.sectors),
+                    for shift, mask in decomp._pairs()),
     }
 
 

@@ -213,6 +213,7 @@ def refuse_mask_check(blocks, sigmas):
 
 def sha256_of(value) -> str:
     """Digest of a value down to the bytes: arrays by dtype, shape and data,
+    tuples of ints by repr,
     dataclasses by type and fields, floats by repr (so -0.0 differs from 0.0)."""
     h = hashlib.sha256()
 
@@ -224,6 +225,8 @@ def sha256_of(value) -> str:
             h.update(type(v).__name__.encode())
             for f in dataclasses.fields(v):
                 feed(getattr(v, f.name))
+        elif type(v) is tuple and set(map(type, v)) <= {int}:
+            h.update(f"ints{v!r}".encode())  # a shift's levels in one update
         elif isinstance(v, (list, tuple)):
             h.update(f"seq{len(v)}".encode())
             for x in v:
@@ -328,6 +331,33 @@ def shift_distribution_per_sector(decomp: cc.SectorDecomposition,
             raise MaskNotPSD(f"negative probability {p:.3e} at sigma {shift.sigma}")
         pairs.append((shift.sigma, min(max(p, 0.0), 1.0)))
     return cc.EnergyShiftDistribution(pairs=tuple(pairs), spectrum=decomp.spectrum)
+
+
+def apply_sectors_per_sector(sectors, mat: np.ndarray) -> np.ndarray:
+    """Oracle for covariant.apply_sectors: sum_sigma S_sigma (M_sigma * mat)
+    S_sigma^dag over (shift, mask) pairs, one scatter onto the shift's image per pair."""
+    out = np.zeros(np.shape(mat), dtype=complex)
+    for shift, mask in sectors:
+        dom, img = np.ix_(shift.domain, shift.domain), np.ix_(shift.image, shift.image)
+        out[img] += mask.domain_submatrix * mat[dom]
+    return out
+
+
+def domain_extension_per_sector(decomp: cc.SectorDecomposition, rho: cc.DensityMatrix,
+                                t: float) -> float:
+    """Oracle for covariant.domain_extension_check: both sides of
+    G_sigma(rho e^{-iHt}) = G_sigma(rho) e^{-iHt} e^{i sigma t} as n x n
+    matrices, the left one applying the sector to the non-Hermitian operator,
+    sector after sector."""
+    ph = decomp.spectrum.phases(t)
+    shifted = rho.matrix * ph[None, :]
+    worst = 0.0
+    for sector in decomp.sectors:
+        lhs = apply_sectors_per_sector([sector], shifted)
+        rhs = (apply_sectors_per_sector([sector], rho.matrix) * ph[None, :]
+               * np.exp(1j * sector[0].sigma * t))
+        worst = max(worst, float(np.linalg.norm(lhs - rhs)))
+    return worst
 
 
 def random_covariant_per_sector(spectrum: cc.Spectrum, rng: np.random.Generator,

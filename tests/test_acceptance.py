@@ -78,6 +78,27 @@ def test_corpus_equals_per_sector_loops(corpus):
                 conftest.reconstruct_per_sector(decomp))
 
 
+def test_sector_makes_the_pair_sectors_holds(corpus):
+    # sector(sigma) makes only the pair at its position, from the store: field
+    # for field the pair sectors holds, on the 700 corpus decompositions and
+    # the Gaussian ones of dims 2-186.  A Gaussian block is compared by
+    # identity, as both pairs hold the stored array itself.
+    channels, _ = corpus
+    for dim, (spec, entries) in channels.items():
+        for _, decomp in entries:
+            got = [decomp.sector(sigma) for sigma in decomp.sigmas().tolist()]
+            assert conftest.sha256_of(got) == conftest.sha256_of(decomp.sectors)
+
+    def fields(pairs):
+        return [(shift, mask.sigma, mask.domain, mask.dim, id(mask.domain_submatrix))
+                for shift, mask in pairs]
+
+    for dim in range(2, 187):
+        decomp = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=0.5))
+        got = [decomp.sector(sigma) for sigma in decomp.sigmas().tolist()]
+        assert conftest.sha256_of(fields(got)) == conftest.sha256_of(fields(decomp.sectors))
+
+
 def test_gram_bound_proves_every_corpus_decomposition(corpus, monkeypatch):
     # One Gram certificate per channel proves all its masks, so decompose runs
     # no SectorMask check (test_corpus_equals_per_sector_loops pins the

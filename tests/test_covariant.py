@@ -521,6 +521,14 @@ class TestCharacteristicFunction:
             cov.bochner_check(chan, spectrum4(), gen.random_psd(4, rng),
                               gen.random_state(4, rng), [])
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_domain_extension_refuses_a_state_of_another_dimension(self, rng, dim):
+        # numpy's broadcast ValueError escaped before.
+        spec = cc.Spectrum(np.arange(3.0))
+        decomp = cov.decompose(gen.random_covariant(spec, rng), spec)
+        with pytest.raises(DimensionMismatch):
+            cov.domain_extension_check(decomp, gen.random_state(dim, rng), 0.7)
+
     @pytest.mark.parametrize("t", [np.inf, np.nan, 1e308])
     def test_domain_extension_refuses_a_non_finite_phase(self, rng, t):
         # Every sector defect was NaN at t = inf, and max(0.0, nan) kept the 0.0.
@@ -627,6 +635,52 @@ class TestBlockStorage:
         vacuum = np.zeros((6, 6), dtype=complex)
         vacuum[0, 0] = 1.0
         fock.compare_decomposition_to_mc(params, cc.DensityMatrix(vacuum))
+
+    def test_no_library_reader_builds_the_sectors_view(self, monkeypatch, rng, tmp_path,
+                                                       capsys):
+        # Every library reader of a decomposition reads its store: the checks,
+        # the Monte Carlo comparison, sector(sigma), mask(sigma), the JSON
+        # writer and the gaussian and decompose reports never build the
+        # tuple of all (shift, mask) pairs.
+        from covchan import cli
+
+        def refuse(self):
+            raise AssertionError("a library reader built the sectors view")
+
+        spec = sqrt_prime_spectrum(6)
+        chan = gen.random_covariant(spec, rng)
+        paths = [tmp_path / "chan.json", tmp_path / "spec.json"]
+        paths[0].write_text(ser.dumps(ser.channel_to_json(chan)))
+        paths[1].write_text(ser.dumps(ser.spectrum_to_json(spec)))
+        params = fock.FockParams(dim=12, std_dev=0.5, mc_samples=200)
+        vacuum = np.zeros((12, 12), dtype=complex)
+        vacuum[0, 0] = 1.0
+        monkeypatch.setattr(cov.SectorDecomposition, "_derived_sectors", refuse)
+        gauss = fock.gaussian_decomposition(params)
+        for decomp in (cov.decompose(chan, spec), gauss):
+            cov.domain_extension_check(decomp, gen.random_state(decomp.spectrum.dim, rng), 0.7)
+            decomp.sector(0.0)
+            ser.decomposition_to_json(decomp)
+        gauss.mask(-3)
+        fock.compare_decomposition_to_mc(params, cc.DensityMatrix(vacuum))
+        gaussian = ["gaussian", "--std-dev", "0.5", "--dim", "12"]
+        for argv in (gaussian, [*gaussian, "--format", "csv"], ["decompose", *map(str, paths)]):
+            assert cli.main(argv) == cli.EXIT_OK
+        capsys.readouterr()
+
+    def test_sector_of_a_decomposition_built_from_pairs_is_made_from_its_store(self):
+        # The pair at the cluster's sigma, holding the block given, even when
+        # the shift given was named by another sigma of the cluster.
+        spec = spectrum4()
+        shift = cov.partial_shift(spec, -2.0 + 1e-12)
+        block = np.array([[0.5, 0.25], [0.25, 0.5]])
+        given = cov.SectorMask(sigma=shift.sigma, domain_submatrix=block, domain=shift.domain,
+                               dim=4)
+        decomp = cov.SectorDecomposition(spectrum=spec, sectors=((shift, given),))
+        got_shift, got_mask = decomp.sector(-2.0)
+        assert got_shift == cov.partial_shift(spec, -2.0) and got_mask.sigma == -2.0
+        assert got_mask.domain_submatrix is given.domain_submatrix
+        assert decomp.sectors[0][1] is given
 
     def test_views_place_the_block_on_the_domain(self):
         spec = spectrum4()

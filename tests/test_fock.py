@@ -16,7 +16,7 @@ import covchan as cc
 from covchan import channels as mcore
 from covchan import cli, fock
 from covchan.channels import EPS_PSD
-from covchan.errors import InvalidParameter, MaskNotPSD, SectorOutOfRange
+from covchan.errors import DimensionMismatch, InvalidParameter, MaskNotPSD, SectorOutOfRange
 
 from conftest import (
     diagonal_sums_per_sector,
@@ -793,6 +793,19 @@ class TestMonteCarlo:
             params = fock.FockParams(dim=dim, std_dev=1.06e-154, mc_samples=100, seed=dim)
             rep = fock.compare_decomposition_to_mc(params, state)
             assert rep.ok, rep.max_entry_deviation
+
+    def test_a_state_of_another_dimension_is_refused_before_any_work(self, monkeypatch):
+        # Before, monte_carlo_channel raised a bare ValueError, and the
+        # comparison an IndexError from its prediction.
+        def refuse(*args, **kwargs):
+            raise AssertionError("work began on a state of the wrong dimension")
+
+        monkeypatch.setattr(fock, "gaussian_decomposition", refuse)
+        monkeypatch.setattr(fock, "_jacobi_eigenpairs", refuse)
+        with pytest.raises(DimensionMismatch):
+            fock.monte_carlo_channel(self.vacuum(5), fock.FockParams(dim=4, std_dev=0.5))
+        with pytest.raises(DimensionMismatch):
+            fock.compare_decomposition_to_mc(fock.FockParams(dim=4, std_dev=0.5), self.vacuum(3))
 
     def test_compare_returns_its_sample(self):
         params = fock.FockParams(dim=6, std_dev=0.3, mc_samples=2000, seed=5)

@@ -51,6 +51,18 @@ def test_removed_names_stay_gone(module, name):
     assert not hasattr(importlib.import_module(f"covchan.{module}"), name)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: covchan.Channel((np.full((2, 2), np.nan),)),
+    lambda: covchan.displacement_matrix(0.5, 1.0, 4),
+    lambda: covchan.displacement_matrix(1.0, -0.1, 4),
+    lambda: covchan.displacement_sector(1, np.nan, 4),
+], ids=["non-finite-matrix", "z-off-the-circle", "negative-r", "non-finite-r"])
+def test_invalid_arguments_raise_the_package_error(call):
+    # These raised a bare ValueError, outside the CovchanError hierarchy.
+    with pytest.raises(covchan.errors.CovchanError):
+        call()
+
+
 def test_gaussian_decomposition_is_a_sector_decomposition():
     decomp = fock.gaussian_decomposition(fock.FockParams(dim=4, std_dev=0.5))
     assert isinstance(decomp, covchan.SectorDecomposition)

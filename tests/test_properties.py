@@ -18,11 +18,13 @@ from covchan import timing as tim
 from covchan.errors import DegenerateSpectrum, NotCovariant, NotCP
 
 from conftest import (
+    apply_sectors_per_sector,
     bochner_by_dense_applications,
     characteristic_by_dense_application,
     covariance_defect_per_sector,
     decompose_per_sector,
     diagonal_sums_per_sector,
+    domain_extension_per_sector,
     mask_failure_by_eigvalsh,
     reconstruct_per_sector,
     sector_map_by_cluster_loop,
@@ -145,8 +147,41 @@ def test_block_scatter_equals_the_kraus_route(family, data):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))  # not Hermitian
     want = mcore.apply_matrix(cov.reconstruct(decomp), X)
-    got = cov.apply_sectors(decomp.sectors, X)
+    got = cov.apply_sectors(decomp, X)
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def assert_store_readers_match_the_pair_loops(decomp, data):
+    """At a drawn state, time and operator: domain_extension_check within
+    1e-15 max(1, ||M_sigma * rho||_F) of the per-sector loop, and
+    apply_sectors equal to the per-pair scatter bit for bit."""
+    n = decomp.spectrum.dim
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rho = gen.random_state(n, rng)
+    t = data.draw(st.floats(-20.0, 20.0), label="t")
+    scale = max([1.0, *(float(np.linalg.norm(mask.domain_submatrix
+                                             * rho.matrix[np.ix_(shift.domain, shift.domain)]))
+                        for shift, mask in decomp.sectors)])
+    got = cov.domain_extension_check(decomp, rho, t)
+    assert abs(got - domain_extension_per_sector(decomp, rho, t)) <= 1e-15 * scale
+    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assert np.array_equal(cov.apply_sectors(decomp, X), apply_sectors_per_sector(decomp.sectors, X))
+
+
+@FAMILIES
+@PROPERTY
+@given(data=st.data())
+def test_store_readers_match_the_pair_loops(family, data):
+    _, _, decomp = draw_decomposition(data, family)
+    assert_store_readers_match_the_pair_loops(decomp, data)
+
+
+@PROPERTY
+@given(dim=st.integers(2, 186), s=st.sampled_from([0.1, 0.3, 0.5, 1.0]), data=st.data())
+def test_gaussian_store_readers_match_the_pair_loops(dim, s, data):
+    top = data.draw(st.integers(1, dim - 1), label="sigma_max")
+    decomp = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=s, sigma_max=top))
+    assert_store_readers_match_the_pair_loops(decomp, data)
 
 
 @FAMILIES

@@ -12,14 +12,22 @@ Rows, each timed in a fresh process with OPENBLAS_NUM_THREADS=1:
 - covariant.decompose of one random_covariant channel at n = 8 and 16, on
   the integer and the sqrt(prime) spectrum, alone and followed by the first
   read of .sectors;
+- the readers of a built decomposition, each call on the decomposition as
+  it was built (what a first read caches is dropped before every call):
+  covariant.domain_extension_check at t = 0.7 on one random state, of the
+  random_covariant channel at n = 16 and 32 on both spectra and of the
+  Gaussian decomposition at std_dev 0.5 and the dims above, and
+  SectorDecomposition.sector(0) through GaussianDecomposition.mask(0) at
+  those dims;
 - fock.monte_carlo_channel with 1e5 samples at std_dev 0.5 on the pure
   states |0> and (|0> + |1>) / sqrt(2) at dims 8, 16, 32 and 64 and on the
   rank-2 state diag(0.6, 0.4, 0, ...) at dims 8 and 16.
 With --parent-src (the src directory of another checkout, e.g. one made by
-git archive) the last three kinds are also timed on that code, labelled with
+git archive) all but the first kind are also timed on that code, labelled with
 --parent-label, in passes that alternate with this checkout's ("change").
-A row's time is one call: the median and the interquartile range over its
-rounds, each round timing enough calls to last about 0.1 s (tools/benchlib.py).
+A row's time is one call: the median, the interquartile range and the
+minimum over its rounds, each round timing enough calls to last about 0.1 s
+(tools/benchlib.py).
 """
 from __future__ import annotations
 
@@ -31,6 +39,23 @@ DIMS = (16, 32, 64, 120, 186)
 STD_DEVS = (0.3, 1.0)
 MC_DIMS = (8, 16, 32, 64)
 MC_MIXED_DIMS = (8, 16)
+CHECK_SIZES = (16, 32)
+
+
+def _as_built(decomp):
+    """A wrapper of calls on decomp that runs each on decomp as it is now,
+    just built: what a call caches on it (the pairs of .sectors, the size
+    groups) is dropped before the next one."""
+    state = dict(decomp.__dict__)
+
+    def wrap(fn):
+        def call():
+            decomp.__dict__.clear()
+            decomp.__dict__.update(state)
+            return fn()
+        return call
+
+    return wrap
 
 
 def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
@@ -66,6 +91,23 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
                                  lambda: cov.decompose(chan, spec), rounds))
             rows.append(time_row("covariant.decompose", kind + ", then .sectors", n,
                                  lambda: cov.decompose(chan, spec).sectors, rounds))
+    for n in CHECK_SIZES:
+        for kind, energies in spectrum_energies(n):
+            spec = cov.Spectrum(energies)
+            rng = np.random.default_rng(n)
+            decomp = cov.decompose(gen.random_covariant(spec, rng), spec)
+            rho = gen.random_state(n, rng)
+            check = _as_built(decomp)(lambda: cov.domain_extension_check(decomp, rho, 0.7))
+            rows.append(time_row("covariant.domain_extension_check", kind, n, check, rounds))
+    for dim in DIMS:
+        decomp = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=0.5))
+        rho = gen.random_state(dim, np.random.default_rng(dim))
+        as_built = _as_built(decomp)
+        check = as_built(lambda: cov.domain_extension_check(decomp, rho, 0.7))
+        rows.append(time_row("covariant.domain_extension_check", "gaussian, std_dev=0.5", dim,
+                             check, rounds))
+        rows.append(time_row("fock.GaussianDecomposition.mask(0)", "std_dev=0.5", dim,
+                             as_built(lambda: decomp.mask(0)), rounds))
     for dim in MC_DIMS:
         vac, sup = np.eye(dim)[0], np.sqrt(0.5) * np.eye(dim)[:2].sum(axis=0)
         states = {"|0>": np.outer(vac, vac), "|0> + |1>": np.outer(sup, sup)}

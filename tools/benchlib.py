@@ -63,7 +63,8 @@ SAMPLED = ("ms", "rss_mb")
 
 
 def collect(codes, rounds: int) -> list[dict]:
-    """Rows of median and interquartile range per (code, name, variant, n).
+    """Rows of median, interquartile range and minimum (the best round) per
+    (code, name, variant, n).
 
     codes is a list of (label, run), run(rounds) returning the worker's rows.
     The rounds are split over passes that alternate between the codes, so
@@ -88,6 +89,7 @@ def collect(codes, rounds: int) -> list[dict]:
                 q1, _, q3 = statistics.quantiles(values, n=4)
                 row[f"median_{field}"] = round(statistics.median(values), 4)
                 row[f"iqr_{field}"] = round(q3 - q1, 4)
+                row[f"min_{field}"] = round(min(values), 4)
         rows.append({**row, "rounds": len(lists["ms"]), **fixed[(code, name, variant, n)]})
     return rows
 
