@@ -61,45 +61,47 @@ def _check_mask(mask: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"mask shape {mask.shape} is not ({n}, {n})")
     if n == 0:
         raise DimensionMismatch("mask has no levels")
-    if not np.isfinite(mask).all():  # NaN fails no comparison below
-        raise MaskNotPSD("mask has non-finite entries")
-    adjoint = mask.conj().T
-    if np.max(np.abs(mask - adjoint)) > mc.EPS_H:
-        raise MaskNotPSD("mask is not Hermitian")
-    mask = (mask + adjoint) / 2.0
-    vals = np.linalg.eigvalsh(mask)
-    if vals[0] < -mc.EPS_PSD:
-        raise MaskNotPSD(f"mask minimum eigenvalue {vals[0]:.3e}")
-    if np.max(np.abs(np.diag(mask) - 1.0)) > mc.EPS_TR:
+    herm, vals, failure = mc._psd_check(mask[None])
+    if failure is not None:
+        raise MaskNotPSD(f"mask minimum eigenvalue {vals[0, 0]:.3e}" if failure[1] == mc.NEGATIVE
+                         else f"mask {failure[1]}")
+    if np.abs(np.diag(herm[0]) - 1.0).max() > mc.EPS_TR:
         raise DiagonalNotUnit("mask diagonal is not identically 1")
-    return mask, vals
+    return herm[0], vals[0]
 
 
-def _bound(vals: np.ndarray, n: int) -> float:
-    """log2(n) - S(lam/n) from the checked mask's eigenvalues lam."""
-    return float(np.log2(n)) - mc.entropy_of_eigenvalues(vals / n)
+def spectrum_to_bound(q: np.ndarray) -> float:
+    """log2(N) - S(q) in bits for a probability vector q of length N: the
+    Hadamard bound of a mask whose eigenvalues are N q."""
+    q = np.asarray(q, dtype=float)
+    return float(np.log2(q.size)) - mc.entropy_of_eigenvalues(q)
 
 
-def _mask_coherent_information(mask: np.ndarray, rho: DensityMatrix | None) -> float:
-    """I_c(rho) = S(M * rho) - S(V^T diag(rho) conj(V)) of the Hadamard channel
-    of a checked mask M, rho None for I/n.
+def _mask_numbers(mask: np.ndarray, vals: np.ndarray,
+                  rho: DensityMatrix | None) -> tuple[float, float, float]:
+    """(I_c(rho), the bound, |I_c(I/n) - the bound|) of the Hadamard channel of a
+    mask M that passed _check_mask with eigenvalues vals, rho None for I/n.
 
-    V comes from one eigh of M.  At I/n the output diag(V V^dag)/n is read
-    from the vectors, as the Kraus operators diag(v_a) would give it.
+    I_c(rho) = S(M * rho) - S(V^T diag(rho) conj(V)), V from one eigh of M.  At
+    I/n the output diag(V V^dag)/n is read from the vectors, as the Kraus
+    operators diag(v_a) would give it.
     """
     n = mask.shape[0]
-    if rho is not None and rho.dim != n:
-        raise DimensionMismatch("state and channel dimensions differ")
-    vals, vecs = np.linalg.eigh(mask)
-    vecs = vecs * np.sqrt(np.clip(vals, 0.0, None))
-    if rho is None:
-        weights = np.full(n, 1.0 / n)
-        out = mc.entropy_of_eigenvalues(np.vecdot(vecs, vecs).real / n)
-    else:
-        weights = np.diag(rho.matrix).real
-        out = mc.von_neumann_entropy(DensityMatrix(mask * rho.matrix))
-    comp = vecs.T @ (weights[:, None] * vecs.conj())
-    return out - mc.von_neumann_entropy(DensityMatrix(comp))
+    lam, vecs = np.linalg.eigh(mask)
+    vecs = vecs * np.sqrt(np.clip(lam, 0.0, None))
+
+    def complement(weights):  # S(G^c(rho)) from the diagonal of rho
+        return mc.von_neumann_entropy(DensityMatrix(vecs.T @ (weights[:, None] * vecs.conj())))
+
+    mixed = coh = (mc.entropy_of_eigenvalues(np.vecdot(vecs, vecs).real / n)
+                   - complement(np.full(n, 1.0 / n)))
+    if rho is not None:
+        if rho.dim != n:
+            raise DimensionMismatch("state and channel dimensions differ")
+        coh = (mc.von_neumann_entropy(DensityMatrix(mask * rho.matrix))
+               - complement(np.diag(rho.matrix).real))
+    bound = spectrum_to_bound(vals / n)
+    return coh, bound, abs(mixed - bound)
 
 
 def hadamard_channel(mask: np.ndarray) -> Channel:
@@ -115,17 +117,10 @@ def hadamard_channel(mask: np.ndarray) -> Channel:
 
 def hadamard_bound(mask: np.ndarray, n: int) -> float:
     """Capacity lower bound log2(n) - S(M/n) in bits."""
-    return _bound(_check_mask(mask, n)[1], n)
+    return spectrum_to_bound(_check_mask(mask, n)[1] / n)
 
 
 def verify_hqc(mask: np.ndarray, n: int) -> float:
-    """|coherent information at the maximally mixed input - hadamard_bound|.
-
-    The bound is an equality at this input: the mask's spectral vectors are
-    orthonormal, so the complementary output G^c(I/n) = V^T conj(V)/n has the
-    spectrum of M/n, and the returned difference must vanish up to roundoff.
-    The coherent information comes from the vectors of one eigh, the bound
-    from the eigenvalues of the mask check.
-    """
-    mask, vals = _check_mask(mask, n)
-    return abs(_mask_coherent_information(mask, None) - _bound(vals, n))
+    """|coherent information at the maximally mixed input - hadamard_bound|,
+    zero up to roundoff: at I/n the bound holds with equality (module docstring)."""
+    return _mask_numbers(*_check_mask(mask, n), None)[2]

@@ -39,8 +39,9 @@ from .errors import DimensionMismatch, InvalidParameter, NotCP, NotDensityMatrix
 # its factor, whose rounding bound (_gram_bound) is at most 1.6e-11 at dim 186
 # for any accepted std_dev, within EPS_PSD / 2 = 5e-10: every Gaussian mask,
 # like every block decompose keeps and every Choi matrix is_cptp passes, is
-# proved with no factorisation and no eigensolve.  A block given bare
-# (SectorMask(...)) is checked by eigvalsh.
+# proved with no factorisation and no eigensolve.  Every other state, mask or
+# block takes the one check, _psd_check: finite, skew at most EPS_H, and no
+# eigenvalue of its Hermitian part below -EPS_PSD.
 EPS_H = 1e-9
 EPS_TR = 1e-9
 EPS_PSD = 1e-9
@@ -48,6 +49,31 @@ EPS_TP = 1e-9
 
 _U = float(np.finfo(float).eps) / 2.0  # unit roundoff, 2^-53
 _ETA = float(np.finfo(float).smallest_subnormal)  # 2^-1074
+
+
+# Why _psd_check refuses a matrix; the first two end a sentence on a mask.
+NON_FINITE, NOT_HERMITIAN, NEGATIVE = "has non-finite entries", "is not Hermitian", "negative"
+
+
+def _psd_check(mats: np.ndarray):
+    """The one positivity check of a state, a mask or a (m, d, d) stack of blocks: the
+    Hermitian parts, their ascending eigenvalues (one eigvalsh) and None, or (i, reason) for
+    the first matrix with a non-finite entry, a skew above EPS_H or an eigenvalue vals[i, 0]
+    below -EPS_PSD.  The parts and eigenvalues stop before the first non-finite matrix."""
+    stack = mats.reshape(-1, *mats.shape[-2:])
+    count = end = len(stack)
+    if not np.isfinite(stack).all():
+        end = int(np.argmin(np.isfinite(stack).all(axis=(-2, -1))))  # the first non-finite
+        stack = stack[:end]
+    adjoint = stack.conj().swapaxes(-1, -2)
+    skew = np.abs(stack - adjoint).max(axis=(-2, -1), initial=0.0) > EPS_H
+    herm = (stack + adjoint) / 2.0
+    vals = np.linalg.eigvalsh(herm)
+    bad = skew | (vals.min(axis=-1, initial=0.0) < -EPS_PSD)
+    if bad.any():
+        i = int(bad.argmax())
+        return herm, vals, (i, NOT_HERMITIAN if skew[i] else NEGATIVE)
+    return herm, vals, None if end == count else (end, NON_FINITE)
 
 
 def _as_complex(mat) -> np.ndarray:
@@ -73,12 +99,13 @@ class DensityMatrix:
         mat = _as_complex(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
             raise NotDensityMatrix(f"expected a non-empty square matrix, got shape {mat.shape}")
-        if np.max(np.abs(mat - mat.conj().T)) > EPS_H:
+        _, (vals,), failure = _psd_check(mat[None])  # finite already: _as_complex
+        if failure == (0, NOT_HERMITIAN):
             raise NotDensityMatrix("matrix is not Hermitian within tolerance")
-        if abs(np.trace(mat).real - 1.0) > EPS_TR or abs(np.trace(mat).imag) > EPS_TR:
-            raise NotDensityMatrix(f"trace {np.trace(mat)} is not 1 within tolerance")
-        vals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
-        if vals[0] < -EPS_PSD:
+        trace = np.trace(mat)
+        if abs(trace.real - 1.0) > EPS_TR or abs(trace.imag) > EPS_TR:
+            raise NotDensityMatrix(f"trace {trace} is not 1 within tolerance")
+        if failure is not None:
             raise NotDensityMatrix(f"minimum eigenvalue {vals[0]:.3e} below -{EPS_PSD:.1e}")
         mat.setflags(write=False)
         vals.setflags(write=False)
@@ -285,8 +312,8 @@ def kraus_from_choi(choi: ChoiMatrix) -> Channel:
     raises NotCP.  The returned operators are ordered by descending Choi
     eigenvalue with a deterministic tie-break.
     """
-    if np.max(np.abs(choi.matrix - choi.matrix.conj().T)) > EPS_PSD:
-        raise NotCP(f"Choi matrix is not Hermitian within {EPS_PSD:.1e}")
+    if np.max(np.abs(choi.matrix - choi.matrix.conj().T)) > EPS_H:
+        raise NotCP(f"Choi matrix is not Hermitian within {EPS_H:.1e}")
     shape = (choi.dim_out, choi.dim_in)
     lmin, _, vecs = _scaled_eigenvectors(choi.matrix[None])
     if lmin[0] < -EPS_PSD:
@@ -399,17 +426,16 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
 
 
 def entropy_of_eigenvalues(vals: np.ndarray) -> float:
-    """Shannon entropy (base 2) of a spectrum, clipping roundoff negatives.
+    """Shannon entropy (base 2) of a spectrum, dropping roundoff negatives.
 
-    Eigenvalues in [-EPS_PSD, 0) are clipped to zero; anything more negative
-    raises NotDensityMatrix.
+    Eigenvalues in [-EPS_PSD, 0] add nothing; anything more negative raises
+    NotDensityMatrix.
     """
     vals = np.asarray(vals, dtype=float)
     if vals.min() < -EPS_PSD:
         raise NotDensityMatrix(f"eigenvalue {vals.min():.3e} below -{EPS_PSD:.1e}")
-    vals = np.clip(vals, 0.0, None)
     pos = vals[vals > 0]
-    return float(-np.sum(pos * np.log2(pos)))
+    return float(-(pos * np.log2(pos)).sum())
 
 
 def identity_channel(dim: int) -> Channel:

@@ -192,17 +192,15 @@ def cmd_capacity(args) -> int:
         rho = mc.DensityMatrix(np.eye(n) / n)
     try:
         if mask is None:
-            coh = cap.coherent_information(channel, rho)
+            coh, bound = cap.coherent_information(channel, rho), None
         else:
-            mixed = cap._mask_coherent_information(mask, None)
-            coh = mixed if rho is None else cap._mask_coherent_information(mask, rho)
+            coh, bound, hqc = cap._mask_numbers(mask, vals, rho)
     except NotDensityMatrix as exc:
         print(f"channel output is not a state: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
-    bound = None if mask is None else cap._bound(vals, n)
     payload = {"coherent_information_bits": coh, "hadamard_bound_bits": bound, "dim": n}
-    if mask is not None:  # verify_hqc, from the one check and the I_c at I/n above
-        payload["verify_hqc_difference"] = abs(mixed - bound)
+    if mask is not None:  # verify_hqc's number, from the one check
+        payload["verify_hqc_difference"] = hqc
     _emit(args, payload)
     return EXIT_OK
 

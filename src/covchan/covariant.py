@@ -279,11 +279,19 @@ class SectorDecomposition:
 
     def __post_init__(self):
         spec, clusters = self.spectrum, []
-        for shift, _ in self.sectors:
+        for shift, mask in self.sectors:
+            if not shift.dim == mask.dim == spec.dim:
+                raise DimensionMismatch(f"sector {shift.sigma}: shift dim {shift.dim} and mask dim "
+                                        f"{mask.dim}, spectrum dim {spec.dim}")
             c = spec._cluster_at(shift.sigma)
             pairs = np.multiply(shift.image, spec.dim) + shift.domain
             if c is None or not np.array_equal(pairs, spec.sector_pairs[c]):
                 raise UnknownSector(f"sector {shift.sigma}: not the spectrum's shift at that sigma")
+            if c in clusters:
+                raise UnknownSector(f"sector {shift.sigma}: listed twice")
+            if spec._cluster_at(mask.sigma) != c or tuple(mask.domain) != tuple(shift.domain):
+                raise UnknownSector(f"sector {shift.sigma}: its mask is for sigma {mask.sigma} "
+                                    f"on levels {tuple(mask.domain)}")
             clusters.append(c)
         self.__dict__.update(_clusters=np.array(clusters, dtype=np.intp),
                              _blocks=tuple(mask.domain_submatrix for _, mask in self.sectors))
@@ -347,8 +355,12 @@ class SectorDecomposition:
         groups = []
         for index in members.values():
             pairs = np.stack([held[c] for c in self._clusters[index].tolist()])
-            groups.append(_SizeGroup(np.array(index), pairs % n, pairs // n,
-                                     np.stack([self._blocks[i] for i in index])))
+            blocks = [self._blocks[i] for i in index]
+            if all(block is blocks[0] for block in blocks):  # e.g. the +-a of a Gaussian one
+                stack = np.broadcast_to(blocks[0], (len(blocks), *blocks[0].shape))  # no copy
+            else:
+                stack = np.stack(blocks)
+            groups.append(_SizeGroup(np.array(index), pairs % n, pairs // n, stack))
         return tuple(groups)
 
 
@@ -388,33 +400,17 @@ def partial_shift(spectrum: Spectrum, sigma: float) -> PartialShift:
 
 
 def _mask_failure(blocks: np.ndarray, sigmas) -> tuple[int, str] | None:
-    """The check of every SectorMask, on one d x d block or a (m, d, d) stack
-    of blocks at once: eigvalsh of their Hermitian parts.
-
-    Returns (i, message) for the first block that has a non-finite entry, is
-    not Hermitian within EPS_H or has an eigenvalue below -EPS_PSD, sigmas[i]
-    naming its sector, or None when every block passes.  Blocks formed as a
-    Gram product reach it only when the rounding bound on their factor
-    (channels._gram_bound) fails; the others are blocks given bare, to
-    SectorMask(...) or in a decomposition read from JSON.
-    """
-    if not blocks.size:
+    """The check of every SectorMask, channels._psd_check of one d x d block or a
+    (m, d, d) stack: None, or (i, message) for the first failing block, sigmas[i]
+    naming its sector.  A block formed as a Gram product reaches it only when
+    the rounding bound on its factor (channels._gram_bound) fails."""
+    _, vals, failure = mc._psd_check(blocks)
+    if failure is None:
         return None
-    stack = blocks.reshape(-1, *blocks.shape[-2:])
-    if not np.isfinite(stack).all():  # the blocks before the first non-finite one as usual
-        i = int(np.argmin(np.isfinite(stack).all(axis=(-2, -1))))
-        return (_mask_failure(stack[:i], sigmas[:i])
-                or (i, f"sector {sigmas[i]}: mask has non-finite entries"))
-    adjoint = stack.conj().swapaxes(-1, -2)
-    skew = np.max(np.abs(stack - adjoint), axis=(-2, -1)) > mc.EPS_H
-    lmin = np.linalg.eigvalsh((stack + adjoint) / 2.0).min(axis=-1)
-    bad = np.flatnonzero(skew | (lmin < -mc.EPS_PSD))
-    if not bad.size:
-        return None
-    i = int(bad[0])
-    if skew[i]:
-        return i, f"sector {sigmas[i]}: mask is not Hermitian"
-    return i, f"sector {sigmas[i]}: domain submatrix eigenvalue {lmin[i]:.3e}"
+    i, reason = failure
+    text = (f"domain submatrix eigenvalue {vals[i, 0]:.3e}" if reason == mc.NEGATIVE
+            else f"mask {reason}")
+    return i, f"sector {sigmas[i]}: {text}"
 
 
 # ---------------------------------------------------------------------------
@@ -626,10 +622,14 @@ def sector_kraus(shift: PartialShift, mask: SectorMask):
 
 def apply_sectors(decomp: SectorDecomposition, mat: np.ndarray) -> np.ndarray:
     """sum_sigma S_sigma (M_sigma * mat) S_sigma^dag over decomp's sectors in order, for
-    any square mat: each block times mat on its domain lands on the shift's image."""
-    out = np.zeros(np.shape(mat), dtype=complex)
+    a dim x dim mat (DimensionMismatch otherwise): each block times mat on its domain lands on
+    the shift's image."""
+    n = decomp.spectrum.dim
+    if np.shape(mat) != (n, n):
+        raise DimensionMismatch(f"matrix shape {np.shape(mat)} does not match spectrum dim {n}")
+    out = np.zeros((n, n), dtype=complex)
     for c, block in zip(decomp._clusters.tolist(), decomp._blocks):
-        img, dom = np.divmod(decomp.spectrum.sector_pairs[c], decomp.spectrum.dim)
+        img, dom = np.divmod(decomp.spectrum.sector_pairs[c], n)
         out[np.ix_(img, img)] += block * mat[np.ix_(dom, dom)]
     return out
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import channels as mc
+from .capacity import spectrum_to_bound
 from .channels import Channel
 from .covariant import EnergyShiftDistribution, Spectrum, _check_phase, partial_shift
 from .errors import DimensionMismatch, InvalidParameter, NotPeriodic, NotReliableTiming
@@ -132,12 +133,6 @@ def circulant(v: np.ndarray) -> np.ndarray:
     n = v.size
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return v[idx]
-
-
-def spectrum_to_bound(q: np.ndarray) -> float:
-    """log2(N) - S(q) for a DFT probability vector q."""
-    q = np.asarray(q, dtype=float)
-    return float(np.log2(q.size)) - mc.entropy_of_eigenvalues(q)
 
 
 def timing_channel(

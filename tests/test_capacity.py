@@ -232,14 +232,13 @@ class TestMaskRoute:
             rho = gen.random_state(n, rng)
         else:
             rho = cc.DensityMatrix(np.eye(n) / n)
-        checked, _ = cap._check_mask(m, n)
-        got = cap._mask_coherent_information(checked, None if state == "maximally-mixed" else rho)
+        got = cap._mask_numbers(*cap._check_mask(m, n),
+                                None if state == "maximally-mixed" else rho)[0]
         assert abs(got - hadamard_coherent_information_by_kraus(m, rho)) <= 1e-12
 
     def test_refuses_a_state_of_another_dimension(self):
-        checked, _ = cap._check_mask(mask_c(0.5), 2)
         with pytest.raises(DimensionMismatch):
-            cap._mask_coherent_information(checked, cc.DensityMatrix(np.eye(3) / 3))
+            cap._mask_numbers(*cap._check_mask(mask_c(0.5), 2), cc.DensityMatrix(np.eye(3) / 3))
 
     @pytest.mark.parametrize("fault", ["rotated vectors", "reversed eigenvalues"])
     def test_verify_hqc_sees_vectors_that_do_not_decompose_the_mask(self, rng, monkeypatch,

@@ -8,9 +8,17 @@ from hypothesis import strategies as st
 import covchan as cc
 from covchan import capacity as cap
 from covchan import channels as mcore
+from covchan import covariant as cov
 from covchan import generate as gen
 from covchan import timing as tim
-from covchan.errors import DimensionMismatch, NotCP, NotDensityMatrix
+from covchan.errors import (
+    DiagonalNotUnit,
+    DimensionMismatch,
+    InvalidParameter,
+    MaskNotPSD,
+    NotCP,
+    NotDensityMatrix,
+)
 
 from conftest import (
     amplitude_damping,
@@ -514,6 +522,137 @@ class TestDensityMatrixValidation:
         # A bare ValueError from the empty Hermiticity maximum before.
         with pytest.raises(NotDensityMatrix, match="non-empty square"):
             cc.DensityMatrix(np.zeros((0, 0)))
+
+
+PSD_KINDS = ("psd", "skew above EPS_H", "skew below EPS_H", "indefinite", "non-finite",
+             "8e307 entry")
+
+
+@st.composite
+def psd_check_inputs(draw):
+    """A complex n x n matrix of each PSD_KINDS kind, of unit trace but for a
+    non-finite or an 8e307 diagonal entry: the skews lie 1e-6 EPS_H from
+    EPS_H, the negative eigenvalues span -1e-11 to -0.1 across -EPS_PSD."""
+    kind = draw(st.sampled_from(PSD_KINDS))
+    n = draw(st.integers(1 if kind in ("psd", "non-finite", "8e307 entry") else 2, 8))
+    rng = np.random.Generator(np.random.PCG64(draw(st.integers(0, 2**32 - 1))))
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    b = x @ x.conj().T + n * np.eye(n)
+    b /= np.trace(b).real
+    i, j = sorted(rng.choice(n, size=2, replace=False).tolist()) if n > 1 else (0, 0)
+    if kind in ("non-finite", "8e307 entry") and draw(st.booleans()):
+        j = i  # on the diagonal
+    if kind.startswith("skew"):
+        b[i, j] += mcore.EPS_H * (1.0 + (1e-6 if kind.endswith("above EPS_H") else -1e-6))
+    elif kind == "indefinite":
+        lam, u = np.linalg.eigh(b)
+        t = 10.0 ** draw(st.floats(-11.0, -1.0))
+        lam[-1] += lam[0] + t  # the trace stays 1
+        lam[0] = -t
+        b = (u * lam) @ u.conj().T
+    elif kind == "non-finite":
+        b[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf, complex(0.0, np.inf)]))
+    elif kind == "8e307 entry":
+        b[i, j] = 8e307
+        b[j, i] = 8e307  # off the diagonal an indefinite matrix, on it a PSD one
+    return b
+
+
+def psd_verdict(mat):
+    """The acceptance rule written out on one matrix: None, or why it fails."""
+    if not np.isfinite(mat).all():
+        return mcore.NON_FINITE
+    if np.max(np.abs(mat - mat.conj().T)) > mcore.EPS_H:
+        return mcore.NOT_HERMITIAN
+    if np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)[0] < -mcore.EPS_PSD:
+        return mcore.NEGATIVE
+    return None
+
+
+def verdict_of(build, reasons):
+    """None when build() passes the PSD check, or the reason that reasons, a
+    list of (exception type, message start, reason), names for what it raised.
+    An error of the diagonal check, which follows, counts as a pass; one of
+    the trace check, which comes before the eigenvalue report, as "trace"."""
+    try:
+        build()
+    except (NotDensityMatrix, MaskNotPSD, InvalidParameter) as exc:
+        for kind, start, reason in reasons:
+            if isinstance(exc, kind) and str(exc).startswith(start):
+                return reason
+        if not str(exc).startswith("trace"):
+            raise
+        return "trace"
+    except DiagonalNotUnit:
+        pass
+    return None
+
+
+def spy_psd_check(monkeypatch):
+    """Calls of channels._psd_check, each recorded as (its input, its result)."""
+    calls, check = [], mcore._psd_check
+
+    def spy(mats):
+        calls.append((mats, check(mats)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(mcore, "_psd_check", spy)
+    return calls
+
+
+class TestOnePsdCheck:
+    @settings(derandomize=True, max_examples=300, deadline=None, database=None)
+    @given(mat=psd_check_inputs())
+    def test_one_verdict_at_every_entry_point(self, mat):
+        # The same matrix as a state, as a capacity mask and as a SectorMask
+        # block: each is refused for the rule's reason or passes the check,
+        # and every eigenvalue the check keeps is eigvalsh's of the Hermitian
+        # part, bit for bit.
+        n = len(mat)
+        mask_reasons = [(MaskNotPSD, "mask has non-finite", mcore.NON_FINITE),
+                        (MaskNotPSD, "mask is not Hermitian", mcore.NOT_HERMITIAN)]
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_psd_check(mp)
+            verdicts = [
+                verdict_of(lambda: cc.DensityMatrix(mat), [
+                    (InvalidParameter, "matrix contains NaN or Inf", mcore.NON_FINITE),
+                    (NotDensityMatrix, "matrix is not Hermitian", mcore.NOT_HERMITIAN),
+                    (NotDensityMatrix, "minimum eigenvalue", mcore.NEGATIVE)]),
+                verdict_of(lambda: cap._check_mask(mat, n), mask_reasons
+                           + [(MaskNotPSD, "mask minimum eigenvalue", mcore.NEGATIVE)]),
+                verdict_of(lambda: cov.SectorMask(0.0, mat, tuple(range(n)), n),
+                           [(kind, "sector 0.0: " + start, reason)
+                            for kind, start, reason in mask_reasons]
+                           + [(MaskNotPSD, "sector 0.0: domain submatrix eigenvalue",
+                               mcore.NEGATIVE)]),
+            ]
+        # The spy saw the three checks, but for a non-finite state, which the
+        # copy refuses first.
+        assert len(calls) == (2 if verdicts[0] == mcore.NON_FINITE else 3)
+        if verdicts[0] == "trace":  # an 8e307 diagonal: the state's check as recorded
+            verdicts[0] = calls[0][1][2] and calls[0][1][2][1]
+        assert verdicts == [psd_verdict(mat)] * 3
+        for mats, (herm, vals, _) in calls:
+            np.testing.assert_array_equal(mats.reshape(n, n), mat)
+            for h, v in zip(herm, vals):
+                np.testing.assert_array_equal(h, (mat + mat.conj().T) / 2.0)
+                np.testing.assert_array_equal(v, np.linalg.eigvalsh(h))
+
+    def test_every_entry_point_calls_it_once(self, monkeypatch, rng):
+        mask = gen.random_unit_diagonal_mask(4, rng)
+        calls = spy_psd_check(monkeypatch)
+        rho = cc.DensityMatrix(mask / 4)
+        assert len(calls) == 1
+        cap._check_mask(mask, 4)
+        assert len(calls) == 2
+        cov.SectorMask(0.0, mask, (0, 1, 2, 3), 4)
+        assert len(calls) == 3
+        assert cov._mask_failure(mask, [0.0]) is None
+        assert len(calls) == 4
+        np.testing.assert_array_equal(calls[0][1][1][0], rho.eigenvalues)
+        for mats, (_, _, failure) in calls[1:]:
+            np.testing.assert_array_equal(mats.reshape(4, 4), mask)
+            assert failure is None
 
 
 @pytest.mark.parametrize("layout", ["transposed", "fortran"])

@@ -654,7 +654,22 @@ NON_FINITE_FILES = {
     "state": {f"state-{x}": f'{{"rows": 2, "cols": 1, "data": [[1, 0], [0, {x}]]}}'
               for x in NON_FINITE_ENTRIES},
 }
-BAD_FILES = {**MALFORMED_FILES, **{name: text for files in NON_FINITE_FILES.values()
+
+
+def _mask_text(rows: int, cols: int, entries: str) -> str:
+    return f'{{"rows": {rows}, "cols": {cols}, "data": [{entries}]}}'
+
+
+# Finite masks that capacity refuses: skew 3e-9 > EPS_H, an eigenvalue -1, a
+# diagonal of 0.5 and a 2 x 3 matrix.
+MASK_FILES = {
+    "mask-skew": _mask_text(2, 2, "[1, 0], [0.500000003, 0], [0.5, 0], [1, 0]"),
+    "mask-indefinite": _mask_text(2, 2, "[1, 0], [2, 0], [2, 0], [1, 0]"),
+    "mask-diagonal-half": _mask_text(2, 2, "[0.5, 0], [0, 0], [0, 0], [0.5, 0]"),
+    "mask-2x3": _mask_text(2, 3, ", ".join(["[1, 0]"] * 6)),
+}
+KIND_FILES = {**NON_FINITE_FILES, "mask": MASK_FILES}  # the bad files of each kind of input
+BAD_FILES = {**MALFORMED_FILES, **{name: text for files in KIND_FILES.values()
                                    for name, text in files.items()}}
 # --out targets: "out:file" can be written, the other two cannot be opened.
 OUT_TARGETS = ("out:file", "out:directory", "out:missing-folder")
@@ -677,8 +692,9 @@ def bad_files(tmp_path_factory):
 def cli_argvs(draw):
     """(argv, COVCHAN_SEED or None).  For mc-gaussian the drawn value may go
     to COVCHAN_SEED instead of a flag; --seed is then left out, so that the
-    variable supplies the seed.  A command that reads files may have one of
-    them replaced by a bad file, named "bad:<name>" (BAD_FILES), and any
+    variable supplies the seed.  capacity reads a channel or a mask file.  A
+    command that reads files may have one of them replaced by a bad file of
+    its kind, named "bad:<name>" (BAD_FILES), and any
     command may get an --out target (OUT_TARGETS)."""
     command = draw(st.sampled_from(sorted(VALID_FLAGS)))
     flags = VALID_FLAGS[command]
@@ -694,10 +710,12 @@ def cli_argvs(draw):
         argv = [command, "--format", draw(st.sampled_from(["json", "csv"]))]
     else:
         chan = draw(st.sampled_from(["amplitude_damping_0.3.json", "hadamard_gate_channel.json",
-                                     "identity_channel.json", "shift_mixture_channel.json"]))
+                                     "identity_channel.json", "shift_mixture_channel.json"]
+                                    + ["mask_c_sqrt_half.json"] * (command == "capacity")))
         four = chan.startswith("shift")
         state = "phi0_4level.json" if four else "plus_state.json"
-        argv, kinds = [command, str(FIXTURES / chan)], {1: "channel"}
+        argv = [command, str(FIXTURES / chan)]
+        kinds = {1: "mask" if chan.startswith("mask") else "channel"}
         if command != "capacity":
             kinds[len(argv)] = "spectrum"
             argv.append(str(FIXTURES / ("spectrum_4level.json" if four else "spectrum_2level.json")))
@@ -706,7 +724,7 @@ def cli_argvs(draw):
             argv += ["--phi0" if command == "timing" else "--input-state", str(FIXTURES / state)]
         if draw(st.booleans()):
             slot = draw(st.sampled_from(sorted(kinds)))
-            names = sorted(MALFORMED_FILES) + sorted(NON_FINITE_FILES[kinds[slot]])
+            names = sorted(MALFORMED_FILES) + sorted(KIND_FILES[kinds[slot]])
             argv[slot] = "bad:" + draw(st.sampled_from(names))
     if out:
         argv += ["--out", out]
@@ -730,6 +748,12 @@ def run_main(argv, seed_env):
 
 @EXIT_PROPERTY
 @given(case=cli_argvs())
+@example(case=(["capacity", str(FIXTURES / "mask_c_sqrt_half.json"),
+                "--input-state", str(FIXTURES / "plus_state.json")], None))
+@example(case=(["capacity", "bad:mask-skew"], None))
+@example(case=(["capacity", "bad:mask-indefinite"], None))
+@example(case=(["capacity", "bad:mask-diagonal-half"], None))
+@example(case=(["capacity", "bad:mask-2x3"], None))
 @example(case=(["mc-gaussian", "--format", "json", "--std-dev", "1e308", "--dim", "4",
                 "--sigma-max", "0", "--samples", "20", "--seed", "0"], None))  # once printed nan
 def test_exit_code_contract(case, bad_files):

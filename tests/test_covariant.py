@@ -701,6 +701,72 @@ class TestBlockStorage:
             cov.SectorMask(sigma=-2.0, domain_submatrix=block, domain=(2, 3), dim=4)
 
 
+class TestHandBuiltPairs:
+    """SectorDecomposition(spectrum, sectors) refuses pairs its store cannot hold."""
+
+    def test_refuses_a_sector_listed_twice(self):
+        # It was counted twice: diagonal_sums() read [2, 2, 2] and reconstruct
+        # a tp_defect of 1.73.
+        spec = cc.Spectrum([0.0, 1.0, 2.0])
+        shift = cov.partial_shift(spec, 0.0)
+        mask = cov.SectorMask(0.0, np.eye(3), shift.domain, 3)
+        with pytest.raises(UnknownSector, match="listed twice"):
+            cov.SectorDecomposition(spec, ((shift, mask), (shift, mask)))
+
+    @pytest.mark.parametrize("sigma, domain", [(1.0, (0, 1)), (-2.0, (0, 1)), (1.0, (2, 3))],
+                             ids=["both", "domain", "sigma"])
+    def test_refuses_a_mask_of_another_shift(self, sigma, domain):
+        # A sigma = 1 mask on (0, 1) with the sigma = -2 shift was moved onto (2, 3).
+        spec = spectrum4()
+        shift = cov.partial_shift(spec, -2.0)
+        mask = cov.SectorMask(sigma, np.eye(2), domain, 4)
+        with pytest.raises(UnknownSector, match="its mask is for sigma"):
+            cov.SectorDecomposition(spec, ((shift, mask),))
+
+    def test_refuses_a_block_larger_than_its_shift(self):
+        # apply_sectors failed later with a bare numpy ValueError.
+        spec = spectrum4()
+        shift = cov.partial_shift(spec, 2.0)  # domain (0, 1)
+        mask = cov.SectorMask(2.0, np.eye(3), (0, 1, 2), 4)
+        with pytest.raises(UnknownSector):
+            cov.SectorDecomposition(spec, ((shift, mask),))
+
+    @pytest.mark.parametrize("shift_dim, mask_dim", [(4, 5), (5, 4)])
+    def test_refuses_a_pair_of_another_dimension(self, shift_dim, mask_dim):
+        spec = spectrum4()
+        shift = cov.PartialShift(-2.0, (2, 3), (0, 1), shift_dim)
+        mask = cov.SectorMask(-2.0, np.eye(2), (2, 3), mask_dim)
+        with pytest.raises(DimensionMismatch):
+            cov.SectorDecomposition(spec, ((shift, mask),))
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_apply_sectors_refuses_a_matrix_of_another_dimension(rng, monkeypatch, size):
+    # On dim 4 a 5 x 5 matrix gave a 5 x 5 result and a 3 x 3 one a bare
+    # IndexError.  The shape is refused before any block is read.
+    decomp = cov.decompose(gen.random_covariant(spectrum4(), rng), spectrum4())
+    monkeypatch.setitem(decomp.__dict__, "_blocks", None)  # reading it would raise TypeError
+    with pytest.raises(DimensionMismatch):
+        cov.apply_sectors(decomp, np.eye(size))
+
+
+def test_size_groups_of_one_shared_block_are_views():
+    # The +-a blocks of a Gaussian decomposition are one array each; the size
+    # groups were np.stack copies of them, 35 MB kept at dim 186.
+    decomp = fock.gaussian_decomposition(fock.FockParams(dim=186, std_dev=0.5))
+    rho = gen.random_state(186, np.random.default_rng(186))
+    tracemalloc.start()
+    try:
+        cov.domain_extension_check(decomp, rho, 0.7)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= 2 * 2**20
+    for group in decomp._groups:
+        assert not group.blocks.flags.writeable
+        assert all(np.shares_memory(group.blocks, decomp._blocks[i]) for i in group.index)
+
+
 class TestMaskCheck:
     @pytest.mark.parametrize("block", [
         np.array([[np.nan, 0.0], [0.0, 1.0]]),

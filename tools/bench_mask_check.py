@@ -19,6 +19,10 @@ Rows, each timed in a fresh process with OPENBLAS_NUM_THREADS=1:
   Gaussian decomposition at std_dev 0.5 and the dims above, and
   SectorDecomposition.sector(0) through GaussianDecomposition.mask(0) at
   those dims;
+- the one PSD check at its three entry points, at n = 4, 16 and 64:
+  channels.DensityMatrix(...) of one random state, capacity.hadamard_bound
+  followed by capacity.verify_hqc of one random unit-diagonal mask, and
+  covariant.SectorMask(...) of that mask on all n levels;
 - fock.monte_carlo_channel with 1e5 samples at std_dev 0.5 on the pure
   states |0> and (|0> + |1>) / sqrt(2) at dims 8, 16, 32 and 64 and on the
   rank-2 state diag(0.6, 0.4, 0, ...) at dims 8 and 16.
@@ -40,6 +44,7 @@ STD_DEVS = (0.3, 1.0)
 MC_DIMS = (8, 16, 32, 64)
 MC_MIXED_DIMS = (8, 16)
 CHECK_SIZES = (16, 32)
+PSD_SIZES = (4, 16, 64)
 
 
 def _as_built(decomp):
@@ -61,6 +66,7 @@ def _as_built(decomp):
 def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
     sys.path.insert(0, src)
     import numpy as np
+    from covchan import capacity as cap
     from covchan import channels as mc
     from covchan import covariant as cov
     from covchan import fock
@@ -108,6 +114,16 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
                              check, rounds))
         rows.append(time_row("fock.GaussianDecomposition.mask(0)", "std_dev=0.5", dim,
                              as_built(lambda: decomp.mask(0)), rounds))
+    for n in PSD_SIZES:
+        rng = np.random.default_rng(n)
+        state, mask = gen.random_state(n, rng).matrix, gen.random_unit_diagonal_mask(n, rng)
+        rows.append(time_row("channels.DensityMatrix(...)", "random state", n,
+                             lambda: mc.DensityMatrix(state), rounds))
+        rows.append(time_row("capacity.hadamard_bound + verify_hqc", "random mask", n,
+                             lambda: (cap.hadamard_bound(mask, n), cap.verify_hqc(mask, n)),
+                             rounds))
+        rows.append(time_row("covariant.SectorMask(...)", "random mask", n,
+                             lambda: cov.SectorMask(0.0, mask, tuple(range(n)), n), rounds))
     for dim in MC_DIMS:
         vac, sup = np.eye(dim)[0], np.sqrt(0.5) * np.eye(dim)[:2].sum(axis=0)
         states = {"|0>": np.outer(vac, vac), "|0> + |1>": np.outer(sup, sup)}
