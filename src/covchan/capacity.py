@@ -111,8 +111,10 @@ def hadamard_channel(mask: np.ndarray) -> Channel:
     of M (deterministic eigendecomposition ordering, as everywhere else).
     """
     n = np.shape(mask)[0] if np.ndim(mask) else 0  # a 0-d mask fails the shape check
-    vecs = mc._scaled_eigenvectors(_check_mask(mask, n)[0][None])[2]
-    return Channel(tuple([np.diag(v) for v in vecs] or [np.zeros((n, n), dtype=complex)]))
+    vecs = mc._scaled_eigenvectors([_check_mask(mask, n)[0][None]])[3]  # one or more: tr M = n
+    ops = np.zeros((len(vecs), n, n), dtype=complex)
+    ops[:, np.arange(n), np.arange(n)] = vecs
+    return Channel._adopt(ops)
 
 
 def hadamard_bound(mask: np.ndarray, n: int) -> float:

@@ -102,7 +102,8 @@ class DensityMatrix:
         _, (vals,), failure = _psd_check(mat[None])  # finite already: _as_complex
         if failure == (0, NOT_HERMITIAN):
             raise NotDensityMatrix("matrix is not Hermitian within tolerance")
-        trace = np.trace(mat)
+        with np.errstate(over="ignore"):  # an overflowing trace is refused below, as inf
+            trace = np.trace(mat)
         if abs(trace.real - 1.0) > EPS_TR or abs(trace.imag) > EPS_TR:
             raise NotDensityMatrix(f"trace {trace} is not 1 within tolerance")
         if failure is not None:
@@ -123,7 +124,9 @@ class Channel:
 
     Trace preservation and complete positivity are not enforced here; use
     :func:`is_cptp` to check either.  Kraus operators are dim_out x dim_in,
-    the rows of the channel's own read-only (K, dim_out, dim_in) stack.
+    the rows of the channel's own read-only (K, dim_out, dim_in) stack: a
+    copy of the operators given, checked finite, or a stack the package has
+    just built from checked arrays, adopted as it is (_adopt).
     """
 
     kraus: tuple[np.ndarray, ...]
@@ -136,10 +139,20 @@ class Channel:
         shape = ops[0].shape
         if len(shape) != 2 or 0 in shape or any(k.shape != shape for k in ops):
             raise DimensionMismatch("all Kraus operators must be non-empty matrices of one shape")
-        stack = _as_complex(ops)  # one copy and one finiteness check for the family
+        self._keep(_as_complex(ops))  # one copy and one finiteness check for the family
+
+    @classmethod
+    def _adopt(cls, stack: np.ndarray) -> Channel:
+        """The channel of a fresh C-ordered complex (K, dim_out, dim_in) stack
+        that nothing else holds, finite because it was computed from checked
+        arrays: kept with no copy and no second check."""
+        channel = object.__new__(cls)
+        channel._keep(stack)
+        return channel
+
+    def _keep(self, stack: np.ndarray) -> None:
         stack.setflags(write=False)
-        object.__setattr__(self, "_ops", stack)
-        object.__setattr__(self, "kraus", tuple(stack))
+        self.__dict__.update(_ops=stack, kraus=tuple(stack))
 
     @property
     def dim_in(self) -> int:
@@ -265,44 +278,51 @@ def _choi_on_support(support: np.ndarray, *stacks: np.ndarray) -> list[np.ndarra
     return [v.T @ v.conj() for v in vecs]
 
 
-def _deterministic_eig(mats: np.ndarray):
-    """Eigendecomposition of a matrix, or of each matrix of a (m, d, d) stack,
-    with a reproducible ordering and phase gauge.
-
-    Eigenpairs are sorted by descending eigenvalue; ties are broken by
-    lexicographic comparison of the (phase-fixed) eigenvector entries.  Each
-    eigenvector is rotated so its largest-magnitude entry is real positive.
-    The eigenvectors are returned as the rows of one array per matrix.
-    """
-    shape = mats.shape
-    stack = mats.reshape((-1,) + shape[-2:])
-    vals, vecs = np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2.0)
-    m, d = vals.shape
-    pivots = vecs[np.arange(m)[:, None], np.argmax(np.abs(vecs), axis=1), np.arange(d)]
-    rows = (vecs * np.exp(-1j * np.angle(pivots))[:, None, :]).swapaxes(1, 2)
-    rows = np.ascontiguousarray(rows).reshape(m * d, d)
-
+def _deterministic_eig(stacks, keys=None):
+    """Eigenpairs of every matrix of a sequence of (m, d, d) stacks, keys[i]
+    the distinct sort keys of stack i's m matrices (by default they are
+    numbered stack after stack): one eigh per stack (LAPACK takes one size at
+    a time), each eigenvector rotated so its largest-magnitude entry is real
+    positive, all of them sorted by matrix key, then by descending
+    eigenvalue, ties broken by lexicographic comparison of the (phase-fixed)
+    entries.  Returns the eigenvalues (N,), the eigenvectors as rows (N, D)
+    zero-padded to the largest size and each one's matrix key (N,)."""
+    shapes = [stack.shape[:2] for stack in stacks]
+    count = sum(m * d for m, d in shapes)
+    vals, rows = np.empty(count), np.zeros((count, max(d for _, d in shapes)), dtype=complex)
+    start = 0
+    for (m, d), stack in zip(shapes, stacks):
+        lam, vecs = np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2.0)
+        vals[start:start + m * d] = lam.reshape(-1)
+        rows[start:start + m * d].reshape(m, d, -1)[:, :, :d] = vecs.swapaxes(1, 2)
+        start += m * d
+    sizes = np.repeat([d for _, d in shapes], [m for m, _ in shapes])  # of each matrix
+    key = np.repeat(np.arange(sizes.size) if keys is None else np.concatenate(keys), sizes)
+    pivots = rows[np.arange(count), np.argmax(np.abs(rows), axis=1)]
+    rows *= np.exp(-1j * np.angle(pivots))[:, None]
     # lexsort's last key is the primary one: the matrix, then -vals, then
-    # Re/Im of entry 0, 1, ... of the eigenvector.
-    order = np.lexsort(np.vstack([rows.view(float).T[::-1], -vals.reshape(-1),
-                                  np.arange(m).repeat(d)]))
-    return vals.reshape(-1)[order].reshape(shape[:-1]), rows[order].reshape(shape)
+    # Re/Im of entry 0, 1, ... of the eigenvector.  The entries decide only
+    # between equal eigenvalues of one matrix: without one, two keys suffice.
+    order = np.lexsort((-vals, key))
+    if ((key[order[1:]] == key[order[:-1]]) & (vals[order[1:]] == vals[order[:-1]])).any():
+        order = np.lexsort(np.vstack([rows.view(float).T[::-1], -vals, key]))
+    return vals[order], rows[order], key[order]
 
 
-def _scaled_eigenvectors(mats: np.ndarray):
-    """Vectors sqrt(lam) v of each matrix of a (m, d, d) stack of PSD matrices,
-    in _deterministic_eig order.
-
-    Returns the smallest eigenvalue of each matrix, the number of vectors
-    each keeps, and the kept vectors as the rows of one array, matrix after
-    matrix; kraus_from_choi raises on a smallest eigenvalue below -EPS_PSD.  The rank
-    cutoff is relative and much tighter than the PSD tolerance so that the
-    choi -> kraus -> choi round trip stays accurate to ~1e-13.
-    """
-    vals, vecs = _deterministic_eig(mats)
-    cutoff = 1e-14 * np.maximum(vals.max(axis=1, initial=0.0), 1.0)
-    keep = vals > cutoff[:, None]  # a prefix of each matrix's descending eigenvalues
-    return vals.min(axis=1), keep.sum(axis=1), np.sqrt(vals[keep])[:, None] * vecs[keep]
+def _scaled_eigenvectors(stacks, keys=None):
+    """Vectors sqrt(lam) v of every matrix of a sequence of (m, d, d) stacks of
+    PSD matrices, in _deterministic_eig order: matrix after matrix by key, each
+    one's smallest eigenvalue, size and number of vectors kept, and the kept
+    vectors as rows zero-padded to the largest size.  kraus_from_choi raises
+    on a smallest eigenvalue below -EPS_PSD.  The rank cutoff is relative and
+    much tighter than the PSD tolerance so that the choi -> kraus -> choi
+    round trip stays accurate to ~1e-13."""
+    vals, rows, key = _deterministic_eig(stacks, keys)
+    first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])  # each matrix's largest
+    sizes = np.append(first[1:], key.size) - first
+    keep = vals > np.repeat(1e-14 * np.maximum(vals[first], 1.0), sizes)  # a prefix of each
+    count = np.add.reduceat(keep, first, dtype=np.intp)
+    return vals[first + sizes - 1], sizes, count, np.sqrt(vals[keep])[:, None] * rows[keep]
 
 
 def kraus_from_choi(choi: ChoiMatrix) -> Channel:
@@ -315,11 +335,11 @@ def kraus_from_choi(choi: ChoiMatrix) -> Channel:
     if np.max(np.abs(choi.matrix - choi.matrix.conj().T)) > EPS_H:
         raise NotCP(f"Choi matrix is not Hermitian within {EPS_H:.1e}")
     shape = (choi.dim_out, choi.dim_in)
-    lmin, _, vecs = _scaled_eigenvectors(choi.matrix[None])
+    lmin, _, _, vecs = _scaled_eigenvectors([choi.matrix[None]])
     if lmin[0] < -EPS_PSD:
         raise NotCP(f"Choi minimum eigenvalue {lmin[0]:.3e} below -{EPS_PSD:.1e}")
     ops = vecs.reshape((-1,) + shape)
-    return Channel(tuple(ops) if len(ops) else (np.zeros(shape, dtype=complex),))
+    return Channel._adopt(ops if len(ops) else np.zeros((1,) + shape, dtype=complex))
 
 
 def is_cptp(channel: Channel) -> CPTPReport:

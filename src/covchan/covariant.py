@@ -29,25 +29,27 @@ view, (PartialShift, SectorMask) pairs, is made from it one pair at a time by
 SectorDecomposition._pairs; PartialShift.matrix and SectorMask.mask are dim x
 dim views built on demand.
 
-Sector work runs on stacks of equal-size sectors, not sector by sector.  A
-Spectrum groups its sectors by domain size on first use and caches the
-groups (sector indices and (m, d) level arrays); for each size, decompose
-gathers the (m, d, d) Choi blocks at once (a size none of whose pairs is
-touched has zero blocks and is dropped unread), reconstruct runs one stacked
-eigh and one scatter, and shift_distribution one product.  Every block
-decompose keeps is a pinched principal block of the Gram product
+Sector work runs over all sectors at once.  decompose lays the blocks of
+the sectors the channel touches out in one flat buffer, in size order
+(_Layout, its tables built per call for those sectors alone), and gathers,
+Hermitises, scales for TP and tests them for the drop once over it; the
+decomposition's size groups and blocks are views of the buffer.  reconstruct
+runs one stacked eigh per size (LAPACK takes one size at a time), then
+orders, cuts and scatters the eigenvectors of all sectors at once.  Every
+block decompose keeps is a pinched principal block of the Gram product
 C_S = V_S^T conj(V_S), so one rounding bound on the Kraus operators' norm
 (channels._gram_bound) proves all of them pass the mask check; only when it
-does not is the check run, one stacked eigvalsh per size.  A decomposition
-from decompose keeps these stacks as its size groups, of which its blocks
-are views.  The results are the per-sector loops' bit for bit: one level sum
-adds the diagonals in sector order (_level_sums), each block's residue is
-its own dot product, and the first failing sector in sector order is the one
-reported.  characteristic_function and bochner_check apply no channel: they read
-one n x n weight matrix W per call, whose sum over a sector's pairs is tr(K G_sigma(rho)).
+does not is the check run, one stacked eigvalsh per size.  The results are
+the per-sector loops' bit for bit: one level sum adds the diagonals in
+sector order (_level_sums), each block's residue is its own dot product,
+and the first failing sector in sector order is the one reported.
+characteristic_function and bochner_check apply no channel: they read one
+n x n weight matrix W per call, whose sum over a sector's pairs is
+tr(K G_sigma(rho)).
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -68,13 +70,13 @@ from .errors import (
 
 class _SizeGroup(NamedTuple):
     """The sectors of one domain size d: their positions (m,), ascending, the
-    input levels (m, d) and output levels (m, d) of each, and for the sectors
-    of a decomposition their (m, d, d) stack of mask blocks."""
+    input levels (m, d) and output levels (m, d) of each, and their (m, d, d)
+    stack of mask blocks."""
 
     index: np.ndarray
     domains: np.ndarray
     images: np.ndarray
-    blocks: np.ndarray | None = None
+    blocks: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,31 +158,19 @@ class Spectrum:
         return np.exp(-1j * self.energies * t)
 
     @cached_property
-    def _groups(self) -> tuple[_SizeGroup, ...]:
-        """The sectors grouped by domain size, built on first use (decompose reads
-        them; the Gaussian decompositions of fock never do)."""
-        n = self.dim
+    def _tables(self) -> tuple[np.ndarray, ...]:
+        """The sectors in size order (ascending domain size, then sector), each
+        one's size and first pair in the flat pairs of all sectors one after
+        another, those pairs, and the sector of every flat pair j' * n + j:
+        O(n^2), built on first use (the Gaussian decompositions never do)."""
         sizes = np.array([pairs.size for pairs in self.sector_pairs])
         flat = np.concatenate(self.sector_pairs)
-        starts = np.cumsum(sizes) - sizes
-        groups = []
-        for d in np.flatnonzero(np.bincount(sizes)).tolist():  # the sizes present, ascending
-            index = np.flatnonzero(sizes == d)
-            pairs = flat[starts[index, None] + np.arange(d)]
-            group = _SizeGroup(index, pairs % n, pairs // n)
-            for arr in group[:3]:
-                arr.setflags(write=False)
-            groups.append(group)
-        return tuple(groups)
-
-    @cached_property
-    def _pair_sectors(self) -> np.ndarray:
-        """The sector of every flat Choi pair j' * n + j, built on first use."""
-        sizes = [pairs.size for pairs in self.sector_pairs]
         sector = np.empty(self.dim ** 2, dtype=np.intp)
-        sector[np.concatenate(self.sector_pairs)] = np.repeat(np.arange(len(sizes)), sizes)
-        sector.setflags(write=False)
-        return sector
+        sector[flat] = np.repeat(np.arange(sizes.size), sizes)
+        tables = (np.argsort(sizes, kind="stable"), sizes, np.cumsum(sizes) - sizes, flat, sector)
+        for arr in tables:
+            arr.setflags(write=False)
+        return tables
 
     def _cluster_at(self, sigma: float) -> int | None:
         """Index i of the cluster whose span [lowest, highest] of differences lies
@@ -425,7 +415,7 @@ def _support_choi(channel: Channel,
     column off S is zero, so the cross-sector entries off S x S are too."""
     if channel._ops.shape[1:] != (spectrum.dim, spectrum.dim):
         raise DimensionMismatch("channel and spectrum dimensions differ")
-    sector = spectrum._pair_sectors  # built before the Choi arrays, so never above them
+    *_, sector = spectrum._tables  # built before the Choi arrays, so never above them
     support, choi = channel._support, channel._choi()
     sector = sector[support]
     cross = np.abs(choi)
@@ -433,29 +423,57 @@ def _support_choi(channel: Channel,
     return support, choi, cross
 
 
-def _sector_blocks(choi: np.ndarray, support: np.ndarray,
-                   spectrum: Spectrum) -> tuple[_SizeGroup, ...]:
-    """The spectrum's size groups with their (m, d, d) stacks of principal
-    blocks of the Choi matrix choi on support x support, +0.0 at the pairs
-    off the support (a pinching: PSD stays PSD).  A group whose sectors hold
-    no pair of the support has only zero blocks and is left out."""
+# Sectors (K,) in size order (ascending d, then sector), their sizes (K,) and
+# flat Choi pairs j' * n + j (sum d), their d x d blocks row-major in one buffer
+# (sum d^2), and for each entry the positions in pairs of its row and column
+# and the buffer position of its transpose.
+_Layout = namedtuple("_Layout", "index sizes pairs blocks rows cols trans")
+
+
+def _sector_blocks(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum) -> _Layout:
+    """The layout of the sectors that hold a pair of the support, with their
+    principal blocks of the Choi matrix choi on support x support, +0.0 at
+    the pairs off the support (a pinching: PSD stays PSD).  Every other
+    sector's block is zero and is left out, and no table is built for it:
+    over all sectors the tables would hold about 2 n^3 / 3 entries each."""
     n = spectrum.dim
-    row = np.full(n * n, -1)  # of each pair in choi, -1 off the support
-    row[support] = np.arange(support.size)
-    groups = []
-    for group in spectrum._groups:
-        rows = row[group.images * n + group.domains]
-        held = rows >= 0
-        if held.any():
-            blocks = choi[rows[:, :, None], rows[:, None, :]]
-            groups.append(group._replace(blocks=np.where(
-                held[:, :, None] & held[:, None, :], blocks, 0.0)))
+    order, sizes, starts, flat, sector = spectrum._tables
+    held = np.zeros(sizes.size, dtype=bool)
+    held[sector[support]] = True
+    index = order[held[order]]
+    sizes = sizes[index]
+    first = np.cumsum(sizes) - sizes  # of each sector's pairs in the layout
+    pairs = flat[np.arange(sizes.sum()) + np.repeat(starts[index] - first, sizes)]
+    square = sizes * sizes
+    start = np.repeat(np.cumsum(square) - square, square)  # of each entry's block
+    d = np.repeat(sizes, square)
+    rows, cols = np.divmod(np.arange(d.size) - start, d)  # the entry's place in its block
+    trans = start + cols * d + rows
+    base = np.repeat(first, square)
+    rows += base
+    cols += base
+    del start, d, base  # freed before the gather, which runs beside the Choi arrays
+    at = np.full(n * n, -1)  # the row of each pair in choi, -1 off the support
+    at[support] = np.arange(support.size)
+    row, col = at[pairs][rows], at[pairs][cols]
+    blocks = choi[row, col]
+    blocks[(row < 0) | (col < 0)] = 0.0
+    return _Layout(index, sizes, pairs, blocks, rows, cols, trans)
+
+
+def _size_groups(index, sizes, pairs, blocks, n: int) -> tuple[_SizeGroup, ...]:
+    """The size groups of sectors laid out in size order, as a _Layout's index,
+    sizes, pairs and buffer: every array of a group a view of those."""
+    domains, images = pairs % n, pairs // n
+    counts = np.bincount(sizes)
+    groups, k, p, e = [], 0, 0, 0
+    for d in np.flatnonzero(counts).tolist():  # the sizes present, ascending
+        m = int(counts[d])
+        groups.append(_SizeGroup(index[k:k + m], domains[p:p + m * d].reshape(m, d),
+                                 images[p:p + m * d].reshape(m, d),
+                                 blocks[e:e + m * d * d].reshape(m, d, d)))
+        k, p, e = k + m, p + m * d, e + m * d * d
     return tuple(groups)
-
-
-def _sq_norm(arr: np.ndarray) -> float:
-    """Squared Frobenius norm."""
-    return float(np.vdot(arr, arr).real)
 
 
 def _level_sums(levels: np.ndarray, diagonals: np.ndarray, n: int) -> np.ndarray:
@@ -466,30 +484,23 @@ def _level_sums(levels: np.ndarray, diagonals: np.ndarray, n: int) -> np.ndarray
     return total
 
 
-def _restore_tp(groups, n: int) -> tuple[tuple[_SizeGroup, ...], float]:
-    """The groups' blocks under the congruence by diag(s), s = w^(-1/2) and w
+def _restore_tp(layout: _Layout, n: int) -> tuple[_Layout, float]:
+    """The layout's blocks under the congruence by diag(s), s = w^(-1/2) and w
     their level sums, so that the diagonals sum to one at every level (TP);
     and max s^2, by which the congruence can scale rounding."""
-    order = np.argsort(np.concatenate(
-        [np.repeat(g.index, g.domains.shape[1]) for g in groups]), kind="stable")
-    levels = np.concatenate([g.domains.reshape(-1) for g in groups])
-    diags = np.concatenate([np.real(np.diagonal(g.blocks, axis1=1, axis2=2)).reshape(-1)
-                            for g in groups])
+    levels = layout.pairs % n
+    order = np.argsort(np.repeat(layout.index, layout.sizes), kind="stable")  # sector order
+    diags = np.real(layout.blocks[layout.rows == layout.cols])  # in pair order
     scale = 1.0 / np.sqrt(_level_sums(levels[order], diags[order], n))
-    out = []
-    for group in groups:
-        s = scale[group.domains]
-        out.append(group._replace(blocks=group.blocks * (s[:, :, None] * s[:, None, :])))
+    s = scale[levels]
     top = float(scale.max(initial=0.0))
-    return tuple(out), top * top
+    return layout._replace(blocks=layout.blocks * (s[layout.rows] * s[layout.cols])), top * top
 
 
-def _scatter(groups, n: int) -> np.ndarray:
-    """The Choi matrix holding each group's blocks on their pairs, zero elsewhere."""
+def _scatter(layout: _Layout, n: int) -> np.ndarray:
+    """The Choi matrix holding the layout's blocks on their pairs, zero elsewhere."""
     choi = np.zeros((n * n, n * n), dtype=complex)
-    for group in groups:
-        pairs = group.images * n + group.domains
-        choi[pairs[:, :, None], pairs[:, None, :]] = group.blocks
+    choi[layout.pairs[layout.rows], layout.pairs[layout.cols]] = layout.blocks
     return choi
 
 
@@ -536,58 +547,52 @@ def decompose(
     if defect > tol:
         raise NotCovariant(defect, tol)
     n = spectrum.dim
-    raw = _sector_blocks(choi, support, spectrum)
-    sq_cross = _sq_norm(cross)
+    layout = _sector_blocks(choi, support, spectrum)
+    sq_cross = float(np.vdot(cross, cross).real)  # its squared Frobenius norm
     # Freed before any output is allocated, so that the outputs take no fresh
     # pages above the Choi arrays that a later Choi matrix could reuse (the
     # channel keeps its Choi matrix when |S| <= K, and then none is formed).
     del choi, cross
-    groups = tuple(g._replace(blocks=(g.blocks + g.blocks.conj().swapaxes(1, 2)) / 2.0)
-                   for g in raw)
+    raw = layout.blocks
+    layout = layout._replace(blocks=(raw + raw[layout.trans].conj()) / 2.0)
     scale = 1.0
     if channel._tp_defect <= mc.EPS_TP:
-        groups, scale = _restore_tp(groups, n)
+        layout, scale = _restore_tp(layout, n)
 
     # ||C - scatter(kept blocks)||^2 entry by entry: the cross-sector
     # entries, plus each sector's Choi block minus its kept block (or zero).
-    peak = max([defect, *(float(np.max(np.abs(r.blocks))) for r in raw)])
+    blocks, sizes, square = layout.blocks, layout.sizes, layout.sizes * layout.sizes
+    peak = max(defect, float(np.abs(raw).max(initial=0.0)))
     floor = 1e-13 * max(1.0, peak)  # peak = max |C|
-    sq_terms = np.zeros(len(spectrum.sigmas))  # a group left out adds 0.0
-    kept = np.zeros(len(spectrum.sigmas), dtype=bool)
-    kept_groups = []
-    for group, r in zip(groups, (g.blocks for g in raw)):
-        block = group.blocks
-        drop = np.max(np.abs(block), axis=(1, 2)) <= floor
-        resid = np.where(drop[:, None, None], r, r - block).reshape(len(r), -1)
-        sq_terms[group.index] = np.vecdot(resid, resid).real  # per block the dot of _sq_norm
-        keep = ~drop
-        kept[group.index] = keep
-        if keep.any():
-            kept_groups.append(_SizeGroup(group.index[keep], group.domains[keep],
-                                          group.images[keep], block[keep]))
+    drop = np.maximum.reduceat(np.abs(blocks), np.cumsum(square) - square) <= floor
+    resid = np.where(np.repeat(drop, square), raw, raw - blocks)
+    sq_terms = np.zeros(len(spectrum.sigmas))  # a sector left out adds 0.0
+    for group in _size_groups(layout.index, sizes, layout.pairs, resid, n):
+        terms = group.blocks.reshape(len(group.index), -1)
+        sq_terms[group.index] = np.vecdot(terms, terms).real  # one dot per block, as vdot
     # A running sum adds the terms in sector order, as one float after another.
     sq_defect = np.add.accumulate(np.r_[sq_cross, sq_terms])[-1]
-    clusters = np.flatnonzero(kept)
-    position = np.cumsum(kept) - 1  # of each sector among the kept ones
-    kept_groups = tuple(g._replace(index=position[g.index]) for g in kept_groups)
+    keep = ~drop
+    clusters = np.sort(layout.index[keep])
+    position = np.searchsorted(clusters, layout.index[keep])  # of each kept sector
+    blocks = blocks[np.repeat(keep, square)]
+    blocks.setflags(write=False)
+    groups = _size_groups(position, sizes[keep], layout.pairs[np.repeat(keep, sizes)], blocks, n)
     # Every block is a pinched principal block of C_S = V_S^T conj(V_S), V_S the
     # vec(A_m) rows on the support, Hermitised and maybe scaled by _restore_tp.
     ops = channel._ops
     if not mc._gram_certified(ops.reshape(1, -1), len(ops), scale):
         sigmas = spectrum.sigmas[clusters].tolist()
         failures = []
-        for group in kept_groups:
+        for group in groups:
             found = _mask_failure(group.blocks, [sigmas[i] for i in group.index.tolist()])
             if found is not None:
                 failures.append((int(group.index[found[0]]), found[1]))
         if failures:
             raise NotCP(f"Choi {min(failures)[1]}")
-    blocks = [None] * clusters.size
-    for group in kept_groups:
-        group.blocks.setflags(write=False)
-        for i, block in zip(group.index.tolist(), group.blocks):
-            blocks[i] = block
-    return SectorDecomposition._of_store(spectrum, clusters, tuple(blocks), _groups=kept_groups,
+    views = [block for group in groups for block in group.blocks]  # in layout order
+    stored = tuple(views[i] for i in np.argsort(position).tolist())
+    return SectorDecomposition._of_store(spectrum, clusters, stored, _groups=groups,
                                          projection_defect=float(np.sqrt(sq_defect)))
 
 
@@ -596,20 +601,23 @@ def _kraus_stack(groups, n: int) -> np.ndarray:
     sector, d the spectral vectors of each block on its domain; a sector with
     none keeps one zero operator, and no sectors give one zero operator.  The
     blocks passed the mask check (or its Gram bound) before they were stored."""
-    count = np.empty(sum(len(group.index) for group in groups), dtype=np.intp)
-    spectral = []
-    for group in groups:
-        _, count[group.index], vecs = mc._scaled_eigenvectors(group.blocks)
-        spectral.append(vecs)
+    if not groups:
+        return np.zeros((1, n, n), dtype=complex)
+    index, domains, images, blocks = zip(*groups)
+    _, sizes, count, vecs = mc._scaled_eigenvectors(blocks, index)  # by position
+    positions = np.concatenate(index)  # of each sector, group after group
+    start = np.empty_like(positions)  # of each position's levels among the groups' levels
+    start[positions] = np.cumsum(sizes[positions]) - sizes[positions]
     slots = np.maximum(count, 1)
-    first = np.cumsum(slots) - slots  # each sector's first operator
-    ops = np.zeros((max(int(slots.sum()), 1), n, n), dtype=complex)
-    for group, vecs in zip(groups, spectral):
-        k = count[group.index]
-        # vector r of the group's sector s goes to operator first[s] + r
-        op = np.repeat(first[group.index] - (np.cumsum(k) - k), k) + np.arange(len(vecs))
-        ops[op[:, None], np.repeat(group.images, k, axis=0),
-            np.repeat(group.domains, k, axis=0)] = vecs
+    sector = np.repeat(np.arange(count.size), count)  # of each vector
+    # vector r of sector s goes to operator first[s] + r
+    op = np.arange(len(vecs)) + (np.cumsum(slots) - slots - np.cumsum(count) + count)[sector]
+    d = sizes[sector]
+    entry = np.arange(vecs.shape[1]) < d[:, None]
+    level = (start[sector][:, None] + np.arange(vecs.shape[1]))[entry]
+    ops = np.zeros((int(slots.sum()), n, n), dtype=complex)
+    ops[np.repeat(op, d), np.concatenate(images, axis=None)[level],
+        np.concatenate(domains, axis=None)[level]] = vecs[entry]
     return ops
 
 
@@ -637,7 +645,7 @@ def apply_sectors(decomp: SectorDecomposition, mat: np.ndarray) -> np.ndarray:
 def reconstruct(decomp: SectorDecomposition) -> Channel:
     """Rebuild the channel sum_sigma S_sigma (M_sigma * rho) S_sigma^dag; a
     decomposition with no sectors is the zero map, one zero Kraus operator."""
-    return Channel(tuple(_kraus_stack(decomp._groups, decomp.spectrum.dim)))
+    return Channel._adopt(_kraus_stack(decomp._groups, decomp.spectrum.dim))
 
 
 def shift_distribution(

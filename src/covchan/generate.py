@@ -55,5 +55,5 @@ def random_covariant(
     n = spectrum.dim
     base = random_cptp(n, rng, kraus_count)
     support, choi, _ = _support_choi(base, spectrum)
-    groups, _ = _restore_tp(_sector_blocks(choi, support, spectrum), n)
-    return mc.kraus_from_choi(ChoiMatrix(n, n, _scatter(groups, n)))
+    layout, _ = _restore_tp(_sector_blocks(choi, support, spectrum), n)
+    return mc.kraus_from_choi(ChoiMatrix(n, n, _scatter(layout, n)))

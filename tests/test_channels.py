@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -420,7 +421,7 @@ def _eig_cases():
 class TestDeterministicEig:
     @pytest.mark.parametrize("mat", _eig_cases())
     def test_bit_identical_to_column_loop(self, mat):
-        vals, vecs = mcore._deterministic_eig(mat)
+        vals, vecs, _ = mcore._deterministic_eig([mat[None]])
         want_vals, want_vecs = deterministic_eig_loop(mat)
         assert vals.tobytes() == want_vals.tobytes()
         assert vecs.tobytes() == want_vecs.tobytes()
@@ -428,12 +429,33 @@ class TestDeterministicEig:
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_stack_is_each_matrix_alone(self, n):
         mats = np.stack([case.values[0] for case in _eig_cases() if case.values[0].shape == (n, n)])
-        vals, vecs = mcore._deterministic_eig(mats)
-        assert vals.shape == (len(mats), n) and vecs.shape == mats.shape
-        for mat, got_vals, got_vecs in zip(mats, vals, vecs):
+        vals, vecs, _ = mcore._deterministic_eig([mats])
+        assert vals.shape == (len(mats) * n,) and vecs.shape == (len(mats) * n, n)
+        for mat, got_vals, got_vecs in zip(mats, vals.reshape(-1, n), vecs.reshape(mats.shape)):
             want_vals, want_vecs = deterministic_eig_loop(mat)
             assert got_vals.tobytes() == want_vals.tobytes()
             assert got_vecs.tobytes() == want_vecs.tobytes()
+
+    def test_stacks_of_several_sizes_are_each_matrix_alone(self):
+        # One pass over stacks of sizes 8, 1 and 3 keyed out of stack order:
+        # the matrices come out by key, each as it comes alone, its
+        # eigenvectors zero-padded to the largest size.
+        stacks = [np.stack([case.values[0] for case in _eig_cases()
+                            if case.values[0].shape == (n, n)]) for n in (8, 1, 3)]
+        keys = np.random.default_rng(2).permutation(sum(map(len, stacks)))
+        vals, rows, key = mcore._deterministic_eig(
+            stacks, np.split(keys, np.cumsum([len(s) for s in stacks])[:-1]))
+        mats = [mat for stack in stacks for mat in stack]
+        start = 0
+        for i in np.argsort(keys).tolist():
+            d = len(mats[i])
+            want_vals, want_vecs = deterministic_eig_loop(mats[i])
+            assert (key[start:start + d] == keys[i]).all()
+            assert vals[start:start + d].tobytes() == want_vals.tobytes()
+            assert np.ascontiguousarray(rows[start:start + d, :d]).tobytes() == want_vecs.tobytes()
+            assert not rows[start:start + d, d:].any()
+            start += d
+        assert start == len(vals) == len(rows)
 
 
 class TestEntropy:
@@ -513,6 +535,13 @@ class TestDensityMatrixValidation:
     def test_rejects_bad_trace(self):
         with pytest.raises(NotDensityMatrix):
             cc.DensityMatrix(np.diag([0.7, 0.7]))
+
+    def test_rejects_an_overflowing_trace_without_a_warning(self):
+        # np.trace overflowed to inf with a RuntimeWarning before the trace was refused.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotDensityMatrix, match="trace"):
+                cc.DensityMatrix(np.diag([8e307] * 3))
 
     def test_rejects_negative(self):
         with pytest.raises(NotDensityMatrix):
@@ -708,6 +737,22 @@ class TestChannelValidation:
         base[0, 0, 0] = 2.0
         assert cc.is_cptp(chan).tp_defect == 0.0
         np.testing.assert_array_equal(chan.kraus[0], np.eye(2))
+
+    def test_built_stacks_are_adopted_without_a_second_check(self, rng, monkeypatch):
+        # reconstruct, kraus_from_choi and hadamard_channel hand the stack they
+        # have just computed to the channel: no copy and no finiteness check,
+        # the operators read-only rows of it, the same bits as a copy.
+        spec = cc.Spectrum(np.arange(4.0))
+        decomp = cov.decompose(gen.random_covariant(spec, rng), spec)
+        choi = cc.choi_of(gen.random_cptp(3, rng))
+        mask = gen.random_unit_diagonal_mask(5, rng)
+        monkeypatch.setattr(mcore, "_as_complex", lambda mat: pytest.fail("copied again"))
+        built = [cov.reconstruct(decomp), cc.kraus_from_choi(choi), cc.hadamard_channel(mask)]
+        monkeypatch.undo()
+        for chan in built:
+            assert not chan._ops.flags.writeable
+            assert all(np.shares_memory(k, chan._ops) for k in chan.kraus)
+            assert cc.Channel(chan.kraus)._ops.tobytes() == chan._ops.tobytes()
 
 
 class TestChoiMatrixValidation:

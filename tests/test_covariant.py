@@ -558,7 +558,9 @@ class TestBlockStorage:
         want = cov.decompose(chan, spec)
         assert len(certificates) == 1
         factors, k, scale = certificates[0]
-        assert factors.base is chan._ops and k == len(chan._ops)
+        # The certificate reads the channel's own stack, not a copy of it.
+        assert np.shares_memory(factors, chan._ops) and factors.size == chan._ops.size
+        assert k == len(chan._ops)
         assert scale == pytest.approx(1.0, abs=1e-9)  # random_covariant is TP
 
         def counting(blocks, sigmas):
@@ -765,6 +767,26 @@ def test_size_groups_of_one_shared_block_are_views():
     for group in decomp._groups:
         assert not group.blocks.flags.writeable
         assert all(np.shares_memory(group.blocks, decomp._blocks[i]) for i in group.index)
+
+
+def test_sector_work_on_a_sparse_channel_stays_small():
+    # decompose + reconstruct of a three-shift mixture at n = 128 lay out the
+    # three sectors it touches, sum d^2 = 48,389 entries; index tables over all
+    # 255 sectors would hold about 2 n^3 / 3 = 1.4 M entries each, 11 MB.
+    spec = cc.Spectrum(np.arange(128.0))
+
+    def mixture():
+        return tim.build_shift_mixture(spec, [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)]).channel
+
+    cov.reconstruct(cov.decompose(mixture(), spec))  # the spectrum's caches are built
+    chan = mixture()
+    tracemalloc.start()
+    try:
+        cov.reconstruct(cov.decompose(chan, spec))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 class TestMaskCheck:

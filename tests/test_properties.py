@@ -395,16 +395,10 @@ def assert_stacks_equal_loops(chan, rho, spec):
     assert sha256_of(got.diagonal_sums()) == sha256_of(diagonal_sums_per_sector(want))
 
 
-@STACK_FAMILIES
-@settings(derandomize=True, max_examples=8, deadline=None, database=None)
-@given(data=st.data())
-def test_not_cp_names_the_first_failing_sector(family, data):
-    # Blocks of a few sectors pushed negative definite on their diagonal: both
-    # routes name the lowest of them, whatever the sizes of their domains.
-    spec = data.draw(spectra_to_12_levels(family))
-    chan, _ = draw_channel(data, spec, "tp")
-    broken = data.draw(st.lists(st.integers(0, len(spec.sector_pairs) - 1),
-                                min_size=1, max_size=3, unique=True))
+def not_cp_messages(chan, spec, broken):
+    """The NotCP messages of decompose and of the per-sector oracle on chan
+    with the blocks of the sectors broken pushed negative definite on their
+    diagonal, whatever the sizes of their domains."""
     n = spec.dim
     choi = mcore.choi_of(chan).matrix.copy()
     depth = {}
@@ -420,14 +414,12 @@ def test_not_cp_names_the_first_failing_sector(family, data):
     sector_blocks = cov._sector_blocks
 
     def broken_sector_blocks(choi, support, spectrum):
-        groups = sector_blocks(choi, support, spectrum)
-        for group in groups:
-            diag = np.arange(group.blocks.shape[1])
-            for row, i in enumerate(group.index.tolist()):
-                if i in depth:
-                    group.blocks[row, diag, diag] -= depth[i]
-        assert set(depth) <= set(np.concatenate([g.index for g in groups]).tolist())
-        return groups
+        layout = sector_blocks(choi, support, spectrum)
+        sector = np.repeat(layout.index, layout.sizes ** 2)  # of each entry of the buffer
+        for i, d in depth.items():
+            layout.blocks[(sector == i) & (layout.rows == layout.cols)] -= d
+        assert set(depth) <= set(layout.index.tolist())
+        return layout
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mcore, "choi_of", lambda channel: mcore.ChoiMatrix(n, n, choi))
@@ -440,8 +432,21 @@ def test_not_cp_names_the_first_failing_sector(family, data):
         mp.setattr(mcore, "_gram_certified", lambda factors, k, scale: False)
         with pytest.raises(NotCP) as got:
             cov.decompose(chan, spec)
-    assert str(got.value) == str(want.value)
-    assert str(got.value).startswith(f"Choi sector {float(spec.sigmas[min(broken)])}:")
+    return str(got.value), str(want.value)
+
+
+@STACK_FAMILIES
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_not_cp_names_the_first_failing_sector(family, data):
+    # Both routes name the lowest of the broken sectors.
+    spec = data.draw(spectra_to_12_levels(family))
+    chan, _ = draw_channel(data, spec, "tp")
+    broken = data.draw(st.lists(st.integers(0, len(spec.sector_pairs) - 1),
+                                min_size=1, max_size=3, unique=True))
+    got, want = not_cp_messages(chan, spec, broken)
+    assert got == want
+    assert got.startswith(f"Choi sector {float(spec.sigmas[min(broken)])}:")
 
 
 @pytest.mark.parametrize("dim", [5, 12])
@@ -554,3 +559,84 @@ def test_one_weight_matrix_matches_dense_applications(case):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     want = bochner_by_dense_applications(chan, spec, K, rho, times)
     assert abs(cov.bochner_check(chan, spec, K, rho, times) - want) <= 1e-12 * max(1.0, abs(want))
+
+
+# ---------------------------------------------------------------------------
+# One pass over all sectors: decompose lays every sector out in one buffer,
+# reconstruct orders and scatters the eigenvectors of all of them at once.
+
+
+ONE_PASS_KINDS = ["random_covariant", "shift_mixture", "hadamard", "dropped", "no_sectors",
+                  "not_covariant", "not_cp"]
+
+
+@pytest.mark.parametrize("family", ["integer", "sqrt_prime"])
+@pytest.mark.parametrize("kind", ONE_PASS_KINDS)
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(data=st.data())
+def test_one_pass_sector_work_equals_per_sector_loops(family, kind, data):
+    # Dense channels, sparse ones that leave whole size groups out, sectors the
+    # floor drops, the zero channel and the two refusals, at n <= 12.
+    spec = data.draw(spectra_to_12_levels(family))
+    n = spec.dim
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if kind == "not_cp":
+        chan = gen.random_covariant(spec, rng)
+        broken = data.draw(st.lists(st.integers(0, len(spec.sector_pairs) - 1),
+                                    min_size=1, max_size=3, unique=True))
+        got, want = not_cp_messages(chan, spec, broken)
+        assert got == want
+        return
+    if kind == "random_covariant":
+        chan = gen.random_covariant(spec, rng, data.draw(st.integers(1, n * n)))
+    elif kind == "shift_mixture":
+        picked = data.draw(st.lists(st.sampled_from(spec.sigmas.tolist()), min_size=1,
+                                    max_size=3, unique=True))
+        probs = rng.random(len(picked)) + 0.1
+        chan = tim.build_shift_mixture(spec, list(zip(picked, probs / probs.sum()))).channel
+    elif kind == "hadamard":
+        chan = cc.hadamard_channel(gen.random_unit_diagonal_mask(n, rng))
+    elif kind == "dropped":
+        # A dephasing channel with operators S_sigma diag(1e-8 d), sigma != 0,
+        # whose Choi blocks, about 1e-16, lie below decompose's floor of 1e-13 max |C|.
+        assume(n > 1)
+        faint = data.draw(st.lists(st.sampled_from(spec.sigmas[spec.sigmas != 0.0].tolist()),
+                                   min_size=1, max_size=3, unique=True))
+        chan = cc.Channel(cc.hadamard_channel(gen.random_unit_diagonal_mask(n, rng)).kraus + tuple(
+            1e-8 * cc.partial_shift(spec, sigma).matrix * rng.random(n) for sigma in faint))
+    elif kind == "no_sectors":
+        chan = cc.Channel((np.zeros((n, n), dtype=complex),))
+    else:
+        chan = gen.random_cptp(n, rng)
+    try:
+        want = decompose_per_sector(chan, spec)
+    except NotCovariant as exc:
+        with pytest.raises(NotCovariant) as got:
+            cov.decompose(chan, spec)
+        assert str(got.value) == str(exc)
+        return
+    assert kind != "not_covariant" or n == 1
+    got = cov.decompose(chan, spec)
+    assert sha256_of(got) == sha256_of(want)
+    assert sha256_of(cov.reconstruct(got)) == sha256_of(reconstruct_per_sector(want))
+    if kind == "dropped":
+        touched = np.unique(spec._tables[-1][chan._support]).size  # sectors holding a pair
+        assert len(got.sectors) < touched
+    if kind == "no_sectors":
+        assert got.sectors == ()
+
+
+@settings(derandomize=True, max_examples=16, deadline=None, database=None)
+@given(dim=st.integers(2, 32), s=st.sampled_from([0.1, 0.3, 0.5, 1.0]), data=st.data())
+def test_one_pass_reconstruct_of_built_decompositions_equals_per_sector_loop(dim, s, data):
+    # A Gaussian decomposition (real blocks, the +-a of one array), the same
+    # with some masks made complex, so that real and complex blocks of one size
+    # meet, and the decomposition with no sectors.
+    gauss = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=s))
+    made_complex = set(data.draw(st.lists(st.integers(0, len(gauss.sectors) - 1), unique=True)))
+    mixed = cc.SectorDecomposition(spectrum=gauss.spectrum, sectors=tuple(
+        (shift, cc.SectorMask(mask.sigma, mask.domain_submatrix + 0j, mask.domain, dim)
+         if i in made_complex else mask) for i, (shift, mask) in enumerate(gauss.sectors)))
+    empty = cc.SectorDecomposition(spectrum=gauss.spectrum, sectors=())
+    for decomp in (gauss, mixed, empty):
+        assert sha256_of(cov.reconstruct(decomp)) == sha256_of(reconstruct_per_sector(decomp))

@@ -12,6 +12,13 @@ Rows, each timed in a fresh process with OPENBLAS_NUM_THREADS=1:
 - covariant.decompose of one random_covariant channel at n = 8 and 16, on
   the integer and the sqrt(prime) spectrum, alone and followed by the first
   read of .sectors;
+- covariant.reconstruct of the decomposition of one random_covariant
+  channel, and the check-and-decompose pipeline channels.is_cptp,
+  covariant.covariance_defect, decompose, reconstruct and shift_distribution
+  of that channel on one random state, at n = 8, 16 and 32 on both spectra,
+  and both on the shift mixture {(0, .5), (2, .3), (-1, .2)} on the integer
+  spectrum at n = 28 and 128 (each call on the channel and decomposition as
+  they were built);
 - the readers of a built decomposition, each call on the decomposition as
   it was built (what a first read caches is dropped before every call):
   covariant.domain_extension_check at t = 0.7 on one random state, of the
@@ -44,19 +51,23 @@ STD_DEVS = (0.3, 1.0)
 MC_DIMS = (8, 16, 32, 64)
 MC_MIXED_DIMS = (8, 16)
 CHECK_SIZES = (16, 32)
+PIPELINE_SIZES = (8, 16, 32)
+MIXTURE_SIZES = (28, 128)
 PSD_SIZES = (4, 16, 64)
 
 
-def _as_built(decomp):
-    """A wrapper of calls on decomp that runs each on decomp as it is now,
-    just built: what a call caches on it (the pairs of .sectors, the size
-    groups) is dropped before the next one."""
-    state = dict(decomp.__dict__)
+def _as_built(*objs):
+    """A wrapper of calls on objs (decompositions, channels) that runs each on
+    them as they are now, just built: what a call caches on them (the pairs of
+    .sectors, the size groups, a channel's support and Choi matrix) is
+    dropped before the next one."""
+    states = [dict(obj.__dict__) for obj in objs]
 
     def wrap(fn):
         def call():
-            decomp.__dict__.clear()
-            decomp.__dict__.update(state)
+            for obj, state in zip(objs, states):
+                obj.__dict__.clear()
+                obj.__dict__.update(state)
             return fn()
         return call
 
@@ -71,6 +82,7 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
     from covchan import covariant as cov
     from covchan import fock
     from covchan import generate as gen
+    from covchan import timing as tim
 
     rows = []
     for dim in DIMS:
@@ -97,6 +109,28 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
                                  lambda: cov.decompose(chan, spec), rounds))
             rows.append(time_row("covariant.decompose", kind + ", then .sectors", n,
                                  lambda: cov.decompose(chan, spec).sectors, rounds))
+    pipelines = [(kind, n, cov.Spectrum(energies)) for n in PIPELINE_SIZES
+                 for kind, energies in spectrum_energies(n)]
+    pipelines += [("shift mixture", n, cov.Spectrum(np.arange(float(n)))) for n in MIXTURE_SIZES]
+    for kind, n, spec in pipelines:
+        rng = np.random.default_rng(n)
+        if kind == "shift mixture":
+            chan = tim.build_shift_mixture(spec, [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)]).channel
+        else:
+            chan = gen.random_covariant(spec, rng)
+        decomp, rho = cov.decompose(chan, spec), gen.random_state(n, rng)
+
+        def pipeline():
+            mc.is_cptp(chan)
+            cov.covariance_defect(chan, spec)
+            built = cov.decompose(chan, spec)
+            return cov.reconstruct(built), cov.shift_distribution(built, rho)
+
+        as_built = _as_built(chan, decomp)
+        rows.append(time_row("covariant.reconstruct", kind, n,
+                             as_built(lambda: cov.reconstruct(decomp)), rounds))
+        rows.append(time_row("is_cptp -> ... -> shift_distribution", kind, n,
+                             as_built(pipeline), rounds))
     for n in CHECK_SIZES:
         for kind, energies in spectrum_energies(n):
             spec = cov.Spectrum(energies)
