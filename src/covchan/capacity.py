@@ -30,6 +30,7 @@ import numpy as np
 
 from . import channels as mc
 from .channels import Channel, DensityMatrix
+from .covariant import _shift_kraus
 from .errors import DiagonalNotUnit, DimensionMismatch, MaskNotPSD
 
 
@@ -105,16 +106,11 @@ def _mask_numbers(mask: np.ndarray, vals: np.ndarray,
 
 
 def hadamard_channel(mask: np.ndarray) -> Channel:
-    """The dephasing channel rho -> M * rho as a Kraus family.
-
-    Kraus operators are the diagonal matrices built from the spectral vectors
-    of M (deterministic eigendecomposition ordering, as everywhere else).
-    """
+    """The dephasing channel rho -> M * rho as the Kraus family diag(v), v the spectral
+    vectors of M in deterministic order: one sigma = 0 sector on all levels (_shift_kraus)."""
     n = np.shape(mask)[0] if np.ndim(mask) else 0  # a 0-d mask fails the shape check
-    vecs = mc._scaled_eigenvectors([_check_mask(mask, n)[0][None]])[3]  # one or more: tr M = n
-    ops = np.zeros((len(vecs), n, n), dtype=complex)
-    ops[:, np.arange(n), np.arange(n)] = vecs
-    return Channel._adopt(ops)
+    _, _, count, vecs = mc._scaled_eigenvectors([_check_mask(mask, n)[0][None]])
+    return _shift_kraus(np.arange(n) * (n + 1), np.array([n]), count, vecs, n)  # pairs (j, j)
 
 
 def hadamard_bound(mask: np.ndarray, n: int) -> float:

@@ -11,8 +11,9 @@ Channel and a ChoiMatrix each own a read-only copy of the arrays they are
 built from, so a caller's later writes never reach them.
 
 A Channel keeps its Kraus operators as one (K, dim_out, dim_in) stack (the
-kraus tuple holds its rows), and derives from it, each once: its
-trace-preservation defect, which is_cptp and decompose both read, its
+kraus tuple of its rows is made when first read), and derives from it, each
+once: its trace-preservation defect and the sum of squares of its entries
+that the Gram bound reads, which is_cptp and decompose both need, its
 support S, the Choi pairs at which some operator is nonzero, and the Choi
 matrix on S x S.  That matrix is kept only when |S| <= K: its 16 |S|^2
 bytes are then at most the stack's own 16 K dim_out dim_in, so a channel
@@ -152,7 +153,15 @@ class Channel:
 
     def _keep(self, stack: np.ndarray) -> None:
         stack.setflags(write=False)
-        self.__dict__.update(_ops=stack, kraus=tuple(stack))
+        self.__dict__.pop("kraus", None)  # the operators given: kraus is read from the stack
+        self.__dict__["_ops"] = stack
+
+    def __getattr__(self, name):
+        # Reached only for an unset attribute: kraus, the stack's rows, made when first read.
+        if name != "kraus":
+            raise AttributeError(name)
+        self.__dict__["kraus"] = kraus = tuple(self._ops)
+        return kraus
 
     @property
     def dim_in(self) -> int:
@@ -184,6 +193,12 @@ class Channel:
     def _tp_defect(self) -> float:
         """_tp_defect of the stack, computed once for is_cptp and decompose."""
         return _tp_defect(self._ops)
+
+    @cached_property
+    def _squares(self) -> float:
+        """_sum_of_squares of the stack, taken once for the Gram certificates of
+        is_cptp and decompose."""
+        return _sum_of_squares(self._ops.reshape(1, -1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,12 +375,12 @@ def is_cptp(channel: Channel) -> CPTPReport:
     ops = channel._ops
     vecs = ops.reshape(len(ops), -1)  # row m = vec(A_m)
     cp_defect = 0.0
-    if not _gram_certified(vecs[None], len(ops)):
+    if not _gram_certified(vecs[None], len(ops), 1.0, channel._squares):
         cp_defect = max(0.0, -float(np.linalg.eigvalsh(vecs.conj() @ vecs.T).min()))
     return CPTPReport(tp_defect=channel._tp_defect, cp_defect=cp_defect)
 
 
-def _gram_bound(factors: np.ndarray, k: int, scale: float = 1.0) -> float:
+def _gram_bound(factors: np.ndarray, k: int, scale: float = 1.0, squares=None) -> float:
     """A bound beta, over each factor X of the stack factors (entry i holds
     the entries of X_i, d rows of inner dimension k, in any shape), on how
     far the Gram product P = fl(X X^H) and any block the SectorMask check
@@ -403,24 +418,31 @@ def _gram_bound(factors: np.ndarray, k: int, scale: float = 1.0) -> float:
     finite.  The blocks pass when beta <= tau = min(EPS_H, EPS_PSD) / 2: the
     other half of EPS_PSD is left to the eigensolver's reading of
     lambda_min, whose backward error is a modest multiple of d u ||B'||.  F
-    is the computed sum of the n real squares, inflated to (1 + 2 n u) F +
-    n eta for its own rounding.  At k = 186 and F = 186 beta is
-    1.6e-11; at k = 4096 and F = 64, 1.2e-10.
+    is the computed sum of the n real squares (_sum_of_squares, or squares
+    when the caller has kept it), inflated to (1 + 2 n u) F + n eta for its
+    own rounding.  At k = 186 and F = 186 beta is 1.6e-11; at k = 4096 and
+    F = 64, 1.2e-10.
     """
-    terms = factors.reshape(len(factors), -1)
-    d = terms.shape[1] // k
-    if np.iscomplexobj(terms):
-        terms = terms.view(float)
-    n = terms.shape[1]
-    sq = float(np.einsum("ij,ij->i", terms, terms).max(initial=0.0))
+    size = factors[0].size
+    d, n = size // k, size * (2 if np.iscomplexobj(factors) else 1)
+    sq = _sum_of_squares(factors) if squares is None else squares
     return (scale * 4 * (k + 2) * _U * ((1.0 + 2 * n * _U) * sq + n * _ETA)
             + 4 * (k + 2) * d * _ETA * max(scale, 1.0))
 
 
-def _gram_certified(factors: np.ndarray, k: int, scale: float = 1.0) -> bool:
+def _gram_certified(factors: np.ndarray, k: int, scale: float = 1.0, squares=None) -> bool:
     """Whether _gram_bound proves every block of the Gram products of
     factors, as described there, to pass the SectorMask check."""
-    return _gram_bound(factors, k, scale) <= min(EPS_H, EPS_PSD) / 2.0
+    return _gram_bound(factors, k, scale, squares) <= min(EPS_H, EPS_PSD) / 2.0
+
+
+def _sum_of_squares(factors: np.ndarray) -> float:
+    """F of _gram_bound: the largest sum of the squared real and imaginary parts
+    of one factor's entries, over the stack factors (entry i holds factor i)."""
+    terms = factors.reshape(len(factors), -1)
+    if np.iscomplexobj(terms):
+        terms = terms.view(float)
+    return float(np.einsum("ij,ij->i", terms, terms).max(initial=0.0))
 
 
 def _tp_defect(ops: np.ndarray) -> float:

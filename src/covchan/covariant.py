@@ -35,9 +35,10 @@ the sectors the channel touches out in one flat buffer, in size order
 Hermitises, scales for TP and tests them for the drop once over it; the
 decomposition's size groups and blocks are views of the buffer.  reconstruct
 runs one stacked eigh per size (LAPACK takes one size at a time), then
-orders, cuts and scatters the eigenvectors of all sectors at once.  Every
-block decompose keeps is a pinched principal block of the Gram product
-C_S = V_S^T conj(V_S), so one rounding bound on the Kraus operators' norm
+orders and cuts the eigenvectors of all sectors at once, and _shift_kraus,
+the one builder of covariant Kraus families, scatters them in one
+assignment.  Every block decompose keeps is a pinched principal block of
+the Gram product C_S = V_S^T conj(V_S), so one rounding bound on the Kraus operators' norm
 (channels._gram_bound) proves all of them pass the mask check; only when it
 does not is the check run, one stacked eigvalsh per size.  The results are
 the per-sector loops' bit for bit: one level sum adds the diagonals in
@@ -101,6 +102,8 @@ class Spectrum:
     sigmas: np.ndarray = field(init=False, repr=False)
     sector_pairs: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _spans: np.ndarray = field(init=False, repr=False)
+    _starts: np.ndarray = field(init=False, repr=False)  # of each cluster's pairs in _flat
+    _flat: np.ndarray = field(init=False, repr=False)  # the sector_pairs one after another
 
     def __post_init__(self):
         en = np.asarray(self.energies, dtype=float)
@@ -126,7 +129,8 @@ class Spectrum:
         cluster = np.repeat(np.arange(starts.size), ends - starts)  # per ranked difference
         in_key = cluster * n + order % n
         by_input = np.argsort(in_key, kind="stable")
-        sector_pairs = np.split(order[by_input], cuts)
+        flat = order[by_input]  # every cluster's pairs, one cluster after another
+        flat.setflags(write=False)  # before the split, so that each view is read-only too
         # np.mean's reduction is 0 + pairwise(cluster); reduceat would add the first
         # difference to the pairwise sum of the rest, so each run starts with a 0.
         padded = np.zeros(n * n + starts.size)
@@ -141,13 +145,10 @@ class Spectrum:
                 f"match_tol {tol:.3e} into one sector that holds a level twice"
             )
         spans = np.stack([ranked[starts], ranked[ends - 1]])  # lowest, highest
-        for arr in (en, sigmas, spans, *sector_pairs):
+        for arr in (en, sigmas, spans, starts):
             arr.setflags(write=False)
-        object.__setattr__(self, "energies", en)
-        object.__setattr__(self, "match_tol", tol)
-        object.__setattr__(self, "sigmas", sigmas)
-        object.__setattr__(self, "sector_pairs", tuple(sector_pairs))
-        object.__setattr__(self, "_spans", spans)
+        self.__dict__.update(energies=en, match_tol=tol, sigmas=sigmas, _spans=spans,
+                             sector_pairs=tuple(np.split(flat, cuts)), _starts=starts, _flat=flat)
 
     @property
     def dim(self) -> int:
@@ -162,12 +163,11 @@ class Spectrum:
         """The sectors in size order (ascending domain size, then sector), each
         one's size and first pair in the flat pairs of all sectors one after
         another, those pairs, and the sector of every flat pair j' * n + j:
-        O(n^2), built on first use (the Gaussian decompositions never do)."""
-        sizes = np.array([pairs.size for pairs in self.sector_pairs])
-        flat = np.concatenate(self.sector_pairs)
+        O(n^2), built on first use, from _starts and _flat."""
+        sizes = np.diff(np.r_[self._starts, self._flat.size])
         sector = np.empty(self.dim ** 2, dtype=np.intp)
-        sector[flat] = np.repeat(np.arange(sizes.size), sizes)
-        tables = (np.argsort(sizes, kind="stable"), sizes, np.cumsum(sizes) - sizes, flat, sector)
+        sector[self._flat] = np.repeat(np.arange(sizes.size), sizes)
+        tables = (np.argsort(sizes, kind="stable"), sizes, self._starts, self._flat, sector)
         for arr in tables:
             arr.setflags(write=False)
         return tables
@@ -329,9 +329,8 @@ class SectorDecomposition:
 
     def diagonal_sums(self) -> np.ndarray:
         """sum_sigma M_sigma(j, j) at every input level j: all ones for a TP channel."""
-        held = [self.spectrum.sector_pairs[c] for c in self._clusters.tolist()]
         diags = [np.real(np.diagonal(block)) for block in self._blocks]
-        return _level_sums(np.concatenate([np.zeros(0, dtype=np.intp), *held]) % self.spectrum.dim,
+        return _level_sums(_held_pairs(self.spectrum, self._clusters)[0] % self.spectrum.dim,
                            np.concatenate([np.zeros(0), *diags]), self.spectrum.dim)
 
     @cached_property
@@ -430,6 +429,14 @@ def _support_choi(channel: Channel,
 _Layout = namedtuple("_Layout", "index sizes pairs blocks rows cols trans")
 
 
+def _held_pairs(spectrum: Spectrum, clusters: np.ndarray):
+    """The flat Choi pairs of the clusters one after another, each one's size and first pair."""
+    _, sizes, starts, flat, _ = spectrum._tables
+    sizes = sizes[clusters]
+    first = np.cumsum(sizes) - sizes
+    return flat[np.arange(sizes.sum()) + np.repeat(starts[clusters] - first, sizes)], sizes, first
+
+
 def _sector_blocks(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum) -> _Layout:
     """The layout of the sectors that hold a pair of the support, with their
     principal blocks of the Choi matrix choi on support x support, +0.0 at
@@ -437,13 +444,11 @@ def _sector_blocks(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum) ->
     sector's block is zero and is left out, and no table is built for it:
     over all sectors the tables would hold about 2 n^3 / 3 entries each."""
     n = spectrum.dim
-    order, sizes, starts, flat, sector = spectrum._tables
+    order, sizes, _, _, sector = spectrum._tables
     held = np.zeros(sizes.size, dtype=bool)
     held[sector[support]] = True
     index = order[held[order]]
-    sizes = sizes[index]
-    first = np.cumsum(sizes) - sizes  # of each sector's pairs in the layout
-    pairs = flat[np.arange(sizes.sum()) + np.repeat(starts[index] - first, sizes)]
+    pairs, sizes, first = _held_pairs(spectrum, index)
     square = sizes * sizes
     start = np.repeat(np.cumsum(square) - square, square)  # of each entry's block
     d = np.repeat(sizes, square)
@@ -581,7 +586,7 @@ def decompose(
     # Every block is a pinched principal block of C_S = V_S^T conj(V_S), V_S the
     # vec(A_m) rows on the support, Hermitised and maybe scaled by _restore_tp.
     ops = channel._ops
-    if not mc._gram_certified(ops.reshape(1, -1), len(ops), scale):
+    if not mc._gram_certified(ops.reshape(1, -1), len(ops), scale, channel._squares):
         sigmas = spectrum.sigmas[clusters].tolist()
         failures = []
         for group in groups:
@@ -596,36 +601,21 @@ def decompose(
                                          projection_defect=float(np.sqrt(sq_defect)))
 
 
-def _kraus_stack(groups, n: int) -> np.ndarray:
-    """The (K, n, n) Kraus operators S_sigma diag(d) of the sectors, sector after
-    sector, d the spectral vectors of each block on its domain; a sector with
-    none keeps one zero operator, and no sectors give one zero operator.  The
-    blocks passed the mask check (or its Gram bound) before they were stored."""
-    if not groups:
-        return np.zeros((1, n, n), dtype=complex)
-    index, domains, images, blocks = zip(*groups)
-    _, sizes, count, vecs = mc._scaled_eigenvectors(blocks, index)  # by position
-    positions = np.concatenate(index)  # of each sector, group after group
-    start = np.empty_like(positions)  # of each position's levels among the groups' levels
-    start[positions] = np.cumsum(sizes[positions]) - sizes[positions]
+def _shift_kraus(pairs, sizes, count, vecs, n: int) -> Channel:
+    """The one builder of covariant Kraus operators S_sigma diag(v), sector after sector:
+    sector s holds the next sizes[s] flat Choi pairs j' * n + j (level j to j') and the next
+    count[s] rows v of vecs (zero-padded to the longest); a sector with no row keeps one zero
+    operator, and no sectors give one.  The rows come from checked arrays: the stack is adopted."""
     slots = np.maximum(count, 1)
-    sector = np.repeat(np.arange(count.size), count)  # of each vector
-    # vector r of sector s goes to operator first[s] + r
+    sector = np.repeat(np.arange(count.size), count)  # of each row
+    # row r of sector s goes to operator first[s] + r
     op = np.arange(len(vecs)) + (np.cumsum(slots) - slots - np.cumsum(count) + count)[sector]
     d = sizes[sector]
     entry = np.arange(vecs.shape[1]) < d[:, None]
-    level = (start[sector][:, None] + np.arange(vecs.shape[1]))[entry]
-    ops = np.zeros((int(slots.sum()), n, n), dtype=complex)
-    ops[np.repeat(op, d), np.concatenate(images, axis=None)[level],
-        np.concatenate(domains, axis=None)[level]] = vecs[entry]
-    return ops
-
-
-def sector_kraus(shift: PartialShift, mask: SectorMask):
-    """Kraus operators S_sigma diag(d), d the spectral vectors of the block on the domain."""
-    levels = np.array([shift.domain, shift.image], dtype=np.intp).reshape(2, 1, -1)
-    group = _SizeGroup(np.zeros(1, dtype=np.intp), *levels, mask.domain_submatrix[None])
-    return list(_kraus_stack((group,), shift.dim))
+    at = ((np.cumsum(sizes) - sizes)[sector][:, None] + np.arange(vecs.shape[1]))[entry]
+    ops = np.zeros((max(int(slots.sum()), 1), n * n), dtype=complex)
+    ops[np.repeat(op, d), pairs[at]] = vecs[entry]
+    return Channel._adopt(ops.reshape(-1, n, n))
 
 
 def apply_sectors(decomp: SectorDecomposition, mat: np.ndarray) -> np.ndarray:
@@ -643,9 +633,15 @@ def apply_sectors(decomp: SectorDecomposition, mat: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(decomp: SectorDecomposition) -> Channel:
-    """Rebuild the channel sum_sigma S_sigma (M_sigma * rho) S_sigma^dag; a
-    decomposition with no sectors is the zero map, one zero Kraus operator."""
-    return Channel._adopt(_kraus_stack(decomp._groups, decomp.spectrum.dim))
+    """Rebuild the channel sum_sigma S_sigma (M_sigma * rho) S_sigma^dag as the operators
+    S_sigma diag(v), v the spectral vectors of each block; a decomposition with no
+    sectors is the zero map, one zero Kraus operator."""
+    count, vecs = np.zeros(0, dtype=np.intp), np.zeros((0, 0))
+    if decomp._groups:
+        index, _, _, blocks = zip(*decomp._groups)
+        _, _, count, vecs = mc._scaled_eigenvectors(blocks, index)  # by position
+    pairs, sizes, _ = _held_pairs(decomp.spectrum, decomp._clusters)
+    return _shift_kraus(pairs, sizes, count, vecs, decomp.spectrum.dim)
 
 
 def shift_distribution(

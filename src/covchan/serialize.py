@@ -45,18 +45,23 @@ def matrix_to_json(mat: np.ndarray) -> dict:
     return obj
 
 
+def _check_dims(kind: str, names: str, *dims) -> None:
+    """Refuse header dimensions that are not JSON integers >= 1 (no bool, no 1.5, no "2")."""
+    if not all(type(d) is int and d >= 1 for d in dims):
+        raise ParseError(f"{kind} {names} must be integers >= 1, got {', '.join(map(repr, dims))}")
+
+
 def matrix_from_json(obj) -> np.ndarray:
     try:
         rows, cols = obj["rows"], obj["cols"]
-        if not all(type(d) is int and d >= 1 for d in (rows, cols)):  # no bool, no 1.5
-            raise ParseError(f"matrix rows and cols must be integers >= 1, got {rows!r}, {cols!r}")
+        _check_dims("matrix", "rows and cols", rows, cols)
         data = obj["data"]
         if len(data) != rows * cols:
             raise ParseError(f"matrix data has {len(data)} entries, expected {rows * cols}")
         flat = np.array([complex(re, im) for re, im in data])
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed matrix object: {exc}") from exc
     if not np.all(np.isfinite(flat)):
         raise ParseError("matrix contains NaN or Inf entries")
@@ -81,7 +86,8 @@ def channel_to_json(channel: Channel) -> dict:
 def channel_from_json(obj) -> Channel:
     try:
         kraus = tuple(matrix_from_json(k) for k in obj["kraus"])
-        dim_in, dim_out = int(obj["dim_in"]), int(obj["dim_out"])
+        dim_in, dim_out = obj["dim_in"], obj["dim_out"]
+        _check_dims("channel", "dim_in and dim_out", dim_in, dim_out)
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -104,9 +110,13 @@ def spectrum_to_json(spectrum: Spectrum) -> dict:
 
 def spectrum_from_json(obj) -> Spectrum:
     try:
-        energies = [float(x) for x in obj["energies"]]
-        match_tol = float(obj.get("match_tol", 0.0))
-    except (KeyError, TypeError, ValueError) as exc:
+        energies, match_tol = obj["energies"], obj.get("match_tol", 0.0)
+        if type(energies) is not list or not all(type(x) in (int, float) for x in energies):
+            raise ParseError("spectrum energies must be a list of numbers")  # no bool, no "1"
+        if type(match_tol) not in (int, float):
+            raise ParseError(f"spectrum match_tol must be a number, not {type(match_tol).__name__}")
+        energies, match_tol = [float(x) for x in energies], float(match_tol)
+    except (KeyError, TypeError, OverflowError) as exc:  # OverflowError: an int past any double
         raise ParseError(f"malformed spectrum object: {exc}") from exc
     return Spectrum(energies=np.array(energies), match_tol=match_tol)
 

@@ -20,7 +20,8 @@ import numpy as np
 from . import channels as mc
 from .capacity import spectrum_to_bound
 from .channels import Channel
-from .covariant import EnergyShiftDistribution, Spectrum, _check_phase, partial_shift
+from .covariant import (EnergyShiftDistribution, Spectrum, _check_phase, _shift_kraus,
+                        partial_shift)
 from .errors import DimensionMismatch, InvalidParameter, NotPeriodic, NotReliableTiming
 
 # Largest accepted orbit length: the orthogonality check holds an N x N complex
@@ -100,15 +101,18 @@ def build_shift_mixture(spectrum: Spectrum, shifts) -> ShiftMixture:
     total = sum(p for _, p in shifts)
     if abs(total - 1.0) > mc.EPS_TR:
         raise InvalidParameter(f"shift probabilities sum to {total}, not 1")
-    ops = []
-    weight = np.zeros(spectrum.dim)
-    for sigma, p in shifts:
-        sh = partial_shift(spectrum, sigma)
-        ops.append(np.sqrt(p) * sh.matrix)
-        weight[list(sh.domain)] += p
+    n = spectrum.dim
+    held = [partial_shift(spectrum, sigma) for sigma, _ in shifts]
+    sizes = np.array([len(sh.domain) for sh in held])
+    domains = np.array([j for sh in held for j in sh.domain], dtype=np.intp)
+    pairs = np.array([i for sh in held for i in sh.image], dtype=np.intp) * n + domains
+    probs = np.array([p for _, p in shifts])
+    channel = _shift_kraus(pairs, sizes, np.ones_like(sizes),  # one row sqrt(p_j) * 1 per shift
+                           np.repeat(np.sqrt(probs)[:, None], sizes.max(), axis=1), n)
+    weight = np.bincount(domains, np.repeat(probs, sizes), n)
     support = tuple(int(j) for j in np.nonzero(np.abs(weight - 1.0) <= mc.EPS_TP)[0])
     defect = float(np.linalg.norm(weight - 1.0))
-    return ShiftMixture(channel=Channel(tuple(ops)), tp_support=support, tp_defect=defect)
+    return ShiftMixture(channel=channel, tp_support=support, tp_defect=defect)
 
 
 def _check_n(N: int) -> None:

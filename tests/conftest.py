@@ -105,9 +105,9 @@ def bochner_by_dense_applications(channel: cc.Channel, spectrum: cc.Spectrum,
 
 
 def sector_channel(decomp: cc.SectorDecomposition, sigma: float) -> cc.Channel:
-    """The single CP (possibly trace-decreasing) component G_sigma."""
-    shift, mask = decomp.sector(sigma)
-    return cc.Channel(tuple(cov.sector_kraus(shift, mask)))
+    """The single CP (possibly trace-decreasing) component G_sigma, from its
+    own eigh of the sector's block (sector_kraus_per_block)."""
+    return cc.Channel(tuple(sector_kraus_per_block(*decomp.sector(sigma))))
 
 
 def purify(rho: cc.DensityMatrix, unitary: np.ndarray | None = None) -> np.ndarray:
@@ -310,14 +310,33 @@ def reconstruct_per_sector(decomp: cc.SectorDecomposition) -> cc.Channel:
     """Oracle for covariant.reconstruct: S_sigma diag(d) for the spectral vectors
     d of each block, sector after sector (one zero operator for no sectors)."""
     n = decomp.spectrum.dim
-    ops = []
-    for shift, mask in decomp.sectors:
-        vecs = scaled_eigenvectors_per_matrix(mask.domain_submatrix, MaskNotPSD,
-                                              f"sector {shift.sigma}:")
-        block_ops = np.zeros((max(len(vecs), 1), n, n), dtype=complex)
-        block_ops[:, shift.image, shift.domain] = vecs or 0.0
-        ops.extend(block_ops)
+    ops = [op for shift, mask in decomp.sectors for op in sector_kraus_per_block(shift, mask)]
     return cc.Channel(tuple(ops or [np.zeros((n, n), dtype=complex)]))
+
+
+def sector_kraus_per_block(shift: cc.PartialShift, mask: cc.SectorMask) -> np.ndarray:
+    """The operators S_sigma diag(v) of one sector, v the spectral vectors of its
+    block from one eigh of that block alone (one zero operator when it has none)."""
+    vecs = scaled_eigenvectors_per_matrix(mask.domain_submatrix, MaskNotPSD,
+                                          f"sector {shift.sigma}:")
+    ops = np.zeros((max(len(vecs), 1), shift.dim, shift.dim), dtype=complex)
+    ops[:, shift.image, shift.domain] = vecs or 0.0
+    return ops
+
+
+def hadamard_channel_by_diagonals(mask: np.ndarray) -> cc.Channel:
+    """Oracle for capacity.hadamard_channel: diag(v) for each spectral vector v of
+    the mask's Hermitian part, from one eigh, each operator laid out on its own."""
+    mask = np.asarray(mask, dtype=complex)
+    vecs = scaled_eigenvectors_per_matrix((mask + mask.conj().T) / 2.0, MaskNotPSD, "mask")
+    return cc.Channel(tuple(np.diag(v) for v in vecs))
+
+
+def shift_mixture_by_dense_shifts(spectrum: cc.Spectrum, shifts) -> cc.Channel:
+    """Oracle for the channel of timing.build_shift_mixture: sqrt(p) times the
+    dense matrix of each shift's partial_shift, one operator per (sigma, p)."""
+    return cc.Channel(tuple(np.sqrt(float(p)) * cov.partial_shift(spectrum, float(sigma)).matrix
+                            for sigma, p in shifts))
 
 
 def shift_distribution_per_sector(decomp: cc.SectorDecomposition,

@@ -11,6 +11,7 @@ from covchan import capacity as cap
 from covchan import channels as mcore
 from covchan import covariant as cov
 from covchan import generate as gen
+from covchan import serialize as ser
 from covchan import timing as tim
 from covchan.errors import (
     DiagonalNotUnit,
@@ -166,6 +167,21 @@ class TestIsCPTP:
         rep = cc.is_cptp(chan)
         cc.decompose(chan, spec)
         assert len(calls) == 1 and rep.tp_defect == tp_defect(chan._ops)
+
+    def test_sum_of_squares_taken_once_per_channel(self, monkeypatch, rng):
+        # is_cptp and decompose both certify the Gram product of the stack; the
+        # sum of squares over its K n^2 entries is taken once, in either order.
+        spec = cc.Spectrum(np.arange(4.0))
+        made = [gen.random_covariant(spec, rng) for _ in range(2)]
+        sums, sum_of_squares = [], mcore._sum_of_squares
+        monkeypatch.setattr(mcore, "_sum_of_squares",
+                            lambda factors: sums.append(factors) or sum_of_squares(factors))
+        cc.is_cptp(made[0])
+        cov.decompose(made[0], spec)
+        cov.decompose(made[1], spec)
+        cc.is_cptp(made[1])
+        assert len(sums) == 2
+        assert all(np.shares_memory(f, chan._ops) for f, chan in zip(sums, made))
 
     def test_tp_defect_far_from_unit_scale(self):
         # The squares of the Frobenius norm overflowed from Kraus entries of
@@ -747,12 +763,31 @@ class TestChannelValidation:
         choi = cc.choi_of(gen.random_cptp(3, rng))
         mask = gen.random_unit_diagonal_mask(5, rng)
         monkeypatch.setattr(mcore, "_as_complex", lambda mat: pytest.fail("copied again"))
-        built = [cov.reconstruct(decomp), cc.kraus_from_choi(choi), cc.hadamard_channel(mask)]
+        built = [cov.reconstruct(decomp), cc.kraus_from_choi(choi), cc.hadamard_channel(mask),
+                 tim.build_shift_mixture(spec, [(0.0, 0.5), (1.0, 0.3), (7.0, 0.2)]).channel]
         monkeypatch.undo()
         for chan in built:
             assert not chan._ops.flags.writeable
             assert all(np.shares_memory(k, chan._ops) for k in chan.kraus)
             assert cc.Channel(chan.kraus)._ops.tobytes() == chan._ops.tobytes()
+
+
+    def test_kraus_is_made_from_the_stack_on_first_read(self, rng):
+        # A channel keeps its stack alone until kraus is read, adopted or
+        # copied; kraus is then the read-only rows of the stack, made once, and
+        # the JSON writer writes them as the operators given.
+        given_ops = [np.eye(3, dtype=complex), np.diag([0.0, 1j, 0.5])]
+        for chan in (cc.hadamard_channel(gen.random_unit_diagonal_mask(6, rng)),
+                     cc.Channel(given_ops)):
+            assert "kraus" not in chan.__dict__
+            kraus = chan.kraus
+            assert kraus is chan.kraus and len(kraus) == len(chan._ops)
+            for k, row in zip(kraus, chan._ops):
+                assert not k.flags.writeable and np.shares_memory(k, chan._ops)
+                assert k.tobytes() == row.tobytes()
+        assert not any(np.shares_memory(k, chan._ops) for k in given_ops)
+        assert ser.channel_to_json(cc.Channel(given_ops)) == {
+            "dim_in": 3, "dim_out": 3, "kraus": [ser.matrix_to_json(k) for k in given_ops]}
 
 
 class TestChoiMatrixValidation:

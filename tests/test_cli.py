@@ -668,7 +668,27 @@ MASK_FILES = {
     "mask-diagonal-half": _mask_text(2, 2, "[0.5, 0], [0, 0], [0, 0], [0.5, 0]"),
     "mask-2x3": _mask_text(2, 3, ", ".join(["[1, 0]"] * 6)),
 }
-KIND_FILES = {**NON_FINITE_FILES, "mask": MASK_FILES}  # the bad files of each kind of input
+# Headers of the wrong JSON type, which int() and float() used to coerce, and
+# an integer literal past the largest double, which used to escape as OverflowError.
+HEADER_FILES = {
+    "channel": {
+        "dims-float-and-string": _channel_text("0").replace('"dim_in": 2, "dim_out": 2',
+                                                            '"dim_in": 2.9, "dim_out": "2"'),
+        "dims-whole-floats": _channel_text("0").replace('"dim_in": 2, "dim_out": 2',
+                                                        '"dim_in": 2.0, "dim_out": 2.0'),
+        "entry-huge-int": _channel_text("1" + "0" * 400),
+    },
+    "spectrum": {
+        "energies-string": '{"energies": "01"}',
+        "energies-bool": '{"energies": [0, true]}',
+        "match-tol-true": '{"energies": [0, 1], "match_tol": true}',
+        "match-tol-string": '{"energies": [0, 1], "match_tol": "1e-3"}',
+        "energy-huge-int": '{"energies": [0, 1' + "0" * 400 + "]}",
+    },
+}
+KIND_FILES = {kind: {**NON_FINITE_FILES.get(kind, {}), **HEADER_FILES.get(kind, {})}
+              for kind in ("channel", "spectrum", "state")}
+KIND_FILES["mask"] = MASK_FILES  # the bad files of each kind of input
 BAD_FILES = {**MALFORMED_FILES, **{name: text for files in KIND_FILES.values()
                                    for name, text in files.items()}}
 # --out targets: "out:file" can be written, the other two cannot be opened.
@@ -754,6 +774,16 @@ def run_main(argv, seed_env):
 @example(case=(["capacity", "bad:mask-indefinite"], None))
 @example(case=(["capacity", "bad:mask-diagonal-half"], None))
 @example(case=(["capacity", "bad:mask-2x3"], None))
+@example(case=(["check", "bad:dims-float-and-string", str(FIXTURES / "spectrum_2level.json")],
+               None))
+@example(case=(["check", "bad:dims-whole-floats", str(FIXTURES / "spectrum_2level.json")], None))
+@example(case=(["capacity", "bad:entry-huge-int"], None))
+@example(case=(["decompose", str(FIXTURES / "identity_channel.json"), "bad:energies-string"],
+               None))
+@example(case=(["check", str(FIXTURES / "identity_channel.json"), "bad:energies-bool"], None))
+@example(case=(["check", str(FIXTURES / "identity_channel.json"), "bad:match-tol-true"], None))
+@example(case=(["check", str(FIXTURES / "identity_channel.json"), "bad:match-tol-string"], None))
+@example(case=(["check", str(FIXTURES / "identity_channel.json"), "bad:energy-huge-int"], None))
 @example(case=(["mc-gaussian", "--format", "json", "--std-dev", "1e308", "--dim", "4",
                 "--sigma-max", "0", "--samples", "20", "--seed", "0"], None))  # once printed nan
 def test_exit_code_contract(case, bad_files):

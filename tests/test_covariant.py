@@ -59,6 +59,21 @@ class TestSpectrum:
         with pytest.raises(InvalidParameter, match="match_tol must be finite"):
             cc.Spectrum(np.array([0.0, 1.0]), match_tol=match_tol)
 
+    @pytest.mark.parametrize("n", [1, 5, 12])
+    def test_sector_pairs_are_read_only_views_of_one_flat_map(self, n):
+        # The clusters' pairs are split from one read-only array, which _tables
+        # reads as it is, with the clusters' starts.
+        spec = cc.Spectrum(np.r_[0.0, np.cumsum(np.sqrt(np.arange(2.0, n + 1)))])
+        order, sizes, starts, flat, sector = spec._tables
+        assert flat is spec._flat and starts is spec._starts
+        np.testing.assert_array_equal(flat, np.concatenate(spec.sector_pairs))
+        np.testing.assert_array_equal(sizes, [pairs.size for pairs in spec.sector_pairs])
+        for i, pairs in enumerate(spec.sector_pairs):
+            assert not pairs.flags.writeable and pairs.base is flat
+            assert pairs.size == 0 or flat[starts[i]] == pairs[0]
+            assert (sector[pairs] == i).all()
+        assert not any(arr.flags.writeable for arr in (order, sizes, starts, flat, sector))
+
     def test_rejects_chained_sector_with_repeated_level(self):
         # Differences 1 - 0.8e-9, 1, 1 + 0.7e-9, 1 + 1.5e-9 chain into one
         # sector holding pairs (1, 0) and (2, 0): input level 0 twice.
@@ -557,10 +572,11 @@ class TestBlockStorage:
         monkeypatch.setattr(cov, "_mask_failure", refuse_mask_check)
         want = cov.decompose(chan, spec)
         assert len(certificates) == 1
-        factors, k, scale = certificates[0]
-        # The certificate reads the channel's own stack, not a copy of it.
+        factors, k, scale, squares = certificates[0]
+        # The certificate reads the channel's own stack, not a copy of it, and
+        # the sum of squares the channel keeps.
         assert np.shares_memory(factors, chan._ops) and factors.size == chan._ops.size
-        assert k == len(chan._ops)
+        assert k == len(chan._ops) and squares == mcore._sum_of_squares(factors)
         assert scale == pytest.approx(1.0, abs=1e-9)  # random_covariant is TP
 
         def counting(blocks, sigmas):

@@ -39,6 +39,7 @@ REMOVED = [
     ("covariant", "_group_sectors"),
     ("covariant", "_sectors"),
     ("covariant", "_diagonal_sums"),
+    ("covariant", "sector_kraus"),
 ]
 
 

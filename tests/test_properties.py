@@ -25,11 +25,13 @@ from conftest import (
     decompose_per_sector,
     diagonal_sums_per_sector,
     domain_extension_per_sector,
+    hadamard_channel_by_diagonals,
     mask_failure_by_eigvalsh,
     reconstruct_per_sector,
     sector_map_by_cluster_loop,
     sha256_of,
     shift_distribution_per_sector,
+    shift_mixture_by_dense_shifts,
 )
 
 # Derandomized with a bounded example count: every run draws the same
@@ -429,7 +431,7 @@ def not_cp_messages(chan, spec, broken):
         mp.setattr(mcore, "_tp_defect", lambda ops: tp_defect)
         # The blocks are broken behind the Kraus operators' back, which the
         # Gram certificate cannot see, so it is made to fail too.
-        mp.setattr(mcore, "_gram_certified", lambda factors, k, scale: False)
+        mp.setattr(mcore, "_gram_certified", lambda factors, k, scale, squares: False)
         with pytest.raises(NotCP) as got:
             cov.decompose(chan, spec)
     return str(got.value), str(want.value)
@@ -640,3 +642,28 @@ def test_one_pass_reconstruct_of_built_decompositions_equals_per_sector_loop(dim
     empty = cc.SectorDecomposition(spectrum=gauss.spectrum, sectors=())
     for decomp in (gauss, mixed, empty):
         assert sha256_of(cov.reconstruct(decomp)) == sha256_of(reconstruct_per_sector(decomp))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_covariant_builders_equal_their_operators_laid_out_one_by_one(n, data):
+    # hadamard_channel and build_shift_mixture lay out their S_sigma diag(v)
+    # operators through the one builder that reconstruct uses; each channel is
+    # its operators made one at a time, bit for bit.  The shifts may repeat a
+    # sigma, miss the spectrum or carry p = 0; the masks may have rank 1 or 2.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    for mask in (gen.random_unit_diagonal_mask(n, rng), np.ones((n, n)),
+                 np.cos(theta[:, None] - theta[None, :])):
+        want = hadamard_channel_by_diagonals(mask)
+        assert sha256_of(cc.hadamard_channel(mask)) == sha256_of(want)
+    spec = cc.Spectrum(np.arange(float(n)))
+    sigmas = data.draw(st.lists(st.sampled_from(spec.sigmas.tolist() + [n + 0.5, -0.5]),
+                                min_size=1, max_size=5))
+    weights = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                          min_size=len(sigmas), max_size=len(sigmas))))
+    assume(weights.sum() > 0.0)
+    shifts = list(zip(sigmas, (weights / weights.sum()).tolist()))
+    assume(abs(sum(p for _, p in shifts) - 1.0) <= mcore.EPS_TR)
+    mix = tim.build_shift_mixture(spec, shifts)
+    assert sha256_of(mix.channel) == sha256_of(shift_mixture_by_dense_shifts(spec, shifts))

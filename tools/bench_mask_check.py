@@ -19,6 +19,13 @@ Rows, each timed in a fresh process with OPENBLAS_NUM_THREADS=1:
   and both on the shift mixture {(0, .5), (2, .3), (-1, .2)} on the integer
   spectrum at n = 28 and 128 (each call on the channel and decomposition as
   they were built);
+- the other two builders of covariant Kraus families, which lay out their
+  operators as reconstruct does: capacity.hadamard_channel of one random
+  unit-diagonal mask at n = 16 and 64, and timing.build_shift_mixture of the
+  mixture above at n = 28 and 128; channels.Channel._adopt of a fresh
+  (256, 16, 16) stack; and covariant.Spectrum(...) of the sqrt(prime)
+  spectrum at n = 16 and 64, alone and followed by its sector tables
+  (Spectrum._tables);
 - the readers of a built decomposition, each call on the decomposition as
   it was built (what a first read caches is dropped before every call):
   covariant.domain_extension_check at t = 0.7 on one random state, of the
@@ -53,6 +60,9 @@ MC_MIXED_DIMS = (8, 16)
 CHECK_SIZES = (16, 32)
 PIPELINE_SIZES = (8, 16, 32)
 MIXTURE_SIZES = (28, 128)
+MIXTURE = [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)]
+HADAMARD_SIZES = (16, 64)
+SPECTRUM_SIZES = (16, 64)
 PSD_SIZES = (4, 16, 64)
 
 
@@ -115,7 +125,7 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
     for kind, n, spec in pipelines:
         rng = np.random.default_rng(n)
         if kind == "shift mixture":
-            chan = tim.build_shift_mixture(spec, [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)]).channel
+            chan = tim.build_shift_mixture(spec, MIXTURE).channel
         else:
             chan = gen.random_covariant(spec, rng)
         decomp, rho = cov.decompose(chan, spec), gen.random_state(n, rng)
@@ -131,6 +141,23 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
                              as_built(lambda: cov.reconstruct(decomp)), rounds))
         rows.append(time_row("is_cptp -> ... -> shift_distribution", kind, n,
                              as_built(pipeline), rounds))
+    for n in HADAMARD_SIZES:
+        mask = gen.random_unit_diagonal_mask(n, np.random.default_rng(n))
+        rows.append(time_row("capacity.hadamard_channel", "random mask", n,
+                             lambda: cap.hadamard_channel(mask), rounds))
+    for n in MIXTURE_SIZES:
+        spec = cov.Spectrum(np.arange(float(n)))
+        rows.append(time_row("timing.build_shift_mixture", "shift mixture", n,
+                             lambda: tim.build_shift_mixture(spec, MIXTURE), rounds))
+    stack = np.random.default_rng(0).standard_normal((256, 16, 16)) + 0j
+    rows.append(time_row("channels.Channel._adopt", "(256, 16, 16) stack", 16,
+                         lambda: mc.Channel._adopt(stack), rounds))
+    for n in SPECTRUM_SIZES:
+        energies = spectrum_energies(n)[1][1]
+        rows.append(time_row("covariant.Spectrum(...)", "sqrt_prime", n,
+                             lambda: cov.Spectrum(energies), rounds))
+        rows.append(time_row("covariant.Spectrum(...)", "sqrt_prime, then ._tables", n,
+                             lambda: cov.Spectrum(energies)._tables, rounds))
     for n in CHECK_SIZES:
         for kind, energies in spectrum_energies(n):
             spec = cov.Spectrum(energies)
