@@ -38,12 +38,13 @@ runs one stacked eigh per size (LAPACK takes one size at a time), then
 orders and cuts the eigenvectors of all sectors at once, and _shift_kraus,
 the one builder of covariant Kraus families, scatters them in one
 assignment.  Every block decompose keeps is a pinched principal block of
-the Gram product C_S = V_S^T conj(V_S), so one rounding bound on the Kraus operators' norm
-(channels._gram_bound) proves all of them pass the mask check; only when it
-does not is the check run, one stacked eigvalsh per size.  The results are
-the per-sector loops' bit for bit: one level sum adds the diagonals in
-sector order (_level_sums), each block's residue is its own dot product,
-and the first failing sector in sector order is the one reported.
+the Gram product C_S = V_S^T conj(V_S), so one rounding bound on the Kraus
+operators' norm (channels._gram_bound) proves all of them pass the mask
+check; only when it does not is the check run, one stacked eigvalsh per
+size.  The results are the per-sector loops' bit for bit: one level sum
+adds the diagonals in sector order (_level_sums), each block's residue is
+its own dot product, and the first failing sector in sector order is the
+one reported.
 characteristic_function and bochner_check apply no channel: they read one
 n x n weight matrix W per call, whose sum over a sector's pairs is
 tr(K G_sigma(rho)).
