@@ -22,29 +22,29 @@ is the channel's own (Channel._choi): formed once and shared by
 covariance_defect and decompose when the channel keeps it (|S| <= K), and
 formed by each of them when there are fewer Kraus operators than pairs.
 
-A decomposition is one store: per position, the spectrum cluster c it sits
-on (sigma, domain and image from spectrum.sigmas[c] and sector_pairs[c]) and
-its read-only d x d block, which every library reader reads.  The public
-view, (PartialShift, SectorMask) pairs, is made from it one pair at a time by
-SectorDecomposition._pairs; PartialShift.matrix and SectorMask.mask are dim x
-dim views built on demand.
+A decomposition is one store (_Layout), which every library reader reads: its
+sectors in size order, each with its spectrum cluster c (sigma, domain and
+image from spectrum.sigmas[c] and sector_pairs[c]), flat Choi pairs and the
+offset of its read-only d x d block in one flat buffer.  A size's sectors are
+a size group, an (m, d, d) view of the buffer (_stacks): their blocks lie one
+after another, or at one offset (the +-a of a Gaussian decomposition).  A
+size's real blocks in a complex buffer are a group of their own on its real
+part, so they are diagonalised as real.  The (PartialShift, SectorMask)
+pairs are made from the store one at a time (SectorDecomposition._pairs).
 
-Sector work runs over all sectors at once.  decompose lays the blocks of
-the sectors the channel touches out in one flat buffer, in size order
-(_Layout, its tables built per call for those sectors alone), and gathers,
-Hermitises, scales for TP and tests them for the drop once over it; the
-decomposition's size groups and blocks are views of the buffer.  reconstruct
-runs one stacked eigh per size (LAPACK takes one size at a time), then
-orders and cuts the eigenvectors of all sectors at once, and _shift_kraus,
-the one builder of covariant Kraus families, scatters them in one
-assignment.  Every block decompose keeps is a pinched principal block of
-the Gram product C_S = V_S^T conj(V_S), so one rounding bound on the Kraus
-operators' norm (channels._gram_bound) proves all of them pass the mask
-check; only when it does not is the check run, one stacked eigvalsh per
-size.  The results are the per-sector loops' bit for bit: one level sum
-adds the diagonals in sector order (_level_sums), each block's residue is
-its own dot product, and the first failing sector in sector order is the
-one reported.
+Sector work runs over all sectors at once.  decompose lays the blocks of the
+sectors the channel touches out in one buffer, gathers, Hermitises, scales for
+TP and tests them for the drop once over it, and keeps the kept blocks' buffer
+as its store.  reconstruct runs one stacked eigh per size group, then orders
+and cuts the eigenvectors of all sectors at once, and _shift_kraus, the one
+builder of covariant Kraus families, scatters them in one assignment.  Every
+block decompose keeps is a pinched principal block of the Gram product
+C_S = V_S^T conj(V_S), so one rounding bound on the Kraus operators' norm
+(channels._gram_bound) proves all of them pass the mask check; only when it
+does not is the check run, one stacked eigvalsh per size.  The results are
+the per-sector loops' bit for bit: one level sum adds the diagonals in sector
+order (_level_sums), each block's residue is its own dot product, and the
+first failing sector in sector order is the one reported.
 characteristic_function and bochner_check apply no channel: they read one
 n x n weight matrix W per call, whose sum over a sector's pairs is
 tr(K G_sigma(rho)).
@@ -54,7 +54,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,17 +68,6 @@ from .errors import (
     NotCP,
     UnknownSector,
 )
-
-class _SizeGroup(NamedTuple):
-    """The sectors of one domain size d: their positions (m,), ascending, the
-    input levels (m, d) and output levels (m, d) of each, and their (m, d, d)
-    stack of mask blocks."""
-
-    index: np.ndarray
-    domains: np.ndarray
-    images: np.ndarray
-    blocks: np.ndarray
-
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -107,7 +95,7 @@ class Spectrum:
     _flat: np.ndarray = field(init=False, repr=False)  # the sector_pairs one after another
 
     def __post_init__(self):
-        en = np.asarray(self.energies, dtype=float)
+        en = np.array(self.energies, dtype=float)  # its own copy, made read-only below
         if en.ndim != 1 or en.size == 0:
             raise DegenerateSpectrum("spectrum must be a non-empty 1-d list of energies")
         if not np.all(np.isfinite(en)):
@@ -240,9 +228,7 @@ class SectorMask:
         on the factor it was formed from (channels._gram_bound) proved it
         would."""
         mask = object.__new__(cls)
-        for name, value in (("sigma", sigma), ("domain_submatrix", block),
-                            ("domain", domain), ("dim", dim)):
-            object.__setattr__(mask, name, value)
+        mask.__dict__.update(sigma=sigma, domain_submatrix=block, domain=domain, dim=dim)
         return mask
 
     @property
@@ -256,8 +242,8 @@ class SectorMask:
 class SectorDecomposition:
     """The canonical family sigma -> (S_sigma, M_sigma) of one channel: its store
     (module docstring), from which ``sectors`` is made when first read.  Pairs
-    given to the constructor are read into the store, each shift the
-    spectrum's sector at its sigma; sigmas(), like sector(sigma)'s pairs, are the clusters'.
+    given to the constructor are checked, each shift the spectrum's sector at its
+    sigma, and their blocks concatenated; sigmas(), like sector(sigma)'s, are the clusters'.
 
     projection_defect is the Choi Frobenius distance between the input channel
     and the decomposition; it is zero (up to roundoff) for exactly covariant
@@ -284,16 +270,21 @@ class SectorDecomposition:
                 raise UnknownSector(f"sector {shift.sigma}: its mask is for sigma {mask.sigma} "
                                     f"on levels {tuple(mask.domain)}")
             clusters.append(c)
-        self.__dict__.update(_clusters=np.array(clusters, dtype=np.intp),
-                             _blocks=tuple(mask.domain_submatrix for _, mask in self.sectors))
+        blocks = [mask.domain_submatrix for _, mask in self.sectors]
+        real = np.array([not np.iscomplexobj(block) for block in blocks], dtype=bool)
+        slots = np.lexsort((~real, spec._tables[1][clusters]))  # size order, a size's real first
+        buffer = np.concatenate([np.zeros(0), *(blocks[i].reshape(-1) for i in slots.tolist())])
+        buffer.setflags(write=False)
+        store = _lay_out(spec, np.array(clusters, dtype=np.intp)[slots], buffer)
+        self.__dict__["_store"] = store._replace(order=np.argsort(slots),
+                                                 real=real[slots] & np.iscomplexobj(buffer))
 
     @classmethod
-    def _of_store(cls, spectrum: Spectrum, clusters: np.ndarray, blocks: tuple, **fields):
-        """The decomposition of a store, no pair made; fields are its other fields
-        and _groups, the store's size groups, when the caller has them."""
+    def _of_store(cls, spectrum: Spectrum, store: _Layout, **fields):
+        """The decomposition of a store, no pair made; fields are its other fields."""
         decomp = object.__new__(cls)
         decomp.__dict__.update({"projection_defect": 0.0, **fields, "spectrum": spectrum,
-                                "_clusters": clusters, "_blocks": blocks})
+                                "_store": store})
         return decomp
 
     def __getattr__(self, name):
@@ -308,50 +299,40 @@ class SectorDecomposition:
     def _derived_sectors(self) -> tuple[tuple[PartialShift, SectorMask], ...]:
         return tuple(self._pairs())
 
-    def _pairs(self, positions=None):
-        """The (shift, mask) pair at each position (all, in sector order, by default), made
+    def _derived__stacked(self) -> tuple:  # the store's size groups (_stacks)
+        return tuple(_stacks(self._store))
+
+    def _derived__by_slot(self) -> list:  # each slot's (pairs, block), views of its size group
+        return [pair for _, rows, blocks in self._stacked for pair in zip(rows, blocks)]
+
+    def _pairs(self, slots=None):
+        """The (shift, mask) pair of each slot (all, in sector order, by default), made
         from its cluster's sector pairs and its block, checked before it was stored."""
-        spec = self.spectrum
-        for i in range(len(self._blocks)) if positions is None else positions:
-            c = int(self._clusters[i])
+        spec, store = self.spectrum, self._store
+        for k in store.order.tolist() if slots is None else slots:
+            c, block = int(store.clusters[k]), self._by_slot[k][1]
             shift = PartialShift._of_pairs(float(spec.sigmas[c]), spec.sector_pairs[c], spec.dim)
-            yield shift, SectorMask._checked(shift.sigma, self._blocks[i], shift.domain, spec.dim)
+            yield shift, SectorMask._checked(shift.sigma, block, shift.domain, spec.dim)
 
     def sigmas(self) -> np.ndarray:
-        return self.spectrum.sigmas[self._clusters]
+        return self.spectrum.sigmas[self._store.clusters[self._store.order]]
 
     def sector(self, sigma: float) -> tuple[PartialShift, SectorMask]:
         """The sector on the cluster of sigma, whose shift is partial_shift(spectrum, sigma)."""
         try:
-            i = self._clusters.tolist().index(self.spectrum._cluster_at(sigma))
+            k = self._store.clusters.tolist().index(self.spectrum._cluster_at(sigma))
         except ValueError:
             raise UnknownSector(f"no sector at sigma = {sigma}") from None
-        return next(self._pairs([i]))
+        return next(self._pairs([k]))
 
     def diagonal_sums(self) -> np.ndarray:
         """sum_sigma M_sigma(j, j) at every input level j: all ones for a TP channel."""
-        diags = [np.real(np.diagonal(block)) for block in self._blocks]
-        return _level_sums(_held_pairs(self.spectrum, self._clusters)[0] % self.spectrum.dim,
-                           np.concatenate([np.zeros(0), *diags]), self.spectrum.dim)
-
-    @cached_property
-    def _groups(self) -> tuple[_SizeGroup, ...]:
-        """The store grouped by domain size and block dtype (a real block is
-        diagonalised as real), each group in position order, built on first use."""
-        members: dict[tuple, list[int]] = {}
-        for i, block in enumerate(self._blocks):
-            members.setdefault((len(block), block.dtype), []).append(i)
-        n, held = self.spectrum.dim, self.spectrum.sector_pairs
-        groups = []
-        for index in members.values():
-            pairs = np.stack([held[c] for c in self._clusters[index].tolist()])
-            blocks = [self._blocks[i] for i in index]
-            if all(block is blocks[0] for block in blocks):  # e.g. the +-a of a Gaussian one
-                stack = np.broadcast_to(blocks[0], (len(blocks), *blocks[0].shape))  # no copy
-            else:
-                stack = np.stack(blocks)
-            groups.append(_SizeGroup(np.array(index), pairs % n, pairs // n, stack))
-        return tuple(groups)
+        store, n = self._store, self.spectrum.dim
+        diags = np.concatenate([np.zeros(0)] + [np.real(np.diagonal(b, axis1=1, axis2=2)).ravel()
+                                                for *_, b in self._stacked])  # by slot
+        first = np.cumsum(store.sizes) - store.sizes
+        at = _runs(first[store.order], store.sizes[store.order])  # the pairs, sector after sector
+        return _level_sums(store.pairs[at] % n, diags[at], n)
 
 
 @dataclass(frozen=True)
@@ -423,63 +404,73 @@ def _support_choi(channel: Channel,
     return support, choi, cross
 
 
-# Sectors (K,) in size order (ascending d, then sector), their sizes (K,) and
-# flat Choi pairs j' * n + j (sum d), their d x d blocks row-major in one buffer
-# (sum d^2), and for each entry the positions in pairs of its row and column
-# and the buffer position of its transpose.
-_Layout = namedtuple("_Layout", "index sizes pairs blocks rows cols trans")
+# A store, or decompose's work layout: per slot, in size order, its cluster, domain
+# size d, whether its block is real in a complex buffer and the offset of its d x d
+# row-major block in the buffer blocks; the slots in sector order; the flat pairs.
+_Layout = namedtuple("_Layout", "clusters sizes real offsets blocks order pairs")
 
 
-def _held_pairs(spectrum: Spectrum, clusters: np.ndarray):
-    """The flat Choi pairs of the clusters one after another, each one's size and first pair."""
+def _runs(starts, sizes):
+    """The indices starts[i], ..., starts[i] + sizes[i] - 1 of every run, one run after another."""
+    return np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+
+
+def _lay_out(spectrum: Spectrum, clusters, blocks, offsets=None) -> _Layout:
+    """The read-only _Layout of the sectors on clusters (in size order), their pairs read
+    from the spectrum, sector order that of the clusters, no block real in a complex buffer
+    and the blocks at offsets in blocks (by default one after another)."""
     _, sizes, starts, flat, _ = spectrum._tables
     sizes = sizes[clusters]
-    first = np.cumsum(sizes) - sizes
-    return flat[np.arange(sizes.sum()) + np.repeat(starts[clusters] - first, sizes)], sizes, first
+    offsets = np.cumsum(sizes * sizes) - sizes * sizes if offsets is None else offsets
+    layout = _Layout(clusters, sizes, np.zeros(clusters.size, dtype=bool), offsets, blocks,
+                     np.argsort(clusters, kind="stable"), flat[_runs(starts[clusters], sizes)])
+    for arr in layout._replace(blocks=offsets):  # all but the blocks, which may be in the making
+        arr.setflags(write=False)
+    return layout
 
 
-def _sector_blocks(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum) -> _Layout:
-    """The layout of the sectors that hold a pair of the support, with their
-    principal blocks of the Choi matrix choi on support x support, +0.0 at
-    the pairs off the support (a pinching: PSD stays PSD).  Every other
-    sector's block is zero and is left out, and no table is built for it:
-    over all sectors the tables would hold about 2 n^3 / 3 entries each."""
+def _stacks(store: _Layout):
+    """The size groups of a layout, in size order: per group its slots (a slice),
+    their pairs (m, d) and their blocks (m, d, d), views of the layout."""
+    key, offsets = 2 * store.sizes + store.real, store.offsets.tolist()
+    starts = np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))  # 0 if any
+    first = (np.cumsum(store.sizes) - store.sizes)[starts].tolist()
+    for start, end, p, real in zip(starts.tolist(), [*starts[1:].tolist(), key.size], first,
+                                   store.real[starts].tolist()):
+        m, d, o = end - start, int(store.sizes[start]), offsets[start]
+        buffer = store.blocks.real if real else store.blocks
+        shared = m > 1 and offsets[start + 1] == o  # one block at one offset
+        blocks = (np.broadcast_to(buffer[o:o + d * d].reshape(d, d), (m, d, d)) if shared
+                  else buffer[o:o + m * d * d].reshape(m, d, d))
+        yield slice(start, end), store.pairs[p:p + m * d].reshape(m, d), blocks
+
+
+def _sector_blocks(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum):
+    """The layout of the sectors holding a pair of the support, with their blocks of choi
+    on support x support, +0.0 off it (a pinching: PSD stays PSD), and per entry the
+    places in the pairs of its row and column and of its transpose.  No other sector is
+    laid out: over all sectors each table would hold about 2 n^3 / 3 entries."""
     n = spectrum.dim
     order, sizes, _, _, sector = spectrum._tables
     held = np.zeros(sizes.size, dtype=bool)
     held[sector[support]] = True
-    index = order[held[order]]
-    pairs, sizes, first = _held_pairs(spectrum, index)
+    layout = _lay_out(spectrum, order[held[order]], None)
+    sizes = layout.sizes
     square = sizes * sizes
-    start = np.repeat(np.cumsum(square) - square, square)  # of each entry's block
+    start = np.repeat(layout.offsets, square)  # of each entry's block
     d = np.repeat(sizes, square)
     rows, cols = np.divmod(np.arange(d.size) - start, d)  # the entry's place in its block
     trans = start + cols * d + rows
-    base = np.repeat(first, square)
+    base = np.repeat(np.cumsum(sizes) - sizes, square)
     rows += base
     cols += base
     del start, d, base  # freed before the gather, which runs beside the Choi arrays
     at = np.full(n * n, -1)  # the row of each pair in choi, -1 off the support
     at[support] = np.arange(support.size)
-    row, col = at[pairs][rows], at[pairs][cols]
+    row, col = at[layout.pairs][rows], at[layout.pairs][cols]
     blocks = choi[row, col]
     blocks[(row < 0) | (col < 0)] = 0.0
-    return _Layout(index, sizes, pairs, blocks, rows, cols, trans)
-
-
-def _size_groups(index, sizes, pairs, blocks, n: int) -> tuple[_SizeGroup, ...]:
-    """The size groups of sectors laid out in size order, as a _Layout's index,
-    sizes, pairs and buffer: every array of a group a view of those."""
-    domains, images = pairs % n, pairs // n
-    counts = np.bincount(sizes)
-    groups, k, p, e = [], 0, 0, 0
-    for d in np.flatnonzero(counts).tolist():  # the sizes present, ascending
-        m = int(counts[d])
-        groups.append(_SizeGroup(index[k:k + m], domains[p:p + m * d].reshape(m, d),
-                                 images[p:p + m * d].reshape(m, d),
-                                 blocks[e:e + m * d * d].reshape(m, d, d)))
-        k, p, e = k + m, p + m * d, e + m * d * d
-    return tuple(groups)
+    return layout._replace(blocks=blocks), rows, cols, trans
 
 
 def _level_sums(levels: np.ndarray, diagonals: np.ndarray, n: int) -> np.ndarray:
@@ -490,23 +481,23 @@ def _level_sums(levels: np.ndarray, diagonals: np.ndarray, n: int) -> np.ndarray
     return total
 
 
-def _restore_tp(layout: _Layout, n: int) -> tuple[_Layout, float]:
-    """The layout's blocks under the congruence by diag(s), s = w^(-1/2) and w
-    their level sums, so that the diagonals sum to one at every level (TP);
-    and max s^2, by which the congruence can scale rounding."""
+def _restore_tp(layout: _Layout, rows, cols, n: int) -> tuple[_Layout, float]:
+    """The layout's blocks (entry tables rows and cols) under the congruence by diag(s),
+    s = w^(-1/2) and w their level sums, so that the diagonals sum to one at every
+    level (TP); and max s^2, by which the congruence can scale rounding."""
     levels = layout.pairs % n
-    order = np.argsort(np.repeat(layout.index, layout.sizes), kind="stable")  # sector order
-    diags = np.real(layout.blocks[layout.rows == layout.cols])  # in pair order
+    order = np.argsort(np.repeat(layout.clusters, layout.sizes), kind="stable")  # sector order
+    diags = np.real(layout.blocks[rows == cols])  # in pair order
     scale = 1.0 / np.sqrt(_level_sums(levels[order], diags[order], n))
     s = scale[levels]
     top = float(scale.max(initial=0.0))
-    return layout._replace(blocks=layout.blocks * (s[layout.rows] * s[layout.cols])), top * top
+    return layout._replace(blocks=layout.blocks * (s[rows] * s[cols])), top * top
 
 
-def _scatter(layout: _Layout, n: int) -> np.ndarray:
+def _scatter(layout: _Layout, rows, cols, n: int) -> np.ndarray:
     """The Choi matrix holding the layout's blocks on their pairs, zero elsewhere."""
     choi = np.zeros((n * n, n * n), dtype=complex)
-    choi[layout.pairs[layout.rows], layout.pairs[layout.cols]] = layout.blocks
+    choi[layout.pairs[rows], layout.pairs[cols]] = layout.blocks
     return choi
 
 
@@ -553,52 +544,46 @@ def decompose(
     if defect > tol:
         raise NotCovariant(defect, tol)
     n = spectrum.dim
-    layout = _sector_blocks(choi, support, spectrum)
+    layout, rows, cols, trans = _sector_blocks(choi, support, spectrum)
     sq_cross = float(np.vdot(cross, cross).real)  # its squared Frobenius norm
     # Freed before any output is allocated, so that the outputs take no fresh
     # pages above the Choi arrays that a later Choi matrix could reuse (the
     # channel keeps its Choi matrix when |S| <= K, and then none is formed).
     del choi, cross
     raw = layout.blocks
-    layout = layout._replace(blocks=(raw + raw[layout.trans].conj()) / 2.0)
+    layout = layout._replace(blocks=(raw + raw[trans].conj()) / 2.0)
     scale = 1.0
     if channel._tp_defect <= mc.EPS_TP:
-        layout, scale = _restore_tp(layout, n)
+        layout, scale = _restore_tp(layout, rows, cols, n)
 
     # ||C - scatter(kept blocks)||^2 entry by entry: the cross-sector
     # entries, plus each sector's Choi block minus its kept block (or zero).
-    blocks, sizes, square = layout.blocks, layout.sizes, layout.sizes * layout.sizes
+    blocks, square = layout.blocks, layout.sizes * layout.sizes
     peak = max(defect, float(np.abs(raw).max(initial=0.0)))
     floor = 1e-13 * max(1.0, peak)  # peak = max |C|
-    drop = np.maximum.reduceat(np.abs(blocks), np.cumsum(square) - square) <= floor
+    drop = np.maximum.reduceat(np.abs(blocks), layout.offsets) <= floor
     resid = np.where(np.repeat(drop, square), raw, raw - blocks)
     sq_terms = np.zeros(len(spectrum.sigmas))  # a sector left out adds 0.0
-    for group in _size_groups(layout.index, sizes, layout.pairs, resid, n):
-        terms = group.blocks.reshape(len(group.index), -1)
-        sq_terms[group.index] = np.vecdot(terms, terms).real  # one dot per block, as vdot
+    for slots, _, terms in _stacks(layout._replace(blocks=resid)):  # one dot per block, as vdot
+        terms = terms.reshape(len(terms), -1)
+        sq_terms[layout.clusters[slots]] = np.vecdot(terms, terms).real
     # A running sum adds the terms in sector order, as one float after another.
     sq_defect = np.add.accumulate(np.r_[sq_cross, sq_terms])[-1]
-    keep = ~drop
-    clusters = np.sort(layout.index[keep])
-    position = np.searchsorted(clusters, layout.index[keep])  # of each kept sector
-    blocks = blocks[np.repeat(keep, square)]
+    blocks = blocks[np.repeat(~drop, square)]
     blocks.setflags(write=False)
-    groups = _size_groups(position, sizes[keep], layout.pairs[np.repeat(keep, sizes)], blocks, n)
+    store = _lay_out(spectrum, layout.clusters[~drop], blocks)
     # Every block is a pinched principal block of C_S = V_S^T conj(V_S), V_S the
     # vec(A_m) rows on the support, Hermitised and maybe scaled by _restore_tp.
     ops = channel._ops
     if not mc._gram_certified(ops.reshape(1, -1), len(ops), scale, channel._squares):
-        sigmas = spectrum.sigmas[clusters].tolist()
-        failures = []
-        for group in groups:
-            found = _mask_failure(group.blocks, [sigmas[i] for i in group.index.tolist()])
+        failures = []  # (cluster, message): cluster order is sector order here
+        for slots, _, stack in _stacks(store):
+            found = _mask_failure(stack, spectrum.sigmas[store.clusters[slots]].tolist())
             if found is not None:
-                failures.append((int(group.index[found[0]]), found[1]))
+                failures.append((int(store.clusters[slots][found[0]]), found[1]))
         if failures:
             raise NotCP(f"Choi {min(failures)[1]}")
-    views = [block for group in groups for block in group.blocks]  # in layout order
-    stored = tuple(views[i] for i in np.argsort(position).tolist())
-    return SectorDecomposition._of_store(spectrum, clusters, stored, _groups=groups,
+    return SectorDecomposition._of_store(spectrum, store,
                                          projection_defect=float(np.sqrt(sq_defect)))
 
 
@@ -627,8 +612,9 @@ def apply_sectors(decomp: SectorDecomposition, mat: np.ndarray) -> np.ndarray:
     if np.shape(mat) != (n, n):
         raise DimensionMismatch(f"matrix shape {np.shape(mat)} does not match spectrum dim {n}")
     out = np.zeros((n, n), dtype=complex)
-    for c, block in zip(decomp._clusters.tolist(), decomp._blocks):
-        img, dom = np.divmod(decomp.spectrum.sector_pairs[c], n)
+    for k in decomp._store.order.tolist():
+        pairs, block = decomp._by_slot[k]
+        img, dom = np.divmod(pairs, n)
         out[np.ix_(img, img)] += block * mat[np.ix_(dom, dom)]
     return out
 
@@ -637,11 +623,14 @@ def reconstruct(decomp: SectorDecomposition) -> Channel:
     """Rebuild the channel sum_sigma S_sigma (M_sigma * rho) S_sigma^dag as the operators
     S_sigma diag(v), v the spectral vectors of each block; a decomposition with no
     sectors is the zero map, one zero Kraus operator."""
+    store = decomp._store
     count, vecs = np.zeros(0, dtype=np.intp), np.zeros((0, 0))
-    if decomp._groups:
-        index, _, _, blocks = zip(*decomp._groups)
-        _, _, count, vecs = mc._scaled_eigenvectors(blocks, index)  # by position
-    pairs, sizes, _ = _held_pairs(decomp.spectrum, decomp._clusters)
+    if store.clusters.size:
+        position = np.argsort(store.order)
+        slots, _, blocks = zip(*decomp._stacked)
+        _, _, count, vecs = mc._scaled_eigenvectors(blocks, [position[s] for s in slots])
+    first, sizes = np.cumsum(store.sizes) - store.sizes, store.sizes[store.order]
+    pairs = store.pairs[_runs(first[store.order], sizes)]  # sector after sector
     return _shift_kraus(pairs, sizes, count, vecs, decomp.spectrum.dim)
 
 
@@ -651,13 +640,14 @@ def shift_distribution(
     """Energy shift probabilities p(sigma) = tr(G_sigma(rho))."""
     if rho.dim != decomp.spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
-    diag = np.diag(rho.matrix)
+    diag, store = np.diag(rho.matrix), decomp._store
     sigmas = decomp.sigmas().tolist()
-    p = np.empty(len(sigmas))
-    for group in decomp._groups:
+    p = np.empty(len(sigmas))  # by slot, then in sector order
+    for slots, pairs, blocks in decomp._stacked:
         # tr(S (M * rho) S^dag) = sum_j M(j, j) rho(j, j) over the domain.
-        terms = np.diagonal(group.blocks, axis1=1, axis2=2) * diag[group.domains]
-        p[group.index] = np.real(terms).sum(axis=1)
+        terms = np.diagonal(blocks, axis1=1, axis2=2) * diag[pairs % decomp.spectrum.dim]
+        p[slots] = np.real(terms).sum(axis=1)
+    p = p[store.order]
     bad = np.flatnonzero(p < -mc.EPS_PSD)
     if bad.size:
         i = bad[0]
@@ -735,14 +725,15 @@ def domain_extension_check(
     phi_img e^{i sigma t})||_F, phi = diag e^{-iHt} on the columns, one product per size group.  A
     state of another dimension raises DimensionMismatch, a non-finite phase InvalidParameter.
     """
-    spectrum = decomp.spectrum
+    spectrum, store = decomp.spectrum, decomp._store
     if rho.dim != spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
     _check_phase(np.r_[spectrum.energies, spectrum.sigmas], t, "t")
-    ph, sigmas = spectrum.phases(t), decomp.sigmas()
+    ph, n, sigmas = spectrum.phases(t), spectrum.dim, spectrum.sigmas[store.clusters]
     worst = 0.0
-    for index, dom, img, blocks in decomp._groups:
-        factor = ph[dom] - ph[img] * np.exp(1j * sigmas[index] * t)[:, None]
+    for slots, pairs, blocks in decomp._stacked:
+        dom, img = pairs % n, pairs // n
+        factor = ph[dom] - ph[img] * np.exp(1j * sigmas[slots] * t)[:, None]
         defect = blocks * rho.matrix[dom[:, :, None], dom[:, None, :]] * factor[:, None, :]
         worst = max(worst, float(np.linalg.norm(defect, axis=(1, 2)).max()))
     return worst

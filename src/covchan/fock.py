@@ -32,10 +32,9 @@ _MASK_CHUNK consecutive orders, or once per dim:
   sum of squares of the factors: no factorisation and no eigensolve.  A
   chunk the bound does not prove is checked block by block, so the error
   names the sector and eigenvalue that one check per sector would.
-- The decomposition is its store (see covariant): the integer spectrum's
-  clusters and the blocks, so no shift, mask or diagonal is made per sector;
-  the pairs and the truncation defect come from the blocks when first read.
-  That spectrum is built once per dim (_shared_integer_spectrum, at most 16).
+- The decomposition is its store (see covariant) on the integer spectrum,
+  built once per dim (_shared_integer_spectrum): one buffer of one block per
+  |sigma|, copied out of the chunk stacks, so no per-sector object is made.
 
 The Monte Carlo displaces a factor rho = Psi diag(p) Psi^dag of the state
 rather than forming D rho D^dag.  It works in the real eigenbasis O of the
@@ -181,9 +180,9 @@ def integer_spectrum(dim: int) -> cov.Spectrum:
 @functools.lru_cache(maxsize=16)
 def _shared_integer_spectrum(dim: int) -> cov.Spectrum:
     """integer_spectrum(dim), one per dim for all Gaussian decompositions of
-    that dim: a Spectrum is immutable, so they can share it.  gaussian_decomposition
-    asks only for dims up to _MAX_MASK_DIM, and such a spectrum takes 0.33 MB
-    at dim 186 (1 MB once decompose has grouped its sectors)."""
+    that dim: a Spectrum is immutable, so they can share it and the sector
+    tables their stores read their pairs from.  gaussian_decomposition asks
+    only for dims up to _MAX_MASK_DIM: 1 MB at dim 186 with its tables."""
     return integer_spectrum(dim)
 
 
@@ -337,54 +336,60 @@ def _mask_chunk(orders: range, log_fact: np.ndarray,
     col = (k + a / 2.0) * -math.log1p(1.0 / n) - 0.5 * pair  # log(N / (1+N)) = -log1p(1/N)
     d = np.abs(k[:, None] - k[None, :])  # j - l wherever C_a is non-zero
     band = -log_fact[d] - (d + 0.5) * math.log1p(n)
-    inside = (k[None, :] <= k[:, None]) & (k[:, None] < dim - a[:, :, None])
-    c = np.exp(np.where(inside, row[:, :, None] + col[:, None, :] + band, -np.inf))
+    band[k[None, :] > k[:, None]] = -np.inf  # l > j
+    c = row[:, :, None] + col[:, None, :]  # one stack, worked on in place
+    c += band
+    c[k >= dim - a] = -np.inf  # the rows j past each domain
+    np.exp(c, out=c)
     return c, c @ c.transpose(0, 2, 1)
 
 
-def _checked_blocks(sigma_max: int, log_fact: np.ndarray, n: float) -> list[np.ndarray]:
-    """The checked read-only blocks of M_a and M_{-a}, a = 0 .. sigma_max.
-
-    Each chunk of _MASK_CHUNK orders is one _mask_chunk stack, and the blocks
-    returned are views of those read-only stacks.  A chunk whose factors
-    channels._gram_certified proves is checked no further.  C C^T is PSD, so
-    an unproved chunk is rare; its blocks are then checked one by one with
-    the SectorMask check, from the highest order down, and MaskNotPSD names
-    sigma = -a for the largest failing a, as one check per sector in sector
-    order would.
-    """
-    dim = log_fact.size
-    blocks, unproved = [], []
-    for a0 in range(0, sigma_max + 1, _MASK_CHUNK):
-        orders = range(a0, min(a0 + _MASK_CHUNK, sigma_max + 1))
-        factors, padded = _mask_chunk(orders, log_fact, n)
-        if not mc._gram_certified(factors, dim - a0):
-            unproved.append(orders)
-        padded.setflags(write=False)
-        blocks.extend(padded[a - a0, :dim - a, :dim - a] for a in orders)
-    for orders in reversed(unproved):
-        for a in reversed(orders):
-            found = cov._mask_failure(blocks[a], [float(-a)])
-            if found is not None:
-                raise MaskNotPSD(found[1])
-    return blocks
+@functools.lru_cache(maxsize=16)
+def _gaussian_layout(dim: int, top: int) -> cov._Layout:
+    """The store, but its buffer, of every Gaussian decomposition of dim levels and
+    sigma_max top, shared like the spectrum: the integer spectrum's clusters in size order
+    (sigma = -top, top, ..., -1, 1, 0), sigma reading M_|sigma| of a buffer of M_0 .. M_top."""
+    slot = np.arange(2 * top + 1)
+    sigmas = (top - slot // 2) * (slot % 2 * 2 - 1)
+    square = (dim - np.arange(top + 1)) ** 2
+    return cov._lay_out(_shared_integer_spectrum(dim), sigmas + (dim - 1), None,
+                        (np.cumsum(square) - square)[np.abs(sigmas)])
 
 
 def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     """Sectors for sigma in [-sigma_max, sigma_max] plus per-level TP defects.
 
-    M_a and M_{-a} share one block, built and proved once (one Gram bound per
-    chunk of orders, _checked_blocks).  The decomposition is its store: the
-    integer spectrum's clusters, where cluster i holds sigma = i - (dim - 1),
-    and the blocks, so no per-sector object is built here.
+    The decomposition is its store (_gaussian_layout), M_a and M_{-a} one block of
+    its buffer.  Each chunk of _MASK_CHUNK orders is one _mask_chunk stack, whose
+    blocks one boolean mask copies out of its padded product; a chunk whose factors
+    channels._gram_certified proves is checked no further.  C C^T is PSD, so an
+    unproved chunk is rare; its blocks are then checked one by one with the
+    SectorMask check, from the highest order down, and MaskNotPSD names sigma = -a
+    for the largest failing a, as one check per sector in sector order would.
     """
     dim, top = params.dim, params.sigma_max
     if dim > _MAX_MASK_DIM:
         raise InvalidParameter(f"Gaussian masks need dim <= {_MAX_MASK_DIM}, got {dim}")
-    blocks = _checked_blocks(top, _log_factorials(dim), 2.0 * params.std_dev * params.std_dev)
-    return GaussianDecomposition._of_store(
-        _shared_integer_spectrum(dim), np.arange(dim - 1 - top, dim + top),
-        tuple(blocks[abs(a)] for a in range(-top, top + 1)), params=params)
+    log_fact, n = _log_factorials(dim), 2.0 * params.std_dev * params.std_dev
+    pieces, unproved = [], []
+    for a0 in range(0, top + 1, _MASK_CHUNK):
+        orders = range(a0, min(a0 + _MASK_CHUNK, top + 1))
+        factors, padded = _mask_chunk(orders, log_fact, n)
+        if not mc._gram_certified(factors, dim - a0):
+            unproved += orders
+        inside = np.arange(dim - a0) < np.arange(dim - a0, dim - orders.stop, -1)[:, None]
+        pieces.append(padded[inside[:, :, None] & inside[:, None, :]])  # its blocks' corners
+    # Joined at the end: a buffer allocated first left the chunks' arrays on top of the
+    # heap, which malloc gave back to the OS after each call (175 page faults at dim 40).
+    blocks = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+    blocks.setflags(write=False)
+    store = _gaussian_layout(dim, top)._replace(blocks=blocks)
+    decomp = GaussianDecomposition._of_store(_shared_integer_spectrum(dim), store, params=params)
+    for a in reversed(unproved):  # size group top - a: sigma = -a and a
+        found = cov._mask_failure(decomp._stacked[top - a][2][0], [float(-a)])
+        if found is not None:
+            raise MaskNotPSD(found[1])
+    return decomp
 
 
 def _real_product(a: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -55,5 +55,6 @@ def random_covariant(
     n = spectrum.dim
     base = random_cptp(n, rng, kraus_count)
     support, choi, _ = _support_choi(base, spectrum)
-    layout, _ = _restore_tp(_sector_blocks(choi, support, spectrum), n)
-    return mc.kraus_from_choi(ChoiMatrix(n, n, _scatter(layout, n)))
+    layout, rows, cols, _ = _sector_blocks(choi, support, spectrum)
+    choi = _scatter(_restore_tp(layout, rows, cols, n)[0], rows, cols, n)
+    return mc.kraus_from_choi(ChoiMatrix(n, n, choi))

@@ -140,6 +140,8 @@ def decomposition_to_json(decomp: SectorDecomposition) -> dict:
 def decomposition_from_json(obj) -> SectorDecomposition:
     try:
         spectrum = spectrum_from_json(obj["spectrum"])
+        if not all(type(s["sigma"]) in (int, float) for s in obj["sectors"]):  # no bool, no "0"
+            raise ParseError("sector sigma must be a number")
         raw = [(float(s["sigma"]), matrix_from_json(s["mask"])) for s in obj["sectors"]]
     except ParseError:
         raise

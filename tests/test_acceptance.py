@@ -81,8 +81,9 @@ def test_corpus_equals_per_sector_loops(corpus):
 def test_sector_makes_the_pair_sectors_holds(corpus):
     # sector(sigma) makes only the pair at its position, from the store: field
     # for field the pair sectors holds, on the 700 corpus decompositions and
-    # the Gaussian ones of dims 2-186.  A Gaussian block is compared by
-    # identity, as both pairs hold the stored array itself.
+    # the Gaussian ones of dims 2-186.  A Gaussian block is compared by its
+    # address, shape and strides, as both pairs hold a view of the one block
+    # in the store's buffer.
     channels, _ = corpus
     for dim, (spec, entries) in channels.items():
         for _, decomp in entries:
@@ -90,7 +91,9 @@ def test_sector_makes_the_pair_sectors_holds(corpus):
             assert conftest.sha256_of(got) == conftest.sha256_of(decomp.sectors)
 
     def fields(pairs):
-        return [(shift, mask.sigma, mask.domain, mask.dim, id(mask.domain_submatrix))
+        return [(shift, mask.sigma, mask.domain, mask.dim,
+                 mask.domain_submatrix.__array_interface__["data"][0],
+                 mask.domain_submatrix.shape, mask.domain_submatrix.strides)
                 for shift, mask in pairs]
 
     for dim in range(2, 187):

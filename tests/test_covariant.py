@@ -74,6 +74,16 @@ class TestSpectrum:
             assert (sector[pairs] == i).all()
         assert not any(arr.flags.writeable for arr in (order, sizes, starts, flat, sector))
 
+    def test_owns_a_read_only_copy_of_its_energies(self):
+        # The caller's array was kept and made read-only.
+        energies = np.arange(3.0)
+        spec = cc.Spectrum(energies)
+        assert energies.flags.writeable and not spec.energies.flags.writeable
+        sigmas = spec.sigmas.copy()
+        energies[:] = [0.0, 5.0, 7.0]
+        np.testing.assert_array_equal(spec.energies, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(spec.sigmas, sigmas)
+
     def test_rejects_chained_sector_with_repeated_level(self):
         # Differences 1 - 0.8e-9, 1, 1 + 0.7e-9, 1 + 1.5e-9 chain into one
         # sector holding pairs (1, 0) and (2, 0): input level 0 twice.
@@ -687,8 +697,9 @@ class TestBlockStorage:
         capsys.readouterr()
 
     def test_sector_of_a_decomposition_built_from_pairs_is_made_from_its_store(self):
-        # The pair at the cluster's sigma, holding the block given, even when
-        # the shift given was named by another sigma of the cluster.
+        # The pair at the cluster's sigma, holding the block given as the store
+        # holds it, a view of its buffer, even when the shift given was named by
+        # another sigma of the cluster.
         spec = spectrum4()
         shift = cov.partial_shift(spec, -2.0 + 1e-12)
         block = np.array([[0.5, 0.25], [0.25, 0.5]])
@@ -697,7 +708,9 @@ class TestBlockStorage:
         decomp = cov.SectorDecomposition(spectrum=spec, sectors=((shift, given),))
         got_shift, got_mask = decomp.sector(-2.0)
         assert got_shift == cov.partial_shift(spec, -2.0) and got_mask.sigma == -2.0
-        assert got_mask.domain_submatrix is given.domain_submatrix
+        assert np.array_equal(got_mask.domain_submatrix, block)
+        assert np.shares_memory(got_mask.domain_submatrix, decomp._store.blocks)
+        assert not got_mask.domain_submatrix.flags.writeable
         assert decomp.sectors[0][1] is given
 
     def test_views_place_the_block_on_the_domain(self):
@@ -763,14 +776,15 @@ def test_apply_sectors_refuses_a_matrix_of_another_dimension(rng, monkeypatch, s
     # On dim 4 a 5 x 5 matrix gave a 5 x 5 result and a 3 x 3 one a bare
     # IndexError.  The shape is refused before any block is read.
     decomp = cov.decompose(gen.random_covariant(spectrum4(), rng), spectrum4())
-    monkeypatch.setitem(decomp.__dict__, "_blocks", None)  # reading it would raise TypeError
+    monkeypatch.setitem(decomp.__dict__, "_store", None)  # reading it would raise AttributeError
     with pytest.raises(DimensionMismatch):
         cov.apply_sectors(decomp, np.eye(size))
 
 
 def test_size_groups_of_one_shared_block_are_views():
-    # The +-a blocks of a Gaussian decomposition are one array each; the size
-    # groups were np.stack copies of them, 35 MB kept at dim 186.
+    # The +-a blocks of a Gaussian decomposition are one block of the store's
+    # buffer each; the size groups were once np.stack copies of them, 35 MB
+    # kept at dim 186.
     decomp = fock.gaussian_decomposition(fock.FockParams(dim=186, std_dev=0.5))
     rho = gen.random_state(186, np.random.default_rng(186))
     tracemalloc.start()
@@ -780,9 +794,14 @@ def test_size_groups_of_one_shared_block_are_views():
     finally:
         tracemalloc.stop()
     assert kept <= 2 * 2**20
-    for group in decomp._groups:
-        assert not group.blocks.flags.writeable
-        assert all(np.shares_memory(group.blocks, decomp._blocks[i]) for i in group.index)
+    store = decomp._store
+    for _, _, blocks in cov._stacks(store):
+        assert not blocks.flags.writeable and np.shares_memory(blocks, store.blocks)
+        assert blocks.strides[0] == 0 or len(blocks) == 1  # -a and a, or sigma = 0 alone
+    for a in range(1, 186):  # -a and a: one block of the buffer, at one address
+        minus, plus = decomp.sector(-a)[1].domain_submatrix, decomp.sector(a)[1].domain_submatrix
+        assert np.shares_memory(minus, store.blocks)
+        assert minus.__array_interface__ == plus.__array_interface__
 
 
 def test_sector_work_on_a_sparse_channel_stays_small():

@@ -416,12 +416,12 @@ def not_cp_messages(chan, spec, broken):
     sector_blocks = cov._sector_blocks
 
     def broken_sector_blocks(choi, support, spectrum):
-        layout = sector_blocks(choi, support, spectrum)
-        sector = np.repeat(layout.index, layout.sizes ** 2)  # of each entry of the buffer
+        layout, rows, cols, trans = sector_blocks(choi, support, spectrum)
+        sector = np.repeat(layout.clusters, layout.sizes ** 2)  # of each entry of the buffer
         for i, d in depth.items():
-            layout.blocks[(sector == i) & (layout.rows == layout.cols)] -= d
-        assert set(depth) <= set(layout.index.tolist())
-        return layout
+            layout.blocks[(sector == i) & (rows == cols)] -= d
+        assert set(depth) <= set(layout.clusters.tolist())
+        return layout, rows, cols, trans
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mcore, "choi_of", lambda channel: mcore.ChoiMatrix(n, n, choi))
@@ -642,6 +642,46 @@ def test_one_pass_reconstruct_of_built_decompositions_equals_per_sector_loop(dim
     empty = cc.SectorDecomposition(spectrum=gauss.spectrum, sectors=())
     for decomp in (gauss, mixed, empty):
         assert sha256_of(cov.reconstruct(decomp)) == sha256_of(reconstruct_per_sector(decomp))
+
+
+def assert_one_store_from_pairs(decomp, data):
+    """SectorDecomposition(spectrum, sectors) lays the pairs of decomp out in
+    the store decomp's producer built: every reader gives the same bytes."""
+    rebuilt = cc.SectorDecomposition(decomp.spectrum, decomp.sectors)
+    n = decomp.spectrum.dim
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rho = gen.random_state(n, rng)
+    X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    t = data.draw(st.floats(-20.0, 20.0), label="t")
+    readers = {
+        "reconstruct": cov.reconstruct,
+        "shift_distribution": lambda d: cov.shift_distribution(d, rho),
+        "diagonal_sums": lambda d: d.diagonal_sums(),
+        "apply_sectors": lambda d: cov.apply_sectors(d, X),
+        "domain_extension_check": lambda d: cov.domain_extension_check(d, rho, t),
+        "sigmas": lambda d: d.sigmas(),
+        "sectors": lambda d: d.sectors,
+        "pairs": lambda d: tuple(d._pairs()),  # made from the store
+    }
+    for name, read in readers.items():
+        assert sha256_of(read(rebuilt)) == sha256_of(read(decomp)), name
+
+
+@pytest.mark.parametrize("family", ["integer", "sqrt_prime"])
+@PROPERTY
+@given(data=st.data())
+def test_decompose_and_its_pairs_give_one_store(family, data):
+    spec = data.draw(spectra_to_12_levels(family))
+    chan, _ = draw_channel(data, spec, "tp")
+    assert_one_store_from_pairs(cov.decompose(chan, spec), data)
+
+
+@PROPERTY
+@given(dim=st.integers(2, 32), s=st.sampled_from([0.1, 0.3, 0.5, 1.0]), data=st.data())
+def test_gaussian_decomposition_and_its_pairs_give_one_store(dim, s, data):
+    top = data.draw(st.integers(1, dim - 1), label="sigma_max")
+    decomp = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=s, sigma_max=top))
+    assert_one_store_from_pairs(decomp, data)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)

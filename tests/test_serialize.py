@@ -110,6 +110,17 @@ class TestDecompositionValidation:
         with pytest.raises(MaskNotPSD, match="outside its domain"):
             ser.decomposition_from_json(obj)
 
+    @pytest.mark.parametrize("sigma, mask", [("0", np.eye(2)),
+                                             (True, np.array([[0.5, 0.0], [0.0, 0.0]]))],
+                             ids=["string", "bool"])
+    def test_sigma_must_be_a_json_number(self, sigma, mask):
+        # float() read "0" as sigma 0 and true as sigma 1, whose sector on the
+        # qubit holds this mask on its domain (0,).
+        obj = self.qubit_decomposition([(sigma, mask)])
+        with pytest.raises(ParseError, match="sigma must be a number"):
+            ser.decomposition_from_json(obj)
+        assert ser.decomposition_from_json(self.qubit_decomposition([(float(sigma), mask)]))
+
     def test_mask_is_stored_as_its_domain_block(self):
         mask = np.array([[0.0, 0.0], [0.0, 0.25]])
         decomp = ser.decomposition_from_json(self.qubit_decomposition([(-1.0, mask)]))

@@ -1,0 +1,342 @@
+"""Bit-identity digests of the library's outputs on one fixed, seeded corpus.
+
+    python3 tools/digests.py [--parent-src DIR]
+
+Alone, it prints one line per (function, input): the sha256 of the output,
+the function and the input.  With --parent-src (the src directory of another
+checkout, e.g. one made by git archive) the same corpus runs on that code
+too, and it prints, per function, how many digests are equal and how many
+differ, with the largest |delta| over the numbers of the outputs that differ
+(outputs of another shape, and CLI text, show as "n/a"); then each differing
+(function, input).  It exits 1 when any digest differs or is missing on one
+side.  Each code runs in a worker process with one BLAS thread
+(tools/benchlib.py).
+
+A digest covers an output down to its bytes: arrays by dtype, shape and
+data, floats by repr (so -0.0 differs from 0.0), dataclasses by their public
+fields, a channel by its Kraus operators.  The corpus:
+- criterion 1's 700 channels (random_covariant, 100 per dim 2-8 on the
+  integer spectrum, PCG64 seed 424242) through random_covariant, is_cptp,
+  covariance_defect, decompose and reconstruct;
+- Gaussian decompositions at every dim 2-24 and at 28, 32, 40, 48, 64, 96,
+  128 and 186, std_dev 0.1, 0.5 and 1, through every reader of a
+  decomposition's store (below) and truncation_defect; reconstruct and the
+  JSON writer only up to dim 32, where their dense outputs stay small (at
+  dim 186 reconstruct would hold about 35,000 operators of 186 x 186);
+- one random_covariant channel per sqrt(prime) spectrum at n = 2-12, 16, 24
+  and 32 through decompose and every reader, and the same decomposition
+  rebuilt from its (shift, mask) pairs through every reader; up to n = 16,
+  where its n^2 - n + 1 dense masks stay small, also the JSON writer and the
+  decomposition read back from its JSON text;
+- Hadamard channels of random unit-diagonal masks at n = 1-12, 16 and 32, and
+  shift mixtures on the integer spectrum at n = 2-12, 28 and 128, through
+  decompose, reconstruct and shift_distribution;
+- every CLI subcommand on every fixture (check, decompose, capacity and
+  timing) and on Gaussian parameters (gaussian and mc-gaussian, JSON and
+  CSV): exit code, stdout and stderr, run in process.
+The readers of a decomposition: sectors, sector(sigma) at its first sigma and
+at 0, sigmas(), diagonal_sums(), apply_sectors of one random matrix,
+reconstruct, shift_distribution and domain_extension_check (t = 0.7) at one
+random state, and the JSON writer.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from benchlib import ROOT, run_worker
+
+FIXTURES = ROOT / "fixtures"
+CORPUS_SEED = 424242  # criterion 1's
+GAUSSIAN_DIMS = (*range(2, 25), 28, 32, 40, 48, 64, 96, 128, 186)
+GAUSSIAN_STD_DEVS = (0.1, 0.5, 1.0)
+DENSE_MAX_DIM = 32  # reconstruct and the JSON writer of a Gaussian decomposition
+JSON_MAX_SIZE = 16  # the JSON writer of a sqrt(prime) decomposition: n^2 - n + 1 dense masks
+SQRT_PRIME_SIZES = (*range(2, 13), 16, 24, 32)
+HADAMARD_SIZES = (*range(1, 13), 16, 32)
+MIXTURE_SIZES = (*range(2, 13), 28, 128)
+T = 0.7
+
+
+def _parts(value):
+    """The pieces a digest reads, in order: (tag, bytes, the numbers as an array or None)."""
+    import numpy as np
+    from covchan.channels import Channel
+
+    if isinstance(value, Channel):
+        yield from _parts(value.kraus)
+    elif isinstance(value, np.ndarray):
+        arr = np.ascontiguousarray(value)
+        yield f"nd{arr.dtype.str}{arr.shape}", arr.tobytes(), arr
+    elif dataclasses.is_dataclass(value) and not isinstance(value, type):
+        yield type(value).__name__, b"", None
+        for f in dataclasses.fields(value):
+            if not f.name.startswith("_"):
+                yield from _parts(getattr(value, f.name))
+    elif type(value) is tuple and set(map(type, value)) <= {int}:  # a shift's levels, in one piece
+        yield f"ints{len(value)}", repr(value).encode(), np.array(value, dtype=float)
+    elif isinstance(value, (list, tuple)):
+        yield f"seq{len(value)}", b"", None
+        for item in value:
+            yield from _parts(item)
+    elif isinstance(value, (bytes, str)):
+        text = value.encode() if isinstance(value, str) else value
+        yield f"text{len(text)}", text, None
+    elif isinstance(value, (bool, int, float, complex, np.generic)):
+        yield f"{type(value).__name__}:{value!r}", b"", np.array([value])
+    else:
+        yield f"{type(value).__name__}:{value!r}", b"", None
+
+
+def _digest(value) -> str:
+    h = hashlib.sha256()
+    for tag, data, _ in _parts(value):
+        h.update(tag.encode())
+        h.update(data)
+    return h.hexdigest()
+
+
+def _numbers(value):
+    """The numbers of value in digest order as floats (a complex one as its two
+    parts), or None if it holds text."""
+    import numpy as np
+
+    chunks = [np.zeros(0)]
+    for tag, _, arr in _parts(value):
+        if tag.startswith("text"):
+            return None
+        if arr is not None:
+            chunks.append(arr.view(float) if arr.dtype == complex else arr.astype(float))
+    return np.concatenate([c.reshape(-1) for c in chunks])
+
+
+def _run_cli(argv):
+    from covchan import cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _corpus():
+    """(function, input, thunk) for every digest, in a fixed order."""
+    import numpy as np
+
+    import covchan as cc
+    from covchan import capacity as cap
+    from covchan import covariant as cov
+    from covchan import fock
+    from covchan import generate as gen
+    from covchan import serialize as ser
+    from covchan import timing as tim
+
+    def readers(name, decomp, rng, dense, text):
+        n = decomp.spectrum.dim
+        rho = gen.random_state(n, rng)
+        X = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        yield "sectors", name, lambda: decomp.sectors
+        sigmas = decomp.sigmas()
+        for sigma in ([float(sigmas[0])] if sigmas.size else []) + [0.0]:
+            yield "sector", f"{name} sigma={sigma!r}", lambda s=sigma: _or_error(decomp.sector, s)
+        yield "sigmas", name, decomp.sigmas
+        yield "diagonal_sums", name, decomp.diagonal_sums
+        yield "apply_sectors", name, lambda: cov.apply_sectors(decomp, X)
+        yield "shift_distribution", name, lambda: cov.shift_distribution(decomp, rho)
+        yield "domain_extension_check", name, lambda: cov.domain_extension_check(decomp, rho, T)
+        if dense:
+            yield "reconstruct", name, lambda: cov.reconstruct(decomp)
+        if text:
+            yield ("decomposition_to_json", name,
+                   lambda: ser.dumps(ser.decomposition_to_json(decomp)))
+
+    rng = np.random.Generator(np.random.PCG64(CORPUS_SEED))
+    for dim in range(2, 9):
+        spec = cc.Spectrum(np.arange(float(dim)))
+        for k in range(100):
+            chan = gen.random_covariant(spec, rng)
+            name = f"criterion 1 dim={dim} #{k}"
+            yield "random_covariant", name, lambda c=chan: c
+            yield "is_cptp", name, lambda c=chan: cc.is_cptp(c)
+            yield "covariance_defect", name, lambda c=chan, s=spec: cov.covariance_defect(c, s)
+            decomp = cov.decompose(chan, spec)
+            yield "decompose", name, lambda d=decomp: d
+            yield "reconstruct", name, lambda d=decomp: cov.reconstruct(d)
+
+    for dim in GAUSSIAN_DIMS:
+        for s in GAUSSIAN_STD_DEVS:
+            name = f"gaussian dim={dim} std_dev={s}"
+            decomp = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=s))
+            yield "truncation_defect", name, lambda d=decomp: d.truncation_defect
+            small, rng = dim <= DENSE_MAX_DIM, np.random.default_rng([dim, int(10 * s)])
+            yield from readers(name, decomp, rng, small, small)
+
+    for n in SQRT_PRIME_SIZES:
+        primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:n - 1]
+        spec = cc.Spectrum(np.r_[0.0, np.cumsum(np.sqrt(primes))])
+        rng = np.random.default_rng([n, 1])
+        chan = gen.random_covariant(spec, rng)
+        decomp = cov.decompose(chan, spec)
+        name = f"sqrt_prime n={n}"
+        yield "decompose", name, lambda d=decomp: d
+        yield from readers(name, decomp, rng, True, n <= JSON_MAX_SIZE)
+        rebuilt = cc.SectorDecomposition(spec, decomp.sectors, decomp.projection_defect)
+        yield from readers(f"{name} rebuilt from pairs", rebuilt, rng, True, n <= JSON_MAX_SIZE)
+        if n <= JSON_MAX_SIZE:
+            text = ser.dumps(ser.decomposition_to_json(decomp))
+            read = ser.decomposition_from_json(json.loads(text))
+            yield from readers(f"{name} read from JSON", read, rng, True, True)
+
+    for n in HADAMARD_SIZES:
+        rng = np.random.default_rng([n, 2])
+        chan = cap.hadamard_channel(gen.random_unit_diagonal_mask(n, rng))
+        spec = cc.Spectrum(np.arange(float(n)))
+        name = f"hadamard n={n}"
+        yield "hadamard_channel", name, lambda c=chan: c
+        decomp = cov.decompose(chan, spec)
+        yield "decompose", name, lambda d=decomp: d
+        yield "reconstruct", name, lambda d=decomp: cov.reconstruct(d)
+        yield ("shift_distribution", name,
+               lambda d=decomp, r=gen.random_state(n, rng): cov.shift_distribution(d, r))
+
+    for n in MIXTURE_SIZES:
+        spec = cc.Spectrum(np.arange(float(n)))
+        shifts = [(0.0, 0.5), (1.0, 0.3), (-(n - 1.0), 0.2)]
+        name = f"shift mixture n={n}"
+        chan = tim.build_shift_mixture(spec, shifts).channel
+        yield "build_shift_mixture", name, lambda c=chan: c
+        decomp = cov.decompose(chan, spec)
+        yield "decompose", name, lambda d=decomp: d
+        yield "reconstruct", name, lambda d=decomp: cov.reconstruct(d)
+        rho = gen.random_state(n, np.random.default_rng([n, 3]))
+        yield "shift_distribution", name, lambda d=decomp, r=rho: cov.shift_distribution(d, r)
+
+    files = sorted(str(p) for p in FIXTURES.glob("*.json"))
+    spectra = [f for f in files if Path(f).name.startswith("spectrum")]
+    states = [str(FIXTURES / "phi0_4level.json"), str(FIXTURES / "plus_state.json")]
+    runs = []
+    for f in files:
+        for spectrum in spectra:
+            runs += [["check", f, spectrum], ["decompose", f, spectrum]]
+            runs += [["timing", f, spectrum, "--phi0", phi0, "--s", "0.5", "--N", "8"]
+                     for phi0 in states]
+        runs += [["capacity", f], *(["capacity", f, "--input-state", st] for st in states)]
+    for fmt in ("json", "csv"):
+        runs += [["gaussian", "--std-dev", "0.5", "--dim", str(d), "--format", fmt]
+                 for d in (2, 8, 16)]
+        runs += [["gaussian", "--std-dev", "1", "--dim", "12", "--sigma-max", "3", "--format", fmt],
+                 ["mc-gaussian", "--std-dev", "0.5", "--dim", "8", "--samples", "2000",
+                  "--format", fmt]]
+    for argv in runs:
+        label = " ".join(a[len(str(FIXTURES)) + 1:] if a.startswith(str(FIXTURES)) else a
+                         for a in argv)
+        yield f"cli {argv[0]}", label, lambda a=argv: _run_cli(a)
+
+
+def _or_error(fn, *args):
+    """fn(*args), or the type and text of the library error it raises."""
+    from covchan.errors import CovchanError
+
+    try:
+        return fn(*args)
+    except CovchanError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _worker(src: str, only: str | None, dump: str | None) -> list:
+    sys.path.insert(0, src)
+    import numpy as np
+
+    wanted = None if only is None else {tuple(key) for key in json.loads(Path(only).read_text())}
+    rows = []
+    for function, name, thunk in _corpus():
+        if wanted is not None and (function, name) not in wanted:
+            continue
+        value = thunk()
+        rows.append([function, name, _digest(value)])
+        if dump is not None:
+            nums = _numbers(value)
+            np.save(Path(dump) / f"{len(rows) - 1}.npy", np.array([]) if nums is None else nums)
+            rows[-1].append(nums is not None)
+    return rows
+
+
+def _compare(change: list, parent: list, deltas: dict) -> int:
+    """Print the per-function counts and the differing inputs; 1 if any differ."""
+    got = {(f, i): d for f, i, d in change}
+    want = {(f, i): d for f, i, d in parent}
+    functions = list(dict.fromkeys(f for f, _ in [*got, *want]))
+    differing = []
+    print(f"{'function':28} {'equal':>6} {'differ':>6} {'only one side':>13}  largest |delta|")
+    for function in functions:
+        keys = [k for k in dict.fromkeys([*got, *want]) if k[0] == function]
+        equal = sum(got.get(k) == want.get(k) is not None for k in keys)
+        differ = [k for k in keys if k in got and k in want and got[k] != want[k]]
+        alone = len(keys) - equal - len(differ)
+        found = [deltas[k] for k in differ if deltas.get(k) is not None]
+        largest = f"{max(found):.3e}" if found else ("n/a" if differ else "")
+        print(f"{function:28} {equal:6d} {len(differ):6d} {alone:13d}  {largest}")
+        differing += differ + [k for k in keys if (k in got) != (k in want)]
+    for function, name in differing:
+        delta = deltas.get((function, name))
+        print(f"differs: {function} | {name}" + ("" if delta is None else f" | {delta:.3e}"))
+    return 1 if differing else 0
+
+
+def _deltas(keys, change_src: Path, parent_src: Path) -> dict:
+    """Largest |delta| per key over the numbers of both outputs, None where
+    their shapes differ or they hold text."""
+    import numpy as np
+
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        only = Path(tmp) / "only.json"
+        only.write_text(json.dumps(keys))
+        runs = []
+        for label, src in (("change", change_src), ("parent", parent_src)):
+            (Path(tmp) / label).mkdir()
+            runs.append(run_worker(__file__, ["--worker", str(src), "--only", str(only),
+                                              "--dump", str(Path(tmp) / label)]))
+        got = {(f, i): (k, numeric) for k, (f, i, _, numeric) in enumerate(runs[0])}
+        for k, (f, i, _, numeric) in enumerate(runs[1]):
+            j, other = got[(f, i)]
+            if numeric and other:
+                a = np.load(Path(tmp) / "change" / f"{j}.npy")
+                b = np.load(Path(tmp) / "parent" / f"{k}.npy")
+                same = a.shape == b.shape
+                out[(f, i)] = float(np.max(np.abs(a - b), initial=0.0)) if same else None
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent-src", type=Path)
+    ap.add_argument("--worker")
+    ap.add_argument("--only")
+    ap.add_argument("--dump")
+    args = ap.parse_args()
+    if args.worker:
+        json.dump(_worker(args.worker, args.only, args.dump), sys.stdout)
+        return 0
+    change_src = ROOT / "src"
+    change = run_worker(__file__, ["--worker", str(change_src)])
+    if args.parent_src is None:
+        for function, name, digest in change:
+            print(f"{digest}  {function} | {name}")
+        return 0
+    parent = run_worker(__file__, ["--worker", str(args.parent_src)])
+    want = {(f, i): d for f, i, d in parent}
+    differ = [[f, i] for f, i, d in change if (f, i) in want and want[(f, i)] != d]
+    deltas = _deltas(differ, change_src, args.parent_src) if differ else {}
+    return _compare(change, parent, deltas)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
