@@ -241,15 +241,15 @@ def _fock_params(args, mc_samples=1, seed=0) -> fock.FockParams:
 
 def cmd_gaussian(args) -> int:
     decomp = fock.gaussian_decomposition(_fock_params(args))
-    masks = (m for _, m in decomp._pairs())  # each made as its piece is written
-    if args.format == "csv":
+    if args.format == "csv":  # each mask made as its piece is written
+        masks = (m for _, m in decomp._pairs())
         _write(args, _csv_pieces((f"mask_sigma_{int(m.sigma)}", m.mask) for m in masks))
         return EXIT_OK
     _emit(args, {
         "dim": decomp.params.dim,
         "std_dev": decomp.params.std_dev,
         "sigma_max": decomp.params.sigma_max,
-        "masks": ({"sigma": m.sigma, "mask": ser._matrix_object(m.mask)} for m in masks),
+        "masks": ser._decomposition_object(decomp)["sectors"],
         "truncation_defect": [float(x) for x in decomp.truncation_defect],
     })
     return EXIT_OK

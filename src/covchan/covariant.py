@@ -44,7 +44,7 @@ C_S = V_S^T conj(V_S), so one rounding bound on the Kraus operators' norm
 does not is the check run, one stacked eigvalsh per size.  The results are
 the per-sector loops' bit for bit: one level sum adds the diagonals in sector
 order (_level_sums), each block's residue is its own dot product, and the
-first failing sector in sector order is the one reported.
+first failing block in sector order is reported (_store_failure, any store).
 characteristic_function and bochner_check apply no channel: they read one
 n x n weight matrix W per call, whose sum over a sector's pairs is
 tr(K G_sigma(rho)).
@@ -53,7 +53,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +67,19 @@ from .errors import (
     NotCP,
     UnknownSector,
 )
+
+
+def _real_numbers(values, ndim: int, error: type, what: str) -> np.ndarray:
+    """A float copy of values, a non-empty array of ndim axes, or error(what): complex, text
+    and bool arrays, ragged lists and ints past any double are refused, with no warning."""
+    try:
+        arr = np.array(values)
+        if arr.dtype.kind in "iufO" and arr.ndim == ndim and arr.size:
+            return arr.astype(float, copy=False)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(what)
+
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
@@ -84,6 +96,9 @@ class Spectrum:
     The map is built with no loop over clusters: the pairs are sorted by
     (cluster, input level) and split at the cluster starts, the means are one
     reduceat, and a level held twice shows as equal neighbouring sorted keys.
+    Its read-only tables, built with it: the clusters' sizes (_sizes), the clusters
+    in size order (_by_size, a size's by index), their pairs one after another (_flat,
+    cluster i's from _starts[i]) and the cluster of every flat pair (_cluster).
     """
 
     energies: np.ndarray
@@ -91,16 +106,19 @@ class Spectrum:
     sigmas: np.ndarray = field(init=False, repr=False)
     sector_pairs: tuple[np.ndarray, ...] = field(init=False, repr=False)
     _spans: np.ndarray = field(init=False, repr=False)
-    _starts: np.ndarray = field(init=False, repr=False)  # of each cluster's pairs in _flat
-    _flat: np.ndarray = field(init=False, repr=False)  # the sector_pairs one after another
+    _starts: np.ndarray = field(init=False, repr=False)
+    _flat: np.ndarray = field(init=False, repr=False)
+    _sizes: np.ndarray = field(init=False, repr=False)
+    _by_size: np.ndarray = field(init=False, repr=False)
+    _cluster: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        en = np.array(self.energies, dtype=float)  # its own copy, made read-only below
-        if en.ndim != 1 or en.size == 0:
-            raise DegenerateSpectrum("spectrum must be a non-empty 1-d list of energies")
+        en = _real_numbers(self.energies, 1, DegenerateSpectrum,  # its own copy, made read-only
+                           "spectrum must be a non-empty 1-d list of real energies")
         if not np.all(np.isfinite(en)):
             raise DegenerateSpectrum("spectrum contains non-finite energies")
-        tol = float(self.match_tol)
+        tol = float(_real_numbers(self.match_tol, 0, InvalidParameter,
+                                  f"match_tol must be a real number, got {self.match_tol!r}"))
         if not np.isfinite(tol):  # NaN would pass every comparison below
             raise InvalidParameter(f"match_tol must be finite, got {tol!r}")
         if tol <= 0.0:
@@ -134,10 +152,14 @@ class Spectrum:
                 f"match_tol {tol:.3e} into one sector that holds a level twice"
             )
         spans = np.stack([ranked[starts], ranked[ends - 1]])  # lowest, highest
-        for arr in (en, sigmas, spans, starts):
+        sizes, pair_cluster = ends - starts, np.empty(n * n, dtype=np.intp)
+        pair_cluster[order] = cluster
+        by_size = np.argsort(sizes, kind="stable")
+        for arr in (en, sigmas, spans, starts, sizes, by_size, pair_cluster):
             arr.setflags(write=False)
         self.__dict__.update(energies=en, match_tol=tol, sigmas=sigmas, _spans=spans,
-                             sector_pairs=tuple(np.split(flat, cuts)), _starts=starts, _flat=flat)
+                             sector_pairs=tuple(np.split(flat, cuts)), _starts=starts, _flat=flat,
+                             _sizes=sizes, _by_size=by_size, _cluster=pair_cluster)
 
     @property
     def dim(self) -> int:
@@ -147,35 +169,20 @@ class Spectrum:
         """Diagonal e^{-i omega_j t} of e^{-iHt}."""
         return np.exp(-1j * self.energies * t)
 
-    @cached_property
-    def _tables(self) -> tuple[np.ndarray, ...]:
-        """The sectors in size order (ascending domain size, then sector), each
-        one's size and first pair in the flat pairs of all sectors one after
-        another, those pairs, and the sector of every flat pair j' * n + j:
-        O(n^2), built on first use, from _starts and _flat."""
-        sizes = np.diff(np.r_[self._starts, self._flat.size])
-        sector = np.empty(self.dim ** 2, dtype=np.intp)
-        sector[self._flat] = np.repeat(np.arange(sizes.size), sizes)
-        tables = (np.argsort(sizes, kind="stable"), sizes, self._starts, self._flat, sector)
-        for arr in tables:
-            arr.setflags(write=False)
-        return tables
-
     def _cluster_at(self, sigma: float) -> int | None:
         """Index i of the cluster whose span [lowest, highest] of differences lies
         nearest to sigma, at distance 0 inside it, when that distance is within
         match_tol (sigmas[i], sector_pairs[i]), or None: the one sigma -> sector
-        rule.  A cluster may start exactly match_tol above its neighbour's top, so
-        sigma can lie within match_tol of two spans; the spans are disjoint, and
-        the nearest one makes every sigmas[i] resolve to i."""
+        rule.  Two spans are candidates, the last below sigma and the next: the
+        nearer wins, the lower on a tie (a cluster may start exactly match_tol
+        above its neighbour's top), and one missing, or NaN or +-inf, is never
+        within.  The spans are disjoint, so every sigmas[i] resolves to i."""
         lowest, highest = self._spans
         i = int(np.searchsorted(highest, sigma))  # highest[i - 1] < sigma <= highest[i]
-        near = []  # (distance, cluster), the lower cluster first on a tie
-        if i > 0:
-            near.append((sigma - highest[i - 1], i - 1))
-        if i < highest.size:
-            near.append((max(lowest[i] - sigma, 0.0), i))
-        distance, i = min(near, key=lambda pair: pair[0])
+        below = sigma - highest[i - 1] if i > 0 else np.inf
+        distance = max(lowest[i] - sigma, 0.0) if i < highest.size else np.inf
+        if below <= distance:
+            i, distance = i - 1, below
         return i if distance <= self.match_tol else None
 
 
@@ -255,7 +262,7 @@ class SectorDecomposition:
     projection_defect: float = 0.0
 
     def __post_init__(self):
-        spec, clusters = self.spectrum, []
+        spec, clusters, seen = self.spectrum, [], set()
         for shift, mask in self.sectors:
             if not shift.dim == mask.dim == spec.dim:
                 raise DimensionMismatch(f"sector {shift.sigma}: shift dim {shift.dim} and mask dim "
@@ -264,15 +271,16 @@ class SectorDecomposition:
             pairs = np.multiply(shift.image, spec.dim) + shift.domain
             if c is None or not np.array_equal(pairs, spec.sector_pairs[c]):
                 raise UnknownSector(f"sector {shift.sigma}: not the spectrum's shift at that sigma")
-            if c in clusters:
+            if c in seen:
                 raise UnknownSector(f"sector {shift.sigma}: listed twice")
             if spec._cluster_at(mask.sigma) != c or tuple(mask.domain) != tuple(shift.domain):
                 raise UnknownSector(f"sector {shift.sigma}: its mask is for sigma {mask.sigma} "
                                     f"on levels {tuple(mask.domain)}")
             clusters.append(c)
+            seen.add(c)
         blocks = [mask.domain_submatrix for _, mask in self.sectors]
         real = np.array([not np.iscomplexobj(block) for block in blocks], dtype=bool)
-        slots = np.lexsort((~real, spec._tables[1][clusters]))  # size order, a size's real first
+        slots = np.lexsort((~real, spec._sizes[clusters]))  # size order, a size's real first
         buffer = np.concatenate([np.zeros(0), *(blocks[i].reshape(-1) for i in slots.tolist())])
         buffer.setflags(write=False)
         store = _lay_out(spec, np.array(clusters, dtype=np.intp)[slots], buffer)
@@ -330,8 +338,7 @@ class SectorDecomposition:
         store, n = self._store, self.spectrum.dim
         diags = np.concatenate([np.zeros(0)] + [np.real(np.diagonal(b, axis1=1, axis2=2)).ravel()
                                                 for *_, b in self._stacked])  # by slot
-        first = np.cumsum(store.sizes) - store.sizes
-        at = _runs(first[store.order], store.sizes[store.order])  # the pairs, sector after sector
+        at = _in_sector_order(store)
         return _level_sums(store.pairs[at] % n, diags[at], n)
 
 
@@ -396,9 +403,8 @@ def _support_choi(channel: Channel,
     column off S is zero, so the cross-sector entries off S x S are too."""
     if channel._ops.shape[1:] != (spectrum.dim, spectrum.dim):
         raise DimensionMismatch("channel and spectrum dimensions differ")
-    *_, sector = spectrum._tables  # built before the Choi arrays, so never above them
     support, choi = channel._support, channel._choi()
-    sector = sector[support]
+    sector = spectrum._cluster[support]
     cross = np.abs(choi)
     cross[sector[:, None] == sector[None, :]] = 0.0
     return support, choi, cross
@@ -415,15 +421,20 @@ def _runs(starts, sizes):
     return np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
 
 
+def _in_sector_order(layout: _Layout) -> np.ndarray:
+    """The places of a layout's flat pairs (slot after slot) taken sector after sector."""
+    first = np.cumsum(layout.sizes) - layout.sizes
+    return _runs(first[layout.order], layout.sizes[layout.order])
+
+
 def _lay_out(spectrum: Spectrum, clusters, blocks, offsets=None) -> _Layout:
     """The read-only _Layout of the sectors on clusters (in size order), their pairs read
     from the spectrum, sector order that of the clusters, no block real in a complex buffer
     and the blocks at offsets in blocks (by default one after another)."""
-    _, sizes, starts, flat, _ = spectrum._tables
-    sizes = sizes[clusters]
+    sizes, starts = spectrum._sizes[clusters], spectrum._starts[clusters]
     offsets = np.cumsum(sizes * sizes) - sizes * sizes if offsets is None else offsets
     layout = _Layout(clusters, sizes, np.zeros(clusters.size, dtype=bool), offsets, blocks,
-                     np.argsort(clusters, kind="stable"), flat[_runs(starts[clusters], sizes)])
+                     np.argsort(clusters, kind="stable"), spectrum._flat[_runs(starts, sizes)])
     for arr in layout._replace(blocks=offsets):  # all but the blocks, which may be in the making
         arr.setflags(write=False)
     return layout
@@ -445,15 +456,23 @@ def _stacks(store: _Layout):
         yield slice(start, end), store.pairs[p:p + m * d].reshape(m, d), blocks
 
 
+def _store_failure(spectrum: Spectrum, store: _Layout) -> str | None:
+    """The SectorMask check of a store, one _mask_failure per size group (whose slots lie in
+    sector order): None, or the message of the failing block first in sector order."""
+    position = np.argsort(store.order)  # of each slot in sector order
+    found = [(int(position[slots][failed[0]]), failed[1]) for slots, _, stack in _stacks(store)
+             if (failed := _mask_failure(stack, spectrum.sigmas[store.clusters[slots]].tolist()))]
+    return min(found)[1] if found else None
+
+
 def _sector_blocks(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum):
     """The layout of the sectors holding a pair of the support, with their blocks of choi
     on support x support, +0.0 off it (a pinching: PSD stays PSD), and per entry the
     places in the pairs of its row and column and of its transpose.  No other sector is
     laid out: over all sectors each table would hold about 2 n^3 / 3 entries."""
-    n = spectrum.dim
-    order, sizes, _, _, sector = spectrum._tables
-    held = np.zeros(sizes.size, dtype=bool)
-    held[sector[support]] = True
+    n, order = spectrum.dim, spectrum._by_size
+    held = np.zeros(order.size, dtype=bool)
+    held[spectrum._cluster[support]] = True
     layout = _lay_out(spectrum, order[held[order]], None)
     sizes = layout.sizes
     square = sizes * sizes
@@ -486,9 +505,9 @@ def _restore_tp(layout: _Layout, rows, cols, n: int) -> tuple[_Layout, float]:
     s = w^(-1/2) and w their level sums, so that the diagonals sum to one at every
     level (TP); and max s^2, by which the congruence can scale rounding."""
     levels = layout.pairs % n
-    order = np.argsort(np.repeat(layout.clusters, layout.sizes), kind="stable")  # sector order
+    at = _in_sector_order(layout)
     diags = np.real(layout.blocks[rows == cols])  # in pair order
-    scale = 1.0 / np.sqrt(_level_sums(levels[order], diags[order], n))
+    scale = 1.0 / np.sqrt(_level_sums(levels[at], diags[at], n))
     s = scale[levels]
     top = float(scale.max(initial=0.0))
     return layout._replace(blocks=layout.blocks * (s[rows] * s[cols])), top * top
@@ -576,13 +595,9 @@ def decompose(
     # vec(A_m) rows on the support, Hermitised and maybe scaled by _restore_tp.
     ops = channel._ops
     if not mc._gram_certified(ops.reshape(1, -1), len(ops), scale, channel._squares):
-        failures = []  # (cluster, message): cluster order is sector order here
-        for slots, _, stack in _stacks(store):
-            found = _mask_failure(stack, spectrum.sigmas[store.clusters[slots]].tolist())
-            if found is not None:
-                failures.append((int(store.clusters[slots][found[0]]), found[1]))
-        if failures:
-            raise NotCP(f"Choi {min(failures)[1]}")
+        failure = _store_failure(spectrum, store)
+        if failure is not None:
+            raise NotCP(f"Choi {failure}")
     return SectorDecomposition._of_store(spectrum, store,
                                          projection_defect=float(np.sqrt(sq_defect)))
 
@@ -629,9 +644,8 @@ def reconstruct(decomp: SectorDecomposition) -> Channel:
         position = np.argsort(store.order)
         slots, _, blocks = zip(*decomp._stacked)
         _, _, count, vecs = mc._scaled_eigenvectors(blocks, [position[s] for s in slots])
-    first, sizes = np.cumsum(store.sizes) - store.sizes, store.sizes[store.order]
-    pairs = store.pairs[_runs(first[store.order], sizes)]  # sector after sector
-    return _shift_kraus(pairs, sizes, count, vecs, decomp.spectrum.dim)
+    return _shift_kraus(store.pairs[_in_sector_order(store)], store.sizes[store.order], count,
+                        vecs, decomp.spectrum.dim)
 
 
 def shift_distribution(

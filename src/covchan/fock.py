@@ -29,9 +29,9 @@ _MASK_CHUNK consecutive orders, or once per dim:
 - Each block is a Gram product of its factor, so the rounding bound of the
   product (channels._gram_bound, about 1.6e-11 at dim 186 against the
   check's 5e-10) proves the whole chunk passes the SectorMask check from one
-  sum of squares of the factors: no factorisation and no eigensolve.  A
-  chunk the bound does not prove is checked block by block, so the error
-  names the sector and eigenvalue that one check per sector would.
+  sum of squares of the factors: no factorisation and no eigensolve.  An
+  unproved chunk sends the store through covariant._store_failure, so the
+  error names the sector and eigenvalue that one check per sector would.
 - The decomposition is its store (see covariant) on the integer spectrum,
   built once per dim (_shared_integer_spectrum): one buffer of one block per
   |sigma|, copied out of the chunk stacks, so no per-sector object is made.
@@ -363,33 +363,31 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     its buffer.  Each chunk of _MASK_CHUNK orders is one _mask_chunk stack, whose
     blocks one boolean mask copies out of its padded product; a chunk whose factors
     channels._gram_certified proves is checked no further.  C C^T is PSD, so an
-    unproved chunk is rare; its blocks are then checked one by one with the
-    SectorMask check, from the highest order down, and MaskNotPSD names sigma = -a
-    for the largest failing a, as one check per sector in sector order would.
+    unproved chunk is rare; the whole store then takes the SectorMask check
+    (covariant._store_failure), and MaskNotPSD names sigma = -a for the largest
+    failing a, as one check per sector in sector order would.
     """
     dim, top = params.dim, params.sigma_max
     if dim > _MAX_MASK_DIM:
         raise InvalidParameter(f"Gaussian masks need dim <= {_MAX_MASK_DIM}, got {dim}")
     log_fact, n = _log_factorials(dim), 2.0 * params.std_dev * params.std_dev
-    pieces, unproved = [], []
+    pieces, proved = [], True
     for a0 in range(0, top + 1, _MASK_CHUNK):
         orders = range(a0, min(a0 + _MASK_CHUNK, top + 1))
         factors, padded = _mask_chunk(orders, log_fact, n)
-        if not mc._gram_certified(factors, dim - a0):
-            unproved += orders
+        proved &= mc._gram_certified(factors, dim - a0)
         inside = np.arange(dim - a0) < np.arange(dim - a0, dim - orders.stop, -1)[:, None]
         pieces.append(padded[inside[:, :, None] & inside[:, None, :]])  # its blocks' corners
     # Joined at the end: a buffer allocated first left the chunks' arrays on top of the
     # heap, which malloc gave back to the OS after each call (175 page faults at dim 40).
     blocks = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
     blocks.setflags(write=False)
+    spectrum = _shared_integer_spectrum(dim)
     store = _gaussian_layout(dim, top)._replace(blocks=blocks)
-    decomp = GaussianDecomposition._of_store(_shared_integer_spectrum(dim), store, params=params)
-    for a in reversed(unproved):  # size group top - a: sigma = -a and a
-        found = cov._mask_failure(decomp._stacked[top - a][2][0], [float(-a)])
-        if found is not None:
-            raise MaskNotPSD(found[1])
-    return decomp
+    failure = None if proved else cov._store_failure(spectrum, store)
+    if failure is not None:
+        raise MaskNotPSD(failure)
+    return GaussianDecomposition._of_store(spectrum, store, params=params)
 
 
 def _real_product(a: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -58,7 +58,10 @@ def matrix_from_json(obj) -> np.ndarray:
         data = obj["data"]
         if len(data) != rows * cols:
             raise ParseError(f"matrix data has {len(data)} entries, expected {rows * cols}")
-        flat = np.array([complex(re, im) for re, im in data])
+        flat = np.array([complex(re, im) for re, im in data  # a bool is left out, not read as 1
+                         if type(re) is not bool and type(im) is not bool])
+        if flat.size != rows * cols:
+            raise ParseError("matrix entries must be numbers, not true or false")
     except ParseError:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -145,7 +148,7 @@ def decomposition_from_json(obj) -> SectorDecomposition:
         raw = [(float(s["sigma"]), matrix_from_json(s["mask"])) for s in obj["sectors"]]
     except ParseError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an int past any double
         raise ParseError(f"malformed decomposition object: {exc}") from exc
     n = spectrum.dim
     sectors, seen = [], set()

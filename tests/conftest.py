@@ -495,6 +495,21 @@ def sector_map_by_cluster_loop(energies: np.ndarray, tol: float):
     return sigmas, sector_pairs
 
 
+def cluster_at_by_nearest_span(spectrum: cc.Spectrum, sigma: float) -> int | None:
+    """Oracle for Spectrum._cluster_at: the distance from sigma to the span below it
+    and to the next span, the nearer one by min (the lower cluster on a tie), within
+    match_tol or None."""
+    lowest, highest = spectrum._spans
+    i = int(np.searchsorted(highest, sigma))  # highest[i - 1] < sigma <= highest[i]
+    near = []  # (distance, cluster), the lower cluster first on a tie
+    if i > 0:
+        near.append((sigma - highest[i - 1], i - 1))
+    if i < highest.size:
+        near.append((max(lowest[i] - sigma, 0.0), i))
+    distance, i = min(near, key=lambda pair: pair[0])
+    return i if distance <= spectrum.match_tol else None
+
+
 def monte_carlo_by_full_displacement(rho: cc.DensityMatrix,
                                      params: fock.FockParams) -> fock.MonteCarloResult:
     """Oracle for fock.monte_carlo_channel: the same Philox samples, each

@@ -667,6 +667,8 @@ MASK_FILES = {
     "mask-indefinite": _mask_text(2, 2, "[1, 0], [2, 0], [2, 0], [1, 0]"),
     "mask-diagonal-half": _mask_text(2, 2, "[0.5, 0], [0, 0], [0, 0], [0.5, 0]"),
     "mask-2x3": _mask_text(2, 3, ", ".join(["[1, 0]"] * 6)),
+    # a JSON true, which complex() read as 1: the identity mask on one level
+    "mask-entry-bool": _mask_text(1, 1, "[true, 0]"),
 }
 # Headers of the wrong JSON type, which int() and float() used to coerce, and
 # an integer literal past the largest double, which used to escape as OverflowError.
@@ -677,6 +679,7 @@ HEADER_FILES = {
         "dims-whole-floats": _channel_text("0").replace('"dim_in": 2, "dim_out": 2',
                                                         '"dim_in": 2.0, "dim_out": 2.0'),
         "entry-huge-int": _channel_text("1" + "0" * 400),
+        "entry-bool": _channel_text("true"),
     },
     "spectrum": {
         "energies-string": '{"energies": "01"}',
@@ -778,6 +781,8 @@ def run_main(argv, seed_env):
                None))
 @example(case=(["check", "bad:dims-whole-floats", str(FIXTURES / "spectrum_2level.json")], None))
 @example(case=(["capacity", "bad:entry-huge-int"], None))
+@example(case=(["capacity", "bad:mask-entry-bool"], None))
+@example(case=(["check", "bad:entry-bool", str(FIXTURES / "spectrum_2level.json")], None))
 @example(case=(["decompose", str(FIXTURES / "identity_channel.json"), "bad:energies-string"],
                None))
 @example(case=(["check", str(FIXTURES / "identity_channel.json"), "bad:energies-bool"], None))

@@ -59,20 +59,36 @@ class TestSpectrum:
         with pytest.raises(InvalidParameter, match="match_tol must be finite"):
             cc.Spectrum(np.array([0.0, 1.0]), match_tol=match_tol)
 
+    @pytest.mark.parametrize("energies", [np.array([0, 1 + 1j, 2]), ["a"], [[0.0], [1.0, 2.0]],
+                                          [0, 10**400]],
+                             ids=["complex", "text", "ragged", "huge-int"])
+    def test_rejects_energies_that_are_not_real_numbers(self, energies):
+        # Complex energies were read as their real parts with a ComplexWarning,
+        # and text, ragged lists and huge ints raised builtin errors.
+        with pytest.raises(DegenerateSpectrum, match="real energies"):
+            cc.Spectrum(energies)
+
+    @pytest.mark.parametrize("match_tol", ["x", "1e-3", 1 + 1j, True, 10**400, [1e-9]])
+    def test_rejects_a_match_tol_that_is_not_a_real_number(self, match_tol):
+        with pytest.raises(InvalidParameter, match="match_tol must be a real number"):
+            cc.Spectrum(np.array([0.0, 1.0]), match_tol=match_tol)
+
     @pytest.mark.parametrize("n", [1, 5, 12])
     def test_sector_pairs_are_read_only_views_of_one_flat_map(self, n):
-        # The clusters' pairs are split from one read-only array, which _tables
-        # reads as it is, with the clusters' starts.
+        # The clusters' pairs are split from one read-only array, which the
+        # spectrum's tables hold as it is, with the clusters' starts.
         spec = cc.Spectrum(np.r_[0.0, np.cumsum(np.sqrt(np.arange(2.0, n + 1)))])
-        order, sizes, starts, flat, sector = spec._tables
-        assert flat is spec._flat and starts is spec._starts
+        order, sizes, starts, flat, sector = (spec._by_size, spec._sizes, spec._starts, spec._flat,
+                                              spec._cluster)
         np.testing.assert_array_equal(flat, np.concatenate(spec.sector_pairs))
         np.testing.assert_array_equal(sizes, [pairs.size for pairs in spec.sector_pairs])
+        np.testing.assert_array_equal(order, np.argsort(sizes, kind="stable"))
         for i, pairs in enumerate(spec.sector_pairs):
             assert not pairs.flags.writeable and pairs.base is flat
             assert pairs.size == 0 or flat[starts[i]] == pairs[0]
             assert (sector[pairs] == i).all()
         assert not any(arr.flags.writeable for arr in (order, sizes, starts, flat, sector))
+        assert "_tables" not in dir(spec)
 
     def test_owns_a_read_only_copy_of_its_energies(self):
         # The caller's array was kept and made read-only.
@@ -743,6 +759,16 @@ class TestHandBuiltPairs:
         mask = cov.SectorMask(0.0, np.eye(3), shift.domain, 3)
         with pytest.raises(UnknownSector, match="listed twice"):
             cov.SectorDecomposition(spec, ((shift, mask), (shift, mask)))
+
+    def test_names_the_first_repeat_in_the_given_order(self):
+        spec = cc.Spectrum([0.0, 1.0, 2.0])
+        pairs = []
+        for sigma in (1.0, -1.0, -1.0 + 1e-12, 1.0 + 1e-12):  # -1 repeats before 1 does
+            shift = cov.partial_shift(spec, sigma)
+            pairs.append((shift, cov.SectorMask(sigma, np.eye(2) / 2, shift.domain, 3)))
+        with pytest.raises(UnknownSector) as got:
+            cov.SectorDecomposition(spec, tuple(pairs))
+        assert str(got.value) == f"sector {-1.0 + 1e-12}: listed twice"
 
     @pytest.mark.parametrize("sigma, domain", [(1.0, (0, 1)), (-2.0, (0, 1)), (1.0, (2, 3))],
                              ids=["both", "domain", "sigma"])

@@ -515,21 +515,32 @@ class TestGaussianDecomposition:
             assert not block.flags.writeable
             assert decomp.mask(-a).domain == tuple(range(a, dim))
 
-    def test_unproved_chunks_are_checked_block_by_block(self, monkeypatch):
-        # Where the Gram bound proves nothing, each block takes the SectorMask
-        # check on its own, from the highest order down, and the decomposition
-        # is the same.
+    @pytest.mark.parametrize("a", [0, 17, 39])
+    def test_unproved_chunks_take_the_check_in_sector_order(self, monkeypatch, a):
+        # Where the Gram bound proves nothing, the store takes the SectorMask
+        # check: the decomposition is the same, and a broken order a is named
+        # at sigma = -a, as the per-sector check of its block names it.
         params = fock.FockParams(dim=40, std_dev=0.5)
         want = fock.gaussian_decomposition(params)
-        shapes = []
-        mask_failure = cc.covariant._mask_failure
         monkeypatch.setattr(mcore, "_gram_certified", lambda factors, k: False)
-        monkeypatch.setattr(cc.covariant, "_mask_failure",
-                            lambda blocks, sigmas: shapes.append(blocks.shape)
-                            or mask_failure(blocks, sigmas))
-        got = fock.gaussian_decomposition(params)
-        assert shapes == [(40 - a, 40 - a) for a in range(39, -1, -1)]
-        assert sha256_of(got) == sha256_of(want)
+        assert sha256_of(fock.gaussian_decomposition(params)) == sha256_of(want)
+        mask_chunk = fock._mask_chunk
+
+        def broken_chunk(orders, log_fact, n):
+            factors, stack = mask_chunk(orders, log_fact, n)
+            if a in orders:
+                stack[a - orders[0], :40 - a, :40 - a] -= 1e-3 * np.eye(40 - a)
+            return factors, stack
+
+        monkeypatch.setattr(fock, "_mask_chunk", broken_chunk)
+        with pytest.raises(MaskNotPSD) as got:
+            fock.gaussian_decomposition(params)
+        block = want.mask(-a).domain_submatrix - 1e-3 * np.eye(40 - a)
+        with pytest.raises(MaskNotPSD) as per_sector:
+            cc.SectorMask(sigma=float(-a), domain_submatrix=block, domain=tuple(range(a, 40)),
+                          dim=40)
+        assert str(got.value) == str(per_sector.value)
+        assert str(got.value).startswith(f"sector {float(-a)}: domain submatrix eigenvalue")
 
     def test_gram_bound_proves_every_chunk_of_the_sweep(self, monkeypatch):
         # Dims 2-184 in steps of 7 at 11 std_devs from 1e-150 to 1e150, 1,870

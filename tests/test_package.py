@@ -57,9 +57,16 @@ def test_removed_names_stay_gone(module, name):
     lambda: covchan.displacement_matrix(0.5, 1.0, 4),
     lambda: covchan.displacement_matrix(1.0, -0.1, 4),
     lambda: covchan.displacement_sector(1, np.nan, 4),
-], ids=["non-finite-matrix", "z-off-the-circle", "negative-r", "non-finite-r"])
+    lambda: covchan.Spectrum(np.array([0, 1 + 1j, 2])),
+    lambda: covchan.Spectrum(["a"]),
+    lambda: covchan.Spectrum([0.0, 1.0], match_tol="x"),
+    lambda: covchan.Spectrum([0.0, 1.0], match_tol=1 + 1j),
+], ids=["non-finite-matrix", "z-off-the-circle", "negative-r", "non-finite-r",
+        "complex-energies", "text-energies", "text-match-tol", "complex-match-tol"])
 def test_invalid_arguments_raise_the_package_error(call):
-    # These raised a bare ValueError, outside the CovchanError hierarchy.
+    # These raised a bare ValueError or TypeError, outside the CovchanError
+    # hierarchy; complex energies were read as their real parts, with only a
+    # ComplexWarning (an error under this suite's warning filters).
     with pytest.raises(covchan.errors.CovchanError):
         call()
 

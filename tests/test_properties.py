@@ -5,7 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import covchan as cc
@@ -21,6 +21,7 @@ from conftest import (
     apply_sectors_per_sector,
     bochner_by_dense_applications,
     characteristic_by_dense_application,
+    cluster_at_by_nearest_span,
     covariance_defect_per_sector,
     decompose_per_sector,
     diagonal_sums_per_sector,
@@ -489,6 +490,37 @@ def test_every_sigma_names_its_own_cluster(spec, seed):
 
 
 @st.composite
+def dyadic_grid_spectra(draw):
+    """Levels j + k_j tol / 8, k_j in [0, 40], at match_tol tol = 2^-20: every
+    difference, span end and midpoint between spans is exact, so a sigma halfway
+    between two spans less than 2 tol apart is an exact tie."""
+    n = draw(st.integers(3, 8))
+    k = np.array(draw(st.lists(st.integers(0, 40), min_size=n, max_size=n)))
+    return cc.Spectrum(np.arange(n) + k * 2.0**-23, match_tol=2.0**-20)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(spec=st.one_of(integer_spectra(), sqrt_prime_spectra(), chained_spectra(),
+                      chained_grid_spectra(), dyadic_grid_spectra()))
+@example(spec=cc.Spectrum(np.array([0.0, 1.0, 2.0 + 1.5 * 2.0**-10]), match_tol=2.0**-10))
+def test_cluster_lookup_equals_the_nearest_span_oracle(spec):
+    # sigma at every span's ends, match_tol and one ulp either side of that
+    # from them, halfway between neighbouring spans (a tie wherever the gap is
+    # below 2 match_tol), at each cluster's mean, and NaN and +-inf.
+    lowest, highest = spec._spans
+    ends = np.r_[lowest, highest]
+    near = np.r_[ends - spec.match_tol, ends + spec.match_tol]
+    halfway = (highest[:-1] + lowest[1:]) / 2.0
+    sigmas = np.r_[ends, near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf), halfway,
+                   spec.sigmas, np.nan, np.inf, -np.inf]
+    for sigma in sigmas.tolist():
+        assert spec._cluster_at(sigma) == cluster_at_by_nearest_span(spec, sigma), sigma
+    below = halfway - highest[:-1]
+    tied = (below == lowest[1:] - halfway) & (below <= spec.match_tol)  # the lower one wins
+    assert [spec._cluster_at(s) for s in halfway[tied].tolist()] == np.flatnonzero(tied).tolist()
+
+
+@st.composite
 def boundary_stacks(draw):
     """(stack, sigmas): m exactly Hermitian d x d blocks, real or complex, with
     eigenvalues in [0, scale] except one of one block in [-2, +1] * EPS_PSD;
@@ -622,7 +654,7 @@ def test_one_pass_sector_work_equals_per_sector_loops(family, kind, data):
     assert sha256_of(got) == sha256_of(want)
     assert sha256_of(cov.reconstruct(got)) == sha256_of(reconstruct_per_sector(want))
     if kind == "dropped":
-        touched = np.unique(spec._tables[-1][chan._support]).size  # sectors holding a pair
+        touched = np.unique(spec._cluster[chan._support]).size  # sectors holding a pair
         assert len(got.sectors) < touched
     if kind == "no_sectors":
         assert got.sectors == ()

@@ -121,6 +121,12 @@ class TestDecompositionValidation:
             ser.decomposition_from_json(obj)
         assert ser.decomposition_from_json(self.qubit_decomposition([(float(sigma), mask)]))
 
+    def test_sigma_past_any_double(self):
+        # float() raised a builtin OverflowError on an integer sigma of 10**400.
+        obj = self.qubit_decomposition([(10**400, np.eye(2))])
+        with pytest.raises(ParseError, match="malformed decomposition object"):
+            ser.decomposition_from_json(obj)
+
     def test_mask_is_stored_as_its_domain_block(self):
         mask = np.array([[0.0, 0.0], [0.0, 0.25]])
         decomp = ser.decomposition_from_json(self.qubit_decomposition([(-1.0, mask)]))

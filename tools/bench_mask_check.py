@@ -24,8 +24,7 @@ Rows, each timed in a fresh process with OPENBLAS_NUM_THREADS=1:
   unit-diagonal mask at n = 16 and 64, and timing.build_shift_mixture of the
   mixture above at n = 28 and 128; channels.Channel._adopt of a fresh
   (256, 16, 16) stack; and covariant.Spectrum(...) of the sqrt(prime)
-  spectrum at n = 16 and 64, alone and followed by its sector tables
-  (Spectrum._tables);
+  spectrum at n = 16 and 64, its sector tables included (built with it);
 - the readers of a built decomposition, each call on the decomposition as
   it was built (what a first read caches is dropped before every call):
   covariant.domain_extension_check at t = 0.7 on one random state, of the
@@ -156,8 +155,6 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
         energies = spectrum_energies(n)[1][1]
         rows.append(time_row("covariant.Spectrum(...)", "sqrt_prime", n,
                              lambda: cov.Spectrum(energies), rounds))
-        rows.append(time_row("covariant.Spectrum(...)", "sqrt_prime, then ._tables", n,
-                             lambda: cov.Spectrum(energies)._tables, rounds))
     for n in CHECK_SIZES:
         for kind, energies in spectrum_energies(n):
             spec = cov.Spectrum(energies)

@@ -30,10 +30,14 @@ fields, a channel by its Kraus operators.  The corpus:
   decomposition read back from its JSON text;
 - Hadamard channels of random unit-diagonal masks at n = 1-12, 16 and 32, and
   shift mixtures on the integer spectrum at n = 2-12, 28 and 128, through
-  decompose, reconstruct and shift_distribution;
+  decompose, reconstruct and shift_distribution; the shift mixtures also
+  through is_reliable_timing and timing_channel (N = 4, tol 1e-9 and 1) at
+  s = pi / 2 from the uniform superposition of all levels, a refusal
+  digested as its error's type and text;
 - every CLI subcommand on every fixture (check, decompose, capacity and
-  timing) and on Gaussian parameters (gaussian and mc-gaussian, JSON and
-  CSV): exit code, stdout and stderr, run in process.
+  timing), check and decompose on a dense n = 16 random_covariant channel file
+  (integer spectrum) and on Gaussian parameters (gaussian and mc-gaussian,
+  JSON and CSV): exit code, stdout and stderr, run in process.
 The readers of a decomposition: sectors, sector(sigma) at its first sigma and
 at 0, sigmas(), diagonal_sums(), apply_sectors of one random matrix,
 reconstruct, shift_distribution and domain_extension_check (t = 0.7) at one
@@ -47,6 +51,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -63,6 +68,8 @@ SQRT_PRIME_SIZES = (*range(2, 13), 16, 24, 32)
 HADAMARD_SIZES = (*range(1, 13), 16, 32)
 MIXTURE_SIZES = (*range(2, 13), 28, 128)
 T = 0.7
+TIMING_STEP, TIMING_N = math.pi / 2, 4  # the integer spectrum's period is 4 steps
+DENSE_CLI_SIZE = 16
 
 
 def _parts(value):
@@ -217,6 +224,12 @@ def _corpus():
         yield "reconstruct", name, lambda d=decomp: cov.reconstruct(d)
         rho = gen.random_state(n, np.random.default_rng([n, 3]))
         yield "shift_distribution", name, lambda d=decomp, r=rho: cov.shift_distribution(d, r)
+        phi0 = np.full(n, n ** -0.5)
+        yield ("is_reliable_timing", name, lambda c=chan, s=spec, p=phi0:
+               _or_error(tim.is_reliable_timing, c, s, p, TIMING_STEP))
+        for tol in (1e-9, 1.0):  # the default refuses these orbits; 1.0 lets the report through
+            yield ("timing_channel", f"{name} tol={tol!r}", lambda c=chan, s=spec, p=phi0, t=tol:
+                   _or_error(tim.timing_channel, c, s, p, TIMING_STEP, TIMING_N, t))
 
     files = sorted(str(p) for p in FIXTURES.glob("*.json"))
     spectra = [f for f in files if Path(f).name.startswith("spectrum")]
@@ -238,6 +251,16 @@ def _corpus():
         label = " ".join(a[len(str(FIXTURES)) + 1:] if a.startswith(str(FIXTURES)) else a
                          for a in argv)
         yield f"cli {argv[0]}", label, lambda a=argv: _run_cli(a)
+
+    spec = cc.Spectrum(np.arange(float(DENSE_CLI_SIZE)))
+    chan = gen.random_covariant(spec, np.random.default_rng([DENSE_CLI_SIZE, 4]))
+    with tempfile.TemporaryDirectory() as tmp:  # removed once the generator is done
+        files = [Path(tmp) / "channel.json", Path(tmp) / "spectrum.json"]
+        files[0].write_text(ser.dumps(ser.channel_to_json(chan)), encoding="utf-8")
+        files[1].write_text(ser.dumps(ser.spectrum_to_json(spec)), encoding="utf-8")
+        for command in ("check", "decompose"):
+            yield (f"cli {command}", f"dense random_covariant n={DENSE_CLI_SIZE}",
+                   lambda c=command: _run_cli([c, *map(str, files)]))
 
 
 def _or_error(fn, *args):
