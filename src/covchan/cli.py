@@ -3,7 +3,10 @@
 Subcommands: check, decompose, capacity, timing, gaussian, mc-gaussian.
 All reports are emitted as JSON (floats at 17 significant digits) or CSV;
 exit codes are 0 for success, 1 for property violations, 2 for usage or
-parse errors.
+parse errors.  ``main`` maps the library's violations (NotCovariant,
+NotPeriodic, NotReliableTiming) to 1 and its other errors to 2, each with
+one line on stderr; a subcommand returns only its own verdict (check,
+mc-gaussian, and capacity's output that is not a state).
 
 Every report goes through one writer (``_write``) that streams it in pieces
 to stdout and to the ``--out`` file: a JSON report comes from
@@ -152,12 +155,7 @@ def cmd_check(args) -> int:
 def cmd_decompose(args) -> int:
     channel = _load_channel(args.channel)
     spectrum = _load_spectrum(args.spectrum)
-    try:
-        decomp = cov.decompose(channel, spectrum, tol=args.tol)
-    except NotCovariant as exc:
-        print(f"not covariant: defect {exc.defect:.17g} > tol {exc.tol:.17g}",
-              file=sys.stderr)
-        return EXIT_VIOLATION
+    decomp = cov.decompose(channel, spectrum, tol=args.tol)
     # The Choi matrices agree, both zero, off the pairs that neither family touches.
     recon = cov.reconstruct(decomp)._ops
     recon_choi, choi = mc._choi_on_support(mc._support_of(recon, channel._ops),
@@ -209,15 +207,7 @@ def cmd_timing(args) -> int:
     channel = _load_channel(args.channel)
     spectrum = _load_spectrum(args.spectrum)
     phi0 = ser.vector_from_json(ser.load_json(args.phi0))
-    try:
-        report = tim.timing_channel(channel, spectrum, phi0, args.s, args.N, tol=args.tol)
-    except NotReliableTiming as exc:
-        print(f"not reliable timing: orthogonality defect {exc.defect:.17g}",
-              file=sys.stderr)
-        return EXIT_VIOLATION
-    except NotPeriodic as exc:
-        print(f"not periodic: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+    report = tim.timing_channel(channel, spectrum, phi0, args.s, args.N, tol=args.tol)
     _emit(args, {
         "N": report.N,
         "s": report.s,
@@ -294,55 +284,45 @@ def build_parser() -> argparse.ArgumentParser:
         description="Decompose and analyze time-covariant quantum channels.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out")
+    files = argparse.ArgumentParser(add_help=False, parents=[out])
+    files.add_argument("channel")
+    files.add_argument("spectrum")
+    gauss = argparse.ArgumentParser(add_help=False, parents=[out])
+    gauss.add_argument("--std-dev", dest="std_dev", type=float, required=True)
+    gauss.add_argument("--dim", type=int, required=True)
+    gauss.add_argument("--sigma-max", dest="sigma_max", type=int, default=0)
+    gauss.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("check", help="validate CPTP and covariance of a channel")
-    p.add_argument("channel")
-    p.add_argument("spectrum")
+    p = sub.add_parser("check", parents=[files], help="validate CPTP and covariance of a channel")
     p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("decompose", help="canonical sector decomposition")
-    p.add_argument("channel")
-    p.add_argument("spectrum")
+    p = sub.add_parser("decompose", parents=[files], help="canonical sector decomposition")
     p.add_argument("--tol", type=_tolerance, default=1e-10)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_decompose)
 
-    p = sub.add_parser("capacity", help="coherent information / Hadamard bound")
+    p = sub.add_parser("capacity", parents=[out], help="coherent information / Hadamard bound")
     p.add_argument("input", help="channel file or unit-diagonal mask file")
     p.add_argument("--input-state", dest="input_state", default="maximally-mixed",
                    help="'maximally-mixed' or a state file")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("timing", help="timing-channel capacity bound")
-    p.add_argument("channel")
-    p.add_argument("spectrum")
+    p = sub.add_parser("timing", parents=[files], help="timing-channel capacity bound")
     p.add_argument("--phi0", required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.add_argument("--out")
     p.set_defaults(func=cmd_timing)
 
-    p = sub.add_parser("gaussian", help="Gaussian channel sector masks")
-    p.add_argument("--std-dev", dest="std_dev", type=float, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--sigma-max", dest="sigma_max", type=int, default=0)
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
+    p = sub.add_parser("gaussian", parents=[gauss], help="Gaussian channel sector masks")
     p.set_defaults(func=cmd_gaussian)
 
-    p = sub.add_parser("mc-gaussian", help="Monte Carlo vs decomposition check")
-    p.add_argument("--std-dev", dest="std_dev", type=float, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--sigma-max", dest="sigma_max", type=int, default=0)
+    p = sub.add_parser("mc-gaussian", parents=[gauss], help="Monte Carlo vs decomposition check")
     p.add_argument("--samples", type=int, default=100_000)
     # A string default goes through type=int, so a bad value is a usage error.
     p.add_argument("--seed", type=int, default=os.environ.get("COVCHAN_SEED", "0"))
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out")
     p.set_defaults(func=cmd_mc_gaussian)
 
     return parser
@@ -356,6 +336,15 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except NotCovariant as exc:
+        print(f"not covariant: defect {exc.defect:.17g} > tol {exc.tol:.17g}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except NotReliableTiming as exc:
+        print(f"not reliable timing: orthogonality defect {exc.defect:.17g}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except NotPeriodic as exc:
+        print(f"not periodic: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -31,6 +31,8 @@ after another, or at one offset (the +-a of a Gaussian decomposition).  A
 size's real blocks in a complex buffer are a group of their own on its real
 part, so they are diagonalised as real.  The (PartialShift, SectorMask)
 pairs are made from the store one at a time (SectorDecomposition._pairs).
+Given blocks, from the pairs the constructor checks or from a decomposition
+file, go into a store through one builder (_store_of_blocks).
 
 Sector work runs over all sectors at once.  decompose lays the blocks of the
 sectors the channel touches out in one buffer, gathers, Hermitises, scales for
@@ -51,6 +53,7 @@ tr(K G_sigma(rho)).
 """
 from __future__ import annotations
 
+import reprlib
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -71,10 +74,13 @@ from .errors import (
 
 def _real_numbers(values, ndim: int, error: type, what: str) -> np.ndarray:
     """A float copy of values, a non-empty array of ndim axes, or error(what): complex, text
-    and bool arrays, ragged lists and ints past any double are refused, with no warning."""
+    and bool entries, ragged lists and ints past any double are refused, with no warning.
+    numpy reads a bool among numbers as a number, so the items are looked at as given."""
     try:
         arr = np.array(values)
-        if arr.dtype.kind in "iufO" and arr.ndim == ndim and arr.size:
+        items = np.array(values, dtype=object).ravel().tolist()
+        if (arr.dtype.kind in "iufO" and arr.ndim == ndim and arr.size
+                and not any(isinstance(x, (bool, np.bool_)) for x in items)):
             return arr.astype(float, copy=False)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -85,9 +91,11 @@ def _real_numbers(values, ndim: int, error: type, what: str) -> np.ndarray:
 class Spectrum:
     """Strictly increasing energies of a non-degenerate diagonal Hamiltonian.
 
-    match_tol (finite; at or below 0 it picks a relative default) declares
-    when two floating-point energy differences are "the same" sigma; spectra
-    with gaps at or below match_tol are rejected.
+    match_tol (finite; at or below 0 it picks the relative default 1e-9 max|E|,
+    or 1e-9 for the one level at 0) declares when two floating-point energy
+    differences are "the same" sigma; spectra with gaps at or below match_tol
+    are rejected.  The default scales with the energies: at 2^k E the map is
+    that of E, its sigmas 2^k times E's.
 
     The sorted differences omega_{j'} - omega_j are clustered once, a step
     above match_tol starting a new cluster: sigmas[i] is the mean of cluster
@@ -117,12 +125,13 @@ class Spectrum:
                            "spectrum must be a non-empty 1-d list of real energies")
         if not np.all(np.isfinite(en)):
             raise DegenerateSpectrum("spectrum contains non-finite energies")
+        got = reprlib.repr(self.match_tol)  # an int past any double is not echoed in full
         tol = float(_real_numbers(self.match_tol, 0, InvalidParameter,
-                                  f"match_tol must be a real number, got {self.match_tol!r}"))
+                                  f"match_tol must be a real number, got {got}"))
         if not np.isfinite(tol):  # NaN would pass every comparison below
             raise InvalidParameter(f"match_tol must be finite, got {tol!r}")
-        if tol <= 0.0:
-            tol = 1e-9 * max(1.0, float(np.max(np.abs(en))))
+        if tol <= 0.0:  # relative; 1e-9 for the one level at 0
+            tol = 1e-9 * (float(np.max(np.abs(en))) or 1.0)
         if en.size > 1 and float(np.min(np.diff(en))) <= tol:
             raise DegenerateSpectrum(
                 f"energies must be strictly increasing with gaps > {tol:.3e}"
@@ -278,14 +287,8 @@ class SectorDecomposition:
                                     f"on levels {tuple(mask.domain)}")
             clusters.append(c)
             seen.add(c)
-        blocks = [mask.domain_submatrix for _, mask in self.sectors]
-        real = np.array([not np.iscomplexobj(block) for block in blocks], dtype=bool)
-        slots = np.lexsort((~real, spec._sizes[clusters]))  # size order, a size's real first
-        buffer = np.concatenate([np.zeros(0), *(blocks[i].reshape(-1) for i in slots.tolist())])
-        buffer.setflags(write=False)
-        store = _lay_out(spec, np.array(clusters, dtype=np.intp)[slots], buffer)
-        self.__dict__["_store"] = store._replace(order=np.argsort(slots),
-                                                 real=real[slots] & np.iscomplexobj(buffer))
+        self.__dict__["_store"] = _store_of_blocks(
+            spec, clusters, [mask.domain_submatrix for _, mask in self.sectors])
 
     @classmethod
     def _of_store(cls, spectrum: Spectrum, store: _Layout, **fields):
@@ -438,6 +441,18 @@ def _lay_out(spectrum: Spectrum, clusters, blocks, offsets=None) -> _Layout:
     for arr in layout._replace(blocks=offsets):  # all but the blocks, which may be in the making
         arr.setflags(write=False)
     return layout
+
+
+def _store_of_blocks(spectrum: Spectrum, clusters, blocks) -> _Layout:
+    """The one store of given blocks, blocks[i] the d x d block of the sector on cluster
+    clusters[i] and the sector order the given one: the blocks one after another in size
+    order, a size's real ones first, in one read-only buffer.  The blocks are not checked."""
+    real = np.array([not np.iscomplexobj(block) for block in blocks], dtype=bool)
+    slots = np.lexsort((~real, spectrum._sizes[clusters]))  # size order, a size's real first
+    buffer = np.concatenate([np.zeros(0), *(blocks[i].reshape(-1) for i in slots.tolist())])
+    buffer.setflags(write=False)
+    store = _lay_out(spectrum, np.array(clusters, dtype=np.intp)[slots], buffer)
+    return store._replace(order=np.argsort(slots), real=real[slots] & np.iscomplexobj(buffer))
 
 
 def _stacks(store: _Layout):

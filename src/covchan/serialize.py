@@ -4,9 +4,14 @@ Complex matrices are objects {"rows": n, "cols": m, "data": [[re, im], ...]}
 with entries in row-major order; all numbers are IEEE doubles.  Channels hold
 their Kraus list, spectra their energy list, and decompositions serialize the
 masks only: partial shifts are rebuilt from sigma and the spectrum.  A mask is
-written as its dim x dim view and read back into its domain block; a sigma that
-is no energy difference or is listed twice, a mask of the wrong shape and
-support outside the domain are rejected.
+written as its dim x dim view.  The reader refuses the structural faults
+first, in file order: a sigma that is no energy difference or is listed twice,
+a mask of the wrong shape and support outside the domain.  It then lays the
+domain blocks straight into the store (covariant._store_of_blocks), in the
+spectrum's sector order, and runs the store's one check
+(covariant._store_failure), which names the first mask that is not PSD in
+that order by its cluster's sigma; the sectors read back carry the cluster's
+sigma too.  A file the library wrote reads back bit for bit.
 
 ``iter_dumps`` writes JSON in pieces, with every float at 17 significant
 digits (round-trip safe), and ``dumps`` is the pieces joined.  A dict yields
@@ -22,13 +27,15 @@ other arrays).  The text is that of formatting each float on its own.
 from __future__ import annotations
 
 import json
+import reprlib
 from collections.abc import Iterator
 from itertools import chain
 
 import numpy as np
 
 from .channels import Channel
-from .covariant import SectorDecomposition, SectorMask, Spectrum, partial_shift
+from .covariant import (SectorDecomposition, Spectrum, _store_failure, _store_of_blocks,
+                        partial_shift)
 from .errors import MaskNotPSD, ParseError
 
 
@@ -48,7 +55,8 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 def _check_dims(kind: str, names: str, *dims) -> None:
     """Refuse header dimensions that are not JSON integers >= 1 (no bool, no 1.5, no "2")."""
     if not all(type(d) is int and d >= 1 for d in dims):
-        raise ParseError(f"{kind} {names} must be integers >= 1, got {', '.join(map(repr, dims))}")
+        raise ParseError(f"{kind} {names} must be integers >= 1, "
+                         f"got {', '.join(map(reprlib.repr, dims))}")
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -57,7 +65,8 @@ def matrix_from_json(obj) -> np.ndarray:
         _check_dims("matrix", "rows and cols", rows, cols)
         data = obj["data"]
         if len(data) != rows * cols:
-            raise ParseError(f"matrix data has {len(data)} entries, expected {rows * cols}")
+            raise ParseError(f"matrix data has {len(data)} entries, "
+                             f"expected {reprlib.repr(rows * cols)}")
         flat = np.array([complex(re, im) for re, im in data  # a bool is left out, not read as 1
                          if type(re) is not bool and type(im) is not bool])
         if flat.size != rows * cols:
@@ -97,10 +106,9 @@ def channel_from_json(obj) -> Channel:
         raise ParseError(f"malformed channel object: {exc}") from exc
     chan = Channel(kraus)
     if chan.dim_in != dim_in or chan.dim_out != dim_out:
-        raise ParseError(
-            f"declared dims ({dim_in}, {dim_out}) do not match Kraus shape "
-            f"({chan.dim_in}, {chan.dim_out})"
-        )
+        declared = ", ".join(map(reprlib.repr, (dim_in, dim_out)))
+        raise ParseError(f"declared dims ({declared}) do not match Kraus shape "
+                         f"({chan.dim_in}, {chan.dim_out})")
     return chan
 
 
@@ -150,23 +158,26 @@ def decomposition_from_json(obj) -> SectorDecomposition:
         raise
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # an int past any double
         raise ParseError(f"malformed decomposition object: {exc}") from exc
-    n = spectrum.dim
-    sectors, seen = [], set()
+    n, blocks = spectrum.dim, {}  # by cluster
     for sigma, mask in raw:
         shift = partial_shift(spectrum, sigma)
         if not shift.domain:
             raise ParseError(f"sigma {sigma!r} is not an energy difference of the spectrum")
-        if (shift.domain, shift.image) in seen:
+        c = int(spectrum._cluster[shift.image[0] * n + shift.domain[0]])
+        if c in blocks:
             raise ParseError(f"sigma {sigma!r} names a sector listed before")
-        seen.add((shift.domain, shift.image))
         if mask.shape != (n, n):
             raise ParseError(f"sector {sigma!r}: mask shape {mask.shape} vs spectrum dim {n}")
         dom = np.ix_(shift.domain, shift.domain)
         if np.count_nonzero(mask) > np.count_nonzero(mask[dom]):
             raise MaskNotPSD(f"sector {sigma}: mask has support outside its domain")
-        sectors.append((shift, SectorMask(sigma=sigma, domain_submatrix=mask[dom],
-                                          domain=shift.domain, dim=n)))
-    return SectorDecomposition(spectrum=spectrum, sectors=tuple(sectors))
+        blocks[c] = mask[dom]
+    clusters = sorted(blocks)  # the spectrum's sector order, which decompose and fock write
+    store = _store_of_blocks(spectrum, clusters, [blocks[c] for c in clusters])
+    failure = _store_failure(spectrum, store)
+    if failure is not None:
+        raise MaskNotPSD(failure)
+    return SectorDecomposition._of_store(spectrum, store)
 
 
 def load_json(path) -> object:

@@ -243,6 +243,25 @@ class TestTiming:
         assert "not reliable timing" in err
 
 
+TIMING = ["timing", str(FIXTURES / "shift_mixture_channel.json"),
+          str(FIXTURES / "spectrum_4level.json"), "--phi0", str(FIXTURES / "phi0_4level.json")]
+
+
+@pytest.mark.parametrize("argv, opening", [
+    (["decompose", str(FIXTURES / "hadamard_gate_channel.json"),
+      str(FIXTURES / "spectrum_2level.json")], "not covariant: defect "),
+    (TIMING + ["--s", "1", "--N", "4"], "not periodic: e^(-iHsN) deviates"),  # 4 is no period
+    (TIMING + ["--s", "1.5707963267948966", "--N", "4"],
+     "not reliable timing: orthogonality defect "),
+], ids=["not-covariant", "not-periodic", "not-reliable"])
+def test_violation_exit_1_writes_no_out_file(capsys, tmp_path, argv, opening):
+    dest = tmp_path / "report.json"
+    code, out, err = run(capsys, *argv, "--out", str(dest))
+    assert code == cli.EXIT_VIOLATION
+    assert out == "" and err.startswith(opening) and err.count("\n") == 1
+    assert not dest.exists()
+
+
 class TestGaussian:
     def test_json_output(self, capsys):
         code, out, _ = run(capsys, "gaussian", "--std-dev", "0.3", "--dim", "4",

@@ -52,6 +52,13 @@ class TestSpectrum:
         spec = cc.Spectrum(np.array([0.0, 1e6]))
         assert spec.match_tol == pytest.approx(1e-3)
 
+    @pytest.mark.parametrize("k", [-30, -40])
+    def test_default_match_tol_is_relative_below_one(self, k):
+        # It was 1e-9 * max(1, max|E|): gaps of 2^-30 fell below it and raised.
+        spec = cc.Spectrum(2.0**k * np.arange(4.0))
+        assert spec.match_tol == 1e-9 * 3.0 * 2.0**k
+        assert cc.Spectrum([0.0]).match_tol == 1e-9  # the one level at 0
+
     @pytest.mark.parametrize("match_tol", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_match_tol(self, match_tol):
         # NaN once passed every comparison and failed later as a level held
@@ -60,11 +67,14 @@ class TestSpectrum:
             cc.Spectrum(np.array([0.0, 1.0]), match_tol=match_tol)
 
     @pytest.mark.parametrize("energies", [np.array([0, 1 + 1j, 2]), ["a"], [[0.0], [1.0, 2.0]],
-                                          [0, 10**400]],
-                             ids=["complex", "text", "ragged", "huge-int"])
+                                          [0, 10**400], [0, True],
+                                          np.array([0, True], dtype=object), [True, 1.5]],
+                             ids=["complex", "text", "ragged", "huge-int", "int-bool",
+                                  "object-bool", "bool-float"])
     def test_rejects_energies_that_are_not_real_numbers(self, energies):
         # Complex energies were read as their real parts with a ComplexWarning,
-        # and text, ragged lists and huge ints raised builtin errors.
+        # text, ragged lists and huge ints raised builtin errors, and numpy read
+        # a bool among numbers as 0 or 1.
         with pytest.raises(DegenerateSpectrum, match="real energies"):
             cc.Spectrum(energies)
 

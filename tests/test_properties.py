@@ -2,6 +2,7 @@
 integer gaps, incommensurate sqrt(prime) gaps, and near-unit gaps whose
 energy differences chain within match_tol into one sector."""
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -676,10 +677,8 @@ def test_one_pass_reconstruct_of_built_decompositions_equals_per_sector_loop(dim
         assert sha256_of(cov.reconstruct(decomp)) == sha256_of(reconstruct_per_sector(decomp))
 
 
-def assert_one_store_from_pairs(decomp, data):
-    """SectorDecomposition(spectrum, sectors) lays the pairs of decomp out in
-    the store decomp's producer built: every reader gives the same bytes."""
-    rebuilt = cc.SectorDecomposition(decomp.spectrum, decomp.sectors)
+def assert_same_readers(rebuilt, decomp, data):
+    """Every reader of rebuilt gives the bytes of decomp's."""
     n = decomp.spectrum.dim
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     rho = gen.random_state(n, rng)
@@ -699,6 +698,17 @@ def assert_one_store_from_pairs(decomp, data):
         assert sha256_of(read(rebuilt)) == sha256_of(read(decomp)), name
 
 
+def assert_one_store_from_pairs(decomp, data):
+    """SectorDecomposition(spectrum, sectors) lays the pairs of decomp out in
+    the store decomp's producer built: every reader gives the same bytes."""
+    assert_same_readers(cc.SectorDecomposition(decomp.spectrum, decomp.sectors), decomp, data)
+
+
+def read_back(decomp):
+    """decomp written as JSON text and read back."""
+    return ser.decomposition_from_json(json.loads(ser.dumps(ser.decomposition_to_json(decomp))))
+
+
 @pytest.mark.parametrize("family", ["integer", "sqrt_prime"])
 @PROPERTY
 @given(data=st.data())
@@ -714,6 +724,45 @@ def test_gaussian_decomposition_and_its_pairs_give_one_store(dim, s, data):
     top = data.draw(st.integers(1, dim - 1), label="sigma_max")
     decomp = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=s, sigma_max=top))
     assert_one_store_from_pairs(decomp, data)
+
+
+@FAMILIES
+@PROPERTY
+@given(data=st.data())
+def test_decompose_outputs_read_back_from_json_bit_for_bit(family, data):
+    spec = data.draw(spectra_to_12_levels(family))
+    chan, _ = draw_channel(data, spec, "tp")
+    decomp = cov.decompose(chan, spec)
+    assert_same_readers(read_back(decomp), decomp, data)
+
+
+@PROPERTY
+@given(dim=st.integers(2, 32), s=st.sampled_from([0.1, 0.3, 0.5, 1.0]), data=st.data())
+def test_gaussian_decompositions_read_back_from_json_bit_for_bit(dim, s, data):
+    # The JSON text holds complex entries: the real blocks read back as the
+    # same blocks made complex.
+    top = data.draw(st.integers(1, dim - 1), label="sigma_max")
+    gauss = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=s, sigma_max=top))
+    made_complex = cc.SectorDecomposition(gauss.spectrum, tuple(
+        (shift, cc.SectorMask(mask.sigma, mask.domain_submatrix + 0j, mask.domain, dim))
+        for shift, mask in gauss.sectors))
+    assert_same_readers(read_back(gauss), made_complex, data)
+
+
+@pytest.mark.parametrize("family", ["integer", "sqrt_prime"])
+@PROPERTY
+@given(k=st.integers(-60, 60), data=st.data())
+def test_energy_scale_keeps_the_sector_map_and_the_masks(family, k, data):
+    # The default match_tol is relative: at 2^k E the clusters are E's and the
+    # sigmas exactly 2^k times E's, so decompose reads the same blocks.
+    spec = data.draw(spectra_to_12_levels(family))
+    scaled = cc.Spectrum(2.0**k * spec.energies)
+    assert np.array_equal(scaled.sigmas, 2.0**k * spec.sigmas)
+    assert sha256_of(scaled.sector_pairs) == sha256_of(spec.sector_pairs)
+    chan, _ = draw_channel(data, spec, "tp")
+    masks = [[(shift.domain, shift.image, mask.domain_submatrix)
+              for shift, mask in cov.decompose(chan, sp).sectors] for sp in (spec, scaled)]
+    assert sha256_of(masks[0]) == sha256_of(masks[1])
 
 
 @settings(derandomize=True, max_examples=30, deadline=None, database=None)

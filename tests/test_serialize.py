@@ -7,7 +7,7 @@ import covchan as cc
 from covchan import covariant as cov
 from covchan import generate as gen
 from covchan import serialize as ser
-from covchan.errors import MaskNotPSD, ParseError
+from covchan.errors import CovchanError, MaskNotPSD, ParseError
 
 from conftest import FIXTURES, amplitude_damping
 
@@ -127,6 +127,43 @@ class TestDecompositionValidation:
         with pytest.raises(ParseError, match="malformed decomposition object"):
             ser.decomposition_from_json(obj)
 
+    @staticmethod
+    def qutrit_decomposition(sectors):
+        return {"spectrum": {"energies": [0.0, 1.0, 2.0]},
+                "sectors": [{"sigma": s, "mask": ser.matrix_to_json(m)} for s, m in sectors]}
+
+    SWAP = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])  # eigenvalue -1 on (0, 1)
+
+    def test_a_mask_not_psd_is_named_by_its_cluster_sigma(self):
+        obj = self.qutrit_decomposition([(1.0 + 1e-12, self.SWAP)])
+        with pytest.raises(MaskNotPSD, match=r"^sector 1\.0: domain submatrix eigenvalue -1"):
+            ser.decomposition_from_json(obj)
+
+    def test_names_the_first_mask_not_psd_in_sector_order(self):
+        # The file lists sigma = 1 before sigma = -1; the spectrum's order is -1, 1.
+        minus = np.roll(self.SWAP, 1, axis=(0, 1))  # on the domain (1, 2) of sigma = -1
+        obj = self.qutrit_decomposition([(1.0, self.SWAP), (-1.0, minus)])
+        with pytest.raises(MaskNotPSD, match=r"^sector -1\.0: "):
+            ser.decomposition_from_json(obj)
+
+    @pytest.mark.parametrize("fault, match", [((0.5, np.eye(3)), "not an energy difference"),
+                                              ((1.0, np.eye(3)), "listed before"),
+                                              ((-1.0, np.eye(2)), "mask shape"),
+                                              ((-1.0, np.eye(3)), "outside its domain")],
+                             ids=["unknown", "repeated", "shape", "support"])
+    def test_structural_faults_come_before_the_mask_check(self, fault, match):
+        obj = self.qutrit_decomposition([(1.0, self.SWAP), fault])
+        with pytest.raises((ParseError, MaskNotPSD), match=match):
+            ser.decomposition_from_json(obj)
+
+    def test_sectors_read_back_in_sector_order_with_the_cluster_sigma(self):
+        half = np.diag([0.5, 0.5, 0.0])
+        decomp = ser.decomposition_from_json(
+            self.qutrit_decomposition([(1.0 + 1e-12, half), (-1.0, np.roll(half, 1, axis=(0, 1)))]))
+        assert decomp.sigmas().tolist() == [-1.0, 1.0]
+        assert [shift.sigma for shift, _ in decomp.sectors] == [-1.0, 1.0]
+        assert [mask.sigma for _, mask in decomp.sectors] == [-1.0, 1.0]
+
     def test_mask_is_stored_as_its_domain_block(self):
         mask = np.array([[0.0, 0.0], [0.0, 0.25]])
         decomp = ser.decomposition_from_json(self.qubit_decomposition([(-1.0, mask)]))
@@ -134,6 +171,22 @@ class TestDecompositionValidation:
         assert shift.domain == (1,) and shift.image == (0,)
         np.testing.assert_array_equal(sector.domain_submatrix, [[0.25]])
         np.testing.assert_array_equal(sector.mask, mask)
+
+
+@pytest.mark.parametrize("refuse, opening", [
+    (lambda: cc.Spectrum([0.0, 1.0], match_tol=10**400), "match_tol must be a real number"),
+    (lambda: ser.matrix_from_json({"rows": 10**400, "cols": 1, "data": [[1.0, 0.0]]}),
+     "matrix data has 1 entries"),
+    (lambda: ser.matrix_from_json({"rows": -10**400, "cols": 1, "data": [[1.0, 0.0]]}),
+     "matrix rows and cols must be integers >= 1"),
+    (lambda: ser.channel_from_json({**ser.channel_to_json(amplitude_damping(0.3)),
+                                    "dim_in": 10**400}), "declared dims"),
+], ids=["match_tol", "rows", "negative-rows", "dim_in"])
+def test_refusals_echo_a_huge_integer_shortened(refuse, opening):
+    # The whole 401-digit integer was echoed: messages of 437 to 452 characters.
+    with pytest.raises(CovchanError) as exc:
+        refuse()
+    assert str(exc.value).startswith(opening) and len(str(exc.value)) < 150
 
 
 class TestFloatsAndFiles:

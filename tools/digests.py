@@ -30,12 +30,20 @@ fields, a channel by its Kraus operators.  The corpus:
   decomposition read back from its JSON text;
 - Hadamard channels of random unit-diagonal masks at n = 1-12, 16 and 32, and
   shift mixtures on the integer spectrum at n = 2-12, 28 and 128, through
-  decompose, reconstruct and shift_distribution; the shift mixtures also
+  decompose, reconstruct and shift_distribution; the masks also through
+  hadamard_bound and verify_hqc, and their channels through
+  coherent_information at one random state; the shift mixtures also
   through is_reliable_timing and timing_channel (N = 4, tol 1e-9 and 1) at
   s = pi / 2 from the uniform superposition of all levels, a refusal
   digested as its error's type and text;
+- compare_decomposition_to_mc at dims 8 and 16 (std_dev 0.5, 2,000 samples,
+  seed 424242) from the vacuum and from the superposition of levels 0 and 1;
+- two faulty decomposition objects on the 3-level integer spectrum, a
+  refusal digested as above: an unknown sigma listed after a mask that is not
+  PSD, and two such masks listed out of the spectrum's sector order;
 - every CLI subcommand on every fixture (check, decompose, capacity and
-  timing), check and decompose on a dense n = 16 random_covariant channel file
+  timing), timing at s = pi / 2, N = 4 (not reliable), check and decompose on
+  a dense n = 16 random_covariant channel file
   (integer spectrum) and on Gaussian parameters (gaussian and mc-gaussian,
   JSON and CSV): exit code, stdout and stderr, run in process.
 The readers of a decomposition: sectors, sector(sigma) at its first sigma and
@@ -70,6 +78,7 @@ MIXTURE_SIZES = (*range(2, 13), 28, 128)
 T = 0.7
 TIMING_STEP, TIMING_N = math.pi / 2, 4  # the integer spectrum's period is 4 steps
 DENSE_CLI_SIZE = 16
+MC_DIMS, MC_SAMPLES = (8, 16), 2000
 
 
 def _parts(value):
@@ -203,7 +212,8 @@ def _corpus():
 
     for n in HADAMARD_SIZES:
         rng = np.random.default_rng([n, 2])
-        chan = cap.hadamard_channel(gen.random_unit_diagonal_mask(n, rng))
+        mask = gen.random_unit_diagonal_mask(n, rng)
+        chan = cap.hadamard_channel(mask)
         spec = cc.Spectrum(np.arange(float(n)))
         name = f"hadamard n={n}"
         yield "hadamard_channel", name, lambda c=chan: c
@@ -212,6 +222,10 @@ def _corpus():
         yield "reconstruct", name, lambda d=decomp: cov.reconstruct(d)
         yield ("shift_distribution", name,
                lambda d=decomp, r=gen.random_state(n, rng): cov.shift_distribution(d, r))
+        yield "hadamard_bound", name, lambda m=mask, k=n: cap.hadamard_bound(m, k)
+        yield "verify_hqc", name, lambda m=mask, k=n: cap.verify_hqc(m, k)
+        yield ("coherent_information", name,
+               lambda c=chan, r=gen.random_state(n, rng): cap.coherent_information(c, r))
 
     for n in MIXTURE_SIZES:
         spec = cc.Spectrum(np.arange(float(n)))
@@ -231,6 +245,27 @@ def _corpus():
             yield ("timing_channel", f"{name} tol={tol!r}", lambda c=chan, s=spec, p=phi0, t=tol:
                    _or_error(tim.timing_channel, c, s, p, TIMING_STEP, TIMING_N, t))
 
+    for dim in MC_DIMS:
+        params = fock.FockParams(dim=dim, std_dev=0.5, mc_samples=MC_SAMPLES, seed=CORPUS_SEED)
+        for label, levels in (("vacuum", [0]), ("levels 0 and 1", [0, 1])):
+            vec = np.zeros(dim)
+            vec[levels] = len(levels) ** -0.5
+            rho = cc.DensityMatrix(np.outer(vec, vec).astype(complex))
+            yield ("compare_decomposition_to_mc", f"dim={dim} {label}",
+                   lambda p=params, r=rho: fock.compare_decomposition_to_mc(p, r))
+
+    def faulty(*sectors):  # (sigma, dense mask) on the 3-level integer spectrum
+        return {"spectrum": {"energies": [0.0, 1.0, 2.0]},
+                "sectors": [{"sigma": s, "mask": ser.matrix_to_json(m)} for s, m in sectors]}
+
+    swap = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.0]])  # eigenvalue -1
+    for label, obj in (("unknown sigma after a mask not PSD",
+                        faulty((1.0, swap), (0.5, np.eye(3)))),
+                       ("two masks not PSD out of sector order",
+                        faulty((1.0, swap), (-1.0, np.roll(swap, 1, axis=(0, 1)))))):
+        yield ("decomposition_from_json", label,
+               lambda o=obj: _or_error(ser.decomposition_from_json, o))
+
     files = sorted(str(p) for p in FIXTURES.glob("*.json"))
     spectra = [f for f in files if Path(f).name.startswith("spectrum")]
     states = [str(FIXTURES / "phi0_4level.json"), str(FIXTURES / "plus_state.json")]
@@ -241,6 +276,9 @@ def _corpus():
             runs += [["timing", f, spectrum, "--phi0", phi0, "--s", "0.5", "--N", "8"]
                      for phi0 in states]
         runs += [["capacity", f], *(["capacity", f, "--input-state", st] for st in states)]
+    runs.append(["timing", str(FIXTURES / "shift_mixture_channel.json"),
+                 str(FIXTURES / "spectrum_4level.json"), "--phi0", states[0],
+                 "--s", repr(TIMING_STEP), "--N", str(TIMING_N)])
     for fmt in ("json", "csv"):
         runs += [["gaussian", "--std-dev", "0.5", "--dim", str(d), "--format", fmt]
                  for d in (2, 8, 16)]
