@@ -56,6 +56,7 @@ from __future__ import annotations
 import reprlib
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -186,13 +187,20 @@ class Spectrum:
         nearer wins, the lower on a tie (a cluster may start exactly match_tol
         above its neighbour's top), and one missing, or NaN or +-inf, is never
         within.  The spans are disjoint, so every sigmas[i] resolves to i."""
+        i = int(self._clusters_at(np.array([sigma], dtype=float))[0])
+        return None if i < 0 else i
+
+    def _clusters_at(self, sigmas: np.ndarray) -> np.ndarray:
+        """_cluster_at of every sigma of a float array, -1 for None, in one pass."""
         lowest, highest = self._spans
-        i = int(np.searchsorted(highest, sigma))  # highest[i - 1] < sigma <= highest[i]
-        below = sigma - highest[i - 1] if i > 0 else np.inf
-        distance = max(lowest[i] - sigma, 0.0) if i < highest.size else np.inf
-        if below <= distance:
-            i, distance = i - 1, below
-        return i if distance <= self.match_tol else None
+        top = highest.size - 1
+        i = np.searchsorted(highest, sigmas)  # highest[i - 1] < sigma <= highest[i]
+        below = np.where(i > 0, sigmas - highest[np.maximum(i - 1, 0)], np.inf)
+        distance = np.where(i <= top, np.maximum(lowest[np.minimum(i, top)] - sigmas, 0.0),
+                            np.inf)
+        lower = below <= distance
+        distance = np.where(lower, below, distance)
+        return np.where(distance <= self.match_tol, i - lower, -1)
 
 
 @dataclass(frozen=True)
@@ -258,8 +266,9 @@ class SectorMask:
 class SectorDecomposition:
     """The canonical family sigma -> (S_sigma, M_sigma) of one channel: its store
     (module docstring), from which ``sectors`` is made when first read.  Pairs
-    given to the constructor are checked, each shift the spectrum's sector at its
-    sigma, and their blocks concatenated; sigmas(), like sector(sigma)'s, are the clusters'.
+    given to the constructor are checked all at once (_pair_clusters), each shift the
+    spectrum's sector at its sigma, and their blocks concatenated; sigmas(), like
+    sector(sigma)'s, are the clusters'.
 
     projection_defect is the Choi Frobenius distance between the input channel
     and the decomposition; it is zero (up to roundoff) for exactly covariant
@@ -271,24 +280,9 @@ class SectorDecomposition:
     projection_defect: float = 0.0
 
     def __post_init__(self):
-        spec, clusters, seen = self.spectrum, [], set()
-        for shift, mask in self.sectors:
-            if not shift.dim == mask.dim == spec.dim:
-                raise DimensionMismatch(f"sector {shift.sigma}: shift dim {shift.dim} and mask dim "
-                                        f"{mask.dim}, spectrum dim {spec.dim}")
-            c = spec._cluster_at(shift.sigma)
-            pairs = np.multiply(shift.image, spec.dim) + shift.domain
-            if c is None or not np.array_equal(pairs, spec.sector_pairs[c]):
-                raise UnknownSector(f"sector {shift.sigma}: not the spectrum's shift at that sigma")
-            if c in seen:
-                raise UnknownSector(f"sector {shift.sigma}: listed twice")
-            if spec._cluster_at(mask.sigma) != c or tuple(mask.domain) != tuple(shift.domain):
-                raise UnknownSector(f"sector {shift.sigma}: its mask is for sigma {mask.sigma} "
-                                    f"on levels {tuple(mask.domain)}")
-            clusters.append(c)
-            seen.add(c)
+        clusters = _pair_clusters(self.spectrum, self.sectors)
         self.__dict__["_store"] = _store_of_blocks(
-            spec, clusters, [mask.domain_submatrix for _, mask in self.sectors])
+            self.spectrum, clusters, [mask.domain_submatrix for _, mask in self.sectors])
 
     @classmethod
     def _of_store(cls, spectrum: Spectrum, store: _Layout, **fields):
@@ -413,6 +407,25 @@ def _support_choi(channel: Channel,
     return support, choi, cross
 
 
+def _operator_shifts(channel: Channel, spectrum: Spectrum) -> np.ndarray | None:
+    """sigma_k per Kraus operator A_k when all nonzero entries (j', j) of A_k have one
+    E_j' - E_j, bit for bit; None when some operator has two, or the operators are not
+    n x n.  Then U_t A_k U_t^dag = e^{-i sigma_k t} A_k exactly, U_t = e^{-iHt}: each
+    operator moves energy by one exact difference, with no tolerance involved.  Only the
+    entries on the channel's support are read; an operator with none reads the difference
+    of the support's first pair, or 0.0 when the support is empty."""
+    ops, n = channel._ops, spectrum.dim
+    if ops.shape[1:] != (n, n):
+        return None
+    support = channel._support
+    if not support.size:
+        return np.zeros(len(ops))
+    diffs = spectrum.energies[support // n] - spectrum.energies[support % n]  # E_j' - E_j
+    nonzero = ops.reshape(len(ops), -1)[:, support] != 0
+    sigmas = diffs[np.argmax(nonzero, axis=1)]  # at each operator's first nonzero entry
+    return sigmas if (nonzero <= (diffs == sigmas[:, None])).all() else None
+
+
 # A store, or decompose's work layout: per slot, in size order, its cluster, domain
 # size d, whether its block is real in a complex buffer and the offset of its d x d
 # row-major block in the buffer blocks; the slots in sector order; the flat pairs.
@@ -441,6 +454,48 @@ def _lay_out(spectrum: Spectrum, clusters, blocks, offsets=None) -> _Layout:
     for arr in layout._replace(blocks=offsets):  # all but the blocks, which may be in the making
         arr.setflags(write=False)
     return layout
+
+
+def _pair_clusters(spectrum: Spectrum, sectors) -> np.ndarray:
+    """The cluster of each given (shift, mask) pair, every pair checked at once: the first
+    pair in the given order that fails is named, by the first check it fails of: shift,
+    mask and spectrum dimensions; the shift is the spectrum's at its sigma; its cluster is
+    not listed before; the mask is on that cluster and the shift's levels."""
+    n, m = spectrum.dim, len(sectors)
+    shifts, masks = [pair[0] for pair in sectors], [pair[1] for pair in sectors]
+    clusters = spectrum._clusters_at(np.array([shift.sigma for shift in shifts], dtype=float))
+    sizes = np.where(clusters < 0, 0, spectrum._sizes[clusters])
+    pairs = spectrum._flat[_runs(spectrum._starts[clusters], sizes)]  # the spectrum's, by pair
+
+    def differ(runs, want):  # per pair: its run of levels is not its sizes[i] entries of want
+        held = np.array([len(run) for run in runs], dtype=np.intp) == sizes
+        kept = runs if held.all() else [run for run, h in zip(runs, held.tolist()) if h]
+        got = np.fromiter(chain.from_iterable(kept), np.intp, int(sizes[held].sum()))
+        wrong = np.bincount(np.repeat(np.flatnonzero(held), sizes[held]), minlength=m,
+                            weights=got != want[np.repeat(held, sizes)])
+        return ~held | (wrong > 0)
+
+    wrong_dim = np.array([not shift.dim == mask.dim == n for shift, mask in sectors], dtype=bool)
+    unknown = ((clusters < 0) | differ([shift.domain for shift in shifts], pairs % n)
+               | differ([shift.image for shift in shifts], pairs // n))
+    _, first, at = np.unique(clusters, return_index=True, return_inverse=True)
+    twice = first[at] < np.arange(m)
+    moved = (spectrum._clusters_at(np.array([mask.sigma for mask in masks], dtype=float))
+             != clusters) | differ([mask.domain for mask in masks], pairs % n)
+    failing = wrong_dim | unknown | twice | moved
+    if failing.any():
+        i = int(np.argmax(failing))
+        shift, mask = sectors[i]
+        if wrong_dim[i]:
+            raise DimensionMismatch(f"sector {shift.sigma}: shift dim {shift.dim} and mask dim "
+                                    f"{mask.dim}, spectrum dim {n}")
+        if unknown[i]:
+            raise UnknownSector(f"sector {shift.sigma}: not the spectrum's shift at that sigma")
+        if twice[i]:
+            raise UnknownSector(f"sector {shift.sigma}: listed twice")
+        raise UnknownSector(f"sector {shift.sigma}: its mask is for sigma {mask.sigma} "
+                            f"on levels {tuple(mask.domain)}")
+    return clusters
 
 
 def _store_of_blocks(spectrum: Spectrum, clusters, blocks) -> _Layout:

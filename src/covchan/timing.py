@@ -6,8 +6,18 @@ the dynamics is periodic with period s*N, the channel restricted to the N
 orbit states U_{sj} phi0 is a Hadamard channel with a circulant mask V,
 V_{jk} = v(j - k), where v is the Fourier transform of the energy-shift
 distribution evaluated at -s*j.  The DFT of v gives a probability vector q,
-and the quantum capacity is at least log2(N) - S(q).  For a pure phi0 each of
-these is a Gram product of the orbit factor B_j = [A_k U_{sj} phi0]_k (_orbit),
+and the quantum capacity is at least log2(N) - S(q).
+
+Two routes give the orthogonality defects and v for a pure phi0.  When every
+Kraus operator A_k moves energy by one exact difference sigma_k (all its
+nonzero entries (j', j) share one E_j' - E_j, bit for bit:
+covariant._operator_shifts), U_t A_k U_t^dag = e^{-i sigma_k t} A_k, so one
+application suffices in timing_channel: the orbit outputs are
+U_{sj} out_0 U_{sj}^dag, tr(out_a out_b) depends on b - a alone (_lag_overlaps)
+and v(j) = sum_k |A_k phi0|^2 e^{-i sigma_k s j} (_fourier, which also serves
+v_from_distribution).  Every other family (operators that mix energy
+differences, even at roundoff), and is_reliable_timing, take the orbit factor
+B_j = [A_k U_{sj} phi0]_k (_orbit), whose Gram products give the outputs and
 v with no support projector, as G(|phi0><phi0|) = B_0 B_0^dag has the range of B_0.
 """
 from __future__ import annotations
@@ -20,12 +30,13 @@ import numpy as np
 from . import channels as mc
 from .capacity import spectrum_to_bound
 from .channels import Channel
-from .covariant import (EnergyShiftDistribution, Spectrum, _check_phase, _shift_kraus,
-                        partial_shift)
+from .covariant import (EnergyShiftDistribution, Spectrum, _check_phase, _operator_shifts,
+                        _shift_kraus, partial_shift)
 from .errors import DimensionMismatch, InvalidParameter, NotPeriodic, NotReliableTiming
 
-# Largest accepted orbit length: the orthogonality check holds an N x N complex
-# Gram matrix (256 MiB at 4096), so more is refused before anything is allocated.
+# Largest accepted orbit length, refused beyond before anything is allocated.  The
+# orbit route's orthogonality check holds an N x N complex Gram matrix (256 MiB at
+# 4096); the one-application route holds O(N (n + K)), K Kraus operators.
 MAX_N = 4096
 
 
@@ -56,13 +67,10 @@ class ShiftMixture:
     tp_defect: float  # Frobenius defect of sum p_j S^dag S - 1 on the full space
 
 
-def _orbit(channel: Channel, spectrum: Spectrum, phi0: np.ndarray, s: float, N: int):
-    """Check phi0, the dimensions and the step once; return (ph, B): ph[j] is the
-    diagonal of U_{sj} = e^{-iHsj} and B[j][:, k] = A_k U_{sj} phi0 (N x dim_out x K).
-    With rho0 = |phi0><phi0| and phi_{sj} = U_{sj} phi0 the Kraus sum gives
-        G(U_{sj} rho0 U_{sj}^dag) = B_j B_j^dag,    G(|phi0><phi_{sj}|) = B_0 B_j^dag.
-    Every phase argument E_k s j, j = 0..N (the orbit's and its period's), must be finite.
-    """
+def _checked_phi0(channel: Channel, spectrum: Spectrum, phi0, s: float, N: int) -> np.ndarray:
+    """phi0 as a complex vector, after the checks of both routes in order: the dimensions,
+    the norm of phi0, then every phase argument E_k s j, j = 0..N (the orbit's and its
+    period's), finite."""
     phi0 = np.asarray(phi0, dtype=complex).reshape(-1)
     n = spectrum.dim
     if phi0.size != n or channel.dim_in != n:
@@ -70,9 +78,26 @@ def _orbit(channel: Channel, spectrum: Spectrum, phi0: np.ndarray, s: float, N: 
     if abs(np.linalg.norm(phi0) - 1.0) > mc.EPS_TR:
         raise InvalidParameter(f"phi0 must be normalized, got norm {np.linalg.norm(phi0)}")
     _check_phase(spectrum.energies, float(s) * N, f"s * N, s = {s}")
+    return phi0
+
+
+def _orbit(channel: Channel, spectrum: Spectrum, phi0: np.ndarray, s: float, N: int):
+    """(ph, B) for a checked phi0 (_checked_phi0): ph[j] is the diagonal of
+    U_{sj} = e^{-iHsj} and B[j][:, k] = A_k U_{sj} phi0 (N x dim_out x K).
+    With rho0 = |phi0><phi0| and phi_{sj} = U_{sj} phi0 the Kraus sum gives
+        G(U_{sj} rho0 U_{sj}^dag) = B_j B_j^dag,    G(|phi0><phi_{sj}|) = B_0 B_j^dag.
+    """
     ph = spectrum.phases(s * np.arange(N)[:, None])
-    b = channel._ops.reshape(-1, n) @ (ph * phi0).T  # rows (k, output level)
+    b = channel._ops.reshape(-1, spectrum.dim) @ (ph * phi0).T  # rows (k, output level)
     return ph, b.reshape(-1, channel.dim_out, N).transpose(2, 1, 0)
+
+
+def _lag_overlaps(a: np.ndarray, spectrum: Spectrum, s: float, lags: np.ndarray) -> np.ndarray:
+    """Re tr(out_0 out_d) at each lag d, out_d = U_{sd} out_0 U_{sd}^dag the orbit outputs of
+    a family that moves energy by exact differences and out_0 = sum_k a_k a_k^dag, a_k = A_k
+    phi0 the rows of a: sum_jl |out_0(j, l)|^2 e^{-i(E_j - E_l) s d}, per-level phases."""
+    ph = spectrum.phases(s * lags[:, None])
+    return np.vecdot(ph, ph @ np.abs(a.conj().T @ a) ** 2).real
 
 
 def is_reliable_timing(
@@ -82,8 +107,10 @@ def is_reliable_timing(
 
     The reliable timing property holds at step s iff the defect vanishes.
     A step whose phases E_k s j (j <= 2) are not finite raises InvalidParameter.
+    A two-state orbit is one application more than the lag sum needs, less than
+    its route test costs, so every family takes _orbit here.
     """
-    b = _orbit(channel, spectrum, phi0, s, 2)[1]
+    b = _orbit(channel, spectrum, _checked_phi0(channel, spectrum, phi0, s, 2), s, 2)[1]
     out = b @ b.conj().swapaxes(1, 2)
     return float(np.vdot(out[0], out[1]).real)  # tr(out_0 out_1) for Hermitian outputs
 
@@ -120,15 +147,23 @@ def _check_n(N: int) -> None:
         raise InvalidParameter(f"N must lie in [1, MAX_N = {MAX_N}]")
 
 
+def _fourier(weights: np.ndarray, sigmas: np.ndarray, s: float, N: int) -> np.ndarray:
+    """sum_i weights[i] e^{-i sigmas[i] s j} at j = 0..N-1, in np.longdouble: a phase
+    argument sigma s j rounded to a double is off by up to |sigma s j| u (3e-14 at
+    sigma s j = 300), and one such phase carries a sector's whole weight.  On x86-64
+    the sums come within about one double ulp of a 40-digit evaluation; where longdouble
+    is double they are what a double evaluation gives."""
+    phases = np.exp(-1j * np.outer(np.arange(N) * np.longdouble(s), sigmas))
+    return (phases @ weights).astype(complex)
+
+
 def v_from_distribution(dist: EnergyShiftDistribution, s: float, N: int) -> np.ndarray:
     """Coherence vector v(j) = sum_sigma p(sigma) e^{-i sigma s j}, j < N (finite
     phases), for N in [1, MAX_N]."""
     _check_n(N)
     sig = np.array([x for x, _ in dist.pairs])
     _check_phase(sig, float(s) * (N - 1), f"s * (N - 1), s = {s}")
-    p = np.array([y for _, y in dist.pairs])
-    j = np.arange(N)
-    return (p[None, :] * np.exp(-1j * np.outer(j * s, sig))).sum(axis=1)
+    return _fourier(np.array([y for _, y in dist.pairs]), sig, s, N)
 
 
 def circulant(v: np.ndarray) -> np.ndarray:
@@ -150,21 +185,21 @@ def timing_channel(
     """Restrict a reliable-timing channel to its N orbit states and bound Q.
 
     Checks, in order: N, the dimensions and phi0, the phase arguments
-    E_k s j up to the period (in _orbit), periodicity of the dynamics
-    (e^{-iHsN} proportional to the identity), pairwise orthogonality of the
-    N outputs, then evaluates, with the orbit factor B of _orbit,
+    E_k s j up to the period, periodicity of the dynamics (e^{-iHsN}
+    proportional to the identity), pairwise orthogonality of the N outputs,
+    then evaluates
 
-        v(j) = tr( U_{sj} P G(|phi_0><phi_{sj}|) ) = tr( U_{sj} B_0 B_j^dag )
+        v(j) = tr( U_{sj} P G(|phi_0><phi_{sj}|) )
 
-    with P the support projector of G(|phi_0><phi_0|) = B_0 B_0^dag and
-    U_t = e^{-iHt}; P B_0 = B_0, so P is never formed.
+    with P the support projector of G(|phi_0><phi_0|) and U_t = e^{-iHt}, by
+    one of the two routes of the module docstring.
     The DFT q_k = (1/N) sum_j v(j) e^{-2 pi i jk / N} yields the capacity
     lower bound log2(N) - S(q).
     """
     _check_n(N)
     if channel.dim_out != spectrum.dim:
         raise DimensionMismatch("phi0, channel and spectrum dimensions differ")
-    ph, b = _orbit(channel, spectrum, phi0, s, N)
+    phi0 = _checked_phi0(channel, spectrum, phi0, s, N)
 
     # Periodicity: all phases omega_j * s * N must agree mod 2 pi.
     phases = spectrum.phases(s * N)
@@ -172,13 +207,27 @@ def timing_channel(
     if not period_defect <= 1e-9:
         raise NotPeriodic(f"e^(-iHsN) deviates from a global phase by {period_defect:.3e}")
 
-    # Pairwise orthogonality: tr(out_a out_b) = vdot(out_a, out_b), out_j being Hermitian.
-    flat = (b @ b.conj().swapaxes(1, 2)).reshape(N, -1)
-    defect = float((flat.conj() @ flat.T).real[np.triu_indices(N, 1)].max(initial=0.0))
+    # Pairwise orthogonality, tr(out_a out_b) for a < b: a function of b - a alone
+    # when the family moves energy by exact differences, else one Gram product of
+    # the orbit outputs (vdot(out_a, out_b), out_j being Hermitian).
+    en = spectrum.energies  # each |sigma_k| is at most the spread: sigma_k s j stays finite
+    finite = math.isfinite((float(en[-1]) - float(en[0])) * abs(float(s)) * N)
+    sigmas = _operator_shifts(channel, spectrum) if finite else None
+    if sigmas is None:
+        ph, b = _orbit(channel, spectrum, phi0, s, N)
+        flat = (b @ b.conj().swapaxes(1, 2)).reshape(N, -1)
+        overlaps = (flat.conj() @ flat.T).real[np.triu_indices(N, 1)]
+    else:
+        a = channel._ops @ phi0  # row k: A_k phi0
+        overlaps = _lag_overlaps(a, spectrum, s, np.arange(1, N))
+    defect = float(overlaps.max(initial=0.0))
     if defect > tol:
         raise NotReliableTiming(defect, tol)
 
-    v = np.einsum("ja,ak,jak->j", ph, b[0], b.conj())
+    if sigmas is None:  # v(j) = tr(U_{sj} B_0 B_j^dag): P B_0 = B_0
+        v = np.einsum("ja,ak,jak->j", ph, b[0], b.conj())
+    else:  # v(j) = sum_k |A_k phi0|^2 e^{-i sigma_k s j} = sum_sigma p(sigma) e^{-i sigma s j}
+        v = _fourier(np.vecdot(a, a).real, sigmas, s, N)
 
     # The circulant built from v is Hermitian for covariant channels, so the
     # DFT spectrum is real up to roundoff.

@@ -23,6 +23,7 @@ from covchan.errors import (
     NotCP,
     NotPeriodic,
     NotReliableTiming,
+    UnknownSector,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -508,6 +509,29 @@ def cluster_at_by_nearest_span(spectrum: cc.Spectrum, sigma: float) -> int | Non
         near.append((max(lowest[i] - sigma, 0.0), i))
     distance, i = min(near, key=lambda pair: pair[0])
     return i if distance <= spectrum.match_tol else None
+
+
+def pair_clusters_by_loop(spectrum: cc.Spectrum, sectors) -> list[int]:
+    """Oracle for covariant._pair_clusters: each (shift, mask) pair checked in turn,
+    its dimensions, its shift's pairs against the spectrum's at its sigma, its cluster
+    against those seen before and its mask's sigma and levels; the first fault raises."""
+    clusters, seen = [], set()
+    for shift, mask in sectors:
+        if not shift.dim == mask.dim == spectrum.dim:
+            raise DimensionMismatch(f"sector {shift.sigma}: shift dim {shift.dim} and mask dim "
+                                    f"{mask.dim}, spectrum dim {spectrum.dim}")
+        c = spectrum._cluster_at(shift.sigma)
+        pairs = np.multiply(shift.image, spectrum.dim) + shift.domain
+        if c is None or not np.array_equal(pairs, spectrum.sector_pairs[c]):
+            raise UnknownSector(f"sector {shift.sigma}: not the spectrum's shift at that sigma")
+        if c in seen:
+            raise UnknownSector(f"sector {shift.sigma}: listed twice")
+        if spectrum._cluster_at(mask.sigma) != c or tuple(mask.domain) != tuple(shift.domain):
+            raise UnknownSector(f"sector {shift.sigma}: its mask is for sigma {mask.sigma} "
+                                f"on levels {tuple(mask.domain)}")
+        clusters.append(c)
+        seen.add(c)
+    return clusters
 
 
 def monte_carlo_by_full_displacement(rho: cc.DensityMatrix,

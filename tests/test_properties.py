@@ -16,7 +16,8 @@ from covchan import fock
 from covchan import generate as gen
 from covchan import serialize as ser
 from covchan import timing as tim
-from covchan.errors import DegenerateSpectrum, NotCovariant, NotCP
+from covchan.errors import (DegenerateSpectrum, DimensionMismatch, NotCovariant, NotCP,
+                            UnknownSector)
 
 from conftest import (
     apply_sectors_per_sector,
@@ -29,6 +30,7 @@ from conftest import (
     domain_extension_per_sector,
     hadamard_channel_by_diagonals,
     mask_failure_by_eigvalsh,
+    pair_clusters_by_loop,
     reconstruct_per_sector,
     sector_map_by_cluster_loop,
     sha256_of,
@@ -516,9 +518,67 @@ def test_cluster_lookup_equals_the_nearest_span_oracle(spec):
                    spec.sigmas, np.nan, np.inf, -np.inf]
     for sigma in sigmas.tolist():
         assert spec._cluster_at(sigma) == cluster_at_by_nearest_span(spec, sigma), sigma
+    want = [cluster_at_by_nearest_span(spec, sigma) for sigma in sigmas.tolist()]
+    assert spec._clusters_at(sigmas).tolist() == [-1 if c is None else c for c in want]
     below = halfway - highest[:-1]
     tied = (below == lowest[1:] - halfway) & (below <= spec.match_tol)  # the lower one wins
     assert [spec._cluster_at(s) for s in halfway[tied].tolist()] == np.flatnonzero(tied).tolist()
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and text of the error it raises."""
+    try:
+        return fn(*args)
+    except (UnknownSector, DimensionMismatch) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("family", ["integer", "sqrt_prime", "chained"])
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_pair_check_names_the_loops_first_fault(family, data):
+    # SectorDecomposition(...) checks all given pairs at once; the per-pair loop it
+    # replaced names the first faulty pair in the given order by its first fault.
+    spec = data.draw(spectra_to_12_levels(family))
+    n = spec.dim
+    clusters = data.draw(st.permutations(range(len(spec.sigmas))))
+    clusters = clusters[:data.draw(st.integers(0, len(clusters)))]
+    pairs = []
+    for c in clusters:
+        shift = cov.partial_shift(spec, float(spec.sigmas[c]))
+        pairs.append((shift, cov.SectorMask(shift.sigma, np.eye(len(shift.domain)) / 2,
+                                            shift.domain, n)))
+    for fault in data.draw(st.lists(st.sampled_from(
+            ["twice", "no sigma", "levels", "moved", "dim", "nan"]), max_size=3)):
+        if not pairs:
+            break
+        j = data.draw(st.integers(0, len(pairs) - 1))
+        shift, mask = pairs[j]
+        d = len(shift.domain)
+        if fault == "twice":
+            pairs.insert(data.draw(st.integers(j + 1, len(pairs))), pairs[j])
+        elif fault == "no sigma":
+            empty = cov.PartialShift(float(spec.sigmas[-1]) + 1.0, (), (), n)
+            pairs[j] = (empty, cov.SectorMask(empty.sigma, np.eye(1) / 2, (0,), n))
+        elif fault == "levels":
+            cut = cov.PartialShift(shift.sigma, shift.domain[::-1][:d - (d == 1)],
+                                   shift.image[::-1][:d - (d == 1)], n)
+            pairs[j] = (cut, mask)
+        elif fault == "moved":
+            other = pairs[data.draw(st.integers(0, len(pairs) - 1))][1]
+            pairs[j] = (shift, other)
+        elif fault == "dim":
+            pairs[j] = (shift, cov.SectorMask(mask.sigma, mask.domain_submatrix, mask.domain,
+                                              n + 1))
+        else:
+            pairs[j] = (shift, cov.SectorMask(np.nan, mask.domain_submatrix, mask.domain, n))
+    want = outcome(pair_clusters_by_loop, spec, tuple(pairs))
+    got = outcome(cov.SectorDecomposition, spec, tuple(pairs))
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        store = got._store
+        assert store.clusters[store.order].tolist() == want
 
 
 @st.composite

@@ -1,3 +1,6 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +13,7 @@ from covchan import covariant as cov
 from covchan import generate as gen
 from covchan import timing as tim
 from covchan.errors import InvalidParameter, NotPeriodic, NotReliableTiming
-from conftest import dense_pair_defect, timing_by_dense_applications
+from conftest import dense_pair_defect, sha256_of, timing_by_dense_applications
 
 
 def four_level():
@@ -310,3 +313,155 @@ def test_orbit_route_matches_dense_applications(case):
     else:
         _, pair = dense_pair_defect(chan, spec, np.outer(phi0, phi0.conj()), s, 2)
         assert tim.is_reliable_timing(chan, spec, phi0, s) == pytest.approx(pair, abs=1e-12)
+
+
+def three_shift_fixture(N, rng, energies=None):
+    """random_timing_fixture with three components, the shapes of the benchmark's
+    timing items; ``energies`` (a function of the dimension) replaces the integer
+    spectrum, its shifts then taken at the same level offsets."""
+    offsets = rng.permutation(np.array([0, N // 2, N - 1]))
+    levels = [l * N + int(offsets[: l + 1].sum()) for l in range(3)]
+    probs = rng.random(3) + 0.1
+    dim = N + levels[-1]
+    spec = cc.Spectrum(np.arange(float(dim)) if energies is None else energies(dim))
+    sigmas = [float(spec.energies[m] - spec.energies[0]) for m in levels]
+    mix = tim.build_shift_mixture(spec, list(zip(sigmas, probs / probs.sum())))
+    phi0 = np.zeros(dim, dtype=complex)
+    phi0[:N] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=N)) / np.sqrt(N)
+    return mix.channel, spec, phi0, 2.0 * np.pi / N
+
+
+def gauge_mixed(chan, rng):
+    """The channel's operators mixed by a random (K + 2) x K isometry U: the operators
+    sum_k U_mk A_k give the same channel, and each mixes the sectors of the A_k."""
+    K = len(chan.kraus)
+    u = np.linalg.qr(rng.normal(size=(K + 2, K)) + 1j * rng.normal(size=(K + 2, K)))[0]
+    return cc.Channel(tuple(np.tensordot(u, np.stack(chan.kraus), axes=1)))
+
+
+def report_numbers(rep):
+    return rep.v, rep.q, rep.bound, rep.orthogonality_defect
+
+
+def entropy_term(x):
+    """-x log2 x, the most a q entry of size x can move the bound by."""
+    return -x * np.log2(x)
+
+
+U = 2.0 ** -53  # unit roundoff
+
+
+class TestOneApplicationRoute:
+    @pytest.mark.parametrize("N", [2, 4, 6, 8, 12, 16])
+    def test_benchmark_shapes_never_take_the_orbit(self, N, monkeypatch, rng):
+        chan, spec, phi0, s = three_shift_fixture(N, rng)
+        v, q, bound, defect = timing_by_dense_applications(chan, spec, phi0, s, N)
+
+        def refuse(*args):
+            raise AssertionError("orbit route")
+
+        monkeypatch.setattr(tim, "_orbit", refuse)
+        rep = tim.timing_channel(chan, spec, phi0, s, N)
+        np.testing.assert_allclose(rep.v, v, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(rep.q, q, rtol=0.0, atol=1e-12)
+        assert rep.bound == pytest.approx(bound, abs=1e-12)
+        assert rep.orthogonality_defect == pytest.approx(defect, abs=1e-12)
+        with pytest.raises(NotPeriodic):  # the benchmark's 0.97 step
+            tim.timing_channel(chan, spec, phi0, 0.97 * s, N)
+
+    def test_spacing_one_is_refused_on_the_new_route(self, monkeypatch):
+        # The benchmark's not-orthogonal item: shifts 0, 1, 2 apart with N = 4.
+        spec = cc.Spectrum(np.arange(7.0))
+        mix = tim.build_shift_mixture(spec, [(0.0, 0.5), (1.0, 0.3), (3.0, 0.2)])
+        monkeypatch.setattr(tim, "_orbit", None)
+        with pytest.raises(NotReliableTiming):
+            tim.timing_channel(mix.channel, spec, orbit_state(7, 4), np.pi / 2, 4)
+
+    def test_operator_shifts_are_exact_differences(self):
+        spec = cc.Spectrum(np.arange(5.0))
+        mix = tim.build_shift_mixture(spec, [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)])
+        assert cov._operator_shifts(mix.channel, spec).tolist() == [0.0, 2.0, -1.0]
+        assert cov._operator_shifts(cc.identity_channel(5), spec).tolist() == [0.0]
+        zero = cc.Channel((np.zeros((5, 5)),))
+        assert cov._operator_shifts(zero, spec).tolist() == [0.0]
+        assert cov._operator_shifts(cc.Channel((np.ones((5, 5)),)), spec) is None
+        assert cov._operator_shifts(cc.Channel((np.ones((4, 5)),)), spec) is None
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(N=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([1e-9, np.inf]))
+    def test_kraus_gauge_law_across_both_routes(self, N, seed, tol):
+        # {sum_k U_mk A_k} is the channel {A_k}.  In timing_channel the mixed operators
+        # take the orbit and the unmixed ones one application; is_reliable_timing takes the
+        # orbit for both.  The orbit's phases E s j carry |E s j| u each, so v and q agree
+        # within c u (1 + max E s N); the bound moves by at most N entropy terms of that
+        # size (the q entries near 0).
+        # Measured over 300 seeds, N = 1-8: c = 0.44 for v and q, 0.42 u for the defect,
+        # 4 u for is_reliable_timing and 3 u for the masks; largest bound move 7.9e-14.
+        rng = np.random.default_rng(seed)
+        chan, spec, phi0, s = three_shift_fixture(N, rng)
+        mixed = gauge_mixed(chan, rng)
+        with mock.patch.object(tim, "_orbit", wraps=tim._orbit) as orbit:
+            rep = tim.timing_channel(chan, spec, phi0, s, N, tol)
+            assert orbit.call_count == 0
+            got = tim.timing_channel(mixed, spec, phi0, s, N, tol)
+            assert orbit.call_count == 1
+        pair, got_pair = (tim.is_reliable_timing(c, spec, phi0, s) for c in (chan, mixed))
+        scale = 8 * U * (1.0 + spec.energies[-1] * s * N)
+        assert np.abs(got.v - rep.v).max() <= scale
+        assert np.abs(got.q - rep.q).max() <= scale
+        assert abs(got.bound - rep.bound) <= N * entropy_term(scale)
+        assert abs(got.orthogonality_defect - rep.orthogonality_defect) <= 16 * U
+        assert abs(got_pair - pair) <= 16 * U
+        blocks = [[mask.domain_submatrix for _, mask in cov.decompose(c, spec).sectors]
+                  for c in (chan, mixed)]
+        assert len(blocks[0]) == len(blocks[1])
+        for want, have in zip(*blocks):
+            assert np.abs(have - want).max() <= 16 * U
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=40)
+    @given(N=st.integers(1, 8), k=st.integers(-60, 60), seed=st.integers(0, 2**32 - 1),
+           mixed=st.booleans())
+    def test_energy_scale_law_on_both_routes(self, N, k, seed, mixed):
+        # Spectrum(2^k E) with step 2^-k s forms every phase argument from the same
+        # products as E with step s, so v, q, the bound and the defect are bit-identical.
+        rng = np.random.default_rng(seed)
+        chan, spec, phi0, s = three_shift_fixture(N, rng)
+        if mixed:
+            chan = gauge_mixed(chan, rng)
+        scaled = cc.Spectrum(2.0 ** k * spec.energies)
+        assert (cov._operator_shifts(chan, scaled) is None) == mixed
+        reports = [tim.timing_channel(chan, sp, phi0, t, N, np.inf)
+                   for sp, t in ((spec, s), (scaled, 2.0 ** -k * s))]
+        assert sha256_of(report_numbers(reports[0])) == sha256_of(report_numbers(reports[1]))
+        assert (tim.is_reliable_timing(chan, spec, phi0, s)
+                == tim.is_reliable_timing(chan, scaled, phi0, 2.0 ** -k * s))
+
+    @pytest.mark.parametrize("k", [-60, -1, 0, 7, 60])
+    def test_sqrt2_spacing_takes_the_orbit(self, k, rng):
+        # On a [0, 1, ..., n) with a = sqrt(2), a m' - a m is not the same double for
+        # every pair m' - m: the shifts' operators have several differences, bit for bit.
+        a = 2.0 ** k * np.sqrt(2.0)
+        chan, spec, phi0, s = three_shift_fixture(6, rng, lambda dim: a * np.arange(float(dim)))
+        assert cov._operator_shifts(chan, spec) is None
+        with mock.patch.object(tim, "_orbit", wraps=tim._orbit) as orbit:
+            rep = tim.timing_channel(chan, spec, phi0, s / a, 6, np.inf)
+        assert orbit.call_count == 1
+        want = timing_by_dense_applications(chan, spec, phi0, s / a, 6, np.inf)
+        np.testing.assert_allclose(rep.v, want[0], rtol=0.0, atol=1e-12)
+        base = cc.Spectrum(np.sqrt(2.0) * np.arange(float(spec.dim)))
+        same = tim.timing_channel(chan, base, phi0, 2.0 ** k * (s / a), 6, np.inf)
+        assert sha256_of(report_numbers(rep)) == sha256_of(report_numbers(same))
+
+    def test_long_orbit_holds_no_n_by_n_gram(self):
+        # At N = 1024 the orbit route's N x N complex Gram matrix alone is 16 MiB.
+        spec = cc.Spectrum(np.arange(16.0))
+        mix = tim.build_shift_mixture(spec, [(0.0, 0.5), (1.0, 0.3), (-15.0, 0.2)])
+        phi0 = np.full(16, 0.25, dtype=complex)
+        tracemalloc.start()
+        try:
+            rep = tim.timing_channel(mix.channel, spec, phi0, 2.0 * np.pi / 1024, 1024, np.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.v.shape == (1024,)
+        assert peak <= 4 * 2**20, peak

@@ -19,6 +19,12 @@ Rows, each timed in a fresh process with OPENBLAS_NUM_THREADS=1:
   and both on the shift mixture {(0, .5), (2, .3), (-1, .2)} on the integer
   spectrum at n = 28 and 128 (each call on the channel and decomposition as
   they were built);
+- timing.timing_channel and timing.is_reliable_timing on the benchmark's
+  bounds timing shapes (tools/benchlib.timing_mixture, N = 2, 4, 6, 8, 12 and
+  16, step 2 pi / N), each also with its operators mixed by a random isometry
+  (benchlib.gauge_mixed, the orbit route), and timing_channel with tol = inf on
+  the shift mixture {(0, .5), (1, .3), (-15, .2)} at n = 16 and N = 64, 256
+  and 1024;
 - the other two builders of covariant Kraus families, which lay out their
   operators as reconstruct does: capacity.hadamard_channel of one random
   unit-diagonal mask at n = 16 and 64, and timing.build_shift_mixture of the
@@ -50,7 +56,7 @@ from __future__ import annotations
 
 import sys
 
-from benchlib import main, spectrum_energies, time_row
+from benchlib import gauge_mixed, main, spectrum_energies, time_row, timing_mixture
 
 DIMS = (16, 32, 64, 120, 186)
 STD_DEVS = (0.3, 1.0)
@@ -63,6 +69,8 @@ MIXTURE = [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)]
 HADAMARD_SIZES = (16, 64)
 SPECTRUM_SIZES = (16, 64)
 PSD_SIZES = (4, 16, 64)
+TIMING_NS = (2, 4, 6, 8, 12, 16)
+LONG_NS = (64, 256, 1024)
 
 
 def _as_built(*objs):
@@ -148,6 +156,22 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
         spec = cov.Spectrum(np.arange(float(n)))
         rows.append(time_row("timing.build_shift_mixture", "shift mixture", n,
                              lambda: tim.build_shift_mixture(spec, MIXTURE), rounds))
+    for N in TIMING_NS:
+        rng = np.random.default_rng(N)
+        chan, spec, phi0 = timing_mixture(N, N, rng)
+        s = 2.0 * np.pi / N
+        for kind, c in (("three-shift mixture", chan), ("gauge-mixed", gauge_mixed(chan, rng))):
+            rows.append(time_row("timing.timing_channel", kind, N,
+                                 lambda: tim.timing_channel(c, spec, phi0, s, N), rounds))
+            rows.append(time_row("timing.is_reliable_timing", kind, N,
+                                 lambda: tim.is_reliable_timing(c, spec, phi0, s), rounds))
+    spec = cov.Spectrum(np.arange(16.0))
+    chan = tim.build_shift_mixture(spec, [(0.0, 0.5), (1.0, 0.3), (-15.0, 0.2)]).channel
+    phi0 = np.full(16, 0.25)
+    for N in LONG_NS:
+        rows.append(time_row("timing.timing_channel", "n = 16 mixture, tol = inf", N,
+                             lambda: tim.timing_channel(chan, spec, phi0, 2.0 * np.pi / N, N,
+                                                        np.inf), rounds))
     stack = np.random.default_rng(0).standard_normal((256, 16, 16)) + 0j
     rows.append(time_row("channels.Channel._adopt", "(256, 16, 16) stack", 16,
                          lambda: mc.Channel._adopt(stack), rounds))

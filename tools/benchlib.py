@@ -37,6 +37,35 @@ def spectrum_energies(n: int):
             ("sqrt_prime", np.r_[0.0, np.cumsum(np.sqrt(primes(n - 1)))]))
 
 
+def timing_mixture(N: int, spacing: int, rng):
+    """The benchmark's bounds timing shape, (channel, spectrum, phi0): a mixture of three
+    partial shifts l * spacing plus a running sum of seeded offsets 0, N // 2 and N - 1 on
+    the integer spectrum, and a random-phase state on levels 0..N-1; 2 pi / N is a period."""
+    import numpy as np
+    import covchan as cc
+    from covchan import timing as tim
+
+    offsets = rng.permutation(np.array([0, N // 2, N - 1]))
+    sigmas = [l * spacing + int(offsets[: l + 1].sum()) for l in range(3)]
+    probs = rng.random(3) + 0.1
+    spec = cc.Spectrum(np.arange(float(N + sigmas[-1])))
+    mix = tim.build_shift_mixture(spec, list(zip(map(float, sigmas), probs / probs.sum())))
+    phi0 = np.zeros(spec.dim, dtype=complex)
+    phi0[:N] = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=N)) / np.sqrt(N)
+    return mix.channel, spec, phi0
+
+
+def gauge_mixed(channel, rng):
+    """The same channel as K + 2 operators sum_k U_mk A_k, U a random (K + 2) x K
+    isometry: each operator mixes the energy shifts of the A_k."""
+    import numpy as np
+    import covchan as cc
+
+    K = len(channel.kraus)
+    u = np.linalg.qr(rng.normal(size=(K + 2, K)) + 1j * rng.normal(size=(K + 2, K)))[0]
+    return cc.Channel(tuple(np.tensordot(u, np.stack(channel.kraus), axes=1)))
+
+
 def time_row(name: str, variant: str, n: int, fn, rounds: int) -> dict:
     """One call of fn in ms, rounds times: each round times enough calls to
     last about 0.1 s, after warm-up calls that take about as long."""

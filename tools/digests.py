@@ -36,6 +36,12 @@ fields, a channel by its Kraus operators.  The corpus:
   through is_reliable_timing and timing_channel (N = 4, tol 1e-9 and 1) at
   s = pi / 2 from the uniform superposition of all levels, a refusal
   digested as its error's type and text;
+- the benchmark's bounds timing shapes (three-shift mixtures on the integer
+  spectrum at N = 2-6, 8, 12 and 16 from a random-phase state on levels
+  0..N-1, step 2 pi / N; the spacing-1 mixture at N = 4, refused as not
+  orthogonal; the 0.97 step at N = 6, refused as not periodic), each also with
+  its operators mixed by a random 5 x 3 isometry (the same channel, on the
+  orbit route), through is_reliable_timing and timing_channel;
 - compare_decomposition_to_mc at dims 8 and 16 (std_dev 0.5, 2,000 samples,
   seed 424242) from the vacuum and from the superposition of levels 0 and 1;
 - two faulty decomposition objects on the 3-level integer spectrum, a
@@ -64,7 +70,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from benchlib import ROOT, run_worker
+from benchlib import ROOT, gauge_mixed, run_worker, timing_mixture
 
 FIXTURES = ROOT / "fixtures"
 CORPUS_SEED = 424242  # criterion 1's
@@ -77,6 +83,9 @@ HADAMARD_SIZES = (*range(1, 13), 16, 32)
 MIXTURE_SIZES = (*range(2, 13), 28, 128)
 T = 0.7
 TIMING_STEP, TIMING_N = math.pi / 2, 4  # the integer spectrum's period is 4 steps
+# The benchmark's bounds timing shapes, (N, component spacing, step in units of 2 pi / N):
+# N = 2-16, the not-orthogonal spacing-1 item and the not-periodic 0.97 step.
+BOUNDS_TIMING = (*((N, N, 1.0) for N in (2, 3, 4, 5, 6, 8, 12, 16)), (4, 1, 1.0), (6, 6, 0.97))
 DENSE_CLI_SIZE = 16
 MC_DIMS, MC_SAMPLES = (8, 16), 2000
 
@@ -244,6 +253,17 @@ def _corpus():
         for tol in (1e-9, 1.0):  # the default refuses these orbits; 1.0 lets the report through
             yield ("timing_channel", f"{name} tol={tol!r}", lambda c=chan, s=spec, p=phi0, t=tol:
                    _or_error(tim.timing_channel, c, s, p, TIMING_STEP, TIMING_N, t))
+
+    for N, spacing, step in BOUNDS_TIMING:
+        rng = np.random.default_rng([N, spacing, 5])
+        chan, spec, phi0 = timing_mixture(N, spacing, rng)
+        for label, c in (("", chan), (" gauge-mixed", gauge_mixed(chan, rng))):
+            name = f"bounds timing N={N} spacing={spacing} step={step}{label}"
+            s = step * 2.0 * math.pi / N
+            yield ("is_reliable_timing", name, lambda c=c, sp=spec, p=phi0, s=s:
+                   _or_error(tim.is_reliable_timing, c, sp, p, s))
+            yield ("timing_channel", name, lambda c=c, sp=spec, p=phi0, s=s, N=N:
+                   _or_error(tim.timing_channel, c, sp, p, s, N))
 
     for dim in MC_DIMS:
         params = fock.FockParams(dim=dim, std_dev=0.5, mc_samples=MC_SAMPLES, seed=CORPUS_SEED)
