@@ -6,7 +6,17 @@ exit codes are 0 for success, 1 for property violations, 2 for usage or
 parse errors.  ``main`` maps the library's violations (NotCovariant,
 NotPeriodic, NotReliableTiming) to 1 and its other errors to 2, each with
 one line on stderr; a subcommand returns only its own verdict (check,
-mc-gaussian, and capacity's output that is not a state).
+mc-gaussian, and capacity's output that is not a state).  An input file that
+cannot be read (a directory, bytes that are not UTF-8, nesting deeper than
+the JSON parser recurses) is a parse error that names it; a missing one
+prints "file not found".
+
+Start-up pays only for the subcommand that runs: at module level this file
+imports argparse, os, sys and the numpy-free ``errors``, and each ``cmd_*``
+imports the library modules it uses.  So every argparse refusal (an unknown
+flag, a missing option, a non-integer --seed or COVCHAN_SEED, --help) exits
+before numpy is imported, check and decompose never load fock, timing or
+capacity, and gaussian never loads timing or capacity.
 
 Every report goes through one writer (``_write``) that streams it in pieces
 to stdout and to the ``--out`` file: a JSON report comes from
@@ -33,14 +43,6 @@ import os
 import sys
 from itertools import chain
 
-import numpy as np
-
-from . import capacity as cap
-from . import channels as mc
-from . import covariant as cov
-from . import fock
-from . import serialize as ser
-from . import timing as tim
 from .errors import (
     CovchanError,
     NotCovariant,
@@ -56,10 +58,14 @@ EXIT_USAGE = 2
 
 
 def _load_channel(path):
+    from . import serialize as ser
+
     return ser.channel_from_json(ser.load_json(path))
 
 
 def _load_spectrum(path):
+    from . import serialize as ser
+
     return ser.spectrum_from_json(ser.load_json(path))
 
 
@@ -116,10 +122,14 @@ def _write(args, pieces) -> None:
 
 
 def _emit(args, payload) -> None:
+    from . import serialize as ser
+
     _write(args, ser.iter_dumps(payload))
 
 
 def _matrix_csv_lines(name, mat):
+    import numpy as np
+
     mat = np.ascontiguousarray(mat, dtype=complex)
     cols = mat.shape[1]
     header = "matrix,row," + ",".join(f"re{c},im{c}" for c in range(cols))
@@ -138,6 +148,9 @@ def _csv_pieces(named_matrices):
 
 
 def cmd_check(args) -> int:
+    from . import channels as mc
+    from . import covariant as cov
+
     channel = _load_channel(args.channel)
     spectrum = _load_spectrum(args.spectrum)
     report = mc.is_cptp(channel)
@@ -153,6 +166,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    import numpy as np
+
+    from . import channels as mc
+    from . import covariant as cov
+    from . import serialize as ser
+
     channel = _load_channel(args.channel)
     spectrum = _load_spectrum(args.spectrum)
     decomp = cov.decompose(channel, spectrum, tol=args.tol)
@@ -170,6 +189,12 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_capacity(args) -> int:
+    import numpy as np
+
+    from . import capacity as cap
+    from . import channels as mc
+    from . import serialize as ser
+
     obj = ser.load_json(args.input)
     if isinstance(obj, dict) and "kraus" in obj:
         channel = ser.channel_from_json(obj)
@@ -204,6 +229,9 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_timing(args) -> int:
+    from . import serialize as ser
+    from . import timing as tim
+
     channel = _load_channel(args.channel)
     spectrum = _load_spectrum(args.spectrum)
     phi0 = ser.vector_from_json(ser.load_json(args.phi0))
@@ -219,7 +247,9 @@ def cmd_timing(args) -> int:
     return EXIT_OK
 
 
-def _fock_params(args, mc_samples=1, seed=0) -> fock.FockParams:
+def _fock_params(args, mc_samples=1, seed=0):
+    from . import fock
+
     return fock.FockParams(
         dim=args.dim,
         std_dev=args.std_dev,
@@ -230,6 +260,9 @@ def _fock_params(args, mc_samples=1, seed=0) -> fock.FockParams:
 
 
 def cmd_gaussian(args) -> int:
+    from . import fock
+    from . import serialize as ser
+
     decomp = fock.gaussian_decomposition(_fock_params(args))
     if args.format == "csv":  # each mask made as its piece is written
         masks = (m for _, m in decomp._pairs())
@@ -246,6 +279,12 @@ def cmd_gaussian(args) -> int:
 
 
 def cmd_mc_gaussian(args) -> int:
+    import numpy as np
+
+    from . import channels as mc
+    from . import fock
+    from . import serialize as ser
+
     params = _fock_params(args, mc_samples=args.samples, seed=args.seed)
     vac = np.zeros((params.dim, params.dim), dtype=complex)
     vac[0, 0] = 1.0

@@ -181,13 +181,26 @@ def decomposition_from_json(obj) -> SectorDecomposition:
 
 
 def load_json(path) -> object:
-    """Parse a JSON file, turning syntax errors into ParseError with position."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    """Parse a JSON file, turning syntax errors into ParseError with position.
+
+    A missing file raises FileNotFoundError.  Any other file that cannot be
+    read (a directory, no permission), text that is not UTF-8 and nesting
+    deeper than the parser recurses are ParseErrors that name the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        raise
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 at byte offset {exc.start}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at byte offset {exc.pos}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deeply") from exc
 
 
 def _format_list(items) -> str:

@@ -497,13 +497,15 @@ def test_non_finite_or_negative_number_exit_2(capsys, argv):
 
 
 @pytest.mark.parametrize("name", ["negative-dims", "zero-dim-kraus", "fractional-dim",
-                                  "boolean-dim"])
+                                  "boolean-dim", "directory", "not-utf8", "deep-nesting"])
 @pytest.mark.parametrize("slot", ["capacity", "capacity --input-state", "check", "timing --phi0"])
-def test_misshapen_matrix_exit_2(capsys, tmp_path, name, slot):
+def test_misshapen_matrix_exit_2(capsys, bad_files, name, slot):
     # Each file in each slot that reads a matrix or a channel: one line on
-    # stderr, nothing on stdout, never a traceback.
-    bad = tmp_path / f"{name}.json"
-    bad.write_text(MALFORMED_FILES[name], encoding="utf-8")
+    # stderr, nothing on stdout, never a traceback.  A directory, a UTF-16
+    # byte-order mark and 100,000 open brackets ended in a traceback with
+    # exit 1 (IsADirectoryError, UnicodeDecodeError, RecursionError); their
+    # line names the path.
+    bad = bad_files[f"bad:{name}"]
     argv = {"capacity": ["capacity", bad],
             "capacity --input-state": ["capacity", FIXTURES / "amplitude_damping_0.3.json",
                                        "--input-state", bad],
@@ -513,6 +515,8 @@ def test_misshapen_matrix_exit_2(capsys, tmp_path, name, slot):
     code, out, err = run(capsys, *map(str, argv))
     assert (code, out) == (cli.EXIT_USAGE, "")
     assert err.count("\n") == 1 and "Traceback" not in err
+    if name in UNREADABLE_FILES:
+        assert err.startswith(f"parse error: {bad}: ")
 
 
 def test_import_loads_no_scipy():
@@ -521,6 +525,57 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", "import covchan.cli, sys; print('scipy' in sys.modules)"],
         capture_output=True, text=True, env=env_with_src(), check=True)
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("statement", ["import covchan", "import covchan.cli"])
+def test_import_loads_no_numpy(statement):
+    # The package namespace is lazy and the CLI imports a library module only
+    # in the subcommand that uses it.
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{statement}, sys; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env_with_src(), check=True)
+    assert proc.stdout.strip() == "False"
+
+
+# Runs cli.main on the arguments, then prints its exit code and the numpy and
+# covchan submodules that were loaded.
+FOOTPRINT = """\
+import contextlib, io, sys
+from covchan import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m == "numpy" or m.startswith("covchan.")))
+"""
+LIBRARY_AFTER_PARSING = {"numpy", "covchan.channels", "covchan.covariant", "covchan.serialize",
+                         "covchan.fock", "covchan.timing", "covchan.capacity"}
+CHECK_FILES = (str(FIXTURES / "amplitude_damping_0.3.json"), str(FIXTURES / "spectrum_2level.json"))
+
+
+@pytest.mark.parametrize("argv, seed_env, code, loaded", [
+    (["gaussian", "--std-dev", "1", "--dim", "8", "--bogus"], None, 2, set()),
+    (["mc-gaussian", "--std-dev", "1", "--dim", "8"], "abc", 2, set()),
+    (["--help"], None, 0, set()),
+    (["mc-gaussian", "--help"], None, 0, set()),
+    (["check", CHECK_FILES[0]], None, 2, set()),  # a missing argument
+    (["check", *CHECK_FILES], None, 0,
+     {"numpy", "covchan.channels", "covchan.covariant", "covchan.serialize"}),
+    (["decompose", *CHECK_FILES], None, 0,
+     {"numpy", "covchan.channels", "covchan.covariant", "covchan.serialize"}),
+    (["gaussian", "--std-dev", "0.5", "--dim", "4"], None, 0,
+     {"numpy", "covchan.channels", "covchan.covariant", "covchan.serialize", "covchan.fock"}),
+], ids=["unknown-flag", "seed-env-abc", "help", "subcommand-help", "missing-argument", "check",
+        "decompose", "gaussian"])
+def test_subcommand_loads_only_what_it_uses(argv, seed_env, code, loaded):
+    env = env_with_src()
+    env.pop("COVCHAN_SEED", None)
+    if seed_env is not None:
+        env["COVCHAN_SEED"] = seed_env
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT, *argv], capture_output=True,
+                          text=True, env=env, check=True, timeout=120)
+    got_code, *modules = proc.stdout.split()
+    assert int(got_code) == code
+    assert set(modules) & LIBRARY_AFTER_PARSING == loaded
+    assert {"covchan.cli", "covchan.errors"} <= set(modules)
 
 
 def read_ten_bytes_and_close(argv):
@@ -713,20 +768,30 @@ KIND_FILES = {kind: {**NON_FINITE_FILES.get(kind, {}), **HEADER_FILES.get(kind, 
 KIND_FILES["mask"] = MASK_FILES  # the bad files of each kind of input
 BAD_FILES = {**MALFORMED_FILES, **{name: text for files in KIND_FILES.values()
                                    for name, text in files.items()}}
+# Files no reader gets to parse: a directory, bytes that are not UTF-8 (a
+# UTF-16 byte-order mark) and brackets nested deeper than the JSON parser
+# recurses.  None stands for the directory.
+UNREADABLE_FILES = {"directory": None, "not-utf8": b"\xff\xfe", "deep-nesting": b"[" * 100_000}
 # --out targets: "out:file" can be written, the other two cannot be opened.
 OUT_TARGETS = ("out:file", "out:directory", "out:missing-folder")
 
 
 @pytest.fixture(scope="module")
 def bad_files(tmp_path_factory):
-    """The path of each BAD_FILES entry, written once for the module, and of
-    each OUT_TARGETS entry."""
+    """The path of each BAD_FILES and UNREADABLE_FILES entry, written once for
+    the module, and of each OUT_TARGETS entry."""
     folder = tmp_path_factory.mktemp("bad-inputs")
     paths = {"out:file": folder / "report.out", "out:directory": folder,
              "out:missing-folder": folder / "missing" / "report.out"}
     for name, text in BAD_FILES.items():
         paths[f"bad:{name}"] = folder / f"{name}.json"
         paths[f"bad:{name}"].write_text(text, encoding="utf-8")
+    for name, data in UNREADABLE_FILES.items():
+        path = paths[f"bad:{name}"] = folder / f"{name}.json"
+        if data is None:
+            path.mkdir()
+        else:
+            path.write_bytes(data)
     return paths
 
 
@@ -766,7 +831,8 @@ def cli_argvs(draw):
             argv += ["--phi0" if command == "timing" else "--input-state", str(FIXTURES / state)]
         if draw(st.booleans()):
             slot = draw(st.sampled_from(sorted(kinds)))
-            names = sorted(MALFORMED_FILES) + sorted(KIND_FILES[kinds[slot]])
+            names = (sorted(MALFORMED_FILES) + sorted(UNREADABLE_FILES)
+                     + sorted(KIND_FILES[kinds[slot]]))
             argv[slot] = "bad:" + draw(st.sampled_from(names))
     if out:
         argv += ["--out", out]
@@ -808,6 +874,9 @@ def run_main(argv, seed_env):
 @example(case=(["check", str(FIXTURES / "identity_channel.json"), "bad:match-tol-true"], None))
 @example(case=(["check", str(FIXTURES / "identity_channel.json"), "bad:match-tol-string"], None))
 @example(case=(["check", str(FIXTURES / "identity_channel.json"), "bad:energy-huge-int"], None))
+@example(case=(["check", "bad:directory", str(FIXTURES / "spectrum_2level.json")], None))
+@example(case=(["check", "bad:not-utf8", str(FIXTURES / "spectrum_2level.json")], None))
+@example(case=(["check", "bad:deep-nesting", str(FIXTURES / "spectrum_2level.json")], None))
 @example(case=(["mc-gaussian", "--format", "json", "--std-dev", "1e308", "--dim", "4",
                 "--sigma-max", "0", "--samples", "20", "--seed", "0"], None))  # once printed nan
 def test_exit_code_contract(case, bad_files):

@@ -1,5 +1,6 @@
 """The package as a whole: its public names and the demos that use them."""
 import importlib
+import json
 import subprocess
 import sys
 
@@ -45,6 +46,43 @@ REMOVED = [
 
 def test_public_surface_is_pinned():
     assert sorted(covchan.__all__) == PUBLIC_NAMES
+
+
+# Run in a fresh interpreter, so that no submodule is loaded beforehand: the
+# names dir() lists before any is resolved, every name in __all__ by getattr
+# and by a star import, and the error raised for a name the package lacks.
+NAMESPACE_PROBE = """\
+import json
+import covchan
+listed = dir(covchan)
+resolved = {name: getattr(covchan, name) for name in covchan.__all__}
+star = {}
+exec("from covchan import *", star)
+try:
+    covchan.no_such_name
+    missing = None
+except AttributeError as exc:
+    missing = str(exc)
+print(json.dumps({
+    "all": covchan.__all__,
+    "unlisted": sorted(set(covchan.__all__) - set(listed)),
+    "unresolved": sorted(name for name, value in resolved.items() if value is None),
+    "star_differs": sorted(name for name, value in resolved.items() if star.get(name) is not value),
+    "star_extra": sorted(set(star) - set(covchan.__all__) - {"__builtins__"}),
+    "error_base": covchan.errors.CovchanError.__qualname__,
+    "missing": missing,
+}))
+"""
+
+
+def test_lazy_namespace_resolves_every_public_name():
+    proc = subprocess.run([sys.executable, "-c", NAMESPACE_PROBE], capture_output=True,
+                          text=True, env=env_with_src(), check=True, timeout=120)
+    probe = json.loads(proc.stdout)
+    assert sorted(probe.pop("all")) == PUBLIC_NAMES
+    assert probe == {"unlisted": [], "unresolved": [], "star_differs": [], "star_extra": [],
+                     "error_base": "CovchanError",
+                     "missing": "module 'covchan' has no attribute 'no_such_name'"}
 
 
 @pytest.mark.parametrize("module, name", REMOVED)

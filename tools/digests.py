@@ -51,7 +51,10 @@ fields, a channel by its Kraus operators.  The corpus:
   timing), timing at s = pi / 2, N = 4 (not reliable), check and decompose on
   a dense n = 16 random_covariant channel file
   (integer spectrum) and on Gaussian parameters (gaussian and mc-gaussian,
-  JSON and CSV): exit code, stdout and stderr, run in process.
+  JSON and CSV): exit code, stdout and stderr, run in process;
+- the refused CLI invocations: an unknown flag, a COVCHAN_SEED that is not
+  an integer, and a directory, a non-UTF-8 file and 100,000 open brackets as
+  the channel file of check: exit code and stdout.
 The readers of a decomposition: sectors, sector(sigma) at its first sigma and
 at 0, sigmas(), diagonal_sums(), apply_sectors of one random matrix,
 reconstruct, shift_distribution and domain_extension_check (t = 0.7) at one
@@ -66,9 +69,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from benchlib import ROOT, gauge_mixed, run_worker, timing_mixture
 
@@ -149,6 +154,17 @@ def _run_cli(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     return code, out.getvalue(), err.getvalue()
+
+
+def _refused_cli(argv, env=()):
+    """Exit code and stdout of cli.main with env set, or 1 and the type of
+    an exception that escapes it (a traceback, exit 1)."""
+    with mock.patch.dict(os.environ, env):
+        try:
+            code, out, _ = _run_cli(argv)
+        except Exception as exc:
+            return 1, type(exc).__name__
+    return code, out
 
 
 def _corpus():
@@ -319,6 +335,20 @@ def _corpus():
         for command in ("check", "decompose"):
             yield (f"cli {command}", f"dense random_covariant n={DENSE_CLI_SIZE}",
                    lambda c=command: _run_cli([c, *map(str, files)]))
+
+    spectrum = str(FIXTURES / "spectrum_2level.json")
+    yield ("cli refused", "gaussian --bogus",
+           lambda: _refused_cli(["gaussian", "--std-dev", "0.5", "--dim", "8", "--bogus"]))
+    yield ("cli refused", "mc-gaussian COVCHAN_SEED=abc",
+           lambda: _refused_cli(["mc-gaussian", "--std-dev", "0.5", "--dim", "8"],
+                                {"COVCHAN_SEED": "abc"}))
+    yield "cli refused", "check fixtures", lambda: _refused_cli(["check", str(FIXTURES), spectrum])
+    with tempfile.TemporaryDirectory() as tmp:
+        for label, data in (("not UTF-8", b"\xff\xfe"), ("nested 100,000 deep", b"[" * 100_000)):
+            path = Path(tmp) / f"{len(data)}.json"
+            path.write_bytes(data)
+            yield ("cli refused", f"check {label}",
+                   lambda p=str(path): _refused_cli(["check", p, spectrum]))
 
 
 def _or_error(fn, *args):
