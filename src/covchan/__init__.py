@@ -12,8 +12,7 @@ import sys as _sys
 
 # Each public name and the submodule that defines it; a submodule maps to itself.
 _HOME = {
-    **{name: name for name in ("capacity", "channels", "covariant", "errors", "fock", "timing",
-                               "cli", "generate", "serialize")},
+    **{name: name for name in ("capacity", "channels", "covariant", "errors", "fock", "timing")},
     **dict.fromkeys(("Channel", "ChoiMatrix", "CPTPReport", "DensityMatrix", "apply",
                      "apply_matrix", "choi_of", "identity_channel", "is_cptp",
                      "kraus_from_choi", "von_neumann_entropy"), "channels"),
@@ -31,8 +30,7 @@ _HOME = {
                      "is_reliable_timing", "timing_channel", "v_from_distribution"), "timing"),
 }
 
-# The command line, the generator and the wire format are reachable, not exported.
-__all__ = sorted(set(_HOME) - {"cli", "generate", "serialize"})
+__all__ = sorted(_HOME)
 __version__ = "0.1.0"
 
 

@@ -519,20 +519,16 @@ def test_misshapen_matrix_exit_2(capsys, bad_files, name, slot):
         assert err.startswith(f"parse error: {bad}: ")
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test dependency only; the library and CLI run on numpy.
+@pytest.mark.parametrize("statement, absent", [
+    # The package namespace is lazy: importing it loads no submodule.
+    ("import covchan", "numpy"),
+    # scipy is a test dependency only: every library module runs on numpy.
+    ("import covchan, covchan.cli, covchan.generate, covchan.serialize; "
+     "[getattr(covchan, name) for name in covchan.__all__]", "scipy"),
+], ids=["package-numpy", "library-scipy"])
+def test_import_leaves_out(statement, absent):
     proc = subprocess.run(
-        [sys.executable, "-c", "import covchan.cli, sys; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, env=env_with_src(), check=True)
-    assert proc.stdout.strip() == "False"
-
-
-@pytest.mark.parametrize("statement", ["import covchan", "import covchan.cli"])
-def test_import_loads_no_numpy(statement):
-    # The package namespace is lazy and the CLI imports a library module only
-    # in the subcommand that uses it.
-    proc = subprocess.run(
-        [sys.executable, "-c", f"{statement}, sys; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", f"{statement}; import sys; print({absent!r} in sys.modules)"],
         capture_output=True, text=True, env=env_with_src(), check=True)
     assert proc.stdout.strip() == "False"
 
