@@ -126,6 +126,8 @@ class Spectrum:
                            "spectrum must be a non-empty 1-d list of real energies")
         if not np.all(np.isfinite(en)):
             raise DegenerateSpectrum("spectrum contains non-finite energies")
+        if not np.isfinite(float(en.max()) - float(en.min())):  # before any difference is formed
+            raise DegenerateSpectrum("the energy span max E - min E is not finite")
         got = reprlib.repr(self.match_tol)  # an int past any double is not echoed in full
         tol = float(_real_numbers(self.match_tol, 0, InvalidParameter,
                                   f"match_tol must be a real number, got {got}"))
@@ -330,13 +332,18 @@ class SectorDecomposition:
             raise UnknownSector(f"no sector at sigma = {sigma}") from None
         return next(self._pairs([k]))
 
+    def _diagonals(self):
+        """Per size group in size order: its slots, pairs (m, d) and block diagonals (m, d),
+        M_sigma(j, j) at each pair (j', j).  The groups' pairs in turn are the store's."""
+        for slots, pairs, blocks in self._stacked:
+            yield slots, pairs, np.diagonal(blocks, axis1=1, axis2=2)
+
     def diagonal_sums(self) -> np.ndarray:
         """sum_sigma M_sigma(j, j) at every input level j: all ones for a TP channel."""
         store, n = self._store, self.spectrum.dim
-        diags = np.concatenate([np.zeros(0)] + [np.real(np.diagonal(b, axis1=1, axis2=2)).ravel()
-                                                for *_, b in self._stacked])  # by slot
+        diags = (np.real(d).ravel() for *_, d in self._diagonals())  # by slot
         at = _in_sector_order(store)
-        return _level_sums(store.pairs[at] % n, diags[at], n)
+        return _level_sums(store.pairs[at] % n, np.concatenate([np.zeros(0), *diags])[at], n)
 
 
 @dataclass(frozen=True)
@@ -700,7 +707,7 @@ def apply_sectors(decomp: SectorDecomposition, mat: np.ndarray) -> np.ndarray:
     for k in decomp._store.order.tolist():
         pairs, block = decomp._by_slot[k]
         img, dom = np.divmod(pairs, n)
-        out[np.ix_(img, img)] += block * mat[np.ix_(dom, dom)]
+        out[img[:, None], img] += block * mat[dom[:, None], dom]  # np.ix_ took twice as long
     return out
 
 
@@ -724,14 +731,12 @@ def shift_distribution(
     """Energy shift probabilities p(sigma) = tr(G_sigma(rho))."""
     if rho.dim != decomp.spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
-    diag, store = np.diag(rho.matrix), decomp._store
-    sigmas = decomp.sigmas().tolist()
+    diag, sigmas = np.diag(rho.matrix), decomp.sigmas().tolist()
     p = np.empty(len(sigmas))  # by slot, then in sector order
-    for slots, pairs, blocks in decomp._stacked:
+    for slots, pairs, d in decomp._diagonals():
         # tr(S (M * rho) S^dag) = sum_j M(j, j) rho(j, j) over the domain.
-        terms = np.diagonal(blocks, axis1=1, axis2=2) * diag[pairs % decomp.spectrum.dim]
-        p[slots] = np.real(terms).sum(axis=1)
-    p = p[store.order]
+        p[slots] = np.real(d * diag[pairs % decomp.spectrum.dim]).sum(axis=1)
+    p = p[decomp._store.order]
     bad = np.flatnonzero(p < -mc.EPS_PSD)
     if bad.size:
         i = bad[0]

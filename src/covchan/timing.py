@@ -8,17 +8,19 @@ V_{jk} = v(j - k), where v is the Fourier transform of the energy-shift
 distribution evaluated at -s*j.  The DFT of v gives a probability vector q,
 and the quantum capacity is at least log2(N) - S(q).
 
-Two routes give the orthogonality defects and v for a pure phi0.  When every
-Kraus operator A_k moves energy by one exact difference sigma_k (all its
-nonzero entries (j', j) share one E_j' - E_j, bit for bit:
-covariant._operator_shifts), U_t A_k U_t^dag = e^{-i sigma_k t} A_k, so one
-application suffices in timing_channel: the orbit outputs are
-U_{sj} out_0 U_{sj}^dag, tr(out_a out_b) depends on b - a alone (_lag_overlaps)
-and v(j) = sum_k |A_k phi0|^2 e^{-i sigma_k s j} (_fourier, which also serves
-v_from_distribution).  Every other family (operators that mix energy
-differences, even at roundoff), and is_reliable_timing, take the orbit factor
-B_j = [A_k U_{sj} phi0]_k (_orbit), whose Gram products give the outputs and
-v with no support projector, as G(|phi0><phi0|) = B_0 B_0^dag has the range of B_0.
+timing_channel reads the orthogonality defects and v of a pure phi0 from two
+things: out_0 = G(|phi0><phi0|) and weights p_i at exact energy differences
+sigma_i.  The orbit outputs of a covariant channel are U_{sj} out_0 U_{sj}^dag, so
+tr(out_a out_b) depends on b - a alone (_lag_overlaps), and v(j) = sum_i p_i
+e^{-i sigma_i s j} (_fourier, which also serves v_from_distribution).  When every
+Kraus operator A_k moves energy by one exact difference sigma_k (all its nonzero
+entries (j', j) share one E_j' - E_j, bit for bit: covariant._operator_shifts), the
+family is covariant by construction: out_0 = sum_k a_k a_k^dag, a_k = A_k phi0, and
+p_k = |a_k|^2.  Every other family is decomposed first (decompose, which refuses a
+channel that is not covariant): out_0 = apply_sectors(|phi0><phi0|), and each sector
+pair (j', j) weighs M_sigma(j, j) |phi0_j|^2 at its own exact E_j' - E_j, the weights
+summed per distinct difference.  is_reliable_timing applies the Kraus operators to
+phi0 and U_s phi0 and needs neither.
 """
 from __future__ import annotations
 
@@ -31,12 +33,13 @@ from . import channels as mc
 from .capacity import spectrum_to_bound
 from .channels import Channel
 from .covariant import (EnergyShiftDistribution, Spectrum, _check_phase, _operator_shifts,
-                        _shift_kraus, partial_shift)
+                        _shift_kraus, apply_sectors, decompose, partial_shift)
 from .errors import DimensionMismatch, InvalidParameter, NotPeriodic, NotReliableTiming
 
-# Largest accepted orbit length, refused beyond before anything is allocated.  The
-# orbit route's orthogonality check holds an N x N complex Gram matrix (256 MiB at
-# 4096); the one-application route holds O(N (n + K)), K Kraus operators.
+# Largest accepted orbit length, refused beyond before anything is allocated.  It caps
+# the lag sum's N x n phase table and the Fourier sum's N x D longdouble one, D the
+# differences that carry weight (K Kraus operators, or at most n^2 - n + 1), 32 B an
+# entry: 30 MiB at N = 4096 and D = 241 (n = 16 on an incommensurate spectrum).
 MAX_N = 4096
 
 
@@ -68,36 +71,26 @@ class ShiftMixture:
 
 
 def _checked_phi0(channel: Channel, spectrum: Spectrum, phi0, s: float, N: int) -> np.ndarray:
-    """phi0 as a complex vector, after the checks of both routes in order: the dimensions,
-    the norm of phi0, then every phase argument E_k s j, j = 0..N (the orbit's and its
-    period's), finite."""
+    """phi0 as a complex vector, after the checks in order: the dimensions, the norm of
+    phi0, then every phase argument E_k s j and (E_j' - E_j) s j, j = 0..N (the orbit's
+    and its period's), finite."""
     phi0 = np.asarray(phi0, dtype=complex).reshape(-1)
     n = spectrum.dim
     if phi0.size != n or channel.dim_in != n:
         raise DimensionMismatch("phi0, channel and spectrum dimensions differ")
     if abs(np.linalg.norm(phi0) - 1.0) > mc.EPS_TR:
         raise InvalidParameter(f"phi0 must be normalized, got norm {np.linalg.norm(phi0)}")
-    _check_phase(spectrum.energies, float(s) * N, f"s * N, s = {s}")
+    en = spectrum.energies  # increasing: the ends and the span bound every |E_k|, |E_j' - E_j|
+    _check_phase([en[0], en[-1], float(en[-1]) - float(en[0])], float(s) * N, f"s * N, s = {s}")
     return phi0
 
 
-def _orbit(channel: Channel, spectrum: Spectrum, phi0: np.ndarray, s: float, N: int):
-    """(ph, B) for a checked phi0 (_checked_phi0): ph[j] is the diagonal of
-    U_{sj} = e^{-iHsj} and B[j][:, k] = A_k U_{sj} phi0 (N x dim_out x K).
-    With rho0 = |phi0><phi0| and phi_{sj} = U_{sj} phi0 the Kraus sum gives
-        G(U_{sj} rho0 U_{sj}^dag) = B_j B_j^dag,    G(|phi0><phi_{sj}|) = B_0 B_j^dag.
-    """
-    ph = spectrum.phases(s * np.arange(N)[:, None])
-    b = channel._ops.reshape(-1, spectrum.dim) @ (ph * phi0).T  # rows (k, output level)
-    return ph, b.reshape(-1, channel.dim_out, N).transpose(2, 1, 0)
-
-
-def _lag_overlaps(a: np.ndarray, spectrum: Spectrum, s: float, lags: np.ndarray) -> np.ndarray:
+def _lag_overlaps(out0: np.ndarray, spectrum: Spectrum, s: float, lags: np.ndarray) -> np.ndarray:
     """Re tr(out_0 out_d) at each lag d, out_d = U_{sd} out_0 U_{sd}^dag the orbit outputs of
-    a family that moves energy by exact differences and out_0 = sum_k a_k a_k^dag, a_k = A_k
-    phi0 the rows of a: sum_jl |out_0(j, l)|^2 e^{-i(E_j - E_l) s d}, per-level phases."""
+    a covariant channel (out0 may be out_0's conjugate): sum_jl |out_0(j, l)|^2
+    e^{-i(E_j - E_l) s d}, per-level phases."""
     ph = spectrum.phases(s * lags[:, None])
-    return np.vecdot(ph, ph @ np.abs(a.conj().T @ a) ** 2).real
+    return np.vecdot(ph, ph @ np.abs(out0) ** 2).real
 
 
 def is_reliable_timing(
@@ -106,13 +99,13 @@ def is_reliable_timing(
     """Orthogonality defect tr(G(rho) G(rho_s)) for rho = |phi0><phi0|.
 
     The reliable timing property holds at step s iff the defect vanishes.
-    A step whose phases E_k s j (j <= 2) are not finite raises InvalidParameter.
-    A two-state orbit is one application more than the lag sum needs, less than
-    its route test costs, so every family takes _orbit here.
+    A step whose phases E_k s j or (E_j' - E_j) s j (j <= 2) are not finite raises
+    InvalidParameter.  The Kraus operators act on phi0 and on U_s phi0: with rows b_k = A_k phi,
+    G(|phi><phi|) = sum_k b_k b_k^dag.  No family is tested or decomposed.
     """
-    b = _orbit(channel, spectrum, _checked_phi0(channel, spectrum, phi0, s, 2), s, 2)[1]
-    out = b @ b.conj().swapaxes(1, 2)
-    return float(np.vdot(out[0], out[1]).real)  # tr(out_0 out_1) for Hermitian outputs
+    phi0 = _checked_phi0(channel, spectrum, phi0, s, 2)
+    b0, b1 = channel._ops @ phi0, channel._ops @ (spectrum.phases(s) * phi0)
+    return float(np.vdot(b0.T @ b0.conj(), b1.T @ b1.conj()).real)  # tr(out_0 out_1), Hermitian
 
 
 def build_shift_mixture(spectrum: Spectrum, shifts) -> ShiftMixture:
@@ -191,8 +184,9 @@ def timing_channel(
 
         v(j) = tr( U_{sj} P G(|phi_0><phi_{sj}|) )
 
-    with P the support projector of G(|phi_0><phi_0|) and U_t = e^{-iHt}, by
-    one of the two routes of the module docstring.
+    with P the support projector of G(|phi_0><phi_0|) and U_t = e^{-iHt}, as the
+    module docstring says: a family that is not one of exact shifts is decomposed
+    (NotCovariant, after periodicity) and read from its sectors.
     The DFT q_k = (1/N) sum_j v(j) e^{-2 pi i jk / N} yields the capacity
     lower bound log2(N) - S(q).
     """
@@ -207,27 +201,23 @@ def timing_channel(
     if not period_defect <= 1e-9:
         raise NotPeriodic(f"e^(-iHsN) deviates from a global phase by {period_defect:.3e}")
 
-    # Pairwise orthogonality, tr(out_a out_b) for a < b: a function of b - a alone
-    # when the family moves energy by exact differences, else one Gram product of
-    # the orbit outputs (vdot(out_a, out_b), out_j being Hermitian).
-    en = spectrum.energies  # each |sigma_k| is at most the spread: sigma_k s j stays finite
-    finite = math.isfinite((float(en[-1]) - float(en[0])) * abs(float(s)) * N)
-    sigmas = _operator_shifts(channel, spectrum) if finite else None
-    if sigmas is None:
-        ph, b = _orbit(channel, spectrum, phi0, s, N)
-        flat = (b @ b.conj().swapaxes(1, 2)).reshape(N, -1)
-        overlaps = (flat.conj() @ flat.T).real[np.triu_indices(N, 1)]
-    else:
-        a = channel._ops @ phi0  # row k: A_k phi0
-        overlaps = _lag_overlaps(a, spectrum, s, np.arange(1, N))
-    defect = float(overlaps.max(initial=0.0))
+    sigmas = _operator_shifts(channel, spectrum)
+    if sigmas is None:  # the sectors' out_0; each pair's weight at its exact difference
+        decomp, n, en = decompose(channel, spectrum), spectrum.dim, spectrum.energies
+        out0 = apply_sectors(decomp, np.outer(phi0, phi0.conj()))
+        pairs = decomp._store.pairs  # slot after slot, as the diagonals
+        diags = np.concatenate([np.zeros(0), *(d.real.ravel() for *_, d in decomp._diagonals())])
+        sigmas, at = np.unique(en[pairs // n] - en[pairs % n], return_inverse=True)
+        weights = np.bincount(at, diags * np.abs(phi0[pairs % n]) ** 2, sigmas.size)
+    else:  # out_0's conjugate, a_k = A_k phi0 its rows' factors, of weight |a_k|^2 at sigma_k
+        a = channel._ops @ phi0
+        out0, weights = a.conj().T @ a, np.vecdot(a, a).real
+
+    # Pairwise orthogonality: tr(out_a out_b) for a < b is a function of b - a alone.
+    defect = float(_lag_overlaps(out0, spectrum, s, np.arange(1, N)).max(initial=0.0))
     if defect > tol:
         raise NotReliableTiming(defect, tol)
-
-    if sigmas is None:  # v(j) = tr(U_{sj} B_0 B_j^dag): P B_0 = B_0
-        v = np.einsum("ja,ak,jak->j", ph, b[0], b.conj())
-    else:  # v(j) = sum_k |A_k phi0|^2 e^{-i sigma_k s j} = sum_sigma p(sigma) e^{-i sigma s j}
-        v = _fourier(np.vecdot(a, a).real, sigmas, s, N)
+    v = _fourier(weights, sigmas, s, N)  # v(j) = sum_i p_i e^{-i sigma_i s j}
 
     # The circulant built from v is Hermitian for covariant channels, so the
     # DFT spectrum is real up to roundoff.

@@ -583,7 +583,9 @@ def dense_pair_defect(channel: cc.Channel, spectrum: cc.Spectrum, rho0: np.ndarr
 def timing_by_dense_applications(channel: cc.Channel, spectrum: cc.Spectrum,
                                  phi0: np.ndarray, s: float, N: int, tol: float = 1e-9):
     """Oracle (v, q, bound, defect) for timing.timing_channel: 2N dense
-    channel applications and a loop over the output pairs."""
+    channel applications and a loop over the output pairs.  A channel whose
+    covariance defect exceeds decompose's default tolerance is refused, after
+    the period check, as timing_channel refuses it."""
     phi0 = np.asarray(phi0, dtype=complex).reshape(-1)
     n = spectrum.dim
     if phi0.size != n or channel.dim_in != n or channel.dim_out != n:
@@ -601,6 +603,9 @@ def timing_by_dense_applications(channel: cc.Channel, spectrum: cc.Spectrum,
         raise NotPeriodic(
             f"e^(-iHsN) deviates from a global phase by {period_defect:.3e}"
         )
+    covariance = cov.covariance_defect(channel, spectrum)
+    if covariance > 1e-10:
+        raise NotCovariant(covariance, 1e-10)
 
     rho0 = np.outer(phi0, phi0.conj())
     outs, defect = dense_pair_defect(channel, spectrum, rho0, s, N)

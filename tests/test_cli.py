@@ -250,10 +250,15 @@ TIMING = ["timing", str(FIXTURES / "shift_mixture_channel.json"),
 @pytest.mark.parametrize("argv, opening", [
     (["decompose", str(FIXTURES / "hadamard_gate_channel.json"),
       str(FIXTURES / "spectrum_2level.json")], "not covariant: defect "),
+    # the Hadamard gate mixes the energy sectors: its timing report was exit 0
+    (["timing", str(FIXTURES / "hadamard_gate_channel.json"),
+      str(FIXTURES / "spectrum_2level.json"), "--phi0", str(FIXTURES / "plus_state.json"),
+      "--s", repr(np.pi), "--N", "2"],
+     "not covariant: defect "),
     (TIMING + ["--s", "1", "--N", "4"], "not periodic: e^(-iHsN) deviates"),  # 4 is no period
     (TIMING + ["--s", "1.5707963267948966", "--N", "4"],
      "not reliable timing: orthogonality defect "),
-], ids=["not-covariant", "not-periodic", "not-reliable"])
+], ids=["not-covariant", "timing-not-covariant", "not-periodic", "not-reliable"])
 def test_violation_exit_1_writes_no_out_file(capsys, tmp_path, argv, opening):
     dest = tmp_path / "report.json"
     code, out, err = run(capsys, *argv, "--out", str(dest))
@@ -757,6 +762,8 @@ HEADER_FILES = {
         "match-tol-true": '{"energies": [0, 1], "match_tol": true}',
         "match-tol-string": '{"energies": [0, 1], "match_tol": "1e-3"}',
         "energy-huge-int": '{"energies": [0, 1' + "0" * 400 + "]}",
+        # finite energies whose difference is not: two RuntimeWarnings and exit 0
+        "energy-span-overflow": '{"energies": [-1e308, 1e308]}',
     },
 }
 KIND_FILES = {kind: {**NON_FINITE_FILES.get(kind, {}), **HEADER_FILES.get(kind, {})}
@@ -870,6 +877,8 @@ def run_main(argv, seed_env):
 @example(case=(["check", str(FIXTURES / "identity_channel.json"), "bad:match-tol-true"], None))
 @example(case=(["check", str(FIXTURES / "identity_channel.json"), "bad:match-tol-string"], None))
 @example(case=(["check", str(FIXTURES / "identity_channel.json"), "bad:energy-huge-int"], None))
+@example(case=(["decompose", str(FIXTURES / "identity_channel.json"),
+                "bad:energy-span-overflow"], None))
 @example(case=(["check", "bad:directory", str(FIXTURES / "spectrum_2level.json")], None))
 @example(case=(["check", "bad:not-utf8", str(FIXTURES / "spectrum_2level.json")], None))
 @example(case=(["check", "bad:deep-nesting", str(FIXTURES / "spectrum_2level.json")], None))

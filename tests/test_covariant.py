@@ -48,6 +48,13 @@ class TestSpectrum:
         with pytest.raises(DegenerateSpectrum):
             cc.Spectrum(np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("energies", [[-1e308, 1e308], [-1e308, 0.0, 1e308], [1e308, -1e308]])
+    def test_rejects_an_energy_span_past_any_double(self, energies):
+        # Each energy is finite, but their differences overflowed: two RuntimeWarnings,
+        # and three levels gave sigmas [-inf, -inf, 0, inf, inf].
+        with pytest.raises(DegenerateSpectrum, match="span"):
+            cc.Spectrum(energies)
+
     def test_default_match_tol_scales_with_energy(self):
         spec = cc.Spectrum(np.array([0.0, 1e6]))
         assert spec.match_tol == pytest.approx(1e-3)

@@ -116,6 +116,18 @@ def test_rejects_phase_overflow_at_finite_period(check):
             tim.timing_channel(cc.identity_channel(11), spec, phi0, 5e307, 2)
 
 
+@pytest.mark.parametrize("check", ["is_reliable_timing", "timing_channel"])
+def test_rejects_a_difference_phase_overflow(check):
+    # |E_k| s N = 1e308 is finite at both levels, but (E_1 - E_0) s N = 2e308 is not; the
+    # orbit factor used to take such steps.
+    spec, phi0 = cc.Spectrum([-1e307, 1e307]), orbit_state(2, 2)
+    with pytest.raises(InvalidParameter, match="phase"):
+        if check == "is_reliable_timing":
+            tim.is_reliable_timing(cc.identity_channel(2), spec, phi0, 5.0)
+        else:
+            tim.timing_channel(cc.identity_channel(2), spec, phi0, 5.0, 2)
+
+
 def test_period_phase_overflow_is_a_bad_step_not_aperiodic():
     # Every orbit phase E * s * j (j < 2) is at most 1e308, but the period's
     # 10 * 2e307 overflows, so e^(-iHsN) cannot be formed: a bad step.
@@ -246,7 +258,7 @@ class TestTimingChannel:
                                    atol=1e-9)
 
 
-class TestOrbitFactor:
+class TestNoDenseApplication:
     def test_no_dense_channel_application(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("dense channel application")
@@ -294,11 +306,12 @@ def timing_inputs(draw):
 
 @ORBIT_PROPERTY
 @given(case=timing_inputs())
-def test_orbit_route_matches_dense_applications(case):
+def test_timing_matches_dense_applications(case):
+    # The cptp family is refused as not covariant wherever its period holds.
     chan, spec, phi0, s, N, tol = case
     try:
         v, q, bound, defect = timing_by_dense_applications(chan, spec, phi0, s, N, tol)
-    except Exception as exc:  # the orbit route raises the same type
+    except Exception as exc:  # timing_channel raises the same type
         with pytest.raises(type(exc)):
             tim.timing_channel(chan, spec, phi0, s, N, tol)
     else:
@@ -353,14 +366,14 @@ U = 2.0 ** -53  # unit roundoff
 
 class TestOneApplicationRoute:
     @pytest.mark.parametrize("N", [2, 4, 6, 8, 12, 16])
-    def test_benchmark_shapes_never_take_the_orbit(self, N, monkeypatch, rng):
+    def test_benchmark_shapes_are_never_decomposed(self, N, monkeypatch, rng):
         chan, spec, phi0, s = three_shift_fixture(N, rng)
         v, q, bound, defect = timing_by_dense_applications(chan, spec, phi0, s, N)
 
         def refuse(*args):
-            raise AssertionError("orbit route")
+            raise AssertionError("decomposed")
 
-        monkeypatch.setattr(tim, "_orbit", refuse)
+        monkeypatch.setattr(tim, "decompose", refuse)
         rep = tim.timing_channel(chan, spec, phi0, s, N)
         np.testing.assert_allclose(rep.v, v, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(rep.q, q, rtol=0.0, atol=1e-12)
@@ -373,7 +386,7 @@ class TestOneApplicationRoute:
         # The benchmark's not-orthogonal item: shifts 0, 1, 2 apart with N = 4.
         spec = cc.Spectrum(np.arange(7.0))
         mix = tim.build_shift_mixture(spec, [(0.0, 0.5), (1.0, 0.3), (3.0, 0.2)])
-        monkeypatch.setattr(tim, "_orbit", None)
+        monkeypatch.setattr(tim, "decompose", None)
         with pytest.raises(NotReliableTiming):
             tim.timing_channel(mix.channel, spec, orbit_state(7, 4), np.pi / 2, 4)
 
@@ -391,20 +404,19 @@ class TestOneApplicationRoute:
     @given(N=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([1e-9, np.inf]))
     def test_kraus_gauge_law_across_both_routes(self, N, seed, tol):
         # {sum_k U_mk A_k} is the channel {A_k}.  In timing_channel the mixed operators
-        # take the orbit and the unmixed ones one application; is_reliable_timing takes the
-        # orbit for both.  The orbit's phases E s j carry |E s j| u each, so v and q agree
-        # within c u (1 + max E s N); the bound moves by at most N entropy terms of that
-        # size (the q entries near 0).
-        # Measured over 300 seeds, N = 1-8: c = 0.44 for v and q, 0.42 u for the defect,
-        # 4 u for is_reliable_timing and 3 u for the masks; largest bound move 7.9e-14.
+        # are decomposed and the unmixed ones applied once; is_reliable_timing applies
+        # both.  v and q agree within c u (1 + max E s N); the bound moves by at most N
+        # entropy terms of that size (the q entries near 0).
+        # Measured over seeds 0-299, N = 1-8: c = 0.52 for v and q, 0.38 u for the defect
+        # and 4 u for is_reliable_timing; largest bound move 1.1e-14.
         rng = np.random.default_rng(seed)
         chan, spec, phi0, s = three_shift_fixture(N, rng)
         mixed = gauge_mixed(chan, rng)
-        with mock.patch.object(tim, "_orbit", wraps=tim._orbit) as orbit:
+        with mock.patch.object(tim, "decompose", wraps=tim.decompose) as decompose:
             rep = tim.timing_channel(chan, spec, phi0, s, N, tol)
-            assert orbit.call_count == 0
+            assert decompose.call_count == 0
             got = tim.timing_channel(mixed, spec, phi0, s, N, tol)
-            assert orbit.call_count == 1
+            assert decompose.call_count == 1
         pair, got_pair = (tim.is_reliable_timing(c, spec, phi0, s) for c in (chan, mixed))
         scale = 8 * U * (1.0 + spec.energies[-1] * s * N)
         assert np.abs(got.v - rep.v).max() <= scale
@@ -437,31 +449,85 @@ class TestOneApplicationRoute:
                 == tim.is_reliable_timing(chan, scaled, phi0, 2.0 ** -k * s))
 
     @pytest.mark.parametrize("k", [-60, -1, 0, 7, 60])
-    def test_sqrt2_spacing_takes_the_orbit(self, k, rng):
+    def test_sqrt2_spacing_is_decomposed(self, k, rng):
         # On a [0, 1, ..., n) with a = sqrt(2), a m' - a m is not the same double for
         # every pair m' - m: the shifts' operators have several differences, bit for bit.
         a = 2.0 ** k * np.sqrt(2.0)
         chan, spec, phi0, s = three_shift_fixture(6, rng, lambda dim: a * np.arange(float(dim)))
         assert cov._operator_shifts(chan, spec) is None
-        with mock.patch.object(tim, "_orbit", wraps=tim._orbit) as orbit:
+        with mock.patch.object(tim, "decompose", wraps=tim.decompose) as decompose:
             rep = tim.timing_channel(chan, spec, phi0, s / a, 6, np.inf)
-        assert orbit.call_count == 1
+        assert decompose.call_count == 1
         want = timing_by_dense_applications(chan, spec, phi0, s / a, 6, np.inf)
         np.testing.assert_allclose(rep.v, want[0], rtol=0.0, atol=1e-12)
         base = cc.Spectrum(np.sqrt(2.0) * np.arange(float(spec.dim)))
         same = tim.timing_channel(chan, base, phi0, 2.0 ** k * (s / a), 6, np.inf)
         assert sha256_of(report_numbers(rep)) == sha256_of(report_numbers(same))
 
-    def test_long_orbit_holds_no_n_by_n_gram(self):
-        # At N = 1024 the orbit route's N x N complex Gram matrix alone is 16 MiB.
+    @pytest.mark.parametrize("family", ["mixture", "gauge-mixed", "dense"])
+    def test_long_orbit_holds_no_n_by_n_table(self, family, rng):
+        # At N = 1024 one N x N complex matrix alone is 16 MiB.  The mixture is applied
+        # once; the other two are decomposed, the dense one with K = 256 operators.
         spec = cc.Spectrum(np.arange(16.0))
-        mix = tim.build_shift_mixture(spec, [(0.0, 0.5), (1.0, 0.3), (-15.0, 0.2)])
+        chan = tim.build_shift_mixture(spec, [(0.0, 0.5), (1.0, 0.3), (-15.0, 0.2)]).channel
+        chan = {"mixture": chan, "gauge-mixed": gauge_mixed(chan, rng),
+                "dense": gen.random_covariant(spec, rng)}[family]
         phi0 = np.full(16, 0.25, dtype=complex)
         tracemalloc.start()
         try:
-            rep = tim.timing_channel(mix.channel, spec, phi0, 2.0 * np.pi / 1024, 1024, np.inf)
+            rep = tim.timing_channel(chan, spec, phi0, 2.0 * np.pi / 1024, 1024, np.inf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rep.v.shape == (1024,)
         assert peak <= 4 * 2**20, peak
+
+
+def timing_by_mpmath(chan, spec, phi0, s, N):
+    """40-digit (v, bound) of a covariant channel, every float read exactly: Kraus entry
+    (j', j) of A_k adds |A_k(j', j)|^2 |phi0_j|^2 to the weight of the exact difference
+    E_j' - E_j, v(j) is the weights' Fourier sum at s j and q the DFT of v."""
+    mpmath = pytest.importorskip("mpmath")
+    ops = np.stack(chan.kraus)
+    with mpmath.workdps(40):
+        energies, step, weights = [mpmath.mpf(float(e)) for e in spec.energies], mpmath.mpf(s), {}
+        for out, j in np.argwhere(np.any(ops != 0, axis=0)).tolist():
+            mass = sum(mpmath.mpf(z.real) ** 2 + mpmath.mpf(z.imag) ** 2 for z in ops[:, out, j])
+            sigma = energies[out] - energies[j]
+            weights[sigma] = weights.get(sigma, 0) + mass * abs(mpmath.mpc(phi0[j])) ** 2
+        v = [sum(w * mpmath.expj(-sigma * step * j) for sigma, w in weights.items())
+             for j in range(N)]
+        q = [mpmath.re(sum(v[j] * mpmath.expj(-2 * mpmath.pi * j * k / N) for j in range(N))) / N
+             for k in range(N)]
+        bound = mpmath.log(N, 2) + sum(x * mpmath.log(x, 2) for x in q if x > 0)
+        return np.array([complex(x) for x in v]), float(bound)
+
+
+# The chained spectrum's differences 1, 1 + 1e-11 and 1 + 2e-11 (and those near 2) chain
+# within match_tol 3e-9 into one sector each: 7 clusters of distinct exact differences.
+@pytest.mark.parametrize("energies, N", [(np.arange(4.0), 8), (np.arange(4.0), 64),
+                                         (np.arange(8.0), 8), (np.arange(8.0), 64),
+                                         (np.array([0.0, 1.0, 2.0 + 1e-11, 3.0 + 3e-11]), 8),
+                                         (np.array([0.0, 1.0, 2.0 + 1e-11, 3.0 + 3e-11]), 16)],
+                         ids=["integer-4-N8", "integer-4-N64", "integer-8-N8", "integer-8-N64",
+                              "chained-N8", "chained-N16"])
+@pytest.mark.parametrize("seed", range(3))
+def test_decomposition_route_matches_40_digits(energies, N, seed):
+    # Each pair's weight sits at its own exact difference and the Fourier sum runs in
+    # longdouble, so v and the bound come within c u (1 + E_max s N) of 40 digits.  The
+    # bound's c holds the q entries that are 0 but for roundoff, -q log2 q each.
+    # Measured over seeds 0-39 per case: c = 0.51 for v and 5.7 for the bound (the
+    # orbit route this one replaced: 0.75 and 20.3).
+    spec = cc.Spectrum(energies)
+    rng = np.random.default_rng([seed, N])
+    chan = gen.random_covariant(spec, rng)
+    phi0 = np.ones(spec.dim, dtype=complex) if seed % 2 else (
+        rng.normal(size=spec.dim) + 1j * rng.normal(size=spec.dim))
+    phi0 /= np.linalg.norm(phi0)
+    s = 2.0 * np.pi / N
+    v, bound = timing_by_mpmath(chan, spec, phi0, s, N)
+    assert cov._operator_shifts(chan, spec) is None and len(spec.sigmas) == 2 * spec.dim - 1
+    rep = tim.timing_channel(chan, spec, phi0, s, N, np.inf)
+    scale = U * (1.0 + spec.energies[-1] * s * N)
+    assert np.abs(rep.v - v).max() <= 1.0 * scale
+    assert abs(rep.bound - bound) <= 8.0 * scale

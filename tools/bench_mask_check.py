@@ -22,7 +22,7 @@ Rows, each timed in a fresh process with OPENBLAS_NUM_THREADS=1:
 - timing.timing_channel and timing.is_reliable_timing on the benchmark's
   bounds timing shapes (tools/benchlib.timing_mixture, N = 2, 4, 6, 8, 12 and
   16, step 2 pi / N), each also with its operators mixed by a random isometry
-  (benchlib.gauge_mixed, the orbit route), and timing_channel with tol = inf on
+  (benchlib.gauge_mixed, the decomposition route), and timing_channel with tol = inf on
   the shift mixture {(0, .5), (1, .3), (-15, .2)} at n = 16 and N = 64, 256
   and 1024;
 - the other two builders of covariant Kraus families, which lay out their

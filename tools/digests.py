@@ -41,14 +41,19 @@ fields, a channel by its Kraus operators.  The corpus:
   0..N-1, step 2 pi / N; the spacing-1 mixture at N = 4, refused as not
   orthogonal; the 0.97 step at N = 6, refused as not periodic), each also with
   its operators mixed by a random 5 x 3 isometry (the same channel, on the
-  orbit route), through is_reliable_timing and timing_channel;
+  decomposition route), through is_reliable_timing and timing_channel;
+- dense random_covariant channels on the integer spectrum at n = 4, 8 and 16
+  (N = 64) and on the chained spectrum [0, 1, 2 + 1e-11, 3 + 3e-11] (N = 8,
+  7 clusters of distinct exact differences), step 2 pi / N from the uniform
+  superposition, through is_reliable_timing and timing_channel (tol inf);
 - compare_decomposition_to_mc at dims 8 and 16 (std_dev 0.5, 2,000 samples,
   seed 424242) from the vacuum and from the superposition of levels 0 and 1;
 - two faulty decomposition objects on the 3-level integer spectrum, a
   refusal digested as above: an unknown sigma listed after a mask that is not
   PSD, and two such masks listed out of the spectrum's sector order;
 - every CLI subcommand on every fixture (check, decompose, capacity and
-  timing), timing at s = pi / 2, N = 4 (not reliable), check and decompose on
+  timing), timing at s = pi / 2, N = 4 (not reliable), timing of the
+  Hadamard gate, which is not covariant, at s = pi, N = 2, check and decompose on
   a dense n = 16 random_covariant channel file
   (integer spectrum) and on Gaussian parameters (gaussian and mc-gaussian,
   JSON and CSV): exit code, stdout and stderr, run in process;
@@ -91,6 +96,8 @@ TIMING_STEP, TIMING_N = math.pi / 2, 4  # the integer spectrum's period is 4 ste
 # The benchmark's bounds timing shapes, (N, component spacing, step in units of 2 pi / N):
 # N = 2-16, the not-orthogonal spacing-1 item and the not-periodic 0.97 step.
 BOUNDS_TIMING = (*((N, N, 1.0) for N in (2, 3, 4, 5, 6, 8, 12, 16)), (4, 1, 1.0), (6, 6, 0.97))
+DENSE_TIMING = ((4, 64), (8, 64), (16, 64))  # (n, N) of the dense channels' timing
+CHAINED = (0.0, 1.0, 2.0 + 1e-11, 3.0 + 3e-11)  # timed at N = 8
 DENSE_CLI_SIZE = 16
 MC_DIMS, MC_SAMPLES = (8, 16), 2000
 
@@ -281,6 +288,17 @@ def _corpus():
             yield ("timing_channel", name, lambda c=c, sp=spec, p=phi0, s=s, N=N:
                    _or_error(tim.timing_channel, c, sp, p, s, N))
 
+    for energies, N in (*((np.arange(float(n)), N) for n, N in DENSE_TIMING), (CHAINED, 8)):
+        spec = cc.Spectrum(energies)
+        chan = gen.random_covariant(spec, np.random.default_rng([spec.dim, N, 6]))
+        phi0, s = np.full(spec.dim, spec.dim ** -0.5), 2.0 * math.pi / N
+        kind = "chained" if energies is CHAINED else "integer"
+        name = f"dense random_covariant {kind} n={spec.dim} N={N}"
+        yield ("is_reliable_timing", name, lambda c=chan, sp=spec, p=phi0, s=s:
+               _or_error(tim.is_reliable_timing, c, sp, p, s))
+        yield ("timing_channel", name, lambda c=chan, sp=spec, p=phi0, s=s, N=N:
+               _or_error(tim.timing_channel, c, sp, p, s, N, math.inf))
+
     for dim in MC_DIMS:
         params = fock.FockParams(dim=dim, std_dev=0.5, mc_samples=MC_SAMPLES, seed=CORPUS_SEED)
         for label, levels in (("vacuum", [0]), ("levels 0 and 1", [0, 1])):
@@ -315,6 +333,9 @@ def _corpus():
     runs.append(["timing", str(FIXTURES / "shift_mixture_channel.json"),
                  str(FIXTURES / "spectrum_4level.json"), "--phi0", states[0],
                  "--s", repr(TIMING_STEP), "--N", str(TIMING_N)])
+    runs.append(["timing", str(FIXTURES / "hadamard_gate_channel.json"),
+                 str(FIXTURES / "spectrum_2level.json"), "--phi0", states[1],
+                 "--s", repr(math.pi), "--N", "2"])  # not covariant
     for fmt in ("json", "csv"):
         runs += [["gaussian", "--std-dev", "0.5", "--dim", str(d), "--format", fmt]
                  for d in (2, 8, 16)]
