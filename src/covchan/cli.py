@@ -8,15 +8,22 @@ NotPeriodic, NotReliableTiming) to 1 and its other errors to 2, each with
 one line on stderr; a subcommand returns only its own verdict (check,
 mc-gaussian, and capacity's output that is not a state).  An input file that
 cannot be read (a directory, bytes that are not UTF-8, nesting deeper than
-the JSON parser recurses) is a parse error that names it; a missing one
-prints "file not found".
+the JSON parser recurses) or that holds a NaN, Infinity or -Infinity token,
+anywhere, is a parse error that names it; a missing one prints "file not
+found".
 
 Start-up pays only for the subcommand that runs: at module level this file
 imports argparse, os, sys and the numpy-free ``errors``, and each ``cmd_*``
-imports the library modules it uses.  So every argparse refusal (an unknown
-flag, a missing option, a non-integer --seed or COVCHAN_SEED, --help) exits
-before numpy is imported, check and decompose never load fock, timing or
-capacity, and gaussian never loads timing or capacity.
+first reads every input file it names (``inputs.load_json``) or checks the
+Gaussian parameters' ranges (``inputs.check_fock_params``), both numpy-free,
+and only then imports the library modules it uses.  So every argparse refusal (an
+unknown flag, a missing option, a non-integer --seed or COVCHAN_SEED, --help)
+and every input refusal of the front door (a missing, unreadable or malformed
+file, a non-finite token, a Gaussian parameter out of range) exits before
+numpy is imported.  A file is read whole before any is interpreted, so a
+missing or malformed later file is reported before what is wrong inside an
+earlier one.  check and decompose never load fock, timing or capacity, and
+gaussian never loads timing or capacity.
 
 Every report goes through one writer (``_write``) that streams it in pieces
 to stdout and to the ``--out`` file: a JSON report comes from
@@ -57,16 +64,16 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
-def _load_channel(path):
+def _load_channel(args, *paths):
+    """The channel and spectrum files of args, then the JSON of each further
+    path.  Every file is parsed (inputs.load_json) before numpy loads, so a
+    refused file costs no import; the channel and spectrum are read after."""
+    from . import inputs
+
+    channel, spectrum, *more = map(inputs.load_json, (args.channel, args.spectrum, *paths))
     from . import serialize as ser
 
-    return ser.channel_from_json(ser.load_json(path))
-
-
-def _load_spectrum(path):
-    from . import serialize as ser
-
-    return ser.spectrum_from_json(ser.load_json(path))
+    return ser.channel_from_json(channel), ser.spectrum_from_json(spectrum), *more
 
 
 def _silence_stdout() -> None:
@@ -127,32 +134,40 @@ def _emit(args, payload) -> None:
     _write(args, ser.iter_dumps(payload))
 
 
-def _matrix_csv_lines(name, mat):
+_CSV_PAIRS = ("%.17g,%.17g", "%.17g,0", "0,%.17g", "0,0")  # as serialize._JSON_PAIRS
+
+
+def _matrix_csv(name, mat) -> str:
+    """The CSV text of one matrix: its header line and a line per row."""
     import numpy as np
 
+    from . import serialize as ser
+
     mat = np.ascontiguousarray(mat, dtype=complex)
-    cols = mat.shape[1]
+    rows, cols = mat.shape
     header = "matrix,row," + ",".join(f"re{c},im{c}" for c in range(cols))
-    # One %-template per row over the (re, im)-interleaved float view.
-    cells = ",".join(["%.17g"] * (2 * cols))
-    rows = mat.view(float).reshape(mat.shape[0], 2 * cols).tolist()
-    return [header] + [f"{name},{rix}," + cells % tuple(row) for rix, row in enumerate(rows)]
+    if not rows:
+        return header
+    # One %-template over the (re, im)-interleaved float view, an exact +0.0 as "0".
+    cells, values = ser._pair_cells(mat.view(float).reshape(-1, 2), _CSV_PAIRS)
+    body = "\n".join(f"{name},{rix}," + ",".join(cells[rix * cols:(rix + 1) * cols])
+                     for rix in range(rows))
+    return header + "\n" + body % values
 
 
 def _csv_pieces(named_matrices):
-    """The CSV lines of each (name, matrix), one piece per matrix."""
+    """The CSV text of each (name, matrix), one piece per matrix."""
     sep = ""
     for name, mat in named_matrices:
-        yield sep + "\n".join(_matrix_csv_lines(name, mat))
+        yield sep + _matrix_csv(name, mat)
         sep = "\n"
 
 
 def cmd_check(args) -> int:
+    channel, spectrum = _load_channel(args)
     from . import channels as mc
     from . import covariant as cov
 
-    channel = _load_channel(args.channel)
-    spectrum = _load_spectrum(args.spectrum)
     report = mc.is_cptp(channel)
     defect = cov.covariance_defect(channel, spectrum)
     _emit(args, {
@@ -166,14 +181,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    channel, spectrum = _load_channel(args)
     import numpy as np
 
     from . import channels as mc
     from . import covariant as cov
     from . import serialize as ser
 
-    channel = _load_channel(args.channel)
-    spectrum = _load_spectrum(args.spectrum)
     decomp = cov.decompose(channel, spectrum, tol=args.tol)
     # The Choi matrices agree, both zero, off the pairs that neither family touches.
     recon = cov.reconstruct(decomp)._ops
@@ -189,13 +203,16 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_capacity(args) -> int:
+    from . import inputs
+
+    obj = inputs.load_json(args.input)
+    state = None if args.input_state == "maximally-mixed" else inputs.load_json(args.input_state)
     import numpy as np
 
     from . import capacity as cap
     from . import channels as mc
     from . import serialize as ser
 
-    obj = ser.load_json(args.input)
     if isinstance(obj, dict) and "kraus" in obj:
         channel = ser.channel_from_json(obj)
         mask = None
@@ -205,8 +222,8 @@ def cmd_capacity(args) -> int:
         n = mask.shape[0]
         mask, vals = cap._check_mask(mask, n)  # the one check; its Hermitian part is read on
     rho = None  # the maximally mixed state, which the mask route takes as None
-    if args.input_state != "maximally-mixed":
-        mat = ser.matrix_from_json(ser.load_json(args.input_state))
+    if state is not None:
+        mat = ser.matrix_from_json(state)
         if 1 in mat.shape:  # pure-state vector file
             vec = mat.reshape(-1)
             mat = np.outer(vec, vec.conj())
@@ -229,12 +246,11 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_timing(args) -> int:
+    channel, spectrum, phi0 = _load_channel(args, args.phi0)
     from . import serialize as ser
     from . import timing as tim
 
-    channel = _load_channel(args.channel)
-    spectrum = _load_spectrum(args.spectrum)
-    phi0 = ser.vector_from_json(ser.load_json(args.phi0))
+    phi0 = ser.vector_from_json(phi0)
     report = tim.timing_channel(channel, spectrum, phi0, args.s, args.N, tol=args.tol)
     _emit(args, {
         "N": report.N,
@@ -248,22 +264,24 @@ def cmd_timing(args) -> int:
 
 
 def _fock_params(args, mc_samples=1, seed=0):
+    """FockParams of args, whose ranges are checked (inputs.check_fock_params,
+    FockParams' own rule) before fock and numpy load."""
+    from . import inputs
+
+    values = dict(dim=args.dim, std_dev=args.std_dev, sigma_max=args.sigma_max,
+                  mc_samples=mc_samples, seed=seed)
+    inputs.check_fock_params(**values)
     from . import fock
 
-    return fock.FockParams(
-        dim=args.dim,
-        std_dev=args.std_dev,
-        sigma_max=args.sigma_max,
-        mc_samples=mc_samples,
-        seed=seed,
-    )
+    return fock.FockParams(**values)
 
 
 def cmd_gaussian(args) -> int:
+    params = _fock_params(args)
     from . import fock
     from . import serialize as ser
 
-    decomp = fock.gaussian_decomposition(_fock_params(args))
+    decomp = fock.gaussian_decomposition(params)
     if args.format == "csv":  # each mask made as its piece is written
         masks = (m for _, m in decomp._pairs())
         _write(args, _csv_pieces((f"mask_sigma_{int(m.sigma)}", m.mask) for m in masks))
@@ -279,13 +297,13 @@ def cmd_gaussian(args) -> int:
 
 
 def cmd_mc_gaussian(args) -> int:
+    params = _fock_params(args, mc_samples=args.samples, seed=args.seed)
     import numpy as np
 
     from . import channels as mc
     from . import fock
     from . import serialize as ser
 
-    params = _fock_params(args, mc_samples=args.samples, seed=args.seed)
     vac = np.zeros((params.dim, params.dim), dtype=complex)
     vac[0, 0] = 1.0
     rho = mc.DensityMatrix(vac)

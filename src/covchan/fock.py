@@ -73,6 +73,7 @@ from . import channels as mc
 from . import covariant as cov
 from .channels import DensityMatrix
 from .errors import DimensionMismatch, InvalidParameter, MaskNotPSD, SectorOutOfRange, UnknownSector
+from .inputs import MAX_DIM, check_fock_params  # noqa: F401 (MAX_DIM is fock.MAX_DIM)
 
 _MC_CHUNK = 4096  # fixed chunk size keeps the reduction order deterministic
 # Least allowance per entry of compare_decomposition_to_mc: the roundoff of the
@@ -82,24 +83,12 @@ _MC_CHUNK = 4096  # fixed chunk size keeps the reduction order deterministic
 # 2-16, 24, 32, 48 and 64 then deviated by at most 1.4e-15).
 _MC_ROUNDOFF = 1e-13
 _MASK_CHUNK = 16  # orders per factor stack and per SectorMask check (module docstring)
-# Largest accepted dim: an unbounded dim would ask for terabytes in the
-# spectrum's n^2 sector pairs and the Monte Carlo's dim x dim arrays.
-MAX_DIM = 1024
 # Largest dim gaussian_decomposition builds masks for.  The closed form has no
 # limit of its own and the CLI reports stream one mask at a time, but past
 # dim 186 the log-factorial factor loses accuracy (about 3e-13 relative at
 # 186, growing with log (2 dim)!), and the quadrature oracle stops there; the
 # cap stays until that accuracy is measured and bounded at larger dims.
 _MAX_MASK_DIM = 186
-
-
-def _check_std_dev(s: float) -> None:
-    """N = 2 s^2, the mean photon number the channel adds, must be a finite
-    normal float, so that the log N and 1 / N of the masks are finite too;
-    * overflows to inf where ** raises."""
-    two_var = 2.0 * s * s
-    if not (s > 0.0 and np.finfo(float).tiny <= two_var < math.inf):
-        raise InvalidParameter("std_dev must be positive with 2 std_dev^2 a finite normal float")
 
 
 @dataclass(frozen=True)
@@ -112,18 +101,9 @@ class FockParams:
     mc_samples: int = 100_000
     seed: int = 0
 
-    def __post_init__(self):
-        if not 2 <= self.dim <= MAX_DIM:
-            raise InvalidParameter(f"dim must lie in [2, {MAX_DIM}]")
-        _check_std_dev(self.std_dev)
-        if self.sigma_max == 0:
-            object.__setattr__(self, "sigma_max", self.dim - 1)
-        if not 0 < self.sigma_max < self.dim:
-            raise InvalidParameter("sigma_max must lie in [1, dim)")
-        if self.mc_samples < 1:
-            raise InvalidParameter("mc_samples must be positive")
-        if not 0 <= self.seed < 2**128:  # the Philox key range
-            raise InvalidParameter("seed must lie in [0, 2**128)")
+    def __post_init__(self):  # the CLI applies the same rule before fock loads
+        object.__setattr__(self, "sigma_max", check_fock_params(
+            self.dim, self.std_dev, self.sigma_max, self.mc_samples, self.seed))
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)

@@ -16,6 +16,7 @@ from covchan import channels as mc
 from covchan import cli
 from covchan import fock
 from covchan import generate as gen
+from covchan import inputs
 from covchan import serialize as ser
 
 from conftest import FIXTURES, csv_lines_by_entry, dumps_by_recursion, env_with_src
@@ -171,13 +172,13 @@ class TestCapacity:
     def test_a_256_level_mask_holds_no_kraus_stack(self, monkeypatch, tmp_path):
         # The n diagonal Kraus operators of hadamard_channel alone were 16 n^3
         # = 268 MB at n = 256.  The mask route holds a few n x n arrays; the
-        # file is read before tracing starts.
+        # file is read before tracing starts, and the CLI's reader returns it.
         n = 256
         mask = gen.random_unit_diagonal_mask(n, np.random.Generator(np.random.PCG64(256)))
         path = tmp_path / "mask.json"
         path.write_text(ser.dumps(ser.matrix_to_json(mask)))
-        obj = ser.load_json(path)
-        monkeypatch.setattr(ser, "load_json", lambda _: obj)
+        obj = inputs.load_json(path)
+        monkeypatch.setattr(inputs, "load_json", lambda _: obj)
         out = io.StringIO()
         tracemalloc.start()
         try:
@@ -552,21 +553,44 @@ LIBRARY_AFTER_PARSING = {"numpy", "covchan.channels", "covchan.covariant", "covc
 CHECK_FILES = (str(FIXTURES / "amplitude_damping_0.3.json"), str(FIXTURES / "spectrum_2level.json"))
 
 
+# Input files the front door refuses before numpy loads, written by the test.
+FRONT_DOOR_FILES = {
+    "malformed.json": '{"dim_in": 2, "kraus": [',
+    "nan_channel.json": '{"dim_in": 2, "dim_out": 2, "kraus": [{"rows": 2, "cols": 2, '
+                        '"data": [[NaN, 0], [0, 0], [0, 0], [1, 0]]}]}',
+    "nan_spectrum.json": '{"energies": [0, NaN]}',
+}
+
+
 @pytest.mark.parametrize("argv, seed_env, code, loaded", [
     (["gaussian", "--std-dev", "1", "--dim", "8", "--bogus"], None, 2, set()),
     (["mc-gaussian", "--std-dev", "1", "--dim", "8"], "abc", 2, set()),
     (["--help"], None, 0, set()),
     (["mc-gaussian", "--help"], None, 0, set()),
     (["check", CHECK_FILES[0]], None, 2, set()),  # a missing argument
+    (["check", "<tmp>/missing.json", CHECK_FILES[1]], None, 2, set()),
+    (["check", "<tmp>/malformed.json", CHECK_FILES[1]], None, 2, set()),
+    (["check", "<tmp>/nan_channel.json", CHECK_FILES[1]], None, 2, set()),
+    (["decompose", CHECK_FILES[0], "<tmp>/nan_spectrum.json"], None, 2, set()),
+    (["gaussian", "--std-dev", "1", "--dim", "1"], None, 2, set()),
+    (["gaussian", "--std-dev", "-1", "--dim", "8"], None, 2, set()),
+    (["gaussian", "--std-dev", "1", "--dim", "8", "--sigma-max", "99"], None, 2, set()),
+    (["mc-gaussian", "--std-dev", "1", "--dim", "8", "--seed", "-1"], None, 2, set()),
     (["check", *CHECK_FILES], None, 0,
      {"numpy", "covchan.channels", "covchan.covariant", "covchan.serialize"}),
     (["decompose", *CHECK_FILES], None, 0,
      {"numpy", "covchan.channels", "covchan.covariant", "covchan.serialize"}),
     (["gaussian", "--std-dev", "0.5", "--dim", "4"], None, 0,
      {"numpy", "covchan.channels", "covchan.covariant", "covchan.serialize", "covchan.fock"}),
-], ids=["unknown-flag", "seed-env-abc", "help", "subcommand-help", "missing-argument", "check",
-        "decompose", "gaussian"])
-def test_subcommand_loads_only_what_it_uses(argv, seed_env, code, loaded):
+], ids=["unknown-flag", "seed-env-abc", "help", "subcommand-help", "missing-argument",
+        "missing-file", "malformed-json", "nan-channel", "nan-spectrum", "gaussian-dim-1",
+        "std-dev-negative", "sigma-max-99", "mc-gaussian-seed-negative", "check", "decompose",
+        "gaussian"])
+def test_subcommand_loads_only_what_it_uses(argv, seed_env, code, loaded, tmp_path):
+    # Every refusal, argparse's and the front door's (inputs), loads no numpy.
+    for name, text in FRONT_DOOR_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    argv = [arg.replace("<tmp>", str(tmp_path)) for arg in argv]
     env = env_with_src()
     env.pop("COVCHAN_SEED", None)
     if seed_env is not None:

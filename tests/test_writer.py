@@ -100,4 +100,4 @@ def test_csv_lines_equal_per_entry_oracle(mat, transpose, real):
         mat = mat.T
     if real:
         mat = mat.real
-    assert cli._matrix_csv_lines("m", mat) == csv_lines_by_entry("m", mat)
+    assert cli._matrix_csv("m", mat) == "\n".join(csv_lines_by_entry("m", mat))

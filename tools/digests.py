@@ -56,10 +56,16 @@ fields, a channel by its Kraus operators.  The corpus:
   Hadamard gate, which is not covariant, at s = pi, N = 2, check and decompose on
   a dense n = 16 random_covariant channel file
   (integer spectrum) and on Gaussian parameters (gaussian and mc-gaussian,
-  JSON and CSV): exit code, stdout and stderr, run in process;
+  JSON and CSV, gaussian up to the benchmark's dim 48): exit code, stdout and
+  stderr, run in process;
 - the refused CLI invocations: an unknown flag, a COVCHAN_SEED that is not
-  an integer, and a directory, a non-UTF-8 file and 100,000 open brackets as
-  the channel file of check: exit code and stdout.
+  an integer; a directory, a non-UTF-8 file, 100,000 open brackets, a missing
+  file, malformed JSON and a NaN token as the channel file of check; a NaN
+  token in decompose's spectrum; a channel file that parses but is no channel
+  next to a missing spectrum; gaussian at dim 1, std_dev -1 and sigma_max 99
+  of dim 8; mc-gaussian with seed -1: exit code and stdout ("cli refused"),
+  and stderr apart ("cli refused stderr"), so that a changed message shows
+  without hiding whether stdout held.
 The readers of a decomposition: sectors, sector(sigma) at its first sigma and
 at 0, sigmas(), diagonal_sums(), apply_sectors of one random matrix,
 reconstruct, shift_distribution and domain_extension_check (t = 0.7) at one
@@ -164,14 +170,27 @@ def _run_cli(argv):
 
 
 def _refused_cli(argv, env=()):
-    """Exit code and stdout of cli.main with env set, or 1 and the type of
-    an exception that escapes it (a traceback, exit 1)."""
+    """Exit code, stdout and stderr of cli.main with env set, or 1, the type of
+    an exception that escapes it (a traceback, exit 1) and no stderr."""
     with mock.patch.dict(os.environ, env):
         try:
-            code, out, _ = _run_cli(argv)
+            return _run_cli(argv)
         except Exception as exc:
-            return 1, type(exc).__name__
-    return code, out
+            return 1, type(exc).__name__, ""
+
+
+def _refusal(label, argv, env=(), tmp=None):
+    """The "cli refused" rows of one invocation: (exit code, stdout), then stderr
+    with the temporary folder tmp named <tmp>, from one run."""
+    run = []
+
+    def result():
+        if not run:
+            run.append(_refused_cli(argv, env))
+        return run[0]
+
+    yield "cli refused", label, lambda: result()[:2]
+    yield "cli refused stderr", label, lambda: result()[2].replace(tmp or "<tmp>", "<tmp>")
 
 
 def _corpus():
@@ -338,7 +357,7 @@ def _corpus():
                  "--s", repr(math.pi), "--N", "2"])  # not covariant
     for fmt in ("json", "csv"):
         runs += [["gaussian", "--std-dev", "0.5", "--dim", str(d), "--format", fmt]
-                 for d in (2, 8, 16)]
+                 for d in (2, 8, 16, 48)]
         runs += [["gaussian", "--std-dev", "1", "--dim", "12", "--sigma-max", "3", "--format", fmt],
                  ["mc-gaussian", "--std-dev", "0.5", "--dim", "8", "--samples", "2000",
                   "--format", fmt]]
@@ -358,18 +377,34 @@ def _corpus():
                    lambda c=command: _run_cli([c, *map(str, files)]))
 
     spectrum = str(FIXTURES / "spectrum_2level.json")
-    yield ("cli refused", "gaussian --bogus",
-           lambda: _refused_cli(["gaussian", "--std-dev", "0.5", "--dim", "8", "--bogus"]))
-    yield ("cli refused", "mc-gaussian COVCHAN_SEED=abc",
-           lambda: _refused_cli(["mc-gaussian", "--std-dev", "0.5", "--dim", "8"],
-                                {"COVCHAN_SEED": "abc"}))
-    yield "cli refused", "check fixtures", lambda: _refused_cli(["check", str(FIXTURES), spectrum])
+    gauss = ["--std-dev", "0.5", "--dim", "8"]
+    yield from _refusal("gaussian --bogus", ["gaussian", *gauss, "--bogus"])
+    yield from _refusal("mc-gaussian COVCHAN_SEED=abc", ["mc-gaussian", *gauss],
+                        {"COVCHAN_SEED": "abc"})
+    for label, flags in (("gaussian --dim 1", ["gaussian", "--std-dev", "0.5", "--dim", "1"]),
+                         ("gaussian --std-dev -1", ["gaussian", "--std-dev", "-1", "--dim", "8"]),
+                         ("gaussian --sigma-max 99", ["gaussian", *gauss, "--sigma-max", "99"]),
+                         ("mc-gaussian --seed -1", ["mc-gaussian", *gauss, "--seed", "-1"])):
+        yield from _refusal(label, flags)
+    yield from _refusal("check fixtures", ["check", str(FIXTURES), spectrum])
     with tempfile.TemporaryDirectory() as tmp:
-        for label, data in (("not UTF-8", b"\xff\xfe"), ("nested 100,000 deep", b"[" * 100_000)):
+        missing = str(Path(tmp) / "missing.json")
+        yield from _refusal("check missing file", ["check", missing, spectrum], tmp=tmp)
+        yield from _refusal("check spectrum as channel, missing spectrum",
+                            ["check", spectrum, missing], tmp=tmp)
+        nan_channel = json.loads((FIXTURES / "amplitude_damping_0.3.json").read_text())
+        nan_channel["kraus"][0]["data"][0][0] = math.nan
+        for label, data in (("not UTF-8", b"\xff\xfe"), ("nested 100,000 deep", b"[" * 100_000),
+                            ("malformed JSON", b'{"dim_in": 2, "kraus": ['),
+                            ("NaN channel", json.dumps(nan_channel).encode())):
             path = Path(tmp) / f"{len(data)}.json"
             path.write_bytes(data)
-            yield ("cli refused", f"check {label}",
-                   lambda p=str(path): _refused_cli(["check", p, spectrum]))
+            yield from _refusal(f"check {label}", ["check", str(path), spectrum], tmp=tmp)
+        path = Path(tmp) / "nan_spectrum.json"
+        path.write_bytes(b'{"energies": [0, NaN]}')
+        yield from _refusal("decompose NaN spectrum",
+                            ["decompose", str(FIXTURES / "amplitude_damping_0.3.json"), str(path)],
+                            tmp=tmp)
 
 
 def _or_error(fn, *args):
