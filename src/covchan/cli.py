@@ -14,7 +14,7 @@ found".
 
 Start-up pays only for the subcommand that runs: at module level this file
 imports argparse, os, sys and the numpy-free ``errors``, and each ``cmd_*``
-first reads every input file it names (``inputs.load_json``) or checks the
+first reads every input file it names (``_read``, by ``inputs.load_json``) or checks the
 Gaussian parameters' ranges (``inputs.check_fock_params``), both numpy-free,
 and only then imports the library modules it uses.  So every argparse refusal (an
 unknown flag, a missing option, a non-integer --seed or COVCHAN_SEED, --help)
@@ -64,16 +64,12 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
-def _load_channel(args, *paths):
-    """The channel and spectrum files of args, then the JSON of each further
-    path.  Every file is parsed (inputs.load_json) before numpy loads, so a
-    refused file costs no import; the channel and spectrum are read after."""
+def _read(*paths):
+    """The JSON object of each path.  Every file is parsed (inputs.load_json)
+    before the caller imports numpy, so a refused file costs no import."""
     from . import inputs
 
-    channel, spectrum, *more = map(inputs.load_json, (args.channel, args.spectrum, *paths))
-    from . import serialize as ser
-
-    return ser.channel_from_json(channel), ser.spectrum_from_json(spectrum), *more
+    return [inputs.load_json(path) for path in paths]
 
 
 def _silence_stdout() -> None:
@@ -164,10 +160,12 @@ def _csv_pieces(named_matrices):
 
 
 def cmd_check(args) -> int:
-    channel, spectrum = _load_channel(args)
+    channel, spectrum = _read(args.channel, args.spectrum)
     from . import channels as mc
     from . import covariant as cov
+    from . import serialize as ser
 
+    channel, spectrum = ser.channel_from_json(channel), ser.spectrum_from_json(spectrum)
     report = mc.is_cptp(channel)
     defect = cov.covariance_defect(channel, spectrum)
     _emit(args, {
@@ -181,13 +179,14 @@ def cmd_check(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    channel, spectrum = _load_channel(args)
+    channel, spectrum = _read(args.channel, args.spectrum)
     import numpy as np
 
     from . import channels as mc
     from . import covariant as cov
     from . import serialize as ser
 
+    channel, spectrum = ser.channel_from_json(channel), ser.spectrum_from_json(spectrum)
     decomp = cov.decompose(channel, spectrum, tol=args.tol)
     # The Choi matrices agree, both zero, off the pairs that neither family touches.
     recon = cov.reconstruct(decomp)._ops
@@ -203,10 +202,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_capacity(args) -> int:
-    from . import inputs
-
-    obj = inputs.load_json(args.input)
-    state = None if args.input_state == "maximally-mixed" else inputs.load_json(args.input_state)
+    state_path = [] if args.input_state == "maximally-mixed" else [args.input_state]
+    obj, *state = _read(args.input, *state_path)  # state: [] or [its JSON]
     import numpy as np
 
     from . import capacity as cap
@@ -222,8 +219,8 @@ def cmd_capacity(args) -> int:
         n = mask.shape[0]
         mask, vals = cap._check_mask(mask, n)  # the one check; its Hermitian part is read on
     rho = None  # the maximally mixed state, which the mask route takes as None
-    if state is not None:
-        mat = ser.matrix_from_json(state)
+    if state:
+        mat = ser.matrix_from_json(state[0])
         if 1 in mat.shape:  # pure-state vector file
             vec = mat.reshape(-1)
             mat = np.outer(vec, vec.conj())
@@ -246,10 +243,11 @@ def cmd_capacity(args) -> int:
 
 
 def cmd_timing(args) -> int:
-    channel, spectrum, phi0 = _load_channel(args, args.phi0)
+    channel, spectrum, phi0 = _read(args.channel, args.spectrum, args.phi0)
     from . import serialize as ser
     from . import timing as tim
 
+    channel, spectrum = ser.channel_from_json(channel), ser.spectrum_from_json(spectrum)
     phi0 = ser.vector_from_json(phi0)
     report = tim.timing_channel(channel, spectrum, phi0, args.s, args.N, tol=args.tol)
     _emit(args, {

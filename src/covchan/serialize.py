@@ -26,8 +26,8 @@ one pass with one %-template; other values go through an isinstance chain
 The text is that of formatting each float on its own.
 
 A matrix's "data" is read with one float array over its flattened pairs,
-after one pass that refuses entries other than [re, im] pairs of JSON
-numbers (true and "1" among them).  Files are parsed by inputs.load_json,
+after three passes by type and length that refuse entries other than
+[re, im] lists of JSON numbers (null, 1, true and "1" among them).  Files are parsed by inputs.load_json,
 which needs no numpy and is re-exported here.
 """
 from __future__ import annotations
@@ -81,7 +81,7 @@ def matrix_from_json(obj) -> np.ndarray:
         if len(data) != rows * cols:
             raise ParseError(f"matrix data has {len(data)} entries, "
                              f"expected {reprlib.repr(rows * cols)}")
-        pairs = set(map(len, data)) == {2}
+        pairs = set(map(type, data)) == {list} and set(map(len, data)) == {2}
         numbers = list(chain.from_iterable(data)) if pairs else []
         if not (pairs and set(map(type, numbers)) <= {int, float}):  # float() reads true as 1
             raise ParseError("matrix entries must be [re, im] pairs of numbers")

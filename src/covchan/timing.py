@@ -140,22 +140,18 @@ def _check_n(N: int) -> None:
         raise InvalidParameter(f"N must lie in [1, MAX_N = {MAX_N}]")
 
 
-def _fourier(weights: np.ndarray, sigmas: np.ndarray, s: float, N: int,
-             paired: bool = False) -> np.ndarray:
+def _fourier(weights: np.ndarray, sigmas: np.ndarray, s: float, N: int) -> np.ndarray:
     """sum_i weights[i] e^{-i sigmas[i] s j} at j = 0..N-1, in np.longdouble: a phase
     argument sigma s j rounded to a double is off by up to |sigma s j| u (3e-14 at
     sigma s j = 300), and one such phase carries a sector's whole weight.  On x86-64
     the sums come within about one double ulp of a 40-digit evaluation; where longdouble
     is double they are what a double evaluation gives.
 
-    ``paired`` sigmas are distinct exact differences, which mostly come in exact +-
-    pairs: the exponentials are formed for each |sigma| once, and the column of a
-    negative sigma is its magnitude's conjugate, conj(e^{-ix}) being e^{ix} bit for bit."""
-    js = np.arange(N) * np.longdouble(s)
-    if not paired:
-        return (np.exp(-1j * np.outer(js, sigmas)) @ weights).astype(complex)
+    Energy differences mostly come in exact +- pairs, so the exponentials are formed
+    once per |sigma|, and the column of a negative sigma is its magnitude's conjugate,
+    conj(e^{-ix}) being e^{ix} bit for bit; the columns keep the order of sigmas."""
     mags, col = np.unique(np.abs(sigmas), return_inverse=True)
-    phases = np.exp(-1j * np.outer(js, mags))[:, col]
+    phases = np.exp(-1j * np.outer(np.arange(N) * np.longdouble(s), mags))[:, col]
     np.conjugate(phases, out=phases, where=sigmas < 0)
     return (phases @ weights).astype(complex)
 
@@ -212,8 +208,7 @@ def timing_channel(
         raise NotPeriodic(f"e^(-iHsN) deviates from a global phase by {period_defect:.3e}")
 
     sigmas = _operator_shifts(channel, spectrum)
-    paired = sigmas is None
-    if paired:  # the sectors' out_0; each pair's weight at its exact difference
+    if sigmas is None:  # the sectors' out_0; each pair's weight at its exact difference
         decomp, n, en = decompose(channel, spectrum), spectrum.dim, spectrum.energies
         out0 = apply_sectors(decomp, np.outer(phi0, phi0.conj()))
         pairs = decomp._store.pairs  # slot after slot, as the diagonals
@@ -228,7 +223,7 @@ def timing_channel(
     defect = float(_lag_overlaps(out0, spectrum, s, np.arange(1, N)).max(initial=0.0))
     if defect > tol:
         raise NotReliableTiming(defect, tol)
-    v = _fourier(weights, sigmas, s, N, paired)  # v(j) = sum_i p_i e^{-i sigma_i s j}
+    v = _fourier(weights, sigmas, s, N)  # v(j) = sum_i p_i e^{-i sigma_i s j}
 
     # The circulant built from v is Hermitian for covariant channels, so the
     # DFT spectrum is real up to roundoff.

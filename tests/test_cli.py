@@ -525,6 +525,14 @@ def test_misshapen_matrix_exit_2(capsys, bad_files, name, slot):
         assert err.startswith(f"parse error: {bad}: ")
 
 
+@pytest.mark.parametrize("name", ["entry-bool", "entry-scalar", "mask-entry-bool",
+                                  "mask-entry-null"])
+def test_an_entry_that_is_no_pair_of_numbers_exit_2(capsys, bad_files, name):
+    code, out, err = run(capsys, "capacity", str(bad_files[f"bad:{name}"]))
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == "parse error: matrix entries must be [re, im] pairs of numbers\n"
+
+
 @pytest.mark.parametrize("statement, absent", [
     # The package namespace is lazy: importing it loads no submodule.
     ("import covchan", "numpy"),
@@ -768,6 +776,7 @@ MASK_FILES = {
     "mask-2x3": _mask_text(2, 3, ", ".join(["[1, 0]"] * 6)),
     # a JSON true, which complex() read as 1: the identity mask on one level
     "mask-entry-bool": _mask_text(1, 1, "[true, 0]"),
+    "mask-entry-null": _mask_text(1, 1, "null"),
 }
 # Headers of the wrong JSON type, which int() and float() used to coerce, and
 # an integer literal past the largest double, which used to escape as OverflowError.
@@ -779,6 +788,8 @@ HEADER_FILES = {
                                                         '"dim_in": 2.0, "dim_out": 2.0'),
         "entry-huge-int": _channel_text("1" + "0" * 400),
         "entry-bool": _channel_text("true"),
+        # an entry that is no list, which escaped as len()'s TypeError text
+        "entry-scalar": '{"dim_in": 1, "dim_out": 1, "kraus": [{"rows": 1, "cols": 1, "data": [1]}]}',
     },
     "spectrum": {
         "energies-string": '{"energies": "01"}',
@@ -895,6 +906,8 @@ def run_main(argv, seed_env):
 @example(case=(["capacity", "bad:entry-huge-int"], None))
 @example(case=(["capacity", "bad:mask-entry-bool"], None))
 @example(case=(["check", "bad:entry-bool", str(FIXTURES / "spectrum_2level.json")], None))
+@example(case=(["capacity", "bad:mask-entry-null"], None))
+@example(case=(["check", "bad:entry-scalar", str(FIXTURES / "spectrum_2level.json")], None))
 @example(case=(["decompose", str(FIXTURES / "identity_channel.json"), "bad:energies-string"],
                None))
 @example(case=(["check", str(FIXTURES / "identity_channel.json"), "bad:energies-bool"], None))

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import sys
 import tracemalloc
 import warnings
 from decimal import Decimal, localcontext
@@ -16,7 +15,6 @@ from scipy.linalg import expm
 import covchan as cc
 from covchan import channels as mcore
 from covchan import cli, fock, inputs
-from covchan.inputs import MAX_DIM
 from covchan.channels import EPS_PSD
 from covchan.errors import DimensionMismatch, InvalidParameter, MaskNotPSD, SectorOutOfRange
 
@@ -428,17 +426,6 @@ class TestGaussianMasks:
                 assert np.all(np.abs(got - want)[~normal] <= tiny), sigma
 
 
-def _neighbours(x):
-    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
-
-
-# std_dev where 2 std_dev^2 reaches the smallest normal double and where it
-# overflows, each with its neighbours, and the non-finite and signed zeros.
-STD_DEV_EDGES = [*_neighbours(math.sqrt(sys.float_info.min / 2.0)),
-                 *_neighbours(math.sqrt(sys.float_info.max / 2.0)),
-                 0.0, -0.0, -1.0, 0.5, math.nan, math.inf, -math.inf]
-
-
 class TestGaussianDecomposition:
     def test_truncation_defect_profile(self):
         params = fock.FockParams(dim=16, std_dev=0.3)
@@ -504,26 +491,26 @@ class TestGaussianDecomposition:
         assert cli.main(["gaussian", "--std-dev", "0.5", "--dim", "1000000"]) == 2
         assert cli.main(["mc-gaussian", "--std-dev", "0.5", "--dim", "1000000"]) == 2
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
-    @given(dim=st.one_of(st.sampled_from([1, 2, MAX_DIM, MAX_DIM + 1]), st.integers(-2, 1100)),
-           std_dev=st.one_of(st.sampled_from(STD_DEV_EDGES), st.floats()),
-           sigma_max=st.one_of(st.sampled_from([0, 1, 7, 8, 99]), st.integers(-2, 1100)),
-           mc_samples=st.integers(-1, 2),
-           seed=st.sampled_from([-1, 0, 2**128 - 1, 2**128]))
-    def test_front_door_check_agrees_with_params(self, dim, std_dev, sigma_max, mc_samples,
-                                                 seed):
-        # The CLI refuses Gaussian parameters with the numpy-free check before
-        # fock loads; FockParams must accept and refuse the same draws, with
-        # the same message, and resolve sigma_max = 0 the same way.
-        def outcome(make):
-            try:
-                return make()
-            except InvalidParameter as exc:
-                return str(exc)
-
-        values = (dim, std_dev, sigma_max, mc_samples, seed)
-        assert (outcome(lambda: inputs.check_fock_params(*values))
-                == outcome(lambda: fock.FockParams(*values).sigma_max))
+    @pytest.mark.parametrize("argv, kwargs", [
+        (["gaussian", "--dim", "1"], {"dim": 1}),
+        (["gaussian", "--dim", str(fock.MAX_DIM + 1)], {"dim": fock.MAX_DIM + 1}),
+        (["gaussian", "--std-dev", "-1"], {"std_dev": -1.0}),
+        (["gaussian", "--std-dev", "1e-154"], {"std_dev": 1e-154}),
+        (["gaussian", "--std-dev", "nan"], {"std_dev": math.nan}),
+        (["gaussian", "--sigma-max", "99"], {"sigma_max": 99}),
+        (["mc-gaussian", "--samples", "0"], {"mc_samples": 0}),
+        (["mc-gaussian", "--seed", "-1"], {"seed": -1}),
+        (["mc-gaussian", "--seed", str(2**128)], {"seed": 2**128}),
+    ])
+    def test_cli_refuses_with_the_params_message(self, capsys, argv, kwargs):
+        # The CLI checks the ranges before fock loads, with FockParams' own rule.
+        assert fock.check_fock_params is inputs.check_fock_params
+        with pytest.raises(InvalidParameter) as refused:
+            fock.FockParams(**{"dim": 8, "std_dev": 0.5, **kwargs})
+        defaults = {"--dim": "8", "--std-dev": "0.5"}
+        flags = [x for flag, value in defaults.items() if flag not in argv for x in (flag, value)]
+        assert cli.main([*argv, *flags]) == cli.EXIT_USAGE
+        assert capsys.readouterr() == ("", f"error: {refused.value}\n")
 
     @pytest.mark.parametrize("dim, sigma_max", [(12, 7), (40, 39)])
     def test_checks_each_chunk_once(self, monkeypatch, dim, sigma_max):

@@ -37,6 +37,14 @@ class TestMatrixFormat:
         with pytest.raises(ParseError, match="integers >= 1"):
             ser.matrix_from_json({"rows": rows, "cols": cols, "data": [[1.0, 0.0]]})
 
+    @pytest.mark.parametrize("entry", [1, None, "ab", {"re": 1, "im": 0}, [1], [1, 0, 0],
+                                       [True, 0], ["1", 0], [[1], 0], [None, 0]])
+    def test_entries_are_pairs_of_numbers(self, entry):
+        # complex() read true and "1" as 1; an entry that is no list escaped as
+        # len()'s TypeError; "ab" and a two-key object have length 2 too.
+        with pytest.raises(ParseError, match=r"^matrix entries must be \[re, im\] pairs of numbers$"):
+            ser.matrix_from_json({"rows": 1, "cols": 2, "data": [[1.0, 0.0], entry]})
+
     def test_vector_rejects_matrix(self):
         obj = ser.matrix_to_json(np.eye(2))
         with pytest.raises(ParseError):

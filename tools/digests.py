@@ -36,6 +36,8 @@ fields, a channel by its Kraus operators.  The corpus:
   through is_reliable_timing and timing_channel (N = 4, tol 1e-9 and 1) at
   s = pi / 2 from the uniform superposition of all levels, a refusal
   digested as its error's type and text;
+- v_from_distribution (s = pi / 2, N = 64) of three hand-made shift
+  distributions, with a signed zero, a repeated sigma and unpaired ones;
 - the benchmark's bounds timing shapes (three-shift mixtures on the integer
   spectrum at N = 2-6, 8, 12 and 16 from a random-phase state on levels
   0..N-1, step 2 pi / N; the spacing-1 mixture at N = 4, refused as not
@@ -69,7 +71,8 @@ fields, a channel by its Kraus operators.  The corpus:
 The readers of a decomposition: sectors, sector(sigma) at its first sigma and
 at 0, sigmas(), diagonal_sums(), apply_sectors of one random matrix,
 reconstruct, shift_distribution and domain_extension_check (t = 0.7) at one
-random state, and the JSON writer.
+random state, v_from_distribution of that shift distribution (s = pi / 2,
+N = 64), and the JSON writer.
 """
 from __future__ import annotations
 
@@ -102,6 +105,10 @@ TIMING_STEP, TIMING_N = math.pi / 2, 4  # the integer spectrum's period is 4 ste
 # The benchmark's bounds timing shapes, (N, component spacing, step in units of 2 pi / N):
 # N = 2-16, the not-orthogonal spacing-1 item and the not-periodic 0.97 step.
 BOUNDS_TIMING = (*((N, N, 1.0) for N in (2, 3, 4, 5, 6, 8, 12, 16)), (4, 1, 1.0), (6, 6, 0.97))
+V_N = 64  # v_from_distribution's N, at TIMING_STEP
+# Shift distributions with a signed zero, a repeated sigma and unpaired ones.
+HAND_DISTRIBUTIONS = (((-0.0, 0.25), (0.0, 0.25), (-1.5, 0.5)),
+                      ((2.0, 0.3), (2.0, 0.3), (-2.0, 0.4)), ((-3.0, 0.6), (0.5, 0.4)))
 DENSE_TIMING = ((4, 64), (8, 64), (16, 64))  # (n, N) of the dense channels' timing
 CHAINED = (0.0, 1.0, 2.0 + 1e-11, 3.0 + 3e-11)  # timed at N = 8
 DENSE_CLI_SIZE = 16
@@ -217,6 +224,8 @@ def _corpus():
         yield "diagonal_sums", name, decomp.diagonal_sums
         yield "apply_sectors", name, lambda: cov.apply_sectors(decomp, X)
         yield "shift_distribution", name, lambda: cov.shift_distribution(decomp, rho)
+        yield ("v_from_distribution", name, lambda: _or_error(
+            tim.v_from_distribution, cov.shift_distribution(decomp, rho), TIMING_STEP, V_N))
         yield "domain_extension_check", name, lambda: cov.domain_extension_check(decomp, rho, T)
         if dense:
             yield "reconstruct", name, lambda: cov.reconstruct(decomp)
@@ -295,6 +304,11 @@ def _corpus():
         for tol in (1e-9, 1.0):  # the default refuses these orbits; 1.0 lets the report through
             yield ("timing_channel", f"{name} tol={tol!r}", lambda c=chan, s=spec, p=phi0, t=tol:
                    _or_error(tim.timing_channel, c, s, p, TIMING_STEP, TIMING_N, t))
+
+    for pairs in HAND_DISTRIBUTIONS:
+        dist = cov.EnergyShiftDistribution(pairs)
+        yield ("v_from_distribution", f"pairs={pairs!r}",
+               lambda d=dist: tim.v_from_distribution(d, TIMING_STEP, V_N))
 
     for N, spacing, step in BOUNDS_TIMING:
         rng = np.random.default_rng([N, spacing, 5])
