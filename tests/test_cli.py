@@ -525,14 +525,6 @@ def test_misshapen_matrix_exit_2(capsys, bad_files, name, slot):
         assert err.startswith(f"parse error: {bad}: ")
 
 
-@pytest.mark.parametrize("name", ["entry-bool", "entry-scalar", "mask-entry-bool",
-                                  "mask-entry-null"])
-def test_an_entry_that_is_no_pair_of_numbers_exit_2(capsys, bad_files, name):
-    code, out, err = run(capsys, "capacity", str(bad_files[f"bad:{name}"]))
-    assert (code, out) == (cli.EXIT_USAGE, "")
-    assert err == "parse error: matrix entries must be [re, im] pairs of numbers\n"
-
-
 @pytest.mark.parametrize("statement, absent", [
     # The package namespace is lazy: importing it loads no submodule.
     ("import covchan", "numpy"),
