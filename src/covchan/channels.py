@@ -20,7 +20,10 @@ bytes are then at most the stack's own 16 K dim_out dim_in, so a channel
 never holds more than twice its Kraus operators.  is_cptp reads the stack,
 choi_of and the sector work of covariant read the support and the Choi
 matrix too, so none stacks the operators again, and a family with K < |S|
-forms the matrix afresh in each call that needs it.
+forms the matrix afresh in each call that needs it.  covariant keeps its
+sector label of the operators on the channel too, one per spectrum: O(K)
+numbers, two floats and the index tables of the sectors the channel touches,
+never a matrix.
 """
 from __future__ import annotations
 

@@ -15,14 +15,16 @@ found".
 Start-up pays only for the subcommand that runs: at module level this file
 imports argparse, os, sys and the numpy-free ``errors``, and each ``cmd_*``
 first reads every input file it names (``_read``, by ``inputs.load_json``) or checks the
-Gaussian parameters' ranges (``inputs.check_fock_params``), both numpy-free,
-and only then imports the library modules it uses.  So every argparse refusal (an
-unknown flag, a missing option, a non-integer --seed or COVCHAN_SEED, --help)
-and every input refusal of the front door (a missing, unreadable or malformed
-file, a non-finite token, a Gaussian parameter out of range) exits before
-numpy is imported.  A file is read whole before any is interpreted, so a
-missing or malformed later file is reported before what is wrong inside an
-earlier one.  check and decompose never load fock, timing or capacity, and
+Gaussian parameters' ranges (``inputs.check_fock_params`` and the mask cap
+``inputs.check_mask_dim``), timing then its orbit length
+(``inputs.check_orbit_length``), all numpy-free, and only then imports the
+library modules it uses.  So every argparse refusal (an unknown flag, a missing
+option, a non-integer --seed or COVCHAN_SEED, --help) and every input refusal of
+the front door (a missing, unreadable or malformed file, a non-finite token, a
+Gaussian parameter out of range or a dim above the mask cap, a timing --N out of
+range) exits before numpy is imported.  A file is read whole before any is
+interpreted, so a missing or malformed later file is reported before what is
+wrong inside an earlier one.  check and decompose never load fock, timing or capacity, and
 gaussian never loads timing or capacity.
 
 Every report goes through one writer (``_write``) that streams it in pieces
@@ -244,6 +246,9 @@ def cmd_capacity(args) -> int:
 
 def cmd_timing(args) -> int:
     channel, spectrum, phi0 = _read(args.channel, args.spectrum, args.phi0)
+    from . import inputs
+
+    inputs.check_orbit_length(args.N)  # timing_channel's first check, before numpy loads
     from . import serialize as ser
     from . import timing as tim
 
@@ -263,12 +268,14 @@ def cmd_timing(args) -> int:
 
 def _fock_params(args, mc_samples=1, seed=0):
     """FockParams of args, whose ranges are checked (inputs.check_fock_params,
-    FockParams' own rule) before fock and numpy load."""
+    FockParams' own rule, then the mask cap of gaussian_decomposition, which
+    both subcommands call) before fock and numpy load."""
     from . import inputs
 
     values = dict(dim=args.dim, std_dev=args.std_dev, sigma_max=args.sigma_max,
                   mc_samples=mc_samples, seed=seed)
     inputs.check_fock_params(**values)
+    inputs.check_mask_dim(args.dim)
     from . import fock
 
     return fock.FockParams(**values)

@@ -14,13 +14,28 @@ omega); a Spectrum decides these sets once, and every function here reads
 that one sector map: a sigma names the cluster of differences within match_tol
 of it, in partial_shift, SectorDecomposition.sector and EnergyShiftDistribution
 alike.  Each mask is a principal block of the Choi matrix, which makes the
-extraction independent of the Kraus gauge.  The Choi matrix is formed only
-on the pairs some Kraus operator touches: every other row and column is
-zero, so a shift mixture or a dephasing channel, whose operators S_sigma
-diag(d) touch O(n) of the n^2 pairs, never builds the n^2 x n^2 matrix.  It
-is the channel's own (Channel._choi): formed once and shared by
-covariance_defect and decompose when the channel keeps it (|S| <= K), and
-formed by each of them when there are fewer Kraus operators than pairs.
+extraction independent of the Kraus gauge.
+
+A channel meets a spectrum through its sector label (_label, a _Label), made by
+one pass over its Kraus operators on its support when first asked for and kept
+on the channel, one per spectrum: each operator's cluster, or -1 when its
+nonzero entries lie in two (mixed), and, when every operator's entries share
+one exact difference E_j' - E_j, those shifts, which timing reads.  Every
+family the library builds (reconstruct, hadamard_channel, build_shift_mixture)
+is sector-pure, no operator mixed: its cross-sector Choi entries are sums of
+exact zeros, so covariance_defect is 0.0 with no Choi matrix, and decompose
+forms each sector's block as X_sigma^T conj(X_sigma) from the operators
+labelled sigma and the sector's pairs, one product per size group
+(_label_blocks).  A mixed family (random_covariant's, whose sectors mix at
+roundoff, or one that is not covariant) takes the Choi route: the Choi matrix
+on the pairs some Kraus operator touches, every other row and column being
+zero, which is the channel's own (Channel._choi, kept when |S| <= K).  Its
+cross-sector |entries| are formed once per (channel, spectrum), by the first of
+covariance_defect and decompose, and their largest entry and squared norm are
+kept on the label (_cross_sector), so the other reads the two floats; decompose
+still reads the blocks off the Choi matrix (_sector_blocks).  Either route lays
+out the sectors the channel touches with the entry tables the first decompose
+builds and the label keeps (_block_tables).
 
 A decomposition is one store (_Layout), which every library reader reads: its
 sectors in size order, each with its spectrum cluster c (sigma, domain and
@@ -56,6 +71,7 @@ from __future__ import annotations
 import reprlib
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -403,34 +419,94 @@ def _support_choi(channel: Channel,
                   spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The channel's Choi matrix on its support S: S (the pairs where some
     Kraus operator is nonzero), C on S x S (read-only, the channel's own) and
-    its |entries| between two sectors (zero within one).  Every Choi row and
-    column off S is zero, so the cross-sector entries off S x S are too."""
+    its |entries| between two sectors (_cross_entries)."""
     if channel._ops.shape[1:] != (spectrum.dim, spectrum.dim):
         raise DimensionMismatch("channel and spectrum dimensions differ")
     support, choi = channel._support, channel._choi()
+    return support, choi, _cross_entries(choi, support, spectrum)
+
+
+def _cross_entries(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum) -> np.ndarray:
+    """|C| between two sectors, zero within one, for C on support x support.  Every
+    Choi row and column off the support is zero, so the cross-sector entries off it are."""
     sector = spectrum._cluster[support]
     cross = np.abs(choi)
     cross[sector[:, None] == sector[None, :]] = 0.0
-    return support, choi, cross
+    return cross
 
 
-def _operator_shifts(channel: Channel, spectrum: Spectrum) -> np.ndarray | None:
-    """sigma_k per Kraus operator A_k when all nonzero entries (j', j) of A_k have one
-    E_j' - E_j, bit for bit; None when some operator has two, or the operators are not
-    n x n.  Then U_t A_k U_t^dag = e^{-i sigma_k t} A_k exactly, U_t = e^{-iHt}: each
-    operator moves energy by one exact difference, with no tolerance involved.  Only the
-    entries on the channel's support are read; an operator with none reads the difference
-    of the support's first pair, or 0.0 when the support is empty."""
+def _magnitudes(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct |sigma|, ascending, and the index of each sigma's in them."""
+    return np.unique(np.abs(sigmas), return_inverse=True)
+
+
+class _Label:
+    """The sector label of one Kraus family on one spectrum, made by one pass over
+    its operators on the channel's support (_label).  cluster[k] is the spectrum
+    cluster of operator k's first nonzero entry when all its nonzero entries lie in
+    it, and -1 (mixed) otherwise; pure says no operator is mixed.  shifts[k] is the
+    one exact difference E_j' - E_j that all of operator k's nonzero entries share,
+    bit for bit, and shifts is None unless every operator has one.  An operator with
+    no nonzero entry reads the support's first pair (pair 0 when the support is
+    empty).  cross is (max, squared Frobenius norm) of the cross-sector |Choi|
+    entries: (0.0, 0.0) for a pure family, whose cross-sector entries are sums of
+    exact zeros, and for a mixed one None until the first call that forms its Choi
+    matrix sets it (_cross_sector).  tables is _block_tables of the channel's support,
+    the layout of the sectors it touches and decompose's entry tables, O(sum d^2)
+    indices, set by the first decompose.  magnitudes is _magnitudes(shifts), made on
+    its first read (timing._fourier's table)."""
+
+    def __init__(self, cluster: np.ndarray, shifts: np.ndarray | None):
+        cluster.setflags(write=False)
+        if shifts is not None:
+            shifts.setflags(write=False)
+        self.cluster, self.shifts, self.pure = cluster, shifts, bool(cluster.min() >= 0)
+        self.cross = (0.0, 0.0) if self.pure else None
+        self.tables = None
+
+    @cached_property
+    def magnitudes(self) -> tuple[np.ndarray, np.ndarray]:
+        return _magnitudes(self.shifts)
+
+
+def _label(channel: Channel, spectrum: Spectrum) -> _Label:
+    """The channel's _Label on spectrum, made on the first call and kept on the
+    channel, one per spectrum, which the channel keeps alive (DimensionMismatch unless
+    its operators are n x n).  Only the entries on the channel's support are read."""
+    labels = channel.__dict__.setdefault("_labels", {})
+    label = labels.get(spectrum)
+    if label is not None:
+        return label
     ops, n = channel._ops, spectrum.dim
     if ops.shape[1:] != (n, n):
-        return None
-    support = channel._support
-    if not support.size:
-        return np.zeros(len(ops))
-    diffs = spectrum.energies[support // n] - spectrum.energies[support % n]  # E_j' - E_j
-    nonzero = ops.reshape(len(ops), -1)[:, support] != 0
-    sigmas = diffs[np.argmax(nonzero, axis=1)]  # at each operator's first nonzero entry
-    return sigmas if (nonzero <= (diffs == sigmas[:, None])).all() else None
+        raise DimensionMismatch("channel and spectrum dimensions differ")
+    support = channel._support if channel._support.size else np.zeros(1, dtype=np.intp)
+    nonzero = (ops.reshape(len(ops), -1) != 0)[:, support]
+    first = np.argmax(nonzero, axis=1)  # each operator's first nonzero entry
+    sector = spectrum._cluster[support]
+    cluster = sector[first]
+    mixed = ~(nonzero <= (sector == cluster[:, None])).all(axis=1)
+    shifts = None
+    if not mixed.any():  # E_j' - E_j at every pair, then at each first entry
+        diffs = spectrum.energies[support // n] - spectrum.energies[support % n]
+        shifts = diffs[first]
+        if not (nonzero <= (diffs == shifts[:, None])).all():
+            shifts = None
+    cluster[mixed] = -1
+    labels[spectrum] = label = _Label(cluster, shifts)
+    return label
+
+
+def _cross_sector(channel: Channel, spectrum: Spectrum, label: _Label,
+                  choi: np.ndarray | None = None) -> tuple[float, float]:
+    """label.cross, the (max, squared Frobenius norm) of the channel's cross-sector
+    |Choi| entries, set on the first call from choi (the channel's Choi matrix on its
+    support, channel._choi() by default): once per (channel, spectrum)."""
+    if label.cross is None:
+        cross = _cross_entries(channel._choi() if choi is None else choi, channel._support,
+                               spectrum)
+        label.cross = (float(cross.max(initial=0.0)), float(np.vdot(cross, cross).real))
+    return label.cross
 
 
 # A store, or decompose's work layout: per slot, in size order, its cluster, domain
@@ -542,12 +618,12 @@ def _store_failure(spectrum: Spectrum, store: _Layout) -> str | None:
     return min(found)[1] if found else None
 
 
-def _sector_blocks(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum):
-    """The layout of the sectors holding a pair of the support, with their blocks of choi
-    on support x support, +0.0 off it (a pinching: PSD stays PSD), and per entry the
-    places in the pairs of its row and column and of its transpose.  No other sector is
-    laid out: over all sectors each table would hold about 2 n^3 / 3 entries."""
-    n, order = spectrum.dim, spectrum._by_size
+def _block_tables(support: np.ndarray, spectrum: Spectrum):
+    """The layout of the sectors holding a pair of the support, its blocks not yet
+    formed, and per entry the places in the pairs of its row and column and of its
+    transpose.  No other sector is laid out: over all sectors each table would hold
+    about 2 n^3 / 3 entries."""
+    order = spectrum._by_size
     held = np.zeros(order.size, dtype=bool)
     held[spectrum._cluster[support]] = True
     layout = _lay_out(spectrum, order[held[order]], None)
@@ -560,12 +636,59 @@ def _sector_blocks(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum):
     base = np.repeat(np.cumsum(sizes) - sizes, square)
     rows += base
     cols += base
-    del start, d, base  # freed before the gather, which runs beside the Choi arrays
-    at = np.full(n * n, -1)  # the row of each pair in choi, -1 off the support
+    for arr in (rows, cols, trans):
+        arr.setflags(write=False)
+    return layout, rows, cols, trans
+
+
+def _sector_blocks(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum, tables=None):
+    """The tables (_block_tables(support, spectrum), made here by default) with the
+    blocks of choi on support x support, +0.0 off it (a pinching: PSD stays PSD)."""
+    layout, rows, cols, trans = _block_tables(support, spectrum) if tables is None else tables
+    at = np.full(spectrum.dim ** 2, -1)  # the row of each pair in choi, -1 off the support
     at[support] = np.arange(support.size)
     row, col = at[layout.pairs][rows], at[layout.pairs][cols]
     blocks = choi[row, col]
     blocks[(row < 0) | (col < 0)] = 0.0
+    return layout._replace(blocks=blocks), rows, cols, trans
+
+
+def _label_blocks(channel: Channel, spectrum: Spectrum, label: _Label):
+    """_sector_blocks of a sector-pure family on its tables (label.tables), formed with
+    no Choi matrix: sector sigma's block is X_sigma^T conj(X_sigma), X_sigma the entries
+    of the operators labelled sigma on its pairs, in operator order.  A size group's
+    X_sigma are one stack, each padded with zero rows to the group's most operators and
+    to at least two, so that the one product per group is a BLAS product for every
+    sector (numpy takes a product of inner dimension 1 in its own loop).  A group's
+    stack holds at most max(2, K) n^2 entries, twice the Kraus stack's at most, and only
+    one is held at a time.  An entry off the support is a sum of +-0.0, set to +0.0 as
+    the Choi matrix's."""
+    support = channel._support
+    layout, rows, cols, trans = label.tables
+    slot = np.full(len(spectrum.sigmas), -1)
+    slot[layout.clusters] = np.arange(layout.clusters.size)
+    slot = slot[label.cluster]  # of each operator; -1 for zero ones off every laid-out sector
+    ops = np.flatnonzero(slot >= 0)
+    ops = ops[np.argsort(slot[ops], kind="stable")]  # slot after slot, in operator order
+    count = np.bincount(slot[ops], minlength=layout.clusters.size)
+    starts = np.cumsum(count) - count  # of each slot's operators in ops
+    rank = np.arange(ops.size) - np.repeat(starts, count)  # each operator's within its slot
+    flat, blocks = channel._ops.reshape(len(channel._ops), -1), np.empty(rows.size, dtype=complex)
+    first, sizes = np.cumsum(layout.sizes) - layout.sizes, layout.sizes  # of each slot's pairs
+    bounds = [*np.flatnonzero(np.r_[sizes[:1] >= 0, sizes[1:] != sizes[:-1]]).tolist(), sizes.size]
+    for a, b in zip(bounds[:-1], bounds[1:]):  # the size groups, in size order
+        m, d, o = b - a, int(sizes[a]), int(layout.offsets[a])
+        pairs = layout.pairs[first[a]:first[a] + m * d].reshape(m, d)
+        mine = slice(starts[a], starts[b - 1] + count[b - 1])
+        where = slot[ops[mine]] - a
+        x = np.zeros((m, max(2, int(count[a:b].max())), d), dtype=complex)
+        x[where, rank[mine]] = flat[ops[mine][:, None], pairs[where]]
+        blocks[o:o + m * d * d] = (x.swapaxes(1, 2) @ x.conj()).reshape(-1)
+    at = np.zeros(spectrum.dim ** 2, dtype=bool)
+    at[support] = True
+    held = at[layout.pairs]
+    if not held.all():
+        blocks[~(held[rows] & held[cols])] = 0.0
     return layout._replace(blocks=blocks), rows, cols, trans
 
 
@@ -604,7 +727,7 @@ def covariance_defect(channel: Channel, spectrum: Spectrum) -> float:
     alpha_t conjugation the Choi entries pick up relative phases between
     sectors, so any cross-sector mass breaks covariance.
     """
-    return float(_support_choi(channel, spectrum)[2].max(initial=0.0))
+    return _cross_sector(channel, spectrum, _label(channel, spectrum))[0]
 
 
 def decompose(
@@ -621,6 +744,11 @@ def decompose(
     read directly from the Choi matrix (a principal submatrix, hence PSD).
     The Choi matrix is the channel's, on the pairs where some Kraus operator
     is nonzero; a sector with none of them has a zero mask and is dropped.
+    A sector-pure family (the channel's label on spectrum, module docstring)
+    forms no Choi matrix: each block is the product of its own sector's
+    operators, the Choi matrix's block up to roundoff, and the covariance
+    defect is 0.0.  A mixed family's cross-sector defect and squared norm are
+    those the label keeps once covariance_defect or decompose has formed them.
     Complete positivity is the SectorMask check of each kept block, passed
     at once when the rounding bound of the Gram product C_S = V_S^T
     conj(V_S), scaled for the trace-preservation congruence, proves it
@@ -635,17 +763,24 @@ def decompose(
     """
     if not 0.0 <= tol < np.inf:
         raise InvalidParameter(f"tolerance must be finite and >= 0, got {tol!r}")
-    support, choi, cross = _support_choi(channel, spectrum)
-    defect = float(cross.max(initial=0.0))
+    label = _label(channel, spectrum)
+    choi = None if label.cross is not None else channel._choi()  # formed once for both reads
+    defect, sq_cross = _cross_sector(channel, spectrum, label, choi)
     if defect > tol:
         raise NotCovariant(defect, tol)
     n = spectrum.dim
-    layout, rows, cols, trans = _sector_blocks(choi, support, spectrum)
-    sq_cross = float(np.vdot(cross, cross).real)  # its squared Frobenius norm
+    if label.tables is None:
+        label.tables = _block_tables(channel._support, spectrum)
+    if label.pure:
+        layout, rows, cols, trans = _label_blocks(channel, spectrum, label)
+    else:
+        choi = channel._choi() if choi is None else choi
+        layout, rows, cols, trans = _sector_blocks(choi, channel._support, spectrum,
+                                                   label.tables)
     # Freed before any output is allocated, so that the outputs take no fresh
-    # pages above the Choi arrays that a later Choi matrix could reuse (the
-    # channel keeps its Choi matrix when |S| <= K, and then none is formed).
-    del choi, cross
+    # pages above the Choi matrix that a later one could reuse (the channel
+    # keeps its Choi matrix when |S| <= K, and then none is formed).
+    del choi
     raw = layout.blocks
     layout = layout._replace(blocks=(raw + raw[trans].conj()) / 2.0)
     scale = 1.0
@@ -669,7 +804,9 @@ def decompose(
     blocks.setflags(write=False)
     store = _lay_out(spectrum, layout.clusters[~drop], blocks)
     # Every block is a pinched principal block of C_S = V_S^T conj(V_S), V_S the
-    # vec(A_m) rows on the support, Hermitised and maybe scaled by _restore_tp.
+    # vec(A_m) rows on the support, Hermitised and maybe scaled by _restore_tp; a
+    # pure family's is its sector's own product, with at most K nonzero terms an
+    # entry and exact zeros for the rest, so the same bound holds.
     ops = channel._ops
     if not mc._gram_certified(ops.reshape(1, -1), len(ops), scale, channel._squares):
         failure = _store_failure(spectrum, store)

@@ -1,6 +1,6 @@
 """Truncated single-mode Gaussian channel: displacement operators, their
 energy-shift sectors via Laguerre polynomials, dephasing masks in closed form
-(dims up to _MAX_MASK_DIM = 186), and a Monte Carlo oracle that shares the
+(dims up to inputs.MAX_MASK_DIM = 186), and a Monte Carlo oracle that shares the
 real eigenbasis of the generator with displacement_matrix; expm of the
 generator is the test oracle.  FockParams accepts dims up to MAX_DIM, so no bad dim reaches an
 O(dim^2) allocation.  gaussian_decomposition is the one mask builder, and the
@@ -73,7 +73,7 @@ from . import channels as mc
 from . import covariant as cov
 from .channels import DensityMatrix
 from .errors import DimensionMismatch, InvalidParameter, MaskNotPSD, SectorOutOfRange, UnknownSector
-from .inputs import MAX_DIM, check_fock_params  # noqa: F401 (MAX_DIM is fock.MAX_DIM)
+from .inputs import MAX_DIM, check_fock_params, check_mask_dim  # noqa: F401 (MAX_DIM is fock.MAX_DIM)
 
 _MC_CHUNK = 4096  # fixed chunk size keeps the reduction order deterministic
 # Least allowance per entry of compare_decomposition_to_mc: the roundoff of the
@@ -83,12 +83,6 @@ _MC_CHUNK = 4096  # fixed chunk size keeps the reduction order deterministic
 # 2-16, 24, 32, 48 and 64 then deviated by at most 1.4e-15).
 _MC_ROUNDOFF = 1e-13
 _MASK_CHUNK = 16  # orders per factor stack and per SectorMask check (module docstring)
-# Largest dim gaussian_decomposition builds masks for.  The closed form has no
-# limit of its own and the CLI reports stream one mask at a time, but past
-# dim 186 the log-factorial factor loses accuracy (about 3e-13 relative at
-# 186, growing with log (2 dim)!), and the quadrature oracle stops there; the
-# cap stays until that accuracy is measured and bounded at larger dims.
-_MAX_MASK_DIM = 186
 
 
 @dataclass(frozen=True)
@@ -162,7 +156,7 @@ def _shared_integer_spectrum(dim: int) -> cov.Spectrum:
     """integer_spectrum(dim), one per dim for all Gaussian decompositions of
     that dim: a Spectrum is immutable, so they can share it and the sector
     tables their stores read their pairs from.  gaussian_decomposition asks
-    only for dims up to _MAX_MASK_DIM: 1 MB at dim 186 with its tables."""
+    only for dims up to inputs.MAX_MASK_DIM: 1 MB at dim 186 with its tables."""
     return integer_spectrum(dim)
 
 
@@ -348,8 +342,7 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     failing a, as one check per sector in sector order would.
     """
     dim, top = params.dim, params.sigma_max
-    if dim > _MAX_MASK_DIM:
-        raise InvalidParameter(f"Gaussian masks need dim <= {_MAX_MASK_DIM}, got {dim}")
+    check_mask_dim(dim)
     log_fact, n = _log_factorials(dim), 2.0 * params.std_dev * params.std_dev
     pieces, proved = [], True
     for a0 in range(0, top + 1, _MASK_CHUNK):

@@ -8,7 +8,9 @@ calls its parse_constant hook for those tokens alone, so the refusal costs
 nothing per number.  A number literal past the double range (1e999) parses to
 inf and is left to the readers' finiteness checks.  ``check_fock_params`` is
 the one range rule of the Gaussian channel's parameters; fock.FockParams
-applies it too.
+applies it too.  ``check_mask_dim`` and ``check_orbit_length`` are the caps
+of fock.gaussian_decomposition and of the timing orbit length, which those
+modules apply and the CLI applies before they load.
 """
 from __future__ import annotations
 
@@ -20,6 +22,17 @@ from .errors import InvalidParameter, ParseError
 # Largest accepted dim: an unbounded dim would ask for terabytes in the
 # spectrum's n^2 sector pairs and the Monte Carlo's dim x dim arrays.
 MAX_DIM = 1024
+# Largest dim fock.gaussian_decomposition builds masks for.  The closed form has no
+# limit of its own and the CLI reports stream one mask at a time, but past
+# dim 186 the log-factorial factor loses accuracy (about 3e-13 relative at
+# 186, growing with log (2 dim)!), and the quadrature oracle stops there; the
+# cap stays until that accuracy is measured and bounded at larger dims.
+MAX_MASK_DIM = 186
+# Largest accepted timing orbit length, refused beyond before anything is allocated.
+# It caps the lag sum's N x n phase table and the Fourier sum's N x D longdouble one,
+# D the differences that carry weight (K Kraus operators, or at most n^2 - n + 1),
+# 32 B an entry: 30 MiB at N = 4096 and D = 241 (n = 16 on an incommensurate spectrum).
+MAX_N = 4096
 
 
 def load_json(path) -> object:
@@ -73,3 +86,15 @@ def check_fock_params(dim, std_dev, sigma_max, mc_samples, seed) -> int:
     if not 0 <= seed < 2**128:  # the Philox key range
         raise InvalidParameter("seed must lie in [0, 2**128)")
     return sigma_max
+
+
+def check_mask_dim(dim) -> None:
+    """Refuse a Gaussian mask dim above MAX_MASK_DIM with InvalidParameter."""
+    if dim > MAX_MASK_DIM:
+        raise InvalidParameter(f"Gaussian masks need dim <= {MAX_MASK_DIM}, got {dim}")
+
+
+def check_orbit_length(N) -> None:
+    """Refuse a timing orbit length N outside [1, MAX_N] with InvalidParameter."""
+    if not 1 <= N <= MAX_N:
+        raise InvalidParameter(f"N must lie in [1, MAX_N = {MAX_N}]")

@@ -12,13 +12,16 @@ timing_channel reads the orthogonality defects and v of a pure phi0 from two
 things: out_0 = G(|phi0><phi0|) and weights p_i at exact energy differences
 sigma_i.  The orbit outputs of a covariant channel are U_{sj} out_0 U_{sj}^dag, so
 tr(out_a out_b) depends on b - a alone (_lag_overlaps), and v(j) = sum_i p_i
-e^{-i sigma_i s j} (_fourier, which also serves v_from_distribution).  When every
-Kraus operator A_k moves energy by one exact difference sigma_k (all its nonzero
-entries (j', j) share one E_j' - E_j, bit for bit: covariant._operator_shifts), the
-family is covariant by construction: out_0 = sum_k a_k a_k^dag, a_k = A_k phi0, and
-p_k = |a_k|^2.  Every other family is decomposed first (decompose, which refuses a
-channel that is not covariant): out_0 = apply_sectors(|phi0><phi0|), and each sector
-pair (j', j) weighs M_sigma(j, j) |phi0_j|^2 at its own exact E_j' - E_j, the weights
+e^{-i sigma_i s j} (_fourier, which also serves v_from_distribution).  The route is
+read from the channel's sector label on the spectrum (covariant._label), made once per
+(channel, spectrum) and kept on the channel.  When every Kraus operator A_k moves
+energy by one exact difference sigma_k (all its nonzero entries (j', j) share one
+E_j' - E_j, bit for bit: the label's shifts), the family is covariant by construction:
+out_0 = sum_k a_k a_k^dag, a_k = A_k phi0, and p_k = |a_k|^2, and _fourier's table of
+distinct |sigma_k| is the label's too.  Every other family is decomposed first
+(decompose, which refuses a channel that is not covariant, and forms no Choi matrix
+for a sector-pure one): out_0 = apply_sectors(|phi0><phi0|), and each sector pair
+(j', j) weighs M_sigma(j, j) |phi0_j|^2 at its own exact E_j' - E_j, the weights
 summed per distinct difference.  is_reliable_timing applies the Kraus operators to
 phi0 and U_s phi0 and needs neither.
 """
@@ -32,15 +35,10 @@ import numpy as np
 from . import channels as mc
 from .capacity import spectrum_to_bound
 from .channels import Channel
-from .covariant import (EnergyShiftDistribution, Spectrum, _check_phase, _operator_shifts,
+from .covariant import (EnergyShiftDistribution, Spectrum, _check_phase, _label, _magnitudes,
                         _shift_kraus, apply_sectors, decompose, partial_shift)
 from .errors import DimensionMismatch, InvalidParameter, NotPeriodic, NotReliableTiming
-
-# Largest accepted orbit length, refused beyond before anything is allocated.  It caps
-# the lag sum's N x n phase table and the Fourier sum's N x D longdouble one, D the
-# differences that carry weight (K Kraus operators, or at most n^2 - n + 1), 32 B an
-# entry: 30 MiB at N = 4096 and D = 241 (n = 16 on an incommensurate spectrum).
-MAX_N = 4096
+from .inputs import MAX_N, check_orbit_length  # noqa: F401 (MAX_N is timing.MAX_N)
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,12 +133,8 @@ def build_shift_mixture(spectrum: Spectrum, shifts) -> ShiftMixture:
     return ShiftMixture(channel=channel, tp_support=support, tp_defect=defect)
 
 
-def _check_n(N: int) -> None:
-    if not 1 <= N <= MAX_N:
-        raise InvalidParameter(f"N must lie in [1, MAX_N = {MAX_N}]")
-
-
-def _fourier(weights: np.ndarray, sigmas: np.ndarray, s: float, N: int) -> np.ndarray:
+def _fourier(weights: np.ndarray, sigmas: np.ndarray, magnitudes, s: float,
+             N: int) -> np.ndarray:
     """sum_i weights[i] e^{-i sigmas[i] s j} at j = 0..N-1, in np.longdouble: a phase
     argument sigma s j rounded to a double is off by up to |sigma s j| u (3e-14 at
     sigma s j = 300), and one such phase carries a sector's whole weight.  On x86-64
@@ -148,9 +142,10 @@ def _fourier(weights: np.ndarray, sigmas: np.ndarray, s: float, N: int) -> np.nd
     is double they are what a double evaluation gives.
 
     Energy differences mostly come in exact +- pairs, so the exponentials are formed
-    once per |sigma|, and the column of a negative sigma is its magnitude's conjugate,
-    conj(e^{-ix}) being e^{ix} bit for bit; the columns keep the order of sigmas."""
-    mags, col = np.unique(np.abs(sigmas), return_inverse=True)
+    once per |sigma|: magnitudes is covariant._magnitudes(sigmas), the distinct |sigma|
+    and each sigma's index in them.  The column of a negative sigma is its magnitude's
+    conjugate, conj(e^{-ix}) being e^{ix} bit for bit; the columns keep the order of sigmas."""
+    mags, col = magnitudes
     phases = np.exp(-1j * np.outer(np.arange(N) * np.longdouble(s), mags))[:, col]
     np.conjugate(phases, out=phases, where=sigmas < 0)
     return (phases @ weights).astype(complex)
@@ -159,10 +154,10 @@ def _fourier(weights: np.ndarray, sigmas: np.ndarray, s: float, N: int) -> np.nd
 def v_from_distribution(dist: EnergyShiftDistribution, s: float, N: int) -> np.ndarray:
     """Coherence vector v(j) = sum_sigma p(sigma) e^{-i sigma s j}, j < N (finite
     phases), for N in [1, MAX_N]."""
-    _check_n(N)
+    check_orbit_length(N)
     sig = np.array([x for x, _ in dist.pairs])
     _check_phase(sig, float(s) * (N - 1), f"s * (N - 1), s = {s}")
-    return _fourier(np.array([y for _, y in dist.pairs]), sig, s, N)
+    return _fourier(np.array([y for _, y in dist.pairs]), sig, _magnitudes(sig), s, N)
 
 
 def circulant(v: np.ndarray) -> np.ndarray:
@@ -196,7 +191,7 @@ def timing_channel(
     The DFT q_k = (1/N) sum_j v(j) e^{-2 pi i jk / N} yields the capacity
     lower bound log2(N) - S(q).
     """
-    _check_n(N)
+    check_orbit_length(N)
     if channel.dim_out != spectrum.dim:
         raise DimensionMismatch("phi0, channel and spectrum dimensions differ")
     phi0 = _checked_phi0(channel, spectrum, phi0, s, N)
@@ -207,23 +202,25 @@ def timing_channel(
     if not period_defect <= 1e-9:
         raise NotPeriodic(f"e^(-iHsN) deviates from a global phase by {period_defect:.3e}")
 
-    sigmas = _operator_shifts(channel, spectrum)
-    if sigmas is None:  # the sectors' out_0; each pair's weight at its exact difference
+    label = _label(channel, spectrum)
+    if label.shifts is None:  # the sectors' out_0; each pair's weight at its exact difference
         decomp, n, en = decompose(channel, spectrum), spectrum.dim, spectrum.energies
         out0 = apply_sectors(decomp, np.outer(phi0, phi0.conj()))
         pairs = decomp._store.pairs  # slot after slot, as the diagonals
         diags = np.concatenate([np.zeros(0), *(d.real.ravel() for *_, d in decomp._diagonals())])
         sigmas, at = np.unique(en[pairs // n] - en[pairs % n], return_inverse=True)
         weights = np.bincount(at, diags * np.abs(phi0[pairs % n]) ** 2, sigmas.size)
+        magnitudes = _magnitudes(sigmas)
     else:  # out_0's conjugate, a_k = A_k phi0 its rows' factors, of weight |a_k|^2 at sigma_k
         a = channel._ops @ phi0
         out0, weights = a.conj().T @ a, np.vecdot(a, a).real
+        sigmas, magnitudes = label.shifts, label.magnitudes
 
     # Pairwise orthogonality: tr(out_a out_b) for a < b is a function of b - a alone.
     defect = float(_lag_overlaps(out0, spectrum, s, np.arange(1, N)).max(initial=0.0))
     if defect > tol:
         raise NotReliableTiming(defect, tol)
-    v = _fourier(weights, sigmas, s, N)  # v(j) = sum_i p_i e^{-i sigma_i s j}
+    v = _fourier(weights, sigmas, magnitudes, s, N)  # v(j) = sum_i p_i e^{-i sigma_i s j}
 
     # The circulant built from v is Hermitian for covariant channels, so the
     # DFT spectrum is real up to roundoff.

@@ -271,16 +271,51 @@ def restore_tp_per_sector(blocks: list, spectrum: cc.Spectrum) -> list:
     return [block * np.outer(scale[j], scale[j]) for j, block in zip(levels, blocks)]
 
 
+def blocks_per_operator(channel: cc.Channel, spectrum: cc.Spectrum):
+    """Each sector's Choi block of a family whose operators each lie in one sector:
+    X^T conj(X), X the rows vec(A) of its operators on its pairs, in operator order,
+    padded with zero rows to at least two, so that it is a BLAS product as decompose's
+    (whose further zero rows add exact zeros); +0.0 on a pair no operator touches.
+    None for a family that mixes sectors, one look per operator and sector."""
+    flat = [op.reshape(-1) for op in channel.kraus]
+    held = [[op for op in flat if np.any(op[pairs] != 0)] for pairs in spectrum.sector_pairs]
+    if sum(len(ops) for ops in held) > sum(bool(np.any(op != 0)) for op in flat):
+        return None  # an operator with nonzero entries in two sectors
+    blocks = []
+    for pairs, ops in zip(spectrum.sector_pairs, held):
+        x = np.zeros((max(2, len(ops)), len(pairs)), dtype=complex)
+        for k, op in enumerate(ops):
+            x[k] = op[pairs]
+        block = x.T @ x.conj()
+        touched = np.any(x != 0, axis=0)
+        block[~(touched[:, None] & touched[None, :])] = 0.0
+        blocks.append(block)
+    return blocks
+
+
+def on_the_choi_route(channel: cc.Channel, spectrum: cc.Spectrum) -> cc.Channel:
+    """A copy of channel whose sector label on spectrum calls every operator mixed, so
+    that covariance_defect, decompose and timing_channel read its Choi matrix, as they
+    do for a family that mixes sectors."""
+    copy = cc.Channel(channel.kraus)
+    copy.__dict__["_labels"] = {spectrum: cov._Label(np.full(len(channel.kraus), -1), None)}
+    return copy
+
+
 def decompose_per_sector(channel: cc.Channel, spectrum: cc.Spectrum,
                          tol: float = 1e-10) -> cc.SectorDecomposition:
     """Oracle for covariant.decompose: every sector's block pinched, kept or
     dropped, and checked by its own SectorMask, in sector order.  Each shift
-    comes from its own cluster's pairs."""
+    comes from its own cluster's pairs.  A family whose operators each lie in one
+    sector has its blocks summed per operator (blocks_per_operator), as decompose
+    does; the blocks of any other family are read from the Choi matrix."""
     choi, cross = choi_and_cross_per_sector(channel, spectrum)
     defect = float(cross.max())
     if defect > tol:
         raise NotCovariant(defect, tol)
-    pinched = [choi[np.ix_(pairs, pairs)] for pairs in spectrum.sector_pairs]
+    pinched = blocks_per_operator(channel, spectrum)
+    if pinched is None:
+        pinched = [choi[np.ix_(pairs, pairs)] for pairs in spectrum.sector_pairs]
     blocks = [(b + b.conj().T) / 2.0 for b in pinched]
     n = spectrum.dim
     gram = np.trace(choi.reshape(n, n, n, n), axis1=0, axis2=2)

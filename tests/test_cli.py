@@ -576,6 +576,11 @@ FRONT_DOOR_FILES = {
     (["gaussian", "--std-dev", "-1", "--dim", "8"], None, 2, set()),
     (["gaussian", "--std-dev", "1", "--dim", "8", "--sigma-max", "99"], None, 2, set()),
     (["mc-gaussian", "--std-dev", "1", "--dim", "8", "--seed", "-1"], None, 2, set()),
+    (["gaussian", "--std-dev", "1", "--dim", "187"], None, 2, set()),
+    (["mc-gaussian", "--std-dev", "1", "--dim", "1024"], None, 2, set()),
+    (["timing", str(FIXTURES / "shift_mixture_channel.json"),
+      str(FIXTURES / "spectrum_4level.json"), "--phi0", str(FIXTURES / "phi0_4level.json"),
+      "--s", "1", "--N", "5000"], None, 2, set()),
     (["check", *CHECK_FILES], None, 0,
      {"numpy", "covchan.channels", "covchan.covariant", "covchan.serialize"}),
     (["decompose", *CHECK_FILES], None, 0,
@@ -584,8 +589,8 @@ FRONT_DOOR_FILES = {
      {"numpy", "covchan.channels", "covchan.covariant", "covchan.serialize", "covchan.fock"}),
 ], ids=["unknown-flag", "seed-env-abc", "help", "subcommand-help", "missing-argument",
         "missing-file", "malformed-json", "nan-channel", "nan-spectrum", "gaussian-dim-1",
-        "std-dev-negative", "sigma-max-99", "mc-gaussian-seed-negative", "check", "decompose",
-        "gaussian"])
+        "std-dev-negative", "sigma-max-99", "mc-gaussian-seed-negative", "gaussian-dim-187",
+        "mc-gaussian-dim-1024", "timing-N-5000", "check", "decompose", "gaussian"])
 def test_subcommand_loads_only_what_it_uses(argv, seed_env, code, loaded, tmp_path):
     # Every refusal, argparse's and the front door's (inputs), loads no numpy.
     for name, text in FRONT_DOOR_FILES.items():

@@ -847,6 +847,97 @@ def test_size_groups_of_one_shared_block_are_views():
         assert minus.__array_interface__ == plus.__array_interface__
 
 
+class TestSectorLabel:
+    # One label per (channel, spectrum), made once: each Kraus operator's cluster,
+    # -1 for one that mixes two, and the exact shifts where every operator has one.
+
+    def test_labels_of_the_library_families(self, rng):
+        spec = cc.Spectrum(np.arange(6.0))
+        mix = tim.build_shift_mixture(spec, [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)]).channel
+        label = cov._label(mix, spec)
+        assert label.pure and label.cross == (0.0, 0.0)
+        assert label.cluster.tolist() == [spec._cluster_at(s) for s in (0.0, 2.0, -1.0)]
+        assert label.shifts.tolist() == [0.0, 2.0, -1.0]
+        assert cov._label(mix, spec) is label  # kept on the channel
+        assert cov._label(mix, cc.Spectrum(np.arange(6.0))) is not label  # one per spectrum
+        hadamard = cc.hadamard_channel(gen.random_unit_diagonal_mask(6, rng))
+        assert set(cov._label(hadamard, spec).cluster.tolist()) == {spec._cluster_at(0.0)}
+        dense = cov._label(gen.random_covariant(spec, rng), spec)
+        assert not dense.pure and (dense.cluster == -1).all() and dense.shifts is None
+        assert dense.cross is None  # until a call forms the Choi matrix
+
+    def test_a_unitary_mix_of_two_sectors_takes_the_choi_route(self, monkeypatch):
+        spec = cc.Spectrum(np.arange(5.0))
+        a, b = tim.build_shift_mixture(spec, [(1.0, 0.5), (-1.0, 0.5)]).channel.kraus
+        mixed = cc.Channel(((a + b) / np.sqrt(2.0), (a - b) / np.sqrt(2.0)))
+        label = cov._label(mixed, spec)
+        assert label.cluster.tolist() == [-1, -1] and label.shifts is None
+        calls = []
+        sector_blocks = cov._sector_blocks
+
+        def counted(*args):
+            calls.append(args)
+            return sector_blocks(*args)
+
+        def refuse(*args):
+            raise AssertionError("a mixed family took the label route")
+
+        monkeypatch.setattr(cov, "_sector_blocks", counted)
+        monkeypatch.setattr(cov, "_label_blocks", refuse)
+        got = cov.decompose(mixed, spec)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        want = cov.decompose(cc.Channel((a, b)), spec)
+        assert got._store.clusters.tolist() == want._store.clusters.tolist()
+        assert np.abs(got._store.blocks - want._store.blocks).max() <= 1e-15
+
+    def test_cross_sector_entries_are_formed_once(self, monkeypatch):
+        # check then decompose of a dense n = 16 channel: one |C|, whose largest entry
+        # and squared norm the label keeps.
+        spec = cc.Spectrum(np.arange(16.0))
+        chan = gen.random_covariant(spec, np.random.default_rng(16))
+        want = decompose_per_sector(chan, spec)
+        calls = []
+        cross_entries = cov._cross_entries
+
+        def counted(*args):
+            calls.append(args[0].shape)
+            return cross_entries(*args)
+
+        monkeypatch.setattr(cov, "_cross_entries", counted)
+        defect = cov.covariance_defect(chan, spec)
+        decomp = cov.decompose(chan, spec)
+        assert cov.covariance_defect(chan, spec) == defect
+        assert calls == [(256, 256)]
+        assert sha256_of(decomp) == sha256_of(want)
+        with pytest.raises(NotCovariant):  # the kept defect refuses with no Choi matrix
+            cov.decompose(chan, spec, tol=defect / 2)
+        assert len(calls) == 1
+
+    def test_pure_families_form_no_choi_matrix(self, monkeypatch, rng):
+        # check, decompose and timing of a shift mixture and of a Hadamard channel, and
+        # of a mixture on a sqrt(2)-spaced spectrum, which timing decomposes.
+        def refuse(*args):
+            raise AssertionError("a Choi matrix was formed")
+
+        monkeypatch.setattr(mcore, "_choi_on_support", refuse)
+        integer, spaced = cc.Spectrum(np.arange(8.0)), cc.Spectrum(np.sqrt(2.0) * np.arange(8.0))
+        cases = [
+            (integer, tim.build_shift_mixture(integer, [(0.0, 0.5), (3.0, 0.5)]).channel,
+             np.pi / 2),
+            (integer, cc.hadamard_channel(gen.random_unit_diagonal_mask(8, rng)), np.pi / 2),
+            (spaced, tim.build_shift_mixture(spaced, [(0.0, 0.5), (3.0 * np.sqrt(2.0), 0.5)])
+             .channel, np.pi / (2.0 * np.sqrt(2.0))),
+        ]
+        phi0 = np.full(8, 8 ** -0.5)
+        for spec, chan, s in cases:
+            cc.is_cptp(chan)
+            assert cov.covariance_defect(chan, spec) == 0.0
+            cov.reconstruct(cov.decompose(chan, spec))
+            tim.timing_channel(chan, spec, phi0, s, 4, np.inf)
+        assert cov._label(cases[2][1], spaced).shifts is None  # decomposed by timing
+
+
 def test_sector_work_on_a_sparse_channel_stays_small():
     # decompose + reconstruct of a three-shift mixture at n = 128 lay out the
     # three sectors it touches, sum d^2 = 48,389 entries; index tables over all

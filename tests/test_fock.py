@@ -713,7 +713,7 @@ class TestGaussianDecomposition:
             raise AssertionError("gaussian_decomposition built blocks past its dim cap")
 
         monkeypatch.setattr(fock, "_mask_chunk", refuse)
-        params = fock.FockParams(dim=fock._MAX_MASK_DIM + 1, std_dev=1.0)
+        params = fock.FockParams(dim=inputs.MAX_MASK_DIM + 1, std_dev=1.0)
         assert params.dim == 187
         with pytest.raises(InvalidParameter, match="dim <= 186"):
             fock.gaussian_decomposition(params)

@@ -12,7 +12,7 @@ from covchan import channels as mc
 from covchan import covariant as cov
 from covchan import generate as gen
 from covchan import timing as tim
-from covchan.errors import InvalidParameter, NotPeriodic, NotReliableTiming
+from covchan.errors import DimensionMismatch, InvalidParameter, NotPeriodic, NotReliableTiming
 from conftest import dense_pair_defect, sha256_of, timing_by_dense_applications
 
 
@@ -393,12 +393,13 @@ class TestOneApplicationRoute:
     def test_operator_shifts_are_exact_differences(self):
         spec = cc.Spectrum(np.arange(5.0))
         mix = tim.build_shift_mixture(spec, [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)])
-        assert cov._operator_shifts(mix.channel, spec).tolist() == [0.0, 2.0, -1.0]
-        assert cov._operator_shifts(cc.identity_channel(5), spec).tolist() == [0.0]
+        assert cov._label(mix.channel, spec).shifts.tolist() == [0.0, 2.0, -1.0]
+        assert cov._label(cc.identity_channel(5), spec).shifts.tolist() == [0.0]
         zero = cc.Channel((np.zeros((5, 5)),))
-        assert cov._operator_shifts(zero, spec).tolist() == [0.0]
-        assert cov._operator_shifts(cc.Channel((np.ones((5, 5)),)), spec) is None
-        assert cov._operator_shifts(cc.Channel((np.ones((4, 5)),)), spec) is None
+        assert cov._label(zero, spec).shifts.tolist() == [0.0]
+        assert cov._label(cc.Channel((np.ones((5, 5)),)), spec).shifts is None
+        with pytest.raises(DimensionMismatch):
+            cov._label(cc.Channel((np.ones((4, 5)),)), spec)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=40)
     @given(N=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), tol=st.sampled_from([1e-9, np.inf]))
@@ -441,7 +442,7 @@ class TestOneApplicationRoute:
         if mixed:
             chan = gauge_mixed(chan, rng)
         scaled = cc.Spectrum(2.0 ** k * spec.energies)
-        assert (cov._operator_shifts(chan, scaled) is None) == mixed
+        assert (cov._label(chan, scaled).shifts is None) == mixed
         reports = [tim.timing_channel(chan, sp, phi0, t, N, np.inf)
                    for sp, t in ((spec, s), (scaled, 2.0 ** -k * s))]
         assert sha256_of(report_numbers(reports[0])) == sha256_of(report_numbers(reports[1]))
@@ -454,7 +455,7 @@ class TestOneApplicationRoute:
         # every pair m' - m: the shifts' operators have several differences, bit for bit.
         a = 2.0 ** k * np.sqrt(2.0)
         chan, spec, phi0, s = three_shift_fixture(6, rng, lambda dim: a * np.arange(float(dim)))
-        assert cov._operator_shifts(chan, spec) is None
+        assert cov._label(chan, spec).shifts is None
         with mock.patch.object(tim, "decompose", wraps=tim.decompose) as decompose:
             rep = tim.timing_channel(chan, spec, phi0, s / a, 6, np.inf)
         assert decompose.call_count == 1
@@ -526,7 +527,7 @@ def test_decomposition_route_matches_40_digits(energies, N, seed):
     phi0 /= np.linalg.norm(phi0)
     s = 2.0 * np.pi / N
     v, bound = timing_by_mpmath(chan, spec, phi0, s, N)
-    assert cov._operator_shifts(chan, spec) is None and len(spec.sigmas) == 2 * spec.dim - 1
+    assert cov._label(chan, spec).shifts is None and len(spec.sigmas) == 2 * spec.dim - 1
     rep = tim.timing_channel(chan, spec, phi0, s, N, np.inf)
     scale = U * (1.0 + spec.energies[-1] * s * N)
     assert np.abs(rep.v - v).max() <= 1.0 * scale

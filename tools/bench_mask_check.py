@@ -19,6 +19,14 @@ Rows, each timed in a fresh process with OPENBLAS_NUM_THREADS=1:
   and both on the shift mixture {(0, .5), (2, .3), (-1, .2)} on the integer
   spectrum at n = 28 and 128 (each call on the channel and decomposition as
   they were built);
+- covariant.covariance_defect followed by covariant.decompose, the check then
+  decompose pipeline, on a dense random_covariant channel at n = 16 (integer
+  spectrum), the shift mixture above at n = 28 and the Gaussian channel
+  reconstructed from its decomposition at dim 48 (std_dev 1): cold, each call
+  on the channel as it was built (no sector label, support or Choi matrix
+  kept), and warm, each call on the channel after a first pass (what the
+  channel keeps for its spectrum kept); with the peak traced memory
+  (tracemalloc) of one call, in MB;
 - timing.timing_channel and timing.is_reliable_timing on the benchmark's
   bounds timing shapes (tools/benchlib.timing_mixture, N = 2, 4, 6, 8, 12 and
   16, step 2 pi / N), each also with its operators mixed by a random isometry
@@ -55,6 +63,7 @@ minimum over its rounds, each round timing enough calls to last about 0.1 s
 from __future__ import annotations
 
 import sys
+import tracemalloc
 
 from benchlib import gauge_mixed, main, spectrum_energies, time_row, timing_mixture
 
@@ -71,6 +80,7 @@ SPECTRUM_SIZES = (16, 64)
 PSD_SIZES = (4, 16, 64)
 TIMING_NS = (2, 4, 6, 8, 12, 16)
 LONG_NS = (64, 256, 1024)
+RECONSTRUCTED_DIM = 48
 
 
 def _as_built(*objs):
@@ -89,6 +99,16 @@ def _as_built(*objs):
         return call
 
     return wrap
+
+
+def _traced_peak_mb(fn) -> float:
+    """The peak traced memory of one call of fn, in MB (0.1 MB steps)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return round(tracemalloc.get_traced_memory()[1] / 2**20, 1)
+    finally:
+        tracemalloc.stop()
 
 
 def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
@@ -148,6 +168,22 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
                              as_built(lambda: cov.reconstruct(decomp)), rounds))
         rows.append(time_row("is_cptp -> ... -> shift_distribution", kind, n,
                              as_built(pipeline), rounds))
+    gaussian = fock.gaussian_decomposition(fock.FockParams(dim=RECONSTRUCTED_DIM, std_dev=1.0))
+    spec16, spec28 = cov.Spectrum(np.arange(16.0)), cov.Spectrum(np.arange(28.0))
+    checked = [("dense random_covariant", 16, spec16,
+                gen.random_covariant(spec16, np.random.default_rng(16))),
+               ("shift mixture", 28, spec28, tim.build_shift_mixture(spec28, MIXTURE).channel),
+               ("reconstructed gaussian", RECONSTRUCTED_DIM, gaussian.spectrum,
+                cov.reconstruct(gaussian))]
+    for kind, n, spec, chan in checked:
+        def check_then_decompose(chan=chan, spec=spec):
+            return cov.covariance_defect(chan, spec), cov.decompose(chan, spec)
+
+        for state, fn in (("cold", _as_built(chan)(check_then_decompose)),
+                          ("warm", check_then_decompose)):
+            fn()
+            rows.append({**time_row("covariance_defect + decompose", f"{kind}, {state}", n,
+                                    fn, rounds), "peak_traced_mb": _traced_peak_mb(fn)})
     for n in HADAMARD_SIZES:
         mask = gen.random_unit_diagonal_mask(n, np.random.default_rng(n))
         rows.append(time_row("capacity.hadamard_channel", "random mask", n,

@@ -30,12 +30,19 @@ fields, a channel by its Kraus operators.  The corpus:
   decomposition read back from its JSON text;
 - Hadamard channels of random unit-diagonal masks at n = 1-12, 16 and 32, and
   shift mixtures on the integer spectrum at n = 2-12, 28 and 128, through
-  decompose, reconstruct and shift_distribution; the masks also through
-  hadamard_bound and verify_hqc, and their channels through
-  coherent_information at one random state; the shift mixtures also
-  through is_reliable_timing and timing_channel (N = 4, tol 1e-9 and 1) at
-  s = pi / 2 from the uniform superposition of all levels, a refusal
-  digested as its error's type and text;
+  covariance_defect, decompose, reconstruct and shift_distribution; the masks
+  also through hadamard_bound and verify_hqc, and their channels through
+  coherent_information at one random state and timing_channel (N = 4,
+  tol inf); the shift mixtures also through is_reliable_timing and
+  timing_channel (N = 4, tol 1e-9 and 1); timing at s = pi / 2 from the
+  uniform superposition of all levels, a refusal digested as its error's type
+  and text;
+- the sector-pure families of the label route: the Gaussian channels
+  reconstructed from their decompositions (std_dev 1) at the Gaussian dims up
+  to 64, and reconstruct(decompose(random_covariant)) on two chained spectra,
+  [0, 1, 2 + 1e-11, 3 + 3e-11] and [0, 1, 2 + 0.9e-9, 3 + 2.7e-9] (three
+  channels each), through covariance_defect, decompose and timing_channel
+  (N = 8, step 2 pi / N, tol inf, from the uniform superposition);
 - v_from_distribution (s = pi / 2, N = 64) of three hand-made shift
   distributions, with a signed zero, a repeated sigma and unpaired ones;
 - the benchmark's bounds timing shapes (three-shift mixtures on the integer
@@ -64,8 +71,9 @@ fields, a channel by its Kraus operators.  The corpus:
   an integer; a directory, a non-UTF-8 file, 100,000 open brackets, a missing
   file, malformed JSON and a NaN token as the channel file of check; a NaN
   token in decompose's spectrum; a channel file that parses but is no channel
-  next to a missing spectrum; gaussian at dim 1, std_dev -1 and sigma_max 99
-  of dim 8; mc-gaussian with seed -1: exit code and stdout ("cli refused"),
+  next to a missing spectrum; gaussian at dim 1, std_dev -1, sigma_max 99
+  of dim 8 and dim 187; mc-gaussian with seed -1 and at dim 1024; timing at
+  N = 5000: exit code and stdout ("cli refused"),
   and stderr apart ("cli refused stderr"), so that a changed message shows
   without hiding whether stdout held.
 The readers of a decomposition: sectors, sector(sigma) at its first sigma and
@@ -111,6 +119,9 @@ HAND_DISTRIBUTIONS = (((-0.0, 0.25), (0.0, 0.25), (-1.5, 0.5)),
                       ((2.0, 0.3), (2.0, 0.3), (-2.0, 0.4)), ((-3.0, 0.6), (0.5, 0.4)))
 DENSE_TIMING = ((4, 64), (8, 64), (16, 64))  # (n, N) of the dense channels' timing
 CHAINED = (0.0, 1.0, 2.0 + 1e-11, 3.0 + 3e-11)  # timed at N = 8
+CHAINED_WIDE = (0.0, 1.0, 2.0 + 0.9e-9, 3.0 + 2.7e-9)  # its differences chain as CHAINED's
+RECONSTRUCTED_MAX_DIM = 64  # the reconstructed Gaussian channels' largest dim
+PURE_N = 8  # the label route's timing_channel N, at step 2 pi / N
 DENSE_CLI_SIZE = 16
 MC_DIMS, MC_SAMPLES = (8, 16), 2000
 
@@ -277,6 +288,7 @@ def _corpus():
         spec = cc.Spectrum(np.arange(float(n)))
         name = f"hadamard n={n}"
         yield "hadamard_channel", name, lambda c=chan: c
+        yield "covariance_defect", name, lambda c=chan, s=spec: cov.covariance_defect(c, s)
         decomp = cov.decompose(chan, spec)
         yield "decompose", name, lambda d=decomp: d
         yield "reconstruct", name, lambda d=decomp: cov.reconstruct(d)
@@ -286,6 +298,8 @@ def _corpus():
         yield "verify_hqc", name, lambda m=mask, k=n: cap.verify_hqc(m, k)
         yield ("coherent_information", name,
                lambda c=chan, r=gen.random_state(n, rng): cap.coherent_information(c, r))
+        yield ("timing_channel", name, lambda c=chan, s=spec, p=np.full(n, n ** -0.5):
+               _or_error(tim.timing_channel, c, s, p, TIMING_STEP, TIMING_N, math.inf))
 
     for n in MIXTURE_SIZES:
         spec = cc.Spectrum(np.arange(float(n)))
@@ -293,6 +307,7 @@ def _corpus():
         name = f"shift mixture n={n}"
         chan = tim.build_shift_mixture(spec, shifts).channel
         yield "build_shift_mixture", name, lambda c=chan: c
+        yield "covariance_defect", name, lambda c=chan, s=spec: cov.covariance_defect(c, s)
         decomp = cov.decompose(chan, spec)
         yield "decompose", name, lambda d=decomp: d
         yield "reconstruct", name, lambda d=decomp: cov.reconstruct(d)
@@ -304,6 +319,24 @@ def _corpus():
         for tol in (1e-9, 1.0):  # the default refuses these orbits; 1.0 lets the report through
             yield ("timing_channel", f"{name} tol={tol!r}", lambda c=chan, s=spec, p=phi0, t=tol:
                    _or_error(tim.timing_channel, c, s, p, TIMING_STEP, TIMING_N, t))
+
+    def label_route(name, chan, spec):
+        phi0 = np.full(spec.dim, spec.dim ** -0.5)
+        yield "covariance_defect", name, lambda: cov.covariance_defect(chan, spec)
+        yield "decompose", name, lambda: cov.decompose(chan, spec)
+        yield ("timing_channel", name, lambda: _or_error(
+            tim.timing_channel, chan, spec, phi0, 2.0 * math.pi / PURE_N, PURE_N, math.inf))
+
+    for dim in (d for d in GAUSSIAN_DIMS if d <= RECONSTRUCTED_MAX_DIM):
+        decomp = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=1.0))
+        yield from label_route(f"reconstructed gaussian dim={dim} std_dev=1.0",
+                               cov.reconstruct(decomp), decomp.spectrum)
+    for energies in (CHAINED, CHAINED_WIDE):
+        spec = cc.Spectrum(energies)
+        for k in range(3):
+            chan = gen.random_covariant(spec, np.random.default_rng([k, 7]))
+            yield from label_route(f"reconstructed chained {energies[2]!r} #{k}",
+                                   cov.reconstruct(cov.decompose(chan, spec)), spec)
 
     for pairs in HAND_DISTRIBUTIONS:
         dist = cov.EnergyShiftDistribution(pairs)
@@ -398,7 +431,14 @@ def _corpus():
     for label, flags in (("gaussian --dim 1", ["gaussian", "--std-dev", "0.5", "--dim", "1"]),
                          ("gaussian --std-dev -1", ["gaussian", "--std-dev", "-1", "--dim", "8"]),
                          ("gaussian --sigma-max 99", ["gaussian", *gauss, "--sigma-max", "99"]),
-                         ("mc-gaussian --seed -1", ["mc-gaussian", *gauss, "--seed", "-1"])):
+                         ("mc-gaussian --seed -1", ["mc-gaussian", *gauss, "--seed", "-1"]),
+                         ("gaussian --dim 187", ["gaussian", "--std-dev", "0.5", "--dim", "187"]),
+                         ("mc-gaussian --dim 1024",
+                          ["mc-gaussian", "--std-dev", "0.5", "--dim", "1024"]),
+                         ("timing --N 5000",
+                          ["timing", str(FIXTURES / "shift_mixture_channel.json"),
+                           str(FIXTURES / "spectrum_4level.json"), "--phi0",
+                           str(FIXTURES / "phi0_4level.json"), "--s", "1", "--N", "5000"])):
         yield from _refusal(label, flags)
     yield from _refusal("check fixtures", ["check", str(FIXTURES), spectrum])
     with tempfile.TemporaryDirectory() as tmp:
