@@ -181,7 +181,6 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
 
         for state, fn in (("cold", _as_built(chan)(check_then_decompose)),
                           ("warm", check_then_decompose)):
-            fn()
             rows.append({**time_row("covariance_defect + decompose", f"{kind}, {state}", n,
                                     fn, rounds), "peak_traced_mb": _traced_peak_mb(fn)})
     for n in HADAMARD_SIZES:
