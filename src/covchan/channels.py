@@ -296,11 +296,13 @@ def _choi_on_support(support: np.ndarray, *stacks: np.ndarray) -> list[np.ndarra
     return [v.T @ v.conj() for v in vecs]
 
 
-def _deterministic_eig(stacks, keys=None):
+def _deterministic_eig(stacks, keys=None, hermitian=False):
     """Eigenpairs of every matrix of a sequence of (m, d, d) stacks, keys[i]
     the distinct sort keys of stack i's m matrices (by default they are
     numbered stack after stack): one eigh per stack (LAPACK takes one size at
-    a time), each eigenvector rotated so its largest-magnitude entry is real
+    a time) of its Hermitian part, or of the stack itself when hermitian says
+    every matrix is exactly Hermitian (its Hermitian part is then itself, bit
+    for bit), each eigenvector rotated so its largest-magnitude entry is real
     positive, all of them sorted by matrix key, then by descending
     eigenvalue, ties broken by lexicographic comparison of the (phase-fixed)
     entries.  Returns the eigenvalues (N,), the eigenvectors as rows (N, D)
@@ -310,7 +312,8 @@ def _deterministic_eig(stacks, keys=None):
     vals, rows = np.empty(count), np.zeros((count, max(d for _, d in shapes)), dtype=complex)
     start = 0
     for (m, d), stack in zip(shapes, stacks):
-        lam, vecs = np.linalg.eigh((stack + stack.conj().swapaxes(1, 2)) / 2.0)
+        herm = stack if hermitian else (stack + stack.conj().swapaxes(1, 2)) / 2.0
+        lam, vecs = np.linalg.eigh(herm)
         vals[start:start + m * d] = lam.reshape(-1)
         rows[start:start + m * d].reshape(m, d, -1)[:, :, :d] = vecs.swapaxes(1, 2)
         start += m * d
@@ -327,15 +330,15 @@ def _deterministic_eig(stacks, keys=None):
     return vals[order], rows[order], key[order]
 
 
-def _scaled_eigenvectors(stacks, keys=None):
+def _scaled_eigenvectors(stacks, keys=None, hermitian=False):
     """Vectors sqrt(lam) v of every matrix of a sequence of (m, d, d) stacks of
     PSD matrices, in _deterministic_eig order: matrix after matrix by key, each
     one's smallest eigenvalue, size and number of vectors kept, and the kept
     vectors as rows zero-padded to the largest size.  kraus_from_choi raises
     on a smallest eigenvalue below -EPS_PSD.  The rank cutoff is relative and
     much tighter than the PSD tolerance so that the choi -> kraus -> choi
-    round trip stays accurate to ~1e-13."""
-    vals, rows, key = _deterministic_eig(stacks, keys)
+    round trip stays accurate to ~1e-13.  hermitian is _deterministic_eig's."""
+    vals, rows, key = _deterministic_eig(stacks, keys, hermitian)
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])  # each matrix's largest
     sizes = np.append(first[1:], key.size) - first
     keep = vals > np.repeat(1e-14 * np.maximum(vals[first], 1.0), sizes)  # a prefix of each
@@ -448,15 +451,32 @@ def _sum_of_squares(factors: np.ndarray) -> float:
     return float(np.einsum("ij,ij->i", terms, terms).max(initial=0.0))
 
 
-def _tp_defect(ops: np.ndarray) -> float:
-    """||sum_m A_m^dag A_m - 1||_F of a (K, dim_out, dim_in) stack of Kraus operators.
+def _one_per_row(rows: np.ndarray) -> bool:
+    """Whether every row of a 2-d array has at most one nonzero entry."""
+    return bool((np.count_nonzero(rows, axis=1) <= 1).all())
 
-    The norm squares the entries, so the difference is first scaled by the
-    power of two that brings its largest entry into [1/2, 1): the scaling is
-    exact, and so is undoing it after the square root, so the value is the
-    unscaled norm's to the bit wherever that one does not overflow."""
-    stacked = ops.reshape(-1, ops.shape[-1])  # rows of A_0, then of A_1, ...
-    diff = stacked.conj().T @ stacked - np.eye(ops.shape[-1])
+
+def _tp_defect(ops: np.ndarray) -> float:
+    """||sum_m A_m^dag A_m - 1||_F of a C-ordered (K, dim_out, dim_in) stack of Kraus operators.
+
+    When every operator has at most one nonzero entry per row (every family
+    covariant.reconstruct, hadamard_channel and build_shift_mixture build, and
+    amplitude damping), each product conj(A_ij) A_ik with j != k is zero, so
+    the sum is diagonal and its diagonal is the column sums of |A|^2: read so,
+    in K dim_out dim_in products, with no conjugated copy of the stack.  Any
+    other stack takes the product.  The norm squares the entries, so the
+    difference is first scaled by the power of two that brings its largest
+    entry into [1/2, 1): the scaling is exact, and so is undoing it after the
+    square root, so the value is the unscaled norm's to the bit wherever that
+    one does not overflow."""
+    n = ops.shape[-1]
+    stacked = ops.reshape(-1, n)  # rows of A_0, then of A_1, ...
+    if _one_per_row(stacked[:ops.shape[1]]) and _one_per_row(stacked):  # A_0 first, to fail fast
+        parts = stacked.view(float)  # the real and imaginary part of each entry, side by side
+        squares = np.einsum("rk,rk->k", parts, parts)
+        diff = squares[0::2] + squares[1::2] - 1.0
+    else:
+        diff = stacked.conj().T @ stacked - np.eye(n)
     peak = float(np.max(np.abs(diff)))
     if not 0.0 < peak < math.inf:
         return float(np.linalg.norm(diff))

@@ -34,14 +34,14 @@ cross-sector |entries| are formed once per (channel, spectrum), by the first of
 covariance_defect and decompose, and their largest entry and squared norm are
 kept on the label (_cross_sector), so the other reads the two floats; decompose
 still reads the blocks off the Choi matrix (_sector_blocks).  Either route lays
-out the sectors the channel touches with the entry tables the first decompose
-builds and the label keeps (_block_tables).
+out the sectors the channel touches with the tables the first decompose builds
+and the label keeps (_Tables): each that the support and the spectrum fix.
 
 A decomposition is one store (_Layout), which every library reader reads: its
 sectors in size order, each with its spectrum cluster c (sigma, domain and
 image from spectrum.sigmas[c] and sector_pairs[c]), flat Choi pairs and the
 offset of its read-only d x d block in one flat buffer.  A size's sectors are
-a size group, an (m, d, d) view of the buffer (_stacks): their blocks lie one
+a size group, an (m, d, d) view of the buffer (_Groups): their blocks lie one
 after another, or at one offset (the +-a of a Gaussian decomposition).  A
 size's real blocks in a complex buffer are a group of their own on its real
 part, so they are diagonalised as real.  The (PartialShift, SectorMask)
@@ -49,12 +49,18 @@ pairs are made from the store one at a time (SectorDecomposition._pairs).
 Given blocks, from the pairs the constructor checks or from a decomposition
 file, go into a store through one builder (_store_of_blocks).
 
-Sector work runs over all sectors at once.  decompose lays the blocks of the
-sectors the channel touches out in one buffer, gathers, Hermitises, scales for
-TP and tests them for the drop once over it, and keeps the kept blocks' buffer
-as its store.  reconstruct runs one stacked eigh per size group, then orders
-and cuts the eigenvectors of all sectors at once, and _shift_kraus, the one
-builder of covariant Kraus families, scatters them in one assignment.  Every
+Sector work runs over all sectors at once, on index tables made once.  decompose
+lays the blocks of the sectors the channel touches out in one buffer, gathers,
+Hermitises, scales for TP and tests them for the drop once over it, and keeps
+the kept blocks' buffer as its store.  When no sector is dropped the store is
+the label's layout with that buffer, and the decomposition reads the label's
+size groups, so a warm decompose builds no index table.  reconstruct runs one
+stacked eigh per size group, on the blocks as stored when decompose stored
+them (they are exactly Hermitian) and on their Hermitian parts otherwise, then
+orders and cuts the eigenvectors of all sectors at once, and _shift_kraus, the
+one builder of covariant Kraus families, scatters them in one assignment.
+shift_distribution reads every block's diagonal in one gather and clips all
+probabilities at once; only its sums run per size group.  Every
 block decompose keeps is a pinched principal block of the Gram product
 C_S = V_S^T conj(V_S), so one rounding bound on the Kraus operators' norm
 (channels._gram_bound) proves all of them pass the mask check; only when it
@@ -296,6 +302,7 @@ class SectorDecomposition:
     spectrum: Spectrum
     sectors: tuple[tuple[PartialShift, SectorMask], ...]
     projection_defect: float = 0.0
+    _hermitian = False  # every block exactly Hermitian: set on decompose's stores
 
     def __post_init__(self):
         clusters = _pair_clusters(self.spectrum, self.sectors)
@@ -322,8 +329,11 @@ class SectorDecomposition:
     def _derived_sectors(self) -> tuple[tuple[PartialShift, SectorMask], ...]:
         return tuple(self._pairs())
 
-    def _derived__stacked(self) -> tuple:  # the store's size groups (_stacks)
-        return tuple(_stacks(self._store))
+    def _derived__groups(self) -> _Groups:  # the store's size groups, decompose's handed over
+        return _Groups(self._store)
+
+    def _derived__stacked(self) -> tuple:  # the store's size groups with their blocks
+        return tuple(self._groups.stacks(self._store.blocks))
 
     def _derived__by_slot(self) -> list:  # each slot's (pairs, block), views of its size group
         return [pair for _, rows, blocks in self._stacked for pair in zip(rows, blocks)]
@@ -348,18 +358,14 @@ class SectorDecomposition:
             raise UnknownSector(f"no sector at sigma = {sigma}") from None
         return next(self._pairs([k]))
 
-    def _diagonals(self):
-        """Per size group in size order: its slots, pairs (m, d) and block diagonals (m, d),
-        M_sigma(j, j) at each pair (j', j).  The groups' pairs in turn are the store's."""
-        for slots, pairs, blocks in self._stacked:
-            yield slots, pairs, np.diagonal(blocks, axis1=1, axis2=2)
+    def _diagonals(self) -> np.ndarray:
+        """Every block's diagonal M_sigma(j, j), slot after slot, at the store's pairs (j', j)."""
+        return self._store.blocks[self._groups.diagonal]
 
     def diagonal_sums(self) -> np.ndarray:
         """sum_sigma M_sigma(j, j) at every input level j: all ones for a TP channel."""
-        store, n = self._store, self.spectrum.dim
-        diags = (np.real(d).ravel() for *_, d in self._diagonals())  # by slot
-        at = _in_sector_order(store)
-        return _level_sums(store.pairs[at] % n, np.concatenate([np.zeros(0), *diags])[at], n)
+        at, n = self._groups.sector_order, self.spectrum.dim
+        return _level_sums(self._store.pairs[at] % n, np.real(self._diagonals())[at], n)
 
 
 @dataclass(frozen=True)
@@ -451,10 +457,15 @@ class _Label:
     empty).  cross is (max, squared Frobenius norm) of the cross-sector |Choi|
     entries: (0.0, 0.0) for a pure family, whose cross-sector entries are sums of
     exact zeros, and for a mixed one None until the first call that forms its Choi
-    matrix sets it (_cross_sector).  tables is _block_tables of the channel's support,
-    the layout of the sectors it touches and decompose's entry tables, O(sum d^2)
-    indices, set by the first decompose.  magnitudes is _magnitudes(shifts), made on
-    its first read (timing._fourier's table)."""
+    matrix sets it (_cross_sector).  tables (a _Tables, set by the first decompose) is
+    every table that the channel's support and the spectrum fix, O(sum d^2) indices:
+    the layout of the sectors the support touches, each entry's places in the pairs
+    (_block_tables), the layout's size groups (_Groups, reconstruct's and
+    shift_distribution's tables too), _restore_tp's levels and sector-order places
+    (_tp_places), and the gather of the family's route: the Choi matrix's rows and
+    columns and the entries off the support (_choi_gather), or each operator's slot,
+    rank and entries and the group bounds (_operator_gather).  magnitudes is
+    _magnitudes(shifts), made on its first read (timing._fourier's table)."""
 
     def __init__(self, cluster: np.ndarray, shifts: np.ndarray | None):
         cluster.setflags(write=False)
@@ -593,20 +604,65 @@ def _store_of_blocks(spectrum: Spectrum, clusters, blocks) -> _Layout:
     return store._replace(order=np.argsort(slots), real=real[slots] & np.iscomplexobj(buffer))
 
 
+# A size group of a layout: its slots (a slice), their pairs (m, d), the place of the
+# first in the layout's flat pairs, the offset of its blocks, m, d, whether its blocks
+# are real in a complex buffer, and whether they are one block at one offset.
+_Span = namedtuple("_Span", "slots pairs first offset m d real shared")
+
+
+class _Groups:
+    """The size groups of a layout, in size order (spans, _Span), found once from its
+    sizes, real flags and offsets, a store's blocks aside.  Its other tables, each made
+    on first read: sector_order, the places of the layout's flat pairs sector after
+    sector (_in_sector_order); keys, the places in sector order of each group's
+    slots (reconstruct's eigenvector keys); diagonal, the places in the buffer of every
+    slot's diagonal entries, slot after slot, as the pairs; and real_entries, the places
+    among those of the real blocks' entries."""
+
+    def __init__(self, layout: _Layout):
+        self.layout = layout
+        key, offsets = 2 * layout.sizes + layout.real, layout.offsets.tolist()
+        starts = np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))  # 0 if any
+        first = (np.cumsum(layout.sizes) - layout.sizes)[starts].tolist()
+        self.spans = []
+        for start, end, p, real in zip(starts.tolist(), [*starts[1:].tolist(), key.size], first,
+                                       layout.real[starts].tolist()):
+            m, d, o = end - start, int(layout.sizes[start]), offsets[start]
+            self.spans.append(_Span(slice(start, end), layout.pairs[p:p + m * d].reshape(m, d),
+                                    p, o, m, d, real, m > 1 and offsets[start + 1] == o))
+
+    def stacks(self, buffer: np.ndarray):
+        """Per group its slots, their pairs (m, d) and their blocks (m, d, d) in buffer, views."""
+        for slots, pairs, _, o, m, d, real, shared in self.spans:
+            part = buffer.real if real else buffer
+            blocks = (np.broadcast_to(part[o:o + d * d].reshape(d, d), (m, d, d)) if shared
+                      else part[o:o + m * d * d].reshape(m, d, d))
+            yield slots, pairs, blocks
+
+    @cached_property
+    def sector_order(self) -> np.ndarray:
+        return _in_sector_order(self.layout)
+
+    @cached_property
+    def keys(self) -> list:
+        position = np.argsort(self.layout.order)  # of each slot in sector order
+        return [position[span.slots] for span in self.spans]
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        sizes = self.layout.sizes
+        rank = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # in its slot
+        return np.repeat(self.layout.offsets, sizes) + rank * np.repeat(sizes + 1, sizes)
+
+    @cached_property
+    def real_entries(self) -> np.ndarray:
+        return np.flatnonzero(np.repeat(self.layout.real, self.layout.sizes))
+
+
 def _stacks(store: _Layout):
-    """The size groups of a layout, in size order: per group its slots (a slice),
-    their pairs (m, d) and their blocks (m, d, d), views of the layout."""
-    key, offsets = 2 * store.sizes + store.real, store.offsets.tolist()
-    starts = np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))  # 0 if any
-    first = (np.cumsum(store.sizes) - store.sizes)[starts].tolist()
-    for start, end, p, real in zip(starts.tolist(), [*starts[1:].tolist(), key.size], first,
-                                   store.real[starts].tolist()):
-        m, d, o = end - start, int(store.sizes[start]), offsets[start]
-        buffer = store.blocks.real if real else store.blocks
-        shared = m > 1 and offsets[start + 1] == o  # one block at one offset
-        blocks = (np.broadcast_to(buffer[o:o + d * d].reshape(d, d), (m, d, d)) if shared
-                  else buffer[o:o + m * d * d].reshape(m, d, d))
-        yield slice(start, end), store.pairs[p:p + m * d].reshape(m, d), blocks
+    """The size groups of a store, in size order: per group its slots (a slice),
+    their pairs (m, d) and their blocks (m, d, d), views of the store."""
+    return _Groups(store).stacks(store.blocks)
 
 
 def _store_failure(spectrum: Spectrum, store: _Layout) -> str | None:
@@ -618,11 +674,27 @@ def _store_failure(spectrum: Spectrum, store: _Layout) -> str | None:
     return min(found)[1] if found else None
 
 
-def _block_tables(support: np.ndarray, spectrum: Spectrum):
-    """The layout of the sectors holding a pair of the support, its blocks not yet
-    formed, and per entry the places in the pairs of its row and column and of its
-    transpose.  No other sector is laid out: over all sectors each table would hold
-    about 2 n^3 / 3 entries."""
+class _Tables:
+    """The tables that one channel's support fixes on one spectrum, kept on its label
+    (_Label): the layout of the sectors the support touches, its blocks not formed,
+    per entry the places in the pairs of its row and column and of its transpose
+    (rows, cols, trans) and each block's number of entries (square); and, made on first
+    use, the layout's size groups (groups), the gather of the family's route (gather,
+    _choi_gather or _operator_gather) and _restore_tp's places (tp, _tp_places)."""
+
+    def __init__(self, layout: _Layout, rows, cols, trans):
+        self.layout, self.rows, self.cols, self.trans = layout, rows, cols, trans
+        self.square = layout.sizes * layout.sizes
+        self.gather = self.tp = None
+
+    @cached_property
+    def groups(self) -> _Groups:
+        return _Groups(self.layout)
+
+
+def _block_tables(support: np.ndarray, spectrum: Spectrum) -> _Tables:
+    """The _Tables of the sectors holding a pair of the support.  No other sector is
+    laid out: over all sectors each entry table would hold about 2 n^3 / 3 entries."""
     order = spectrum._by_size
     held = np.zeros(order.size, dtype=bool)
     held[spectrum._cluster[support]] = True
@@ -638,33 +710,46 @@ def _block_tables(support: np.ndarray, spectrum: Spectrum):
     cols += base
     for arr in (rows, cols, trans):
         arr.setflags(write=False)
-    return layout, rows, cols, trans
+    return _Tables(layout, rows, cols, trans)
+
+
+def _choi_gather(tables: _Tables, support: np.ndarray, n: int):
+    """The Choi route's gather (_sector_blocks): the place of each entry in the flat
+    Choi matrix on support x support, and the entries off the support, which read
+    place 0 and are set to +0.0."""
+    at = np.full(n * n, -1)  # the row of each pair in the Choi matrix, -1 off the support
+    at[support] = np.arange(support.size)
+    row, col = at[tables.layout.pairs][tables.rows], at[tables.layout.pairs][tables.cols]
+    off = np.flatnonzero((row < 0) | (col < 0))
+    place = row * support.size + col
+    place[off] = 0
+    for arr in (place, off):
+        arr.setflags(write=False)
+    return place, off
 
 
 def _sector_blocks(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum, tables=None):
-    """The tables (_block_tables(support, spectrum), made here by default) with the
-    blocks of choi on support x support, +0.0 off it (a pinching: PSD stays PSD)."""
-    layout, rows, cols, trans = _block_tables(support, spectrum) if tables is None else tables
-    at = np.full(spectrum.dim ** 2, -1)  # the row of each pair in choi, -1 off the support
-    at[support] = np.arange(support.size)
-    row, col = at[layout.pairs][rows], at[layout.pairs][cols]
-    blocks = choi[row, col]
-    blocks[(row < 0) | (col < 0)] = 0.0
-    return layout._replace(blocks=blocks), rows, cols, trans
+    """The layout of the tables (_block_tables(support, spectrum), made here by default)
+    with the blocks of choi on support x support, +0.0 off it (a pinching: PSD stays
+    PSD), and its entry tables rows, cols and trans.  The gather is the tables' own,
+    made on the first call (_choi_gather)."""
+    tables = _block_tables(support, spectrum) if tables is None else tables
+    if tables.gather is None:
+        tables.gather = _choi_gather(tables, support, spectrum.dim)
+    place, off = tables.gather
+    blocks = choi.reshape(-1)[place]
+    blocks[off] = 0.0
+    return tables.layout._replace(blocks=blocks), tables.rows, tables.cols, tables.trans
 
 
-def _label_blocks(channel: Channel, spectrum: Spectrum, label: _Label):
-    """_sector_blocks of a sector-pure family on its tables (label.tables), formed with
-    no Choi matrix: sector sigma's block is X_sigma^T conj(X_sigma), X_sigma the entries
-    of the operators labelled sigma on its pairs, in operator order.  A size group's
-    X_sigma are one stack, each padded with zero rows to the group's most operators and
-    to at least two, so that the one product per group is a BLAS product for every
-    sector (numpy takes a product of inner dimension 1 in its own loop).  A group's
-    stack holds at most max(2, K) n^2 entries, twice the Kraus stack's at most, and only
-    one is held at a time.  An entry off the support is a sum of +-0.0, set to +0.0 as
-    the Choi matrix's."""
-    support = channel._support
-    layout, rows, cols, trans = label.tables
+def _operator_gather(label: _Label, tables: _Tables, support: np.ndarray, spectrum: Spectrum):
+    """The label route's gather (_label_blocks) of a sector-pure family: the places in
+    one flat buffer of every size group's stack X, m x p x d, p the group's most operators
+    on one sector and at least two, and each group's (offset, m, d, p, start in the
+    buffer); the places of the operators' entries on their sectors' pairs in that buffer
+    and in the flat Kraus stack, slot after slot, a slot's operators in operator order;
+    and the block entries off the support, or None."""
+    layout, n = tables.layout, spectrum.dim
     slot = np.full(len(spectrum.sigmas), -1)
     slot[layout.clusters] = np.arange(layout.clusters.size)
     slot = slot[label.cluster]  # of each operator; -1 for zero ones off every laid-out sector
@@ -673,23 +758,54 @@ def _label_blocks(channel: Channel, spectrum: Spectrum, label: _Label):
     count = np.bincount(slot[ops], minlength=layout.clusters.size)
     starts = np.cumsum(count) - count  # of each slot's operators in ops
     rank = np.arange(ops.size) - np.repeat(starts, count)  # each operator's within its slot
-    flat, blocks = channel._ops.reshape(len(channel._ops), -1), np.empty(rows.size, dtype=complex)
-    first, sizes = np.cumsum(layout.sizes) - layout.sizes, layout.sizes  # of each slot's pairs
-    bounds = [*np.flatnonzero(np.r_[sizes[:1] >= 0, sizes[1:] != sizes[:-1]]).tolist(), sizes.size]
-    for a, b in zip(bounds[:-1], bounds[1:]):  # the size groups, in size order
-        m, d, o = b - a, int(sizes[a]), int(layout.offsets[a])
-        pairs = layout.pairs[first[a]:first[a] + m * d].reshape(m, d)
+    groups, into, start = [], np.empty(ops.size, dtype=np.intp), 0
+    for span in tables.groups.spans:  # the size groups, in size order
+        a, b, o, m, d = span.slots.start, span.slots.stop, span.offset, span.m, span.d
+        p = max(2, int(count[a:b].max()))
         mine = slice(starts[a], starts[b - 1] + count[b - 1])
-        where = slot[ops[mine]] - a
-        x = np.zeros((m, max(2, int(count[a:b].max())), d), dtype=complex)
-        x[where, rank[mine]] = flat[ops[mine][:, None], pairs[where]]
-        blocks[o:o + m * d * d] = (x.swapaxes(1, 2) @ x.conj()).reshape(-1)
-    at = np.zeros(spectrum.dim ** 2, dtype=bool)
-    at[support] = True
-    held = at[layout.pairs]
-    if not held.all():
-        blocks[~(held[rows] & held[cols])] = 0.0
-    return layout._replace(blocks=blocks), rows, cols, trans
+        into[mine] = start + ((slot[ops[mine]] - a) * p + rank[mine]) * d  # row of X
+        groups.append((o, m, d, p, start))
+        start += m * p * d
+    width = layout.sizes[slot[ops]]  # of each operator's row of X
+    first = (np.cumsum(layout.sizes) - layout.sizes)[slot[ops]]  # of each operator's pairs
+    entry = _runs(np.zeros(ops.size, dtype=np.intp), width)  # each entry's place in its row
+    dst = np.repeat(into, width) + entry
+    src = np.repeat(ops * (n * n), width) + layout.pairs[np.repeat(first, width) + entry]
+    held = np.zeros(n * n, dtype=bool)
+    held[support] = True
+    held = held[layout.pairs]
+    off = None if held.all() else np.flatnonzero(~(held[tables.rows] & held[tables.cols]))
+    for arr in (dst, src, *([] if off is None else [off])):
+        arr.setflags(write=False)
+    return groups, start, dst, src, off
+
+
+def _label_blocks(channel: Channel, spectrum: Spectrum, label: _Label):
+    """_sector_blocks of a sector-pure family on its tables (label.tables), formed with
+    no Choi matrix: sector sigma's block is X_sigma^T conj(X_sigma), X_sigma the entries
+    of the operators labelled sigma on its pairs, in operator order.  A size group's
+    X_sigma are one stack, each padded with zero rows to the group's most operators and
+    to at least two, so that the one product per group is a BLAS product for every
+    sector (numpy takes a product of inner dimension 1 in its own loop).  The stacks
+    lie in one buffer, filled by one gather (_operator_gather, made on the first call):
+    a group's stack holds at most p m d entries, p <= max(2, K), so all of them at most
+    max(2, K) n^2, twice the Kraus stack's at most.  An entry off the support is a sum
+    of +-0.0, set to +0.0 as the Choi matrix's."""
+    tables = label.tables
+    if tables.gather is None:
+        tables.gather = _operator_gather(label, tables, channel._support, spectrum)
+    groups, size, dst, src, off = tables.gather
+    x = np.zeros(size, dtype=complex)
+    x[dst] = channel._ops.reshape(-1)[src]
+    xc = x.conj()
+    blocks = np.empty(tables.rows.size, dtype=complex)
+    for o, m, d, p, start in groups:
+        stack = x[start:start + m * p * d].reshape(m, p, d)
+        np.matmul(stack.swapaxes(1, 2), xc[start:start + m * p * d].reshape(m, p, d),
+                  out=blocks[o:o + m * d * d].reshape(m, d, d))
+    if off is not None:
+        blocks[off] = 0.0
+    return tables.layout._replace(blocks=blocks), tables.rows, tables.cols, tables.trans
 
 
 def _level_sums(levels: np.ndarray, diagonals: np.ndarray, n: int) -> np.ndarray:
@@ -700,17 +816,30 @@ def _level_sums(levels: np.ndarray, diagonals: np.ndarray, n: int) -> np.ndarray
     return total
 
 
-def _restore_tp(layout: _Layout, rows, cols, n: int) -> tuple[_Layout, float]:
-    """The layout's blocks (entry tables rows and cols) under the congruence by diag(s),
-    s = w^(-1/2) and w their level sums, so that the diagonals sum to one at every
-    level (TP); and max s^2, by which the congruence can scale rounding."""
+def _tp_places(layout: _Layout, rows, cols, n: int):
+    """_restore_tp's tables of a layout (entry tables rows and cols): the levels of its
+    pairs and the places of its diagonal entries, both in sector order, and the levels
+    of each entry's row and column."""
     levels = layout.pairs % n
     at = _in_sector_order(layout)
-    diags = np.real(layout.blocks[rows == cols])  # in pair order
-    scale = 1.0 / np.sqrt(_level_sums(levels[at], diags[at], n))
-    s = scale[levels]
+    diagonal = np.flatnonzero(rows == cols)  # in pair order
+    places = levels[at], diagonal[at], levels[rows], levels[cols]
+    for arr in places:
+        arr.setflags(write=False)
+    return places
+
+
+def _restore_tp(layout: _Layout, rows, cols, n: int, places=None) -> tuple[_Layout, float]:
+    """The layout's blocks (entry tables rows and cols) under the congruence by diag(s),
+    s = w^(-1/2) and w their level sums, so that the diagonals sum to one at every
+    level (TP); and max s^2, by which the congruence can scale rounding.  places is
+    _tp_places of the layout, made here by default."""
+    levels, diagonal, row_level, col_level = (_tp_places(layout, rows, cols, n)
+                                              if places is None else places)
+    scale = 1.0 / np.sqrt(_level_sums(levels, np.real(layout.blocks[diagonal]), n))
     top = float(scale.max(initial=0.0))
-    return layout._replace(blocks=layout.blocks * (s[rows] * s[cols])), top * top
+    blocks = layout.blocks * (scale[row_level] * scale[col_level])
+    return layout._replace(blocks=blocks), top * top
 
 
 def _scatter(layout: _Layout, rows, cols, n: int) -> np.ndarray:
@@ -768,15 +897,14 @@ def decompose(
     defect, sq_cross = _cross_sector(channel, spectrum, label, choi)
     if defect > tol:
         raise NotCovariant(defect, tol)
-    n = spectrum.dim
-    if label.tables is None:
-        label.tables = _block_tables(channel._support, spectrum)
+    n, tables = spectrum.dim, label.tables
+    if tables is None:
+        label.tables = tables = _block_tables(channel._support, spectrum)
     if label.pure:
         layout, rows, cols, trans = _label_blocks(channel, spectrum, label)
     else:
         choi = channel._choi() if choi is None else choi
-        layout, rows, cols, trans = _sector_blocks(choi, channel._support, spectrum,
-                                                   label.tables)
+        layout, rows, cols, trans = _sector_blocks(choi, channel._support, spectrum, tables)
     # Freed before any output is allocated, so that the outputs take no fresh
     # pages above the Choi matrix that a later one could reuse (the channel
     # keeps its Choi matrix when |S| <= K, and then none is formed).
@@ -785,24 +913,34 @@ def decompose(
     layout = layout._replace(blocks=(raw + raw[trans].conj()) / 2.0)
     scale = 1.0
     if channel._tp_defect <= mc.EPS_TP:
-        layout, scale = _restore_tp(layout, rows, cols, n)
+        if tables.tp is None:
+            tables.tp = _tp_places(layout, rows, cols, n)
+        layout, scale = _restore_tp(layout, rows, cols, n, tables.tp)
 
     # ||C - scatter(kept blocks)||^2 entry by entry: the cross-sector
     # entries, plus each sector's Choi block minus its kept block (or zero).
-    blocks, square = layout.blocks, layout.sizes * layout.sizes
+    blocks, square = layout.blocks, tables.square
     peak = max(defect, float(np.abs(raw).max(initial=0.0)))
     floor = 1e-13 * max(1.0, peak)  # peak = max |C|
     drop = np.maximum.reduceat(np.abs(blocks), layout.offsets) <= floor
-    resid = np.where(np.repeat(drop, square), raw, raw - blocks)
+    dropped = bool(drop.any())
+    resid = np.where(np.repeat(drop, square), raw, raw - blocks) if dropped else raw - blocks
     sq_terms = np.zeros(len(spectrum.sigmas))  # a sector left out adds 0.0
-    for slots, _, terms in _stacks(layout._replace(blocks=resid)):  # one dot per block, as vdot
+    for slots, _, terms in tables.groups.stacks(resid):  # one dot per block, as vdot
         terms = terms.reshape(len(terms), -1)
         sq_terms[layout.clusters[slots]] = np.vecdot(terms, terms).real
     # A running sum adds the terms in sector order, as one float after another.
     sq_defect = np.add.accumulate(np.r_[sq_cross, sq_terms])[-1]
-    blocks = blocks[np.repeat(~drop, square)]
+    # The store is the label's layout, its size groups the label's, unless a sector
+    # is dropped; its blocks are Hermitised, so reconstruct takes them as they are.
+    fields = {"projection_defect": float(np.sqrt(sq_defect)), "_hermitian": True}
+    if dropped:
+        blocks = blocks[np.repeat(~drop, square)]
+        store = _lay_out(spectrum, layout.clusters[~drop], blocks)
+    else:
+        store = layout
+        fields["_groups"] = tables.groups
     blocks.setflags(write=False)
-    store = _lay_out(spectrum, layout.clusters[~drop], blocks)
     # Every block is a pinched principal block of C_S = V_S^T conj(V_S), V_S the
     # vec(A_m) rows on the support, Hermitised and maybe scaled by _restore_tp; a
     # pure family's is its sector's own product, with at most K nonzero terms an
@@ -812,8 +950,7 @@ def decompose(
         failure = _store_failure(spectrum, store)
         if failure is not None:
             raise NotCP(f"Choi {failure}")
-    return SectorDecomposition._of_store(spectrum, store,
-                                         projection_defect=float(np.sqrt(sq_defect)))
+    return SectorDecomposition._of_store(spectrum, store, **fields)
 
 
 def _shift_kraus(pairs, sizes, count, vecs, n: int) -> Channel:
@@ -851,34 +988,40 @@ def apply_sectors(decomp: SectorDecomposition, mat: np.ndarray) -> np.ndarray:
 def reconstruct(decomp: SectorDecomposition) -> Channel:
     """Rebuild the channel sum_sigma S_sigma (M_sigma * rho) S_sigma^dag as the operators
     S_sigma diag(v), v the spectral vectors of each block; a decomposition with no
-    sectors is the zero map, one zero Kraus operator."""
-    store = decomp._store
+    sectors is the zero map, one zero Kraus operator.  The blocks decompose stores are
+    exactly Hermitian, so their Hermitian part is not taken again."""
+    store, groups = decomp._store, decomp._groups
     count, vecs = np.zeros(0, dtype=np.intp), np.zeros((0, 0))
     if store.clusters.size:
-        position = np.argsort(store.order)
-        slots, _, blocks = zip(*decomp._stacked)
-        _, _, count, vecs = mc._scaled_eigenvectors(blocks, [position[s] for s in slots])
-    return _shift_kraus(store.pairs[_in_sector_order(store)], store.sizes[store.order], count,
+        blocks = [stack for *_, stack in decomp._stacked]
+        _, _, count, vecs = mc._scaled_eigenvectors(blocks, groups.keys, decomp._hermitian)
+    return _shift_kraus(store.pairs[groups.sector_order], store.sizes[store.order], count,
                         vecs, decomp.spectrum.dim)
 
 
 def shift_distribution(
     decomp: SectorDecomposition, rho: DensityMatrix
 ) -> EnergyShiftDistribution:
-    """Energy shift probabilities p(sigma) = tr(G_sigma(rho))."""
+    """Energy shift probabilities p(sigma) = tr(G_sigma(rho)), each clipped to [0, 1]."""
     if rho.dim != decomp.spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
-    diag, sigmas = np.diag(rho.matrix), decomp.sigmas().tolist()
-    p = np.empty(len(sigmas))  # by slot, then in sector order
-    for slots, pairs, d in decomp._diagonals():
-        # tr(S (M * rho) S^dag) = sum_j M(j, j) rho(j, j) over the domain.
-        p[slots] = np.real(d * diag[pairs % decomp.spectrum.dim]).sum(axis=1)
-    p = p[decomp._store.order]
+    store, groups = decomp._store, decomp._groups
+    # tr(S (M * rho) S^dag) = sum_j M(j, j) rho(j, j) over the domain: every block's
+    # diagonal in one gather, a real block's multiplied as real.
+    diags, weights = decomp._diagonals(), np.diag(rho.matrix)[store.pairs % decomp.spectrum.dim]
+    terms = np.real(diags * weights)
+    real = groups.real_entries
+    terms[real] = diags[real].real * weights[real].real
+    p = np.empty(store.clusters.size)  # by slot, then in sector order
+    for span in groups.spans:  # row sums add as one sum per sector does; reduceat would not
+        rows = terms[span.first:span.first + span.m * span.d].reshape(span.m, span.d)
+        p[span.slots] = rows.sum(axis=1)
+    p, sigmas = p[store.order], decomp.sigmas().tolist()
     bad = np.flatnonzero(p < -mc.EPS_PSD)
     if bad.size:
         i = bad[0]
         raise MaskNotPSD(f"negative probability {p[i]:.3e} at sigma {sigmas[i]}")
-    pairs = tuple((sigma, min(max(q, 0.0), 1.0)) for sigma, q in zip(sigmas, p.tolist()))
+    pairs = tuple(zip(sigmas, np.minimum(np.maximum(p, 0.0), 1.0).tolist()))
     return EnergyShiftDistribution(pairs=pairs, spectrum=decomp.spectrum)
 
 

@@ -207,7 +207,7 @@ def timing_channel(
         decomp, n, en = decompose(channel, spectrum), spectrum.dim, spectrum.energies
         out0 = apply_sectors(decomp, np.outer(phi0, phi0.conj()))
         pairs = decomp._store.pairs  # slot after slot, as the diagonals
-        diags = np.concatenate([np.zeros(0), *(d.real.ravel() for *_, d in decomp._diagonals())])
+        diags = np.real(decomp._diagonals())
         sigmas, at = np.unique(en[pairs // n] - en[pairs % n], return_inverse=True)
         weights = np.bincount(at, diags * np.abs(phi0[pairs % n]) ** 2, sigmas.size)
         magnitudes = _magnitudes(sigmas)

@@ -119,15 +119,27 @@ def test_gram_bound_proves_every_corpus_decomposition(corpus, monkeypatch):
 
 
 def test_tp_defect_is_the_unscaled_norm_on_the_corpus(corpus):
-    # _tp_defect scales Sum A^dag A - 1 by a power of two before its norm, so
+    # _tp_defect scales its difference by a power of two before the norm, so
     # that its squares cannot overflow; on unit-scale channels the value is
-    # the unscaled norm's to the bit, for the channels and their reconstructions.
+    # the unscaled norm's to the bit: of Sum A^dag A - 1 for the channels, and
+    # for their reconstructions, one nonzero per row, of its diagonal, the
+    # column sums of |A|^2 - 1, which is within rounding of the product's.
     channels, _ = corpus
     for dim, (spec, entries) in channels.items():
         for chan, decomp in entries:
             for ops in (chan._ops, cov.reconstruct(decomp)._ops):
                 stacked = ops.reshape(-1, dim)
                 unscaled = float(np.linalg.norm(stacked.conj().T @ stacked - np.eye(dim)))
+                if (np.count_nonzero(stacked, axis=1) <= 1).all():
+                    parts = stacked.view(float)
+                    squares = np.einsum("rk,rk->k", parts, parts)
+                    product, unscaled = unscaled, float(np.linalg.norm(
+                        squares[0::2] + squares[1::2] - 1.0))
+                    # Each diagonal entry, a sum of 2 len(stacked) real squares near 1, is
+                    # off by about gamma_{2 len(stacked)} on either route: the norms differ
+                    # by at most 2 sqrt(dim) of that, 4 len(stacked) u sqrt(dim), u = 2^-53.
+                    bound = 4.5 * len(stacked) * 2.0**-53 * math.sqrt(dim)
+                    assert abs(unscaled - product) <= bound
                 assert mcore._tp_defect(ops) == unscaled
 
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ import covchan as cc
 from covchan import capacity as cap
 from covchan import channels as mcore
 from covchan import covariant as cov
+from covchan import fock
 from covchan import generate as gen
 from covchan import serialize as ser
 from covchan import timing as tim
@@ -167,6 +169,24 @@ class TestIsCPTP:
         rep = cc.is_cptp(chan)
         cc.decompose(chan, spec)
         assert len(calls) == 1 and rep.tp_defect == tp_defect(chan._ops)
+
+    def test_one_nonzero_per_row_reads_the_diagonal(self):
+        # Every operator of a reconstruction has at most one nonzero per row, so
+        # sum A^dag A is diagonal: the defect of the Gaussian channel reconstructed
+        # at dim 48 (K = 1,814) is read from the column sums of |A|^2, within
+        # rounding of the product's, with no conjugated copy of its 64 MB stack.
+        decomp = fock.gaussian_decomposition(fock.FockParams(dim=48, std_dev=1.0))
+        ops = cov.reconstruct(decomp)._ops
+        stacked = ops.reshape(-1, 48)
+        product = float(np.linalg.norm(stacked.conj().T @ stacked - np.eye(48)))
+        tracemalloc.start()
+        try:
+            got = mcore._tp_defect(ops)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ops.nbytes / 8  # the nonzero test's booleans are ops.nbytes / 16
+        assert abs(got - product) <= 4.5 * len(stacked) * 2.0**-53 * np.sqrt(48)
 
     def test_sum_of_squares_taken_once_per_channel(self, monkeypatch, rng):
         # is_cptp and decompose both certify the Gram product of the stack; the

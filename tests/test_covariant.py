@@ -937,6 +937,39 @@ class TestSectorLabel:
             tim.timing_channel(chan, spec, phi0, s, 4, np.inf)
         assert cov._label(cases[2][1], spaced).shifts is None  # decomposed by timing
 
+    def test_tables_are_made_once_per_channel_and_spectrum(self, monkeypatch, rng):
+        # check, decompose twice, reconstruct and shift_distribution of a dense channel
+        # (the Choi route), a Hadamard channel and a shift mixture (the label route):
+        # each table that the support and the spectrum fix is made once, by the first
+        # decompose, and both decompositions read the label's size groups.  The mixture
+        # loses its edge levels, so it is not TP and takes no _restore_tp.
+        spec = cc.Spectrum(np.arange(6.0))
+        cases = [gen.random_covariant(spec, rng),
+                 cc.hadamard_channel(gen.random_unit_diagonal_mask(6, rng)),
+                 tim.build_shift_mixture(spec, [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)]).channel]
+        rho, calls = gen.random_state(6, rng), []
+        for name in ("_block_tables", "_choi_gather", "_operator_gather", "_tp_places",
+                     "_Groups"):
+            def counted(*args, name=name, build=getattr(cov, name)):
+                calls.append(name)
+                return build(*args)
+
+            monkeypatch.setattr(cov, name, counted)
+        for chan in cases:
+            calls.clear()
+            tp = cc.is_cptp(chan).tp_defect <= mcore.EPS_TP
+            cov.covariance_defect(chan, spec)
+            first, second = cov.decompose(chan, spec), cov.decompose(chan, spec)
+            cov.reconstruct(second)
+            cov.shift_distribution(second, rho)
+            label = cov._label(chan, spec)
+            route = "_operator_gather" if label.pure else "_choi_gather"
+            assert sorted(calls) == sorted(["_block_tables", "_Groups", route,
+                                            *["_tp_places"] * tp])
+            assert first._groups is second._groups is label.tables.groups
+            cov.decompose(chan, cc.Spectrum(np.arange(6.0)))  # another spectrum: its own label
+            assert calls.count("_block_tables") == 2
+
 
 def test_sector_work_on_a_sparse_channel_stays_small():
     # decompose + reconstruct of a three-shift mixture at n = 128 lay out the

@@ -25,7 +25,10 @@ Rows, each timed in a fresh process with OPENBLAS_NUM_THREADS=1:
   reconstructed from its decomposition at dim 48 (std_dev 1): cold, each call
   on the channel as it was built (no sector label, support or Choi matrix
   kept), and warm, each call on the channel after a first pass (what the
-  channel keeps for its spectrum kept); with the peak traced memory
+  channel keeps for its spectrum kept); beside them covariant.reconstruct
+  and covariant.shift_distribution (one random state) of the warm channel's
+  decomposition, warm (after a first call of each), and channels._tp_defect
+  of the channel's Kraus stack; each with the peak traced memory
   (tracemalloc) of one call, in MB;
 - timing.timing_channel and timing.is_reliable_timing on the benchmark's
   bounds timing shapes (tools/benchlib.timing_mixture, N = 2, 4, 6, 8, 12 and
@@ -183,6 +186,19 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
                           ("warm", check_then_decompose)):
             rows.append({**time_row("covariance_defect + decompose", f"{kind}, {state}", n,
                                     fn, rounds), "peak_traced_mb": _traced_peak_mb(fn)})
+        decomp = cov.decompose(chan, spec)
+        rho = gen.random_state(n, np.random.default_rng(n))
+        cov.reconstruct(decomp), cov.shift_distribution(decomp, rho)  # what a first call keeps
+        for name, fn in (("covariant.reconstruct", lambda d=decomp: cov.reconstruct(d)),
+                         ("covariant.shift_distribution",
+                          lambda d=decomp, r=rho: cov.shift_distribution(d, r))):
+            rows.append({**time_row(name, f"{kind}, warm", n, fn, rounds),
+                         "peak_traced_mb": _traced_peak_mb(fn)})
+        def tp_defect(ops=chan._ops):
+            return mc._tp_defect(ops)
+
+        rows.append({**time_row("channels._tp_defect", kind, n, tp_defect, rounds),
+                     "peak_traced_mb": _traced_peak_mb(tp_defect)})
     for n in HADAMARD_SIZES:
         mask = gen.random_unit_diagonal_mask(n, np.random.default_rng(n))
         rows.append(time_row("capacity.hadamard_channel", "random mask", n,

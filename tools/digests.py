@@ -43,6 +43,13 @@ fields, a channel by its Kraus operators.  The corpus:
   [0, 1, 2 + 1e-11, 3 + 3e-11] and [0, 1, 2 + 0.9e-9, 3 + 2.7e-9] (three
   channels each), through covariance_defect, decompose and timing_channel
   (N = 8, step 2 pi / N, tol inf, from the uniform superposition);
+- the benchmark's decompose pipeline shapes: dense random_covariant channels
+  on the integer spectrum at n = 8, 12 and 16, random_covariant channels on
+  the sqrt(prime) spectrum at n = 8, 10 and 12, a Hadamard channel at n = 24
+  and three-shift mixtures {0, a, -b} (a, b drawn from 1-3) at n = 28 and 32,
+  through is_cptp, covariance_defect, decompose, reconstruct and
+  shift_distribution at one random state, the whole pipeline run twice on
+  one channel: the second run reads what the first keeps on the channel;
 - v_from_distribution (s = pi / 2, N = 64) of three hand-made shift
   distributions, with a signed zero, a repeated sigma and unpaired ones;
 - the benchmark's bounds timing shapes (three-shift mixtures on the integer
@@ -97,7 +104,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-from benchlib import ROOT, gauge_mixed, run_worker, timing_mixture
+from benchlib import ROOT, gauge_mixed, run_worker, spectrum_energies, timing_mixture
 
 FIXTURES = ROOT / "fixtures"
 CORPUS_SEED = 424242  # criterion 1's
@@ -122,6 +129,9 @@ CHAINED = (0.0, 1.0, 2.0 + 1e-11, 3.0 + 3e-11)  # timed at N = 8
 CHAINED_WIDE = (0.0, 1.0, 2.0 + 0.9e-9, 3.0 + 2.7e-9)  # its differences chain as CHAINED's
 RECONSTRUCTED_MAX_DIM = 64  # the reconstructed Gaussian channels' largest dim
 PURE_N = 8  # the label route's timing_channel N, at step 2 pi / N
+PIPELINE_SHAPES = (("dense", 8), ("dense", 12), ("dense", 16), ("sqrt_prime", 8),
+                   ("sqrt_prime", 10), ("sqrt_prime", 12), ("hadamard", 24),
+                   ("shift mixture", 28), ("shift mixture", 32))
 DENSE_CLI_SIZE = 16
 MC_DIMS, MC_SAMPLES = (8, 16), 2000
 
@@ -337,6 +347,32 @@ def _corpus():
             chan = gen.random_covariant(spec, np.random.default_rng([k, 7]))
             yield from label_route(f"reconstructed chained {energies[2]!r} #{k}",
                                    cov.reconstruct(cov.decompose(chan, spec)), spec)
+
+    def pipeline_channel(kind, n, rng):
+        spec = cc.Spectrum(dict(spectrum_energies(n))["sqrt_prime" if kind == "sqrt_prime"
+                                                     else "integer"])
+        if kind == "hadamard":
+            return cap.hadamard_channel(gen.random_unit_diagonal_mask(n, rng)), spec
+        if kind == "shift mixture":
+            sigmas = (0.0, float(rng.integers(1, 4)), -float(rng.integers(1, 4)))
+            probs = rng.random(3) + 0.1
+            mix = tim.build_shift_mixture(spec, list(zip(sigmas, probs / probs.sum())))
+            return mix.channel, spec
+        return gen.random_covariant(spec, rng), spec
+
+    for kind, n in PIPELINE_SHAPES:
+        rng = np.random.default_rng([n, 8])
+        chan, spec = pipeline_channel(kind, n, rng)
+        rho = gen.random_state(n, rng)
+        for run in (1, 2):
+            name = f"pipeline {kind} n={n} run {run}"
+            yield "is_cptp", name, lambda c=chan: cc.is_cptp(c)
+            yield "covariance_defect", name, lambda c=chan, s=spec: cov.covariance_defect(c, s)
+            yield "decompose", name, lambda c=chan, s=spec: cov.decompose(c, s)
+            yield ("reconstruct", name,
+                   lambda c=chan, s=spec: cov.reconstruct(cov.decompose(c, s)))
+            yield ("shift_distribution", name, lambda c=chan, s=spec, r=rho:
+                   cov.shift_distribution(cov.decompose(c, s), r))
 
     for pairs in HAND_DISTRIBUTIONS:
         dist = cov.EnergyShiftDistribution(pairs)
