@@ -22,7 +22,9 @@ holds with equality.  verify_hqc tests that equality from the vectors: it
 reads G(I/n) = diag(V V^dag)/n and the spectrum of V^T conj(V)/n, and
 compares their entropies with the bound's log2(n) - S(lam/n), lam from the
 mask check's own eigvalsh.  Vectors that do not decompose M move the first
-entropy, and a spectrum that is not M's moves the second.
+entropy, and a spectrum that is not M's moves the second.  Each G^c(rho) is the Gram
+matrix of the vectors vec(A_a rho^{1/2}), formed from checked inputs, with the trace of
+G(rho): G(rho) keeps its state check and G^c(rho) skips it (channels._formed_entropy).
 """
 from __future__ import annotations
 
@@ -51,8 +53,8 @@ def coherent_information(channel: Channel, rho: DensityMatrix) -> float:
     prods = kraus @ rho.matrix
     comp = prods.reshape(k, -1) @ kraus.reshape(k, -1).conj().T
     out = mc._kraus_sum(mc._side_by_side(prods), kraus)
-    del prods  # freed before the outputs are validated
-    return mc.von_neumann_entropy(DensityMatrix(out)) - mc.von_neumann_entropy(DensityMatrix(comp))
+    del prods  # freed before the output is validated
+    return mc.von_neumann_entropy(DensityMatrix(out)) - mc._formed_entropy(comp)
 
 
 def _check_mask(mask: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -92,13 +94,14 @@ def _mask_numbers(mask: np.ndarray, vals: np.ndarray,
     vecs = vecs * np.sqrt(np.clip(lam, 0.0, None))
 
     def complement(weights):  # S(G^c(rho)) from the diagonal of rho
-        return mc.von_neumann_entropy(DensityMatrix(vecs.T @ (weights[:, None] * vecs.conj())))
+        return mc._formed_entropy(vecs.T @ (weights[:, None] * vecs.conj()))
 
     mixed = coh = (mc.entropy_of_eigenvalues(np.vecdot(vecs, vecs).real / n)
                    - complement(np.full(n, 1.0 / n)))
     if rho is not None:
         if rho.dim != n:
             raise DimensionMismatch("state and channel dimensions differ")
+        # checked: its trace can miss 1 by M's diagonal slack plus rho's trace slack
         coh = (mc.von_neumann_entropy(DensityMatrix(mask * rho.matrix))
                - complement(np.diag(rho.matrix).real))
     bound = spectrum_to_bound(vals / n)

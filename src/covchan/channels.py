@@ -43,9 +43,9 @@ from .errors import DimensionMismatch, InvalidParameter, NotCP, NotDensityMatrix
 # its factor, whose rounding bound (_gram_bound) is at most 1.6e-11 at dim 186
 # for any accepted std_dev, within EPS_PSD / 2 = 5e-10: every Gaussian mask,
 # like every block decompose keeps and every Choi matrix is_cptp passes, is
-# proved with no factorisation and no eigensolve.  Every other state, mask or
-# block takes the one check, _psd_check: finite, skew at most EPS_H, and no
-# eigenvalue of its Hermitian part below -EPS_PSD.
+# proved with no factorisation and no eigensolve.  Every other state (but the
+# complements _formed_entropy reads), mask or block takes the one check,
+# _psd_check: finite, skew at most EPS_H, no Hermitian-part eigenvalue below -EPS_PSD.
 EPS_H = 1e-9
 EPS_TR = 1e-9
 EPS_PSD = 1e-9
@@ -59,14 +59,15 @@ _ETA = float(np.finfo(float).smallest_subnormal)  # 2^-1074
 NON_FINITE, NOT_HERMITIAN, NEGATIVE = "has non-finite entries", "is not Hermitian", "negative"
 
 
-def _psd_check(mats: np.ndarray):
+def _psd_check(mats: np.ndarray, finite: bool = False):
     """The one positivity check of a state, a mask or a (m, d, d) stack of blocks: the
     Hermitian parts, their ascending eigenvalues (one eigvalsh) and None, or (i, reason) for
     the first matrix with a non-finite entry, a skew above EPS_H or an eigenvalue vals[i, 0]
-    below -EPS_PSD.  The parts and eigenvalues stop before the first non-finite matrix."""
+    below -EPS_PSD.  The parts and eigenvalues stop before the first non-finite matrix;
+    finite skips that scan for a stack the caller scanned (DensityMatrix's copy)."""
     stack = mats.reshape(-1, *mats.shape[-2:])
     count = end = len(stack)
-    if not np.isfinite(stack).all():
+    if not finite and not np.isfinite(stack).all():
         end = int(np.argmin(np.isfinite(stack).all(axis=(-2, -1))))  # the first non-finite
         stack = stack[:end]
     adjoint = stack.conj().swapaxes(-1, -2)
@@ -103,7 +104,7 @@ class DensityMatrix:
         mat = _as_complex(self.matrix)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
             raise NotDensityMatrix(f"expected a non-empty square matrix, got shape {mat.shape}")
-        _, (vals,), failure = _psd_check(mat[None])  # finite already: _as_complex
+        _, (vals,), failure = _psd_check(mat[None], finite=True)  # _as_complex scanned it
         if failure == (0, NOT_HERMITIAN):
             raise NotDensityMatrix("matrix is not Hermitian within tolerance")
         with np.errstate(over="ignore"):  # an overflowing trace is refused below, as inf
@@ -488,6 +489,12 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Von Neumann entropy in bits, with 0 log 0 := 0, from the spectrum the
     state was validated with."""
     return entropy_of_eigenvalues(rho.eigenvalues)
+
+
+def _formed_entropy(mat: np.ndarray) -> float:
+    """Entropy in bits of a matrix formed from checked inputs, as Channel._adopt keeps a stack:
+    the Hermitian part as _psd_check forms it and one eigvalsh, with no copy, scan or trace."""
+    return entropy_of_eigenvalues(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0))
 
 
 def entropy_of_eigenvalues(vals: np.ndarray) -> float:

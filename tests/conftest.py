@@ -136,6 +136,22 @@ def purified_coherent_information(channel: cc.Channel, rho: cc.DensityMatrix,
             - cc.von_neumann_entropy(joint))
 
 
+def coherent_information_by_checked_outputs(channel: cc.Channel, rho: cc.DensityMatrix) -> float:
+    """Oracle for coherent_information: the same products, with both G(rho) and
+    G^c(rho) checked as states (DensityMatrix) before their entropies are read."""
+    if channel.dim_in != channel.dim_out:
+        raise DimensionMismatch("coherent information needs a square channel")
+    if rho.dim != channel.dim_in:
+        raise DimensionMismatch("state and channel dimensions differ")
+    kraus = channel._ops
+    k = len(kraus)
+    prods = kraus @ rho.matrix
+    comp = prods.reshape(k, -1) @ kraus.reshape(k, -1).conj().T
+    out = mc._kraus_sum(mc._side_by_side(prods), kraus)
+    return (cc.von_neumann_entropy(cc.DensityMatrix(out))
+            - cc.von_neumann_entropy(cc.DensityMatrix(comp)))
+
+
 def hadamard_coherent_information_by_kraus(mask: np.ndarray, rho: cc.DensityMatrix) -> float:
     """Oracle for the mask route of capacity: I_c of rho -> M * rho through the
     n diagonal Kraus operators of hadamard_channel, the channel applied

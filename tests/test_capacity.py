@@ -5,11 +5,19 @@ from hypothesis import strategies as st
 
 import covchan as cc
 from covchan import capacity as cap
+from covchan import channels as mc
 from covchan import generate as gen
-from covchan.errors import DiagonalNotUnit, DimensionMismatch, MaskNotPSD
+from covchan.errors import (
+    CovchanError,
+    DiagonalNotUnit,
+    DimensionMismatch,
+    MaskNotPSD,
+    NotDensityMatrix,
+)
 
 from conftest import (
     amplitude_damping,
+    coherent_information_by_checked_outputs,
     dephasing_channel,
     hadamard_coherent_information_by_kraus,
     purified_coherent_information,
@@ -24,6 +32,17 @@ def mask_c(c, n=2):
     m = np.full((n, n), c, dtype=complex)
     np.fill_diagonal(m, 1.0)
     return m
+
+
+def count_calls(monkeypatch, owner, names):
+    """Counts of the calls of owner's functions names from now on, by name."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _orig=getattr(owner, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def rank_deficient_mask(n, rank, rng):
@@ -84,6 +103,51 @@ class TestCoherentInformation:
         rho = cc.DensityMatrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
         assert abs(cap.coherent_information(chan, rho)
                    - purified_coherent_information(chan, rho)) <= 1e-12
+
+    def test_refuses_an_output_off_unit_trace(self, rng):
+        chan = gen.random_cptp(3, rng)
+        scaled = cc.Channel(tuple(1.1 * k for k in chan.kraus))  # output trace 1.21
+        with pytest.raises(NotDensityMatrix, match="^trace .* is not 1"):
+            cap.coherent_information(scaled, gen.random_state(3, rng))
+
+    def test_refuses_a_channel_that_is_not_square(self):
+        chan = cc.Channel((np.ones((2, 3)) / np.sqrt(6.0),))
+        with pytest.raises(DimensionMismatch, match="square channel"):
+            cap.coherent_information(chan, cc.DensityMatrix(np.eye(3) / 3))
+
+    def test_refuses_a_state_of_another_dimension(self):
+        with pytest.raises(DimensionMismatch, match="dimensions differ"):
+            cap.coherent_information(cc.identity_channel(2), cc.DensityMatrix(np.eye(3) / 3))
+
+    @PROPERTY
+    @given(n=st.integers(1, 6), family=st.sampled_from(["random_cptp", "random_covariant"]),
+           power=st.sampled_from([0, 0, -2, -1, 1, 3]), rank=st.sampled_from(["full", "deficient"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_the_route_that_checks_both_outputs(self, n, family, power, rank, seed):
+        # power 0 (drawn twice as often) is the value case.  The complement
+        # skips the state check; the output keeps it.  The
+        # verdicts could differ only where the output's trace lies within a
+        # few ulps of 1 +- EPS_TR, as the complement's trace equals the output's
+        # up to summation order.  No draw comes near that band: a TP channel's
+        # trace misses 1 by roundoff, one scaled by 2^power by a factor 4^power.
+        rng = np.random.Generator(np.random.PCG64(seed))
+        if family == "random_cptp":
+            chan = gen.random_cptp(n, rng, kraus_count=int(rng.integers(1, n * n + 4)))
+        else:
+            chan = gen.random_covariant(cc.Spectrum(np.arange(float(n))), rng)
+        if power:
+            chan = cc.Channel(tuple(2.0 ** power * k for k in chan.kraus))
+        r = n if rank == "full" else int(rng.integers(1, max(n - 1, 1) + 1))
+        g = rng.normal(size=(n, r)) + 1j * rng.normal(size=(n, r))
+        rho = cc.DensityMatrix(g @ g.conj().T / np.linalg.norm(g) ** 2)
+        results = []
+        for route in (cap.coherent_information, coherent_information_by_checked_outputs):
+            try:
+                results.append(route(chan, rho))
+            except CovchanError as exc:
+                results.append(type(exc))
+        assert results[0] == results[1]
+        assert (results[0] is NotDensityMatrix) == (power != 0)
 
     def test_bounded_by_log_dim(self, rng):
         for _ in range(5):
@@ -150,18 +214,29 @@ class TestHadamardBound:
     def test_each_mask_spectrum_solved_once(self, rng, monkeypatch):
         # The check's spectrum is the bound's; verify_hqc checks the mask once
         # and adds one eigh for the vectors and the eigvalsh of G^c(I/n).
-        calls = {"eigvalsh": 0, "eigh": 0}
-        for name, orig in [(name, getattr(np.linalg, name)) for name in calls]:
-            def counted(*args, _orig=orig, _name=name, **kwargs):
-                calls[_name] += 1
-                return _orig(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
+        calls = count_calls(monkeypatch, np.linalg, ["eigvalsh", "eigh"])
         m = gen.random_unit_diagonal_mask(8, rng)
         cap.hadamard_bound(m, 8)
         assert calls == {"eigvalsh": 1, "eigh": 0}
         calls.update(eigvalsh=0)
         cap.verify_hqc(m, 8)
         assert calls == {"eigvalsh": 2, "eigh": 1}
+
+    def test_each_complement_read_without_a_state_check(self, rng, monkeypatch):
+        # Only the output G(rho), M * rho and the mask take the state or mask
+        # check; each complementary output, formed from them, takes one eigvalsh.
+        chan = gen.random_covariant(cc.Spectrum(np.arange(6.0)), rng)
+        rho = gen.random_state(6, rng)
+        m = gen.random_unit_diagonal_mask(6, rng)
+        linalg = count_calls(monkeypatch, np.linalg, ["eigvalsh", "eigh"])
+        checks = count_calls(monkeypatch, mc, ["_psd_check"])
+        for run, counts in [(lambda: cap.coherent_information(chan, rho), (1, 2, 0)),
+                            (lambda: cap.verify_hqc(m, 6), (1, 2, 1)),
+                            (lambda: cap._mask_numbers(*cap._check_mask(m, 6), rho), (2, 4, 1))]:
+            linalg.update(eigvalsh=0, eigh=0)
+            checks.update(_psd_check=0)
+            run()
+            assert (checks["_psd_check"], linalg["eigvalsh"], linalg["eigh"]) == counts
 
 
 @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

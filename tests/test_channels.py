@@ -657,8 +657,8 @@ def spy_psd_check(monkeypatch):
     """Calls of channels._psd_check, each recorded as (its input, its result)."""
     calls, check = [], mcore._psd_check
 
-    def spy(mats):
-        calls.append((mats, check(mats)))
+    def spy(mats, **options):  # DensityMatrix passes finite=True
+        calls.append((mats, check(mats, **options)))
         return calls[-1][1]
 
     monkeypatch.setattr(mcore, "_psd_check", spy)

@@ -58,6 +58,10 @@ fields, a channel by its Kraus operators.  The corpus:
   orthogonal; the 0.97 step at N = 6, refused as not periodic), each also with
   its operators mixed by a random 5 x 3 isometry (the same channel, on the
   decomposition route), through is_reliable_timing and timing_channel;
+- the benchmark's bounds coherent shapes: dense random_covariant channels on
+  the integer spectrum at n = 6, 10 and 12 (K = n^2), each through
+  coherent_information at one random state, and the n = 6 channel with its
+  operators scaled by 1.1 (output trace 1.21), a refusal digested as above;
 - dense random_covariant channels on the integer spectrum at n = 4, 8 and 16
   (N = 64) and on the chained spectrum [0, 1, 2 + 1e-11, 3 + 3e-11] (N = 8,
   7 clusters of distinct exact differences), step 2 pi / N from the uniform
@@ -125,6 +129,7 @@ V_N = 64  # v_from_distribution's N, at TIMING_STEP
 HAND_DISTRIBUTIONS = (((-0.0, 0.25), (0.0, 0.25), (-1.5, 0.5)),
                       ((2.0, 0.3), (2.0, 0.3), (-2.0, 0.4)), ((-3.0, 0.6), (0.5, 0.4)))
 DENSE_TIMING = ((4, 64), (8, 64), (16, 64))  # (n, N) of the dense channels' timing
+COHERENT_SIZES = (6, 10, 12)  # the bounds workload's coherent items, K = n^2
 CHAINED = (0.0, 1.0, 2.0 + 1e-11, 3.0 + 3e-11)  # timed at N = 8
 CHAINED_WIDE = (0.0, 1.0, 2.0 + 0.9e-9, 3.0 + 2.7e-9)  # its differences chain as CHAINED's
 RECONSTRUCTED_MAX_DIM = 64  # the reconstructed Gaussian channels' largest dim
@@ -389,6 +394,17 @@ def _corpus():
                    _or_error(tim.is_reliable_timing, c, sp, p, s))
             yield ("timing_channel", name, lambda c=c, sp=spec, p=phi0, s=s, N=N:
                    _or_error(tim.timing_channel, c, sp, p, s, N))
+
+    for n in COHERENT_SIZES:
+        rng = np.random.default_rng([n, 9])
+        chan = gen.random_covariant(cc.Spectrum(np.arange(float(n))), rng)
+        rho = gen.random_state(n, rng)
+        name = f"bounds coherent dense random_covariant n={n}"
+        yield "coherent_information", name, lambda c=chan, r=rho: cap.coherent_information(c, r)
+        if n == COHERENT_SIZES[0]:
+            scaled = cc.Channel(tuple(1.1 * k for k in chan.kraus))
+            yield ("coherent_information", f"{name} scaled by 1.1", lambda c=scaled, r=rho:
+                   _or_error(cap.coherent_information, c, r))
 
     for energies, N in (*((np.arange(float(n)), N) for n, N in DENSE_TIMING), (CHAINED, 8)):
         spec = cc.Spectrum(energies)
