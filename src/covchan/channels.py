@@ -13,17 +13,14 @@ built from, so a caller's later writes never reach them.
 A Channel keeps its Kraus operators as one (K, dim_out, dim_in) stack (the
 kraus tuple of its rows is made when first read), and derives from it, each
 once: its trace-preservation defect and the sum of squares of its entries
-that the Gram bound reads, which is_cptp and decompose both need, its
-support S, the Choi pairs at which some operator is nonzero, and the Choi
-matrix on S x S.  That matrix is kept only when |S| <= K: its 16 |S|^2
-bytes are then at most the stack's own 16 K dim_out dim_in, so a channel
-never holds more than twice its Kraus operators.  is_cptp reads the stack,
-choi_of and the sector work of covariant read the support and the Choi
-matrix too, so none stacks the operators again, and a family with K < |S|
-forms the matrix afresh in each call that needs it.  covariant keeps its
-sector label of the operators on the channel too, one per spectrum: O(K)
-numbers, two floats and the index tables of the sectors the channel touches,
-never a matrix.
+that the Gram bound reads, which is_cptp and decompose both need, and its
+support S, the Choi pairs at which some operator is nonzero.  No channel
+keeps a Choi matrix: choi_of forms the product on S x S (_choi_on_support)
+in each call, and covariant forms it at most once per spectrum, keeping only
+what it reads of it on its sector label of the operators, one per spectrum:
+O(K) numbers, two floats, the index tables of the sectors the channel
+touches and their raw Choi blocks, O(sum d^2) entries, never an |S| x |S|
+matrix.
 """
 from __future__ import annotations
 
@@ -178,20 +175,9 @@ class Channel:
     @cached_property
     def _support(self) -> np.ndarray:
         """S, the Choi pairs at which some Kraus operator is nonzero, ascending."""
-        support = _support_of(self._ops)
+        support = np.flatnonzero(self._ops.reshape(len(self._ops), -1).any(axis=0))
         support.setflags(write=False)
         return support
-
-    def _choi(self) -> np.ndarray:
-        """The read-only Choi matrix on S x S, kept after the first call when
-        |S| <= K and formed afresh in every call otherwise."""
-        choi = self.__dict__.get("_kept_choi")
-        if choi is None:
-            (choi,) = _choi_on_support(self._support, self._ops)
-            choi.setflags(write=False)
-            if self._support.size <= len(self._ops):
-                object.__setattr__(self, "_kept_choi", choi)
-        return choi
 
     @cached_property
     def _tp_defect(self) -> float:
@@ -272,29 +258,22 @@ def choi_of(channel: Channel) -> ChoiMatrix:
     support = channel._support
     size = channel.dim_in * channel.dim_out
     mat = np.zeros((size, size), dtype=complex)
-    mat[np.ix_(support, support)] = channel._choi()
+    mat[np.ix_(support, support)] = _choi_on_support(support, channel._ops)
     return ChoiMatrix(channel.dim_in, channel.dim_out, mat)
 
 
-def _support_of(*stacks: np.ndarray) -> np.ndarray:
-    """The Choi pairs at which an operator of some (K, dim_out, dim_in) stack
-    of Kraus operators is nonzero, ascending."""
-    return np.flatnonzero(np.logical_or.reduce(
-        [ops.reshape(len(ops), -1).any(axis=0) for ops in stacks]))
-
-
-def _choi_on_support(support: np.ndarray, *stacks: np.ndarray) -> list[np.ndarray]:
-    """Each (K, dim_out, dim_in) stack's Choi matrix on S x S, S the ascending
+def _choi_on_support(support: np.ndarray, ops: np.ndarray) -> np.ndarray:
+    """The Choi matrix on S x S of a (K, dim_out, dim_in) stack, S the ascending
     pairs support, which holds every pair where some operator is nonzero.
 
     That matrix is V_S^T conj(V_S), V_S the rows vec(A_m) restricted to S;
     every Choi entry in a row or column off S is exactly zero.  With S all
     pairs the product runs on the rows themselves, as choi_of always did.
     """
-    vecs = [ops.reshape(len(ops), -1) for ops in stacks]
-    if support.size < vecs[0].shape[1]:
-        vecs = [v[:, support] for v in vecs]
-    return [v.T @ v.conj() for v in vecs]
+    vecs = ops.reshape(len(ops), -1)
+    if support.size < vecs.shape[1]:
+        vecs = vecs[:, support]
+    return vecs.T @ vecs.conj()
 
 
 def _deterministic_eig(stacks, keys=None, hermitian=False):

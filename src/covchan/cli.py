@@ -27,6 +27,12 @@ interpreted, so a missing or malformed later file is reported before what is
 wrong inside an earlier one.  check and decompose never load fock, timing or capacity, and
 gaussian never loads timing or capacity.
 
+The BLAS thread count can change the last bits of a report, so ``main`` sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS to 1 before numpy
+loads, unless the environment already sets them: the same input gives the same
+bytes on any host.  Called in a process that has loaded numpy already, it
+leaves the environment as it is.
+
 Every report goes through one writer (``_write``) that streams it in pieces
 to stdout and to the ``--out`` file: a JSON report comes from
 ``serialize.iter_dumps``, a CSV report one matrix at a time, and the masks of
@@ -182,19 +188,12 @@ def cmd_check(args) -> int:
 
 def cmd_decompose(args) -> int:
     channel, spectrum = _read(args.channel, args.spectrum)
-    import numpy as np
-
-    from . import channels as mc
     from . import covariant as cov
     from . import serialize as ser
 
     channel, spectrum = ser.channel_from_json(channel), ser.spectrum_from_json(spectrum)
     decomp = cov.decompose(channel, spectrum, tol=args.tol)
-    # The Choi matrices agree, both zero, off the pairs that neither family touches.
-    recon = cov.reconstruct(decomp)._ops
-    recon_choi, choi = mc._choi_on_support(mc._support_of(recon, channel._ops),
-                                           recon, channel._ops)
-    dist = float(np.linalg.norm(recon_choi - choi))
+    dist = cov._choi_distance(channel, cov.reconstruct(decomp), spectrum)
     payload = ser._decomposition_object(decomp)
     payload["diagonal_sums"] = [float(x) for x in decomp.diagonal_sums()]
     payload["projection_defect"] = decomp.projection_defect
@@ -391,6 +390,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if "numpy" not in sys.modules:  # BLAS reads them when numpy loads; a set value wins
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            os.environ.setdefault(var, "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

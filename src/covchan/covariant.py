@@ -20,22 +20,22 @@ A channel meets a spectrum through its sector label (_label, a _Label), made by
 one pass over its Kraus operators on its support when first asked for and kept
 on the channel, one per spectrum: each operator's cluster, or -1 when its
 nonzero entries lie in two (mixed), and, when every operator's entries share
-one exact difference E_j' - E_j, those shifts, which timing reads.  Every
-family the library builds (reconstruct, hadamard_channel, build_shift_mixture)
-is sector-pure, no operator mixed: its cross-sector Choi entries are sums of
-exact zeros, so covariance_defect is 0.0 with no Choi matrix, and decompose
-forms each sector's block as X_sigma^T conj(X_sigma) from the operators
-labelled sigma and the sector's pairs, one product per size group
-(_label_blocks).  A mixed family (random_covariant's, whose sectors mix at
-roundoff, or one that is not covariant) takes the Choi route: the Choi matrix
-on the pairs some Kraus operator touches, every other row and column being
-zero, which is the channel's own (Channel._choi, kept when |S| <= K).  Its
-cross-sector |entries| are formed once per (channel, spectrum), by the first of
-covariance_defect and decompose, and their largest entry and squared norm are
-kept on the label (_cross_sector), so the other reads the two floats; decompose
-still reads the blocks off the Choi matrix (_sector_blocks).  Either route lays
-out the sectors the channel touches with the tables the first decompose builds
-and the label keeps (_Tables): each that the support and the spectrum fix.
+one exact difference E_j' - E_j, those shifts, which timing reads.  The label
+keeps the channel's raw Choi blocks on the sectors it touches, read once
+(_raw), and no channel keeps a Choi matrix.  Every family the library builds
+(reconstruct, hadamard_channel, build_shift_mixture) is sector-pure, no
+operator mixed: its cross-sector Choi entries are sums of exact zeros, so
+covariance_defect is 0.0 with no Choi matrix, and each sector's block is
+X_sigma^T conj(X_sigma) from the operators labelled sigma and the sector's
+pairs, one product per size group (_label_blocks).  A mixed family
+(random_covariant's, whose sectors mix at roundoff, or one that is not
+covariant) forms its Choi matrix on the pairs some Kraus operator touches,
+every other row and column being zero, once per (channel, spectrum) in the
+first of covariance_defect and decompose: the label keeps the largest
+cross-sector |entry| and their squared norm, and the blocks gathered from it
+(_sector_blocks), and the matrix is dropped.  Either route lays out the
+sectors the channel touches with the tables that the support and the
+spectrum fix, which the label keeps too (_Tables).
 
 A decomposition is one store (_Layout), which every library reader reads: its
 sectors in size order, each with its spectrum cluster c (sigma, domain and
@@ -50,7 +50,7 @@ Given blocks, from the pairs the constructor checks or from a decomposition
 file, go into a store through one builder (_store_of_blocks).
 
 Sector work runs over all sectors at once, on index tables made once.  decompose
-lays the blocks of the sectors the channel touches out in one buffer, gathers,
+reads the raw blocks of the sectors the channel touches, laid out in one buffer,
 Hermitises, scales for TP and tests them for the drop once over it, and keeps
 the kept blocks' buffer as its store.  When no sector is dropped the store is
 the label's layout with that buffer, and the decomposition reads the label's
@@ -421,17 +421,6 @@ def _mask_failure(blocks: np.ndarray, sigmas) -> tuple[int, str] | None:
 # Sector extraction
 
 
-def _support_choi(channel: Channel,
-                  spectrum: Spectrum) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The channel's Choi matrix on its support S: S (the pairs where some
-    Kraus operator is nonzero), C on S x S (read-only, the channel's own) and
-    its |entries| between two sectors (_cross_entries)."""
-    if channel._ops.shape[1:] != (spectrum.dim, spectrum.dim):
-        raise DimensionMismatch("channel and spectrum dimensions differ")
-    support, choi = channel._support, channel._choi()
-    return support, choi, _cross_entries(choi, support, spectrum)
-
-
 def _cross_entries(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum) -> np.ndarray:
     """|C| between two sectors, zero within one, for C on support x support.  Every
     Choi row and column off the support is zero, so the cross-sector entries off it are."""
@@ -456,16 +445,15 @@ class _Label:
     no nonzero entry reads the support's first pair (pair 0 when the support is
     empty).  cross is (max, squared Frobenius norm) of the cross-sector |Choi|
     entries: (0.0, 0.0) for a pure family, whose cross-sector entries are sums of
-    exact zeros, and for a mixed one None until the first call that forms its Choi
-    matrix sets it (_cross_sector).  tables (a _Tables, set by the first decompose) is
-    every table that the channel's support and the spectrum fix, O(sum d^2) indices:
-    the layout of the sectors the support touches, each entry's places in the pairs
+    exact zeros, and for a mixed one None until _raw forms its Choi matrix.  raw (a
+    _Layout, set by _raw) holds the raw Choi blocks of the sectors the channel's
+    support touches, read-only, O(sum d^2) entries.  tables (a _Tables, set by _raw)
+    is every table that the channel's support and the spectrum fix, O(sum d^2)
+    indices: the layout of those sectors, each entry's places in the pairs
     (_block_tables), the layout's size groups (_Groups, reconstruct's and
-    shift_distribution's tables too), _restore_tp's levels and sector-order places
-    (_tp_places), and the gather of the family's route: the Choi matrix's rows and
-    columns and the entries off the support (_choi_gather), or each operator's slot,
-    rank and entries and the group bounds (_operator_gather).  magnitudes is
-    _magnitudes(shifts), made on its first read (timing._fourier's table)."""
+    shift_distribution's tables too) and _restore_tp's levels and sector-order places
+    (_tp_places).  magnitudes is _magnitudes(shifts), made on its first read
+    (timing._fourier's table)."""
 
     def __init__(self, cluster: np.ndarray, shifts: np.ndarray | None):
         cluster.setflags(write=False)
@@ -473,7 +461,7 @@ class _Label:
             shifts.setflags(write=False)
         self.cluster, self.shifts, self.pure = cluster, shifts, bool(cluster.min() >= 0)
         self.cross = (0.0, 0.0) if self.pure else None
-        self.tables = None
+        self.raw = self.tables = None
 
     @cached_property
     def magnitudes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -506,18 +494,6 @@ def _label(channel: Channel, spectrum: Spectrum) -> _Label:
     cluster[mixed] = -1
     labels[spectrum] = label = _Label(cluster, shifts)
     return label
-
-
-def _cross_sector(channel: Channel, spectrum: Spectrum, label: _Label,
-                  choi: np.ndarray | None = None) -> tuple[float, float]:
-    """label.cross, the (max, squared Frobenius norm) of the channel's cross-sector
-    |Choi| entries, set on the first call from choi (the channel's Choi matrix on its
-    support, channel._choi() by default): once per (channel, spectrum)."""
-    if label.cross is None:
-        cross = _cross_entries(channel._choi() if choi is None else choi, channel._support,
-                               spectrum)
-        label.cross = (float(cross.max(initial=0.0)), float(np.vdot(cross, cross).real))
-    return label.cross
 
 
 # A store, or decompose's work layout: per slot, in size order, its cluster, domain
@@ -679,13 +655,12 @@ class _Tables:
     (_Label): the layout of the sectors the support touches, its blocks not formed,
     per entry the places in the pairs of its row and column and of its transpose
     (rows, cols, trans) and each block's number of entries (square); and, made on first
-    use, the layout's size groups (groups), the gather of the family's route (gather,
-    _choi_gather or _operator_gather) and _restore_tp's places (tp, _tp_places)."""
+    use, the layout's size groups (groups) and _restore_tp's places (tp, _tp_places)."""
 
     def __init__(self, layout: _Layout, rows, cols, trans):
         self.layout, self.rows, self.cols, self.trans = layout, rows, cols, trans
         self.square = layout.sizes * layout.sizes
-        self.gather = self.tp = None
+        self.tp = None
 
     @cached_property
     def groups(self) -> _Groups:
@@ -713,33 +688,19 @@ def _block_tables(support: np.ndarray, spectrum: Spectrum) -> _Tables:
     return _Tables(layout, rows, cols, trans)
 
 
-def _choi_gather(tables: _Tables, support: np.ndarray, n: int):
-    """The Choi route's gather (_sector_blocks): the place of each entry in the flat
-    Choi matrix on support x support, and the entries off the support, which read
-    place 0 and are set to +0.0."""
-    at = np.full(n * n, -1)  # the row of each pair in the Choi matrix, -1 off the support
+def _sector_blocks(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum,
+                   tables: _Tables) -> _Layout:
+    """The layout of the tables (_block_tables(support, spectrum)) with the blocks of
+    choi on support x support, +0.0 off it (a pinching: PSD stays PSD)."""
+    at = np.full(spectrum.dim ** 2, -1)  # the row of each pair in choi, -1 off the support
     at[support] = np.arange(support.size)
     row, col = at[tables.layout.pairs][tables.rows], at[tables.layout.pairs][tables.cols]
-    off = np.flatnonzero((row < 0) | (col < 0))
+    off = (row < 0) | (col < 0)
     place = row * support.size + col
-    place[off] = 0
-    for arr in (place, off):
-        arr.setflags(write=False)
-    return place, off
-
-
-def _sector_blocks(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum, tables=None):
-    """The layout of the tables (_block_tables(support, spectrum), made here by default)
-    with the blocks of choi on support x support, +0.0 off it (a pinching: PSD stays
-    PSD), and its entry tables rows, cols and trans.  The gather is the tables' own,
-    made on the first call (_choi_gather)."""
-    tables = _block_tables(support, spectrum) if tables is None else tables
-    if tables.gather is None:
-        tables.gather = _choi_gather(tables, support, spectrum.dim)
-    place, off = tables.gather
+    place[off] = 0  # a valid place, whose entry is replaced
     blocks = choi.reshape(-1)[place]
     blocks[off] = 0.0
-    return tables.layout._replace(blocks=blocks), tables.rows, tables.cols, tables.trans
+    return tables.layout._replace(blocks=blocks)
 
 
 def _operator_gather(label: _Label, tables: _Tables, support: np.ndarray, spectrum: Spectrum):
@@ -748,7 +709,7 @@ def _operator_gather(label: _Label, tables: _Tables, support: np.ndarray, spectr
     on one sector and at least two, and each group's (offset, m, d, p, start in the
     buffer); the places of the operators' entries on their sectors' pairs in that buffer
     and in the flat Kraus stack, slot after slot, a slot's operators in operator order;
-    and the block entries off the support, or None."""
+    and whether each block entry is off the support."""
     layout, n = tables.layout, spectrum.dim
     slot = np.full(len(spectrum.sigmas), -1)
     slot[layout.clusters] = np.arange(layout.clusters.size)
@@ -774,27 +735,22 @@ def _operator_gather(label: _Label, tables: _Tables, support: np.ndarray, spectr
     held = np.zeros(n * n, dtype=bool)
     held[support] = True
     held = held[layout.pairs]
-    off = None if held.all() else np.flatnonzero(~(held[tables.rows] & held[tables.cols]))
-    for arr in (dst, src, *([] if off is None else [off])):
-        arr.setflags(write=False)
-    return groups, start, dst, src, off
+    return groups, start, dst, src, ~(held[tables.rows] & held[tables.cols])
 
 
-def _label_blocks(channel: Channel, spectrum: Spectrum, label: _Label):
+def _label_blocks(channel: Channel, spectrum: Spectrum, label: _Label) -> _Layout:
     """_sector_blocks of a sector-pure family on its tables (label.tables), formed with
     no Choi matrix: sector sigma's block is X_sigma^T conj(X_sigma), X_sigma the entries
     of the operators labelled sigma on its pairs, in operator order.  A size group's
     X_sigma are one stack, each padded with zero rows to the group's most operators and
     to at least two, so that the one product per group is a BLAS product for every
     sector (numpy takes a product of inner dimension 1 in its own loop).  The stacks
-    lie in one buffer, filled by one gather (_operator_gather, made on the first call):
-    a group's stack holds at most p m d entries, p <= max(2, K), so all of them at most
-    max(2, K) n^2, twice the Kraus stack's at most.  An entry off the support is a sum
-    of +-0.0, set to +0.0 as the Choi matrix's."""
+    lie in one buffer, filled by one gather (_operator_gather): a group's stack holds at
+    most p m d entries, p <= max(2, K), so all of them at most max(2, K) n^2, twice the
+    Kraus stack's at most.  An entry off the support is a sum of +-0.0, set to +0.0 as
+    the Choi matrix's."""
     tables = label.tables
-    if tables.gather is None:
-        tables.gather = _operator_gather(label, tables, channel._support, spectrum)
-    groups, size, dst, src, off = tables.gather
+    groups, size, dst, src, off = _operator_gather(label, tables, channel._support, spectrum)
     x = np.zeros(size, dtype=complex)
     x[dst] = channel._ops.reshape(-1)[src]
     xc = x.conj()
@@ -803,9 +759,31 @@ def _label_blocks(channel: Channel, spectrum: Spectrum, label: _Label):
         stack = x[start:start + m * p * d].reshape(m, p, d)
         np.matmul(stack.swapaxes(1, 2), xc[start:start + m * p * d].reshape(m, p, d),
                   out=blocks[o:o + m * d * d].reshape(m, d, d))
-    if off is not None:
-        blocks[off] = 0.0
-    return tables.layout._replace(blocks=blocks), tables.rows, tables.cols, tables.trans
+    blocks[off] = 0.0
+    return tables.layout._replace(blocks=blocks)
+
+
+def _raw(channel: Channel, spectrum: Spectrum, label: _Label) -> _Layout:
+    """label.raw, set on the first call with label.tables (_block_tables): the layout of
+    the sectors the channel's support touches with its raw Choi blocks, read-only.  A
+    pure family's come from its operators (_label_blocks).  A mixed family's Choi matrix
+    on its support is formed here, once per (channel, spectrum): label.cross is read
+    from its |entries|, which are freed before the tables are made and its blocks are
+    gathered (_sector_blocks), and then it is dropped.  The blocks hold as many entries
+    as each of the tables' three entry tables (rows, cols and trans)."""
+    if label.raw is None:
+        support, choi = channel._support, None
+        if not label.pure:
+            choi = mc._choi_on_support(support, channel._ops)
+            cross = _cross_entries(choi, support, spectrum)
+            label.cross = (float(cross.max(initial=0.0)), float(np.vdot(cross, cross).real))
+            del cross
+        label.tables = tables = _block_tables(support, spectrum)
+        raw = (_label_blocks(channel, spectrum, label) if choi is None
+               else _sector_blocks(choi, support, spectrum, tables))
+        raw.blocks.setflags(write=False)
+        label.raw = raw
+    return label.raw
 
 
 def _level_sums(levels: np.ndarray, diagonals: np.ndarray, n: int) -> np.ndarray:
@@ -856,7 +834,10 @@ def covariance_defect(channel: Channel, spectrum: Spectrum) -> float:
     alpha_t conjugation the Choi entries pick up relative phases between
     sectors, so any cross-sector mass breaks covariance.
     """
-    return _cross_sector(channel, spectrum, _label(channel, spectrum))[0]
+    label = _label(channel, spectrum)
+    if label.cross is None:
+        _raw(channel, spectrum, label)
+    return label.cross[0]
 
 
 def decompose(
@@ -876,8 +857,10 @@ def decompose(
     A sector-pure family (the channel's label on spectrum, module docstring)
     forms no Choi matrix: each block is the product of its own sector's
     operators, the Choi matrix's block up to roundoff, and the covariance
-    defect is 0.0.  A mixed family's cross-sector defect and squared norm are
-    those the label keeps once covariance_defect or decompose has formed them.
+    defect is 0.0.  A mixed family forms its Choi matrix once per spectrum,
+    in the first of covariance_defect and decompose.  Either route's raw
+    blocks, and the cross-sector defect and squared norm, are those the label
+    keeps (_raw), so a warm decompose forms no block and gathers none.
     Complete positivity is the SectorMask check of each kept block, passed
     at once when the rounding bound of the Gram product C_S = V_S^T
     conj(V_S), scaled for the trace-preservation congruence, proves it
@@ -893,24 +876,14 @@ def decompose(
     if not 0.0 <= tol < np.inf:
         raise InvalidParameter(f"tolerance must be finite and >= 0, got {tol!r}")
     label = _label(channel, spectrum)
-    choi = None if label.cross is not None else channel._choi()  # formed once for both reads
-    defect, sq_cross = _cross_sector(channel, spectrum, label, choi)
+    layout = _raw(channel, spectrum, label)
+    defect, sq_cross = label.cross
     if defect > tol:
         raise NotCovariant(defect, tol)
     n, tables = spectrum.dim, label.tables
-    if tables is None:
-        label.tables = tables = _block_tables(channel._support, spectrum)
-    if label.pure:
-        layout, rows, cols, trans = _label_blocks(channel, spectrum, label)
-    else:
-        choi = channel._choi() if choi is None else choi
-        layout, rows, cols, trans = _sector_blocks(choi, channel._support, spectrum, tables)
-    # Freed before any output is allocated, so that the outputs take no fresh
-    # pages above the Choi matrix that a later one could reuse (the channel
-    # keeps its Choi matrix when |S| <= K, and then none is formed).
-    del choi
+    rows, cols = tables.rows, tables.cols
     raw = layout.blocks
-    layout = layout._replace(blocks=(raw + raw[trans].conj()) / 2.0)
+    layout = layout._replace(blocks=(raw + raw[tables.trans].conj()) / 2.0)
     scale = 1.0
     if channel._tp_defect <= mc.EPS_TP:
         if tables.tp is None:
@@ -951,6 +924,20 @@ def decompose(
         if failure is not None:
             raise NotCP(f"Choi {failure}")
     return SectorDecomposition._of_store(spectrum, store, **fields)
+
+
+def _choi_distance(channel: Channel, recon: Channel, spectrum: Spectrum) -> float:
+    """||C - C_rec||_F for the Choi matrices of a channel and of the reconstruction of
+    its decomposition, read sector by sector from both labels' raw blocks (_raw): the
+    channel's cross-sector squared norm plus each of its sectors' block difference.
+    recon is sector-pure and its sectors are among the channel's (a dropped sector
+    differs by the channel's block), so every other entry of either matrix is zero."""
+    label = _label(channel, spectrum)
+    mine, theirs = _raw(channel, spectrum, label), _raw(recon, spectrum, _label(recon, spectrum))
+    held = np.isin(mine.clusters, theirs.clusters)  # recon's slots, in the same size order
+    diff = mine.blocks.copy()
+    diff[_runs(mine.offsets[held], (mine.sizes * mine.sizes)[held])] -= theirs.blocks
+    return float(np.sqrt(label.cross[1] + np.vdot(diff, diff).real))
 
 
 def _shift_kraus(pairs, sizes, count, vecs, n: int) -> Channel:

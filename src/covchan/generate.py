@@ -5,7 +5,7 @@ import numpy as np
 
 from . import channels as mc
 from .channels import Channel, ChoiMatrix, DensityMatrix
-from .covariant import Spectrum, _restore_tp, _scatter, _sector_blocks, _support_choi
+from .covariant import Spectrum, _label, _raw, _restore_tp, _scatter
 
 
 def random_state(dim: int, rng: np.random.Generator) -> DensityMatrix:
@@ -54,7 +54,8 @@ def random_covariant(
     """
     n = spectrum.dim
     base = random_cptp(n, rng, kraus_count)
-    support, choi, _ = _support_choi(base, spectrum)
-    layout, rows, cols, _ = _sector_blocks(choi, support, spectrum)
+    label = _label(base, spectrum)
+    layout = _raw(base, spectrum, label)
+    rows, cols = label.tables.rows, label.tables.cols
     choi = _scatter(_restore_tp(layout, rows, cols, n)[0], rows, cols, n)
     return mc.kraus_from_choi(ChoiMatrix(n, n, choi))

@@ -318,6 +318,42 @@ def on_the_choi_route(channel: cc.Channel, spectrum: cc.Spectrum) -> cc.Channel:
     return copy
 
 
+def reconstruction_distance_by_union_choi(channel: cc.Channel, recon: cc.Channel) -> float:
+    """Oracle for the CLI's reconstruction_choi_distance: both families' Choi matrices on
+    the union of their supports, one product each (they agree, both zero, off it)."""
+    vecs = [ops.reshape(len(ops), -1) for ops in (channel._ops, recon._ops)]
+    support = np.flatnonzero(vecs[0].any(axis=0) | vecs[1].any(axis=0))
+    a, b = (v[:, support] for v in vecs)
+    return float(np.linalg.norm(a.T @ a.conj() - b.T @ b.conj()))
+
+
+def held_arrays(obj) -> list:
+    """Every numpy array that obj holds, through attributes, dict values and the items
+    of tuples and lists, each object visited once."""
+    found, seen, todo = [], set(), [obj]
+    while todo:
+        item = todo.pop()
+        if id(item) in seen:
+            continue
+        seen.add(id(item))
+        if isinstance(item, np.ndarray):
+            found.append(item)
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+        elif isinstance(item, (tuple, list)):
+            todo.extend(item)
+        elif hasattr(item, "__dict__") and not isinstance(item, type):
+            todo.extend(vars(item).values())
+    return found
+
+
+def largest_held_beside_stack(channel: cc.Channel) -> int:
+    """The most entries of an array that the channel or its labels hold, its Kraus
+    stack and the stack's rows apart."""
+    ops = channel._ops
+    return max(a.size for a in held_arrays(channel) if a is not ops and a.base is not ops)
+
+
 def decompose_per_sector(channel: cc.Channel, spectrum: cc.Spectrum,
                          tol: float = 1e-10) -> cc.SectorDecomposition:
     """Oracle for covariant.decompose: every sector's block pinched, kept or
@@ -725,6 +761,32 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+class ChoiProducts:
+    """The Choi products formed while a test runs: channels._choi_on_support, the one
+    place a Choi matrix is formed, spied on.  sizes holds |S| of each product; after
+    refuse(), a product fails the test."""
+
+    def __init__(self, monkeypatch):
+        self.sizes, self.refused = [], False
+        form = mc._choi_on_support
+
+        def product(support, ops):
+            if self.refused:
+                raise AssertionError("a Choi matrix was formed")
+            self.sizes.append(support.size)
+            return form(support, ops)
+
+        monkeypatch.setattr(mc, "_choi_on_support", product)
+
+    def refuse(self):
+        self.refused = True
+
+
+@pytest.fixture
+def choi_products(monkeypatch):
+    return ChoiProducts(monkeypatch)
 
 
 @pytest.fixture

@@ -30,6 +30,7 @@ from conftest import (
     cptp_by_full_choi,
     dephasing_channel,
     deterministic_eig_loop,
+    largest_held_beside_stack,
     plus_state,
 )
 
@@ -249,27 +250,41 @@ class TestIsCPTP:
         choi_norm = float(np.linalg.norm(cc.choi_of(chan).matrix))
         assert abs(rep.cp_defect - cp) <= 1e-12 * max(1.0, choi_norm)
 
-    def test_few_kraus_needs_no_choi_matrix(self, monkeypatch):
+    def test_few_kraus_needs_no_choi_matrix(self, monkeypatch, choi_products):
         # A K = 3 shift mixture at n = 32 is proved CP by the Gram bound on
         # its 3 operators; neither the 1024 x 1024 Choi matrix nor the one on
-        # the support (K = 3 < |S| = 93) is built.
+        # the support (K = 3 < |S| = 93) is built.  Its operators mixed by a
+        # 5 x 3 isometry are a mixed family, whose check and decompose form the
+        # Choi matrix on the support once, in either order; afterwards neither
+        # channel nor its label holds an array of 93 x 93 entries.
         spec = cc.Spectrum(np.arange(32.0))
         chan = tim.build_shift_mixture(spec, [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)]).channel
-        assert len(chan.kraus) < chan._support.size
+        assert len(chan.kraus) < chan._support.size == 93
 
         def refuse(*args):
             raise AssertionError("is_cptp built the Choi matrix")
 
         monkeypatch.setattr(mcore, "choi_of", refuse)
-        monkeypatch.setattr(mcore, "_choi_on_support", refuse)
+        choi_products.refuse()
         rep = cc.is_cptp(chan)
         assert rep.cp_defect <= 1e-12
         assert rep.tp_defect > 0.1  # the shifts lose their edge levels
-        monkeypatch.undo()
-        choi = chan._choi()  # formed on request, and not kept: 16 |S|^2 > 16 K n^2 bytes
-        assert choi.shape == (93, 93) and chan._choi() is not choi
+        choi_products.refused = False
+        u = np.linalg.qr(np.random.default_rng(3).normal(size=(5, 3)))[0]
+        mixed = cc.Channel(tuple(np.tensordot(u, chan._ops, axes=1)))
+        assert mixed._support.size == 93 and not cov._label(mixed, spec).pure
+        for family in (chan, mixed):
+            cc.is_cptp(family)
+            cov.covariance_defect(family, spec)
+            cov.decompose(family, spec)
+            assert largest_held_beside_stack(family) < 93 * 93
+        again = cc.Channel(mixed.kraus)
+        cov.decompose(again, spec)
+        cov.covariance_defect(again, spec)
+        assert choi_products.sizes == [93, 93]
 
-    def test_workload_shapes_need_no_factorisation_and_no_eigensolve(self, monkeypatch):
+    def test_workload_shapes_need_no_factorisation_and_no_eigensolve(self, monkeypatch,
+                                                                       choi_products):
         # The benchmark's channel shapes: random_covariant at n = 16 on the
         # integer spectrum and at n = 12 on the sqrt(prime) one (K = |S|), a
         # Hadamard channel at n = 24 and a K = 3 shift mixture at n = 32
@@ -288,7 +303,7 @@ class TestIsCPTP:
 
         monkeypatch.setattr(np.linalg, "cholesky", refuse)
         monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        monkeypatch.setattr(mcore, "_choi_on_support", refuse)
+        choi_products.refuse()
         for chan in chans:
             assert cc.is_cptp(chan).cp_defect == 0.0
 
@@ -342,7 +357,7 @@ class TestIsCPTP:
         # shifted down by 1.5 EPS_PSD, but the Gram rounding bound on its
         # operators fails, so cp_defect is the Gram eigensolve's roundoff.
         chan = cc.Channel((np.array([[10000 + 120000j]]), np.array([[36007 - 3000j]])))
-        np.linalg.cholesky(chan._choi() - 1.5 * mcore.EPS_PSD)
+        np.linalg.cholesky(cc.choi_of(chan).matrix - 1.5 * mcore.EPS_PSD)
         flat = chan._ops.reshape(2, -1)
         assert not mcore._gram_certified(flat[None], 2)
         gram_lmin = float(np.linalg.eigvalsh(flat.conj() @ flat.T).min())

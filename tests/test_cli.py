@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -14,12 +15,19 @@ from hypothesis import strategies as st
 from covchan import capacity as cap
 from covchan import channels as mc
 from covchan import cli
+from covchan import covariant as cov
 from covchan import fock
 from covchan import generate as gen
 from covchan import inputs
 from covchan import serialize as ser
 
-from conftest import FIXTURES, csv_lines_by_entry, dumps_by_recursion, env_with_src
+from conftest import (
+    FIXTURES,
+    csv_lines_by_entry,
+    dumps_by_recursion,
+    env_with_src,
+    reconstruction_distance_by_union_choi,
+)
 
 
 def run(capsys, *argv):
@@ -119,6 +127,64 @@ class TestDecompose:
                            "--out", str(dest))
         assert code == cli.EXIT_OK
         assert dest.read_text().strip() == out.strip()
+
+
+    @pytest.mark.parametrize("family", ["integer", "sqrt_prime"])
+    @pytest.mark.parametrize("kind", ["random_covariant", "dropped", "dropped_mixed"])
+    @settings(derandomize=True, max_examples=6, deadline=None, database=None)
+    @given(data=st.data())
+    def test_round_trip_distance_matches_the_union_choi_oracle(self, family, kind, data):
+        # reconstruction_choi_distance, summed sector by sector, against both Choi
+        # matrices on the union of the supports, within c u ||C||_F: c = 0.72 over
+        # 2,000 draws at n <= 7.  A dropped input is the reconstruction of a
+        # random_covariant channel with one sector's operators scaled by 3e-7, below
+        # decompose's drop floor, as it is or mixed by a (K + 2) x K isometry.
+        n = data.draw(st.integers(2, 7))
+        primes = data.draw(st.permutations([2, 3, 5, 7, 11, 13]))[:n - 1]
+        spec = cov.Spectrum(np.arange(float(n)) if family == "integer"
+                            else np.r_[0.0, np.cumsum(np.sqrt(primes))])
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        chan = gen.random_covariant(spec, rng, data.draw(st.integers(1, n * n)))
+        if kind != "random_covariant":
+            recon = cov.reconstruct(cov.decompose(chan, spec))
+            cluster = cov._label(recon, spec).cluster
+            ops = recon._ops.copy()
+            ops[cluster == data.draw(st.sampled_from(sorted(set(cluster.tolist()))))] *= 3e-7
+            if kind == "dropped_mixed":
+                k = len(ops)
+                u = np.linalg.qr(rng.normal(size=(k + 2, k)) + 1j * rng.normal(size=(k + 2, k)))[0]
+                ops = np.tensordot(u, ops, axes=1)
+            chan = mc.Channel(tuple(ops))
+            assert len(cov.decompose(chan, spec).sectors) < len(set(spec._cluster[chan._support]))
+        with tempfile.TemporaryDirectory() as tmp:
+            files = [os.path.join(tmp, name) for name in ("chan.json", "spec.json")]
+            for path, obj in zip(files, (ser.channel_to_json(chan), ser.spectrum_to_json(spec))):
+                with open(path, "w") as fh:
+                    fh.write(ser.dumps(obj))
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(["decompose", *files]) == cli.EXIT_OK
+        got = json.loads(out.getvalue())["reconstruction_choi_distance"]
+        want = reconstruction_distance_by_union_choi(
+            chan, cov.reconstruct(cov.decompose(chan, spec)))
+        assert abs(got - want) <= 2.0 * np.finfo(float).eps / 2 * np.linalg.norm(
+            mc.choi_of(chan).matrix)
+
+    def test_same_bytes_at_any_blas_thread_count(self, tmp_path):
+        # covchan decompose pins one BLAS thread unless the environment sets a count,
+        # so a dense n = 16 channel prints the same bytes with the variables unset as
+        # with them set to 1.  On a one-core host the two runs agree trivially.
+        spec = cov.Spectrum(np.arange(16.0))
+        files = [tmp_path / "chan.json", tmp_path / "spec.json"]
+        files[0].write_text(ser.dumps(ser.channel_to_json(
+            gen.random_covariant(spec, np.random.default_rng(0)))))
+        files[1].write_text(ser.dumps(ser.spectrum_to_json(spec)))
+        names = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+        unset = {k: v for k, v in env_with_src().items() if k not in names}
+        outs = [subprocess.run([sys.executable, "-m", "covchan.cli", "decompose", *map(str, files)],
+                               capture_output=True, env=env, check=True).stdout
+                for env in (unset, dict(unset, **dict.fromkeys(names, "1")))]
+        assert outs[0] == outs[1] and outs[0]
 
 
 class TestCapacity:

@@ -27,6 +27,7 @@ from conftest import (
     decompose_per_sector,
     dephasing_channel,
     evolve_matrix,
+    largest_held_beside_stack,
     mask_failure_by_eigvalsh,
     refuse_mask_check,
     scatter_projection_defect,
@@ -259,32 +260,34 @@ class TestDecompose:
         assert [len(shift.domain) for shift, _ in decomp.sectors] == [63, 64, 62]
         assert peak < 16 * 2**20
 
-    def test_pipeline_forms_the_choi_matrix_once_with_no_eigensolve(self, monkeypatch):
+    def test_pipeline_forms_the_choi_matrix_once_with_no_eigensolve(self, monkeypatch,
+                                                                    choi_products):
         # is_cptp, covariance_defect and decompose on a dense n = 16 channel
-        # (K = |S| = 256) share the Choi matrix the channel keeps, which
-        # is_cptp does not read: the Gram rounding bound on the operators
-        # proves both the Choi matrix and the masks.
+        # (K = |S| = 256), in either order of the last two, form the Choi matrix
+        # once, for the label's blocks, and keep no 256 x 256 array; is_cptp does
+        # not read it: the Gram rounding bound on the operators proves both the
+        # Choi matrix and the masks.
         spec = cc.Spectrum(np.arange(16.0))
-        chan = gen.random_covariant(spec, np.random.default_rng(16))
-        assert chan._support.size == len(chan.kraus) == 256
-        calls = []
-        choi_on_support = mcore._choi_on_support
-
-        def counted(*args):
-            calls.append(len(args[0]))
-            return choi_on_support(*args)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the pipeline ran eigvalsh")
 
-        monkeypatch.setattr(mcore, "_choi_on_support", counted)
-        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-        report = cc.is_cptp(chan)
-        defect = cov.covariance_defect(chan, spec)
-        decomp = cov.decompose(chan, spec)
-        assert calls == [256]
-        assert report.cp_defect == 0.0 and defect <= 1e-10
-        assert len(decomp.sectors) == 31
+        for defect_first in (True, False):
+            chan = gen.random_covariant(spec, np.random.default_rng(16))
+            assert chan._support.size == len(chan.kraus) == 256
+            choi_products.sizes.clear()
+            with monkeypatch.context() as patched:
+                patched.setattr(np.linalg, "eigvalsh", refuse)
+                report = cc.is_cptp(chan)
+                if defect_first:
+                    cov.covariance_defect(chan, spec)
+                decomp = cov.decompose(chan, spec)
+                defect = cov.covariance_defect(chan, spec)
+                cov.decompose(chan, spec)
+            assert choi_products.sizes == [256]
+            assert report.cp_defect == 0.0 and defect <= 1e-10
+            assert len(decomp.sectors) == 31
+            assert largest_held_beside_stack(chan) < 256 * 256
 
     def test_unknown_sector(self, qubit_spectrum):
         decomp = cov.decompose(dephasing_channel(), qubit_spectrum)
@@ -891,12 +894,13 @@ class TestSectorLabel:
         assert got._store.clusters.tolist() == want._store.clusters.tolist()
         assert np.abs(got._store.blocks - want._store.blocks).max() <= 1e-15
 
-    def test_cross_sector_entries_are_formed_once(self, monkeypatch):
+    def test_cross_sector_entries_are_formed_once(self, monkeypatch, choi_products):
         # check then decompose of a dense n = 16 channel: one |C|, whose largest entry
         # and squared norm the label keeps.
         spec = cc.Spectrum(np.arange(16.0))
         chan = gen.random_covariant(spec, np.random.default_rng(16))
         want = decompose_per_sector(chan, spec)
+        choi_products.sizes.clear()  # the oracle's
         calls = []
         cross_entries = cov._cross_entries
 
@@ -912,15 +916,12 @@ class TestSectorLabel:
         assert sha256_of(decomp) == sha256_of(want)
         with pytest.raises(NotCovariant):  # the kept defect refuses with no Choi matrix
             cov.decompose(chan, spec, tol=defect / 2)
-        assert len(calls) == 1
+        assert len(calls) == 1 and choi_products.sizes == [256]
 
-    def test_pure_families_form_no_choi_matrix(self, monkeypatch, rng):
+    def test_pure_families_form_no_choi_matrix(self, choi_products, rng):
         # check, decompose and timing of a shift mixture and of a Hadamard channel, and
         # of a mixture on a sqrt(2)-spaced spectrum, which timing decomposes.
-        def refuse(*args):
-            raise AssertionError("a Choi matrix was formed")
-
-        monkeypatch.setattr(mcore, "_choi_on_support", refuse)
+        choi_products.refuse()
         integer, spaced = cc.Spectrum(np.arange(8.0)), cc.Spectrum(np.sqrt(2.0) * np.arange(8.0))
         cases = [
             (integer, tim.build_shift_mixture(integer, [(0.0, 0.5), (3.0, 0.5)]).channel,
@@ -940,15 +941,16 @@ class TestSectorLabel:
     def test_tables_are_made_once_per_channel_and_spectrum(self, monkeypatch, rng):
         # check, decompose twice, reconstruct and shift_distribution of a dense channel
         # (the Choi route), a Hadamard channel and a shift mixture (the label route):
-        # each table that the support and the spectrum fix is made once, by the first
-        # decompose, and both decompositions read the label's size groups.  The mixture
-        # loses its edge levels, so it is not TP and takes no _restore_tp.
+        # each table that the support and the spectrum fix is made once, with the
+        # label's raw blocks by the route's builder, and both decompositions read the
+        # label's size groups.  The mixture loses its edge levels, so it is not TP and
+        # takes no _restore_tp.
         spec = cc.Spectrum(np.arange(6.0))
         cases = [gen.random_covariant(spec, rng),
                  cc.hadamard_channel(gen.random_unit_diagonal_mask(6, rng)),
                  tim.build_shift_mixture(spec, [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)]).channel]
         rho, calls = gen.random_state(6, rng), []
-        for name in ("_block_tables", "_choi_gather", "_operator_gather", "_tp_places",
+        for name in ("_block_tables", "_sector_blocks", "_label_blocks", "_tp_places",
                      "_Groups"):
             def counted(*args, name=name, build=getattr(cov, name)):
                 calls.append(name)
@@ -963,7 +965,7 @@ class TestSectorLabel:
             cov.reconstruct(second)
             cov.shift_distribution(second, rho)
             label = cov._label(chan, spec)
-            route = "_operator_gather" if label.pure else "_choi_gather"
+            route = "_label_blocks" if label.pure else "_sector_blocks"
             assert sorted(calls) == sorted(["_block_tables", "_Groups", route,
                                             *["_tp_places"] * tp])
             assert first._groups is second._groups is label.tables.groups

@@ -7,7 +7,8 @@ the function and the input.  With --parent-src (the src directory of another
 checkout, e.g. one made by git archive) the same corpus runs on that code
 too, and it prints, per function, how many digests are equal and how many
 differ, with the largest |delta| over the numbers of the outputs that differ
-(outputs of another shape, and CLI text, show as "n/a"); then each differing
+(a JSON report read by its numbers; outputs of another shape, and other
+text, show as "n/a"); then each differing
 (function, input).  It exits 1 when any digest differs or is missing on one
 side.  Each code runs in a worker process with one BLAS thread
 (tools/benchlib.py).
@@ -179,15 +180,32 @@ def _digest(value) -> str:
     return h.hexdigest()
 
 
+def _json_numbers(value) -> list:
+    """The numbers of parsed JSON, in document order (true and false are not numbers)."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, list):
+        return [x for item in value for x in _json_numbers(item)]
+    return [float(value)] if type(value) in (int, float) else []
+
+
 def _numbers(value):
     """The numbers of value in digest order as floats (a complex one as its two
-    parts), or None if it holds text."""
+    parts), a text that is a JSON object or array (a CLI report) by its numbers;
+    None if it holds other text but the empty one (the stderr of a CLI run that
+    succeeds)."""
     import numpy as np
 
     chunks = [np.zeros(0)]
-    for tag, _, arr in _parts(value):
-        if tag.startswith("text"):
-            return None
+    for tag, data, arr in _parts(value):
+        if tag.startswith("text") and data:
+            try:
+                parsed = json.loads(data)
+            except ValueError:
+                return None
+            if not isinstance(parsed, (dict, list)):
+                return None
+            arr = np.array(_json_numbers(parsed))
         if arr is not None:
             chunks.append(arr.view(float) if arr.dtype == complex else arr.astype(float))
     return np.concatenate([c.reshape(-1) for c in chunks])
