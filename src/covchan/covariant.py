@@ -34,8 +34,9 @@ every other row and column being zero, once per (channel, spectrum) in the
 first of covariance_defect and decompose: the label keeps the largest
 cross-sector |entry| and their squared norm, and the blocks gathered from it
 (_sector_blocks), and the matrix is dropped.  Either route lays out the
-sectors the channel touches with the tables that the support and the
-spectrum fix, which the label keeps too (_Tables).
+sectors the channel touches, and the one table object of that layout
+(_Groups), which holds every table that the support and the spectrum fix,
+is kept on the label too.
 
 A decomposition is one store (_Layout), which every library reader reads: its
 sectors in size order, each with its spectrum cluster c (sigma, domain and
@@ -54,7 +55,7 @@ reads the raw blocks of the sectors the channel touches, laid out in one buffer,
 Hermitises, scales for TP and tests them for the drop once over it, and keeps
 the kept blocks' buffer as its store.  When no sector is dropped the store is
 the label's layout with that buffer, and the decomposition reads the label's
-size groups, so a warm decompose builds no index table.  reconstruct runs one
+_Groups, so a warm decompose builds no index table.  reconstruct runs one
 stacked eigh per size group, on the blocks as stored when decompose stored
 them (they are exactly Hermitian) and on their Hermitian parts otherwise, then
 orders and cuts the eigenvectors of all sectors at once, and _shift_kraus, the
@@ -65,9 +66,10 @@ block decompose keeps is a pinched principal block of the Gram product
 C_S = V_S^T conj(V_S), so one rounding bound on the Kraus operators' norm
 (channels._gram_bound) proves all of them pass the mask check; only when it
 does not is the check run, one stacked eigvalsh per size.  The results are
-the per-sector loops' bit for bit: one level sum adds the diagonals in sector
-order (_level_sums), each block's residue is its own dot product, and the
-first failing block in sector order is reported (_store_failure, any store).
+the per-sector loops' bit for bit: one level sum, which diagonal_sums and the
+TP scaling share, adds the diagonals in sector order (_Groups.level_sums), each
+block's residue is its own dot product, and the first failing block in sector
+order is reported (_store_failure, any store).
 characteristic_function and bochner_check apply no channel: they read one
 n x n weight matrix W per call, whose sum over a sector's pairs is
 tr(K G_sigma(rho)).
@@ -330,7 +332,7 @@ class SectorDecomposition:
         return tuple(self._pairs())
 
     def _derived__groups(self) -> _Groups:  # the store's size groups, decompose's handed over
-        return _Groups(self._store)
+        return _Groups(self._store, self.spectrum.dim)
 
     def _derived__stacked(self) -> tuple:  # the store's size groups with their blocks
         return tuple(self._groups.stacks(self._store.blocks))
@@ -364,8 +366,7 @@ class SectorDecomposition:
 
     def diagonal_sums(self) -> np.ndarray:
         """sum_sigma M_sigma(j, j) at every input level j: all ones for a TP channel."""
-        at, n = self._groups.sector_order, self.spectrum.dim
-        return _level_sums(self._store.pairs[at] % n, np.real(self._diagonals())[at], n)
+        return self._groups.level_sums(self._store.blocks)
 
 
 @dataclass(frozen=True)
@@ -447,13 +448,12 @@ class _Label:
     entries: (0.0, 0.0) for a pure family, whose cross-sector entries are sums of
     exact zeros, and for a mixed one None until _raw forms its Choi matrix.  raw (a
     _Layout, set by _raw) holds the raw Choi blocks of the sectors the channel's
-    support touches, read-only, O(sum d^2) entries.  tables (a _Tables, set by _raw)
-    is every table that the channel's support and the spectrum fix, O(sum d^2)
-    indices: the layout of those sectors, each entry's places in the pairs
-    (_block_tables), the layout's size groups (_Groups, reconstruct's and
-    shift_distribution's tables too) and _restore_tp's levels and sector-order places
-    (_tp_places).  magnitudes is _magnitudes(shifts), made on its first read
-    (timing._fourier's table)."""
+    support touches, read-only, O(sum d^2) entries.  groups (a _Groups, set by _raw
+    with _block_tables) is the layout of those sectors with every table that the
+    channel's support and the spectrum fix, O(sum d^2) indices, each made once: the
+    entries' places in the pairs, the size groups, which reconstruct and
+    shift_distribution read too, and _restore_tp's levels.  magnitudes is
+    _magnitudes(shifts), made on its first read (timing._fourier's table)."""
 
     def __init__(self, cluster: np.ndarray, shifts: np.ndarray | None):
         cluster.setflags(write=False)
@@ -461,7 +461,7 @@ class _Label:
             shifts.setflags(write=False)
         self.cluster, self.shifts, self.pure = cluster, shifts, bool(cluster.min() >= 0)
         self.cross = (0.0, 0.0) if self.pure else None
-        self.raw = self.tables = None
+        self.raw = self.groups = None
 
     @cached_property
     def magnitudes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -505,12 +505,6 @@ _Layout = namedtuple("_Layout", "clusters sizes real offsets blocks order pairs"
 def _runs(starts, sizes):
     """The indices starts[i], ..., starts[i] + sizes[i] - 1 of every run, one run after another."""
     return np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
-
-
-def _in_sector_order(layout: _Layout) -> np.ndarray:
-    """The places of a layout's flat pairs (slot after slot) taken sector after sector."""
-    first = np.cumsum(layout.sizes) - layout.sizes
-    return _runs(first[layout.order], layout.sizes[layout.order])
 
 
 def _lay_out(spectrum: Spectrum, clusters, blocks, offsets=None) -> _Layout:
@@ -580,6 +574,13 @@ def _store_of_blocks(spectrum: Spectrum, clusters, blocks) -> _Layout:
     return store._replace(order=np.argsort(slots), real=real[slots] & np.iscomplexobj(buffer))
 
 
+def _read_only(*arrays) -> tuple:
+    """The arrays, each set read-only."""
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 # A size group of a layout: its slots (a slice), their pairs (m, d), the place of the
 # first in the layout's flat pairs, the offset of its blocks, m, d, whether its blocks
 # are real in a complex buffer, and whether they are one block at one offset.
@@ -587,16 +588,21 @@ _Span = namedtuple("_Span", "slots pairs first offset m d real shared")
 
 
 class _Groups:
-    """The size groups of a layout, in size order (spans, _Span), found once from its
-    sizes, real flags and offsets, a store's blocks aside.  Its other tables, each made
-    on first read: sector_order, the places of the layout's flat pairs sector after
-    sector (_in_sector_order); keys, the places in sector order of each group's
-    slots (reconstruct's eigenvector keys); diagonal, the places in the buffer of every
-    slot's diagonal entries, slot after slot, as the pairs; and real_entries, the places
-    among those of the real blocks' entries."""
+    """Every table of one layout, kept on a label or a decomposition: the size groups, in
+    size order (spans, _Span), found once from its sizes, real flags and offsets, a
+    store's blocks aside, and its other tables, each made on first read: sector_order,
+    the places of the layout's flat pairs sector after sector; keys, the places in sector
+    order of each group's slots (reconstruct's eigenvector keys and _store_failure's);
+    diagonal, the places in the buffer of every slot's diagonal entries, slot after slot,
+    as the pairs; real_entries, the places among those of the real blocks' entries;
+    entries, per entry the places in the pairs of its row and column and of its
+    transpose (rows, cols, trans); and tp_levels, the input levels of each entry's row
+    and column (_restore_tp's).  entries and tp_levels hold only for a layout whose
+    blocks lie one after another, as every label's does (not a Gaussian store's, whose
+    +-a blocks share one offset).  n is the spectrum's dimension."""
 
-    def __init__(self, layout: _Layout):
-        self.layout = layout
+    def __init__(self, layout: _Layout, n: int):
+        self.layout, self.n = layout, n
         key, offsets = 2 * layout.sizes + layout.real, layout.offsets.tolist()
         starts = np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))  # 0 if any
         first = (np.cumsum(layout.sizes) - layout.sizes)[starts].tolist()
@@ -617,7 +623,8 @@ class _Groups:
 
     @cached_property
     def sector_order(self) -> np.ndarray:
-        return _in_sector_order(self.layout)
+        sizes, order = self.layout.sizes, self.layout.order
+        return _runs((np.cumsum(sizes) - sizes)[order], sizes[order])
 
     @cached_property
     def keys(self) -> list:
@@ -634,83 +641,82 @@ class _Groups:
     def real_entries(self) -> np.ndarray:
         return np.flatnonzero(np.repeat(self.layout.real, self.layout.sizes))
 
+    @cached_property
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        sizes = self.layout.sizes
+        square = sizes * sizes
+        start = np.repeat(self.layout.offsets, square)  # of each entry's block
+        d = np.repeat(sizes, square)
+        rows, cols = np.divmod(np.arange(d.size) - start, d)  # the entry's place in its block
+        trans = start + cols * d + rows
+        base = np.repeat(np.cumsum(sizes) - sizes, square)
+        return _read_only(rows + base, cols + base, trans)
 
-def _stacks(store: _Layout):
-    """The size groups of a store, in size order: per group its slots (a slice),
-    their pairs (m, d) and their blocks (m, d, d), views of the store."""
-    return _Groups(store).stacks(store.blocks)
+    @cached_property
+    def _sum_places(self) -> tuple[np.ndarray, np.ndarray]:
+        # The levels of the flat pairs and the places of their diagonal entries, in sector order.
+        at = self.sector_order
+        return _read_only(self.layout.pairs[at] % self.n, self.diagonal[at])
+
+    @cached_property
+    def tp_levels(self) -> tuple[np.ndarray, np.ndarray]:
+        levels, (rows, cols, _) = self.layout.pairs % self.n, self.entries
+        return _read_only(levels[rows], levels[cols])
+
+    def level_sums(self, blocks: np.ndarray) -> np.ndarray:
+        """sum_sigma M_sigma(j, j) at every input level j of the blocks (a buffer of this
+        layout): the block diagonals at their levels added one after another in sector
+        order."""
+        levels, diagonal = self._sum_places
+        total = np.zeros(self.n)
+        np.add.at(total, levels, np.real(blocks[diagonal]))
+        return total
 
 
 def _store_failure(spectrum: Spectrum, store: _Layout) -> str | None:
     """The SectorMask check of a store, one _mask_failure per size group (whose slots lie in
     sector order): None, or the message of the failing block first in sector order."""
-    position = np.argsort(store.order)  # of each slot in sector order
-    found = [(int(position[slots][failed[0]]), failed[1]) for slots, _, stack in _stacks(store)
+    groups = _Groups(store, spectrum.dim)
+    found = [(int(key[failed[0]]), failed[1])
+             for key, (slots, _, stack) in zip(groups.keys, groups.stacks(store.blocks))
              if (failed := _mask_failure(stack, spectrum.sigmas[store.clusters[slots]].tolist()))]
     return min(found)[1] if found else None
 
 
-class _Tables:
-    """The tables that one channel's support fixes on one spectrum, kept on its label
-    (_Label): the layout of the sectors the support touches, its blocks not formed,
-    per entry the places in the pairs of its row and column and of its transpose
-    (rows, cols, trans) and each block's number of entries (square); and, made on first
-    use, the layout's size groups (groups) and _restore_tp's places (tp, _tp_places)."""
-
-    def __init__(self, layout: _Layout, rows, cols, trans):
-        self.layout, self.rows, self.cols, self.trans = layout, rows, cols, trans
-        self.square = layout.sizes * layout.sizes
-        self.tp = None
-
-    @cached_property
-    def groups(self) -> _Groups:
-        return _Groups(self.layout)
-
-
-def _block_tables(support: np.ndarray, spectrum: Spectrum) -> _Tables:
-    """The _Tables of the sectors holding a pair of the support.  No other sector is
-    laid out: over all sectors each entry table would hold about 2 n^3 / 3 entries."""
+def _block_tables(support: np.ndarray, spectrum: Spectrum) -> _Groups:
+    """The _Groups of the layout of the sectors holding a pair of the support, its blocks
+    not formed.  No other sector is laid out: over all sectors each entry table would
+    hold about 2 n^3 / 3 entries."""
     order = spectrum._by_size
     held = np.zeros(order.size, dtype=bool)
     held[spectrum._cluster[support]] = True
-    layout = _lay_out(spectrum, order[held[order]], None)
-    sizes = layout.sizes
-    square = sizes * sizes
-    start = np.repeat(layout.offsets, square)  # of each entry's block
-    d = np.repeat(sizes, square)
-    rows, cols = np.divmod(np.arange(d.size) - start, d)  # the entry's place in its block
-    trans = start + cols * d + rows
-    base = np.repeat(np.cumsum(sizes) - sizes, square)
-    rows += base
-    cols += base
-    for arr in (rows, cols, trans):
-        arr.setflags(write=False)
-    return _Tables(layout, rows, cols, trans)
+    return _Groups(_lay_out(spectrum, order[held[order]], None), spectrum.dim)
 
 
 def _sector_blocks(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum,
-                   tables: _Tables) -> _Layout:
-    """The layout of the tables (_block_tables(support, spectrum)) with the blocks of
+                   groups: _Groups) -> _Layout:
+    """The layout of the groups (_block_tables(support, spectrum)) with the blocks of
     choi on support x support, +0.0 off it (a pinching: PSD stays PSD)."""
     at = np.full(spectrum.dim ** 2, -1)  # the row of each pair in choi, -1 off the support
     at[support] = np.arange(support.size)
-    row, col = at[tables.layout.pairs][tables.rows], at[tables.layout.pairs][tables.cols]
+    (rows, cols, _), at = groups.entries, at[groups.layout.pairs]
+    row, col = at[rows], at[cols]
     off = (row < 0) | (col < 0)
     place = row * support.size + col
     place[off] = 0  # a valid place, whose entry is replaced
     blocks = choi.reshape(-1)[place]
     blocks[off] = 0.0
-    return tables.layout._replace(blocks=blocks)
+    return groups.layout._replace(blocks=blocks)
 
 
-def _operator_gather(label: _Label, tables: _Tables, support: np.ndarray, spectrum: Spectrum):
+def _operator_gather(label: _Label, groups: _Groups, support: np.ndarray, spectrum: Spectrum):
     """The label route's gather (_label_blocks) of a sector-pure family: the places in
     one flat buffer of every size group's stack X, m x p x d, p the group's most operators
     on one sector and at least two, and each group's (offset, m, d, p, start in the
     buffer); the places of the operators' entries on their sectors' pairs in that buffer
     and in the flat Kraus stack, slot after slot, a slot's operators in operator order;
     and whether each block entry is off the support."""
-    layout, n = tables.layout, spectrum.dim
+    layout, n = groups.layout, spectrum.dim
     slot = np.full(len(spectrum.sigmas), -1)
     slot[layout.clusters] = np.arange(layout.clusters.size)
     slot = slot[label.cluster]  # of each operator; -1 for zero ones off every laid-out sector
@@ -719,13 +725,13 @@ def _operator_gather(label: _Label, tables: _Tables, support: np.ndarray, spectr
     count = np.bincount(slot[ops], minlength=layout.clusters.size)
     starts = np.cumsum(count) - count  # of each slot's operators in ops
     rank = np.arange(ops.size) - np.repeat(starts, count)  # each operator's within its slot
-    groups, into, start = [], np.empty(ops.size, dtype=np.intp), 0
-    for span in tables.groups.spans:  # the size groups, in size order
+    stacks, into, start = [], np.empty(ops.size, dtype=np.intp), 0
+    for span in groups.spans:  # the size groups, in size order
         a, b, o, m, d = span.slots.start, span.slots.stop, span.offset, span.m, span.d
         p = max(2, int(count[a:b].max()))
         mine = slice(starts[a], starts[b - 1] + count[b - 1])
         into[mine] = start + ((slot[ops[mine]] - a) * p + rank[mine]) * d  # row of X
-        groups.append((o, m, d, p, start))
+        stacks.append((o, m, d, p, start))
         start += m * p * d
     width = layout.sizes[slot[ops]]  # of each operator's row of X
     first = (np.cumsum(layout.sizes) - layout.sizes)[slot[ops]]  # of each operator's pairs
@@ -735,11 +741,12 @@ def _operator_gather(label: _Label, tables: _Tables, support: np.ndarray, spectr
     held = np.zeros(n * n, dtype=bool)
     held[support] = True
     held = held[layout.pairs]
-    return groups, start, dst, src, ~(held[tables.rows] & held[tables.cols])
+    rows, cols, _ = groups.entries
+    return stacks, start, dst, src, ~(held[rows] & held[cols])
 
 
 def _label_blocks(channel: Channel, spectrum: Spectrum, label: _Label) -> _Layout:
-    """_sector_blocks of a sector-pure family on its tables (label.tables), formed with
+    """_sector_blocks of a sector-pure family on its label's groups, formed with
     no Choi matrix: sector sigma's block is X_sigma^T conj(X_sigma), X_sigma the entries
     of the operators labelled sigma on its pairs, in operator order.  A size group's
     X_sigma are one stack, each padded with zero rows to the group's most operators and
@@ -749,28 +756,28 @@ def _label_blocks(channel: Channel, spectrum: Spectrum, label: _Label) -> _Layou
     most p m d entries, p <= max(2, K), so all of them at most max(2, K) n^2, twice the
     Kraus stack's at most.  An entry off the support is a sum of +-0.0, set to +0.0 as
     the Choi matrix's."""
-    tables = label.tables
-    groups, size, dst, src, off = _operator_gather(label, tables, channel._support, spectrum)
+    groups = label.groups
+    stacks, size, dst, src, off = _operator_gather(label, groups, channel._support, spectrum)
     x = np.zeros(size, dtype=complex)
     x[dst] = channel._ops.reshape(-1)[src]
     xc = x.conj()
-    blocks = np.empty(tables.rows.size, dtype=complex)
-    for o, m, d, p, start in groups:
+    blocks = np.empty(off.size, dtype=complex)
+    for o, m, d, p, start in stacks:
         stack = x[start:start + m * p * d].reshape(m, p, d)
         np.matmul(stack.swapaxes(1, 2), xc[start:start + m * p * d].reshape(m, p, d),
                   out=blocks[o:o + m * d * d].reshape(m, d, d))
     blocks[off] = 0.0
-    return tables.layout._replace(blocks=blocks)
+    return groups.layout._replace(blocks=blocks)
 
 
 def _raw(channel: Channel, spectrum: Spectrum, label: _Label) -> _Layout:
-    """label.raw, set on the first call with label.tables (_block_tables): the layout of
+    """label.raw, set on the first call with label.groups (_block_tables): the layout of
     the sectors the channel's support touches with its raw Choi blocks, read-only.  A
     pure family's come from its operators (_label_blocks).  A mixed family's Choi matrix
     on its support is formed here, once per (channel, spectrum): label.cross is read
     from its |entries|, which are freed before the tables are made and its blocks are
     gathered (_sector_blocks), and then it is dropped.  The blocks hold as many entries
-    as each of the tables' three entry tables (rows, cols and trans)."""
+    as each of the groups' three entry tables (rows, cols and trans)."""
     if label.raw is None:
         support, choi = channel._support, None
         if not label.pure:
@@ -778,50 +785,28 @@ def _raw(channel: Channel, spectrum: Spectrum, label: _Label) -> _Layout:
             cross = _cross_entries(choi, support, spectrum)
             label.cross = (float(cross.max(initial=0.0)), float(np.vdot(cross, cross).real))
             del cross
-        label.tables = tables = _block_tables(support, spectrum)
+        label.groups = groups = _block_tables(support, spectrum)
         raw = (_label_blocks(channel, spectrum, label) if choi is None
-               else _sector_blocks(choi, support, spectrum, tables))
+               else _sector_blocks(choi, support, spectrum, groups))
         raw.blocks.setflags(write=False)
         label.raw = raw
     return label.raw
 
 
-def _level_sums(levels: np.ndarray, diagonals: np.ndarray, n: int) -> np.ndarray:
-    """sum_sigma M_sigma(j, j) at every input level j of n: the block diagonals at
-    their levels added one after another in the order given, the sector order."""
-    total = np.zeros(n)
-    np.add.at(total, levels, diagonals)
-    return total
-
-
-def _tp_places(layout: _Layout, rows, cols, n: int):
-    """_restore_tp's tables of a layout (entry tables rows and cols): the levels of its
-    pairs and the places of its diagonal entries, both in sector order, and the levels
-    of each entry's row and column."""
-    levels = layout.pairs % n
-    at = _in_sector_order(layout)
-    diagonal = np.flatnonzero(rows == cols)  # in pair order
-    places = levels[at], diagonal[at], levels[rows], levels[cols]
-    for arr in places:
-        arr.setflags(write=False)
-    return places
-
-
-def _restore_tp(layout: _Layout, rows, cols, n: int, places=None) -> tuple[_Layout, float]:
-    """The layout's blocks (entry tables rows and cols) under the congruence by diag(s),
-    s = w^(-1/2) and w their level sums, so that the diagonals sum to one at every
-    level (TP); and max s^2, by which the congruence can scale rounding.  places is
-    _tp_places of the layout, made here by default."""
-    levels, diagonal, row_level, col_level = (_tp_places(layout, rows, cols, n)
-                                              if places is None else places)
-    scale = 1.0 / np.sqrt(_level_sums(levels, np.real(layout.blocks[diagonal]), n))
+def _restore_tp(layout: _Layout, groups: _Groups) -> tuple[_Layout, float]:
+    """The layout's blocks (its groups' tables) under the congruence by diag(s), s =
+    w^(-1/2) and w their level sums, so that the diagonals sum to one at every level
+    (TP); and max s^2, by which the congruence can scale rounding."""
+    scale = 1.0 / np.sqrt(groups.level_sums(layout.blocks))
     top = float(scale.max(initial=0.0))
+    row_level, col_level = groups.tp_levels
     blocks = layout.blocks * (scale[row_level] * scale[col_level])
     return layout._replace(blocks=blocks), top * top
 
 
-def _scatter(layout: _Layout, rows, cols, n: int) -> np.ndarray:
-    """The Choi matrix holding the layout's blocks on their pairs, zero elsewhere."""
+def _scatter(layout: _Layout, groups: _Groups) -> np.ndarray:
+    """The Choi matrix holding the layout's blocks on their pairs (its groups'), zero elsewhere."""
+    (rows, cols, _), n = groups.entries, groups.n
     choi = np.zeros((n * n, n * n), dtype=complex)
     choi[layout.pairs[rows], layout.pairs[cols]] = layout.blocks
     return choi
@@ -880,26 +865,22 @@ def decompose(
     defect, sq_cross = label.cross
     if defect > tol:
         raise NotCovariant(defect, tol)
-    n, tables = spectrum.dim, label.tables
-    rows, cols = tables.rows, tables.cols
-    raw = layout.blocks
-    layout = layout._replace(blocks=(raw + raw[tables.trans].conj()) / 2.0)
+    groups, raw = label.groups, layout.blocks
+    layout = layout._replace(blocks=(raw + raw[groups.entries[2]].conj()) / 2.0)
     scale = 1.0
     if channel._tp_defect <= mc.EPS_TP:
-        if tables.tp is None:
-            tables.tp = _tp_places(layout, rows, cols, n)
-        layout, scale = _restore_tp(layout, rows, cols, n, tables.tp)
+        layout, scale = _restore_tp(layout, groups)
 
     # ||C - scatter(kept blocks)||^2 entry by entry: the cross-sector
     # entries, plus each sector's Choi block minus its kept block (or zero).
-    blocks, square = layout.blocks, tables.square
+    blocks, square = layout.blocks, layout.sizes * layout.sizes
     peak = max(defect, float(np.abs(raw).max(initial=0.0)))
     floor = 1e-13 * max(1.0, peak)  # peak = max |C|
     drop = np.maximum.reduceat(np.abs(blocks), layout.offsets) <= floor
     dropped = bool(drop.any())
     resid = np.where(np.repeat(drop, square), raw, raw - blocks) if dropped else raw - blocks
     sq_terms = np.zeros(len(spectrum.sigmas))  # a sector left out adds 0.0
-    for slots, _, terms in tables.groups.stacks(resid):  # one dot per block, as vdot
+    for slots, _, terms in groups.stacks(resid):  # one dot per block, as vdot
         terms = terms.reshape(len(terms), -1)
         sq_terms[layout.clusters[slots]] = np.vecdot(terms, terms).real
     # A running sum adds the terms in sector order, as one float after another.
@@ -912,7 +893,7 @@ def decompose(
         store = _lay_out(spectrum, layout.clusters[~drop], blocks)
     else:
         store = layout
-        fields["_groups"] = tables.groups
+        fields["_groups"] = groups
     blocks.setflags(write=False)
     # Every block is a pinched principal block of C_S = V_S^T conj(V_S), V_S the
     # vec(A_m) rows on the support, Hermitised and maybe scaled by _restore_tp; a
@@ -959,11 +940,11 @@ def _shift_kraus(pairs, sizes, count, vecs, n: int) -> Channel:
 
 def apply_sectors(decomp: SectorDecomposition, mat: np.ndarray) -> np.ndarray:
     """sum_sigma S_sigma (M_sigma * mat) S_sigma^dag over decomp's sectors in order, for
-    a dim x dim mat (DimensionMismatch otherwise): each block times mat on its domain lands on
-    the shift's image."""
-    n = decomp.spectrum.dim
-    if np.shape(mat) != (n, n):
-        raise DimensionMismatch(f"matrix shape {np.shape(mat)} does not match spectrum dim {n}")
+    a dim x dim array-like mat (DimensionMismatch otherwise): each block times mat on its
+    domain lands on the shift's image."""
+    n, mat = decomp.spectrum.dim, np.asarray(mat)
+    if mat.shape != (n, n):
+        raise DimensionMismatch(f"matrix shape {mat.shape} does not match spectrum dim {n}")
     out = np.zeros((n, n), dtype=complex)
     for k in decomp._store.order.tolist():
         pairs, block = decomp._by_slot[k]

@@ -56,6 +56,5 @@ def random_covariant(
     base = random_cptp(n, rng, kraus_count)
     label = _label(base, spectrum)
     layout = _raw(base, spectrum, label)
-    rows, cols = label.tables.rows, label.tables.cols
-    choi = _scatter(_restore_tp(layout, rows, cols, n)[0], rows, cols, n)
+    choi = _scatter(_restore_tp(layout, label.groups)[0], label.groups)
     return mc.kraus_from_choi(ChoiMatrix(n, n, choi))

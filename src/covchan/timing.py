@@ -178,10 +178,11 @@ def timing_channel(
 ) -> TimingChannelReport:
     """Restrict a reliable-timing channel to its N orbit states and bound Q.
 
-    Checks, in order: N, the dimensions and phi0, the phase arguments
+    Checks, in order: N, tol (>= 0, inf allowed: NaN would switch the
+    orthogonality check off), the dimensions and phi0, the phase arguments
     E_k s j up to the period, periodicity of the dynamics (e^{-iHsN}
-    proportional to the identity), pairwise orthogonality of the N outputs,
-    then evaluates
+    proportional to the identity), pairwise orthogonality of the N outputs
+    (a defect above tol raises NotReliableTiming), then evaluates
 
         v(j) = tr( U_{sj} P G(|phi_0><phi_{sj}|) )
 
@@ -192,6 +193,8 @@ def timing_channel(
     lower bound log2(N) - S(q).
     """
     check_orbit_length(N)
+    if not tol >= 0.0:
+        raise InvalidParameter(f"tolerance must be >= 0 and not NaN, got {tol!r}")
     if channel.dim_out != spectrum.dim:
         raise DimensionMismatch("phi0, channel and spectrum dimensions differ")
     phi0 = _checked_phi0(channel, spectrum, phi0, s, N)

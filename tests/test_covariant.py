@@ -817,6 +817,20 @@ class TestHandBuiltPairs:
             cov.SectorDecomposition(spec, ((shift, mask),))
 
 
+def test_apply_sectors_reads_a_nested_list_as_its_array(rng):
+    # A list of lists raised TypeError on the first block's fancy index; apply_matrix
+    # has always taken array-likes.
+    spec = cc.Spectrum(np.arange(3.0))
+    decomp = cov.decompose(gen.random_covariant(spec, rng), spec)
+    mat = gen.random_state(3, rng).matrix
+    want = cov.apply_sectors(decomp, mat)
+    assert cov.apply_sectors(decomp, mat.tolist()).tobytes() == want.tobytes()
+    assert cov.apply_sectors(decomp, np.eye(3).tolist()).tobytes() == \
+        cov.apply_sectors(decomp, np.eye(3)).tobytes()
+    with pytest.raises(DimensionMismatch):
+        cov.apply_sectors(decomp, np.eye(4).tolist())
+
+
 @pytest.mark.parametrize("size", [3, 5])
 def test_apply_sectors_refuses_a_matrix_of_another_dimension(rng, monkeypatch, size):
     # On dim 4 a 5 x 5 matrix gave a 5 x 5 result and a 3 x 3 one a bare
@@ -841,7 +855,7 @@ def test_size_groups_of_one_shared_block_are_views():
         tracemalloc.stop()
     assert kept <= 2 * 2**20
     store = decomp._store
-    for _, _, blocks in cov._stacks(store):
+    for _, _, blocks in decomp._groups.stacks(store.blocks):
         assert not blocks.flags.writeable and np.shares_memory(blocks, store.blocks)
         assert blocks.strides[0] == 0 or len(blocks) == 1  # -a and a, or sigma = 0 alone
     for a in range(1, 186):  # -a and a: one block of the buffer, at one address
@@ -941,22 +955,27 @@ class TestSectorLabel:
     def test_tables_are_made_once_per_channel_and_spectrum(self, monkeypatch, rng):
         # check, decompose twice, reconstruct and shift_distribution of a dense channel
         # (the Choi route), a Hadamard channel and a shift mixture (the label route):
-        # each table that the support and the spectrum fix is made once, with the
-        # label's raw blocks by the route's builder, and both decompositions read the
-        # label's size groups.  The mixture loses its edge levels, so it is not TP and
-        # takes no _restore_tp.
+        # the label's one table object (_Groups) is made once, by the touched-layout
+        # builder, its entry tables and TP levels once each, and the label's raw blocks
+        # by the route's builder; both decompositions read the label's table object.
+        # The mixture loses its edge levels, so it is not TP and takes no _restore_tp.
         spec = cc.Spectrum(np.arange(6.0))
         cases = [gen.random_covariant(spec, rng),
                  cc.hadamard_channel(gen.random_unit_diagonal_mask(6, rng)),
                  tim.build_shift_mixture(spec, [(0.0, 0.5), (2.0, 0.3), (-1.0, 0.2)]).channel]
         rho, calls = gen.random_state(6, rng), []
-        for name in ("_block_tables", "_sector_blocks", "_label_blocks", "_tp_places",
-                     "_Groups"):
-            def counted(*args, name=name, build=getattr(cov, name)):
+
+        def counted(name, build):
+            def call(*args):
                 calls.append(name)
                 return build(*args)
+            return call
 
-            monkeypatch.setattr(cov, name, counted)
+        for table in ("entries", "tp_levels"):
+            prop = getattr(cov._Groups, table)
+            monkeypatch.setattr(prop, "func", counted(table, prop.func))
+        for name in ("_block_tables", "_sector_blocks", "_label_blocks", "_Groups"):
+            monkeypatch.setattr(cov, name, counted(name, getattr(cov, name)))
         for chan in cases:
             calls.clear()
             tp = cc.is_cptp(chan).tp_defect <= mcore.EPS_TP
@@ -966,11 +985,11 @@ class TestSectorLabel:
             cov.shift_distribution(second, rho)
             label = cov._label(chan, spec)
             route = "_label_blocks" if label.pure else "_sector_blocks"
-            assert sorted(calls) == sorted(["_block_tables", "_Groups", route,
-                                            *["_tp_places"] * tp])
-            assert first._groups is second._groups is label.tables.groups
+            assert sorted(calls) == sorted(["_block_tables", "_Groups", route, "entries",
+                                            *["tp_levels"] * tp])
+            assert first._groups is second._groups is label.groups
             cov.decompose(chan, cc.Spectrum(np.arange(6.0)))  # another spectrum: its own label
-            assert calls.count("_block_tables") == 2
+            assert calls.count("_block_tables") == calls.count("_Groups") == 2
 
 
 def test_sector_work_on_a_sparse_channel_stays_small():

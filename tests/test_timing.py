@@ -222,6 +222,21 @@ class TestTimingChannel:
             tim.timing_channel(cc.identity_channel(4), four_level(), phi0,
                                np.pi, 2)
 
+    def test_refuses_a_nan_or_negative_tolerance(self):
+        # NaN made defect > tol false, so a channel far from orthogonal (defect 0.25)
+        # got a bound; a negative tol refused an orthogonal orbit as not reliable.
+        spec, phi0 = four_level(), orbit_state(4, 4)
+        dense = gen.random_covariant(spec, np.random.default_rng(4))
+        with pytest.raises(NotReliableTiming):
+            tim.timing_channel(dense, spec, phi0, np.pi / 2, 4, 1e-9)
+        mix = tim.build_shift_mixture(spec, [(0.0, 1.0)]).channel
+        assert tim.timing_channel(mix, spec, phi0, np.pi / 2, 4).orthogonality_defect < 1e-30
+        for chan, tol in ((dense, np.nan), (mix, -1e-12), (mix, -np.inf)):
+            with pytest.raises(InvalidParameter, match="tolerance"):
+                tim.timing_channel(chan, spec, phi0, np.pi / 2, 4, tol)
+        bound = tim.timing_channel(mix, spec, phi0, np.pi / 2, 4, np.inf).bound  # inf stays allowed
+        assert bound == pytest.approx(2.0)
+
     def test_q_is_probability_vector(self, rng):
         for N in (2, 3, 4):
             chan, spec, phi0, s, _, _ = random_timing_fixture(N, rng)

@@ -77,9 +77,9 @@ def time_row(name: str, variant: str, n: int, fn, rounds: int) -> dict:
     return {"name": name, "variant": variant, "n": n, "ms": ms}
 
 
-def run_worker(script: str, argv: list[str]) -> list[dict]:
-    """The rows a worker run of script prints as JSON, with one BLAS thread."""
-    env = dict(os.environ, **ONE_THREAD)
+def run_worker(script: str, argv: list[str], threads: int = 1) -> list[dict]:
+    """The rows a worker run of script prints as JSON, with threads BLAS threads (one)."""
+    env = dict(os.environ, **{name: str(threads) for name in ONE_THREAD})
     out = subprocess.run([sys.executable, script, *argv], env=env, check=True,
                          capture_output=True, text=True).stdout
     return json.loads(out)

@@ -1,6 +1,6 @@
 """Bit-identity digests of the library's outputs on one fixed, seeded corpus.
 
-    python3 tools/digests.py [--parent-src DIR]
+    python3 tools/digests.py [--parent-src DIR] [--threads N]
 
 Alone, it prints one line per (function, input): the sha256 of the output,
 the function and the input.  With --parent-src (the src directory of another
@@ -11,7 +11,9 @@ differ, with the largest |delta| over the numbers of the outputs that differ
 text, show as "n/a"); then each differing
 (function, input).  It exits 1 when any digest differs or is missing on one
 side.  Each code runs in a worker process with one BLAS thread
-(tools/benchlib.py).
+(tools/benchlib.py).  With --threads N this tree runs at N BLAS threads
+(OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS) and is compared,
+in the same table, with itself at one thread, or with --parent-src at one.
 
 A digest covers an output down to its bytes: arrays by dtype, shape and
 data, floats by repr (so -0.0 differs from 0.0), dataclasses by their public
@@ -581,9 +583,10 @@ def _compare(change: list, parent: list, deltas: dict) -> int:
     return 1 if differing else 0
 
 
-def _deltas(keys, change_src: Path, parent_src: Path) -> dict:
+def _deltas(keys, sides) -> dict:
     """Largest |delta| per key over the numbers of both outputs, None where
-    their shapes differ or they hold text."""
+    their shapes differ or they hold text; sides is the (src, BLAS threads) of the
+    change and of the parent."""
     import numpy as np
 
     out = {}
@@ -591,10 +594,10 @@ def _deltas(keys, change_src: Path, parent_src: Path) -> dict:
         only = Path(tmp) / "only.json"
         only.write_text(json.dumps(keys))
         runs = []
-        for label, src in (("change", change_src), ("parent", parent_src)):
+        for label, (src, threads) in zip(("change", "parent"), sides):
             (Path(tmp) / label).mkdir()
             runs.append(run_worker(__file__, ["--worker", str(src), "--only", str(only),
-                                              "--dump", str(Path(tmp) / label)]))
+                                              "--dump", str(Path(tmp) / label)], threads))
         got = {(f, i): (k, numeric) for k, (f, i, _, numeric) in enumerate(runs[0])}
         for k, (f, i, _, numeric) in enumerate(runs[1]):
             j, other = got[(f, i)]
@@ -609,6 +612,7 @@ def _deltas(keys, change_src: Path, parent_src: Path) -> dict:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent-src", type=Path)
+    ap.add_argument("--threads", type=int, help="this tree's BLAS threads, against one")
     ap.add_argument("--worker")
     ap.add_argument("--only")
     ap.add_argument("--dump")
@@ -616,16 +620,18 @@ def main() -> int:
     if args.worker:
         json.dump(_worker(args.worker, args.only, args.dump), sys.stdout)
         return 0
-    change_src = ROOT / "src"
-    change = run_worker(__file__, ["--worker", str(change_src)])
-    if args.parent_src is None:
+    if args.threads is not None and args.threads < 1:
+        ap.error("--threads must be 1 or more")
+    sides = ((ROOT / "src", args.threads or 1), (args.parent_src or ROOT / "src", 1))
+    change = run_worker(__file__, ["--worker", str(sides[0][0])], sides[0][1])
+    if args.parent_src is None and args.threads is None:
         for function, name, digest in change:
             print(f"{digest}  {function} | {name}")
         return 0
-    parent = run_worker(__file__, ["--worker", str(args.parent_src)])
+    parent = run_worker(__file__, ["--worker", str(sides[1][0])], sides[1][1])
     want = {(f, i): d for f, i, d in parent}
     differ = [[f, i] for f, i, d in change if (f, i) in want and want[(f, i)] != d]
-    deltas = _deltas(differ, change_src, args.parent_src) if differ else {}
+    deltas = _deltas(differ, sides) if differ else {}
     return _compare(change, parent, deltas)
 
 
