@@ -34,18 +34,20 @@ every other row and column being zero, once per (channel, spectrum) in the
 first of covariance_defect and decompose: the label keeps the largest
 cross-sector |entry| and their squared norm, and the blocks gathered from it
 (_sector_blocks), and the matrix is dropped.  Either route lays out the
-sectors the channel touches, and the one table object of that layout
-(_Groups), which holds every table that the support and the spectrum fix,
-is kept on the label too.
+sectors the channel touches in one layout (_Layout), which holds every table
+that the support and the spectrum fix, and the label keeps it beside the
+blocks.
 
-A decomposition is one store (_Layout), which every library reader reads: its
+A decomposition is one store, which every library reader reads: a layout
+(_Layout) and one read-only block buffer beside it.  The layout holds the
 sectors in size order, each with its spectrum cluster c (sigma, domain and
 image from spectrum.sigmas[c] and sector_pairs[c]), flat Choi pairs and the
-offset of its read-only d x d block in one flat buffer.  A size's sectors are
-a size group, an (m, d, d) view of the buffer (_Groups): their blocks lie one
-after another, or at one offset (the +-a of a Gaussian decomposition).  A
-size's real blocks in a complex buffer are a group of their own on its real
-part, so they are diagonalised as real.  The (PartialShift, SectorMask)
+offset of its d x d block in the buffer; it holds no block, so one layout
+serves every buffer laid out by it.  A size's sectors are a size group, an
+(m, d, d) view of the buffer (_Layout.stacks): their blocks lie one after
+another, or at one offset (the +-a of a Gaussian decomposition).  A size's
+real blocks in a complex buffer are a group of their own on its real part,
+so they are diagonalised as real.  The (PartialShift, SectorMask)
 pairs are made from the store one at a time (SectorDecomposition._pairs).
 Given blocks, from the pairs the constructor checks or from a decomposition
 file, go into a store through one builder (_store_of_blocks).
@@ -54,8 +56,9 @@ Sector work runs over all sectors at once, on index tables made once.  decompose
 reads the raw blocks of the sectors the channel touches, laid out in one buffer,
 Hermitises, scales for TP and tests them for the drop once over it, and keeps
 the kept blocks' buffer as its store.  When no sector is dropped the store is
-the label's layout with that buffer, and the decomposition reads the label's
-_Groups, so a warm decompose builds no index table.  reconstruct runs one
+the label's layout with that buffer, so a warm decompose builds no index table;
+every Gaussian decomposition of one (dim, sigma_max) shares one layout too
+(fock._gaussian_layout).  reconstruct runs one
 stacked eigh per size group, on the blocks as stored when decompose stored
 them (they are exactly Hermitian) and on their Hermitian parts otherwise, then
 orders and cuts the eigenvectors of all sectors at once, and _shift_kraus, the
@@ -67,7 +70,7 @@ C_S = V_S^T conj(V_S), so one rounding bound on the Kraus operators' norm
 (channels._gram_bound) proves all of them pass the mask check; only when it
 does not is the check run, one stacked eigvalsh per size.  The results are
 the per-sector loops' bit for bit: one level sum, which diagonal_sums and the
-TP scaling share, adds the diagonals in sector order (_Groups.level_sums), each
+TP scaling share, adds the diagonals in sector order (_Layout.level_sums), each
 block's residue is its own dot product, and the first failing block in sector
 order is reported (_store_failure, any store).
 characteristic_function and bochner_check apply no channel: they read one
@@ -308,15 +311,16 @@ class SectorDecomposition:
 
     def __post_init__(self):
         clusters = _pair_clusters(self.spectrum, self.sectors)
-        self.__dict__["_store"] = _store_of_blocks(
+        self.__dict__["_layout"], self.__dict__["_blocks"] = _store_of_blocks(
             self.spectrum, clusters, [mask.domain_submatrix for _, mask in self.sectors])
 
     @classmethod
-    def _of_store(cls, spectrum: Spectrum, store: _Layout, **fields):
-        """The decomposition of a store, no pair made; fields are its other fields."""
+    def _of_store(cls, spectrum: Spectrum, layout: _Layout, blocks: np.ndarray, **fields):
+        """The decomposition of a store (layout, its buffer), no pair made; fields are its
+        other fields."""
         decomp = object.__new__(cls)
         decomp.__dict__.update({"projection_defect": 0.0, **fields, "spectrum": spectrum,
-                                "_store": store})
+                                "_layout": layout, "_blocks": blocks})
         return decomp
 
     def __getattr__(self, name):
@@ -331,11 +335,8 @@ class SectorDecomposition:
     def _derived_sectors(self) -> tuple[tuple[PartialShift, SectorMask], ...]:
         return tuple(self._pairs())
 
-    def _derived__groups(self) -> _Groups:  # the store's size groups, decompose's handed over
-        return _Groups(self._store, self.spectrum.dim)
-
     def _derived__stacked(self) -> tuple:  # the store's size groups with their blocks
-        return tuple(self._groups.stacks(self._store.blocks))
+        return tuple(self._layout.stacks(self._blocks))
 
     def _derived__by_slot(self) -> list:  # each slot's (pairs, block), views of its size group
         return [pair for _, rows, blocks in self._stacked for pair in zip(rows, blocks)]
@@ -343,30 +344,30 @@ class SectorDecomposition:
     def _pairs(self, slots=None):
         """The (shift, mask) pair of each slot (all, in sector order, by default), made
         from its cluster's sector pairs and its block, checked before it was stored."""
-        spec, store = self.spectrum, self._store
-        for k in store.order.tolist() if slots is None else slots:
-            c, block = int(store.clusters[k]), self._by_slot[k][1]
+        spec, layout = self.spectrum, self._layout
+        for k in layout.order.tolist() if slots is None else slots:
+            c, block = int(layout.clusters[k]), self._by_slot[k][1]
             shift = PartialShift._of_pairs(float(spec.sigmas[c]), spec.sector_pairs[c], spec.dim)
             yield shift, SectorMask._checked(shift.sigma, block, shift.domain, spec.dim)
 
     def sigmas(self) -> np.ndarray:
-        return self.spectrum.sigmas[self._store.clusters[self._store.order]]
+        return self.spectrum.sigmas[self._layout.clusters[self._layout.order]]
 
     def sector(self, sigma: float) -> tuple[PartialShift, SectorMask]:
         """The sector on the cluster of sigma, whose shift is partial_shift(spectrum, sigma)."""
         try:
-            k = self._store.clusters.tolist().index(self.spectrum._cluster_at(sigma))
+            k = self._layout.clusters.tolist().index(self.spectrum._cluster_at(sigma))
         except ValueError:
             raise UnknownSector(f"no sector at sigma = {sigma}") from None
         return next(self._pairs([k]))
 
     def _diagonals(self) -> np.ndarray:
         """Every block's diagonal M_sigma(j, j), slot after slot, at the store's pairs (j', j)."""
-        return self._store.blocks[self._groups.diagonal]
+        return self._blocks[self._layout.diagonal]
 
     def diagonal_sums(self) -> np.ndarray:
         """sum_sigma M_sigma(j, j) at every input level j: all ones for a TP channel."""
-        return self._groups.level_sums(self._store.blocks)
+        return self._layout.level_sums(self._blocks)
 
 
 @dataclass(frozen=True)
@@ -446,14 +447,14 @@ class _Label:
     no nonzero entry reads the support's first pair (pair 0 when the support is
     empty).  cross is (max, squared Frobenius norm) of the cross-sector |Choi|
     entries: (0.0, 0.0) for a pure family, whose cross-sector entries are sums of
-    exact zeros, and for a mixed one None until _raw forms its Choi matrix.  raw (a
-    _Layout, set by _raw) holds the raw Choi blocks of the sectors the channel's
-    support touches, read-only, O(sum d^2) entries.  groups (a _Groups, set by _raw
-    with _block_tables) is the layout of those sectors with every table that the
-    channel's support and the spectrum fix, O(sum d^2) indices, each made once: the
-    entries' places in the pairs, the size groups, which reconstruct and
-    shift_distribution read too, and _restore_tp's levels.  magnitudes is
-    _magnitudes(shifts), made on its first read (timing._fourier's table)."""
+    exact zeros, and for a mixed one None until _raw forms its Choi matrix.  layout
+    (a _Layout, set by _raw) lays out the sectors the channel's support touches, with
+    every table that the support and the spectrum fix, O(sum d^2) indices, each made
+    once: the entries' places in the pairs, the size groups, which reconstruct and
+    shift_distribution read too, and _restore_tp's levels.  raw (set by _raw with it)
+    is the buffer of the channel's raw Choi blocks in that layout, read-only,
+    O(sum d^2) entries.  magnitudes is _magnitudes(shifts), made on its first read
+    (timing._fourier's table)."""
 
     def __init__(self, cluster: np.ndarray, shifts: np.ndarray | None):
         cluster.setflags(write=False)
@@ -461,7 +462,7 @@ class _Label:
             shifts.setflags(write=False)
         self.cluster, self.shifts, self.pure = cluster, shifts, bool(cluster.min() >= 0)
         self.cross = (0.0, 0.0) if self.pure else None
-        self.raw = self.groups = None
+        self.raw = self.layout = None
 
     @cached_property
     def magnitudes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -496,28 +497,9 @@ def _label(channel: Channel, spectrum: Spectrum) -> _Label:
     return label
 
 
-# A store, or decompose's work layout: per slot, in size order, its cluster, domain
-# size d, whether its block is real in a complex buffer and the offset of its d x d
-# row-major block in the buffer blocks; the slots in sector order; the flat pairs.
-_Layout = namedtuple("_Layout", "clusters sizes real offsets blocks order pairs")
-
-
 def _runs(starts, sizes):
     """The indices starts[i], ..., starts[i] + sizes[i] - 1 of every run, one run after another."""
     return np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
-
-
-def _lay_out(spectrum: Spectrum, clusters, blocks, offsets=None) -> _Layout:
-    """The read-only _Layout of the sectors on clusters (in size order), their pairs read
-    from the spectrum, sector order that of the clusters, no block real in a complex buffer
-    and the blocks at offsets in blocks (by default one after another)."""
-    sizes, starts = spectrum._sizes[clusters], spectrum._starts[clusters]
-    offsets = np.cumsum(sizes * sizes) - sizes * sizes if offsets is None else offsets
-    layout = _Layout(clusters, sizes, np.zeros(clusters.size, dtype=bool), offsets, blocks,
-                     np.argsort(clusters, kind="stable"), spectrum._flat[_runs(starts, sizes)])
-    for arr in layout._replace(blocks=offsets):  # all but the blocks, which may be in the making
-        arr.setflags(write=False)
-    return layout
 
 
 def _pair_clusters(spectrum: Spectrum, sectors) -> np.ndarray:
@@ -562,18 +544,6 @@ def _pair_clusters(spectrum: Spectrum, sectors) -> np.ndarray:
     return clusters
 
 
-def _store_of_blocks(spectrum: Spectrum, clusters, blocks) -> _Layout:
-    """The one store of given blocks, blocks[i] the d x d block of the sector on cluster
-    clusters[i] and the sector order the given one: the blocks one after another in size
-    order, a size's real ones first, in one read-only buffer.  The blocks are not checked."""
-    real = np.array([not np.iscomplexobj(block) for block in blocks], dtype=bool)
-    slots = np.lexsort((~real, spectrum._sizes[clusters]))  # size order, a size's real first
-    buffer = np.concatenate([np.zeros(0), *(blocks[i].reshape(-1) for i in slots.tolist())])
-    buffer.setflags(write=False)
-    store = _lay_out(spectrum, np.array(clusters, dtype=np.intp)[slots], buffer)
-    return store._replace(order=np.argsort(slots), real=real[slots] & np.iscomplexobj(buffer))
-
-
 def _read_only(*arrays) -> tuple:
     """The arrays, each set read-only."""
     for arr in arrays:
@@ -587,30 +557,43 @@ def _read_only(*arrays) -> tuple:
 _Span = namedtuple("_Span", "slots pairs first offset m d real shared")
 
 
-class _Groups:
-    """Every table of one layout, kept on a label or a decomposition: the size groups, in
-    size order (spans, _Span), found once from its sizes, real flags and offsets, a
-    store's blocks aside, and its other tables, each made on first read: sector_order,
-    the places of the layout's flat pairs sector after sector; keys, the places in sector
-    order of each group's slots (reconstruct's eigenvector keys and _store_failure's);
-    diagonal, the places in the buffer of every slot's diagonal entries, slot after slot,
-    as the pairs; real_entries, the places among those of the real blocks' entries;
-    entries, per entry the places in the pairs of its row and column and of its
-    transpose (rows, cols, trans); and tp_levels, the input levels of each entry's row
-    and column (_restore_tp's).  entries and tp_levels hold only for a layout whose
-    blocks lie one after another, as every label's does (not a Gaussian store's, whose
-    +-a blocks share one offset).  n is the spectrum's dimension."""
+class _Layout:
+    """The layout of a store, or of decompose's work buffer, and every table of it, kept
+    on a label or a decomposition beside its block buffer: per slot, in size order, its
+    spectrum cluster (clusters), domain size d (sizes), the place of its first flat Choi
+    pair (first, cumsum(sizes) - sizes), the offset of its d x d row-major block in the
+    buffer (offsets, by default one after another) and whether that block is real in a
+    complex buffer (real, by default none); the slots in sector order (order, by default
+    that of the clusters); the flat pairs (pairs), read from the spectrum; and the size
+    groups, in size order (spans, _Span).  Its other tables are made on first read:
+    sector_order, the places of the flat pairs sector after sector; keys, the places in
+    sector order of each group's slots (reconstruct's eigenvector keys and
+    _store_failure's); diagonal, the places in a buffer of every slot's diagonal
+    entries, slot after slot, as the pairs; real_entries, the places among those of the
+    real blocks' entries; entries, per entry the places in the pairs of its row and
+    column and of its transpose (rows, cols, trans); and tp_levels, the input levels of
+    each entry's row and column (_restore_tp's).  entries and tp_levels hold only for a
+    layout whose blocks lie one after another, as every label's does (not a Gaussian
+    store's, whose +-a blocks share one offset).  n is the spectrum's dimension.  Every
+    array is read-only."""
 
-    def __init__(self, layout: _Layout, n: int):
-        self.layout, self.n = layout, n
-        key, offsets = 2 * layout.sizes + layout.real, layout.offsets.tolist()
+    def __init__(self, spectrum: Spectrum, clusters, offsets=None, order=None, real=None):
+        sizes = spectrum._sizes[clusters]
+        first, square = np.cumsum(sizes) - sizes, sizes * sizes
+        self.spectrum, self.n, self.clusters, self.sizes, self.first = (
+            spectrum, spectrum.dim, clusters, sizes, first)
+        self.offsets = np.cumsum(square) - square if offsets is None else offsets
+        self.order = np.argsort(clusters, kind="stable") if order is None else order
+        self.real = np.zeros(clusters.size, dtype=bool) if real is None else real
+        self.pairs = spectrum._flat[_runs(spectrum._starts[clusters], sizes)]
+        _read_only(clusters, sizes, first, self.offsets, self.order, self.real, self.pairs)
+        key, offsets = 2 * sizes + self.real, self.offsets.tolist()
         starts = np.flatnonzero(np.concatenate((key[:1] >= 0, key[1:] != key[:-1])))  # 0 if any
-        first = (np.cumsum(layout.sizes) - layout.sizes)[starts].tolist()
         self.spans = []
-        for start, end, p, real in zip(starts.tolist(), [*starts[1:].tolist(), key.size], first,
-                                       layout.real[starts].tolist()):
-            m, d, o = end - start, int(layout.sizes[start]), offsets[start]
-            self.spans.append(_Span(slice(start, end), layout.pairs[p:p + m * d].reshape(m, d),
+        for start, end, p, real in zip(starts.tolist(), [*starts[1:].tolist(), key.size],
+                                       first[starts].tolist(), self.real[starts].tolist()):
+            m, d, o = end - start, int(sizes[start]), offsets[start]
+            self.spans.append(_Span(slice(start, end), self.pairs[p:p + m * d].reshape(m, d),
                                     p, o, m, d, real, m > 1 and offsets[start + 1] == o))
 
     def stacks(self, buffer: np.ndarray):
@@ -623,44 +606,43 @@ class _Groups:
 
     @cached_property
     def sector_order(self) -> np.ndarray:
-        sizes, order = self.layout.sizes, self.layout.order
-        return _runs((np.cumsum(sizes) - sizes)[order], sizes[order])
+        return _runs(self.first[self.order], self.sizes[self.order])
 
     @cached_property
     def keys(self) -> list:
-        position = np.argsort(self.layout.order)  # of each slot in sector order
+        position = np.argsort(self.order)  # of each slot in sector order
         return [position[span.slots] for span in self.spans]
 
     @cached_property
     def diagonal(self) -> np.ndarray:
-        sizes = self.layout.sizes
-        rank = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)  # in its slot
-        return np.repeat(self.layout.offsets, sizes) + rank * np.repeat(sizes + 1, sizes)
+        sizes = self.sizes
+        rank = np.arange(sizes.sum()) - np.repeat(self.first, sizes)  # in its slot
+        return np.repeat(self.offsets, sizes) + rank * np.repeat(sizes + 1, sizes)
 
     @cached_property
     def real_entries(self) -> np.ndarray:
-        return np.flatnonzero(np.repeat(self.layout.real, self.layout.sizes))
+        return np.flatnonzero(np.repeat(self.real, self.sizes))
 
     @cached_property
     def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        sizes = self.layout.sizes
+        sizes = self.sizes
         square = sizes * sizes
-        start = np.repeat(self.layout.offsets, square)  # of each entry's block
+        start = np.repeat(self.offsets, square)  # of each entry's block
         d = np.repeat(sizes, square)
         rows, cols = np.divmod(np.arange(d.size) - start, d)  # the entry's place in its block
         trans = start + cols * d + rows
-        base = np.repeat(np.cumsum(sizes) - sizes, square)
+        base = np.repeat(self.first, square)
         return _read_only(rows + base, cols + base, trans)
 
     @cached_property
     def _sum_places(self) -> tuple[np.ndarray, np.ndarray]:
         # The levels of the flat pairs and the places of their diagonal entries, in sector order.
         at = self.sector_order
-        return _read_only(self.layout.pairs[at] % self.n, self.diagonal[at])
+        return _read_only(self.pairs[at] % self.n, self.diagonal[at])
 
     @cached_property
     def tp_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        levels, (rows, cols, _) = self.layout.pairs % self.n, self.entries
+        levels, (rows, cols, _) = self.pairs % self.n, self.entries
         return _read_only(levels[rows], levels[cols])
 
     def level_sums(self, blocks: np.ndarray) -> np.ndarray:
@@ -673,51 +655,53 @@ class _Groups:
         return total
 
 
-def _store_failure(spectrum: Spectrum, store: _Layout) -> str | None:
+def _store_of_blocks(spectrum: Spectrum, clusters, blocks) -> tuple[_Layout, np.ndarray]:
+    """The one store (layout, buffer) of given blocks, blocks[i] the d x d block of the
+    sector on cluster clusters[i] and the sector order the given one: the blocks one after
+    another in size order, a size's real ones first, in one read-only buffer.  The blocks
+    are not checked."""
+    real = np.array([not np.iscomplexobj(block) for block in blocks], dtype=bool)
+    slots = np.lexsort((~real, spectrum._sizes[clusters]))  # size order, a size's real first
+    buffer = np.concatenate([np.zeros(0), *(blocks[i].reshape(-1) for i in slots.tolist())])
+    buffer.setflags(write=False)
+    return _Layout(spectrum, np.array(clusters, dtype=np.intp)[slots], order=np.argsort(slots),
+                   real=real[slots] & np.iscomplexobj(buffer)), buffer
+
+
+def _store_failure(layout: _Layout, blocks: np.ndarray) -> str | None:
     """The SectorMask check of a store, one _mask_failure per size group (whose slots lie in
     sector order): None, or the message of the failing block first in sector order."""
-    groups = _Groups(store, spectrum.dim)
+    sigmas = layout.spectrum.sigmas
     found = [(int(key[failed[0]]), failed[1])
-             for key, (slots, _, stack) in zip(groups.keys, groups.stacks(store.blocks))
-             if (failed := _mask_failure(stack, spectrum.sigmas[store.clusters[slots]].tolist()))]
+             for key, (slots, _, stack) in zip(layout.keys, layout.stacks(blocks))
+             if (failed := _mask_failure(stack, sigmas[layout.clusters[slots]].tolist()))]
     return min(found)[1] if found else None
 
 
-def _block_tables(support: np.ndarray, spectrum: Spectrum) -> _Groups:
-    """The _Groups of the layout of the sectors holding a pair of the support, its blocks
-    not formed.  No other sector is laid out: over all sectors each entry table would
-    hold about 2 n^3 / 3 entries."""
-    order = spectrum._by_size
-    held = np.zeros(order.size, dtype=bool)
-    held[spectrum._cluster[support]] = True
-    return _Groups(_lay_out(spectrum, order[held[order]], None), spectrum.dim)
-
-
-def _sector_blocks(choi: np.ndarray, support: np.ndarray, spectrum: Spectrum,
-                   groups: _Groups) -> _Layout:
-    """The layout of the groups (_block_tables(support, spectrum)) with the blocks of
-    choi on support x support, +0.0 off it (a pinching: PSD stays PSD)."""
-    at = np.full(spectrum.dim ** 2, -1)  # the row of each pair in choi, -1 off the support
+def _sector_blocks(choi: np.ndarray, support: np.ndarray, layout: _Layout) -> np.ndarray:
+    """The blocks, in a buffer of the layout (the label's), of choi on support x support,
+    +0.0 off it (a pinching: PSD stays PSD)."""
+    at = np.full(layout.n ** 2, -1)  # the row of each pair in choi, -1 off the support
     at[support] = np.arange(support.size)
-    (rows, cols, _), at = groups.entries, at[groups.layout.pairs]
+    (rows, cols, _), at = layout.entries, at[layout.pairs]
     row, col = at[rows], at[cols]
     off = (row < 0) | (col < 0)
     place = row * support.size + col
     place[off] = 0  # a valid place, whose entry is replaced
     blocks = choi.reshape(-1)[place]
     blocks[off] = 0.0
-    return groups.layout._replace(blocks=blocks)
+    return blocks
 
 
-def _operator_gather(label: _Label, groups: _Groups, support: np.ndarray, spectrum: Spectrum):
+def _operator_gather(label: _Label, layout: _Layout, support: np.ndarray):
     """The label route's gather (_label_blocks) of a sector-pure family: the places in
     one flat buffer of every size group's stack X, m x p x d, p the group's most operators
     on one sector and at least two, and each group's (offset, m, d, p, start in the
     buffer); the places of the operators' entries on their sectors' pairs in that buffer
     and in the flat Kraus stack, slot after slot, a slot's operators in operator order;
     and whether each block entry is off the support."""
-    layout, n = groups.layout, spectrum.dim
-    slot = np.full(len(spectrum.sigmas), -1)
+    n = layout.n
+    slot = np.full(len(layout.spectrum.sigmas), -1)
     slot[layout.clusters] = np.arange(layout.clusters.size)
     slot = slot[label.cluster]  # of each operator; -1 for zero ones off every laid-out sector
     ops = np.flatnonzero(slot >= 0)
@@ -726,7 +710,7 @@ def _operator_gather(label: _Label, groups: _Groups, support: np.ndarray, spectr
     starts = np.cumsum(count) - count  # of each slot's operators in ops
     rank = np.arange(ops.size) - np.repeat(starts, count)  # each operator's within its slot
     stacks, into, start = [], np.empty(ops.size, dtype=np.intp), 0
-    for span in groups.spans:  # the size groups, in size order
+    for span in layout.spans:  # the size groups, in size order
         a, b, o, m, d = span.slots.start, span.slots.stop, span.offset, span.m, span.d
         p = max(2, int(count[a:b].max()))
         mine = slice(starts[a], starts[b - 1] + count[b - 1])
@@ -734,19 +718,19 @@ def _operator_gather(label: _Label, groups: _Groups, support: np.ndarray, spectr
         stacks.append((o, m, d, p, start))
         start += m * p * d
     width = layout.sizes[slot[ops]]  # of each operator's row of X
-    first = (np.cumsum(layout.sizes) - layout.sizes)[slot[ops]]  # of each operator's pairs
+    first = layout.first[slot[ops]]  # of each operator's pairs
     entry = _runs(np.zeros(ops.size, dtype=np.intp), width)  # each entry's place in its row
     dst = np.repeat(into, width) + entry
     src = np.repeat(ops * (n * n), width) + layout.pairs[np.repeat(first, width) + entry]
     held = np.zeros(n * n, dtype=bool)
     held[support] = True
     held = held[layout.pairs]
-    rows, cols, _ = groups.entries
+    rows, cols, _ = layout.entries
     return stacks, start, dst, src, ~(held[rows] & held[cols])
 
 
-def _label_blocks(channel: Channel, spectrum: Spectrum, label: _Label) -> _Layout:
-    """_sector_blocks of a sector-pure family on its label's groups, formed with
+def _label_blocks(channel: Channel, label: _Label) -> np.ndarray:
+    """_sector_blocks of a sector-pure family on its label's layout, formed with
     no Choi matrix: sector sigma's block is X_sigma^T conj(X_sigma), X_sigma the entries
     of the operators labelled sigma on its pairs, in operator order.  A size group's
     X_sigma are one stack, each padded with zero rows to the group's most operators and
@@ -756,8 +740,7 @@ def _label_blocks(channel: Channel, spectrum: Spectrum, label: _Label) -> _Layou
     most p m d entries, p <= max(2, K), so all of them at most max(2, K) n^2, twice the
     Kraus stack's at most.  An entry off the support is a sum of +-0.0, set to +0.0 as
     the Choi matrix's."""
-    groups = label.groups
-    stacks, size, dst, src, off = _operator_gather(label, groups, channel._support, spectrum)
+    stacks, size, dst, src, off = _operator_gather(label, label.layout, channel._support)
     x = np.zeros(size, dtype=complex)
     x[dst] = channel._ops.reshape(-1)[src]
     xc = x.conj()
@@ -767,17 +750,18 @@ def _label_blocks(channel: Channel, spectrum: Spectrum, label: _Label) -> _Layou
         np.matmul(stack.swapaxes(1, 2), xc[start:start + m * p * d].reshape(m, p, d),
                   out=blocks[o:o + m * d * d].reshape(m, d, d))
     blocks[off] = 0.0
-    return groups.layout._replace(blocks=blocks)
+    return blocks
 
 
-def _raw(channel: Channel, spectrum: Spectrum, label: _Label) -> _Layout:
-    """label.raw, set on the first call with label.groups (_block_tables): the layout of
-    the sectors the channel's support touches with its raw Choi blocks, read-only.  A
-    pure family's come from its operators (_label_blocks).  A mixed family's Choi matrix
-    on its support is formed here, once per (channel, spectrum): label.cross is read
-    from its |entries|, which are freed before the tables are made and its blocks are
-    gathered (_sector_blocks), and then it is dropped.  The blocks hold as many entries
-    as each of the groups' three entry tables (rows, cols and trans)."""
+def _raw(channel: Channel, spectrum: Spectrum, label: _Label) -> np.ndarray:
+    """label.raw, set on the first call with label.layout: the read-only raw Choi blocks
+    of the channel, in a buffer of the layout of the sectors its support touches.  No
+    other sector is laid out: over all sectors each entry table would hold about 2 n^3 / 3
+    entries.  A pure family's blocks come from its operators (_label_blocks).  A mixed
+    family's Choi matrix on its support is formed here, once per (channel, spectrum):
+    label.cross is read from its |entries|, which are freed before the layout is made and
+    its blocks are gathered (_sector_blocks), and then it is dropped.  The blocks hold as
+    many entries as each of the layout's three entry tables (rows, cols and trans)."""
     if label.raw is None:
         support, choi = channel._support, None
         if not label.pure:
@@ -785,30 +769,32 @@ def _raw(channel: Channel, spectrum: Spectrum, label: _Label) -> _Layout:
             cross = _cross_entries(choi, support, spectrum)
             label.cross = (float(cross.max(initial=0.0)), float(np.vdot(cross, cross).real))
             del cross
-        label.groups = groups = _block_tables(support, spectrum)
-        raw = (_label_blocks(channel, spectrum, label) if choi is None
-               else _sector_blocks(choi, support, spectrum, groups))
-        raw.blocks.setflags(write=False)
+        order = spectrum._by_size
+        held = np.zeros(order.size, dtype=bool)
+        held[spectrum._cluster[support]] = True
+        label.layout = _Layout(spectrum, order[held[order]])
+        raw = (_label_blocks(channel, label) if choi is None
+               else _sector_blocks(choi, support, label.layout))
+        raw.setflags(write=False)
         label.raw = raw
     return label.raw
 
 
-def _restore_tp(layout: _Layout, groups: _Groups) -> tuple[_Layout, float]:
-    """The layout's blocks (its groups' tables) under the congruence by diag(s), s =
-    w^(-1/2) and w their level sums, so that the diagonals sum to one at every level
-    (TP); and max s^2, by which the congruence can scale rounding."""
-    scale = 1.0 / np.sqrt(groups.level_sums(layout.blocks))
+def _restore_tp(layout: _Layout, blocks: np.ndarray) -> tuple[np.ndarray, float]:
+    """The blocks (a buffer of the layout) under the congruence by diag(s), s = w^(-1/2)
+    and w their level sums, so that the diagonals sum to one at every level (TP); and
+    max s^2, by which the congruence can scale rounding."""
+    scale = 1.0 / np.sqrt(layout.level_sums(blocks))
     top = float(scale.max(initial=0.0))
-    row_level, col_level = groups.tp_levels
-    blocks = layout.blocks * (scale[row_level] * scale[col_level])
-    return layout._replace(blocks=blocks), top * top
+    row_level, col_level = layout.tp_levels
+    return blocks * (scale[row_level] * scale[col_level]), top * top
 
 
-def _scatter(layout: _Layout, groups: _Groups) -> np.ndarray:
-    """The Choi matrix holding the layout's blocks on their pairs (its groups'), zero elsewhere."""
-    (rows, cols, _), n = groups.entries, groups.n
+def _scatter(layout: _Layout, blocks: np.ndarray) -> np.ndarray:
+    """The Choi matrix holding the blocks (a buffer of the layout) on their pairs, zero elsewhere."""
+    (rows, cols, _), n = layout.entries, layout.n
     choi = np.zeros((n * n, n * n), dtype=complex)
-    choi[layout.pairs[rows], layout.pairs[cols]] = layout.blocks
+    choi[layout.pairs[rows], layout.pairs[cols]] = blocks
     return choi
 
 
@@ -861,39 +847,35 @@ def decompose(
     if not 0.0 <= tol < np.inf:
         raise InvalidParameter(f"tolerance must be finite and >= 0, got {tol!r}")
     label = _label(channel, spectrum)
-    layout = _raw(channel, spectrum, label)
+    raw = _raw(channel, spectrum, label)
     defect, sq_cross = label.cross
     if defect > tol:
         raise NotCovariant(defect, tol)
-    groups, raw = label.groups, layout.blocks
-    layout = layout._replace(blocks=(raw + raw[groups.entries[2]].conj()) / 2.0)
+    layout = label.layout
+    blocks = (raw + raw[layout.entries[2]].conj()) / 2.0
     scale = 1.0
     if channel._tp_defect <= mc.EPS_TP:
-        layout, scale = _restore_tp(layout, groups)
+        blocks, scale = _restore_tp(layout, blocks)
 
     # ||C - scatter(kept blocks)||^2 entry by entry: the cross-sector
     # entries, plus each sector's Choi block minus its kept block (or zero).
-    blocks, square = layout.blocks, layout.sizes * layout.sizes
+    square = layout.sizes * layout.sizes
     peak = max(defect, float(np.abs(raw).max(initial=0.0)))
     floor = 1e-13 * max(1.0, peak)  # peak = max |C|
     drop = np.maximum.reduceat(np.abs(blocks), layout.offsets) <= floor
     dropped = bool(drop.any())
     resid = np.where(np.repeat(drop, square), raw, raw - blocks) if dropped else raw - blocks
     sq_terms = np.zeros(len(spectrum.sigmas))  # a sector left out adds 0.0
-    for slots, _, terms in groups.stacks(resid):  # one dot per block, as vdot
+    for slots, _, terms in layout.stacks(resid):  # one dot per block, as vdot
         terms = terms.reshape(len(terms), -1)
         sq_terms[layout.clusters[slots]] = np.vecdot(terms, terms).real
     # A running sum adds the terms in sector order, as one float after another.
     sq_defect = np.add.accumulate(np.r_[sq_cross, sq_terms])[-1]
-    # The store is the label's layout, its size groups the label's, unless a sector
-    # is dropped; its blocks are Hermitised, so reconstruct takes them as they are.
-    fields = {"projection_defect": float(np.sqrt(sq_defect)), "_hermitian": True}
+    # The store is the label's layout, with all its tables, unless a sector is
+    # dropped; its blocks are Hermitised, so reconstruct takes them as they are.
     if dropped:
         blocks = blocks[np.repeat(~drop, square)]
-        store = _lay_out(spectrum, layout.clusters[~drop], blocks)
-    else:
-        store = layout
-        fields["_groups"] = groups
+        layout = _Layout(spectrum, layout.clusters[~drop])
     blocks.setflags(write=False)
     # Every block is a pinched principal block of C_S = V_S^T conj(V_S), V_S the
     # vec(A_m) rows on the support, Hermitised and maybe scaled by _restore_tp; a
@@ -901,10 +883,11 @@ def decompose(
     # entry and exact zeros for the rest, so the same bound holds.
     ops = channel._ops
     if not mc._gram_certified(ops.reshape(1, -1), len(ops), scale, channel._squares):
-        failure = _store_failure(spectrum, store)
+        failure = _store_failure(layout, blocks)
         if failure is not None:
             raise NotCP(f"Choi {failure}")
-    return SectorDecomposition._of_store(spectrum, store, **fields)
+    return SectorDecomposition._of_store(spectrum, layout, blocks, _hermitian=True,
+                                         projection_defect=float(np.sqrt(sq_defect)))
 
 
 def _choi_distance(channel: Channel, recon: Channel, spectrum: Spectrum) -> float:
@@ -913,11 +896,12 @@ def _choi_distance(channel: Channel, recon: Channel, spectrum: Spectrum) -> floa
     channel's cross-sector squared norm plus each of its sectors' block difference.
     recon is sector-pure and its sectors are among the channel's (a dropped sector
     differs by the channel's block), so every other entry of either matrix is zero."""
-    label = _label(channel, spectrum)
-    mine, theirs = _raw(channel, spectrum, label), _raw(recon, spectrum, _label(recon, spectrum))
-    held = np.isin(mine.clusters, theirs.clusters)  # recon's slots, in the same size order
-    diff = mine.blocks.copy()
-    diff[_runs(mine.offsets[held], (mine.sizes * mine.sizes)[held])] -= theirs.blocks
+    label, other = _label(channel, spectrum), _label(recon, spectrum)
+    mine, theirs = _raw(channel, spectrum, label), _raw(recon, spectrum, other)
+    layout = label.layout
+    held = np.isin(layout.clusters, other.layout.clusters)  # recon's slots, in the same size order
+    diff = mine.copy()
+    diff[_runs(layout.offsets[held], (layout.sizes * layout.sizes)[held])] -= theirs
     return float(np.sqrt(label.cross[1] + np.vdot(diff, diff).real))
 
 
@@ -946,7 +930,7 @@ def apply_sectors(decomp: SectorDecomposition, mat: np.ndarray) -> np.ndarray:
     if mat.shape != (n, n):
         raise DimensionMismatch(f"matrix shape {mat.shape} does not match spectrum dim {n}")
     out = np.zeros((n, n), dtype=complex)
-    for k in decomp._store.order.tolist():
+    for k in decomp._layout.order.tolist():
         pairs, block = decomp._by_slot[k]
         img, dom = np.divmod(pairs, n)
         out[img[:, None], img] += block * mat[dom[:, None], dom]  # np.ix_ took twice as long
@@ -958,13 +942,13 @@ def reconstruct(decomp: SectorDecomposition) -> Channel:
     S_sigma diag(v), v the spectral vectors of each block; a decomposition with no
     sectors is the zero map, one zero Kraus operator.  The blocks decompose stores are
     exactly Hermitian, so their Hermitian part is not taken again."""
-    store, groups = decomp._store, decomp._groups
+    layout = decomp._layout
     count, vecs = np.zeros(0, dtype=np.intp), np.zeros((0, 0))
-    if store.clusters.size:
+    if layout.clusters.size:
         blocks = [stack for *_, stack in decomp._stacked]
-        _, _, count, vecs = mc._scaled_eigenvectors(blocks, groups.keys, decomp._hermitian)
-    return _shift_kraus(store.pairs[groups.sector_order], store.sizes[store.order], count,
-                        vecs, decomp.spectrum.dim)
+        _, _, count, vecs = mc._scaled_eigenvectors(blocks, layout.keys, decomp._hermitian)
+    return _shift_kraus(layout.pairs[layout.sector_order], layout.sizes[layout.order], count,
+                        vecs, layout.n)
 
 
 def shift_distribution(
@@ -973,18 +957,18 @@ def shift_distribution(
     """Energy shift probabilities p(sigma) = tr(G_sigma(rho)), each clipped to [0, 1]."""
     if rho.dim != decomp.spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
-    store, groups = decomp._store, decomp._groups
+    layout = decomp._layout
     # tr(S (M * rho) S^dag) = sum_j M(j, j) rho(j, j) over the domain: every block's
     # diagonal in one gather, a real block's multiplied as real.
-    diags, weights = decomp._diagonals(), np.diag(rho.matrix)[store.pairs % decomp.spectrum.dim]
+    diags, weights = decomp._diagonals(), np.diag(rho.matrix)[layout.pairs % layout.n]
     terms = np.real(diags * weights)
-    real = groups.real_entries
+    real = layout.real_entries
     terms[real] = diags[real].real * weights[real].real
-    p = np.empty(store.clusters.size)  # by slot, then in sector order
-    for span in groups.spans:  # row sums add as one sum per sector does; reduceat would not
+    p = np.empty(layout.clusters.size)  # by slot, then in sector order
+    for span in layout.spans:  # row sums add as one sum per sector does; reduceat would not
         rows = terms[span.first:span.first + span.m * span.d].reshape(span.m, span.d)
         p[span.slots] = rows.sum(axis=1)
-    p, sigmas = p[store.order], decomp.sigmas().tolist()
+    p, sigmas = p[layout.order], decomp.sigmas().tolist()
     bad = np.flatnonzero(p < -mc.EPS_PSD)
     if bad.size:
         i = bad[0]
@@ -1011,6 +995,8 @@ def _characteristic(channel: Channel, spectrum: Spectrum, K: np.ndarray,
     ops, n = channel._ops, spectrum.dim
     if K.shape != (n, n) or rho.dim != n or ops.shape[1:] != (n, n):
         raise DimensionMismatch("characteristic_function: dimensions do not match")
+    if not np.isfinite(K).all():
+        raise InvalidParameter("characteristic_function: K has a non-finite entry")
     _check_phase(spectrum.energies, np.max(np.abs(lags)), "largest |t|")
     w = np.vecdot(ops, K @ ops @ rho.matrix, axis=0)  # vecdot conjugates ops
     ph = spectrum.phases(lags[:, None])
@@ -1027,7 +1013,7 @@ def characteristic_function(
     """f(t) = tr(K G(rho e^{-iHt}) e^{iHt}) = phi^H W phi, phi the diagonal of e^{-iHt}
     and W = sum_m (K A_m rho) * conj(A_m).  W summed over a sector's pairs is
     tr(K G_sigma(rho)): f is the Fourier series sum_sigma tr(K G_sigma(rho)) e^{i sigma t}
-    of a covariant channel.  Non-finite phases E_k t raise InvalidParameter."""
+    of a covariant channel.  Non-finite phases E_k t or entries of K raise InvalidParameter."""
     return complex(_characteristic(channel, spectrum, K, rho, np.array([float(t)]))[0])
 
 
@@ -1042,7 +1028,8 @@ def bochner_check(
 
     Positive semidefiniteness of f makes this >= 0 (up to roundoff) for every
     covariant CPTP channel and PSD observable K.  One W (characteristic_function)
-    serves all m^2 differences; no times or non-finite phases raise InvalidParameter.
+    serves all m^2 differences; no times, non-finite phases or a non-finite entry of K
+    raise InvalidParameter.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if not times.size or not np.isfinite(float(np.max(times)) - float(np.min(times))):
@@ -1062,11 +1049,11 @@ def domain_extension_check(
     phi_img e^{i sigma t})||_F, phi = diag e^{-iHt} on the columns, one product per size group.  A
     state of another dimension raises DimensionMismatch, a non-finite phase InvalidParameter.
     """
-    spectrum, store = decomp.spectrum, decomp._store
+    spectrum = decomp.spectrum
     if rho.dim != spectrum.dim:
         raise DimensionMismatch("state and spectrum dimensions differ")
     _check_phase(np.r_[spectrum.energies, spectrum.sigmas], t, "t")
-    ph, n, sigmas = spectrum.phases(t), spectrum.dim, spectrum.sigmas[store.clusters]
+    ph, n, sigmas = spectrum.phases(t), spectrum.dim, spectrum.sigmas[decomp._layout.clusters]
     worst = 0.0
     for slots, pairs, blocks in decomp._stacked:
         dom, img = pairs % n, pairs // n

@@ -33,7 +33,8 @@ _MASK_CHUNK consecutive orders, or once per dim:
   unproved chunk sends the store through covariant._store_failure, so the
   error names the sector and eigenvalue that one check per sector would.
 - The decomposition is its store (see covariant) on the integer spectrum,
-  built once per dim (_shared_integer_spectrum): one buffer of one block per
+  built once per dim (_shared_integer_spectrum): a layout kept with its tables
+  once per (dim, sigma_max) (_gaussian_layout) and one buffer of one block per
   |sigma|, copied out of the chunk stacks, so no per-sector object is made.
 
 The Monte Carlo displaces a factor rho = Psi diag(p) Psi^dag of the state
@@ -320,21 +321,21 @@ def _mask_chunk(orders: range, log_fact: np.ndarray,
 
 @functools.lru_cache(maxsize=16)
 def _gaussian_layout(dim: int, top: int) -> cov._Layout:
-    """The store, but its buffer, of every Gaussian decomposition of dim levels and
-    sigma_max top, shared like the spectrum: the integer spectrum's clusters in size order
+    """The layout of every Gaussian decomposition of dim levels and sigma_max top, with
+    its tables, shared like the spectrum: the integer spectrum's clusters in size order
     (sigma = -top, top, ..., -1, 1, 0), sigma reading M_|sigma| of a buffer of M_0 .. M_top."""
     slot = np.arange(2 * top + 1)
     sigmas = (top - slot // 2) * (slot % 2 * 2 - 1)
     square = (dim - np.arange(top + 1)) ** 2
-    return cov._lay_out(_shared_integer_spectrum(dim), sigmas + (dim - 1), None,
-                        (np.cumsum(square) - square)[np.abs(sigmas)])
+    return cov._Layout(_shared_integer_spectrum(dim), sigmas + (dim - 1),
+                       (np.cumsum(square) - square)[np.abs(sigmas)])
 
 
 def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     """Sectors for sigma in [-sigma_max, sigma_max] plus per-level TP defects.
 
-    The decomposition is its store (_gaussian_layout), M_a and M_{-a} one block of
-    its buffer.  Each chunk of _MASK_CHUNK orders is one _mask_chunk stack, whose
+    The decomposition is its store, the shared _gaussian_layout and one buffer in which
+    M_a and M_{-a} are one block.  Each chunk of _MASK_CHUNK orders is one _mask_chunk stack, whose
     blocks one boolean mask copies out of its padded product; a chunk whose factors
     channels._gram_certified proves is checked no further.  C C^T is PSD, so an
     unproved chunk is rare; the whole store then takes the SectorMask check
@@ -355,12 +356,11 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     # heap, which malloc gave back to the OS after each call (175 page faults at dim 40).
     blocks = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
     blocks.setflags(write=False)
-    spectrum = _shared_integer_spectrum(dim)
-    store = _gaussian_layout(dim, top)._replace(blocks=blocks)
-    failure = None if proved else cov._store_failure(spectrum, store)
+    layout = _gaussian_layout(dim, top)
+    failure = None if proved else cov._store_failure(layout, blocks)
     if failure is not None:
         raise MaskNotPSD(failure)
-    return GaussianDecomposition._of_store(spectrum, store, params=params)
+    return GaussianDecomposition._of_store(layout.spectrum, layout, blocks, params=params)
 
 
 def _real_product(a: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -55,6 +55,6 @@ def random_covariant(
     n = spectrum.dim
     base = random_cptp(n, rng, kraus_count)
     label = _label(base, spectrum)
-    layout = _raw(base, spectrum, label)
-    choi = _scatter(_restore_tp(layout, label.groups)[0], label.groups)
+    blocks = _raw(base, spectrum, label)
+    choi = _scatter(label.layout, _restore_tp(label.layout, blocks)[0])
     return mc.kraus_from_choi(ChoiMatrix(n, n, choi))

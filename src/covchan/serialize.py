@@ -188,11 +188,11 @@ def decomposition_from_json(obj) -> SectorDecomposition:
             raise MaskNotPSD(f"sector {sigma}: mask has support outside its domain")
         blocks[c] = mask[dom]
     clusters = sorted(blocks)  # the spectrum's sector order, which decompose and fock write
-    store = _store_of_blocks(spectrum, clusters, [blocks[c] for c in clusters])
-    failure = _store_failure(spectrum, store)
+    layout, buffer = _store_of_blocks(spectrum, clusters, [blocks[c] for c in clusters])
+    failure = _store_failure(layout, buffer)
     if failure is not None:
         raise MaskNotPSD(failure)
-    return SectorDecomposition._of_store(spectrum, store)
+    return SectorDecomposition._of_store(spectrum, layout, buffer)
 
 
 def _format_list(items) -> str:

@@ -109,13 +109,15 @@ def is_reliable_timing(
 def build_shift_mixture(spectrum: Spectrum, shifts) -> ShiftMixture:
     """Channel rho -> sum_j p_j S_{sigma_j} rho S_{sigma_j}^dag.
 
-    ``shifts`` is a list of (sigma, p) with the p summing to one.  The map is
-    covariant by construction but trace preserving only on the subspace where
-    every partial shift acts isometrically; that subspace is reported.
+    ``shifts`` is a list of (sigma, p) with finite sigmas and the p summing to one.
+    The map is covariant by construction but trace preserving only on the subspace
+    where every partial shift acts isometrically; that subspace is reported.
     """
     shifts = [(float(s), float(p)) for s, p in shifts]
     if not all(0.0 <= p < math.inf for _, p in shifts):  # NaN fails this too
         raise InvalidParameter("shift probabilities must be finite and non-negative")
+    if not all(math.isfinite(s) for s, _ in shifts):  # it would name no sector: a zero shift
+        raise InvalidParameter("shift sigmas must be finite")
     total = sum(p for _, p in shifts)
     if abs(total - 1.0) > mc.EPS_TR:
         raise InvalidParameter(f"shift probabilities sum to {total}, not 1")
@@ -209,7 +211,7 @@ def timing_channel(
     if label.shifts is None:  # the sectors' out_0; each pair's weight at its exact difference
         decomp, n, en = decompose(channel, spectrum), spectrum.dim, spectrum.energies
         out0 = apply_sectors(decomp, np.outer(phi0, phi0.conj()))
-        pairs = decomp._store.pairs  # slot after slot, as the diagonals
+        pairs = decomp._layout.pairs  # slot after slot, as the diagonals
         diags = np.real(decomp._diagonals())
         sigmas, at = np.unique(en[pairs // n] - en[pairs % n], return_inverse=True)
         weights = np.bincount(at, diags * np.abs(phi0[pairs % n]) ** 2, sigmas.size)

@@ -575,6 +575,18 @@ class TestCharacteristicFunction:
             cov.bochner_check(chan, spectrum4(), gen.random_psd(4, rng),
                               gen.random_state(4, rng), times)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)],
+                             ids=["nan", "inf", "imaginary-inf"])
+    def test_characteristic_function_and_bochner_check_refuse_a_non_finite_K(self, rng, bad):
+        # A NaN K gave characteristic_function nan+nanj and bochner_check nan, no error.
+        chan, rho = gen.random_covariant(spectrum4(), rng), gen.random_state(4, rng)
+        K = gen.random_psd(4, rng)
+        K[1, 2] = bad
+        with pytest.raises(InvalidParameter, match="K has a non-finite entry"):
+            cov.characteristic_function(chan, spectrum4(), K, rho, 0.3)
+        with pytest.raises(InvalidParameter, match="K has a non-finite entry"):
+            cov.bochner_check(chan, spectrum4(), K, rho, [0.0, 0.5])
+
     def test_bochner_check_needs_a_time(self, rng):
         # numpy's eigvalsh raised a bare ValueError on the empty Gram matrix.
         chan = gen.random_covariant(spectrum4(), rng)
@@ -745,7 +757,7 @@ class TestBlockStorage:
         got_shift, got_mask = decomp.sector(-2.0)
         assert got_shift == cov.partial_shift(spec, -2.0) and got_mask.sigma == -2.0
         assert np.array_equal(got_mask.domain_submatrix, block)
-        assert np.shares_memory(got_mask.domain_submatrix, decomp._store.blocks)
+        assert np.shares_memory(got_mask.domain_submatrix, decomp._blocks)
         assert not got_mask.domain_submatrix.flags.writeable
         assert decomp.sectors[0][1] is given
 
@@ -836,7 +848,8 @@ def test_apply_sectors_refuses_a_matrix_of_another_dimension(rng, monkeypatch, s
     # On dim 4 a 5 x 5 matrix gave a 5 x 5 result and a 3 x 3 one a bare
     # IndexError.  The shape is refused before any block is read.
     decomp = cov.decompose(gen.random_covariant(spectrum4(), rng), spectrum4())
-    monkeypatch.setitem(decomp.__dict__, "_store", None)  # reading it would raise AttributeError
+    monkeypatch.setitem(decomp.__dict__, "_layout", None)  # reading it would raise AttributeError
+    monkeypatch.setitem(decomp.__dict__, "_blocks", None)
     with pytest.raises(DimensionMismatch):
         cov.apply_sectors(decomp, np.eye(size))
 
@@ -854,13 +867,13 @@ def test_size_groups_of_one_shared_block_are_views():
     finally:
         tracemalloc.stop()
     assert kept <= 2 * 2**20
-    store = decomp._store
-    for _, _, blocks in decomp._groups.stacks(store.blocks):
-        assert not blocks.flags.writeable and np.shares_memory(blocks, store.blocks)
+    buffer = decomp._blocks
+    for _, _, blocks in decomp._layout.stacks(buffer):
+        assert not blocks.flags.writeable and np.shares_memory(blocks, buffer)
         assert blocks.strides[0] == 0 or len(blocks) == 1  # -a and a, or sigma = 0 alone
     for a in range(1, 186):  # -a and a: one block of the buffer, at one address
         minus, plus = decomp.sector(-a)[1].domain_submatrix, decomp.sector(a)[1].domain_submatrix
-        assert np.shares_memory(minus, store.blocks)
+        assert np.shares_memory(minus, buffer)
         assert minus.__array_interface__ == plus.__array_interface__
 
 
@@ -905,8 +918,8 @@ class TestSectorLabel:
         assert len(calls) == 1
         monkeypatch.undo()
         want = cov.decompose(cc.Channel((a, b)), spec)
-        assert got._store.clusters.tolist() == want._store.clusters.tolist()
-        assert np.abs(got._store.blocks - want._store.blocks).max() <= 1e-15
+        assert got._layout.clusters.tolist() == want._layout.clusters.tolist()
+        assert np.abs(got._blocks - want._blocks).max() <= 1e-15
 
     def test_cross_sector_entries_are_formed_once(self, monkeypatch, choi_products):
         # check then decompose of a dense n = 16 channel: one |C|, whose largest entry
@@ -955,9 +968,9 @@ class TestSectorLabel:
     def test_tables_are_made_once_per_channel_and_spectrum(self, monkeypatch, rng):
         # check, decompose twice, reconstruct and shift_distribution of a dense channel
         # (the Choi route), a Hadamard channel and a shift mixture (the label route):
-        # the label's one table object (_Groups) is made once, by the touched-layout
-        # builder, its entry tables and TP levels once each, and the label's raw blocks
-        # by the route's builder; both decompositions read the label's table object.
+        # the label's one layout (_Layout) is made once, its entry tables and TP levels
+        # once each, and the label's raw blocks by the route's builder; both
+        # decompositions read the label's layout.
         # The mixture loses its edge levels, so it is not TP and takes no _restore_tp.
         spec = cc.Spectrum(np.arange(6.0))
         cases = [gen.random_covariant(spec, rng),
@@ -972,9 +985,9 @@ class TestSectorLabel:
             return call
 
         for table in ("entries", "tp_levels"):
-            prop = getattr(cov._Groups, table)
+            prop = getattr(cov._Layout, table)
             monkeypatch.setattr(prop, "func", counted(table, prop.func))
-        for name in ("_block_tables", "_sector_blocks", "_label_blocks", "_Groups"):
+        for name in ("_sector_blocks", "_label_blocks", "_Layout"):
             monkeypatch.setattr(cov, name, counted(name, getattr(cov, name)))
         for chan in cases:
             calls.clear()
@@ -985,11 +998,10 @@ class TestSectorLabel:
             cov.shift_distribution(second, rho)
             label = cov._label(chan, spec)
             route = "_label_blocks" if label.pure else "_sector_blocks"
-            assert sorted(calls) == sorted(["_block_tables", "_Groups", route, "entries",
-                                            *["tp_levels"] * tp])
-            assert first._groups is second._groups is label.groups
+            assert sorted(calls) == sorted(["_Layout", route, "entries", *["tp_levels"] * tp])
+            assert first._layout is second._layout is label.layout
             cov.decompose(chan, cc.Spectrum(np.arange(6.0)))  # another spectrum: its own label
-            assert calls.count("_block_tables") == calls.count("_Groups") == 2
+            assert calls.count("_Layout") == 2
 
 
 def test_sector_work_on_a_sparse_channel_stays_small():

@@ -15,6 +15,7 @@ from scipy.linalg import expm
 import covchan as cc
 from covchan import channels as mcore
 from covchan import cli, fock, inputs
+from covchan import covariant as cov
 from covchan.channels import EPS_PSD
 from covchan.errors import DimensionMismatch, InvalidParameter, MaskNotPSD, SectorOutOfRange
 
@@ -433,6 +434,29 @@ class TestGaussianDecomposition:
         td = decomp.truncation_defect
         assert td[0] < 1e-10
         assert td[-1] > td[0]
+
+    def test_decompositions_of_one_dim_and_sigma_max_share_one_layout(self, monkeypatch):
+        # The layout of a (dim, sigma_max) is cached with its tables: two decompositions
+        # read one _Layout, whose tables truncation_defect and reconstruct make once.
+        calls = []
+
+        def counted(name, build):
+            def call(layout):
+                calls.append(name)
+                return build(layout)
+            return call
+
+        for table in ("sector_order", "diagonal", "keys"):
+            prop = getattr(cov._Layout, table)
+            monkeypatch.setattr(prop, "func", counted(table, prop.func))
+        fock._gaussian_layout.cache_clear()  # a layout made before would hold its tables
+        decomps = [fock.gaussian_decomposition(fock.FockParams(dim=10, std_dev=s, sigma_max=6))
+                   for s in (0.5, 1.0)]
+        for decomp in decomps:
+            assert decomp.truncation_defect.shape == (10,)
+            assert len(cc.reconstruct(decomp).kraus) > 0
+        assert decomps[0]._layout is decomps[1]._layout
+        assert sorted(calls) == ["diagonal", "keys", "sector_order"]
 
     def test_masks_equal_mask_matrix(self):
         # Each mask of the full decomposition is the one mask_matrix reads from

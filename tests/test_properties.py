@@ -382,9 +382,9 @@ def test_label_route_equals_the_choi_route(family, kind, data):
     assert sha256_of(cov.covariance_defect(chan, spec)) == sha256_of(0.0)
     assert sha256_of(cov.covariance_defect(choi, spec)) == sha256_of(0.0)
     got, want = cov.decompose(chan, spec), cov.decompose(choi, spec)
-    assert got._store.clusters.tolist() == want._store.clusters.tolist()
+    assert got._layout.clusters.tolist() == want._layout.clusters.tolist()
     bound = 4.0 * np.finfo(float).eps / 2 * np.linalg.norm(mcore.choi_of(chan).matrix)
-    assert np.abs(got._store.blocks - want._store.blocks).max(initial=0.0) <= bound
+    assert np.abs(got._blocks - want._blocks).max(initial=0.0) <= bound
     assert abs(got.projection_defect - want.projection_defect) <= bound
 
 
@@ -404,9 +404,9 @@ def test_decompose_obeys_the_kraus_gauge_law(family, kind, data):
     u = np.linalg.qr(rng.normal(size=(k + 2, k)) + 1j * rng.normal(size=(k + 2, k)))[0]
     mixed = cc.Channel(tuple(np.tensordot(u, chan._ops, axes=1)))
     got, want = cov.decompose(mixed, spec), cov.decompose(chan, spec)
-    assert got._store.clusters.tolist() == want._store.clusters.tolist()
+    assert got._layout.clusters.tolist() == want._layout.clusters.tolist()
     bound = 16.0 * np.finfo(float).eps / 2 * np.linalg.norm(mcore.choi_of(chan).matrix)
-    assert np.abs(got._store.blocks - want._store.blocks).max(initial=0.0) <= bound
+    assert np.abs(got._blocks - want._blocks).max(initial=0.0) <= bound
     assert abs(got.projection_defect - want.projection_defect) <= bound
 
 
@@ -427,7 +427,7 @@ def test_decompose_obeys_the_diagonal_unitary_law(family, kind, data):
     got, want = cov.decompose(turned, spec), cov.decompose(chan, spec)
     pure = cov._label(chan, spec).pure  # a label family's; random_covariant's at n = 1
     assert cov._label(turned, spec).pure == pure >= (kind != "random_covariant")
-    assert got._store.clusters.tolist() == want._store.clusters.tolist()
+    assert got._layout.clusters.tolist() == want._layout.clusters.tolist()
     bound = 12.0 * np.finfo(float).eps / 2 * np.linalg.norm(mcore.choi_of(chan).matrix)
     for (_, pairs, blocks), (_, _, law) in zip(got._stacked, want._stacked):
         w = d[pairs // n] * d[pairs % n].conj()  # (m, d): w_j at each domain level j
@@ -458,7 +458,7 @@ def test_warm_calls_equal_cold_ones(family, kind, data):
         assert ((stack + stack.conj().swapaxes(1, 2)) / 2.0).tobytes() == stack.tobytes()
     if kind == "dropped":  # the last shift's sector is laid out but not stored
         held = set(spec._cluster[chan._support].tolist())
-        stored = cov.decompose(chan, spec)._store.clusters.tolist()
+        stored = cov.decompose(chan, spec)._layout.clusters.tolist()
         assert len(held) == len(stored) + 1 and set(stored) < held
     defect = cov.covariance_defect(chan, spec)
     if defect > 0.0:  # the kept cross-sector defect refuses as a fresh channel's does
@@ -566,13 +566,13 @@ def not_cp_messages(chan, spec, broken):
     # be fresh: a label made before the builders are broken would keep sound blocks.
     def breaking(builder):  # either route's block builder, its blocks broken
         def build(*args):
-            layout = builder(*args)
-            rows, cols, _ = cov._label(chan, spec).groups.entries
+            blocks, layout = builder(*args), cov._label(chan, spec).layout
+            rows, cols, _ = layout.entries
             sector = np.repeat(layout.clusters, layout.sizes ** 2)  # of each entry of the buffer
             for i, d in depth.items():
-                layout.blocks[(sector == i) & (rows == cols)] -= d
+                blocks[(sector == i) & (rows == cols)] -= d
             assert set(depth) <= set(layout.clusters.tolist())
-            return layout
+            return blocks
         return build
 
     with pytest.MonkeyPatch.context() as mp:
@@ -727,8 +727,8 @@ def test_pair_check_names_the_loops_first_fault(family, data):
     if isinstance(want, tuple):
         assert got == want
     else:
-        store = got._store
-        assert store.clusters[store.order].tolist() == want
+        layout = got._layout
+        assert layout.clusters[layout.order].tolist() == want
 
 
 @st.composite

@@ -59,6 +59,18 @@ class TestShiftMixture:
         with pytest.raises(InvalidParameter, match="finite and non-negative"):
             tim.build_shift_mixture(four_level(), shifts)
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf])
+    def test_sigmas_must_be_finite(self, sigma):
+        # A NaN or infinite sigma names no sector, so it built a zero channel with
+        # tp_support () and no error.
+        with pytest.raises(InvalidParameter, match="sigmas must be finite"):
+            tim.build_shift_mixture(cc.Spectrum(np.arange(4.0)), [(sigma, 1.0)])
+
+    def test_a_finite_sigma_off_every_sector_is_the_zero_shift(self):
+        # A finite sigma that names no sector stays a zero shift, which tp_defect reports.
+        mix = tim.build_shift_mixture(four_level(), [(0.5, 1.0)])
+        assert mix.tp_support == () and mix.tp_defect == 2.0
+
     def test_a_wrong_sum_is_an_invalid_parameter(self):
         with pytest.raises(InvalidParameter, match="sum to 0.8"):
             tim.build_shift_mixture(four_level(), [(0.0, 0.5), (2.0, 0.3)])

@@ -25,7 +25,10 @@ fields, a channel by its Kraus operators.  The corpus:
   128 and 186, std_dev 0.1, 0.5 and 1, through every reader of a
   decomposition's store (below) and truncation_defect; reconstruct and the
   JSON writer only up to dim 32, where their dense outputs stay small (at
-  dim 186 reconstruct would hold about 35,000 operators of 186 x 186);
+  dim 186 reconstruct would hold about 35,000 operators of 186 x 186); and a
+  second decomposition of each dim at std_dev 0.1 through diagonal_sums,
+  truncation_defect and shift_distribution: it has the first's (dim,
+  sigma_max), so it reads the layout tables that the first one's readers made;
 - one random_covariant channel per sqrt(prime) spectrum at n = 2-12, 16, 24
   and 32 through decompose and every reader, and the same decomposition
   rebuilt from its (shift, mask) pairs through every reader; up to n = 16,
@@ -299,6 +302,13 @@ def _corpus():
             yield "truncation_defect", name, lambda d=decomp: d.truncation_defect
             small, rng = dim <= DENSE_MAX_DIM, np.random.default_rng([dim, int(10 * s)])
             yield from readers(name, decomp, rng, small, small)
+        s = GAUSSIAN_STD_DEVS[0]
+        name = f"gaussian dim={dim} std_dev={s} again"
+        decomp = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=s))
+        rho = gen.random_state(dim, np.random.default_rng([dim, 2]))
+        yield "diagonal_sums", name, decomp.diagonal_sums
+        yield "truncation_defect", name, lambda d=decomp: d.truncation_defect
+        yield "shift_distribution", name, lambda d=decomp, r=rho: cov.shift_distribution(d, r)
 
     for n in SQRT_PRIME_SIZES:
         primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:n - 1]
