@@ -23,9 +23,18 @@ non-negative terms is the truncated mask exactly: no quadrature, no Laguerre
 recurrence, nothing that cancels, and log(N / (1 + N)) = -log1p(1 / N) keeps
 every accepted std_dev finite.  The per-sector work runs once per chunk of
 _MASK_CHUNK consecutive orders, or once per dim:
+- Every table that does not depend on N is made once per (dim, sigma_max),
+  with the layout (_MaskTables, the one _gaussian_layout entry): the row
+  and column terms' log factorials, the band's lf(j - l) and j - l + 1/2,
+  the support of each order's factor and the corners of its block.
 - A chunk's factors are one zero-padded (chunk, dim - a0, dim - a0) stack
-  from one exp, and one batched C @ C^T gives the chunk's blocks in their
-  corners with exact zeros around them.
+  from one exp.  Its arguments are multiplied by the 0/1 support first, so
+  exp sees 0 rather than -inf off it (numpy's vectorised exp slows several
+  times on -inf), and its results after, which leaves exact zeros there.
+  One batched C @ C^T then gives the chunk's blocks in their corners with
+  exact zeros around them, and one boolean gather of the kept corners copies
+  them into the decomposition's buffer.  The padded product is kept, not a triangular one: its inner
+  dimension sets the order of BLAS's sums, so the blocks stay bit-identical.
 - Each block is a Gram product of its factor, so the rounding bound of the
   product (channels._gram_bound, about 1.6e-11 at dim 186 against the
   check's 5e-10) proves the whole chunk passes the SectorMask check from one
@@ -74,7 +83,7 @@ from . import channels as mc
 from . import covariant as cov
 from .channels import DensityMatrix
 from .errors import DimensionMismatch, InvalidParameter, MaskNotPSD, SectorOutOfRange, UnknownSector
-from .inputs import MAX_DIM, check_fock_params, check_mask_dim  # noqa: F401 (MAX_DIM is fock.MAX_DIM)
+from .inputs import MAX_DIM, _integer, check_fock_params, check_mask_dim  # noqa: F401 (MAX_DIM is fock.MAX_DIM)
 
 _MC_CHUNK = 4096  # fixed chunk size keeps the reduction order deterministic
 # Least allowance per entry of compare_decomposition_to_mc: the roundoff of the
@@ -242,6 +251,12 @@ def _rotation_powers(e_theta: np.ndarray, dim: int,
     return out
 
 
+def _check_oracle_dim(dim) -> None:
+    """Refuse a dim of the displacement oracles that is not a positive integer."""
+    if _integer("dim", dim) < 1:
+        raise InvalidParameter("dim must be positive")
+
+
 def displacement_matrix(z: complex, r: float, dim: int) -> np.ndarray:
     """Truncated displacement exp(r (conj(z) a^dag - z a)) on dim levels.
 
@@ -249,10 +264,11 @@ def displacement_matrix(z: complex, r: float, dim: int) -> np.ndarray:
     low levels are accurate as long as dim exceeds the displaced support.
     """
     z = complex(z)
-    if abs(abs(z) - 1.0) > 1e-12:
+    if not abs(abs(z) - 1.0) <= 1e-12:  # also true for NaN
         raise InvalidParameter("z must lie on the unit circle")
     if not 0.0 <= r < math.inf:  # also false for NaN
         raise InvalidParameter("r must be finite and non-negative")
+    _check_oracle_dim(dim)
     lam, O = _jacobi_eigenpairs(dim)
     w = _rotation_powers(_unit_phases(np.array([np.angle(z)])), dim)[:, 0]
     return w[:, None] * ((O * _unit_phases(float(r) * lam)) @ O.T) * w.conj()
@@ -282,6 +298,8 @@ def displacement_sector(sigma: int, r: float, dim: int) -> np.ndarray:
     Matches the corresponding diagonal band of displacement_matrix(1, r, dim)
     up to truncation error; that equality is this module's oracle.
     """
+    _check_oracle_dim(dim)
+    sigma = _integer("sigma", sigma)  # an int: numpy refuses (-1) ** a negative np.int64
     if abs(sigma) >= dim:
         raise SectorOutOfRange(f"|sigma| = {abs(sigma)} must be < dim = {dim}")
     if not 0.0 <= r < math.inf:
@@ -292,51 +310,88 @@ def displacement_sector(sigma: int, r: float, dim: int) -> np.ndarray:
     return np.diag(coeff, -sigma).astype(complex)  # column j -> row j + sigma
 
 
-def _mask_chunk(orders: range, log_fact: np.ndarray,
+def _mask_chunk(orders: range, tables: _MaskTables,
                 n: float) -> tuple[np.ndarray, np.ndarray]:
     """The factors C_a and blocks M_a = C_a C_a^T, a in orders, of the channel
-    adding N = n photons on dim = log_fact.size levels, as two zero-padded
-    (len(orders), dim - a0, dim - a0) stacks, a0 = orders[0].
+    adding N = n photons on dim = tables.layout.n levels, as two zero-padded
+    (len(orders), dim - a0, dim - a0) stacks; orders is one of tables.chunks,
+    a0 = orders[0].
 
     The factors (module docstring) are one stack with entry [a - a0, j, l]:
     log C_a[j, l] is a row term in j, a column term in l and a band term in
-    j - l, so it takes no per-sector Python.  It is exp(-inf) = 0 outside
-    l <= j < dim - a, so each block lands in its corner of the product.
+    j - l, so it takes no per-sector Python, and the tables give the parts that
+    do not depend on n.  The sum is finite everywhere: every log factorial is read
+    inside the dim, and log1p(n) and log1p(1 / n) are finite for every accepted n.
+    So multiplying it by the support l <= j < dim - a gives exp 0, not -inf, off the
+    support, and multiplying after exp leaves exact zeros there: each block lands in
+    its corner of the product.
     """
-    dim = log_fact.size
-    a = np.array(orders)[:, None]
-    k = np.arange(dim - orders[0])  # j along rows, l along columns
-    pair = log_fact[k] + log_fact[np.minimum(k + a, dim - 1)]  # clipped past the domain
-    row = 0.5 * pair
-    col = (k + a / 2.0) * -math.log1p(1.0 / n) - 0.5 * pair  # log(N / (1+N)) = -log1p(1/N)
-    d = np.abs(k[:, None] - k[None, :])  # j - l wherever C_a is non-zero
-    band = -log_fact[d] - (d + 0.5) * math.log1p(n)
-    band[k[None, :] > k[:, None]] = -np.inf  # l > j
-    c = row[:, :, None] + col[:, None, :]  # one stack, worked on in place
+    a0 = orders[0]
+    half_pair, photons, support = tables.chunk_terms[a0 // _MASK_CHUNK]
+    col = photons * -math.log1p(1.0 / n) - half_pair  # log(N / (1+N)) = -log1p(1/N)
+    band = tables.band[a0:, a0:] - tables.half_band[a0:, a0:] * math.log1p(n)
+    c = half_pair[:, :, None] + col[:, None, :]  # one stack, worked on in place
     c += band
-    c[k >= dim - a] = -np.inf  # the rows j past each domain
+    c *= support
     np.exp(c, out=c)
+    c *= support
     return c, c @ c.transpose(0, 2, 1)
 
 
-@functools.lru_cache(maxsize=16)
-def _gaussian_layout(dim: int, top: int) -> cov._Layout:
-    """The layout of every Gaussian decomposition of dim levels and sigma_max top, with
-    its tables, shared like the spectrum: the integer spectrum's clusters in size order
-    (sigma = -top, top, ..., -1, 1, 0), sigma reading M_|sigma| of a buffer of M_0 .. M_top."""
-    slot = np.arange(2 * top + 1)
-    sigmas = (top - slot // 2) * (slot % 2 * 2 - 1)
-    square = (dim - np.arange(top + 1)) ** 2
-    return cov._Layout(_shared_integer_spectrum(dim), sigmas + (dim - 1),
-                       (np.cumsum(square) - square)[np.abs(sigmas)])
+class _MaskTables:
+    """The layout of the Gaussian decompositions of dim levels and sigma_max top with
+    every table of their chunks, made once per (dim, top) (_gaussian_layout).
+
+    The layout holds the integer spectrum's clusters in size order (sigma = -top, top,
+    ..., -1, 1, 0), sigma reading M_|sigma| of a buffer of M_0 .. M_top.  The orders
+    0..top run in chunks of _MASK_CHUNK (chunks).  In a chunk's coordinates j, l < dim - a0
+    its i-th order a = a0 + i has the row term lf(j) + lf(j + a) halved (half_pair,
+    lf(j + a) read at dim - 1 past the domain), the column's l + a / 2 (photons) and the
+    support l <= j < dim - a (support, a bottom-right corner of one dim-wide 0/1 stack);
+    chunk_terms holds these three per chunk.  The band term's -lf(|j - l|) (band) and
+    |j - l| + 1/2 (half_band) are dim x dim, read by each chunk in its bottom-right
+    corner.  Per chunk, corners marks its blocks' (dim - a)^2 corners in the padded
+    product and places is their slice of the buffer of size entries.  Every array is
+    read-only."""
+
+    def __init__(self, dim: int, top: int):
+        slot = np.arange(2 * top + 1)
+        sigmas = (top - slot // 2) * (slot % 2 * 2 - 1)
+        square = (dim - np.arange(top + 1)) ** 2
+        first = np.cumsum(square) - square  # of the block of each order in the buffer
+        self.layout = cov._Layout(_shared_integer_spectrum(dim), sigmas + (dim - 1),
+                                  first[np.abs(sigmas)])
+        self.size = int(square.sum())
+        first = [*first.tolist(), self.size]  # and where the last block ends
+        self.chunks = [range(a0, min(a0 + _MASK_CHUNK, top + 1))
+                       for a0 in range(0, top + 1, _MASK_CHUNK)]
+        log_fact, k = _log_factorials(dim), np.arange(dim)
+        rows = k < dim - np.arange(len(self.chunks[0]))[:, None]  # j < dim - i
+        support = (k <= k[:, None]) & rows[:, :, None]
+        distance = np.abs(k - k[:, None])
+        self.band, self.half_band = -log_fact[distance], distance + 0.5
+        self.chunk_terms, self.corners, self.places = [], [], []
+        for orders in self.chunks:
+            m, a0 = len(orders), orders[0]
+            a, j = np.array(orders)[:, None], k[:dim - a0]
+            half_pair = 0.5 * (log_fact[j] + log_fact[np.minimum(j + a, dim - 1)])
+            self.chunk_terms.append(cov._read_only(half_pair, j + a / 2.0, support[:m, a0:, a0:]))
+            self.corners.append(rows[:m, a0:, None] & rows[:m, None, a0:])
+            self.places.append(slice(first[a0], first[orders.stop]))
+        cov._read_only(support, self.band, self.half_band, *self.corners)
+
+
+# _gaussian_layout(dim, top): the one _MaskTables of a (dim, sigma_max), shared like the spectrum.
+_gaussian_layout = functools.lru_cache(maxsize=16)(_MaskTables)
 
 
 def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     """Sectors for sigma in [-sigma_max, sigma_max] plus per-level TP defects.
 
-    The decomposition is its store, the shared _gaussian_layout and one buffer in which
-    M_a and M_{-a} are one block.  Each chunk of _MASK_CHUNK orders is one _mask_chunk stack, whose
-    blocks one boolean mask copies out of its padded product; a chunk whose factors
+    The decomposition is its store, the layout of the shared _gaussian_layout and one
+    buffer in which M_a and M_{-a} are one block.  Each chunk of _MASK_CHUNK orders is
+    one _mask_chunk stack, whose blocks one gather of the chunk's corners table copies
+    from its padded product into the buffer; a chunk whose factors
     channels._gram_certified proves is checked no further.  C C^T is PSD, so an
     unproved chunk is rare; the whole store then takes the SectorMask check
     (covariant._store_failure), and MaskNotPSD names sigma = -a for the largest
@@ -344,19 +399,22 @@ def gaussian_decomposition(params: FockParams) -> GaussianDecomposition:
     """
     dim, top = params.dim, params.sigma_max
     check_mask_dim(dim)
-    log_fact, n = _log_factorials(dim), 2.0 * params.std_dev * params.std_dev
-    pieces, proved = [], True
-    for a0 in range(0, top + 1, _MASK_CHUNK):
-        orders = range(a0, min(a0 + _MASK_CHUNK, top + 1))
-        factors, padded = _mask_chunk(orders, log_fact, n)
-        proved &= mc._gram_certified(factors, dim - a0)
-        inside = np.arange(dim - a0) < np.arange(dim - a0, dim - orders.stop, -1)[:, None]
-        pieces.append(padded[inside[:, :, None] & inside[:, None, :]])  # its blocks' corners
-    # Joined at the end: a buffer allocated first left the chunks' arrays on top of the
-    # heap, which malloc gave back to the OS after each call (175 page faults at dim 40).
-    blocks = np.concatenate(pieces) if len(pieces) > 1 else pieces[0]
+    tables, n = _gaussian_layout(dim, top), 2.0 * params.std_dev * params.std_dev
+    # The buffer comes first, and each chunk's factors and product go as soon as they are
+    # read, so a call frees little more than the buffer and one product on top of the heap.
+    # That stays below glibc's trim threshold (twice the largest block it has freed, the
+    # previous buffer) at dims 128-186: chunk pieces joined at the end did not at dim 186,
+    # so malloc gave the memory back to the OS after every call and the next call faulted
+    # it back in (5,200 page faults, about 8 ms).
+    blocks, proved = np.empty(tables.size), True
+    for orders, corners, place in zip(tables.chunks, tables.corners, tables.places):
+        factors, padded = _mask_chunk(orders, tables, n)
+        proved &= mc._gram_certified(factors, dim - orders[0])
+        del factors
+        blocks[place] = padded[corners]
+        del padded
     blocks.setflags(write=False)
-    layout = _gaussian_layout(dim, top)
+    layout = tables.layout
     failure = None if proved else cov._store_failure(layout, blocks)
     if failure is not None:
         raise MaskNotPSD(failure)
@@ -380,7 +438,8 @@ def _real_product(a: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
 def _chunk_moments(v: np.ndarray, p: np.ndarray, planes: np.ndarray):
     """Sums over one chunk of out_s = V_s diag(p) V_s^dag and of |out_s|^2
     entrywise, where v[:, c, s] is column c of V_s = D_s Psi, so v is
-    (dim, rank, m).  At rank 1 the real (2, dim, m) planes is the work array.
+    (dim, rank, m).  At rank 1 the real (2, dim, m) planes, memory the caller
+    has spent, is the work array; a mixed state needs none.
 
     At rank 1, with a + i b = v[:, 0] the (dim, m) matrix of displaced
     columns, the sums are p ((a a^T + b b^T) + i (b a^T - a b^T)) and, as
@@ -436,8 +495,9 @@ def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloRes
     so results are bit-reproducible, memory does not grow with the sample
     count, and the chunked reduction runs in a fixed order.  The chunk's
     dim x m arrays are views of one work array per call, so no chunk
-    allocates or frees any of them.  One sample has standard error exactly
-    0, its population variance.
+    allocates or frees any of them: three for a pure state, which writes
+    each product over an array it has spent, and 2 + 2 rank for a mixed
+    one.  One sample has standard error exactly 0, its population variance.
     """
     dim = params.dim
     if rho.dim != dim:
@@ -460,12 +520,17 @@ def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloRes
     # per chunk (5 MB per chunk at dim 16), they leave so much free memory at
     # the top of the heap that glibc's malloc returns it to the OS after
     # every call, and the caller's next allocations fault it back in: 100 to
-    # 260 page faults per gaussian_decomposition at dims 48 and 64.
-    work = np.empty((2 + 2 * rank) * dim * min(n, _MC_CHUNK), dtype=complex)
+    # 260 page faults per gaussian_decomposition at dims 48 and 64.  A pure
+    # state writes v over the spent phases and the moments' planes over the
+    # spent f, so it needs three of them; a mixed state needs 2 + 2 rank.
+    pure = rank == 1
+    work = np.empty((3 if pure else 2 + 2 * rank) * dim * min(n, _MC_CHUNK), dtype=complex)
     for i0 in range(0, n, _MC_CHUNK):
         m = min(_MC_CHUNK, n - i0)
         w, phases = work[:2 * dim * m].reshape(2, dim, m)  # w^j and e^{i r lam}
-        f, v = work[2 * dim * m:(2 + 2 * rank) * dim * m].reshape(2, dim, rank, m)
+        f = work[2 * dim * m:(2 + rank) * dim * m].reshape(dim, rank, m)
+        v = (phases.reshape(dim, 1, m) if pure
+             else work[(2 + rank) * dim * m:(2 + 2 * rank) * dim * m].reshape(dim, rank, m))
         u = rng.random((m, 2))
         r = params.std_dev * np.sqrt(-2.0 * np.log1p(-u[:, 0]))
         _rotation_powers(_unit_phases(2.0 * np.pi * u[:, 1]), dim, out=w)
@@ -473,10 +538,9 @@ def monte_carlo_channel(rho: DensityMatrix, params: FockParams) -> MonteCarloRes
         np.conj(phases[::-1][:half], out=phases[:half])
         _real_product(o_rows, w[rows].conj()[:, None, :] * psi_rows, f)
         f *= phases[:, None, :]
-        _real_product(O, f, v)
+        _real_product(O, f, v)  # over phases when pure
         v *= w[:, None, :]
-        # phases is spent, so its memory holds the planes of the moments.
-        part, part_sq = _chunk_moments(v, p, phases.view(float).reshape(2, dim, m))
+        part, part_sq = _chunk_moments(v, p, f.view(float).reshape(2, dim, m) if pure else None)
         acc += part
         acc_sq += part_sq
     mean = acc / n

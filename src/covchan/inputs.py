@@ -15,6 +15,7 @@ modules apply and the CLI applies before they load.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 
 from .errors import InvalidParameter, ParseError
@@ -65,25 +66,35 @@ def load_json(path) -> object:
         raise ParseError(f"{path}: JSON nested too deeply") from exc
 
 
+def _integer(name, value) -> int:
+    """value read by operator.index, which a numpy integer passes and a float does
+    not, or InvalidParameter naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+
+
 def check_fock_params(dim, std_dev, sigma_max, mc_samples, seed) -> int:
-    """Refuse Gaussian-channel parameters out of range with InvalidParameter,
-    checked in this order; return sigma_max, with 0 read as dim - 1.
+    """Refuse Gaussian-channel parameters out of range or, for the counts and the
+    seed, not integers, with InvalidParameter, checked in this order; return
+    sigma_max, with 0 read as dim - 1.
 
     N = 2 std_dev^2, the mean photon number the channel adds, must be a finite
     normal float, so that the log N and 1 / N of the masks are finite too;
     * overflows to inf where ** raises."""
-    if not 2 <= dim <= MAX_DIM:
+    if not 2 <= _integer("dim", dim) <= MAX_DIM:
         raise InvalidParameter(f"dim must lie in [2, {MAX_DIM}]")
     two_var = 2.0 * std_dev * std_dev
     if not (std_dev > 0.0 and sys.float_info.min <= two_var < math.inf):
         raise InvalidParameter("std_dev must be positive with 2 std_dev^2 a finite normal float")
-    if sigma_max == 0:
+    if _integer("sigma_max", sigma_max) == 0:
         sigma_max = dim - 1
     if not 0 < sigma_max < dim:
         raise InvalidParameter("sigma_max must lie in [1, dim)")
-    if mc_samples < 1:
+    if _integer("mc_samples", mc_samples) < 1:
         raise InvalidParameter("mc_samples must be positive")
-    if not 0 <= seed < 2**128:  # the Philox key range
+    if not 0 <= _integer("seed", seed) < 2**128:  # the Philox key range
         raise InvalidParameter("seed must lie in [0, 2**128)")
     return sigma_max
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -558,6 +559,37 @@ def laguerre_rows_per_order(jmax: int, alpha: int, x: np.ndarray) -> np.ndarray:
     for k in range(jmax):
         rows[k + 2] = ((2 * k + 1 + alpha - x) * rows[k + 1] - (k + alpha) * rows[k]) / (k + 1)
     return rows[1:]
+
+
+def mask_chunk_by_padded_exp(orders: range, log_fact: np.ndarray,
+                             n: float) -> tuple[np.ndarray, np.ndarray]:
+    """Oracle for fock._mask_chunk: the factors and their padded product with
+    -inf written off the support and one exp over the whole stack, every table
+    made in the call.
+
+    The factors C_a and blocks M_a = C_a C_a^T, a in orders, of the channel
+    adding N = n photons on dim = log_fact.size levels, as two zero-padded
+    (len(orders), dim - a0, dim - a0) stacks, a0 = orders[0].
+
+    The factors (module docstring) are one stack with entry [a - a0, j, l]:
+    log C_a[j, l] is a row term in j, a column term in l and a band term in
+    j - l, so it takes no per-sector Python.  It is exp(-inf) = 0 outside
+    l <= j < dim - a, so each block lands in its corner of the product.
+    """
+    dim = log_fact.size
+    a = np.array(orders)[:, None]
+    k = np.arange(dim - orders[0])  # j along rows, l along columns
+    pair = log_fact[k] + log_fact[np.minimum(k + a, dim - 1)]  # clipped past the domain
+    row = 0.5 * pair
+    col = (k + a / 2.0) * -math.log1p(1.0 / n) - 0.5 * pair  # log(N / (1+N)) = -log1p(1/N)
+    d = np.abs(k[:, None] - k[None, :])  # j - l wherever C_a is non-zero
+    band = -log_fact[d] - (d + 0.5) * math.log1p(n)
+    band[k[None, :] > k[:, None]] = -np.inf  # l > j
+    c = row[:, :, None] + col[:, None, :]  # one stack, worked on in place
+    c += band
+    c[k >= dim - a] = -np.inf  # the rows j past each domain
+    np.exp(c, out=c)
+    return c, c @ c.transpose(0, 2, 1)
 
 
 def sector_map_by_cluster_loop(energies: np.ndarray, tol: float):

@@ -22,7 +22,9 @@ from covchan.errors import DimensionMismatch, InvalidParameter, MaskNotPSD, Sect
 from conftest import (
     diagonal_sums_per_sector,
     gaussian_decomposition_per_sector,
+    held_arrays,
     laguerre_rows_per_order,
+    mask_chunk_by_padded_exp,
     monte_carlo_by_full_displacement,
     refuse_mask_check,
     sha256_of,
@@ -168,6 +170,21 @@ class TestDisplacementMatrix:
         with pytest.raises(ValueError):
             fock.displacement_matrix(1.0, r, 4)
 
+    @pytest.mark.parametrize("z, dim, message", [
+        (complex("nan"), 4, "unit circle"), (complex(math.nan, 1.0), 4, "unit circle"),
+        (complex(math.inf, 0.0), 4, "unit circle"), (1.0, 0, "dim must be positive"),
+        (1.0, -3, "dim must be positive"), (1.0, 2.5, "dim must be an integer")])
+    def test_rejects_non_finite_z_and_a_dim_that_is_no_positive_integer(self, z, dim, message):
+        # A NaN z compared as within 1e-12 of the circle and gave a NaN matrix;
+        # dim 0 raised IndexError and dim 2.5 TypeError.
+        with pytest.raises(InvalidParameter, match=message):
+            fock.displacement_matrix(z, 0.5, dim)
+
+    def test_one_level_and_numpy_integers_are_accepted(self):
+        assert fock.displacement_matrix(1.0, 0.5, 1).tolist() == [[1.0]]
+        np.testing.assert_array_equal(fock.displacement_matrix(1j, 0.5, np.int64(5)),
+                                      fock.displacement_matrix(1j, 0.5, 5))
+
     def test_generator_spectrum_is_exactly_symmetric(self):
         # The Monte Carlo mirrors the upper half of e^{i r lam} onto the lower
         # half, which holds for every r only if lam = -lam[::-1] to the bit.
@@ -276,6 +293,18 @@ class TestDisplacementSector:
     def test_sector_out_of_range(self):
         with pytest.raises(SectorOutOfRange):
             fock.displacement_sector(6, 0.5, 6)
+
+    @pytest.mark.parametrize("sigma, dim, message", [
+        (1.5, 4, "sigma must be an integer"), (1.0, 4, "sigma must be an integer"),
+        (0, 0, "dim must be positive"), (0, 4.0, "dim must be an integer")])
+    def test_rejects_non_integral_sigma_and_bad_dim(self, sigma, dim, message):
+        # sigma = 1.5 raised TypeError from the Laguerre rows.
+        with pytest.raises(InvalidParameter, match=message):
+            fock.displacement_sector(sigma, 0.5, dim)
+
+    def test_numpy_integer_sigma_is_accepted(self):
+        np.testing.assert_array_equal(fock.displacement_sector(np.int64(-2), 0.5, 6),
+                                      fock.displacement_sector(-2, 0.5, 6))
 
     @pytest.mark.parametrize("sigma", [2, -2])
     @pytest.mark.parametrize("r", [math.nan, math.inf, -0.5])
@@ -458,6 +487,82 @@ class TestGaussianDecomposition:
         assert decomps[0]._layout is decomps[1]._layout
         assert sorted(calls) == ["diagonal", "keys", "sector_order"]
 
+    def test_chunk_tables_are_made_once_per_dim_and_sigma_max(self, monkeypatch):
+        # The tables of every chunk are made with the layout, once per (dim, sigma_max),
+        # and every std_dev reads them; they are read-only.
+        made = []
+        init = fock._MaskTables.__init__
+        monkeypatch.setattr(fock._MaskTables, "__init__",
+                            lambda tables, dim, top: made.append((dim, top)) or init(tables, dim, top))
+        fock._gaussian_layout.cache_clear()
+        decomps = {(top, s): fock.gaussian_decomposition(
+            fock.FockParams(dim=40, std_dev=s, sigma_max=top))
+            for top in (39, 20) for s in (1e-150, 0.5, 1e100)}
+        assert made == [(40, 39), (40, 20)]
+        for top in (39, 20):
+            tables = fock._gaussian_layout(40, top)
+            assert [list(orders) for orders in tables.chunks] == [
+                list(range(a0, min(a0 + 16, top + 1))) for a0 in range(0, top + 1, 16)]
+            assert all(decomps[top, s]._layout is tables.layout for s in (1e-150, 0.5, 1e100))
+            assert all(not a.flags.writeable for a in held_arrays(tables))
+        assert made == [(40, 39), (40, 20)]  # reading the entries made none
+
+    @pytest.mark.parametrize("dim", [22, 64, 186])
+    def test_chunk_tables_are_smaller_than_the_block_buffer(self, dim):
+        # From dim 22 up; below, the 0/1 stacks of the one chunk are larger
+        # than its few blocks (16 KiB at dim 16 against 11.7 KiB).
+        tables = fock._gaussian_layout(dim, dim - 1)
+        layout = {id(a) for a in held_arrays(tables.layout)}
+        owners = {id(a.base if a.base is not None else a): a.base if a.base is not None else a
+                  for a in held_arrays(tables) if id(a) not in layout}
+        blocks = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=0.5))._blocks
+        assert sum(a.nbytes for a in owners.values()) < blocks.nbytes
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(dim=st.integers(2, 186), log_s=st.floats(math.log(1.06e-154), math.log(9.48e153)),
+           data=st.data())
+    @example(dim=186, log_s=math.log(1.06e-154), data=None).via("the least std_dev")
+    @example(dim=186, log_s=math.log(9.48e153), data=None).via("the largest std_dev")
+    def test_mask_chunk_equals_the_padded_exp_oracle(self, dim, log_s, data):
+        # Bit for bit, factors and padded product, at every sigma_max and chunk start,
+        # with no warning, overflow or invalid operation: the support keeps every
+        # argument of exp finite, and x * 0 never meets an inf.
+        s = min(max(math.exp(log_s), 1.06e-154), 9.48e153)
+        top = data.draw(st.integers(1, dim - 1), label="sigma_max") if data else dim - 1
+        a0 = (data.draw(st.sampled_from(range(0, top + 1, fock._MASK_CHUNK)), label="chunk start")
+              if data else top - top % fock._MASK_CHUNK)
+        params = fock.FockParams(dim=dim, std_dev=s, sigma_max=top)
+        tables = fock._gaussian_layout(dim, top)
+        orders, n = tables.chunks[a0 // fock._MASK_CHUNK], 2.0 * params.std_dev ** 2
+        assert orders == range(a0, min(a0 + fock._MASK_CHUNK, top + 1))
+        with warnings.catch_warnings(), np.errstate(over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            got = fock._mask_chunk(orders, tables, n)
+            want = mask_chunk_by_padded_exp(orders, fock._log_factorials(dim), n)
+        assert [sha256_of(x) for x in got] == [sha256_of(x) for x in want]
+
+    def test_exp_sees_zero_off_the_support(self, monkeypatch):
+        # numpy's vectorised exp slows several times on -inf, so none reaches it: every
+        # argument off l <= j < dim - a is exactly 0, and every one is finite.
+        seen = []
+
+        class Numpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x, **kwargs):
+                seen.append(x.copy())
+                return np.exp(x, **kwargs)
+
+        monkeypatch.setattr(fock, "np", Numpy())
+        dim = 40
+        fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=1e100))
+        assert [arg.shape for arg in seen] == [(16, 40, 40), (16, 24, 24), (8, 8, 8)]
+        for a0, arg in zip((0, 16, 32), seen):
+            i, j, l = np.indices(arg.shape)
+            assert np.all(np.isfinite(arg))
+            assert np.all(arg[(l > j) | (j >= dim - a0 - i)] == 0.0)
+
     def test_masks_equal_mask_matrix(self):
         # Each mask of the full decomposition is the one mask_matrix reads from
         # the smallest decomposition holding it, bit for bit.
@@ -505,6 +610,25 @@ class TestGaussianDecomposition:
     def test_params_reject_non_finite_std_dev_and_bad_seed(self, kwargs):
         with pytest.raises(InvalidParameter):
             fock.FockParams(dim=4, **kwargs)
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"dim": 8, "sigma_max": 3.0}, "sigma_max"), ({"dim": 2.5}, "dim"),
+        ({"dim": 8.0}, "dim"), ({"dim": 8, "mc_samples": 10.0}, "mc_samples"),
+        ({"dim": 8, "seed": 1.0}, "seed"), ({"dim": "8"}, "dim")])
+    def test_params_refuse_non_integral_counts_and_seed(self, kwargs, name):
+        # sigma_max = 3.0 was accepted and gaussian_decomposition then raised
+        # TypeError; dim = 2.5 built sigma_max = 1.5.
+        with pytest.raises(InvalidParameter, match=f"{name} must be an integer"):
+            fock.FockParams(std_dev=0.5, **kwargs)
+
+    def test_params_accept_numpy_integers(self):
+        params = fock.FockParams(dim=np.int64(8), std_dev=0.5, sigma_max=np.int32(3),
+                                 mc_samples=np.int64(10), seed=np.uint64(7))
+        assert (params.dim, params.sigma_max, params.mc_samples, params.seed) == (8, 3, 10, 7)
+        got, want = (fock.gaussian_decomposition(p) for p in (
+            params, fock.FockParams(dim=8, std_dev=0.5, sigma_max=3)))
+        assert sha256_of((got.sectors, got.truncation_defect)) == sha256_of(
+            (want.sectors, want.truncation_defect))
 
     def test_params_reject_huge_dim_before_allocating(self):
         with pytest.raises(InvalidParameter):

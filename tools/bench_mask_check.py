@@ -130,9 +130,12 @@ def _worker(src: str, rounds: int, with_check: bool) -> list[dict]:
             params = fock.FockParams(dim=dim, std_dev=s)
             variant = f"std_dev={s}"
             if with_check:
-                top, lf = params.sigma_max, fock._log_factorials(dim)
+                top = params.sigma_max
+                tables = fock._gaussian_layout(dim, top)
+                if not hasattr(tables, "chunks"):  # a parent tree whose chunks read log k!
+                    tables = fock._log_factorials(dim)
                 factors = [fock._mask_chunk(range(a0, min(a0 + fock._MASK_CHUNK, top + 1)),
-                                            lf, 2.0 * s * s)[0]
+                                            tables, 2.0 * s * s)[0]
                            for a0 in range(0, top + 1, fock._MASK_CHUNK)]
                 rows.append(time_row("channels._gram_certified", variant + ", all chunks", dim,
                                      lambda: [mc._gram_certified(f, f.shape[-1])

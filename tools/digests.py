@@ -72,6 +72,12 @@ fields, a channel by its Kraus operators.  The corpus:
   (N = 64) and on the chained spectrum [0, 1, 2 + 1e-11, 3 + 3e-11] (N = 8,
   7 clusters of distinct exact differences), step 2 pi / N from the uniform
   superposition, through is_reliable_timing and timing_channel (tol inf);
+- Gaussian decompositions at dims 40 and 186, std_dev 1e-150 and 1e100, near
+  the ends of the accepted range, through truncation_defect and the block
+  buffer;
+- monte_carlo_channel at dim 9 (std_dev 0.5, 10,000 samples, in chunks of
+  4,096, 4,096 and 1,808, seed 424242) from the vacuum, a pure state, and
+  from diag(0.7, 0.3, 0, ...), a mixed one;
 - compare_decomposition_to_mc at dims 8 and 16 (std_dev 0.5, 2,000 samples,
   seed 424242) from the vacuum and from the superposition of levels 0 and 1;
 - two faulty decomposition objects on the 3-level integer spectrum, a
@@ -145,6 +151,10 @@ PIPELINE_SHAPES = (("dense", 8), ("dense", 12), ("dense", 16), ("sqrt_prime", 8)
                    ("shift mixture", 28), ("shift mixture", 32))
 DENSE_CLI_SIZE = 16
 MC_DIMS, MC_SAMPLES = (8, 16), 2000
+# The edges of the mask chunks' exp: std_devs near the accepted range's ends, at a
+# dim of three chunks and at the dim cap.
+EDGE_DIMS, EDGE_STD_DEVS = (40, 186), (1e-150, 1e100)
+MC_CHUNKED_DIM, MC_CHUNKED_SAMPLES = 9, 10_000  # chunks of 4,096, 4,096 and 1,808; odd dim
 
 
 def _parts(value):
@@ -446,6 +456,21 @@ def _corpus():
                _or_error(tim.is_reliable_timing, c, sp, p, s))
         yield ("timing_channel", name, lambda c=chan, sp=spec, p=phi0, s=s, N=N:
                _or_error(tim.timing_channel, c, sp, p, s, N, math.inf))
+
+    for dim in EDGE_DIMS:
+        for s in EDGE_STD_DEVS:
+            decomp = fock.gaussian_decomposition(fock.FockParams(dim=dim, std_dev=s))
+            name = f"gaussian dim={dim} std_dev={s}"
+            yield "truncation_defect", name, lambda d=decomp: d.truncation_defect
+            yield "blocks", name, lambda d=decomp: d._blocks
+
+    params = fock.FockParams(dim=MC_CHUNKED_DIM, std_dev=0.5, mc_samples=MC_CHUNKED_SAMPLES,
+                             seed=CORPUS_SEED)
+    for label, diagonal in (("vacuum", [1.0]), ("rank-2 diagonal", [0.7, 0.3])):
+        rho = cc.DensityMatrix(np.diag(diagonal + [0.0] * (MC_CHUNKED_DIM - len(diagonal)))
+                               .astype(complex))
+        yield ("monte_carlo_channel", f"dim={MC_CHUNKED_DIM} samples={MC_CHUNKED_SAMPLES} {label}",
+               lambda r=rho: fock.monte_carlo_channel(r, params))
 
     for dim in MC_DIMS:
         params = fock.FockParams(dim=dim, std_dev=0.5, mc_samples=MC_SAMPLES, seed=CORPUS_SEED)
