@@ -33,7 +33,7 @@ import numpy as np
 from . import channels as mc
 from .channels import Channel, DensityMatrix
 from .covariant import _shift_kraus
-from .errors import DiagonalNotUnit, DimensionMismatch, MaskNotPSD
+from .errors import DiagonalNotUnit, DimensionMismatch, InvalidParameter, MaskNotPSD
 
 
 def coherent_information(channel: Channel, rho: DensityMatrix) -> float:
@@ -77,6 +77,8 @@ def spectrum_to_bound(q: np.ndarray) -> float:
     """log2(N) - S(q) in bits for a probability vector q of length N: the
     Hadamard bound of a mask whose eigenvalues are N q."""
     q = np.asarray(q, dtype=float)
+    if q.size == 0:
+        raise InvalidParameter("q must be a non-empty vector")
     return float(np.log2(q.size)) - mc.entropy_of_eigenvalues(q)
 
 

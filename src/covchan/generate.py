@@ -6,6 +6,8 @@ import numpy as np
 from . import channels as mc
 from .channels import Channel, ChoiMatrix, DensityMatrix
 from .covariant import Spectrum, _label, _raw, _restore_tp, _scatter
+from .errors import InvalidParameter
+from .inputs import _integer
 
 
 def random_state(dim: int, rng: np.random.Generator) -> DensityMatrix:
@@ -34,8 +36,11 @@ def random_unit_diagonal_mask(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_cptp(dim: int, rng: np.random.Generator, kraus_count: int | None = None) -> Channel:
-    """Random CPTP channel from a Stinespring isometry with Gaussian entries."""
-    k = kraus_count or dim
+    """Random CPTP channel from a Stinespring isometry with Gaussian entries, with
+    kraus_count operators (an integer of at least 1; None for dim)."""
+    k = dim if kraus_count is None else _integer("kraus_count", kraus_count)
+    if k < 1:
+        raise InvalidParameter(f"kraus_count must be at least 1, got {k}")
     blocks = rng.normal(size=(k, dim, dim)) + 1j * rng.normal(size=(k, dim, dim))
     v = blocks.reshape(k * dim, dim)
     # Orthonormalize the columns so that sum_j A_j^dag A_j = 1.
@@ -50,7 +55,8 @@ def random_covariant(
     """Random covariant CPTP channel on the given spectrum.
 
     Built by pinching the Choi matrix of a random CPTP channel onto the
-    energy-difference sectors and renormalizing to trace preservation.
+    energy-difference sectors and renormalizing to trace preservation;
+    kraus_count is random_cptp's.
     """
     n = spectrum.dim
     base = random_cptp(n, rng, kraus_count)

@@ -106,6 +106,7 @@ def check_mask_dim(dim) -> None:
 
 
 def check_orbit_length(N) -> None:
-    """Refuse a timing orbit length N outside [1, MAX_N] with InvalidParameter."""
-    if not 1 <= N <= MAX_N:
+    """Refuse a timing orbit length N that is not an integer in [1, MAX_N] with
+    InvalidParameter."""
+    if not 1 <= _integer("N", N) <= MAX_N:
         raise InvalidParameter(f"N must lie in [1, MAX_N = {MAX_N}]")

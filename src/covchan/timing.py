@@ -163,8 +163,10 @@ def v_from_distribution(dist: EnergyShiftDistribution, s: float, N: int) -> np.n
 
 
 def circulant(v: np.ndarray) -> np.ndarray:
-    """Circulant matrix V_{jk} = v((j - k) mod N)."""
+    """Circulant matrix V_{jk} = v((j - k) mod N) of a vector v of length N."""
     v = np.asarray(v, dtype=complex)
+    if v.ndim != 1:
+        raise InvalidParameter(f"v must be a vector, got shape {v.shape}")
     n = v.size
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return v[idx]

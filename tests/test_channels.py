@@ -66,6 +66,16 @@ class TestApply:
             out = cc.apply(chan, rho)
             assert abs(np.trace(out.matrix) - 1.0) < 1e-10
 
+    @pytest.mark.parametrize("count, match", [(0, "at least 1, got 0"), (-2, "at least 1"),
+                                              (2.0, "an integer, got 2.0")])
+    def test_random_generators_refuse_a_kraus_count_that_is_not_positive(self, count, match):
+        # kraus_count = 0 read as dim, and 2.0 raised numpy's TypeError.
+        for make in (lambda: gen.random_cptp(3, np.random.default_rng(0), count),
+                     lambda: gen.random_covariant(cc.Spectrum(np.arange(3.0)),
+                                                  np.random.default_rng(0), count)):
+            with pytest.raises(InvalidParameter, match=match):
+                make()
+
     @pytest.mark.parametrize("k, dim_out, dim_in", [(1, 3, 3), (4, 2, 3), (9, 3, 3), (5, 4, 2)])
     def test_one_product_matches_the_operator_loop(self, rng, k, dim_out, dim_in):
         ops = rng.normal(size=(k, dim_out, dim_in)) + 1j * rng.normal(size=(k, dim_out, dim_in))

@@ -156,12 +156,22 @@ class TestVAndCirculant:
         with pytest.raises(InvalidParameter, match="phase"):
             tim.v_from_distribution(dist, s, N)
 
-    @pytest.mark.parametrize("N", [0, -3, tim.MAX_N + 1])
+    @pytest.mark.parametrize("N", [0, -3, tim.MAX_N + 1, 2.5])
     def test_v_from_distribution_refuses_n_outside_its_range(self, N):
-        # N <= 0 gave an empty vector, and nothing bounded the N x #sigma phases.
+        # N <= 0 gave an empty vector, and nothing bounded the N x #sigma phases;
+        # N = 2.5 gave 3 entries.
         dist = cov.EnergyShiftDistribution(pairs=((0.0, 0.5), (2.0, 0.5)))
-        with pytest.raises(InvalidParameter, match="MAX_N"):
+        match = "N must be an integer, got 2.5" if N == 2.5 else "MAX_N"
+        with pytest.raises(InvalidParameter, match=match):
             tim.v_from_distribution(dist, np.pi, N)
+
+    def test_timing_channel_refuses_a_non_integral_n(self):
+        # It passed the orbit check and raised NotPeriodic.
+        spec = four_level()
+        chan = tim.build_shift_mixture(spec, [(0.0, 1.0)]).channel
+        with pytest.raises(InvalidParameter, match="N must be an integer, got 2.5"):
+            tim.timing_channel(chan, spec, orbit_state(4, 4), np.pi / 2, 2.5)
+        assert tim.timing_channel(chan, spec, orbit_state(4, 4), np.pi / 2, np.int64(4)).N == 4
 
     def test_v_from_distribution_worked(self):
         dist = cov.EnergyShiftDistribution(pairs=((0.0, 0.5), (2.0, 0.5)))
@@ -184,6 +194,17 @@ class TestVAndCirculant:
     def test_spectrum_to_bound(self):
         assert tim.spectrum_to_bound(np.array([1.0, 0.0])) == pytest.approx(1.0)
         assert tim.spectrum_to_bound(np.array([0.5, 0.5])) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("v", [np.ones((2, 3)), np.array(1.0)])
+    def test_circulant_refuses_what_is_not_a_vector(self, v):
+        # Both raised numpy's IndexError.
+        with pytest.raises(InvalidParameter, match="v must be a vector"):
+            tim.circulant(v)
+
+    def test_spectrum_to_bound_refuses_an_empty_vector(self):
+        # It warned of a divide by zero, then raised numpy's ValueError.
+        with pytest.raises(InvalidParameter, match="q must be a non-empty vector"):
+            tim.spectrum_to_bound([])
 
 
 class TestTimingChannel:

@@ -321,8 +321,7 @@ def _corpus():
         yield "shift_distribution", name, lambda d=decomp, r=rho: cov.shift_distribution(d, r)
 
     for n in SQRT_PRIME_SIZES:
-        primes = [p for p in range(2, 200) if all(p % q for q in range(2, p))][:n - 1]
-        spec = cc.Spectrum(np.r_[0.0, np.cumsum(np.sqrt(primes))])
+        spec = cc.Spectrum(dict(spectrum_energies(n))["sqrt_prime"])
         rng = np.random.default_rng([n, 1])
         chan = gen.random_covariant(spec, rng)
         decomp = cov.decompose(chan, spec)
