@@ -75,10 +75,13 @@ def _check_mask(mask: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def spectrum_to_bound(q: np.ndarray) -> float:
     """log2(N) - S(q) in bits for a probability vector q of length N: the
-    Hadamard bound of a mask whose eigenvalues are N q."""
+    Hadamard bound of a mask whose eigenvalues are N q.  A q that is not a
+    non-empty 1-d vector raises InvalidParameter.  Its sum is not checked:
+    timing_channel passes the q whose sum is tr G(|phi0><phi0|), below 1 for a
+    trace-decreasing channel."""
     q = np.asarray(q, dtype=float)
-    if q.size == 0:
-        raise InvalidParameter("q must be a non-empty vector")
+    if q.ndim != 1 or q.size == 0:
+        raise InvalidParameter(f"q must be a non-empty vector, got shape {q.shape}")
     return float(np.log2(q.size)) - mc.entropy_of_eigenvalues(q)
 
 

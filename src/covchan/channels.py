@@ -277,27 +277,40 @@ def _choi_on_support(support: np.ndarray, ops: np.ndarray) -> np.ndarray:
 
 
 def _deterministic_eig(stacks, keys=None, hermitian=False):
-    """Eigenpairs of every matrix of a sequence of (m, d, d) stacks, keys[i]
-    the distinct sort keys of stack i's m matrices (by default they are
-    numbered stack after stack): one eigh per stack (LAPACK takes one size at
-    a time) of its Hermitian part, or of the stack itself when hermitian says
+    """Eigenpairs of every matrix of a sequence of stacks, keys[i] the distinct
+    sort keys of stack i's m matrices (by default they are numbered stack
+    after stack), from one eigh per stack (LAPACK takes one size at a time).
+    A stack is one of two sources.  An (m, d, d) stack holds the matrices: the
+    eigh is of its Hermitian part, or of the stack itself when hermitian says
     every matrix is exactly Hermitian (its Hermitian part is then itself, bit
-    for bit), each eigenvector rotated so its largest-magnitude entry is real
+    for bit), and gives d unit eigenvectors each.  An (m, p, d) stack with
+    p < d holds a factor F of each matrix M = F^T conj(F), whose rank is at
+    most p: the eigh is of the p x p Gram matrices G = conj(F) F^T, and each
+    eigenpair (lam, u) of G gives the scaled eigenvector w = F^T u of M
+    (M w = F^T G u = lam w, ||w||^2 = u^H G u = lam), p each.  One tail
+    serves both: each vector rotated so its largest-magnitude entry is real
     positive, all of them sorted by matrix key, then by descending
     eigenvalue, ties broken by lexicographic comparison of the (phase-fixed)
-    entries.  Returns the eigenvalues (N,), the eigenvectors as rows (N, D)
-    zero-padded to the largest size and each one's matrix key (N,)."""
-    shapes = [stack.shape[:2] for stack in stacks]
-    count = sum(m * d for m, d in shapes)
-    vals, rows = np.empty(count), np.zeros((count, max(d for _, d in shapes)), dtype=complex)
+    entries.  Returns the eigenvalues (N,), the vectors as rows (N, D)
+    zero-padded to the largest size, each one's matrix key (N,) and whether
+    it is scaled already, from a factor (N,), None when no stack is one."""
+    shapes = [stack.shape for stack in stacks]
+    count = sum(m * p for m, p, _ in shapes)
+    vals, rows = np.empty(count), np.zeros((count, max(d for *_, d in shapes)), dtype=complex)
+    thin = [p < d for _, p, d in shapes]
+    scaled = np.repeat(thin, [m * p for m, p, _ in shapes]) if any(thin) else None
     start = 0
-    for (m, d), stack in zip(shapes, stacks):
-        herm = stack if hermitian else (stack + stack.conj().swapaxes(1, 2)) / 2.0
-        lam, vecs = np.linalg.eigh(herm)
-        vals[start:start + m * d] = lam.reshape(-1)
-        rows[start:start + m * d].reshape(m, d, -1)[:, :, :d] = vecs.swapaxes(1, 2)
-        start += m * d
-    sizes = np.repeat([d for _, d in shapes], [m for m, _ in shapes])  # of each matrix
+    for (m, p, d), stack in zip(shapes, stacks):
+        if p < d:  # the Gram's eigenvectors u, taken to F^T u
+            lam, vecs = np.linalg.eigh(stack.conj() @ stack.swapaxes(1, 2))
+            vecs = stack.swapaxes(1, 2) @ vecs
+        else:
+            herm = stack if hermitian else (stack + stack.conj().swapaxes(1, 2)) / 2.0
+            lam, vecs = np.linalg.eigh(herm)
+        vals[start:start + m * p] = lam.reshape(-1)
+        rows[start:start + m * p].reshape(m, p, -1)[:, :, :d] = vecs.swapaxes(1, 2)
+        start += m * p
+    sizes = np.repeat([p for _, p, _ in shapes], [m for m, *_ in shapes])  # pairs per matrix
     key = np.repeat(np.arange(sizes.size) if keys is None else np.concatenate(keys), sizes)
     pivots = rows[np.arange(count), np.argmax(np.abs(rows), axis=1)]
     rows *= np.exp(-1j * np.angle(pivots))[:, None]
@@ -307,23 +320,28 @@ def _deterministic_eig(stacks, keys=None, hermitian=False):
     order = np.lexsort((-vals, key))
     if ((key[order[1:]] == key[order[:-1]]) & (vals[order[1:]] == vals[order[:-1]])).any():
         order = np.lexsort(np.vstack([rows.view(float).T[::-1], -vals, key]))
-    return vals[order], rows[order], key[order]
+    return vals[order], rows[order], key[order], None if scaled is None else scaled[order]
 
 
 def _scaled_eigenvectors(stacks, keys=None, hermitian=False):
-    """Vectors sqrt(lam) v of every matrix of a sequence of (m, d, d) stacks of
-    PSD matrices, in _deterministic_eig order: matrix after matrix by key, each
-    one's smallest eigenvalue, size and number of vectors kept, and the kept
-    vectors as rows zero-padded to the largest size.  kraus_from_choi raises
-    on a smallest eigenvalue below -EPS_PSD.  The rank cutoff is relative and
-    much tighter than the PSD tolerance so that the choi -> kraus -> choi
-    round trip stays accurate to ~1e-13.  hermitian is _deterministic_eig's."""
-    vals, rows, key = _deterministic_eig(stacks, keys, hermitian)
+    """Vectors sqrt(lam) v of every matrix of a sequence of stacks of PSD
+    matrices or of their factors (_deterministic_eig's two sources), in its
+    order: matrix after matrix by key, each one's smallest eigenvalue and
+    number of eigenpairs (d; p, and the Gram's smallest, for a factor), the
+    number of vectors kept, and the kept vectors as rows zero-padded to the
+    largest size, a factor's w times 1.  kraus_from_choi raises on a smallest
+    eigenvalue below -EPS_PSD.  The rank cutoff is relative and much tighter
+    than the PSD tolerance so that the choi -> kraus -> choi round trip stays
+    accurate to ~1e-13.  hermitian is _deterministic_eig's."""
+    vals, rows, key, scaled = _deterministic_eig(stacks, keys, hermitian)
     first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])  # each matrix's largest
     sizes = np.append(first[1:], key.size) - first
     keep = vals > np.repeat(1e-14 * np.maximum(vals[first], 1.0), sizes)  # a prefix of each
     count = np.add.reduceat(keep, first, dtype=np.intp)
-    return vals[first + sizes - 1], sizes, count, np.sqrt(vals[keep])[:, None] * rows[keep]
+    gain = np.sqrt(vals[keep])
+    if scaled is not None:
+        gain[scaled[keep]] = 1.0
+    return vals[first + sizes - 1], sizes, count, gain[:, None] * rows[keep]
 
 
 def kraus_from_choi(choi: ChoiMatrix) -> Channel:

@@ -39,11 +39,12 @@ that the support and the spectrum fix, and the label keeps it beside the
 blocks.
 
 A decomposition is one store, which every library reader reads: a layout
-(_Layout) and one read-only block buffer beside it.  The layout holds the
-sectors in size order, each with its spectrum cluster c (sigma, domain and
-image from spectrum.sigmas[c] and sector_pairs[c]), flat Choi pairs and the
-offset of its d x d block in the buffer; it holds no block, so one layout
-serves every buffer laid out by it.  A size's sectors are a size group, an
+(_Layout) and one read-only block buffer beside it, and, from decompose of a
+sector-pure family, the factor of each thin size group (below).  The layout
+holds the sectors in size order, each with its spectrum cluster c (sigma,
+domain and image from spectrum.sigmas[c] and sector_pairs[c]), flat Choi pairs
+and the offset of its d x d block in the buffer; it holds no block, so one
+layout serves every buffer laid out by it.  A size's sectors are a size group, an
 (m, d, d) view of the buffer (_Layout.stacks): their blocks lie one after
 another, or at one offset (the +-a of a Gaussian decomposition).  A size's
 real blocks in a complex buffer are a group of their own on its real part,
@@ -58,11 +59,21 @@ Hermitises, scales for TP and tests them for the drop once over it, and keeps
 the kept blocks' buffer as its store.  When no sector is dropped the store is
 the label's layout with that buffer, so a warm decompose builds no index table;
 every Gaussian decomposition of one (dim, sigma_max) shares one layout too
-(fock._gaussian_layout).  reconstruct runs one
-stacked eigh per size group, on the blocks as stored when decompose stored
-them (they are exactly Hermitian) and on their Hermitian parts otherwise, then
-orders and cuts the eigenvectors of all sectors at once, and _shift_kraus, the
-one builder of covariant Kraus families, scatters them in one assignment.
+(fock._gaussian_layout).  reconstruct runs one stacked eigh per size group on
+one of two sources of eigenpairs.  A size group of a sector-pure family whose
+most operators on one sector, p, are fewer than its d levels is thin: its
+blocks M = X^T conj(X) have rank at most p, and decompose keeps their factor X
+(m x p x d, fewer entries than the blocks), scaled as the blocks are for TP,
+so reconstruct diagonalises the p x p Grams conj(X) X^T, whose eigenvectors u
+give the scaled vectors X^T u.  Every other group (p >= d, a mixed family, a
+Gaussian store, a store that dropped a sector, and a decomposition rebuilt
+from pairs or read from a file) takes the spectral route, the eigh of its
+blocks as stored when decompose stored them (they are exactly Hermitian) and
+of their Hermitian parts otherwise; so a decomposition and the same one
+rebuilt from its pairs reconstruct alike up to roundoff, not bit for bit.  The
+vectors of all sectors are then ordered and cut at once by one tail
+(channels._deterministic_eig), and _shift_kraus, the one builder of covariant
+Kraus families, scatters them in one assignment.
 shift_distribution reads every block's diagonal in one gather and clips all
 probabilities at once; only its sums run per size group.  Every
 block decompose keeps is a pinched principal block of the Gram product
@@ -83,7 +94,7 @@ import reprlib
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -308,6 +319,7 @@ class SectorDecomposition:
     sectors: tuple[tuple[PartialShift, SectorMask], ...]
     projection_defect: float = 0.0
     _hermitian = False  # every block exactly Hermitian: set on decompose's stores
+    _factors = None  # per size group its factor or None (decompose's stores of pure families)
 
     def __post_init__(self):
         clusters = _pair_clusters(self.spectrum, self.sectors)
@@ -453,8 +465,9 @@ class _Label:
     once: the entries' places in the pairs, the size groups, which reconstruct and
     shift_distribution read too, and _restore_tp's levels.  raw (set by _raw with it)
     is the buffer of the channel's raw Choi blocks in that layout, read-only,
-    O(sum d^2) entries.  magnitudes is _magnitudes(shifts), made on its first read
-    (timing._fourier's table)."""
+    O(sum d^2) entries; factors, a pure family's only, holds per size group its thin
+    factor X (M_sigma = X^T conj(X)) or None (_label_blocks).  magnitudes is
+    _magnitudes(shifts), made on its first read (timing._fourier's table)."""
 
     def __init__(self, cluster: np.ndarray, shifts: np.ndarray | None):
         cluster.setflags(write=False)
@@ -462,7 +475,7 @@ class _Label:
             shifts.setflags(write=False)
         self.cluster, self.shifts, self.pure = cluster, shifts, bool(cluster.min() >= 0)
         self.cross = (0.0, 0.0) if self.pure else None
-        self.raw = self.layout = None
+        self.raw = self.layout = self.factors = None
 
     @cached_property
     def magnitudes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -497,9 +510,15 @@ def _label(channel: Channel, spectrum: Spectrum) -> _Label:
     return label
 
 
+def _run_starts(sizes):
+    """Where each run starts when runs of the given integer sizes lie one after another,
+    cumsum(sizes) - sizes: exact, so every table built from it is too."""
+    return np.cumsum(sizes) - sizes
+
+
 def _runs(starts, sizes):
     """The indices starts[i], ..., starts[i] + sizes[i] - 1 of every run, one run after another."""
-    return np.arange(sizes.sum()) + np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    return np.arange(sizes.sum()) + np.repeat(starts - _run_starts(sizes), sizes)
 
 
 def _pair_clusters(spectrum: Spectrum, sectors) -> np.ndarray:
@@ -579,10 +598,10 @@ class _Layout:
 
     def __init__(self, spectrum: Spectrum, clusters, offsets=None, order=None, real=None):
         sizes = spectrum._sizes[clusters]
-        first, square = np.cumsum(sizes) - sizes, sizes * sizes
+        first = _run_starts(sizes)
         self.spectrum, self.n, self.clusters, self.sizes, self.first = (
             spectrum, spectrum.dim, clusters, sizes, first)
-        self.offsets = np.cumsum(square) - square if offsets is None else offsets
+        self.offsets = _run_starts(sizes * sizes) if offsets is None else offsets
         self.order = np.argsort(clusters, kind="stable") if order is None else order
         self.real = np.zeros(clusters.size, dtype=bool) if real is None else real
         self.pairs = spectrum._flat[_runs(spectrum._starts[clusters], sizes)]
@@ -696,7 +715,7 @@ def _sector_blocks(choi: np.ndarray, support: np.ndarray, layout: _Layout) -> np
 def _operator_gather(label: _Label, layout: _Layout, support: np.ndarray):
     """The label route's gather (_label_blocks) of a sector-pure family: the places in
     one flat buffer of every size group's stack X, m x p x d, p the group's most operators
-    on one sector and at least two, and each group's (offset, m, d, p, start in the
+    on one sector, k, and at least two, and each group's (offset, m, d, p, k, start in the
     buffer); the places of the operators' entries on their sectors' pairs in that buffer
     and in the flat Kraus stack, slot after slot, a slot's operators in operator order;
     and whether each block entry is off the support."""
@@ -707,15 +726,16 @@ def _operator_gather(label: _Label, layout: _Layout, support: np.ndarray):
     ops = np.flatnonzero(slot >= 0)
     ops = ops[np.argsort(slot[ops], kind="stable")]  # slot after slot, in operator order
     count = np.bincount(slot[ops], minlength=layout.clusters.size)
-    starts = np.cumsum(count) - count  # of each slot's operators in ops
+    starts = _run_starts(count)  # of each slot's operators in ops
     rank = np.arange(ops.size) - np.repeat(starts, count)  # each operator's within its slot
     stacks, into, start = [], np.empty(ops.size, dtype=np.intp), 0
     for span in layout.spans:  # the size groups, in size order
         a, b, o, m, d = span.slots.start, span.slots.stop, span.offset, span.m, span.d
-        p = max(2, int(count[a:b].max()))
+        k = int(count[a:b].max())
+        p = max(2, k)
         mine = slice(starts[a], starts[b - 1] + count[b - 1])
         into[mine] = start + ((slot[ops[mine]] - a) * p + rank[mine]) * d  # row of X
-        stacks.append((o, m, d, p, start))
+        stacks.append((o, m, d, p, k, start))
         start += m * p * d
     width = layout.sizes[slot[ops]]  # of each operator's row of X
     first = layout.first[slot[ops]]  # of each operator's pairs
@@ -729,28 +749,32 @@ def _operator_gather(label: _Label, layout: _Layout, support: np.ndarray):
     return stacks, start, dst, src, ~(held[rows] & held[cols])
 
 
-def _label_blocks(channel: Channel, label: _Label) -> np.ndarray:
+def _label_blocks(channel: Channel, label: _Label) -> tuple[np.ndarray, tuple]:
     """_sector_blocks of a sector-pure family on its label's layout, formed with
-    no Choi matrix: sector sigma's block is X_sigma^T conj(X_sigma), X_sigma the entries
-    of the operators labelled sigma on its pairs, in operator order.  A size group's
-    X_sigma are one stack, each padded with zero rows to the group's most operators and
-    to at least two, so that the one product per group is a BLAS product for every
-    sector (numpy takes a product of inner dimension 1 in its own loop).  The stacks
-    lie in one buffer, filled by one gather (_operator_gather): a group's stack holds at
-    most p m d entries, p <= max(2, K), so all of them at most max(2, K) n^2, twice the
-    Kraus stack's at most.  An entry off the support is a sum of +-0.0, set to +0.0 as
-    the Choi matrix's."""
+    no Choi matrix, and the factors of its thin size groups: sector sigma's block is
+    X_sigma^T conj(X_sigma), X_sigma the entries of the operators labelled sigma on its
+    pairs, in operator order.  A size group's X_sigma are one stack, each padded with zero
+    rows to the group's most operators and to at least two, so that the one product per
+    group is a BLAS product for every sector (numpy takes a product of inner dimension 1
+    in its own loop).  The stacks lie in one buffer, filled by one gather
+    (_operator_gather): a group's stack holds at most p m d entries, p <= max(2, K), so
+    all of them at most max(2, K) n^2, twice the Kraus stack's at most.  An entry off the
+    support is a sum of +-0.0, set to +0.0 as the Choi matrix's.  A group whose most
+    operators on one sector, k, are fewer than its d is thin: its factor is a copy of its
+    stack's first k rows (m, k, d), fewer entries than its blocks; every other group's is
+    None (label.factors)."""
     stacks, size, dst, src, off = _operator_gather(label, label.layout, channel._support)
     x = np.zeros(size, dtype=complex)
     x[dst] = channel._ops.reshape(-1)[src]
     xc = x.conj()
-    blocks = np.empty(off.size, dtype=complex)
-    for o, m, d, p, start in stacks:
+    blocks, factors = np.empty(off.size, dtype=complex), []
+    for o, m, d, p, k, start in stacks:
         stack = x[start:start + m * p * d].reshape(m, p, d)
         np.matmul(stack.swapaxes(1, 2), xc[start:start + m * p * d].reshape(m, p, d),
                   out=blocks[o:o + m * d * d].reshape(m, d, d))
+        factors.append(stack[:, :k].copy() if k < d else None)
     blocks[off] = 0.0
-    return blocks
+    return blocks, tuple(factors)
 
 
 def _raw(channel: Channel, spectrum: Spectrum, label: _Label) -> np.ndarray:
@@ -773,21 +797,28 @@ def _raw(channel: Channel, spectrum: Spectrum, label: _Label) -> np.ndarray:
         held = np.zeros(order.size, dtype=bool)
         held[spectrum._cluster[support]] = True
         label.layout = _Layout(spectrum, order[held[order]])
-        raw = (_label_blocks(channel, label) if choi is None
-               else _sector_blocks(choi, support, label.layout))
+        if choi is None:
+            raw, label.factors = _label_blocks(channel, label)
+        else:
+            raw = _sector_blocks(choi, support, label.layout)
         raw.setflags(write=False)
         label.raw = raw
     return label.raw
 
 
-def _restore_tp(layout: _Layout, blocks: np.ndarray) -> tuple[np.ndarray, float]:
+def _restore_tp(layout: _Layout, blocks: np.ndarray,
+                factors=None) -> tuple[np.ndarray, tuple | None, float]:
     """The blocks (a buffer of the layout) under the congruence by diag(s), s = w^(-1/2)
-    and w their level sums, so that the diagonals sum to one at every level (TP); and
-    max s^2, by which the congruence can scale rounding."""
+    and w their level sums, so that the diagonals sum to one at every level (TP); the
+    factors (label.factors, or None) scaled to match, X diag(s); and max s^2, by which the
+    congruence can scale rounding."""
     scale = 1.0 / np.sqrt(layout.level_sums(blocks))
     top = float(scale.max(initial=0.0))
     row_level, col_level = layout.tp_levels
-    return blocks * (scale[row_level] * scale[col_level]), top * top
+    if factors is not None:  # X diag(s): each column at its pair's input level
+        factors = tuple(f if f is None else f * scale[span.pairs % layout.n][:, None]
+                        for f, span in zip(factors, layout.spans))
+    return blocks * (scale[row_level] * scale[col_level]), factors, top * top
 
 
 def _scatter(layout: _Layout, blocks: np.ndarray) -> np.ndarray:
@@ -837,7 +868,11 @@ def decompose(
     conj(V_S), scaled for the trace-preservation congruence, proves it
     (channels._gram_bound; about 1.2e-10 at n = 64 with 4096 Kraus
     operators), and run on the blocks otherwise.  Trace preservation is
-    is_cptp's check on the Kraus operators.
+    is_cptp's check on the Kraus operators.  A sector-pure family's store
+    also keeps, for each size group with fewer operators on every sector than
+    its d levels, the operators' factor of its blocks, which reconstruct
+    diagonalises in place of the blocks (module docstring); a store that drops
+    a sector keeps no factor.
     Inputs covariant only within ``tol`` (finite, >= 0) are
     sector-projected: cross-sector Choi mass is discarded, and if the input
     was trace preserving the mask diagonals are renormalized to restore the
@@ -851,11 +886,11 @@ def decompose(
     defect, sq_cross = label.cross
     if defect > tol:
         raise NotCovariant(defect, tol)
-    layout = label.layout
+    layout, factors = label.layout, label.factors
     blocks = (raw + raw[layout.entries[2]].conj()) / 2.0
     scale = 1.0
     if channel._tp_defect <= mc.EPS_TP:
-        blocks, scale = _restore_tp(layout, blocks)
+        blocks, factors, scale = _restore_tp(layout, blocks, factors)
 
     # ||C - scatter(kept blocks)||^2 entry by entry: the cross-sector
     # entries, plus each sector's Choi block minus its kept block (or zero).
@@ -871,10 +906,11 @@ def decompose(
         sq_terms[layout.clusters[slots]] = np.vecdot(terms, terms).real
     # A running sum adds the terms in sector order, as one float after another.
     sq_defect = np.add.accumulate(np.r_[sq_cross, sq_terms])[-1]
-    # The store is the label's layout, with all its tables, unless a sector is
-    # dropped; its blocks are Hermitised, so reconstruct takes them as they are.
+    # The store is the label's layout, with all its tables, and its factors, unless a
+    # sector is dropped (then it keeps no factor); its blocks are Hermitised, so
+    # reconstruct takes them as they are.
     if dropped:
-        blocks = blocks[np.repeat(~drop, square)]
+        blocks, factors = blocks[np.repeat(~drop, square)], None
         layout = _Layout(spectrum, layout.clusters[~drop])
     blocks.setflags(write=False)
     # Every block is a pinched principal block of C_S = V_S^T conj(V_S), V_S the
@@ -887,6 +923,7 @@ def decompose(
         if failure is not None:
             raise NotCP(f"Choi {failure}")
     return SectorDecomposition._of_store(spectrum, layout, blocks, _hermitian=True,
+                                         _factors=factors,
                                          projection_defect=float(np.sqrt(sq_defect)))
 
 
@@ -913,10 +950,10 @@ def _shift_kraus(pairs, sizes, count, vecs, n: int) -> Channel:
     slots = np.maximum(count, 1)
     sector = np.repeat(np.arange(count.size), count)  # of each row
     # row r of sector s goes to operator first[s] + r
-    op = np.arange(len(vecs)) + (np.cumsum(slots) - slots - np.cumsum(count) + count)[sector]
+    op = np.arange(len(vecs)) + (_run_starts(slots) - _run_starts(count))[sector]
     d = sizes[sector]
     entry = np.arange(vecs.shape[1]) < d[:, None]
-    at = ((np.cumsum(sizes) - sizes)[sector][:, None] + np.arange(vecs.shape[1]))[entry]
+    at = (_run_starts(sizes)[sector][:, None] + np.arange(vecs.shape[1]))[entry]
     ops = np.zeros((max(int(slots.sum()), 1), n * n), dtype=complex)
     ops[np.repeat(op, d), pairs[at]] = vecs[entry]
     return Channel._adopt(ops.reshape(-1, n, n))
@@ -940,13 +977,18 @@ def apply_sectors(decomp: SectorDecomposition, mat: np.ndarray) -> np.ndarray:
 def reconstruct(decomp: SectorDecomposition) -> Channel:
     """Rebuild the channel sum_sigma S_sigma (M_sigma * rho) S_sigma^dag as the operators
     S_sigma diag(v), v the spectral vectors of each block; a decomposition with no
-    sectors is the zero map, one zero Kraus operator.  The blocks decompose stores are
-    exactly Hermitian, so their Hermitian part is not taken again."""
-    layout = decomp._layout
+    sectors is the zero map, one zero Kraus operator.  The vectors have two sources, one
+    eigh per size group: a thin group's factor X, kept by decompose of a sector-pure family
+    when the group's p operators on a sector are fewer than its d levels (the Gram
+    conj(X) X^T, p x p, and v = X^T u), or else the blocks (d x d).  The blocks decompose
+    stores are exactly Hermitian, so their Hermitian part is not taken again.  A
+    decomposition rebuilt from its pairs or read from JSON has no factor: it takes the
+    spectral route, and may differ from decompose's own by roundoff."""
+    layout, factors = decomp._layout, decomp._factors or repeat(None)
     count, vecs = np.zeros(0, dtype=np.intp), np.zeros((0, 0))
     if layout.clusters.size:
-        blocks = [stack for *_, stack in decomp._stacked]
-        _, _, count, vecs = mc._scaled_eigenvectors(blocks, layout.keys, decomp._hermitian)
+        mats = [stack if f is None else f for f, (*_, stack) in zip(factors, decomp._stacked)]
+        _, _, count, vecs = mc._scaled_eigenvectors(mats, layout.keys, decomp._hermitian)
     return _shift_kraus(layout.pairs[layout.sector_order], layout.sizes[layout.order], count,
                         vecs, layout.n)
 

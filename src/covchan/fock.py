@@ -358,7 +358,7 @@ class _MaskTables:
         slot = np.arange(2 * top + 1)
         sigmas = (top - slot // 2) * (slot % 2 * 2 - 1)
         square = (dim - np.arange(top + 1)) ** 2
-        first = np.cumsum(square) - square  # of the block of each order in the buffer
+        first = cov._run_starts(square)  # of the block of each order in the buffer
         self.layout = cov._Layout(_shared_integer_spectrum(dim), sigmas + (dim - 1),
                                   first[np.abs(sigmas)])
         self.size = int(square.sum())

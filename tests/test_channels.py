@@ -482,7 +482,7 @@ def _eig_cases():
 class TestDeterministicEig:
     @pytest.mark.parametrize("mat", _eig_cases())
     def test_bit_identical_to_column_loop(self, mat):
-        vals, vecs, _ = mcore._deterministic_eig([mat[None]])
+        vals, vecs, _, _ = mcore._deterministic_eig([mat[None]])
         want_vals, want_vecs = deterministic_eig_loop(mat)
         assert vals.tobytes() == want_vals.tobytes()
         assert vecs.tobytes() == want_vecs.tobytes()
@@ -490,7 +490,7 @@ class TestDeterministicEig:
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_stack_is_each_matrix_alone(self, n):
         mats = np.stack([case.values[0] for case in _eig_cases() if case.values[0].shape == (n, n)])
-        vals, vecs, _ = mcore._deterministic_eig([mats])
+        vals, vecs, _, _ = mcore._deterministic_eig([mats])
         assert vals.shape == (len(mats) * n,) and vecs.shape == (len(mats) * n, n)
         for mat, got_vals, got_vecs in zip(mats, vals.reshape(-1, n), vecs.reshape(mats.shape)):
             want_vals, want_vecs = deterministic_eig_loop(mat)
@@ -504,7 +504,7 @@ class TestDeterministicEig:
         stacks = [np.stack([case.values[0] for case in _eig_cases()
                             if case.values[0].shape == (n, n)]) for n in (8, 1, 3)]
         keys = np.random.default_rng(2).permutation(sum(map(len, stacks)))
-        vals, rows, key = mcore._deterministic_eig(
+        vals, rows, key, _ = mcore._deterministic_eig(
             stacks, np.split(keys, np.cumsum([len(s) for s in stacks])[:-1]))
         mats = [mat for stack in stacks for mat in stack]
         start = 0
@@ -517,6 +517,24 @@ class TestDeterministicEig:
             assert not rows[start:start + d, d:].any()
             start += d
         assert start == len(vals) == len(rows)
+
+    def test_a_factor_gives_the_scaled_eigenvectors_of_its_gram_product(self):
+        # An (m, p, d) stack with p < d is a factor F of each M = F^T conj(F): its p
+        # eigenpairs per matrix are the Gram's eigenvalues and w = F^T u, M w = lam w and
+        # ||w||^2 = lam, phase-fixed and sorted by the same tail, beside a square stack.
+        rng = np.random.default_rng(7)
+        factor = rng.normal(size=(3, 2, 5)) + 1j * rng.normal(size=(3, 2, 5))
+        square = rng.normal(size=(1, 4, 4)) + 1j * rng.normal(size=(1, 4, 4))
+        vals, rows, key, scaled = mcore._deterministic_eig([factor, square @ square.conj().mT])
+        assert key.tolist() == [0, 0, 1, 1, 2, 2, 3, 3, 3, 3]
+        assert scaled.tolist() == [True] * 6 + [False] * 4
+        for i, f in enumerate(factor):
+            m, lam, w = f.T @ f.conj(), vals[2 * i:2 * i + 2], rows[2 * i:2 * i + 2]
+            np.testing.assert_allclose(lam, np.linalg.eigvalsh(m)[::-1][:2], rtol=1e-12)
+            np.testing.assert_allclose(w @ m.T, lam[:, None] * w, atol=1e-12 * lam[0])
+            np.testing.assert_allclose(np.vecdot(w, w).real, lam, rtol=1e-12)
+            pivots = w[np.arange(2), np.argmax(np.abs(w), axis=1)]
+            assert (pivots.real > 0).all() and (np.abs(pivots.imag) <= 1e-15 * pivots.real).all()
 
 
 class TestEntropy:

@@ -22,6 +22,7 @@ from covchan.errors import (DegenerateSpectrum, DimensionMismatch, NotCovariant,
 import conftest
 from conftest import (
     apply_sectors_per_sector,
+    assert_reconstructs_as_per_sector,
     bochner_by_dense_applications,
     characteristic_by_dense_application,
     cluster_at_by_nearest_span,
@@ -38,6 +39,7 @@ from conftest import (
     sha256_of,
     shift_distribution_per_sector,
     shift_mixture_by_dense_shifts,
+    thin_route_ratio,
 )
 
 # Derandomized with a bounded example count: every run draws the same
@@ -537,9 +539,12 @@ def assert_stacks_equal_loops(chan, rho, spec):
     assert sha256_of(got) == sha256_of(want)
     assert (sha256_of(cov.covariance_defect(chan, spec))
             == sha256_of(covariance_defect_per_sector(chan, spec)))
-    # From decompose's own stacks, and from stacks grouped again from the sectors.
-    for decomp in (got, dataclasses.replace(got)):
-        assert sha256_of(cov.reconstruct(decomp)) == sha256_of(reconstruct_per_sector(want))
+    # From decompose's own stacks, and from stacks grouped again from the sectors, which
+    # carry no factor: they take the spectral route, bit for bit.
+    assert_reconstructs_as_per_sector(chan, spec, got, want)
+    rebuilt = dataclasses.replace(got)
+    assert sha256_of(cov.reconstruct(rebuilt)) == sha256_of(reconstruct_per_sector(want))
+    for decomp in (got, rebuilt):
         assert (sha256_of(cov.shift_distribution(decomp, rho))
                 == sha256_of(shift_distribution_per_sector(want, rho)))
     assert sha256_of(got.diagonal_sums()) == sha256_of(diagonal_sums_per_sector(want))
@@ -564,15 +569,16 @@ def not_cp_messages(chan, spec, broken):
 
     # The label keeps the blocks that its first builder call returns, so chan must
     # be fresh: a label made before the builders are broken would keep sound blocks.
-    def breaking(builder):  # either route's block builder, its blocks broken
+    def breaking(builder, blocks_of=lambda built: built):  # a route's builder, blocks broken
         def build(*args):
-            blocks, layout = builder(*args), cov._label(chan, spec).layout
+            built = builder(*args)
+            blocks, layout = blocks_of(built), cov._label(chan, spec).layout
             rows, cols, _ = layout.entries
             sector = np.repeat(layout.clusters, layout.sizes ** 2)  # of each entry of the buffer
             for i, d in depth.items():
                 blocks[(sector == i) & (rows == cols)] -= d
             assert set(depth) <= set(layout.clusters.tolist())
-            return blocks
+            return built
         return build
 
     with pytest.MonkeyPatch.context() as mp:
@@ -581,7 +587,7 @@ def not_cp_messages(chan, spec, broken):
         with pytest.raises(NotCP) as want:
             decompose_per_sector(chan, spec)
         mp.setattr(cov, "_sector_blocks", breaking(cov._sector_blocks))
-        mp.setattr(cov, "_label_blocks", breaking(cov._label_blocks))
+        mp.setattr(cov, "_label_blocks", breaking(cov._label_blocks, lambda built: built[0]))
         mp.setattr(mcore, "_tp_defect", lambda ops: tp_defect)
         # The blocks are broken behind the Kraus operators' back, which the
         # Gram certificate cannot see, so it is made to fail too.
@@ -863,12 +869,69 @@ def test_one_pass_sector_work_equals_per_sector_loops(family, kind, data):
     assert kind != "not_covariant" or n == 1
     got = cov.decompose(chan, spec)
     assert sha256_of(got) == sha256_of(want)
-    assert sha256_of(cov.reconstruct(got)) == sha256_of(reconstruct_per_sector(want))
+    assert_reconstructs_as_per_sector(chan, spec, got, want)
     if kind == "dropped":
         touched = np.unique(spec._cluster[chan._support]).size  # sectors holding a pair
         assert len(got.sectors) < touched
     if kind == "no_sectors":
         assert got.sectors == ()
+
+
+def thin_family(kind: str, n: int, rng: np.random.Generator):
+    """A spectrum of n >= 2 levels and a sector-pure family on it with a sector that holds
+    fewer operators than levels.  three_shifts: sqrt(p_j) S_sigma_j for sigma = 0 and two
+    other sigmas, random weights p_j.  isometry_mixed (n >= 4): on sigma = 0 and up to two
+    other sectors, K <= max(1, d - 3) operators S_sigma diag(v) with random complex v,
+    trace preserving as a family to within about 1e-11 (so that decompose's congruence
+    moves the blocks) or not, then mixed by a random (K + 2) x K isometry Q into the K + 2
+    operators sum_j Q_ij A_j, rank K.  Their spectra have integer or sqrt(prime) gaps.
+    amplitude_damping: diag(sqrt(1 - gamma_j)) and sum_j sqrt(gamma_j) |j - 1><j| on n
+    equally spaced levels, trace preserving."""
+    if kind == "amplitude_damping":
+        gamma = np.r_[0.0, rng.random(n - 1)]
+        return cc.Spectrum(np.arange(float(n))), cc.Channel(
+            (np.diag(np.sqrt(1.0 - gamma)) + 0j, np.diag(np.sqrt(gamma[1:]), 1) + 0j))
+    gaps = (rng.integers(1, 4, n - 1).astype(float) if rng.random() < 0.5
+            else np.sqrt(rng.permutation(MANY_PRIMES[:11])[:n - 1]))
+    spec = cc.Spectrum(np.r_[0.0, np.cumsum(gaps)])
+    others = spec.sigmas[spec.sigmas != 0.0]
+    if kind == "three_shifts":
+        probs = rng.random(3) + 0.1
+        sigmas = [0.0, *rng.choice(others, 2, replace=False).tolist()]
+        return spec, tim.build_shift_mixture(spec, list(zip(sigmas, probs / probs.sum()))).channel
+    sigmas = [0.0, *rng.choice(others, rng.integers(0, 3), replace=False).tolist()]
+    shifts = [cc.partial_shift(spec, sigma) for sigma in sigmas]
+    ops = [[shift.matrix * (rng.normal(size=n) + 1j * rng.normal(size=n))
+            for _ in range(rng.integers(1, max(1, len(shift.domain) - 3) + 1))]
+           for shift in shifts]
+    if rng.random() < 0.5:  # sigma = 0 holds every level, so each column sum is positive
+        norm = np.sqrt(sum((np.abs(a) ** 2).sum(axis=0) for sector in ops for a in sector))
+        norm *= 1.0 + 1e-11 * rng.random(n)
+        ops = [[a / norm for a in sector] for sector in ops]
+    mixed = []
+    for sector in ops:
+        k = len(sector)
+        q, _ = np.linalg.qr(rng.normal(size=(k + 2, k)) + 1j * rng.normal(size=(k + 2, k)))
+        mixed += list(np.tensordot(q, np.stack(sector), axes=1))
+    return spec, cc.Channel(tuple(mixed))
+
+
+@pytest.mark.parametrize("kind", ["three_shifts", "amplitude_damping", "isometry_mixed"])
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(data=st.data())
+def test_thin_route_reconstructs_as_the_spectral_route(kind, data):
+    # A pure family's size groups with fewer operators on a sector than levels take
+    # the Gram's eigh: as many Kraus operators as the spectral route, and Choi blocks
+    # within THIN_ROUTE_C u ||M_sigma||_F of its.  Rebuilt from its pairs, the same
+    # decomposition keeps no factor and reconstructs as the spectral route, bit for bit.
+    n = data.draw(st.integers(4 if kind == "isometry_mixed" else 2, 12))
+    spec, chan = thin_family(kind, n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+    decomp, want = cov.decompose(chan, spec), decompose_per_sector(chan, spec)
+    assert sha256_of(decomp) == sha256_of(want)
+    assert any(factor is not None for factor in decomp._factors)
+    assert thin_route_ratio(decomp, want) <= conftest.THIN_ROUTE_C
+    rebuilt = cc.SectorDecomposition(spec, decomp.sectors, decomp.projection_defect)
+    assert sha256_of(cov.reconstruct(rebuilt)) == sha256_of(reconstruct_per_sector(decomp))
 
 
 @settings(derandomize=True, max_examples=16, deadline=None, database=None)

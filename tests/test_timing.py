@@ -206,6 +206,12 @@ class TestVAndCirculant:
         with pytest.raises(InvalidParameter, match="q must be a non-empty vector"):
             tim.spectrum_to_bound([])
 
+    @pytest.mark.parametrize("q", [np.full((2, 2), 0.25), np.array(1.0)])
+    def test_spectrum_to_bound_refuses_what_is_not_a_vector(self, q):
+        # A 2-d q was read flat, as the bound of its four entries.
+        with pytest.raises(InvalidParameter, match="q must be a non-empty vector, got shape"):
+            tim.spectrum_to_bound(q)
+
 
 class TestTimingChannel:
     def test_worked_example(self):
