@@ -61,17 +61,18 @@ the label's layout with that buffer, so a warm decompose builds no index table;
 every Gaussian decomposition of one (dim, sigma_max) shares one layout too
 (fock._gaussian_layout).  reconstruct runs one stacked eigh per size group on
 one of two sources of eigenpairs.  A size group of a sector-pure family whose
-most operators on one sector, p, are fewer than its d levels is thin: its
-blocks M = X^T conj(X) have rank at most p, and decompose keeps their factor X
-(m x p x d, fewer entries than the blocks), scaled as the blocks are for TP,
-so reconstruct diagonalises the p x p Grams conj(X) X^T, whose eigenvectors u
-give the scaled vectors X^T u.  Every other group (p >= d, a mixed family, a
-Gaussian store, a store that dropped a sector, and a decomposition rebuilt
-from pairs or read from a file) takes the spectral route, the eigh of its
-blocks as stored when decompose stored them (they are exactly Hermitian) and
-of their Hermitian parts otherwise; so a decomposition and the same one
-rebuilt from its pairs reconstruct alike up to roundoff, not bit for bit.  The
-vectors of all sectors are then ordered and cut at once by one tail
+most operators on one sector, p, are at most min(d // 2, d - 6) of its d
+levels is thin (_thin, the measured crossover): its blocks M = X^T conj(X)
+have rank at most p, and decompose keeps their factor X (m x p x d, fewer
+entries than the blocks) with the TP scale s of the blocks, so reconstruct
+diagonalises the p x p Grams of X diag(s), whose eigenvectors u give the
+scaled vectors diag(s) X^T u.  Every other group (a fuller or smaller group,
+a mixed family, a Gaussian store, a store that dropped a sector, and a
+decomposition rebuilt from pairs or read from a file) takes the spectral
+route, the eigh of its blocks as stored when decompose stored them (they are
+exactly Hermitian) and of their Hermitian parts otherwise; so a decomposition
+and the same one rebuilt from its pairs reconstruct alike up to roundoff, not
+bit for bit.  The vectors of all sectors are then ordered and cut at once by one tail
 (channels._deterministic_eig), and _shift_kraus, the one builder of covariant
 Kraus families, scatters them in one assignment.
 shift_distribution reads every block's diagonal in one gather and clips all
@@ -94,7 +95,7 @@ import reprlib
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain
 
 import numpy as np
 
@@ -319,7 +320,7 @@ class SectorDecomposition:
     sectors: tuple[tuple[PartialShift, SectorMask], ...]
     projection_defect: float = 0.0
     _hermitian = False  # every block exactly Hermitian: set on decompose's stores
-    _factors = None  # per size group its factor or None (decompose's stores of pure families)
+    _factors = None  # (label.factors, TP scale s or None): decompose's stores of thin pure families
 
     def __post_init__(self):
         clusters = _pair_clusters(self.spectrum, self.sectors)
@@ -465,9 +466,10 @@ class _Label:
     once: the entries' places in the pairs, the size groups, which reconstruct and
     shift_distribution read too, and _restore_tp's levels.  raw (set by _raw with it)
     is the buffer of the channel's raw Choi blocks in that layout, read-only,
-    O(sum d^2) entries; factors, a pure family's only, holds per size group its thin
-    factor X (M_sigma = X^T conj(X)) or None (_label_blocks).  magnitudes is
-    _magnitudes(shifts), made on its first read (timing._fourier's table)."""
+    O(sum d^2) entries; factors, set only for a pure family with a thin group, holds per
+    size group its read-only thin factor X (M_sigma = X^T conj(X)) or None
+    (_label_blocks).  magnitudes is _magnitudes(shifts), made on its first read
+    (timing._fourier's table)."""
 
     def __init__(self, cluster: np.ndarray, shifts: np.ndarray | None):
         cluster.setflags(write=False)
@@ -590,11 +592,11 @@ class _Layout:
     _store_failure's); diagonal, the places in a buffer of every slot's diagonal
     entries, slot after slot, as the pairs; real_entries, the places among those of the
     real blocks' entries; entries, per entry the places in the pairs of its row and
-    column and of its transpose (rows, cols, trans); and tp_levels, the input levels of
-    each entry's row and column (_restore_tp's).  entries and tp_levels hold only for a
-    layout whose blocks lie one after another, as every label's does (not a Gaussian
-    store's, whose +-a blocks share one offset).  n is the spectrum's dimension.  Every
-    array is read-only."""
+    column and of its transpose (rows, cols, trans); levels, the input level of each flat
+    pair; and tp_levels, the input levels of each entry's row and column (_restore_tp's).
+    entries and tp_levels hold only for a layout whose blocks lie one after another, as
+    every label's does (not a Gaussian store's, whose +-a blocks share one offset).  n is
+    the spectrum's dimension.  Every array is read-only."""
 
     def __init__(self, spectrum: Spectrum, clusters, offsets=None, order=None, real=None):
         sizes = spectrum._sizes[clusters]
@@ -660,8 +662,12 @@ class _Layout:
         return _read_only(self.pairs[at] % self.n, self.diagonal[at])
 
     @cached_property
+    def levels(self) -> np.ndarray:
+        return _read_only(self.pairs % self.n)[0]
+
+    @cached_property
     def tp_levels(self) -> tuple[np.ndarray, np.ndarray]:
-        levels, (rows, cols, _) = self.pairs % self.n, self.entries
+        levels, (rows, cols, _) = self.levels, self.entries
         return _read_only(levels[rows], levels[cols])
 
     def level_sums(self, blocks: np.ndarray) -> np.ndarray:
@@ -749,7 +755,17 @@ def _operator_gather(label: _Label, layout: _Layout, support: np.ndarray):
     return stacks, start, dst, src, ~(held[rows] & held[cols])
 
 
-def _label_blocks(channel: Channel, label: _Label) -> tuple[np.ndarray, tuple]:
+def _thin(k: int, d: int) -> bool:
+    """Whether a size group of d levels with at most k operators on a sector takes the
+    Gram route.  Its eigh of the k x k Grams and two products cost less than the d x d
+    eigh for k <= min(d // 2, d - 6): that is where channels._scaled_eigenvectors of one
+    group of 1-3 sectors ran faster on the factor than on the blocks, timed at d = 2-16
+    for every k < d and at d = 20-64 for k from d // 2 to d - 6 with one BLAS thread.  At
+    d <= 6 the route lost up to 12 us a group, at k = d - 1 up to 17%."""
+    return k <= min(d // 2, d - 6)
+
+
+def _label_blocks(channel: Channel, label: _Label) -> tuple[np.ndarray, tuple | None]:
     """_sector_blocks of a sector-pure family on its label's layout, formed with
     no Choi matrix, and the factors of its thin size groups: sector sigma's block is
     X_sigma^T conj(X_sigma), X_sigma the entries of the operators labelled sigma on its
@@ -759,10 +775,10 @@ def _label_blocks(channel: Channel, label: _Label) -> tuple[np.ndarray, tuple]:
     in its own loop).  The stacks lie in one buffer, filled by one gather
     (_operator_gather): a group's stack holds at most p m d entries, p <= max(2, K), so
     all of them at most max(2, K) n^2, twice the Kraus stack's at most.  An entry off the
-    support is a sum of +-0.0, set to +0.0 as the Choi matrix's.  A group whose most
-    operators on one sector, k, are fewer than its d is thin: its factor is a copy of its
-    stack's first k rows (m, k, d), fewer entries than its blocks; every other group's is
-    None (label.factors)."""
+    support is a sum of +-0.0, set to +0.0 as the Choi matrix's.  A group is thin when its
+    most operators on one sector, k, are at most min(d // 2, d - 6) (_thin): its factor is
+    a read-only copy of its stack's first k rows (m, k, d), fewer entries than its blocks;
+    every other group's is None, and a family with no thin group has no factors (None)."""
     stacks, size, dst, src, off = _operator_gather(label, label.layout, channel._support)
     x = np.zeros(size, dtype=complex)
     x[dst] = channel._ops.reshape(-1)[src]
@@ -772,9 +788,9 @@ def _label_blocks(channel: Channel, label: _Label) -> tuple[np.ndarray, tuple]:
         stack = x[start:start + m * p * d].reshape(m, p, d)
         np.matmul(stack.swapaxes(1, 2), xc[start:start + m * p * d].reshape(m, p, d),
                   out=blocks[o:o + m * d * d].reshape(m, d, d))
-        factors.append(stack[:, :k].copy() if k < d else None)
+        factors.append(_read_only(stack[:, :k].copy())[0] if _thin(k, d) else None)
     blocks[off] = 0.0
-    return blocks, tuple(factors)
+    return blocks, tuple(factors) if any(f is not None for f in factors) else None
 
 
 def _raw(channel: Channel, spectrum: Spectrum, label: _Label) -> np.ndarray:
@@ -806,19 +822,16 @@ def _raw(channel: Channel, spectrum: Spectrum, label: _Label) -> np.ndarray:
     return label.raw
 
 
-def _restore_tp(layout: _Layout, blocks: np.ndarray,
-                factors=None) -> tuple[np.ndarray, tuple | None, float]:
+def _restore_tp(layout: _Layout, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """The blocks (a buffer of the layout) under the congruence by diag(s), s = w^(-1/2)
-    and w their level sums, so that the diagonals sum to one at every level (TP); the
-    factors (label.factors, or None) scaled to match, X diag(s); and max s^2, by which the
-    congruence can scale rounding."""
+    and w their level sums, so that the diagonals sum to one at every level (TP); s
+    itself, read-only, by which reconstruct scales a thin group's factor to X diag(s)
+    (_sources); and max s^2, by which the congruence can scale rounding."""
     scale = 1.0 / np.sqrt(layout.level_sums(blocks))
+    scale.setflags(write=False)
     top = float(scale.max(initial=0.0))
     row_level, col_level = layout.tp_levels
-    if factors is not None:  # X diag(s): each column at its pair's input level
-        factors = tuple(f if f is None else f * scale[span.pairs % layout.n][:, None]
-                        for f, span in zip(factors, layout.spans))
-    return blocks * (scale[row_level] * scale[col_level]), factors, top * top
+    return blocks * (scale[row_level] * scale[col_level]), scale, top * top
 
 
 def _scatter(layout: _Layout, blocks: np.ndarray) -> np.ndarray:
@@ -869,10 +882,10 @@ def decompose(
     (channels._gram_bound; about 1.2e-10 at n = 64 with 4096 Kraus
     operators), and run on the blocks otherwise.  Trace preservation is
     is_cptp's check on the Kraus operators.  A sector-pure family's store
-    also keeps, for each size group with fewer operators on every sector than
-    its d levels, the operators' factor of its blocks, which reconstruct
-    diagonalises in place of the blocks (module docstring); a store that drops
-    a sector keeps no factor.
+    also keeps, for each size group with at most min(d // 2, d - 6) operators
+    on every sector of d levels, the operators' factor of its blocks (the
+    label's, with the TP scale), which reconstruct diagonalises in place of
+    the blocks (module docstring); a store that drops a sector keeps none.
     Inputs covariant only within ``tol`` (finite, >= 0) are
     sector-projected: cross-sector Choi mass is discarded, and if the input
     was trace preserving the mask diagonals are renormalized to restore the
@@ -886,11 +899,11 @@ def decompose(
     defect, sq_cross = label.cross
     if defect > tol:
         raise NotCovariant(defect, tol)
-    layout, factors = label.layout, label.factors
+    layout = label.layout
     blocks = (raw + raw[layout.entries[2]].conj()) / 2.0
-    scale = 1.0
+    scale, tp_scale = 1.0, None
     if channel._tp_defect <= mc.EPS_TP:
-        blocks, factors, scale = _restore_tp(layout, blocks, factors)
+        blocks, tp_scale, scale = _restore_tp(layout, blocks)
 
     # ||C - scatter(kept blocks)||^2 entry by entry: the cross-sector
     # entries, plus each sector's Choi block minus its kept block (or zero).
@@ -906,9 +919,10 @@ def decompose(
         sq_terms[layout.clusters[slots]] = np.vecdot(terms, terms).real
     # A running sum adds the terms in sector order, as one float after another.
     sq_defect = np.add.accumulate(np.r_[sq_cross, sq_terms])[-1]
-    # The store is the label's layout, with all its tables, and its factors, unless a
-    # sector is dropped (then it keeps no factor); its blocks are Hermitised, so
-    # reconstruct takes them as they are.
+    # The store is the label's layout, with all its tables, and its factors with the
+    # TP scale, unless a sector is dropped (then it keeps no factor); its blocks are
+    # Hermitised, so reconstruct takes them as they are.
+    factors = None if label.factors is None else (label.factors, tp_scale)
     if dropped:
         blocks, factors = blocks[np.repeat(~drop, square)], None
         layout = _Layout(spectrum, layout.clusters[~drop])
@@ -974,21 +988,37 @@ def apply_sectors(decomp: SectorDecomposition, mat: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sources(decomp: SectorDecomposition) -> list:
+    """Per size group what reconstruct diagonalises: a thin group's factor X, times diag(s)
+    when decompose scaled the blocks for TP (decomp._factors holds the label's factors and
+    s, or is None), or else its block stack."""
+    stacks = [stack for *_, stack in decomp._stacked]
+    if decomp._factors is None:
+        return stacks
+    layout, (factors, scale) = decomp._layout, decomp._factors
+    if scale is None:
+        return [stack if f is None else f for f, stack in zip(factors, stacks)]
+    cols = scale[layout.levels]  # each flat pair's column scale
+    return [stack if f is None else f * cols[span.first:span.first + span.m * span.d]
+            .reshape(span.m, 1, span.d) for f, span, stack in zip(factors, layout.spans, stacks)]
+
+
 def reconstruct(decomp: SectorDecomposition) -> Channel:
     """Rebuild the channel sum_sigma S_sigma (M_sigma * rho) S_sigma^dag as the operators
     S_sigma diag(v), v the spectral vectors of each block; a decomposition with no
     sectors is the zero map, one zero Kraus operator.  The vectors have two sources, one
-    eigh per size group: a thin group's factor X, kept by decompose of a sector-pure family
-    when the group's p operators on a sector are fewer than its d levels (the Gram
-    conj(X) X^T, p x p, and v = X^T u), or else the blocks (d x d).  The blocks decompose
-    stores are exactly Hermitian, so their Hermitian part is not taken again.  A
-    decomposition rebuilt from its pairs or read from JSON has no factor: it takes the
-    spectral route, and may differ from decompose's own by roundoff."""
-    layout, factors = decomp._layout, decomp._factors or repeat(None)
+    eigh per size group (_sources): a thin group's factor X, kept by decompose of a
+    sector-pure family when the group's p operators on a sector are at most
+    min(d // 2, d - 6) of its d levels (the Gram conj(X) X^T, p x p, and v = X^T u), or
+    else the blocks (d x d).  The blocks decompose stores are exactly Hermitian, so their
+    Hermitian part is not taken again.  A decomposition rebuilt from its pairs or read
+    from JSON has no factor: it takes the spectral route, and may differ from
+    decompose's own by roundoff."""
+    layout = decomp._layout
     count, vecs = np.zeros(0, dtype=np.intp), np.zeros((0, 0))
     if layout.clusters.size:
-        mats = [stack if f is None else f for f, (*_, stack) in zip(factors, decomp._stacked)]
-        _, _, count, vecs = mc._scaled_eigenvectors(mats, layout.keys, decomp._hermitian)
+        _, _, count, vecs = mc._scaled_eigenvectors(_sources(decomp), layout.keys,
+                                                    decomp._hermitian)
     return _shift_kraus(layout.pairs[layout.sector_order], layout.sizes[layout.order], count,
                         vecs, layout.n)
 

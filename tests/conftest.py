@@ -403,12 +403,13 @@ def reconstruct_per_sector(decomp: cc.SectorDecomposition) -> cc.Channel:
     return cc.Channel(tuple(ops or [np.zeros((n, n), dtype=complex)]))
 
 
-# reconstruct's thin route (a size group of a sector-pure family with fewer operators on
-# each sector than levels: one eigh of the Gram of its operators) against the spectral
-# route of reconstruct_per_sector: each sector's Choi block differs by at most
+# reconstruct's thin route (a size group of a sector-pure family with few operators on
+# each sector, covariant._thin: one eigh of the Gram of its operators) against the
+# spectral route of reconstruct_per_sector: each sector's Choi block differs by at most
 # THIN_ROUTE_C u ||M_sigma||_F.  Over 2,400 draws of test_properties.thin_family (800
-# each of three-shift mixtures, shift families mixed by an isometry and amplitude
-# damping, n <= 12, one BLAS thread) the largest ratio was 21.9; the bound is about twice that.
+# each of three-shift mixtures and amplitude damping at 7 <= n <= 12 and of shift
+# families mixed by an isometry at 9 <= n <= 12, one BLAS thread) the largest ratio was
+# 23.5; the bound is about twice that.
 THIN_ROUTE_C = 48.0
 
 
@@ -428,14 +429,13 @@ def thin_route_ratio(decomp: cc.SectorDecomposition, want: cc.SectorDecompositio
     return ratio
 
 
-def assert_reconstructs_as_per_sector(chan: cc.Channel, spec: cc.Spectrum,
-                                      decomp: cc.SectorDecomposition,
+def assert_reconstructs_as_per_sector(decomp: cc.SectorDecomposition,
                                       want: cc.SectorDecomposition) -> None:
-    """reconstruct(decomp), decomp = decompose(chan, spec), against reconstruct_per_sector
-    of want, its oracle: bit for bit for a family that mixes sectors; for a sector-pure one
-    (blocks_per_operator), which may take the thin route, as many Kraus operators and each
-    sector's Choi block within THIN_ROUTE_C u ||M_sigma||_F."""
-    if blocks_per_operator(chan, spec) is None:
+    """reconstruct(decomp) against reconstruct_per_sector of want, its oracle: bit for bit
+    unless decomp keeps a factor (a sector-pure family with a thin group, which takes the
+    Gram route); then as many Kraus operators and each sector's Choi block within
+    THIN_ROUTE_C u ||M_sigma||_F."""
+    if decomp._factors is None:
         assert sha256_of(cov.reconstruct(decomp)) == sha256_of(reconstruct_per_sector(want))
     else:
         assert thin_route_ratio(decomp, want) <= THIN_ROUTE_C

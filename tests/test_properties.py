@@ -541,7 +541,7 @@ def assert_stacks_equal_loops(chan, rho, spec):
             == sha256_of(covariance_defect_per_sector(chan, spec)))
     # From decompose's own stacks, and from stacks grouped again from the sectors, which
     # carry no factor: they take the spectral route, bit for bit.
-    assert_reconstructs_as_per_sector(chan, spec, got, want)
+    assert_reconstructs_as_per_sector(got, want)
     rebuilt = dataclasses.replace(got)
     assert sha256_of(cov.reconstruct(rebuilt)) == sha256_of(reconstruct_per_sector(want))
     for decomp in (got, rebuilt):
@@ -869,7 +869,7 @@ def test_one_pass_sector_work_equals_per_sector_loops(family, kind, data):
     assert kind != "not_covariant" or n == 1
     got = cov.decompose(chan, spec)
     assert sha256_of(got) == sha256_of(want)
-    assert_reconstructs_as_per_sector(chan, spec, got, want)
+    assert_reconstructs_as_per_sector(got, want)
     if kind == "dropped":
         touched = np.unique(spec._cluster[chan._support]).size  # sectors holding a pair
         assert len(got.sectors) < touched
@@ -878,15 +878,16 @@ def test_one_pass_sector_work_equals_per_sector_loops(family, kind, data):
 
 
 def thin_family(kind: str, n: int, rng: np.random.Generator):
-    """A spectrum of n >= 2 levels and a sector-pure family on it with a sector that holds
-    fewer operators than levels.  three_shifts: sqrt(p_j) S_sigma_j for sigma = 0 and two
-    other sigmas, random weights p_j.  isometry_mixed (n >= 4): on sigma = 0 and up to two
-    other sectors, K <= max(1, d - 3) operators S_sigma diag(v) with random complex v,
+    """A spectrum of n levels and a sector-pure family on it whose sigma = 0 group is thin
+    (covariant._thin: at most min(n // 2, n - 6) operators on it).  three_shifts (n >= 7):
+    sqrt(p_j) S_sigma_j for sigma = 0 and two other sigmas, random weights p_j.
+    isometry_mixed (n >= 9): on sigma = 0, K <= min(n // 2, n - 6) - 2 operators, and on up
+    to two other sectors K <= max(1, d - 3), each S_sigma diag(v) with random complex v,
     trace preserving as a family to within about 1e-11 (so that decompose's congruence
     moves the blocks) or not, then mixed by a random (K + 2) x K isometry Q into the K + 2
-    operators sum_j Q_ij A_j, rank K.  Their spectra have integer or sqrt(prime) gaps.
-    amplitude_damping: diag(sqrt(1 - gamma_j)) and sum_j sqrt(gamma_j) |j - 1><j| on n
-    equally spaced levels, trace preserving."""
+    operators sum_j Q_ij A_j, rank K; the other sectors take either route.  Their spectra
+    have integer or sqrt(prime) gaps.  amplitude_damping (n >= 7): diag(sqrt(1 - gamma_j))
+    and sum_j sqrt(gamma_j) |j - 1><j| on n equally spaced levels, trace preserving."""
     if kind == "amplitude_damping":
         gamma = np.r_[0.0, rng.random(n - 1)]
         return cc.Spectrum(np.arange(float(n))), cc.Channel(
@@ -901,9 +902,9 @@ def thin_family(kind: str, n: int, rng: np.random.Generator):
         return spec, tim.build_shift_mixture(spec, list(zip(sigmas, probs / probs.sum()))).channel
     sigmas = [0.0, *rng.choice(others, rng.integers(0, 3), replace=False).tolist()]
     shifts = [cc.partial_shift(spec, sigma) for sigma in sigmas]
+    most = [min(n // 2, n - 6) - 2, *(max(1, len(shift.domain) - 3) for shift in shifts[1:])]
     ops = [[shift.matrix * (rng.normal(size=n) + 1j * rng.normal(size=n))
-            for _ in range(rng.integers(1, max(1, len(shift.domain) - 3) + 1))]
-           for shift in shifts]
+            for _ in range(rng.integers(1, k + 1))] for shift, k in zip(shifts, most)]
     if rng.random() < 0.5:  # sigma = 0 holds every level, so each column sum is positive
         norm = np.sqrt(sum((np.abs(a) ** 2).sum(axis=0) for sector in ops for a in sector))
         norm *= 1.0 + 1e-11 * rng.random(n)
@@ -920,15 +921,17 @@ def thin_family(kind: str, n: int, rng: np.random.Generator):
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
 @given(data=st.data())
 def test_thin_route_reconstructs_as_the_spectral_route(kind, data):
-    # A pure family's size groups with fewer operators on a sector than levels take
-    # the Gram's eigh: as many Kraus operators as the spectral route, and Choi blocks
-    # within THIN_ROUTE_C u ||M_sigma||_F of its.  Rebuilt from its pairs, the same
+    # A pure family's thin size groups (covariant._thin) take the Gram's eigh: as many
+    # Kraus operators as the spectral route, and Choi blocks within THIN_ROUTE_C u
+    # ||M_sigma||_F of its.  Rebuilt from its pairs, the same
     # decomposition keeps no factor and reconstructs as the spectral route, bit for bit.
-    n = data.draw(st.integers(4 if kind == "isometry_mixed" else 2, 12))
+    n = data.draw(st.integers(9 if kind == "isometry_mixed" else 7, 12))
     spec, chan = thin_family(kind, n, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
     decomp, want = cov.decompose(chan, spec), decompose_per_sector(chan, spec)
     assert sha256_of(decomp) == sha256_of(want)
-    assert any(factor is not None for factor in decomp._factors)
+    factors, scale = decomp._factors  # the label's, shared by every store: read-only
+    assert not any(f.flags.writeable for f in factors if f is not None)
+    assert scale is None or not scale.flags.writeable
     assert thin_route_ratio(decomp, want) <= conftest.THIN_ROUTE_C
     rebuilt = cc.SectorDecomposition(spec, decomp.sectors, decomp.projection_defect)
     assert sha256_of(cov.reconstruct(rebuilt)) == sha256_of(reconstruct_per_sector(decomp))
