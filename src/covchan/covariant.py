@@ -758,10 +758,11 @@ def _operator_gather(label: _Label, layout: _Layout, support: np.ndarray):
 def _thin(k: int, d: int) -> bool:
     """Whether a size group of d levels with at most k operators on a sector takes the
     Gram route.  Its eigh of the k x k Grams and two products cost less than the d x d
-    eigh for k <= min(d // 2, d - 6): that is where channels._scaled_eigenvectors of one
-    group of 1-3 sectors ran faster on the factor than on the blocks, timed at d = 2-16
-    for every k < d and at d = 20-64 for k from d // 2 to d - 6 with one BLAS thread.  At
-    d <= 6 the route lost up to 12 us a group, at k = d - 1 up to 17%."""
+    eigh for k <= min(d // 2, d - 6): there channels._scaled_eigenvectors of one group
+    ran faster on the factor than on the blocks for 2-3 sectors, and within 6 us for one,
+    timed at d = 2-16 for every k < d and at d = 20-64 for k from d // 2 to d - 6 with one
+    BLAS thread.  At d <= 6 and k >= 2 the route lost 2-15 us a group, at k = d - 1 up to
+    17%."""
     return k <= min(d // 2, d - 6)
 
 
